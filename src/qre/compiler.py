@@ -37,7 +37,7 @@ from .circuit import (
 from .stabilizer import PauliRows, graph_form, stabilizer_after
 
 CACHE_ENV = "QRE_CACHE_DIR"
-CACHE_FORMAT = 1
+CACHE_FORMAT = 2
 
 SIM_QUBIT_LIMIT = 12
 
@@ -174,14 +174,20 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
     if len(measurements) != w.n_T_init + w.n_Rz_init:
         raise CompileError("gadget count disagrees with transpiled gate counts")
 
-    frames: dict[int, PauliFrame] = {}
-    for a, f, k in gadgets:
-        p = PauliRows.single_z(f, n_nodes)
-        p.apply_ops(ops[k:])
-        frames[a] = PauliFrame(
-            x_support=tuple(np.nonzero(p.x[0])[0].tolist()),
-            z_support=tuple(np.nonzero(p.z[0])[0].tolist()),
-        )
+    # One sweep over ops: row j stays the identity (a fixed point of every
+    # conjugation) until op index k_j, where it becomes Z on its fresh node.
+    rows = PauliRows.zeros(len(gadgets), n_nodes)
+    start = gadgets[0][2] if gadgets else len(ops)
+    for j, (_, f, k) in enumerate(gadgets):
+        rows.apply_ops(ops[start:k])
+        rows.z[j, f] = True
+        start = k
+    rows.apply_ops(ops[start:])
+    frames = {
+        a: PauliFrame(x_support=tuple(np.nonzero(rows.x[j])[0].tolist()),
+                      z_support=tuple(np.nonzero(rows.z[j])[0].tolist()))
+        for j, (a, _, _) in enumerate(gadgets)
+    }
 
     gf = graph_form(stabilizer_after(ops, n_nodes))
     edges = tuple(gf.edges())
@@ -245,21 +251,22 @@ def _max_live_nodes(
     start) until its own measurement, outputs until the end."""
     horizon = len(schedule) + 1
     meas_time = {v: t + 1 for t, layer in enumerate(schedule) for v in layer}
-    nbrs: dict[int, list[int]] = {v: [] for v in range(n_nodes)}
+    create = [0] * n_input + [
+        meas_time.get(v, horizon) for v in range(n_input, n_nodes)]
     for u, v in edges:
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    create = {}
+        if u >= n_input:
+            create[u] = min(create[u], meas_time.get(v, horizon))
+        if v >= n_input:
+            create[v] = min(create[v], meas_time.get(u, horizon))
+    # Node v is live on sub-steps max(create, 1)..its measurement (or the
+    # horizon): count it with +1/-1 at the ends and take the peak prefix sum.
+    delta = [0] * (horizon + 2)
     for v in range(n_nodes):
-        if v < n_input:
-            create[v] = 0
-        else:
-            times = [meas_time.get(u, horizon) for u in (v, *nbrs[v])]
-            create[v] = min(times)
-    peak = 0
+        delta[max(create[v], 1)] += 1
+        delta[meas_time.get(v, horizon) + 1] -= 1
+    peak = live = 0
     for t in range(1, horizon + 1):
-        live = sum(1 for v in range(n_nodes)
-                   if create[v] <= t <= meas_time.get(v, horizon))
+        live += delta[t]
         peak = max(peak, live)
     return peak
 
@@ -455,7 +462,8 @@ def _inverse_mat(g: Gate) -> np.ndarray:
 
 def _cache_key(w: TranspiledWidget, n_input: int) -> str:
     parts = [f"v{CACHE_FORMAT}", f"n{n_input}"]
-    parts.extend(repr(g) for g in w.gates)
+    # Gate.__repr__ rounds angles; repr(float) round-trips exactly.
+    parts.extend(f"{g.kind.value}{g.qubits}{g.angle!r}" for g in w.gates)
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:32]
 
 

@@ -141,9 +141,14 @@ _INT_FIELDS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes", "fan_out",
 def _coerce(field_name: str, value):
     if value is None:
         return None
-    if field_name in _INT_FIELDS:
+    if field_name not in _INT_FIELDS:
+        return float(value)
+    if isinstance(value, int):
         return int(value)
-    return float(value)
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{field_name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchConfig:

@@ -11,6 +11,7 @@ order, until every edge is covered exactly once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -84,38 +85,45 @@ def schedule_preparation(
     if any(u == v or not (0 <= u < n_nodes and 0 <= v < n_nodes)
            for u, v in uncovered):
         raise ValueError("edges must join distinct nodes in range")
-    adj: dict[int, list[int]] = {v: [] for v in range(n_nodes)}
+    # Sorted uncovered neighbours per node; both entries go when an edge is
+    # covered, so each sub-step visits only nodes with edges left.
+    unc: list[list[int]] = [[] for _ in range(n_nodes)]
     for u, v in uncovered:
-        adj[u].append(v)
-        adj[v].append(u)
-    for v in adj:
-        adj[v].sort()
+        unc[u].append(v)
+        unc[v].append(u)
+    for nbrs in unc:
+        nbrs.sort()
+    active = [c for c in range(n_nodes) if unc[c]]
 
     sub_steps: list[tuple[PrepTuple, ...]] = []
-    while uncovered:
+    while active:
         used: set[int] = set()
-        intervals: list[tuple[int, int]] = []
+        # Centers rise through the sweep and every interval holds its
+        # center, so a star fits only past the last accepted interval (and
+        # every used node lies at or below that reach).
+        reach = -1
         step: list[PrepTuple] = []
-        for c in range(n_nodes):
-            if c in used:
+        for c in active:
+            if c <= reach:
                 continue
-            leaves = [v for v in adj[c]
-                      if v not in used and _normalize(c, v) in uncovered]
+            leaves = [v for v in unc[c] if v not in used]
             if not leaves:
                 continue
             take = tuple(leaves[:fan_out])
             lo = min(c, take[0])
-            hi = max(c, take[-1])
-            if any(lo <= b and a <= hi for a, b in intervals):
+            if lo <= reach:
                 continue
             step.append(PrepTuple(c, take))
             used.add(c)
             used.update(take)
-            intervals.append((lo, hi))
+            reach = max(c, take[-1])
+            taken = set(take)
+            unc[c] = [v for v in unc[c] if v not in taken]
             for v in take:
-                uncovered.discard(_normalize(c, v))
+                del unc[v][bisect_left(unc[v], c)]
         assert step, "a fresh sub-step always fits at least one star"
         sub_steps.append(tuple(step))
+        active = [c for c in active if unc[c]]
     return PrepSchedule(n_nodes, tuple(sub_steps))
 
 

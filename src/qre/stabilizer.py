@@ -36,11 +36,11 @@ class PauliRows:
         return cls(np.eye(n, dtype=bool), np.zeros((n, n), bool), np.zeros(n, np.uint8))
 
     @classmethod
-    def single_z(cls, qubit: int, n: int) -> "PauliRows":
-        x = np.zeros((1, n), bool)
-        z = np.zeros((1, n), bool)
-        z[0, qubit] = True
-        return cls(x, z, np.zeros(1, np.uint8))
+    def zeros(cls, rows: int, n: int) -> "PauliRows":
+        """``rows`` identity rows over n qubits: each is a fixed point of
+        every conjugation until a bit is set."""
+        return cls(np.zeros((rows, n), bool), np.zeros((rows, n), bool),
+                   np.zeros(rows, np.uint8))
 
     def copy(self) -> "PauliRows":
         return PauliRows(self.x.copy(), self.z.copy(), self.r.copy())

@@ -255,3 +255,100 @@ def min_distance_sweep(lhs_at, p_algo_fail: float, d_cap: int = 199):
         if value is not None and value < rhs:
             return d
     return None
+
+
+# --------------------------------------------------------------------------
+# Straightforward compiler and scheduler references (quadratic, kept simple)
+# --------------------------------------------------------------------------
+
+def gadgets_of(cw):
+    """(measured node, fresh node, op index after its H) per teleportation
+    gadget: a fresh node first appears in its gadget's CZ, then gets an H."""
+    seen = set(range(cw.n_input))
+    out = []
+    for i, (name, qubits) in enumerate(cw.prep_ops):
+        fresh = [q for q in qubits if q not in seen]
+        if fresh:
+            a, f = qubits
+            assert name == "cz" and fresh == [f]
+            assert cw.prep_ops[i + 1] == ("h", (f,))
+            out.append((a, f, i + 2))
+        seen.update(qubits)
+    return out
+
+
+def frames_by_replay(ops, gadgets, n_nodes):
+    """Byproduct frames, replaying the Clifford tail once per gadget:
+    {measured node: (x_support, z_support)}."""
+    from qre.stabilizer import PauliRows
+
+    frames = {}
+    for a, f, k in gadgets:
+        p = PauliRows.zeros(1, n_nodes)
+        p.z[0, f] = True
+        p.apply_ops(ops[k:])
+        frames[a] = (tuple(np.nonzero(p.x[0])[0].tolist()),
+                     tuple(np.nonzero(p.z[0])[0].tolist()))
+    return frames
+
+
+def max_live_nodes_by_scan(n_input, n_nodes, edges, schedule):
+    """Peak live-node count, counting every node at every sub-step."""
+    horizon = len(schedule) + 1
+    meas_time = {v: t + 1 for t, layer in enumerate(schedule) for v in layer}
+    nbrs = {v: [] for v in range(n_nodes)}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    create = {}
+    for v in range(n_nodes):
+        if v < n_input:
+            create[v] = 0
+        else:
+            create[v] = min(meas_time.get(u, horizon) for u in (v, *nbrs[v]))
+    peak = 0
+    for t in range(1, horizon + 1):
+        live = sum(1 for v in range(n_nodes)
+                   if create[v] <= t <= meas_time.get(v, horizon))
+        peak = max(peak, live)
+    return peak
+
+
+def schedule_by_rescan(n_nodes, edges, fan_out=4):
+    """Greedy star packing that rescans every node, neighbour list and
+    interval on each sub-step: a list of sub-steps of (center, leaves)."""
+    def norm(u, v):
+        return (u, v) if u < v else (v, u)
+
+    uncovered = {norm(u, v) for u, v in edges}
+    adj = {v: [] for v in range(n_nodes)}
+    for u, v in uncovered:
+        adj[u].append(v)
+        adj[v].append(u)
+    for v in adj:
+        adj[v].sort()
+    sub_steps = []
+    while uncovered:
+        used = set()
+        intervals = []
+        step = []
+        for c in range(n_nodes):
+            if c in used:
+                continue
+            leaves = [v for v in adj[c]
+                      if v not in used and norm(c, v) in uncovered]
+            if not leaves:
+                continue
+            take = tuple(leaves[:fan_out])
+            lo = min(c, take[0])
+            hi = max(c, take[-1])
+            if any(lo <= b and a <= hi for a, b in intervals):
+                continue
+            step.append((c, take))
+            used.add(c)
+            used.update(take)
+            intervals.append((lo, hi))
+            for v in take:
+                uncovered.discard(norm(c, v))
+        sub_steps.append(step)
+    return sub_steps

@@ -62,6 +62,14 @@ class TestEstimate:
         assert rc == EXIT_INVALID
         assert "p_thresh" in capsys.readouterr().err
 
+    def test_non_integral_fan_out_is_invalid(self, qft3_path, tmp_path,
+                                             capsys):
+        cfg = tmp_path / "frac.yaml"
+        cfg.write_text("architecture:\n  fan_out: 2.7\n")
+        rc = main(["estimate", str(qft3_path), "--config", str(cfg)])
+        assert rc == EXIT_INVALID
+        assert "fan_out" in capsys.readouterr().err
+
     def test_infeasible_is_exit_3(self, qft3_path, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text("physical:\n  n_phys_per_module: 5000\n")

@@ -7,9 +7,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import same_up_to_phase
+from oracles import (
+    frames_by_replay,
+    gadgets_of,
+    max_live_nodes_by_scan,
+    same_up_to_phase,
+)
 from qre import _sim
-from qre.circuit import Gate, GateKind, gate, generate_qft, invert_gates, transpile
+from qre.circuit import (
+    ANGLED,
+    ARITY,
+    Gate,
+    GateKind,
+    gate,
+    generate_qft,
+    invert_gates,
+    transpile,
+)
 from qre.compiler import (
     CompileError,
     CompiledWidget,
@@ -20,6 +34,7 @@ from qre.compiler import (
     stitch,
     verify_unitarity,
 )
+from qre.stabilizer import PauliRows
 
 PI = math.pi
 
@@ -326,3 +341,72 @@ class TestDeterminismAndCache:
         cw = compile_widget(tw, cache_dir=tmp_path)
         fid = verify_unitarity([cw], invert_gates(gates), seed=0)
         assert fid >= 1 - 1e-9
+
+
+@st.composite
+def any_circuits(draw, n=5, max_gates=40):
+    """Circuits over every gate kind, composites included."""
+    gates = []
+    for _ in range(draw(st.integers(0, max_gates))):
+        kind = draw(st.sampled_from(list(GateKind)))
+        qubits = draw(st.permutations(range(n)))[:ARITY[kind]]
+        angle = (draw(st.floats(-3.0, 3.0, allow_nan=False))
+                 if kind in ANGLED else None)
+        gates.append(Gate(kind, tuple(qubits), angle))
+    return gates
+
+
+def assert_matches_references(cw):
+    want = frames_by_replay(cw.prep_ops, gadgets_of(cw), cw.n_nodes)
+    assert {a: (f.x_support, f.z_support) for a, f in cw.frames.items()} == want
+    assert list(cw.frames) == list(want)
+    assert cw.n_logical == max_live_nodes_by_scan(
+        cw.n_input, cw.n_nodes, cw.edges, cw.consump_schedule)
+
+
+class TestOneSweepFrames:
+    @settings(max_examples=60, deadline=None)
+    @given(any_circuits())
+    def test_matches_per_gadget_replay(self, gates):
+        assert_matches_references(compile_widget(transpile(gates), n_input=5))
+
+    def test_qft_matches_per_gadget_replay(self):
+        assert_matches_references(compile_widget(transpile(generate_qft(8))))
+
+    def test_frame_ops_at_most_prep_ops(self, monkeypatch):
+        """Frame propagation passes each prep op to apply_ops at most once."""
+        import qre.compiler as comp
+
+        frame_ops = []
+        tableau_depth = []
+        apply_ops, stabilizer_after = PauliRows.apply_ops, comp.stabilizer_after
+
+        def counting_apply_ops(self, ops):
+            ops = list(ops)
+            if not tableau_depth:
+                frame_ops.append(len(ops))
+            apply_ops(self, ops)
+
+        def marked_stabilizer_after(ops, n):
+            tableau_depth.append(1)
+            try:
+                return stabilizer_after(ops, n)
+            finally:
+                tableau_depth.pop()
+
+        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+        monkeypatch.setattr(PauliRows, "apply_ops", counting_apply_ops)
+        monkeypatch.setattr(comp, "stabilizer_after", marked_stabilizer_after)
+        cw = compile_widget(transpile(generate_qft(16)))
+        assert frame_ops, "frames go through PauliRows.apply_ops"
+        assert sum(frame_ops) <= len(cw.prep_ops)
+
+
+class TestExactCacheKey:
+    def test_nearby_angles_get_separate_entries(self, tmp_path):
+        angles = (0.1234561, 0.1234564)
+        got = [compile_widget(transpile([gate(GateKind.Rz, 0, angle=a)]),
+                              cache_dir=tmp_path).measurements[0].angle
+               for a in angles]
+        assert got == list(angles)
+        assert len(list(tmp_path.glob("widget-*.json"))) == 2

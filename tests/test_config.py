@@ -84,6 +84,20 @@ class TestSections:
         assert cfg.n_phys_per_module == 1_500_000
         assert isinstance(cfg.n_phys_per_module, int)
 
+    def test_non_integral_int_field_fails(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        for text in ("2.7", ".inf"):
+            path.write_text(f"architecture:\n  fan_out: {text}\n")
+            with pytest.raises(ConfigError, match="architecture.fan_out"):
+                load_config(path)
+
+    def test_integral_int_field_accepted(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        for text in ("4", "4.0"):
+            path.write_text(f"architecture:\n  fan_out: {text}\n")
+            cfg = load_config(path)
+            assert cfg.fan_out == 4 and isinstance(cfg.fan_out, int)
+
     def test_unknown_section_warns(self):
         with pytest.warns(UserWarning, match="unknown config section"):
             cfg = config_from_mapping({"flux_capacitor": {"gw": 1.21}})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import min_prep_substeps
+from oracles import min_prep_substeps, schedule_by_rescan
 from qre.compiler import compile_widget
 from qre.circuit import generate_qft, transpile
 from qre.prepsched import (
@@ -101,6 +101,18 @@ class TestInvariants:
             edges = edges[:6]
         s = schedule_preparation(n, edges)
         assert s.n_sub_steps >= min_prep_substeps(n, edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=80))),
+        st.integers(1, 5))
+    def test_matches_rescanning_reference(self, case, fan_out):
+        n, edges = case
+        s = schedule_preparation(n, edges, fan_out=fan_out)
+        got = [[(t.center, t.leaves) for t in step] for step in s.sub_steps]
+        assert got == schedule_by_rescan(n, edges, fan_out=fan_out)
 
     def test_minimum_matches_on_known_cases(self):
         assert min_prep_substeps(5, [(0, v) for v in range(1, 5)]) == 1

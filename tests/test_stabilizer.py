@@ -62,8 +62,11 @@ class TestDenseConvention:
         for i in range(3):
             expected = unitary_on("x", (i,), 3) @ np.eye(8)
             assert np.allclose(rows.dense(i), expected)
-        z1 = PauliRows.single_z(1, 2)
+        z1 = PauliRows.zeros(2, 2)
+        assert np.allclose(z1.dense(0), np.eye(4))
+        z1.z[0, 1] = True
         assert np.allclose(z1.dense(0), np.kron(np.eye(2), _sim.Z_MAT))
+        assert np.allclose(z1.dense(1), np.eye(4))
 
     def test_dense_is_hermitian(self):
         for x_bits, z_bits, r_bit in all_paulis(2):
