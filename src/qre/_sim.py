@@ -1,4 +1,4 @@
-"""Dense state-vector helpers shared by the verifier and the test suite.
+"""Dense state-vector helpers for simulation-backed verification.
 
 Qubit 0 is the most significant bit of the computational-basis index; a state
 on n qubits is stored as a complex ndarray of shape (2,)*n so that axis q is
@@ -9,7 +9,7 @@ approximations, no stabilizer shortcuts.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ S_MAT = np.array([[1, 0], [0, 1j]], dtype=complex)
 SDG_MAT = S_MAT.conj()
 T_MAT = np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex)
 TDG_MAT = T_MAT.conj()
-I_MAT = np.eye(2, dtype=complex)
 
 CX_MAT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
@@ -49,19 +48,6 @@ def cphase_mat(theta: float) -> np.ndarray:
     return np.diag([1, 1, 1, np.exp(1j * theta)]).astype(complex)
 
 
-def zero_state(n: int) -> np.ndarray:
-    """|0...0> on n qubits, shape (2,)*n."""
-    state = np.zeros((2,) * n, dtype=complex)
-    state[(0,) * n] = 1.0
-    return state
-
-
-def plus_state(n: int) -> np.ndarray:
-    """|+...+> on n qubits, shape (2,)*n."""
-    state = np.full((2,) * n, 2.0 ** (-n / 2), dtype=complex)
-    return state
-
-
 def apply_matrix(state: np.ndarray, mat: np.ndarray, qubits: Sequence[int]) -> np.ndarray:
     """Apply a 2^k x 2^k matrix to the given axes of a (2,)*n state tensor.
 
@@ -79,13 +65,6 @@ def apply_matrix(state: np.ndarray, mat: np.ndarray, qubits: Sequence[int]) -> n
     return moved.transpose(inverse)
 
 
-def circuit_unitary(apply_fn, n: int) -> np.ndarray:
-    """Dense unitary of a circuit given a function state -> state on (2,)*n + batch."""
-    basis = np.eye(2 ** n, dtype=complex).reshape((2,) * n + (2 ** n,))
-    out = apply_fn(basis)
-    return out.reshape(2 ** n, 2 ** n)
-
-
 def project_qubit(state: np.ndarray, qubit: int, vec: np.ndarray) -> tuple[np.ndarray, float]:
     """Contract one qubit axis against <vec| and return (reduced state, probability).
 
@@ -95,20 +74,3 @@ def project_qubit(state: np.ndarray, qubit: int, vec: np.ndarray) -> tuple[np.nd
     reduced = np.tensordot(vec.conj(), state, axes=([0], [qubit]))
     prob = float(np.vdot(reduced, reduced).real)
     return reduced, prob
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|^2 for two state tensors of identical shape."""
-    return float(abs(np.vdot(a.reshape(-1), b.reshape(-1))) ** 2)
-
-
-def phase_quotient_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """Max-abs difference between u and v after removing a global phase."""
-    idx = np.unravel_index(np.argmax(np.abs(v)), v.shape)
-    if abs(v[idx]) == 0:
-        return float(np.max(np.abs(u - v)))
-    phase = u[idx] / v[idx]
-    if abs(phase) == 0:
-        return float(np.max(np.abs(u - v)))
-    phase /= abs(phase)
-    return float(np.max(np.abs(u - phase * v)))

@@ -8,7 +8,6 @@ else in an input file is a hard parse error.
 from __future__ import annotations
 
 import ast
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -289,14 +288,10 @@ def count_stitches(sequence: Sequence[str]) -> dict[tuple[str, str], int]:
     return stitches
 
 
-def parse_widget_file(path: str | Path) -> WidgetizedCircuit:
-    """Load a widget JSON file: {format, n_input, distinct_widgets, sequence}."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise CircuitError(f"{path}: expected a JSON object at top level")
+def parse_widget_file(payload: Mapping, path: str | Path) -> WidgetizedCircuit:
+    """Build a widgetized circuit from decoded widget-table JSON: {format,
+    n_input, distinct_widgets, sequence}. ``path`` only names the source in
+    error messages."""
     fmt = payload.get("format", WIDGET_FORMAT)
     if fmt != WIDGET_FORMAT:
         raise CircuitError(f"{path}: unsupported widget file format {fmt!r}")

@@ -7,8 +7,8 @@ node. Clifford gates act directly on current nodes (SWAP is pure relabeling).
 The accumulated Clifford preparation is canonicalized to graph + local
 Clifford form; conditional byproducts are commuted to end-of-preparation
 Pauli frames; consumption sub-steps are greedy maximal antichains of the
-frame-dependency order. Small widgets also carry an exact dense state so the
-whole construction can be verified by simulation.
+frame-dependency order. ``verify_unitarity`` checks the whole construction
+by exact dense simulation; nothing else here simulates.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -87,7 +87,6 @@ class CompiledWidget:
     frames: dict[int, PauliFrame]
     consump_schedule: tuple[tuple[int, ...], ...]
     n_logical: int
-    local_state: np.ndarray | None = field(compare=False, repr=False, default=None)
 
     @property
     def n_T(self) -> int:
@@ -194,13 +193,6 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
     schedule = _layer_consumption(measurements, frames)
     n_logical = _max_live_nodes(n, n_nodes, edges, schedule)
 
-    local_state = None
-    if n_nodes <= SIM_QUBIT_LIMIT:
-        state = _sim.plus_state(n_nodes)
-        for name, qubits in ops:
-            state = _sim.apply_matrix(state, _OP_MATS[name], qubits)
-        local_state = state
-
     return CompiledWidget(
         n_input=n,
         n_nodes=n_nodes,
@@ -213,7 +205,6 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
         frames=frames,
         consump_schedule=schedule,
         n_logical=n_logical,
-        local_state=local_state,
     )
 
 
@@ -381,7 +372,6 @@ def verify_unitarity(
     inverse_gates: Sequence[Gate],
     *,
     seed: int | None = None,
-    qubit_limit: int = SIM_QUBIT_LIMIT,
 ) -> float:
     """Execute the widget sequence by exact simulation on |0...0> with random
     measurement outcomes and eager frame corrections, apply the inverse gate
@@ -394,9 +384,9 @@ def verify_unitarity(
     peak = max(w.n_nodes for w in widgets)
     if len(widgets) > 1:
         peak = max(peak, n + 2)
-    if peak > qubit_limit:
-        raise CompileError(
-            f"verification needs {peak} simulated qubits, limit is {qubit_limit}")
+    if peak > SIM_QUBIT_LIMIT:
+        raise CompileError(f"verification needs {peak} simulated qubits, "
+                           f"limit is {SIM_QUBIT_LIMIT}")
 
     rng = np.random.default_rng(seed)
     reg = _Register()
@@ -487,22 +477,14 @@ def _to_dict(cw: CompiledWidget, key: str) -> dict:
 
 
 def _from_dict(payload: dict) -> CompiledWidget:
-    prep_ops = tuple((name, tuple(qs)) for name, qs in payload["prep_ops"])
-    n_nodes = payload["n_nodes"]
-    local_state = None
-    if n_nodes <= SIM_QUBIT_LIMIT:
-        state = _sim.plus_state(n_nodes)
-        for name, qubits in prep_ops:
-            state = _sim.apply_matrix(state, _OP_MATS[name], qubits)
-        local_state = state
     return CompiledWidget(
         n_input=payload["n_input"],
-        n_nodes=n_nodes,
+        n_nodes=payload["n_nodes"],
         edges=tuple((u, v) for u, v in payload["edges"]),
         local_cliffords=tuple(tuple(l) for l in payload["local_cliffords"]),
         input_nodes=tuple(payload["input_nodes"]),
         output_nodes=tuple(payload["output_nodes"]),
-        prep_ops=prep_ops,
+        prep_ops=tuple((name, tuple(qs)) for name, qs in payload["prep_ops"]),
         measurements=tuple(Measurement(node, kind, angle)
                            for node, kind, angle in payload["measurements"]),
         frames={int(a): PauliFrame(tuple(f["x"]), tuple(f["z"]))
@@ -510,7 +492,6 @@ def _from_dict(payload: dict) -> CompiledWidget:
         consump_schedule=tuple(tuple(layer)
                                for layer in payload["consump_schedule"]),
         n_logical=payload["n_logical"],
-        local_state=local_state,
     )
 
 

@@ -134,15 +134,15 @@ _SECTIONS: dict[str, dict[str, str]] = {
     },
 }
 
+# ArchConfig fields, then the integer keys of a factories row.
 _INT_FIELDS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes", "fan_out",
-               "max_active_qubits", "max_gates", "slice_moments"}
+               "max_active_qubits", "max_gates", "slice_moments",
+               "width", "length", "qubits"}
 
 
 def _coerce(field_name: str, value):
-    if value is None:
-        return None
     if field_name not in _INT_FIELDS:
-        return float(value)
+        return None if value is None else float(value)
     if isinstance(value, int):
         return int(value)
     number = float(value)
@@ -212,14 +212,23 @@ def _parse_factories(content, source: str) -> tuple[TFactory, ...]:
         for key in row.keys() - known:
             warnings.warn(f"{source}: unknown key factories[{i}].{key} ignored")
         try:
+            sizes = {}
+            for key in ("width", "length", "qubits"):
+                try:
+                    sizes[key] = _coerce(key, row[key])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(
+                        f"{source}: factories[{i}].{key}: {exc}") from exc
             rows.append(TFactory(
                 name=str(row["name"]),
                 p_out=float(row["p_out"]),
-                l_width=int(row["width"]),
-                l_length=int(row["length"]),
-                q_phys=int(row["qubits"]),
+                l_width=sizes["width"],
+                l_length=sizes["length"],
+                q_phys=sizes["qubits"],
                 cycles=float(row["cycles"]),
             ))
+        except ConfigError:
+            raise
         except KeyError as exc:
             raise ConfigError(
                 f"{source}: factories[{i}] missing key {exc.args[0]!r}") from exc

@@ -47,7 +47,6 @@ __all__ = [
     "sequential_counts",
     "budget_rhs",
     "spacetime_lhs",
-    "minimum_distance",
     "solve_distance_and_factory",
     "decoding_cores",
     "compute_timing",
@@ -173,26 +172,6 @@ def spacetime_lhs(
     consump_volume = (2.0 * n_logical + n_per_leg * l_transfer_bus) * (
         counts.n_seq_consump * d + counts.n_seq_distill * cycles)
     return p_c * d * (prep_volume + consump_volume)
-
-
-def minimum_distance(
-    config: ArchConfig,
-    n_logical: int,
-    l_prep_total: int,
-    n_per_leg: int,
-    l_transfer_bus: int,
-    counts: SequentialCounts,
-    cycles: float,
-    d_cap: int = D_CAP,
-) -> int | None:
-    """Smallest odd d meeting the failure budget for a fixed volume (no
-    layout feedback); None when the cap is exhausted."""
-    rhs = budget_rhs(config.p_algo_fail)
-    for d in range(3, d_cap + 1, 2):
-        if spacetime_lhs(d, config, n_logical, l_prep_total, n_per_leg,
-                         l_transfer_bus, counts, cycles) < rhs:
-            return d
-    return None
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,14 @@
 This module strings the stages together for a single circuit source and owns
 the run-level concerns the stages themselves do not: input-format dispatch
 (flat QASM, widget-table JSON, nested-block JSON), the shared widget cache,
-provenance hashing, and parameter sweeps executed across worker threads over
-a read-only compiled algorithm.
+provenance hashing, and parameter sweeps that re-solve or re-time one
+compiled algorithm.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
+import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -71,17 +71,25 @@ class LoadedCircuit:
     data: bytes
 
 
-def _plan_from_text(text: str, config: ArchConfig, name: str) -> LoadedCircuit:
-    data = text.encode()
-    stripped = text.lstrip()
-    if not stripped.startswith("{"):
-        wc = WidgetizedCircuit.single(parse_qasm(text))
+def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
+    """Parse a circuit file, dispatching on its content: OpenQASM text
+    becomes a single widget; JSON is either a widget table
+    ({distinct_widgets, sequence}) or nested blocks ({blocks, root}), the
+    latter widgetized under the configured split thresholds."""
+    data = Path(path).read_bytes()
+    if not data.lstrip().startswith(b"{"):
+        wc = WidgetizedCircuit.single(parse_qasm(data.decode()))
         return LoadedCircuit(WidgetPlan.from_widgetized(wc),
                              tuple(wc.widgets), data)
-    # JSON: widget table vs nested blocks, decided by their required keys
-    if '"distinct_widgets"' in stripped:
-        return _from_widget_payload(name)
-    nested = parse_nested_file(name)
+    try:
+        payload = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
+    if "distinct_widgets" in payload:
+        wc = parse_widget_file(payload, path)
+        return LoadedCircuit(WidgetPlan.from_widgetized(wc),
+                             tuple(wc.widgets), data)
+    nested = parse_nested_file(payload, path)
     criterion = SplitCriterion(
         max_active_qubits=config.max_active_qubits,
         max_gates=config.max_gates,
@@ -95,20 +103,6 @@ def _plan_from_text(text: str, config: ArchConfig, name: str) -> LoadedCircuit:
     else:
         sequence = None
     return LoadedCircuit(plan, sequence, data)
-
-
-def _from_widget_payload(path: str) -> LoadedCircuit:
-    wc = parse_widget_file(path)
-    return LoadedCircuit(WidgetPlan.from_widgetized(wc), tuple(wc.widgets),
-                         Path(path).read_bytes())
-
-
-def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
-    """Parse a circuit file, dispatching on its content: OpenQASM text
-    becomes a single widget; JSON is either a widget table
-    ({distinct_widgets, sequence}) or nested blocks ({blocks, root}), the
-    latter widgetized under the configured split thresholds."""
-    return _plan_from_text(Path(path).read_text(), config, str(path))
 
 
 def compile_plan(
@@ -215,20 +209,16 @@ def run_pipe_sweep(
     """Re-time the solved machine at each interconnect-pipe count.
 
     The distance/factory solution does not depend on the pipe count, so it
-    is solved once; per-value timing runs on worker threads sharing the
-    read-only compiled algorithm.
+    is solved once and only the timing is recomputed per value.
     """
     if not pipe_values:
         raise ValueError("pipe sweep needs at least one value")
     sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
-
-    def one(pipes: int) -> tuple[int, float]:
+    solved = []
+    for pipes in pipe_values:
         timing = compute_timing(replace(config, n_inter_pipes=pipes),
                                 algo, sel)
-        return sel.d, timing.t_hardware_total
-
-    with ThreadPoolExecutor(max_workers=min(8, len(pipe_values))) as pool:
-        solved = list(pool.map(one, pipe_values))
+        solved.append((sel.d, timing.t_hardware_total))
     return _normalize([str(v) for v in pipe_values], solved)
 
 
@@ -242,16 +232,13 @@ def run_decoder_sweep(
     if unknown:
         raise ValueError(f"unknown scaling presets: {unknown} "
                          f"(available: {sorted(SCALING_PRESETS)})")
-
-    def one(name: str) -> tuple[int, float]:
+    solved = []
+    for name in presets:
         kappa, p_thresh = SCALING_PRESETS[name]
         cfg = replace(config, kappa=kappa, p_thresh=p_thresh)
         sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
         timing = compute_timing(cfg, algo, sel)
-        return sel.d, timing.t_hardware_total
-
-    with ThreadPoolExecutor(max_workers=min(8, len(presets))) as pool:
-        solved = list(pool.map(one, presets))
+        solved.append((sel.d, timing.t_hardware_total))
     return _normalize(list(presets), solved)
 
 

@@ -11,7 +11,7 @@ path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -113,24 +113,6 @@ class PauliRows:
         for arr in (self.x, self.z, self.r):
             arr[[a, b]] = arr[[b, a]]
 
-    def dense(self, row: int = 0) -> np.ndarray:
-        """Dense matrix of one row (for tests; qubit 0 is the most significant)."""
-        X = np.array([[0, 1], [1, 0]], complex)
-        Z = np.diag([1, -1]).astype(complex)
-        Y = 1j * X @ Z
-        out = np.eye(1, dtype=complex)
-        for xq, zq in zip(self.x[row], self.z[row]):
-            if xq and zq:
-                f = Y
-            elif xq:
-                f = X
-            elif zq:
-                f = Z
-            else:
-                f = np.eye(2, dtype=complex)
-            out = np.kron(out, f)
-        return -out if self.r[row] else out
-
 
 def _g(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
     """Per-qubit exponent of i picked up multiplying row-1 Paulis into row 2."""
@@ -157,22 +139,9 @@ class GraphForm:
     adjacency: np.ndarray  # (N, N) bool, symmetric, zero diagonal
     applied: tuple[tuple[str, ...], ...]
 
-    def local_matrix(self, v: int) -> np.ndarray:
-        """Dense 2x2 local Clifford L_v with |psi> = (... L_v ...) |G>."""
-        mats = {"h": _H2, "s": _S2, "z": _Z2}
-        out = np.eye(2, dtype=complex)
-        for name in self.applied[v]:
-            out = out @ mats[name].conj().T
-        return out
-
     def edges(self) -> list[tuple[int, int]]:
         us, vs = np.nonzero(np.triu(self.adjacency, k=1))
         return list(zip(us.tolist(), vs.tolist()))
-
-
-_H2 = np.array([[1, 1], [1, -1]], complex) / np.sqrt(2)
-_S2 = np.diag([1, 1j]).astype(complex)
-_Z2 = np.diag([1, -1]).astype(complex)
 
 
 def stabilizer_after(ops: Iterable[tuple[str, tuple[int, ...]]], n: int) -> PauliRows:

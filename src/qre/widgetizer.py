@@ -12,15 +12,11 @@ gate-list hash modulo first-use qubit relabeling) are built once and shared.
 from __future__ import annotations
 
 import hashlib
-import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, Union
 
 from .circuit import (
-    ARITY,
-    ANGLED,
     CircuitError,
     Gate,
     GateKind,
@@ -356,23 +352,9 @@ def _collect_leaves(node: SubcircuitNode) -> dict[str, SubcircuitNode]:
     return leaves
 
 
-def enumerate_widgets_and_stitches(
-    root: SubcircuitNode,
-) -> tuple[dict[str, tuple[tuple[Gate, ...], int]], dict[tuple[str, str], int]]:
-    """Distinct-widget table {id: (gates, multiplicity)} and stitch multiset
-    {(id, id): count} of the depth-first leaf sequence, computed lazily.
-
-    Sum of multiplicities equals the expanded widget count; stitch counts sum
-    to that minus one.
-    """
-    counts = _fold(root, {})
-    leaves = _collect_leaves(root)
-    table = {wid: (leaves[wid].gates, mult) for wid, mult in counts.widgets.items()}
-    return table, dict(counts.stitches)
-
-
 def iter_leaf_sequence(root: SubcircuitNode, limit: int = 1_000_000) -> Iterator[str]:
-    """Materialized leaf-id sequence (testing/debug only; refuses huge runs)."""
+    """Materialized depth-first leaf-id sequence; raises CircuitError when
+    it would exceed ``limit`` widgets."""
     total = sum(_fold(root, {}).widgets.values())
     if total > limit:
         raise CircuitError(f"sequence of {total} widgets exceeds expansion limit {limit}")
@@ -469,13 +451,10 @@ def _gate_from_json(obj: Mapping, where: str) -> Gate:
         raise CircuitError(f"{where}: {exc}") from exc
 
 
-def parse_nested_file(path: str | Path) -> NestedCircuit:
-    """Load nested-circuit JSON: {format, n_input?, root, blocks:{name: [items]}}
-    where an item is {"gate", "qubits", "angle"?} or {"block", "repeat"?}."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
+def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
+    """Build a nested circuit from decoded JSON: {format, n_input?, root,
+    blocks:{name: [items]}} where an item is {"gate", "qubits", "angle"?} or
+    {"block", "repeat"?}. ``path`` only names the source in error messages."""
     if payload.get("format", NESTED_FORMAT) != NESTED_FORMAT:
         raise CircuitError(f"{path}: unsupported nested-circuit format")
     raw_blocks = payload.get("blocks")

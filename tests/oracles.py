@@ -257,6 +257,29 @@ def min_distance_sweep(lhs_at, p_algo_fail: float, d_cap: int = 199):
     return None
 
 
+def layout_aware_lhs(config, n_logical, l_prep_total, factory, l_eps,
+                     n_t_init, n_rz_init):
+    """lhs_at(d) for min_distance_sweep with the module layout recomputed at
+    every candidate d (fewest modules per leg whose layout fits, by
+    layout_oracle); lhs_at(d) is None when nothing fits at d."""
+    def lhs_at(d):
+        lay = None
+        for n_per_leg in range(1, n_logical + 1):
+            lay = layout_oracle(config.n_phys_per_module, n_logical, d,
+                                factory, n_per_leg)
+            if lay is not None or -(-n_logical // n_per_leg) == 1:
+                break
+        if lay is None:
+            return None
+        n_eff = max(1, lay["n_prime"]) * factory.output_multiplier()
+        n_c = -(-n_t_init // n_eff) + l_eps * -(-n_rz_init // n_eff)
+        n_d = -(-(n_t_init + l_eps * n_rz_init) // n_eff)
+        return budget_lhs(d, config.kappa, config.p, config.p_thresh,
+                          n_logical, l_prep_total, n_per_leg,
+                          lay["l_transfer_bus"], n_c, n_d, factory.cycles)
+    return lhs_at
+
+
 # --------------------------------------------------------------------------
 # Straightforward compiler and scheduler references (quadratic, kept simple)
 # --------------------------------------------------------------------------

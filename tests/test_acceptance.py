@@ -20,8 +20,8 @@ from qre.compiler import compile_widget, stitch, verify_unitarity
 from qre.config import ArchConfig
 from qre.estimator import (
     SequentialCounts,
+    _solve_distance,
     gate_synthesis_length,
-    minimum_distance,
     solve_distance_and_factory,
     spacetime_lhs,
     budget_rhs,
@@ -95,39 +95,31 @@ def test_criterion_2_distance_minimality():
         # worked instance
         cfg = ArchConfig()
         counts = SequentialCounts(10, 10, 10)
-        d = minimum_distance(cfg, 1, 1, 1, 10, counts, 42.6)
-        assert d == 7
-        assert spacetime_lhs(5, cfg, 1, 1, 1, 10, counts,
-                             42.6) >= budget_rhs(cfg.p_algo_fail)
+        worked = (1, 1, 1, 10, counts, 42.6)
+        assert (spacetime_lhs(7, cfg, *worked) < budget_rhs(cfg.p_algo_fail)
+                <= spacetime_lhs(5, cfg, *worked))
 
         rng = np.random.default_rng(17)
+        n_solved = 0
         for trial in range(50):
             p = 0.012 if trial % 10 == 9 else 1e-3
             paf = float(rng.uniform(0.01, 0.9))
-            cfg = ArchConfig(p=p, p_algo_fail=paf)
-            n_logical = int(rng.integers(1, 500))
-            l_prep = int(rng.integers(1, 2000))
-            legs = int(rng.integers(1, 5))
-            l_tb = int(rng.integers(10, 800))
-            n_tot_t = int(rng.integers(0, 5000))
-            n_prime = int(rng.integers(1, 33))
-            distill = -(-n_tot_t // n_prime) if n_tot_t else 0
-            consump = distill + int(rng.integers(0, 50))
-            counts = SequentialCounts(n_tot_t, consump, distill)
-            cycles = float(rng.uniform(40.0, 160.0))
+            cfg = ArchConfig(p=p, p_algo_fail=paf,
+                             n_phys_per_module=int(rng.choice([10 ** 6,
+                                                               10 ** 7])))
+            # n_logical, l_prep_total, factory, l_eps, n_T_init, n_Rz_init
+            args = (int(rng.integers(1, 500)), int(rng.integers(1, 2000)),
+                    DEFAULT_FACTORIES[int(rng.integers(len(DEFAULT_FACTORIES)))],
+                    int(rng.integers(0, 60)), int(rng.integers(0, 5000)),
+                    int(rng.integers(0, 200)))
 
-            ours = minimum_distance(cfg, n_logical, l_prep, legs, l_tb,
-                                    counts, cycles)
+            solved = _solve_distance(cfg, *args)
+            ours = None if solved is None else solved[0]
             ref = oracles.min_distance_sweep(
-                lambda d: oracles.budget_lhs(
-                    d, cfg.kappa, cfg.p, cfg.p_thresh, n_logical, l_prep,
-                    legs, l_tb, counts.n_seq_consump, counts.n_seq_distill,
-                    cycles),
-                paf)
+                oracles.layout_aware_lhs(cfg, *args), paf)
             assert ours == ref, f"trial {trial}: {ours} != {ref}"
-            if ours is not None and ours > 3:
-                assert spacetime_lhs(ours - 2, cfg, n_logical, l_prep, legs,
-                                     l_tb, counts, cycles) >= budget_rhs(paf)
+            n_solved += solved is not None
+        assert n_solved >= 40, n_solved
     except BaseException:
         _fail_line(2, name)
         raise

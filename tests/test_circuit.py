@@ -1,12 +1,12 @@
 """Tests for parsing, transpilation, QFT generation, and widget files."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense import circuit_unitary
 from qre import _sim
 from qre.circuit import (
     CircuitError,
@@ -31,7 +31,7 @@ def unitary_of(gates, n):
         for g in gates:
             state = _sim.apply_matrix(state, _gate_matrix(g), g.qubits)
         return state
-    return _sim.circuit_unitary(apply, n)
+    return circuit_unitary(apply, n)
 
 
 def _gate_matrix(g: Gate):
@@ -221,51 +221,48 @@ class TestGenerateQft:
 
 
 class TestWidgetFiles:
-    def _write(self, tmp_path, payload):
-        path = tmp_path / "circ.json"
-        path.write_text(json.dumps(payload))
-        return path
+    PATH = "circ.json"
 
-    def test_sequence_and_stitches(self, tmp_path):
+    def test_sequence_and_stitches(self):
         qasm = "qreg q[2]; h q[0];"
-        path = self._write(tmp_path, {
+        payload = {
             "format": 1, "n_input": 2,
             "distinct_widgets": {"A": qasm, "B": qasm},
             "sequence": ["A", "B", "A", "B"],
-        })
-        wc = parse_widget_file(path)
+        }
+        wc = parse_widget_file(payload, self.PATH)
         assert wc.n_widgets == 4
         assert wc.n_distinct_widgets == 2
         assert wc.stitches == {("A", "B"): 2, ("B", "A"): 1}
         assert sum(wc.stitches.values()) == wc.n_widgets - 1
 
-    def test_single_widget(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_single_widget(self):
+        payload = {
             "format": 1, "n_input": 1,
             "distinct_widgets": {"A": "qreg q[1]; t q[0];"},
             "sequence": ["A"],
-        })
-        wc = parse_widget_file(path)
+        }
+        wc = parse_widget_file(payload, self.PATH)
         assert wc.n_widgets == 1
         assert wc.stitches == {}
 
-    def test_undefined_id(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_undefined_id(self):
+        payload = {
             "format": 1, "n_input": 1,
             "distinct_widgets": {"A": "qreg q[1]; t q[0];"},
             "sequence": ["A", "C"],
-        })
+        }
         with pytest.raises(CircuitError, match="'C'"):
-            parse_widget_file(path)
+            parse_widget_file(payload, self.PATH)
 
-    def test_width_mismatch(self, tmp_path):
-        path = self._write(tmp_path, {
+    def test_width_mismatch(self):
+        payload = {
             "format": 1, "n_input": 2,
             "distinct_widgets": {"A": "qreg q[3]; h q[0];"},
             "sequence": ["A"],
-        })
+        }
         with pytest.raises(CircuitError, match="declares 3"):
-            parse_widget_file(path)
+            parse_widget_file(payload, self.PATH)
 
     def test_count_stitches_plain(self):
         assert count_stitches(["a"] * 4) == {("a", "a"): 3}

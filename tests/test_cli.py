@@ -70,6 +70,16 @@ class TestEstimate:
         assert rc == EXIT_INVALID
         assert "fan_out" in capsys.readouterr().err
 
+    def test_non_integral_factory_width_is_invalid(self, qft3_path, tmp_path,
+                                                   capsys):
+        cfg = tmp_path / "frac.yaml"
+        cfg.write_text("factories:\n"
+                       "  - {name: tiny, p_out: 4.5e-8, width: 2.7,"
+                       " length: 72, qubits: 4620, cycles: 42.6}\n")
+        rc = main(["estimate", str(qft3_path), "--config", str(cfg)])
+        assert rc == EXIT_INVALID
+        assert "factories[0].width" in capsys.readouterr().err
+
     def test_infeasible_is_exit_3(self, qft3_path, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text("physical:\n  n_phys_per_module: 5000\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense import graph_state, prep_state
 from oracles import (
     frames_by_replay,
     gadgets_of,
@@ -25,6 +26,7 @@ from qre.circuit import (
     transpile,
 )
 from qre.compiler import (
+    SIM_QUBIT_LIMIT,
     CompileError,
     CompiledWidget,
     Measurement,
@@ -147,16 +149,10 @@ class TestLocalState:
                        gate(GateKind.T, 1), gate(GateKind.S, 0)],
                       transpile(generate_qft(3)).gates):
             cw = compiled(gates)
-            assert cw.local_state is not None
-            state = _sim.plus_state(cw.n_nodes)
-            for u, v in cw.edges:
-                state = _sim.apply_matrix(state, _sim.CZ_MAT, (u, v))
-            from qre.stabilizer import graph_form, stabilizer_after
-            gf = graph_form(stabilizer_after(cw.prep_ops, cw.n_nodes))
-            for v in range(cw.n_nodes):
-                state = _sim.apply_matrix(state, gf.local_matrix(v), (v,))
-            assert same_up_to_phase(state.reshape(-1),
-                                    cw.local_state.reshape(-1))
+            state = graph_state(cw.edges, cw.local_cliffords)
+            assert same_up_to_phase(
+                state.reshape(-1),
+                prep_state(cw.prep_ops, cw.n_nodes).reshape(-1))
 
 
 class TestVerification:
@@ -310,7 +306,18 @@ class TestDeterminismAndCache:
         assert len(files) == 1
         again = compile_widget(tw, cache_dir=tmp_path)
         assert first == again
-        assert again.local_state is not None
+
+    def test_compile_and_cache_load_run_no_dense_simulation(
+            self, tmp_path, monkeypatch):
+        tw = transpile(generate_qft(3))
+
+        def refuse(*args):
+            raise AssertionError("dense simulation outside verify")
+
+        monkeypatch.setattr(_sim, "apply_matrix", refuse)
+        first = compile_widget(tw, cache_dir=tmp_path)
+        assert first.n_nodes <= SIM_QUBIT_LIMIT
+        assert compile_widget(tw, cache_dir=tmp_path) == first
 
     def test_cache_is_actually_used(self, tmp_path, monkeypatch):
         tw = transpile([gate(GateKind.T, 0)])

@@ -130,6 +130,25 @@ class TestFactoriesSection:
         assert f.name == "tiny"
         assert (f.l_width, f.l_length, f.q_phys, f.cycles) == (10, 12, 120, 10.0)
 
+    def test_non_integral_size_fails(self):
+        row = {"name": "tiny", "p_out": 1e-6, "width": 10, "length": 12,
+               "qubits": 120, "cycles": 10.0}
+        for key, value in (("width", 2.7), ("length", 3.9),
+                           ("qubits", 1000.5), ("width", None)):
+            with pytest.raises(ConfigError, match=rf"factories\[0\]\.{key}"):
+                config_from_mapping({"factories": [dict(row, **{key: value})]})
+
+    def test_integral_size_accepted(self):
+        for value in (4, 4.0):
+            cfg = config_from_mapping({"factories": [
+                {"name": "tiny", "p_out": 1e-6, "width": value,
+                 "length": value, "qubits": value, "cycles": 10.0},
+            ]})
+            f = cfg.factories[0]
+            assert (f.l_width, f.l_length, f.q_phys) == (4, 4, 4)
+            assert all(isinstance(x, int)
+                       for x in (f.l_width, f.l_length, f.q_phys))
+
     def test_missing_key_fails(self):
         with pytest.raises(ConfigError, match="missing key"):
             config_from_mapping({"factories": [{"name": "tiny", "p_out": 1e-6}]})

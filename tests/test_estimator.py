@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import budget_lhs, layout_oracle, min_distance_sweep
+from oracles import budget_lhs, layout_aware_lhs, min_distance_sweep
 from qre.architecture import DEFAULT_FACTORIES, EstimationError, ModuleLayout, TFactory
 from qre.circuit import GateKind, WidgetizedCircuit, gate, generate_qft, transpile
 from qre.compiler import compile_widget
@@ -19,6 +19,7 @@ from qre.estimator import (
     TimingBreakdown,
     _handover_crossings,
     _per_module_maxima,
+    _solve_distance,
     _widget_timing,
     budget_rhs,
     compute_timing,
@@ -26,7 +27,6 @@ from qre.estimator import (
     gate_synthesis_length,
     logical_error_per_cycle,
     logical_error_per_tock,
-    minimum_distance,
     sequential_counts,
     solve_distance_and_factory,
     spacetime_lhs,
@@ -129,6 +129,15 @@ class TestSequentialCounts:
 WORKED = dict(n_logical=1, l_prep_total=1, n_per_leg=1, l_transfer_bus=10,
               counts=SequentialCounts(10, 10, 10), cycles=42.6)
 
+# Arguments of _solve_distance after the config.
+SOLVE = dict(n_logical=1, l_prep_total=1, factory=DEFAULT_FACTORIES[0],
+             l_eps=0, n_t_init=10, n_rz_init=10)
+
+
+def solved_d(cfg, **kwargs):
+    solved = _solve_distance(cfg, **kwargs)
+    return None if solved is None else solved[0]
+
 
 class TestBudgetInequality:
     def test_rhs_is_log_failure_budget(self):
@@ -144,9 +153,12 @@ class TestBudgetInequality:
 
     def test_worked_instance_minimal_distance(self):
         cfg = ArchConfig()
-        assert minimum_distance(cfg, **WORKED) == 7
-        # one notch below the answer the inequality must fail
-        assert spacetime_lhs(5, cfg, **WORKED) >= budget_rhs(cfg.p_algo_fail)
+        rhs = budget_rhs(cfg.p_algo_fail)
+        assert spacetime_lhs(7, cfg, **WORKED) < rhs <= spacetime_lhs(
+            5, cfg, **WORKED)
+        assert spacetime_lhs(3, cfg, **WORKED) >= rhs
+        assert min_distance_sweep(lambda d: spacetime_lhs(d, cfg, **WORKED),
+                                  cfg.p_algo_fail) == 7
 
     def test_matches_oracle_transcription(self):
         cfg = ArchConfig()
@@ -157,61 +169,57 @@ class TestBudgetInequality:
 
     def test_randomized_minimality_against_sweep_oracle(self):
         rng = random.Random(20260814)
+        n_solved = 0
         for trial in range(50):
-            n_log = rng.randint(1, 500)
-            l_prep = rng.randint(1, 200)
-            n_seq_c = rng.randint(1, 200)
-            n_seq_d = rng.randint(1, n_seq_c)
-            n_per_leg = rng.randint(1, 4)
-            l_tb = rng.randint(1, 2000)
-            cycles = rng.choice(DEFAULT_FACTORIES).cycles
+            args = dict(n_logical=rng.randint(1, 500),
+                        l_prep_total=rng.randint(1, 200),
+                        factory=rng.choice(DEFAULT_FACTORIES),
+                        l_eps=rng.randint(0, 60),
+                        n_t_init=rng.randint(0, 5000),
+                        n_rz_init=rng.randint(0, 200))
             p_algo_fail = rng.uniform(0.01, 0.6)
             # a few trials near threshold to exercise deep sweeps
             p = 0.012 if trial % 10 == 0 else 1e-3
-            cfg = ArchConfig(p=p, p_algo_fail=p_algo_fail)
-            counts = SequentialCounts(4 * n_seq_c, n_seq_c, n_seq_d)
-            got = minimum_distance(cfg, n_log, l_prep, n_per_leg, l_tb,
-                                   counts, cycles)
-            want = min_distance_sweep(
-                lambda d: budget_lhs(d, cfg.kappa, cfg.p, cfg.p_thresh, n_log,
-                                     l_prep, n_per_leg, l_tb, n_seq_c,
-                                     n_seq_d, cycles),
-                p_algo_fail)
-            assert got == want
-            assert got is not None
-            rhs = budget_rhs(p_algo_fail)
-            args = (cfg, n_log, l_prep, n_per_leg, l_tb, counts, cycles)
-            assert spacetime_lhs(got, *args) < rhs
-            if got > 3:
-                assert spacetime_lhs(got - 2, *args) >= rhs
+            cfg = ArchConfig(p=p, p_algo_fail=p_algo_fail,
+                             n_phys_per_module=rng.choice([10 ** 6, 10 ** 7]))
+            lhs_at = layout_aware_lhs(cfg, **args)
+            solved = _solve_distance(cfg, **args)
+            want = min_distance_sweep(lhs_at, p_algo_fail)
+            assert (None if solved is None else solved[0]) == want, trial
+            if solved is None:
+                continue
+            n_solved += 1
+            d, layout, counts = solved
+            got = spacetime_lhs(d, cfg, args["n_logical"],
+                                args["l_prep_total"], layout.n_per_leg,
+                                layout.l_transfer_bus, counts,
+                                args["factory"].cycles)
+            assert got == pytest.approx(lhs_at(d), rel=1e-12)
+            assert got < budget_rhs(p_algo_fail)
+        assert n_solved >= 40
 
     def test_exhausted_cap_returns_none(self):
         cfg = ArchConfig(p_algo_fail=1e-12)
-        counts = SequentialCounts(10, 10, 10)
-        assert minimum_distance(cfg, 10 ** 70, 10 ** 70, 1, 10, counts,
-                                42.6) is None
+        args = dict(SOLVE, l_prep_total=10 ** 140)
+        assert _solve_distance(cfg, **args) is None
+        assert min_distance_sweep(layout_aware_lhs(cfg, **args),
+                                  cfg.p_algo_fail) is None
 
     def test_generous_budget_gives_smallest_distance(self):
         cfg = ArchConfig(p_algo_fail=1 - 1e-9)
-        assert minimum_distance(cfg, **WORKED) == 3
+        assert solved_d(cfg, **dict(SOLVE, n_t_init=0)) == 3
 
     def test_monotone_in_failure_budget(self):
         lax = ArchConfig(p_algo_fail=0.5)
         strict = ArchConfig(p_algo_fail=0.001)
-        assert minimum_distance(strict, **WORKED) >= minimum_distance(lax, **WORKED)
+        assert solved_d(strict, **SOLVE) > solved_d(lax, **SOLVE)
 
     def test_monotone_in_volume(self):
         cfg = ArchConfig()
-        base = minimum_distance(cfg, **WORKED)
-        bigger = dict(WORKED)
+        base = solved_d(cfg, **SOLVE)
         for field, value in (("n_logical", 1000), ("l_prep_total", 10 ** 6),
-                             ("l_transfer_bus", 10 ** 6)):
-            grown = dict(bigger)
-            grown[field] = value
-            assert minimum_distance(cfg, **grown) >= base
-        grown = dict(WORKED)
-        grown["counts"] = SequentialCounts(10 ** 6, 10 ** 6, 10 ** 6)
-        assert minimum_distance(cfg, **grown) >= base
+                             ("n_t_init", 10 ** 6), ("l_eps", 30)):
+            assert solved_d(cfg, **dict(SOLVE, **{field: value})) >= base, field
 
 
 # --------------------------------------------------------------------------
@@ -264,25 +272,9 @@ class TestSelection:
         """Independent sweep recomputing the layout at every candidate d."""
         cfg, sel = qft3_selection
         est = qft3_algo.est
-
-        def lhs_at(d):
-            lay = None
-            for n_per_leg in range(1, est.n_logical_max + 1):
-                lay = layout_oracle(cfg.n_phys_per_module, est.n_logical_max,
-                                    d, sel.factory, n_per_leg)
-                if lay is not None or -(-est.n_logical_max // n_per_leg) == 1:
-                    break
-            if lay is None:
-                return None
-            n_eff = max(1, lay["n_prime"]) * sel.factory.output_multiplier()
-            n_c = (-(-est.n_T_init // n_eff)
-                   + sel.l_eps * -(-est.n_Rz_init // n_eff))
-            n_d = -(-(est.n_T_init + sel.l_eps * est.n_Rz_init) // n_eff)
-            return budget_lhs(d, cfg.kappa, cfg.p, cfg.p_thresh,
-                              est.n_logical_max, qft3_algo.l_prep_total,
-                              n_per_leg, lay["l_transfer_bus"], n_c, n_d,
-                              sel.factory.cycles)
-
+        lhs_at = layout_aware_lhs(cfg, est.n_logical_max,
+                                  qft3_algo.l_prep_total, sel.factory,
+                                  sel.l_eps, est.n_T_init, est.n_Rz_init)
         assert min_distance_sweep(lhs_at, cfg.p_algo_fail) == sel.d
 
     def test_deterministic(self, qft3_algo, qft3_selection):

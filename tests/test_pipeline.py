@@ -1,5 +1,6 @@
 """End-to-end pipeline: input dispatch, caching, estimation runs, sweeps."""
 
+import hashlib
 import json
 
 import pytest
@@ -80,6 +81,27 @@ class TestLoadDispatch:
         assert split.sequence is not None and len(split.sequence) == 8
         assert sum(split.plan.stitches.values()) == 7
 
+    def test_nested_block_named_distinct_widgets(self, tmp_path, config):
+        payload = {
+            "root": "main",
+            "blocks": {
+                "main": [{"block": "distinct_widgets", "repeat": 2}],
+                "distinct_widgets": [{"gate": "h", "qubits": [0]}],
+            },
+        }
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_circuit(path, config)
+        assert loaded.plan.n_input == 1
+        (gates,) = loaded.plan.widgets.values()
+        assert gates == (gate(G.H, 0), gate(G.H, 0))
+
+    def test_invalid_json_rejected(self, tmp_path, config):
+        path = tmp_path / "bad.json"
+        path.write_text('{"blocks": ')
+        with pytest.raises(CircuitError, match="not valid JSON"):
+            load_circuit(path, config)
+
     def test_garbage_rejected(self, tmp_path, config):
         path = tmp_path / "bad.qasm"
         path.write_text("definitely not a circuit")
@@ -134,6 +156,21 @@ class TestRunEstimate:
         assert set(result.report.provenance) == {
             "config_hash", "circuit_hash", "tool_version"}
         assert result.report.provenance["tool_version"] == "0.1.0"
+
+    def test_circuit_hash_is_sha256_of_file_bytes(self, tmp_path):
+        body = emit_qasm([gate(G.H, 0), gate(G.CZ, 0, 1), gate(G.T, 1)], 2)
+        table = {"format": 1, "n_input": 2,
+                 "distinct_widgets": {"a": body}, "sequence": ["a", "a"]}
+        nested = {"blocks": {"main": [{"gate": "h", "qubits": [0]},
+                                      {"gate": "t", "qubits": [0]}]}}
+        for name, text in (("crlf.qasm", body),
+                           ("table.json", json.dumps(table, indent=1)),
+                           ("nested.json", json.dumps(nested, indent=1))):
+            path = tmp_path / name
+            path.write_bytes(text.replace("\n", "\r\n").encode())
+            result = run_estimate(path)
+            assert (result.report.provenance["circuit_hash"]
+                    == hashlib.sha256(path.read_bytes()).hexdigest()[:16])
 
     def test_deterministic(self, qft3_path):
         a = run_estimate(qft3_path)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense import circuit_unitary, graph_state, pauli_matrix, prep_state
 from oracles import same_up_to_phase
 from qre import _sim
 from qre.stabilizer import (
@@ -39,7 +40,7 @@ def make_rows(x_bits, z_bits, r_bit):
 
 def unitary_on(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
     mat = GATE_MATS[name][0]
-    return _sim.circuit_unitary(
+    return circuit_unitary(
         lambda s: _sim.apply_matrix(s, mat, qubits), n)
 
 
@@ -52,25 +53,25 @@ def all_paulis(n: int):
 
 class TestDenseConvention:
     def test_single_axes(self):
-        assert np.allclose(make_rows([1], [0], 0).dense(), _sim.X_MAT)
-        assert np.allclose(make_rows([0], [1], 0).dense(), _sim.Z_MAT)
-        assert np.allclose(make_rows([1], [1], 0).dense(), _sim.Y_MAT)
-        assert np.allclose(make_rows([1], [0], 1).dense(), -_sim.X_MAT)
+        assert np.allclose(pauli_matrix(make_rows([1], [0], 0)), _sim.X_MAT)
+        assert np.allclose(pauli_matrix(make_rows([0], [1], 0)), _sim.Z_MAT)
+        assert np.allclose(pauli_matrix(make_rows([1], [1], 0)), _sim.Y_MAT)
+        assert np.allclose(pauli_matrix(make_rows([1], [0], 1)), -_sim.X_MAT)
 
     def test_constructors(self):
         rows = PauliRows.identity_x(3)
         for i in range(3):
             expected = unitary_on("x", (i,), 3) @ np.eye(8)
-            assert np.allclose(rows.dense(i), expected)
+            assert np.allclose(pauli_matrix(rows, i), expected)
         z1 = PauliRows.zeros(2, 2)
-        assert np.allclose(z1.dense(0), np.eye(4))
+        assert np.allclose(pauli_matrix(z1, 0), np.eye(4))
         z1.z[0, 1] = True
-        assert np.allclose(z1.dense(0), np.kron(np.eye(2), _sim.Z_MAT))
-        assert np.allclose(z1.dense(1), np.eye(4))
+        assert np.allclose(pauli_matrix(z1, 0), np.kron(np.eye(2), _sim.Z_MAT))
+        assert np.allclose(pauli_matrix(z1, 1), np.eye(4))
 
     def test_dense_is_hermitian(self):
         for x_bits, z_bits, r_bit in all_paulis(2):
-            mat = make_rows(x_bits, z_bits, r_bit).dense()
+            mat = pauli_matrix(make_rows(x_bits, z_bits, r_bit))
             assert np.allclose(mat, mat.conj().T)
 
 
@@ -83,9 +84,9 @@ class TestGateConjugation:
             u = unitary_on(name, qubits, n)
             for x_bits, z_bits, r_bit in all_paulis(n):
                 rows = make_rows(x_bits, z_bits, r_bit)
-                before = rows.dense()
+                before = pauli_matrix(rows)
                 rows.apply(name, qubits)
-                after = rows.dense()
+                after = pauli_matrix(rows)
                 assert np.allclose(after, u @ before @ u.conj().T, atol=1e-12), (
                     name, qubits, x_bits, z_bits, r_bit)
 
@@ -97,9 +98,9 @@ class TestMultiplyInto:
             np.array([[0, 0], [1, 1]], dtype=bool),
             np.array([0, 0], dtype=bool),
         )  # XX and ZZ
-        expected = rows.dense(0) @ rows.dense(1)
+        expected = pauli_matrix(rows, 0) @ pauli_matrix(rows, 1)
         rows.multiply_into(0, 1)
-        assert np.allclose(rows.dense(0), expected)
+        assert np.allclose(pauli_matrix(rows, 0), expected)
 
     def test_disjoint_product(self):
         rows = PauliRows(
@@ -107,9 +108,9 @@ class TestMultiplyInto:
             np.array([[0, 0], [0, 1]], dtype=bool),
             np.array([1, 0], dtype=bool),
         )  # -XI and IZ
-        expected = rows.dense(0) @ rows.dense(1)
+        expected = pauli_matrix(rows, 0) @ pauli_matrix(rows, 1)
         rows.multiply_into(0, 1)
-        assert np.allclose(rows.dense(0), expected)
+        assert np.allclose(pauli_matrix(rows, 0), expected)
 
     def test_anticommuting_raises(self):
         rows = PauliRows(
@@ -139,34 +140,27 @@ def clifford_ops(draw, max_qubits=6, max_ops=30):
     return n, ops
 
 
-def dense_after(ops, n):
-    state = _sim.plus_state(n)
-    for name, qubits in ops:
-        state = _sim.apply_matrix(state, GATE_MATS[name][0], qubits)
-    return state
-
-
 class TestStabilizerAfter:
     @settings(max_examples=60, deadline=None)
     @given(clifford_ops())
     def test_rows_stabilize_the_state(self, case):
         n, ops = case
         rows = stabilizer_after(ops, n)
-        psi = dense_after(ops, n).reshape(-1)
+        psi = prep_state(ops, n).reshape(-1)
         for i in range(n):
-            assert np.allclose(rows.dense(i) @ psi, psi, atol=1e-10)
+            assert np.allclose(pauli_matrix(rows, i) @ psi, psi, atol=1e-10)
 
     def test_bell_pair(self):
         # h(1) sends |++> to |+0>, then cx makes (|00>+|11>)/sqrt(2)
         ops = [("h", (1,)), ("cx", (0, 1))]
         rows = stabilizer_after(ops, 2)
-        bell = dense_after(ops, 2).reshape(-1)
+        bell = prep_state(ops, 2).reshape(-1)
         assert np.allclose(bell, np.array([1, 0, 0, 1]) / np.sqrt(2))
         for m in (np.kron(_sim.X_MAT, _sim.X_MAT),
                   np.kron(_sim.Z_MAT, _sim.Z_MAT)):
             assert np.allclose(m @ bell, bell)
         for i in range(2):
-            assert np.allclose(rows.dense(i) @ bell, bell)
+            assert np.allclose(pauli_matrix(rows, i) @ bell, bell)
 
 
 class TestGraphForm:
@@ -208,10 +202,6 @@ class TestGraphForm:
     def test_state_level_equivalence(self, case):
         n, ops = case
         gf = graph_form(stabilizer_after(ops, n))
-        state = _sim.plus_state(n)
-        for u, v in gf.edges():
-            state = _sim.apply_matrix(state, _sim.CZ_MAT, (u, v))
-        for v in range(n):
-            state = _sim.apply_matrix(state, gf.local_matrix(v), (v,))
+        state = graph_state(gf.edges(), gf.applied)
         assert same_up_to_phase(state.reshape(-1),
-                                dense_after(ops, n).reshape(-1))
+                                prep_state(ops, n).reshape(-1))

@@ -1,7 +1,5 @@
 """Tests for dependency-graph construction and lazy widget/stitch counting."""
 
-import json
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +12,6 @@ from qre.widgetizer import (
     WidgetPlan,
     assign_moments,
     build_dependency_graph,
-    enumerate_widgets_and_stitches,
     iter_leaf_sequence,
     parse_nested_file,
 )
@@ -63,10 +60,9 @@ class TestBuild:
         sizes = [child.n_gates for child, _ in root.children]
         assert sizes == [4, 4, 2]
         # The two 4-moment slices are identical, so they share one node.
-        table, _ = enumerate_widgets_and_stitches(root)
-        mults = sorted(m for _, m in table.values())
-        assert mults == [1, 2]
-        assert sum(m for _, m in table.values()) == 3
+        plan = WidgetPlan.from_root(root, n_input=1)
+        assert sorted(plan.multiplicity.values()) == [1, 2]
+        assert plan.n_widgets == 3
 
     def test_single_gate_too_large(self):
         circ = NestedCircuit(3, {"main": [gate(GateKind.CCX, 0, 1, 2)]}, "main")
@@ -77,11 +73,10 @@ class TestBuild:
         gates = [gate(GateKind.H, q) for q in range(5)]
         circ = NestedCircuit(5, {"main": gates}, "main")
         root = build_dependency_graph(circ, SplitCriterion(400, 3, 4))
-        table, _ = enumerate_widgets_and_stitches(root)
+        plan = WidgetPlan.from_root(root, n_input=5)
         # All five single-H leaves are equivalent under relabeling.
-        assert len(table) == 1
-        ((gates_out, mult),) = table.values()
-        assert mult == 5 and len(gates_out) == 1
+        ((wid, gates_out),) = plan.widgets.items()
+        assert plan.multiplicity[wid] == 5 and len(gates_out) == 1
 
     def test_cycle_detected(self):
         with pytest.raises(CircuitError, match="cyclic"):
@@ -117,24 +112,24 @@ class TestTwoLevelRepeats:
 
     def test_leaf_count_and_multiplicities(self):
         root = build_dependency_graph(two_level_repeats(), self.CRIT)
-        table, stitches = enumerate_widgets_and_stitches(root)
+        plan = WidgetPlan.from_root(root, n_input=2)
         # leaves: 3 B-slices + W0 + C + W1 + W2 = 7 distinct
-        assert len(table) == 7
-        total = sum(m for _, m in table.values())
+        assert plan.n_distinct_widgets == 7
+        total = plan.n_widgets
         # 2 B-runs of 3 slices + 4 * (1 + 500 + 1 + 1)
         assert total == 6 + 4 * 503
-        assert sum(stitches.values()) == total - 1
+        assert sum(plan.stitches.values()) == total - 1
 
     def test_matches_eager_expansion(self):
         root = build_dependency_graph(two_level_repeats(), self.CRIT)
-        table, stitches = enumerate_widgets_and_stitches(root)
+        plan = WidgetPlan.from_root(root, n_input=2)
         widgets_eager, stitches_eager = eager_counts(root)
-        assert {k: m for k, (_, m) in table.items()} == widgets_eager
-        assert stitches == stitches_eager
+        assert plan.multiplicity == widgets_eager
+        assert plan.stitches == stitches_eager
 
     def test_seam_stitch_wraparound(self):
         root = build_dependency_graph(two_level_repeats(), self.CRIT)
-        _, stitches = enumerate_widgets_and_stitches(root)
+        stitches = WidgetPlan.from_root(root, n_input=2).stitches
         leaves = {}
 
         def walk(n):
@@ -150,8 +145,8 @@ class TestTwoLevelRepeats:
 
     def test_determinism(self):
         roots = [build_dependency_graph(two_level_repeats(), self.CRIT) for _ in range(2)]
-        tables = [enumerate_widgets_and_stitches(r) for r in roots]
-        assert tables[0] == tables[1]
+        plans = [WidgetPlan.from_root(r, n_input=2) for r in roots]
+        assert plans[0] == plans[1]
 
 
 class TestRepeatCounting:
@@ -161,11 +156,10 @@ class TestRepeatCounting:
             "w": [gate(GateKind.T, 0)],
         }, "main")
         root = build_dependency_graph(circ, SplitCriterion(400, 5))
-        table, stitches = enumerate_widgets_and_stitches(root)
-        assert len(table) == 1
-        (wid,) = table
-        assert table[wid][1] == 7
-        assert stitches == {(wid, wid): 6}
+        plan = WidgetPlan.from_root(root, n_input=1)
+        (wid,) = plan.widgets
+        assert plan.multiplicity[wid] == 7
+        assert plan.stitches == {(wid, wid): 6}
 
     def test_alternating(self):
         n = 5
@@ -176,11 +170,11 @@ class TestRepeatCounting:
             "b": [gate(GateKind.H, 0), gate(GateKind.T, 0)],
         }, "main")
         root = build_dependency_graph(circ, SplitCriterion(400, 3))
-        table, stitches = enumerate_widgets_and_stitches(root)
-        by_label = {len(g): wid for wid, (g, _) in table.items()}
+        plan = WidgetPlan.from_root(root, n_input=1)
+        by_label = {len(g): wid for wid, g in plan.widgets.items()}
         a, b = by_label[1], by_label[2]
-        assert stitches == {(a, b): n, (b, a): n - 1}
-        assert sum(stitches.values()) == 2 * n - 1
+        assert plan.stitches == {(a, b): n, (b, a): n - 1}
+        assert sum(plan.stitches.values()) == 2 * n - 1
 
     def test_huge_symbolic_counts(self):
         circ = NestedCircuit(1, {
@@ -189,10 +183,10 @@ class TestRepeatCounting:
             "w": [gate(GateKind.T, 0)],
         }, "main")
         root = build_dependency_graph(circ, SplitCriterion(400, 2))
-        table, stitches = enumerate_widgets_and_stitches(root)
-        (wid,) = table
-        assert table[wid][1] == 10**12
-        assert stitches == {(wid, wid): 10**12 - 1}
+        plan = WidgetPlan.from_root(root, n_input=1)
+        (wid,) = plan.widgets
+        assert plan.multiplicity[wid] == 10**12
+        assert plan.stitches == {(wid, wid): 10**12 - 1}
 
 
 @st.composite
@@ -221,12 +215,12 @@ class TestLazyVsEager:
     @given(nested_circuits(), st.integers(2, 6), st.integers(1, 3))
     def test_agreement(self, circ, max_gates, slice_moments):
         root = build_dependency_graph(circ, SplitCriterion(400, max_gates, slice_moments))
-        table, stitches = enumerate_widgets_and_stitches(root)
+        plan = WidgetPlan.from_root(root, n_input=3)
         widgets_eager, stitches_eager = eager_counts(root)
-        assert {k: m for k, (_, m) in table.items()} == widgets_eager
-        assert stitches == stitches_eager
+        assert plan.multiplicity == widgets_eager
+        assert plan.stitches == stitches_eager
         total = sum(widgets_eager.values())
-        assert sum(stitches.values()) == total - 1
+        assert sum(plan.stitches.values()) == total - 1
 
 
 class TestWidgetPlan:
@@ -251,7 +245,7 @@ class TestWidgetPlan:
 
 
 class TestNestedFile:
-    def test_roundtrip(self, tmp_path):
+    def test_roundtrip(self):
         payload = {
             "format": 1,
             "n_input": 2,
@@ -263,18 +257,14 @@ class TestNestedFile:
                       {"gate": "h", "qubits": [1]}],
             },
         }
-        path = tmp_path / "nested.json"
-        path.write_text(json.dumps(payload))
-        circ = parse_nested_file(path)
+        circ = parse_nested_file(payload, "nested.json")
         assert circ.n_input == 2
         assert circ.root == "main"
         assert isinstance(circ.blocks["main"][0], BlockRef)
         rz = circ.blocks["w"][0]
         assert isinstance(rz, Gate) and rz.kind is GateKind.Rz
 
-    def test_bad_gate_name(self, tmp_path):
-        path = tmp_path / "nested.json"
-        path.write_text(json.dumps({
-            "blocks": {"main": [{"gate": "u3", "qubits": [0]}]}}))
+    def test_bad_gate_name(self):
+        payload = {"blocks": {"main": [{"gate": "u3", "qubits": [0]}]}}
         with pytest.raises(CircuitError, match="u3"):
-            parse_nested_file(path)
+            parse_nested_file(payload, "nested.json")
