@@ -436,8 +436,8 @@ def generate_qft(n: int) -> list[Gate]:
 
     Gate count is n(n+1)/2 + floor(n/2).
     """
-    if not 1 <= n <= 32:
-        raise CircuitError(f"QFT size must be in 1..32, got {n}")
+    if not 1 <= n <= 64:
+        raise CircuitError(f"QFT size must be in 1..64, got {n}")
     gates: list[Gate] = []
     for i in range(n):
         gates.append(Gate(GateKind.H, (i,)))

@@ -34,7 +34,7 @@ from .circuit import (
     TranspiledWidget,
     circuit_width,
 )
-from .stabilizer import PauliRows, graph_form, stabilizer_after
+from .stabilizer import PauliRows, bits, graph_form, stabilizer_after
 
 CACHE_ENV = "QRE_CACHE_DIR"
 CACHE_FORMAT = 2
@@ -175,17 +175,16 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
 
     # One sweep over ops: row j stays the identity (a fixed point of every
     # conjugation) until op index k_j, where it becomes Z on its fresh node.
-    rows = PauliRows.zeros(len(gadgets), n_nodes)
+    rows = PauliRows.zeros(n_nodes)
     start = gadgets[0][2] if gadgets else len(ops)
     for j, (_, f, k) in enumerate(gadgets):
         rows.apply_ops(ops[start:k])
-        rows.z[j, f] = True
+        rows.z[f] |= 1 << j
         start = k
     rows.apply_ops(ops[start:])
     frames = {
-        a: PauliFrame(x_support=tuple(np.nonzero(rows.x[j])[0].tolist()),
-                      z_support=tuple(np.nonzero(rows.z[j])[0].tolist()))
-        for j, (a, _, _) in enumerate(gadgets)
+        a: PauliFrame(x_support=tuple(bits(x)), z_support=tuple(bits(z)))
+        for (a, _, _), (x, z, _) in zip(gadgets, rows.row_masks(len(gadgets)))
     }
 
     gf = graph_form(stabilizer_after(ops, n_nodes))

@@ -201,6 +201,11 @@ def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchC
         raise ConfigError(f"{source}: {exc}") from exc
 
 
+# factories row key -> TFactory field
+_FACTORY_FIELDS = {"p_out": "p_out", "width": "l_width", "length": "l_length",
+                   "qubits": "q_phys", "cycles": "cycles"}
+
+
 def _parse_factories(content, source: str) -> tuple[TFactory, ...]:
     if not isinstance(content, list) or not content:
         raise ConfigError(f"{source}: factories must be a nonempty list")
@@ -208,25 +213,20 @@ def _parse_factories(content, source: str) -> tuple[TFactory, ...]:
     for i, row in enumerate(content):
         if not isinstance(row, dict):
             raise ConfigError(f"{source}: factories[{i}] must be a mapping")
-        known = {"name", "p_out", "width", "length", "qubits", "cycles"}
+        known = {"name", *_FACTORY_FIELDS}
         for key in row.keys() - known:
             warnings.warn(f"{source}: unknown key factories[{i}].{key} ignored")
         try:
-            sizes = {}
-            for key in ("width", "length", "qubits"):
+            fields = {}
+            for key, field in _FACTORY_FIELDS.items():
                 try:
-                    sizes[key] = _coerce(key, row[key])
+                    if row[key] is None:
+                        raise ValueError("must be a number, got None")
+                    fields[field] = _coerce(key, row[key])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(
                         f"{source}: factories[{i}].{key}: {exc}") from exc
-            rows.append(TFactory(
-                name=str(row["name"]),
-                p_out=float(row["p_out"]),
-                l_width=sizes["width"],
-                l_length=sizes["length"],
-                q_phys=sizes["qubits"],
-                cycles=float(row["cycles"]),
-            ))
+            rows.append(TFactory(name=str(row["name"]), **fields))
         except ConfigError:
             raise
         except KeyError as exc:

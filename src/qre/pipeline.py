@@ -99,7 +99,7 @@ def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
     plan = WidgetPlan.from_root(root, nested.n_input)
     sequence: tuple[str, ...] | None
     if plan.n_widgets <= SEQUENCE_LIMIT:
-        sequence = tuple(iter_leaf_sequence(root, limit=SEQUENCE_LIMIT))
+        sequence = tuple(iter_leaf_sequence(root))
     else:
         sequence = None
     return LoadedCircuit(plan, sequence, data)

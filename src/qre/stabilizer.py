@@ -1,31 +1,57 @@
-"""Binary-symplectic Pauli algebra and stabilizer-state canonicalization.
+"""Bit-packed Pauli algebra and stabilizer-state canonicalization.
 
-Paulis are stored as x/z bit rows with a sign bit, in the Hermitian
-convention: row (x, z, r) denotes (-1)^r * prod_j i^{x_j z_j} X_j^{x_j}
-Z_j^{z_j}, so the (1,1) pair is Y. Gate conjugation and row multiplication
-follow the standard CHP update rules; everything is vectorized over rows so a
-full stabilizer tableau and a single tracked byproduct Pauli share one code
-path.
+A Pauli row is three Python ints (x, z, sign): bit q of x and z is the
+qubit-q pair, in the Hermitian convention (x, z, s) = (-1)^s * prod_q
+i^{x_q z_q} X_q^{x_q} Z_q^{z_q}, so the (1,1) pair is Y. ``PauliRows``
+stores a set of rows by qubit column instead: x[q] and z[q] hold bit j for
+row j, and the signs of all rows are one int. A gate conjugation is then a
+few big-int operations per gate over all rows at once (the CHP update rules
+of Aaronson & Gottesman), so a full stabilizer tableau and one tracked
+byproduct Pauli share one code path. ``graph_form`` works on the row masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-import numpy as np
+Row = tuple[int, int, int]  # (x mask, z mask, sign bit)
 
 
 class StabilizerError(ValueError):
     pass
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative int, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def pauli_product(a: Row, b: Row) -> Row:
+    """The row of P_a * P_b; the rows must commute for it to be Hermitian.
+
+    Moving Z^{z_a} past X^{x_b} gives (-1)^{|z_a & x_b|}, and the Hermitian
+    i^{|x & z|} factors give the exponent of i below.
+    """
+    xa, za, sa = a
+    xb, zb, sb = b
+    x, z = xa ^ xb, za ^ zb
+    e = ((xa & za).bit_count() + (xb & zb).bit_count()
+         + 2 * (za & xb).bit_count() - (x & z).bit_count())
+    if e & 1:
+        raise StabilizerError("multiplied anticommuting rows")
+    return x, z, sa ^ sb ^ ((e >> 1) & 1)
+
+
 class PauliRows:
-    """R Pauli operators over N qubits (see module docstring for convention)."""
+    """Pauli rows over n qubits, packed by qubit column (see module docstring)."""
 
     __slots__ = ("x", "z", "r")
 
-    def __init__(self, x: np.ndarray, z: np.ndarray, r: np.ndarray):
+    def __init__(self, x: list[int], z: list[int], r: int):
         self.x = x
         self.z = z
         self.r = r
@@ -33,59 +59,66 @@ class PauliRows:
     @classmethod
     def identity_x(cls, n: int) -> "PauliRows":
         """n rows: row i = X_i (the stabilizers of |+...+>)."""
-        return cls(np.eye(n, dtype=bool), np.zeros((n, n), bool), np.zeros(n, np.uint8))
+        return cls([1 << q for q in range(n)], [0] * n, 0)
 
     @classmethod
-    def zeros(cls, rows: int, n: int) -> "PauliRows":
-        """``rows`` identity rows over n qubits: each is a fixed point of
-        every conjugation until a bit is set."""
-        return cls(np.zeros((rows, n), bool), np.zeros((rows, n), bool),
-                   np.zeros(rows, np.uint8))
-
-    def copy(self) -> "PauliRows":
-        return PauliRows(self.x.copy(), self.z.copy(), self.r.copy())
+    def zeros(cls, n: int) -> "PauliRows":
+        """Identity rows over n qubits: every row is a fixed point of every
+        conjugation until one of its bits is set."""
+        return cls([0] * n, [0] * n, 0)
 
     @property
     def n_qubits(self) -> int:
-        return self.x.shape[1]
+        return len(self.x)
+
+    def row_masks(self, n_rows: int) -> list[Row]:
+        """Rows 0..n_rows-1 as row-major (x, z, sign) masks."""
+        if any(m >> n_rows for m in (*self.x, *self.z, self.r)):
+            raise StabilizerError(f"rows beyond the first {n_rows} are set")
+        xs, zs = [0] * n_rows, [0] * n_rows
+        for q in range(len(self.x)):
+            for j in bits(self.x[q]):
+                xs[j] |= 1 << q
+            for j in bits(self.z[q]):
+                zs[j] |= 1 << q
+        return [(xs[j], zs[j], (self.r >> j) & 1) for j in range(n_rows)]
 
     # -- gate conjugation (columns) ------------------------------------------
 
     def _h(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+        self.r ^= self.x[q] & self.z[q]
+        self.x[q], self.z[q] = self.z[q], self.x[q]
 
     def _s(self, q: int) -> None:
-        self.r ^= self.x[:, q] & self.z[:, q]
-        self.z[:, q] ^= self.x[:, q]
+        self.r ^= self.x[q] & self.z[q]
+        self.z[q] ^= self.x[q]
 
     def _sdg(self, q: int) -> None:
-        self.z[:, q] ^= self.x[:, q]
-        self.r ^= self.x[:, q] & self.z[:, q]
+        self.z[q] ^= self.x[q]
+        self.r ^= self.x[q] & self.z[q]
 
     def _x(self, q: int) -> None:
-        self.r ^= self.z[:, q]
+        self.r ^= self.z[q]
 
     def _y(self, q: int) -> None:
-        self.r ^= self.x[:, q] ^ self.z[:, q]
+        self.r ^= self.x[q] ^ self.z[q]
 
     def _z(self, q: int) -> None:
-        self.r ^= self.x[:, q]
+        self.r ^= self.x[q]
 
     def _cx(self, a: int, b: int) -> None:
-        self.r ^= self.x[:, a] & self.z[:, b] & ~(self.x[:, b] ^ self.z[:, a])
-        self.x[:, b] ^= self.x[:, a]
-        self.z[:, a] ^= self.z[:, b]
+        self.r ^= self.x[a] & self.z[b] & ~(self.x[b] ^ self.z[a])
+        self.x[b] ^= self.x[a]
+        self.z[a] ^= self.z[b]
 
     def _cz(self, a: int, b: int) -> None:
-        self._h(b)
-        self._cx(a, b)
-        self._h(b)
+        self.r ^= self.x[a] & self.x[b] & (self.z[a] ^ self.z[b])
+        self.z[a] ^= self.x[b]
+        self.z[b] ^= self.x[a]
 
     def _swap(self, a: int, b: int) -> None:
-        self._cx(a, b)
-        self._cx(b, a)
-        self._cx(a, b)
+        self.x[a], self.x[b] = self.x[b], self.x[a]
+        self.z[a], self.z[b] = self.z[b], self.z[a]
 
     def apply(self, name: str, qubits: Sequence[int]) -> None:
         try:
@@ -97,51 +130,23 @@ class PauliRows:
         for name, qubits in ops:
             self.apply(name, qubits)
 
-    # -- row algebra -----------------------------------------------------------
-
-    def multiply_into(self, h: int, i: int) -> None:
-        """Row h <- row i * row h (rows must commute for the sign to be valid)."""
-        phase = (2 * int(self.r[h]) + 2 * int(self.r[i])
-                 + int(_g(self.x[i], self.z[i], self.x[h], self.z[h]).sum()))
-        if phase % 2:
-            raise StabilizerError("multiplied anticommuting rows")
-        self.r[h] = (phase // 2) % 2
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
-
-    def swap_rows(self, a: int, b: int) -> None:
-        for arr in (self.x, self.z, self.r):
-            arr[[a, b]] = arr[[b, a]]
-
-
-def _g(x1: np.ndarray, z1: np.ndarray, x2: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    """Per-qubit exponent of i picked up multiplying row-1 Paulis into row 2."""
-    x1i, z1i = x1.astype(np.int8), z1.astype(np.int8)
-    x2i, z2i = x2.astype(np.int8), z2.astype(np.int8)
-    out = np.zeros(x1.shape, np.int8)
-    is_x = x1 & ~z1
-    is_z = ~x1 & z1
-    is_y = x1 & z1
-    out[is_x] = (z2i * (2 * x2i - 1))[is_x]
-    out[is_z] = (x2i * (1 - 2 * z2i))[is_z]
-    out[is_y] = (z2i - x2i)[is_y]
-    return out
-
 
 @dataclass(frozen=True)
 class GraphForm:
     """Graph-state canonical form: |psi> = (tensor of locals) |G(adjacency)>.
 
-    ``applied`` lists, per qubit, the single-qubit gates that were applied to
-    the state to reach |G>; the node's local Clifford is their inverse product.
+    ``adjacency[u]`` has bit v set for each edge u-v (symmetric, no
+    self-loops). ``applied`` lists, per qubit, the single-qubit gates that
+    were applied to the state to reach |G>; the node's local Clifford is
+    their inverse product.
     """
 
-    adjacency: np.ndarray  # (N, N) bool, symmetric, zero diagonal
+    adjacency: tuple[int, ...]
     applied: tuple[tuple[str, ...], ...]
 
     def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(self.adjacency, k=1))
-        return list(zip(us.tolist(), vs.tolist()))
+        return [(u, v) for u, row in enumerate(self.adjacency)
+                for v in bits(row & ~((2 << u) - 1))]
 
 
 def stabilizer_after(ops: Iterable[tuple[str, tuple[int, ...]]], n: int) -> PauliRows:
@@ -154,58 +159,56 @@ def stabilizer_after(ops: Iterable[tuple[str, tuple[int, ...]]], n: int) -> Paul
 def graph_form(rows: PauliRows) -> GraphForm:
     """Canonicalize a stabilizer state into graph + local-Clifford form.
 
-    Gaussian elimination brings the X block to the identity, applying H on
-    rank-deficient columns, then S clears the Z diagonal and Z fixes signs.
+    H on the columns that are not pivots of the X block makes that block
+    full rank; elimination then brings the rows to [I | A], S clears the
+    diagonal of A and Z clears the signs. Every step is fixed by the state,
+    not by the generators it is given, so the form is canonical.
     """
-    work = rows.copy()
-    n = work.n_qubits
-    applied: list[list[str]] = [[] for _ in range(n)]
+    n = rows.n_qubits
+    work = rows.row_masks(n)
 
-    def rref() -> list[int]:
-        rank = 0
-        pivots = []
-        for col in range(n):
-            hits = np.nonzero(work.x[rank:, col])[0]
-            if hits.size == 0:
-                continue
-            work.swap_rows(rank, rank + hits[0])
-            for row in np.nonzero(work.x[:, col])[0]:
-                if row != rank:
-                    work.multiply_into(row, rank)
-            pivots.append(col)
-            rank += 1
-        return pivots
+    # The pivot columns of the X block are the lowest set bits of an
+    # echelon basis of its row space.
+    pivots: dict[int, int] = {}
+    for x, _, _ in work:
+        while x:
+            low = x & -x
+            if low not in pivots:
+                pivots[low] = x
+                break
+            x ^= pivots[low]
+    h_mask = ((1 << n) - 1) & ~sum(pivots)
+    applied = [["h"] if h_mask >> q & 1 else [] for q in range(n)]
+    work = [(x & ~h_mask | z & h_mask, z & ~h_mask | x & h_mask,
+             s ^ ((x & z & h_mask).bit_count() & 1)) for x, z, s in work]
 
-    pivots = rref()
-    for col in range(n):
-        if col not in pivots:
-            work._h(col)
-            applied[col].append("h")
-    pivots = rref()
-    if len(pivots) != n:
-        raise StabilizerError("stabilizer X block is not full rank after H sweep")
+    # Echelon form keyed by lowest X bit, then back-substitution to [I | A].
+    by_pivot: list[Row | None] = [None] * n
+    for row in work:
+        while row[0]:
+            q = (row[0] & -row[0]).bit_length() - 1
+            if by_pivot[q] is None:
+                by_pivot[q] = row
+                break
+            row = pauli_product(by_pivot[q], row)
+        else:
+            raise StabilizerError("stabilizer X block is not full rank after H sweep")
+    for q in reversed(range(n)):
+        row = by_pivot[q]
+        for p in bits(row[0] & ~((2 << q) - 1)):
+            row = pauli_product(by_pivot[p], row)
+        by_pivot[q] = row
 
-    # Full reduction left a permutation matrix; reorder rows so X = I.
-    order = np.argmax(work.x, axis=1)
-    perm = np.argsort(order)
-    for arr_name in ("x", "z"):
-        setattr(work, arr_name, getattr(work, arr_name)[perm])
-    work.r = work.r[perm]
-
-    for v in range(n):
-        if work.z[v, v]:
-            work._s(v)
+    adjacency = []
+    for v, (x, z, s) in enumerate(by_pivot):
+        if z >> v & 1:
+            z ^= 1 << v
+            s ^= 1
             applied[v].append("s")
-    for v in range(n):
-        if work.r[v]:
-            work._z(v)
+        if s:
             applied[v].append("z")
-
-    adj = work.z.copy()
-    if not np.array_equal(work.x, np.eye(n, dtype=bool)):
-        raise StabilizerError("canonicalization failed to reach X = I")
-    if np.any(adj != adj.T) or np.any(np.diag(adj)):
-        raise StabilizerError("canonical Z block is not a graph adjacency")
-    if np.any(work.r):
-        raise StabilizerError("canonicalization left negative signs")
-    return GraphForm(adj, tuple(tuple(a) for a in applied))
+        adjacency.append(z)
+    for u, row in enumerate(adjacency):
+        if any(not adjacency[v] >> u & 1 for v in bits(row)):
+            raise StabilizerError("canonical Z block is not a graph adjacency")
+    return GraphForm(tuple(adjacency), tuple(tuple(a) for a in applied))

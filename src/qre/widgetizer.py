@@ -352,12 +352,10 @@ def _collect_leaves(node: SubcircuitNode) -> dict[str, SubcircuitNode]:
     return leaves
 
 
-def iter_leaf_sequence(root: SubcircuitNode, limit: int = 1_000_000) -> Iterator[str]:
-    """Materialized depth-first leaf-id sequence; raises CircuitError when
-    it would exceed ``limit`` widgets."""
-    total = sum(_fold(root, {}).widgets.values())
-    if total > limit:
-        raise CircuitError(f"sequence of {total} widgets exceeds expansion limit {limit}")
+def iter_leaf_sequence(root: SubcircuitNode) -> Iterator[str]:
+    """Depth-first leaf-id sequence, one id per widget occurrence. It is as
+    long as the plan's ``n_widgets``: callers check that before they
+    materialize it."""
 
     def walk(node: SubcircuitNode) -> Iterator[str]:
         if node.is_leaf:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from qre import _sim
+from qre.stabilizer import PauliRows
 
 PREP_MATS = {
     "h": _sim.H_MAT, "s": _sim.S_MAT, "sdg": _sim.SDG_MAT, "x": _sim.X_MAT,
@@ -34,10 +35,22 @@ def circuit_unitary(apply_fn, n: int) -> np.ndarray:
     return out.reshape(2 ** n, 2 ** n)
 
 
-def pauli_matrix(rows, row: int = 0) -> np.ndarray:
-    """Dense matrix of one row of a ``PauliRows``."""
+def packed_rows(x_rows, z_rows, signs) -> PauliRows:
+    """``PauliRows`` from row-major 0/1 lists: x_rows[j][q] is row j's X bit
+    on qubit q."""
+    def columns(bit_rows):
+        return [sum(int(bool(r[q])) << j for j, r in enumerate(bit_rows))
+                for q in range(len(bit_rows[0]))]
+    return PauliRows(columns(x_rows), columns(z_rows),
+                     sum(int(bool(s)) << j for j, s in enumerate(signs)))
+
+
+def row_matrix(row, n: int) -> np.ndarray:
+    """Dense matrix of one (x mask, z mask, sign) row over n qubits."""
+    x, z, sign = row
     out = np.eye(1, dtype=complex)
-    for xq, zq in zip(rows.x[row], rows.z[row]):
+    for q in range(n):
+        xq, zq = x >> q & 1, z >> q & 1
         if xq and zq:
             f = _sim.Y_MAT
         elif xq:
@@ -47,7 +60,22 @@ def pauli_matrix(rows, row: int = 0) -> np.ndarray:
         else:
             f = np.eye(2, dtype=complex)
         out = np.kron(out, f)
-    return -out if rows.r[row] else out
+    return -out if sign else out
+
+
+def pauli_matrix(rows: PauliRows, row: int = 0) -> np.ndarray:
+    """Dense matrix of one row of a ``PauliRows``."""
+    def mask(columns):
+        return sum((c >> row & 1) << q for q, c in enumerate(columns))
+    return row_matrix((mask(rows.x), mask(rows.z), rows.r >> row & 1),
+                      rows.n_qubits)
+
+
+def adjacency_matrix(gf) -> np.ndarray:
+    """(n, n) bool adjacency matrix of a ``GraphForm``."""
+    n = len(gf.adjacency)
+    return np.array([[bool(row >> v & 1) for v in range(n)]
+                     for row in gf.adjacency], dtype=bool).reshape(n, n)
 
 
 def local_matrix(applied) -> np.ndarray:

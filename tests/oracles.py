@@ -307,12 +307,85 @@ def frames_by_replay(ops, gadgets, n_nodes):
 
     frames = {}
     for a, f, k in gadgets:
-        p = PauliRows.zeros(1, n_nodes)
-        p.z[0, f] = True
+        p = PauliRows.zeros(n_nodes)
+        p.z[f] = 1
         p.apply_ops(ops[k:])
-        frames[a] = (tuple(np.nonzero(p.x[0])[0].tolist()),
-                     tuple(np.nonzero(p.z[0])[0].tolist()))
+        frames[a] = (tuple(q for q in range(n_nodes) if p.x[q] & 1),
+                     tuple(q for q in range(n_nodes) if p.z[q] & 1))
     return frames
+
+
+def _g(x1, z1, x2, z2):
+    """Per-qubit exponent of i picked up multiplying row-1 Paulis into row 2."""
+    x1i, z1i = x1.astype(np.int8), z1.astype(np.int8)
+    x2i, z2i = x2.astype(np.int8), z2.astype(np.int8)
+    out = np.zeros(x1.shape, np.int8)
+    is_x = x1 & ~z1
+    is_z = ~x1 & z1
+    is_y = x1 & z1
+    out[is_x] = (z2i * (2 * x2i - 1))[is_x]
+    out[is_z] = (x2i * (1 - 2 * z2i))[is_z]
+    out[is_y] = (z2i - x2i)[is_y]
+    return out
+
+
+def graph_form_by_elimination(rows):
+    """Graph form of n stabilizer rows by Gauss-Jordan elimination on numpy
+    bool arrays, with per-qubit phase bookkeeping: (adjacency as an (n, n)
+    bool array, applied gates per qubit). Same steps as the package: H on
+    non-pivot columns of the X block, S on the Z diagonal, Z on signs."""
+    n = rows.n_qubits
+    x = np.array([[rows.x[q] >> j & 1 for q in range(n)] for j in range(n)],
+                 dtype=bool).reshape(n, n)
+    z = np.array([[rows.z[q] >> j & 1 for q in range(n)] for j in range(n)],
+                 dtype=bool).reshape(n, n)
+    r = np.array([rows.r >> j & 1 for j in range(n)], dtype=np.uint8)
+    applied = [[] for _ in range(n)]
+
+    def multiply_into(h, i):
+        phase = 2 * int(r[h]) + 2 * int(r[i]) + int(_g(x[i], z[i], x[h], z[h]).sum())
+        if phase % 2:
+            raise ValueError("multiplied anticommuting rows")
+        r[h] = (phase // 2) % 2
+        x[h] ^= x[i]
+        z[h] ^= z[i]
+
+    def rref():
+        rank = 0
+        pivots = []
+        for col in range(n):
+            hits = np.nonzero(x[rank:, col])[0]
+            if hits.size == 0:
+                continue
+            for arr in (x, z, r):
+                arr[[rank, rank + hits[0]]] = arr[[rank + hits[0], rank]]
+            for row in np.nonzero(x[:, col])[0]:
+                if row != rank:
+                    multiply_into(row, rank)
+            pivots.append(col)
+            rank += 1
+        return pivots
+
+    pivots = rref()
+    for col in range(n):
+        if col not in pivots:
+            r ^= x[:, col] & z[:, col]
+            x[:, col], z[:, col] = z[:, col].copy(), x[:, col].copy()
+            applied[col].append("h")
+    if len(rref()) != n:
+        raise ValueError("X block is not full rank after the H sweep")
+    assert np.array_equal(x, np.eye(n, dtype=bool))
+    for v in range(n):
+        if z[v, v]:
+            r ^= x[:, v] & z[:, v]
+            z[:, v] ^= x[:, v]
+            applied[v].append("s")
+    for v in range(n):
+        if r[v]:
+            r ^= x[:, v]
+            applied[v].append("z")
+    assert np.array_equal(z, z.T) and not z.diagonal().any() and not r.any()
+    return z, tuple(tuple(a) for a in applied)
 
 
 def max_live_nodes_by_scan(n_input, n_nodes, edges, schedule):

@@ -203,6 +203,11 @@ class TestGenerateQft:
     def test_count_formula(self, n):
         assert len(generate_qft(n)) == n * (n + 1) // 2 + n // 2
 
+    def test_largest_size(self):
+        gates = generate_qft(64)
+        assert len(gates) == 64 * 65 // 2 + 32 == 2112
+        assert sum(g.kind is GateKind.CPhase for g in gates) == 64 * 63 // 2
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dft_matrix(self, n):
         u = unitary_of(generate_qft(n), n)
@@ -216,8 +221,8 @@ class TestGenerateQft:
     def test_out_of_range(self):
         with pytest.raises(CircuitError):
             generate_qft(0)
-        with pytest.raises(CircuitError):
-            generate_qft(33)
+        with pytest.raises(CircuitError, match="1..64"):
+            generate_qft(65)
 
 
 class TestWidgetFiles:

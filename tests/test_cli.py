@@ -80,6 +80,15 @@ class TestEstimate:
         assert rc == EXIT_INVALID
         assert "factories[0].width" in capsys.readouterr().err
 
+    def test_null_factory_p_out_is_invalid(self, qft3_path, tmp_path, capsys):
+        cfg = tmp_path / "null.yaml"
+        cfg.write_text("factories:\n"
+                       "  - {name: tiny, p_out: null, width: 64,"
+                       " length: 72, qubits: 4620, cycles: 42.6}\n")
+        rc = main(["estimate", str(qft3_path), "--config", str(cfg)])
+        assert rc == EXIT_INVALID
+        assert "factories[0].p_out" in capsys.readouterr().err
+
     def test_infeasible_is_exit_3(self, qft3_path, tmp_path, capsys):
         cfg = tmp_path / "tiny.yaml"
         cfg.write_text("physical:\n  n_phys_per_module: 5000\n")

@@ -138,6 +138,14 @@ class TestFactoriesSection:
             with pytest.raises(ConfigError, match=rf"factories\[0\]\.{key}"):
                 config_from_mapping({"factories": [dict(row, **{key: value})]})
 
+    def test_missing_or_non_numeric_float_field_fails(self):
+        row = {"name": "tiny", "p_out": 1e-6, "width": 10, "length": 12,
+               "qubits": 120, "cycles": 10.0}
+        for key, value in (("p_out", None), ("cycles", None),
+                           ("p_out", "low"), ("cycles", [42.6])):
+            with pytest.raises(ConfigError, match=rf"factories\[0\]\.{key}"):
+                config_from_mapping({"factories": [dict(row, **{key: value})]})
+
     def test_integral_size_accepted(self):
         for value in (4, 4.0):
             cfg = config_from_mapping({"factories": [

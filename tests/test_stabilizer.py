@@ -7,13 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dense import circuit_unitary, graph_state, pauli_matrix, prep_state
-from oracles import same_up_to_phase
+from dense import (
+    adjacency_matrix,
+    circuit_unitary,
+    graph_state,
+    packed_rows,
+    pauli_matrix,
+    prep_state,
+    row_matrix,
+)
+from oracles import graph_form_by_elimination, same_up_to_phase
 from qre import _sim
+from qre.circuit import generate_qft, transpile
+from qre.compiler import compile_widget
 from qre.stabilizer import (
     PauliRows,
     StabilizerError,
     graph_form,
+    pauli_product,
     stabilizer_after,
 )
 
@@ -31,11 +42,7 @@ GATE_MATS = {
 
 
 def make_rows(x_bits, z_bits, r_bit):
-    return PauliRows(
-        np.array([x_bits], dtype=bool),
-        np.array([z_bits], dtype=bool),
-        np.array([r_bit], dtype=bool),
-    )
+    return packed_rows([x_bits], [z_bits], [r_bit])
 
 
 def unitary_on(name: str, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -63,9 +70,9 @@ class TestDenseConvention:
         for i in range(3):
             expected = unitary_on("x", (i,), 3) @ np.eye(8)
             assert np.allclose(pauli_matrix(rows, i), expected)
-        z1 = PauliRows.zeros(2, 2)
+        z1 = PauliRows.zeros(2)
         assert np.allclose(pauli_matrix(z1, 0), np.eye(4))
-        z1.z[0, 1] = True
+        z1.z[1] |= 1 << 0
         assert np.allclose(pauli_matrix(z1, 0), np.kron(np.eye(2), _sim.Z_MAT))
         assert np.allclose(pauli_matrix(z1, 1), np.eye(4))
 
@@ -92,34 +99,35 @@ class TestGateConjugation:
 
 
 class TestMultiplyInto:
+    """``pauli_product`` on the row masks of packed rows."""
+
     def test_commuting_product(self):
-        rows = PauliRows(
-            np.array([[1, 1], [0, 0]], dtype=bool),
-            np.array([[0, 0], [1, 1]], dtype=bool),
-            np.array([0, 0], dtype=bool),
-        )  # XX and ZZ
+        rows = packed_rows([[1, 1], [0, 0]], [[0, 0], [1, 1]], [0, 0])  # XX, ZZ
         expected = pauli_matrix(rows, 0) @ pauli_matrix(rows, 1)
-        rows.multiply_into(0, 1)
-        assert np.allclose(pauli_matrix(rows, 0), expected)
+        a, b = rows.row_masks(2)
+        assert np.allclose(row_matrix(pauli_product(a, b), 2), expected)
 
     def test_disjoint_product(self):
-        rows = PauliRows(
-            np.array([[1, 0], [0, 0]], dtype=bool),
-            np.array([[0, 0], [0, 1]], dtype=bool),
-            np.array([1, 0], dtype=bool),
-        )  # -XI and IZ
+        rows = packed_rows([[1, 0], [0, 0]], [[0, 0], [0, 1]], [1, 0])  # -XI, IZ
         expected = pauli_matrix(rows, 0) @ pauli_matrix(rows, 1)
-        rows.multiply_into(0, 1)
-        assert np.allclose(pauli_matrix(rows, 0), expected)
+        a, b = rows.row_masks(2)
+        assert np.allclose(row_matrix(pauli_product(a, b), 2), expected)
 
     def test_anticommuting_raises(self):
-        rows = PauliRows(
-            np.array([[1], [0]], dtype=bool),
-            np.array([[0], [1]], dtype=bool),
-            np.array([0, 0], dtype=bool),
-        )  # X and Z on the same qubit
+        rows = packed_rows([[1], [0]], [[0], [1]], [0, 0])  # X and Z on one qubit
+        a, b = rows.row_masks(2)
         with pytest.raises(StabilizerError):
-            rows.multiply_into(0, 1)
+            pauli_product(a, b)
+
+    def test_sign_matches_dense_on_all_two_qubit_pairs(self):
+        paulis = [make_rows(*p).row_masks(1)[0] for p in all_paulis(2)]
+        for a, b in itertools.product(paulis, repeat=2):
+            ma, mb = row_matrix(a, 2), row_matrix(b, 2)
+            if np.allclose(ma @ mb, mb @ ma):
+                assert np.allclose(row_matrix(pauli_product(a, b), 2), ma @ mb)
+            else:
+                with pytest.raises(StabilizerError):
+                    pauli_product(a, b)
 
 
 @st.composite
@@ -167,7 +175,7 @@ class TestGraphForm:
     def test_plus_states_give_empty_graph(self):
         gf = graph_form(PauliRows.identity_x(4))
         assert not gf.edges()
-        assert gf.adjacency.shape == (4, 4)
+        assert adjacency_matrix(gf).shape == (4, 4)
 
     def test_bell_pair_graph(self):
         gf = graph_form(stabilizer_after([("h", (1,)), ("cx", (0, 1))], 2))
@@ -180,7 +188,7 @@ class TestGraphForm:
     def test_adjacency_shape_and_symmetry(self):
         ops = [("h", (0,)), ("cx", (0, 1)), ("s", (1,)), ("cz", (1, 2))]
         gf = graph_form(stabilizer_after(ops, 3))
-        adj = gf.adjacency
+        adj = adjacency_matrix(gf)
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
 
@@ -194,7 +202,7 @@ class TestGraphForm:
         ops = [("h", (0,)), ("cx", (0, 1)), ("cz", (1, 2)), ("s", (2,))]
         a = graph_form(stabilizer_after(ops, 3))
         b = graph_form(stabilizer_after(ops, 3))
-        assert np.array_equal(a.adjacency, b.adjacency)
+        assert a.adjacency == b.adjacency
         assert a.applied == b.applied
 
     @settings(max_examples=60, deadline=None)
@@ -205,3 +213,67 @@ class TestGraphForm:
         state = graph_state(gf.edges(), gf.applied)
         assert same_up_to_phase(state.reshape(-1),
                                 prep_state(ops, n).reshape(-1))
+
+    def test_anticommuting_generators_raise(self):
+        # X0 and Y0 Z1: the X block needs H on qubit 1, then X0 * Y0 X1
+        rows = packed_rows([[1, 0], [1, 0]], [[0, 0], [1, 1]], [0, 0])
+        with pytest.raises(StabilizerError, match="anticommuting"):
+            graph_form(rows)
+
+    def test_asymmetric_z_block_raises(self):
+        # X0 and Z0 X1 anticommute but need no product to reach X = I
+        rows = packed_rows([[1, 0], [0, 1]], [[0, 0], [1, 0]], [0, 0])
+        with pytest.raises(StabilizerError, match="graph adjacency"):
+            graph_form(rows)
+
+    def test_wrong_row_count_raises(self):
+        with pytest.raises(StabilizerError):
+            graph_form(packed_rows([[1, 0]], [[0, 0]], [0]))
+        with pytest.raises(StabilizerError):
+            graph_form(packed_rows([[1], [0]], [[0], [1]], [0, 0]))
+
+
+@st.composite
+def rank_deficient_cliffords(draw):
+    """Clifford circuits that start by turning some qubits to |0> (a rank-
+    deficient X block unless later gates restore it) and end with a layer
+    of x/y/z gates (negative signs for the Z sweep)."""
+    n, ops = draw(clifford_ops(max_qubits=8, max_ops=25))
+    prefix = [("h", (q,)) for q in range(n) if draw(st.booleans())]
+    suffix = [(draw(st.sampled_from(["x", "y", "z"])), (q,))
+              for q in range(n) if draw(st.booleans())]
+    return n, prefix + ops + suffix
+
+
+class TestMatchesElimination:
+    """The packed graph form against the numpy Gauss-Jordan reference."""
+
+    def assert_same(self, rows):
+        gf = graph_form(rows)
+        adjacency, applied = graph_form_by_elimination(rows)
+        assert np.array_equal(adjacency_matrix(gf), adjacency)
+        assert gf.applied == applied
+        return gf
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(clifford_ops(), rank_deficient_cliffords()))
+    def test_random_cliffords(self, case):
+        n, ops = case
+        self.assert_same(stabilizer_after(ops, n))
+
+    def test_h_and_z_sweeps_run(self):
+        # |1>|+>: the stabilizers -Z0 and X1 need H and then Z on qubit 0
+        gf = self.assert_same(stabilizer_after([("h", (0,)), ("x", (0,))], 2))
+        assert gf.applied == (("h", "z"), ())
+        gf = self.assert_same(stabilizer_after([("h", (1,)), ("cx", (0, 1)),
+                                                ("s", (0,)), ("y", (1,))], 2))
+        assert gf.edges() == [(0, 1)]
+        assert {g for a in gf.applied for g in a} == {"h", "s", "z"}
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_qft_widgets(self, n, monkeypatch):
+        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+        cw = compile_widget(transpile(generate_qft(n)))
+        gf = self.assert_same(stabilizer_after(cw.prep_ops, cw.n_nodes))
+        assert tuple(gf.edges()) == cw.edges
+        assert gf.applied == cw.local_cliffords
