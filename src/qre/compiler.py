@@ -210,24 +210,33 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
 def _layer_consumption(
     measurements: Sequence[Measurement], frames: Mapping[int, PauliFrame]
 ) -> tuple[tuple[int, ...], ...]:
-    """Greedy maximal antichains of 'b before a if b's frame touches a'."""
+    """Greedy maximal antichains of 'b before a if b's frame touches a': a
+    node's layer is its longest-path depth, found in one topological pass."""
     measured = {m.node for m in measurements}
-    preds: dict[int, set[int]] = {v: set() for v in measured}
+    succs: dict[int, list[int]] = {}
+    n_preds = dict.fromkeys(measured, 0)
     for b, frame in frames.items():
         for v in frame.touches():
             if v in measured:
-                preds[v].add(b)
-    remaining = set(measured)
-    done: set[int] = set()
-    layers: list[tuple[int, ...]] = []
-    while remaining:
-        layer = sorted(v for v in remaining if preds[v] <= done)
-        if not layer:
-            raise CompileError("cyclic measurement dependencies")
-        layers.append(tuple(layer))
-        done.update(layer)
-        remaining.difference_update(layer)
-    return tuple(layers)
+                n_preds[v] += 1
+                succs.setdefault(b, []).append(v)
+    depth = dict.fromkeys(measured, 0)
+    # Kahn's order, first in first out: ready grows while it is read and
+    # stays sorted by depth, so a node's last predecessor is its deepest.
+    ready = [v for v in measured if not n_preds[v]]
+    for b in ready:
+        for v in succs.get(b, ()):
+            n_preds[v] -= 1
+            if not n_preds[v]:
+                depth[v] = depth[b] + 1
+                ready.append(v)
+    if len(ready) < len(measured):
+        raise CompileError("cyclic measurement dependencies")
+    layers: list[list[int]] = [
+        [] for _ in range(max(depth.values(), default=-1) + 1)]
+    for v in sorted(measured):
+        layers[depth[v]].append(v)
+    return tuple(map(tuple, layers))
 
 
 def _max_live_nodes(

@@ -7,13 +7,33 @@ by its nodes, so two MPPOs can share a sub-step only if their intervals are
 disjoint (they ride the same auxiliary bus). The schedule greedily packs a
 maximal set of compatible stars per sub-step, sweeping centers in index
 order, until every edge is covered exactly once.
+
+Centers rise through the sweep and every interval holds its center, so a
+star fits only past ``reach``, the high end of the sub-step's last accepted
+interval, and every node used in the sub-step lies at or below it. The sweep
+accepts center c exactly when min(c, lowest uncovered neighbor of c not yet
+used this sub-step) > reach, and c then takes its lowest ``fan_out``
+uncovered neighbors above reach. A center that fails this test fails it for
+the rest of the sub-step, so each next star is the lowest center that
+passes, found without visiting the others:
+
+- (a) centers whose lowest uncovered neighbor lies above reach. A max
+  segment tree over centers holds key(c) = min(c, lowest uncovered
+  neighbor), -1 once c has no edges; the leftmost c with key(c) > reach is
+  one descent, and accepting a star rekeys only its own nodes.
+- (b) centers whose neighbors at or below reach were all used this
+  sub-step. Such a center's lowest uncovered neighbor is a used node, so a
+  per-sub-step heap collects the uncovered neighbors of each newly used node
+  that it is the lowest neighbor of; heap entries below the type (a)
+  candidate are tested in order and dropped when they fail.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from heapq import heappop, heappush
+from typing import Iterable
 
 FAN_OUT_CAP = 4
 
@@ -64,66 +84,94 @@ class PrepSchedule:
         """Per sub-step, the d_max of each tuple (for cross-module counting)."""
         return tuple(tuple(t.d_max for t in step) for step in self.sub_steps)
 
-    def check_covers(self, edges: Iterable[tuple[int, int]]) -> None:
-        want = sorted((min(u, v), max(u, v)) for u, v in edges)
-        got = sorted(self.covered_edges())
-        if want != got:
-            raise ValueError("schedule does not cover the edge set exactly")
-
-
-def _normalize(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
 
 def schedule_preparation(
     n_nodes: int,
     edges: Iterable[tuple[int, int]],
     fan_out: int = FAN_OUT_CAP,
 ) -> PrepSchedule:
-    """Greedy star packing; see module docstring for the conflict model."""
-    uncovered = {_normalize(u, v) for u, v in edges}
-    if any(u == v or not (0 <= u < n_nodes and 0 <= v < n_nodes)
-           for u, v in uncovered):
-        raise ValueError("edges must join distinct nodes in range")
+    """Greedy star packing; see module docstring for the conflict model and
+    the search that finds each sub-step's next star."""
     # Sorted uncovered neighbours per node; both entries go when an edge is
-    # covered, so each sub-step visits only nodes with edges left.
+    # covered.
     unc: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v in uncovered:
+    for u, v in {(u, v) if u < v else (v, u) for u, v in edges}:
+        if u == v or u < 0 or v >= n_nodes:
+            raise ValueError("edges must join distinct nodes in range")
         unc[u].append(v)
         unc[v].append(u)
     for nbrs in unc:
         nbrs.sort()
-    active = [c for c in range(n_nodes) if unc[c]]
+
+    # Max-segment tree over key(c) = min(c, unc[c][0]), -1 without edges;
+    # node i covers children 2i and 2i + 1, leaf c sits at size + c. Maxima
+    # are taken inline: a builtin max() call per level costs more.
+    size = 1
+    while size < n_nodes:
+        size *= 2
+    tree = [-1] * (2 * size)
+    for c, nbrs in enumerate(unc):
+        if nbrs:
+            tree[size + c] = min(c, nbrs[0])
+    for i in range(size - 1, 0, -1):
+        left, right = tree[2 * i], tree[2 * i + 1]
+        tree[i] = left if left > right else right
 
     sub_steps: list[tuple[PrepTuple, ...]] = []
-    while active:
+    while tree[1] >= 0:
         used: set[int] = set()
-        # Centers rise through the sweep and every interval holds its
-        # center, so a star fits only past the last accepted interval (and
-        # every used node lies at or below that reach).
+        waiting: list[int] = []  # type (b) candidates, a min-heap
         reach = -1
         step: list[PrepTuple] = []
-        for c in active:
-            if c <= reach:
-                continue
-            leaves = [v for v in unc[c] if v not in used]
-            if not leaves:
-                continue
-            take = tuple(leaves[:fan_out])
-            lo = min(c, take[0])
-            if lo <= reach:
-                continue
-            step.append(PrepTuple(c, take))
-            used.add(c)
-            used.update(take)
-            reach = max(c, take[-1])
-            taken = set(take)
-            unc[c] = [v for v in unc[c] if v not in taken]
+        while True:
+            # Type (a): the leftmost center with every neighbor past reach.
+            c = -1
+            if tree[1] > reach:
+                i = 1
+                while i < size:
+                    i = 2 * i if tree[2 * i] > reach else 2 * i + 1
+                c = i - size
+            # Type (b): a lower center whose neighbors at or below reach are
+            # all used; one that fails now fails for the rest of the step.
+            while waiting and (c < 0 or waiting[0] < c):
+                b = heappop(waiting)
+                if b <= reach:
+                    continue
+                nbrs = unc[b]
+                low = bisect_right(nbrs, reach)
+                if low < len(nbrs) and used.issuperset(nbrs[:low]):
+                    c = b
+                    break
+            if c < 0:
+                break
+            nbrs = unc[c]
+            low = bisect_right(nbrs, reach)
+            take = tuple(nbrs[low:low + fan_out])
+            del nbrs[low:low + fan_out]
             for v in take:
                 del unc[v][bisect_left(unc[v], c)]
+            step.append(PrepTuple(c, take))
+            reach = max(c, take[-1])
+            star = (c,) + take
+            used.update(star)
+            for u in star:
+                # Rekey u, then refresh its ancestors until one is unchanged.
+                nbrs = unc[u]
+                key = (u if u < nbrs[0] else nbrs[0]) if nbrs else -1
+                i = size + u
+                while i and tree[i] != key:
+                    tree[i] = key
+                    i >>= 1
+                    left, right = tree[2 * i], tree[2 * i + 1]
+                    key = left if left > right else right
+                # A center whose lowest neighbor is unused cannot pass
+                # this sub-step, so u queues only the centers above reach
+                # whose lowest neighbor it is.
+                for v in nbrs[bisect_right(nbrs, reach):]:
+                    if unc[v][0] == u:
+                        heappush(waiting, v)
         assert step, "a fresh sub-step always fits at least one star"
         sub_steps.append(tuple(step))
-        active = [c for c in active if unc[c]]
     return PrepSchedule(n_nodes, tuple(sub_steps))
 
 

@@ -448,3 +448,27 @@ def schedule_by_rescan(n_nodes, edges, fan_out=4):
                 uncovered.discard(norm(c, v))
         sub_steps.append(step)
     return sub_steps
+
+
+def layers_by_rescan(measurements, frames):
+    """Consumption layers that rescan every remaining measured node for
+    each layer: a node joins the first layer after all its predecessors."""
+    from qre.compiler import CompileError
+
+    measured = {m.node for m in measurements}
+    preds = {v: set() for v in measured}
+    for b, frame in frames.items():
+        for v in frame.touches():
+            if v in measured:
+                preds[v].add(b)
+    remaining = set(measured)
+    done = set()
+    layers = []
+    while remaining:
+        layer = sorted(v for v in remaining if preds[v] <= done)
+        if not layer:
+            raise CompileError("cyclic measurement dependencies")
+        layers.append(tuple(layer))
+        done.update(layer)
+        remaining.difference_update(layer)
+    return tuple(layers)

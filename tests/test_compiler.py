@@ -11,6 +11,7 @@ from dense import graph_state, prep_state
 from oracles import (
     frames_by_replay,
     gadgets_of,
+    layers_by_rescan,
     max_live_nodes_by_scan,
     same_up_to_phase,
 )
@@ -31,6 +32,7 @@ from qre.compiler import (
     CompiledWidget,
     Measurement,
     PauliFrame,
+    _layer_consumption,
     compile_widget,
     load_cached,
     stitch,
@@ -369,6 +371,7 @@ def assert_matches_references(cw):
     assert list(cw.frames) == list(want)
     assert cw.n_logical == max_live_nodes_by_scan(
         cw.n_input, cw.n_nodes, cw.edges, cw.consump_schedule)
+    assert cw.consump_schedule == layers_by_rescan(cw.measurements, cw.frames)
 
 
 class TestOneSweepFrames:
@@ -407,6 +410,60 @@ class TestOneSweepFrames:
         cw = compile_widget(transpile(generate_qft(16)))
         assert frame_ops, "frames go through PauliRows.apply_ops"
         assert sum(frame_ops) <= len(cw.prep_ops)
+
+
+@st.composite
+def dependency_cases(draw, max_nodes=12):
+    """Measured nodes and frames touching any node, measured or not. Half
+    the cases touch only higher nodes (acyclic, often deep); the rest may
+    touch lower nodes or the frame's own source, so many are cyclic."""
+    n = draw(st.integers(0, max_nodes))
+    forward = draw(st.booleans())
+    measured = draw(st.lists(st.integers(0, n), unique=True, max_size=n + 1))
+    measurements = [Measurement(v, "T", PI / 4) for v in measured]
+    frames = {}
+    sources = measured + draw(st.lists(st.integers(0, n), max_size=2))
+    for b in sources:
+        touched = draw(st.lists(st.integers(b + 1 if forward else 0, n + 1),
+                                unique=True, max_size=4))
+        frames[b] = PauliFrame(x_support=tuple(sorted(touched[:2])),
+                               z_support=tuple(sorted(touched[2:])))
+    return measurements, frames
+
+
+def layers_or_error(layering, measurements, frames):
+    try:
+        return layering(measurements, frames)
+    except CompileError as err:
+        return str(err)
+
+
+class TestConsumptionLayers:
+    @settings(max_examples=300, deadline=None)
+    @given(dependency_cases())
+    def test_matches_rescanning_reference(self, case):
+        measurements, frames = case
+        assert (layers_or_error(_layer_consumption, measurements, frames)
+                == layers_or_error(layers_by_rescan, measurements, frames))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_qft_matches_rescanning_reference(self, n):
+        cw = compile_widget(transpile(generate_qft(n)))
+        assert cw.consump_schedule == layers_by_rescan(
+            cw.measurements, cw.frames)
+        assert len(cw.consump_schedule) > 1
+
+    def test_longest_path_sets_the_layer(self):
+        # 0 -> 1 -> 2 and 0 -> 2: node 2 waits for the longer chain
+        frames = {0: PauliFrame((1,), (2,)), 1: PauliFrame((), (2,))}
+        measurements = [Measurement(v, "T", PI / 4) for v in (2, 0, 1)]
+        assert _layer_consumption(measurements, frames) == ((0,), (1,), (2,))
+
+    def test_cycle_raises(self):
+        frames = {0: PauliFrame((), (1,)), 1: PauliFrame((0,), ())}
+        measurements = [Measurement(v, "T", PI / 4) for v in (0, 1, 2)]
+        with pytest.raises(CompileError, match="cyclic"):
+            _layer_consumption(measurements, frames)
 
 
 class TestExactCacheKey:

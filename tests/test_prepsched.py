@@ -17,6 +17,12 @@ from qre.prepsched import (
 )
 
 
+def stars(schedule: PrepSchedule):
+    """Per sub-step, (center, leaves) of each star: the reference's form."""
+    return [[(t.center, t.leaves) for t in step]
+            for step in schedule.sub_steps]
+
+
 def check_schedule(schedule: PrepSchedule, edges) -> None:
     want = Counter((min(u, v), max(u, v)) for u, v in edges)
     got = Counter(schedule.covered_edges())
@@ -68,6 +74,33 @@ class TestExamples:
         with pytest.raises(ValueError):
             schedule_preparation(3, [(0, 5)])
 
+    def test_center_whose_low_neighbors_are_all_used(self):
+        # After star (0, (1,)) reaches 1, center 3 fits: its only neighbor
+        # at or below reach is the used node 1, so it takes 4, ahead of
+        # center 4 whose lowest neighbor 3 lies past reach.
+        s = schedule_preparation(5, [(0, 1), (1, 3), (3, 4)])
+        assert stars(s) == [[(0, (1,)), (3, (4,))], [(1, (3,))]]
+
+    def test_queued_center_that_a_later_star_uses_waits(self):
+        # Star (0, (1,)) queues center 3, whose lowest neighbor 0 is used;
+        # star (2, (3,)) then uses 3, so 3 must wait for the next sub-step.
+        s = schedule_preparation(5, [(0, 1), (0, 3), (2, 3), (3, 4)],
+                                 fan_out=1)
+        assert stars(s) == [[(0, (1,)), (2, (3,))], [(0, (3,))], [(3, (4,))]]
+
+    @pytest.mark.parametrize("n, edges", [
+        (0, []),
+        (1, []),
+        (2, [(1, 0)]),
+        (7, [(0, 6), (1, 5), (2, 4), (3, 6), (5, 6)]),  # not a power of two
+        (12, [(0, 3), (1, 2), (2, 3), (0, 1)]),  # isolated trailing nodes
+    ])
+    def test_small_and_sparse_node_counts(self, n, edges):
+        s = schedule_preparation(n, edges)
+        check_schedule(s, edges)
+        assert s.n_nodes == n
+        assert stars(s) == schedule_by_rescan(n, edges)
+
     def test_determinism(self):
         edges = [(0, 3), (1, 2), (2, 3), (0, 1), (1, 3)]
         assert schedule_preparation(5, edges) == schedule_preparation(5, edges)
@@ -111,8 +144,7 @@ class TestInvariants:
     def test_matches_rescanning_reference(self, case, fan_out):
         n, edges = case
         s = schedule_preparation(n, edges, fan_out=fan_out)
-        got = [[(t.center, t.leaves) for t in step] for step in s.sub_steps]
-        assert got == schedule_by_rescan(n, edges, fan_out=fan_out)
+        assert stars(s) == schedule_by_rescan(n, edges, fan_out=fan_out)
 
     def test_minimum_matches_on_known_cases(self):
         assert min_prep_substeps(5, [(0, v) for v in range(1, 5)]) == 1
@@ -192,3 +224,11 @@ class TestOnCompiledWidgets:
         s = schedule_preparation(cw.n_nodes, cw.edges)
         check_schedule(s, cw.edges)
         assert s.n_sub_steps >= 1
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_qft_matches_rescanning_reference(self, n):
+        cw = compile_widget(transpile(generate_qft(n)))
+        for fan_out in range(1, 6):
+            s = schedule_preparation(cw.n_nodes, cw.edges, fan_out=fan_out)
+            assert stars(s) == schedule_by_rescan(cw.n_nodes, cw.edges,
+                                                  fan_out)
