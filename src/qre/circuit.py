@@ -8,6 +8,7 @@ else in an input file is a hard parse error.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -105,18 +106,27 @@ _ANGLE_ALLOWED = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name
 
 
 def _eval_angle(expr: str, line_no: int) -> float:
-    """Constant-fold an angle expression over numbers, `pi`, and + - * / ** ()."""
+    """Constant-fold an angle expression over numbers, `pi`, and + - * / ** ().
+    Errors name ``line_no``; values are memoized on the literal."""
+    try:
+        return _fold_angle(expr)
+    except CircuitError as exc:
+        raise CircuitError(f"line {line_no}: {exc}") from exc
+
+
+@functools.lru_cache(maxsize=4096)
+def _fold_angle(expr: str) -> float:
     try:
         tree = ast.parse(expr.strip(), mode="eval")
     except SyntaxError as exc:
-        raise CircuitError(f"line {line_no}: bad angle expression {expr!r}") from exc
+        raise CircuitError(f"bad angle expression {expr!r}") from exc
     for node in ast.walk(tree):
         if not isinstance(node, _ANGLE_ALLOWED):
-            raise CircuitError(f"line {line_no}: unsupported angle syntax {expr!r}")
+            raise CircuitError(f"unsupported angle syntax {expr!r}")
         if isinstance(node, ast.Name) and node.id != "pi":
-            raise CircuitError(f"line {line_no}: unknown symbol {node.id!r} in angle")
+            raise CircuitError(f"unknown symbol {node.id!r} in angle")
         if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise CircuitError(f"line {line_no}: non-numeric constant in angle")
+            raise CircuitError("non-numeric constant in angle")
     value = eval(compile(tree, "<angle>", "eval"), {"__builtins__": {}}, {"pi": math.pi})
     return float(value)
 
@@ -353,12 +363,22 @@ _SNAP_TABLE: dict[int, tuple[GateKind, ...]] = {
 }
 
 
+def _derived(kind: GateKind, qubits: tuple[int, ...],
+             angle: float | None = None) -> Gate:
+    """A gate that an exact identity derived from an already validated one,
+    built without repeating Gate's checks: each gate is validated once, when
+    it is parsed or first constructed."""
+    g = object.__new__(Gate)
+    g.__dict__.update(kind=kind, qubits=qubits, angle=angle)
+    return g
+
+
 def _snap_rz(qubit: int, angle: float) -> list[Gate] | None:
     """Rewrite Rz at a multiple of pi/4 into Clifford/T/Tdg gates, else None."""
     k = round(angle / (math.pi / 4))
     if abs(angle - k * (math.pi / 4)) > SNAP_TOL:
         return None
-    return [Gate(kind, (qubit,)) for kind in _SNAP_TABLE[k % 8]]
+    return [_derived(kind, (qubit,)) for kind in _SNAP_TABLE[k % 8]]
 
 
 def _expand(g: Gate) -> list[Gate]:
@@ -367,19 +387,21 @@ def _expand(g: Gate) -> list[Gate]:
         a, b, c = g.qubits
         k = GateKind
         return [
-            Gate(k.H, (c,)), Gate(k.CX, (b, c)), Gate(k.Tdg, (c,)),
-            Gate(k.CX, (a, c)), Gate(k.T, (c,)), Gate(k.CX, (b, c)),
-            Gate(k.Tdg, (c,)), Gate(k.CX, (a, c)), Gate(k.T, (b,)),
-            Gate(k.T, (c,)), Gate(k.H, (c,)), Gate(k.CX, (a, b)),
-            Gate(k.T, (a,)), Gate(k.Tdg, (b,)), Gate(k.CX, (a, b)),
+            _derived(k.H, (c,)), _derived(k.CX, (b, c)),
+            _derived(k.Tdg, (c,)), _derived(k.CX, (a, c)),
+            _derived(k.T, (c,)), _derived(k.CX, (b, c)),
+            _derived(k.Tdg, (c,)), _derived(k.CX, (a, c)),
+            _derived(k.T, (b,)), _derived(k.T, (c,)), _derived(k.H, (c,)),
+            _derived(k.CX, (a, b)), _derived(k.T, (a,)),
+            _derived(k.Tdg, (b,)), _derived(k.CX, (a, b)),
         ]
     if g.kind is GateKind.CPhase:
         a, b = g.qubits
         assert g.angle is not None
         half = g.angle / 2.0
-        out = [Gate(GateKind.CX, (a, b))]
+        out = [_derived(GateKind.CX, (a, b))]
         out.extend(_rz_or_snapped(b, -half))
-        out.append(Gate(GateKind.CX, (a, b)))
+        out.append(_derived(GateKind.CX, (a, b)))
         out.extend(_rz_or_snapped(a, half))
         out.extend(_rz_or_snapped(b, half))
         return out
@@ -393,21 +415,22 @@ def _rz_or_snapped(qubit: int, angle: float) -> list[Gate]:
     snapped = _snap_rz(qubit, angle)
     if snapped is not None:
         return snapped
-    return [Gate(GateKind.Rz, (qubit,), angle)]
+    return [_derived(GateKind.Rz, (qubit,), angle)]
 
 
 def transpile(gates: Sequence[Gate]) -> TranspiledWidget:
     """Expand composites and canonicalize Clifford-angle rotations, with counts."""
     out: list[Gate] = []
     for g in gates:
-        if g.kind in ANGLED and (g.angle is None or not math.isfinite(g.angle)):
-            raise CircuitError(f"non-finite angle in {g}")
         out.extend(_expand(g))
-    n_t = sum(1 for g in out if g.kind in T_LIKE)
-    n_rz = sum(1 for g in out if g.kind is GateKind.Rz)
-    n_cliff = len(out) - n_t - n_rz
+    n_t = n_rz = 0
+    for g in out:
+        if g.kind is GateKind.Rz:
+            n_rz += 1
+        elif g.kind in T_LIKE:
+            n_t += 1
     return TranspiledWidget(tuple(out), n_T_init=n_t, n_Rz_init=n_rz,
-                            n_Clifford_init=n_cliff)
+                            n_Clifford_init=len(out) - n_t - n_rz)
 
 
 _INVERSE_KIND = {GateKind.S: GateKind.Sdg, GateKind.Sdg: GateKind.S,

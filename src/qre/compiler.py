@@ -18,8 +18,9 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +47,7 @@ class CompileError(ValueError):
     """Raised for widget-compilation and verification failures."""
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """Consumption measurement of one node.
 
     kind "T" and "Rz" measure in the X basis rotated by the stored angle
@@ -60,8 +60,7 @@ class Measurement:
     angle: float
 
 
-@dataclass(frozen=True)
-class PauliFrame:
+class PauliFrame(NamedTuple):
     """Byproduct applied when the source node's outcome is 1: X on
     x_support, Z on z_support (overlap means both, i.e. Y up to phase)."""
 
@@ -88,24 +87,27 @@ class CompiledWidget:
     consump_schedule: tuple[tuple[int, ...], ...]
     n_logical: int
 
+    @cached_property
+    def nodes_by_kind(self) -> dict[str, tuple[int, ...]]:
+        """Measured nodes of each measurement kind, in measurement order:
+        the one pass over ``measurements`` that the counts and the estimator's
+        per-module split share."""
+        nodes: dict[str, list[int]] = {"T": [], "Rz": []}
+        for m in self.measurements:
+            nodes.setdefault(m.kind, []).append(m.node)
+        return {kind: tuple(v) for kind, v in nodes.items()}
+
     @property
     def n_T(self) -> int:
-        return sum(1 for m in self.measurements if m.kind == "T")
+        return len(self.nodes_by_kind["T"])
 
     @property
     def n_Rz(self) -> int:
-        return sum(1 for m in self.measurements if m.kind == "Rz")
+        return len(self.nodes_by_kind["Rz"])
 
     @property
     def meas_schedule(self) -> dict[int, Measurement]:
         return {m.node: m for m in self.measurements}
-
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n_nodes
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
 
 
 def _gadget_angle(g: Gate) -> float:
@@ -488,17 +490,15 @@ def _from_dict(payload: dict) -> CompiledWidget:
     return CompiledWidget(
         n_input=payload["n_input"],
         n_nodes=payload["n_nodes"],
-        edges=tuple((u, v) for u, v in payload["edges"]),
-        local_cliffords=tuple(tuple(l) for l in payload["local_cliffords"]),
+        edges=tuple(map(tuple, payload["edges"])),
+        local_cliffords=tuple(map(tuple, payload["local_cliffords"])),
         input_nodes=tuple(payload["input_nodes"]),
         output_nodes=tuple(payload["output_nodes"]),
-        prep_ops=tuple((name, tuple(qs)) for name, qs in payload["prep_ops"]),
-        measurements=tuple(Measurement(node, kind, angle)
-                           for node, kind, angle in payload["measurements"]),
+        prep_ops=tuple([(name, tuple(qs)) for name, qs in payload["prep_ops"]]),
+        measurements=tuple(map(Measurement._make, payload["measurements"])),
         frames={int(a): PauliFrame(tuple(f["x"]), tuple(f["z"]))
                 for a, f in payload["frames"].items()},
-        consump_schedule=tuple(tuple(layer)
-                               for layer in payload["consump_schedule"]),
+        consump_schedule=tuple(map(tuple, payload["consump_schedule"])),
         n_logical=payload["n_logical"],
     )
 

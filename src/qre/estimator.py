@@ -16,14 +16,23 @@ delays, inter-leg handover teleports, and the decoding lag accumulated
 whenever the classical decoder tock exceeds the quantum tock.  All sums are
 multiplicity-weighted over the widget sequence so repeated widgets never
 force an expanded walk.
+
+The timing model's integer inputs are computed once per compiled algorithm
+and module layout (``CompiledAlgorithm.timing_inputs``): each widget's prep
+sub-step count, its per-sub-step cross-module crossings and its per-module
+T/Rz maxima, and each stitch's handover crossings.  A ``compute_timing``
+call, one per sweep point, only does the arithmetic that depends on the
+config and the operating point (t, t_inter, pipe count, d, synthesis length,
+factory), summing over ``plan.widgets`` and ``plan.stitches`` in their order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .architecture import (
     EstimationError,
@@ -33,7 +42,7 @@ from .architecture import (
 )
 from .compiler import CompiledWidget, StitchedEstimationSet, stitch
 from .config import ArchConfig
-from .prepsched import PrepSchedule, cross_module_ops
+from .prepsched import PrepSchedule, pipe_rounds, substep_crossings
 from .widgetizer import WidgetPlan
 
 __all__ = [
@@ -117,6 +126,8 @@ class CompiledAlgorithm:
     plan: WidgetPlan
     compiled: Mapping[str, CompiledWidget]
     preps: Mapping[str, PrepSchedule]
+    _timing_memo: dict[tuple[int, int], _TimingInputs] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         missing = set(self.plan.widgets) - set(self.compiled)
@@ -139,6 +150,15 @@ class CompiledAlgorithm:
     def l_prep_first(self) -> int:
         """Sub-steps to prepare the first graph (the unpipelined head)."""
         return self.preps[self.plan.first].n_sub_steps
+
+    def timing_inputs(self, layout: ModuleLayout) -> _TimingInputs:
+        """The layout's integer timing inputs, built on first use: they
+        depend on the layout only through its module split."""
+        key = (layout.n_per_leg, layout.memory_per_module)
+        inputs = self._timing_memo.get(key)
+        if inputs is None:
+            inputs = self._timing_memo[key] = _timing_inputs(self, layout)
+        return inputs
 
     @cached_property
     def consump_steps_total(self) -> int:
@@ -338,69 +358,47 @@ class TimingBreakdown:
             raise EstimationError(f"negative timing component: {self}")
 
 
-@dataclass(frozen=True)
-class _WidgetTiming:
-    """Per-widget quantities reused across sequence positions."""
+class _WidgetInputs(NamedTuple):
+    """One widget's integer timing inputs on one module layout."""
 
-    t_prep: float             # time to prepare this widget's graph
-    t_consump_intra: float    # intra-module consumption time bound
-    t_distill_delay: float    # stall waiting for distilled T states
-    n_max_t: int
-    n_max_rz: int
+    weight: int               # positions that can stall: multiplicity, less
+                              # one for the sequence's last widget
+    n_sub_steps: int          # preparation sub-steps
+    crossings: Counter[int]   # per-sub-step cross-module crossings
+    n_max_t: int              # per-module T maximum
+    n_max_rz: int             # per-module Rz maximum
+
+
+@dataclass(frozen=True)
+class _TimingInputs:
+    """Integer timing inputs of one compiled algorithm on one module layout:
+    ``widgets`` in ``plan.widgets`` order, ``stitches`` as (index of a,
+    index of b, count) in ``plan.stitches`` order, and ``handover`` mapping
+    a handover's module-boundary crossings to the stitch occurrences that
+    have that many."""
+
+    widgets: tuple[_WidgetInputs, ...]
+    stitches: tuple[tuple[int, int, int], ...]
+    handover: Counter[int]
+
+
+def _module_of(node: int, register_size: int, layout: ModuleLayout) -> int:
+    """Module holding a node: contiguous register blocks per module."""
+    return (node % register_size) // layout.memory_per_module
 
 
 def _per_module_maxima(cw: CompiledWidget, register_size: int,
                        layout: ModuleLayout) -> tuple[int, int]:
-    """Max per-module counts of T- and Rz-basis measurements for one widget,
-    with nodes mapped to modules by contiguous register blocks."""
+    """Max per-module counts of T- and Rz-basis measurements for one widget."""
     if layout.n_per_leg == 1:
         return cw.n_T, cw.n_Rz
-    t_counts = [0] * layout.n_per_leg
-    rz_counts = [0] * layout.n_per_leg
-    for m in cw.measurements:
-        module = (m.node % register_size) // layout.memory_per_module
-        if m.kind == "T":
-            t_counts[module] += 1
-        elif m.kind == "Rz":
-            rz_counts[module] += 1
-    return max(t_counts), max(rz_counts)
-
-
-def _widget_timing(
-    config: ArchConfig,
-    cw: CompiledWidget,
-    prep: PrepSchedule,
-    sel: SelectionResult,
-    register_size: int,
-) -> _WidgetTiming:
-    d = sel.d
-    layout = sel.layout
-    t, t_inter = config.t, config.t_inter
-    cycles = sel.factory.cycles
-    n_fact = layout.n_t_factories
-
-    n_intra = prep.n_sub_steps
-    n_cross = (cross_module_ops(prep, register_size, config.n_inter_pipes)
-               if layout.n_per_leg > 1 else 0)
-    t_prep = 8.0 * d * (n_intra * t + n_cross * t_inter)
-
-    n_max_t, n_max_rz = _per_module_maxima(cw, register_size, layout)
-    t_consump_intra = 8.0 * t * d * (
-        -(-n_max_t // n_fact) + sel.l_eps * -(-n_max_rz // n_fact))
-
-    # T states banked on the transfer bus while this graph was prepared,
-    # against the longest sequential T demand any single module will see.
-    n_t_per_module = max(int(n_fact * t_prep // (8.0 * t * cycles)),
-                         layout.l_transfer_bus)
-    l_max_seq = n_max_t + sel.l_eps * n_max_rz
-    if l_max_seq > n_t_per_module:
-        shortfall = -(-(l_max_seq - n_t_per_module) // n_fact)
-        t_distill_delay = 8.0 * t * cycles * shortfall
-    else:
-        t_distill_delay = 0.0
-
-    return _WidgetTiming(t_prep, t_consump_intra, t_distill_delay,
-                         n_max_t, n_max_rz)
+    maxima = []
+    for kind in ("T", "Rz"):
+        counts = [0] * layout.n_per_leg
+        for node in cw.nodes_by_kind[kind]:
+            counts[_module_of(node, register_size, layout)] += 1
+        maxima.append(max(counts))
+    return maxima[0], maxima[1]
 
 
 def _handover_crossings(out_widget: CompiledWidget, in_widget: CompiledWidget,
@@ -409,13 +407,37 @@ def _handover_crossings(out_widget: CompiledWidget, in_widget: CompiledWidget,
     next widget's inputs, wire by wire."""
     if layout.n_per_leg == 1:
         return 0
-    total = 0
-    for out_node, in_node in zip(out_widget.output_nodes,
-                                 in_widget.input_nodes):
-        m_out = (out_node % register_size) // layout.memory_per_module
-        m_in = (in_node % register_size) // layout.memory_per_module
-        total += abs(m_out - m_in) + 1
-    return total
+    return sum(abs(_module_of(out_node, register_size, layout)
+                   - _module_of(in_node, register_size, layout)) + 1
+               for out_node, in_node in zip(out_widget.output_nodes,
+                                            in_widget.input_nodes))
+
+
+def _timing_inputs(algo: CompiledAlgorithm,
+                   layout: ModuleLayout) -> _TimingInputs:
+    plan = algo.plan
+    register_size = algo.est.n_logical_max
+    index = {wid: i for i, wid in enumerate(plan.widgets)}
+    widgets = []
+    for wid in plan.widgets:
+        prep = algo.preps[wid]
+        widgets.append(_WidgetInputs(
+            plan.multiplicity[wid] - (1 if wid == plan.last else 0),
+            prep.n_sub_steps,
+            (substep_crossings(prep, register_size)
+             if layout.n_per_leg > 1 else Counter()),
+            *_per_module_maxima(algo.compiled[wid], register_size, layout)))
+    handover: Counter[int] = Counter()
+    for (a, b), count in plan.stitches.items():
+        crossings = _handover_crossings(algo.compiled[a], algo.compiled[b],
+                                        register_size, layout)
+        if crossings:
+            handover[crossings] += count
+    return _TimingInputs(
+        widgets=tuple(widgets),
+        stitches=tuple((index[a], index[b], count)
+                       for (a, b), count in plan.stitches.items()),
+        handover=handover)
 
 
 def compute_timing(
@@ -425,51 +447,58 @@ def compute_timing(
 ) -> TimingBreakdown:
     """All wall-time components for the compiled sequence at the selected
     (d, epsilon, factory) operating point."""
-    plan = algo.plan
-    register_size = algo.est.n_logical_max
+    inputs = algo.timing_inputs(sel.layout)
     d = sel.d
-    t = config.t
+    t, t_inter = config.t, config.t_inter
+    cycles = sel.factory.cycles
+    l_eps = sel.l_eps
+    n_fact = sel.layout.n_t_factories
+    l_transfer_bus = sel.layout.l_transfer_bus
+    prep_tock, tock, factory_tock = 8.0 * d, 8.0 * t * d, 8.0 * t * cycles
 
-    per_widget = {
-        wid: _widget_timing(config, algo.compiled[wid], algo.preps[wid],
-                            sel, register_size)
-        for wid in plan.widgets
-    }
+    t_prep, t_consump_intra, t_distill_delay = [], [], []
+    for _, n_intra, crossings, n_max_t, n_max_rz in inputs.widgets:
+        n_cross = (pipe_rounds(crossings, config.n_inter_pipes)
+                   if crossings else 0)
+        prep = prep_tock * (n_intra * t + n_cross * t_inter)
+        t_prep.append(prep)
+        t_consump_intra.append(tock * (
+            -(-n_max_t // n_fact) + l_eps * -(-n_max_rz // n_fact)))
+        # T states banked on the transfer bus while this graph was prepared,
+        # against the longest sequential T demand any single module sees.
+        n_t_per_module = max(int(n_fact * prep // factory_tock),
+                             l_transfer_bus)
+        l_max_seq = n_max_t + l_eps * n_max_rz
+        if l_max_seq > n_t_per_module:
+            shortfall = -(-(l_max_seq - n_t_per_module) // n_fact)
+            t_distill_delay.append(factory_tock * shortfall)
+        else:
+            t_distill_delay.append(0.0)
 
     # Distillation stalls occur at every sequence position except the last.
     t_distill_total = sum(
-        (plan.multiplicity[wid] - (1 if wid == plan.last else 0))
-        * wt.t_distill_delay
-        for wid, wt in per_widget.items())
+        w.weight * delay for w, delay in zip(inputs.widgets, t_distill_delay))
 
     # Preparation stalls and handover teleports are properties of ordered
     # adjacent pairs, so the stitch multiset gives their sequence totals.
     t_prep_delay_total = 0.0
-    handover_ops = 0
-    for (a, b), count in plan.stitches.items():
-        wt_a = per_widget[a]
-        lag = (per_widget[b].t_prep - wt_a.t_consump_intra
-               - wt_a.t_distill_delay)
+    for a, b, count in inputs.stitches:
+        lag = t_prep[b] - t_consump_intra[a] - t_distill_delay[a]
         if lag > 0:
             t_prep_delay_total += count * lag
-        crossings = _handover_crossings(
-            algo.compiled[a], algo.compiled[b], register_size, sel.layout)
-        if crossings:
-            handover_ops += count * -(-crossings // config.n_inter_pipes)
+    handover_ops = pipe_rounds(inputs.handover, config.n_inter_pipes)
     t_handover = 8.0 * config.t_inter * d * handover_ops
 
-    t_consump = (8.0 * t * d * (algo.l_prep_first + sel.counts.n_seq_consump)
+    t_consump = (tock * (algo.l_prep_first + sel.counts.n_seq_consump)
                  + t_distill_total + t_prep_delay_total)
 
     # Decoding lag: one (decoder tock - quantum tock) per consumption-side
     # tock, plus the slower factory tock for distillation stalls.
-    quantum_tock = 8.0 * t * d
     decoder_tock = config.t_decoder * d
-    factory_tock = 8.0 * t * sel.factory.cycles
     consump_tocks = (algo.l_prep_first + sel.counts.n_seq_consump
-                     + math.ceil(t_prep_delay_total / quantum_tock))
+                     + math.ceil(t_prep_delay_total / tock))
     distill_tocks = math.ceil(t_distill_total / factory_tock)
-    t_decode = (consump_tocks * max(0.0, decoder_tock - quantum_tock)
+    t_decode = (consump_tocks * max(0.0, decoder_tock - tock)
                 + distill_tocks * max(0.0, decoder_tock - factory_tock))
 
     t_hardware = t_consump + t_handover + t_decode

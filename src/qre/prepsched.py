@@ -31,9 +31,10 @@ passes, found without visiting the others:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable
+from typing import Iterable, Mapping
 
 FAN_OUT_CAP = 4
 
@@ -175,19 +176,34 @@ def schedule_preparation(
     return PrepSchedule(n_nodes, tuple(sub_steps))
 
 
+def substep_crossings(schedule: PrepSchedule, n_logical: int) -> Counter[int]:
+    """Module-boundary crossings of one widget's preparation, per sub-step.
+
+    Each tuple spanning d_max register slots crosses floor(d_max / n_logical)
+    module boundaries, and a sub-step's crossings travel together. The
+    result maps each nonzero per-sub-step total to its number of sub-steps.
+    """
+    if n_logical < 1:
+        raise ValueError("n_logical must be >= 1")
+    totals = (sum(span // n_logical for span in spans)
+              for spans in schedule.substep_spans())
+    return Counter(c for c in totals if c)
+
+
+def pipe_rounds(crossings: Mapping[int, int], n_inter_pipes: int) -> int:
+    """Operations that carry batches of crossings over the inter-module
+    pipes: a batch of c crossings shares the pipes, so it takes
+    ceil(c / n_inter_pipes) operations. ``crossings`` maps each batch size
+    to its number of batches."""
+    if n_inter_pipes < 1:
+        raise ValueError("n_inter_pipes must be >= 1")
+    return sum(count * -(-c // n_inter_pipes)
+               for c, count in crossings.items())
+
+
 def cross_module_ops(
     schedule: PrepSchedule, n_logical: int, n_inter_pipes: int
 ) -> int:
-    """Vertical cross-module operation count for one widget's preparation.
-
-    Each tuple spanning d_max register slots crosses floor(d_max / n_logical)
-    module boundaries; per sub-step the crossings share the inter-module
-    pipes, hence the ceiling division.
-    """
-    if n_logical < 1 or n_inter_pipes < 1:
-        raise ValueError("n_logical and n_inter_pipes must be >= 1")
-    total = 0
-    for spans in schedule.substep_spans():
-        crossings = sum(span // n_logical for span in spans)
-        total += -(-crossings // n_inter_pipes) if crossings else 0
-    return total
+    """Vertical cross-module operation count for one widget's preparation:
+    each sub-step's crossings (``substep_crossings``) share the pipes."""
+    return pipe_rounds(substep_crossings(schedule, n_logical), n_inter_pipes)

@@ -5,8 +5,10 @@ decomposed (one child per operation) if it invokes other blocks, or sliced
 into contiguous moment groups if it is a flat gate list. Repeat counts stay
 symbolic throughout, so widget/stitch multiplicities for circuits with
 billions of expanded gates are exact Python integers computed without ever
-materializing the leaf sequence. Nodes with equal equivalence keys (canonical
-gate-list hash modulo first-use qubit relabeling) are built once and shared.
+materializing the leaf sequence. Nodes with equal equivalence keys (a hash of
+the exact gate list, qubits included, for a leaf; of the children's keys and
+repeats for a composite) are built once and shared, so a widget always acts
+on the qubits its gates name.
 """
 
 from __future__ import annotations
@@ -17,9 +19,9 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence, Union
 
 from .circuit import (
+    _QASM_NAME_TO_KIND,
     CircuitError,
     Gate,
-    GateKind,
     WidgetizedCircuit,
     _eval_angle,
     circuit_width,
@@ -139,15 +141,11 @@ def assign_moments(gates: Sequence[Gate]) -> list[int]:
     return moments
 
 
-def _canonical_leaf_key(gates: Sequence[Gate]) -> str:
-    """Hash of the gate list with qubits relabeled by first use."""
-    relabel: dict[int, int] = {}
+def _leaf_key(gates: Sequence[Gate]) -> str:
+    """Hash of the exact gate list: kinds, qubits and exact angles."""
     parts = []
     for g in gates:
-        for q in g.qubits:
-            if q not in relabel:
-                relabel[q] = len(relabel)
-        qs = ",".join(str(relabel[q]) for q in g.qubits)
+        qs = ",".join(map(str, g.qubits))
         angle = "" if g.angle is None else repr(g.angle)
         parts.append(f"{g.kind.value}({angle})[{qs}]")
     digest = hashlib.sha256(";".join(parts).encode()).hexdigest()[:24]
@@ -279,7 +277,7 @@ class _Builder:
         node = SubcircuitNode(
             id=self._next_id(), label=label,
             active_qubits=len({q for g in gates for q in g.qubits}),
-            n_gates=len(gates), equivalence_key=_canonical_leaf_key(gates),
+            n_gates=len(gates), equivalence_key=_leaf_key(gates),
             gates=gates,
         )
         return self._intern(node)
@@ -434,10 +432,10 @@ class WidgetPlan:
 
 def _gate_from_json(obj: Mapping, where: str) -> Gate:
     name = obj["gate"]
-    kind = next((k for k in GateKind if k.value == name), None)
+    kind = _QASM_NAME_TO_KIND.get(name) if isinstance(name, str) else None
     if kind is None:
         raise CircuitError(f"{where}: unsupported gate {name!r}")
-    qubits = tuple(int(q) for q in obj.get("qubits", ()))
+    qubits = tuple(map(int, obj.get("qubits", ())))
     angle = obj.get("angle")
     if isinstance(angle, str):
         angle = _eval_angle(angle, 0)

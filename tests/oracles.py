@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -472,3 +473,137 @@ def layers_by_rescan(measurements, frames):
         done.update(layer)
         remaining.difference_update(layer)
     return tuple(layers)
+
+
+# --------------------------------------------------------------------------
+# Timing model recomputed from the widgets on every call
+# --------------------------------------------------------------------------
+
+class WidgetTiming(NamedTuple):
+    """Per-widget quantities reused across sequence positions."""
+
+    t_prep: float             # time to prepare this widget's graph
+    t_consump_intra: float    # intra-module consumption time bound
+    t_distill_delay: float    # stall waiting for distilled T states
+    n_max_t: int
+    n_max_rz: int
+
+
+def _module(node, register_size, layout):
+    return (node % register_size) // layout.memory_per_module
+
+
+def per_module_maxima(cw, register_size, layout):
+    """Max per-module T and Rz measurement counts, by a walk of the
+    measurements (one module per leg: the widget's totals)."""
+    t_counts = [0] * layout.n_per_leg
+    rz_counts = [0] * layout.n_per_leg
+    for m in cw.measurements:
+        module = _module(m.node, register_size, layout)
+        if m.kind == "T":
+            t_counts[module] += 1
+        elif m.kind == "Rz":
+            rz_counts[module] += 1
+    return max(t_counts), max(rz_counts)
+
+
+def handover_crossings(out_widget, in_widget, register_size, layout):
+    """Module-boundary crossings of one handover, wire by wire (none with
+    one module per leg)."""
+    if layout.n_per_leg == 1:
+        return 0
+    return sum(abs(_module(o, register_size, layout)
+                   - _module(i, register_size, layout)) + 1
+               for o, i in zip(out_widget.output_nodes, in_widget.input_nodes))
+
+
+def prep_cross_ops(prep, register_size, n_inter_pipes):
+    """Cross-module operations of one preparation: per sub-step, the tuples'
+    floor(d_max / register_size) crossings share the pipes."""
+    total = 0
+    for step in prep.sub_steps:
+        crossings = sum((max(t.nodes) - min(t.nodes)) // register_size
+                        for t in step)
+        total += -(-crossings // n_inter_pipes)
+    return total
+
+
+def widget_timing(config, cw, prep, sel, register_size):
+    """One widget's prep, consumption and distillation-stall times at the
+    selected operating point, counted from the widget itself."""
+    d = sel.d
+    layout = sel.layout
+    t, t_inter = config.t, config.t_inter
+    cycles = sel.factory.cycles
+    n_fact = layout.n_t_factories
+
+    n_intra = prep.n_sub_steps
+    n_cross = (prep_cross_ops(prep, register_size, config.n_inter_pipes)
+               if layout.n_per_leg > 1 else 0)
+    t_prep = 8.0 * d * (n_intra * t + n_cross * t_inter)
+
+    n_max_t, n_max_rz = per_module_maxima(cw, register_size, layout)
+    t_consump_intra = 8.0 * t * d * (
+        -(-n_max_t // n_fact) + sel.l_eps * -(-n_max_rz // n_fact))
+
+    n_t_per_module = max(int(n_fact * t_prep // (8.0 * t * cycles)),
+                         layout.l_transfer_bus)
+    l_max_seq = n_max_t + sel.l_eps * n_max_rz
+    if l_max_seq > n_t_per_module:
+        shortfall = -(-(l_max_seq - n_t_per_module) // n_fact)
+        t_distill_delay = 8.0 * t * cycles * shortfall
+    else:
+        t_distill_delay = 0.0
+    return WidgetTiming(t_prep, t_consump_intra, t_distill_delay,
+                        n_max_t, n_max_rz)
+
+
+def timing_per_call(config, algo, sel):
+    """The seven TimingBreakdown fields as a dict, with every widget and
+    stitch recounted from the compiled widgets on each call."""
+    plan = algo.plan
+    register_size = algo.est.n_logical_max
+    d = sel.d
+    t = config.t
+    per_widget = {
+        wid: widget_timing(config, algo.compiled[wid], algo.preps[wid], sel,
+                           register_size)
+        for wid in plan.widgets
+    }
+    t_distill_total = sum(
+        (plan.multiplicity[wid] - (1 if wid == plan.last else 0))
+        * wt.t_distill_delay
+        for wid, wt in per_widget.items())
+    t_prep_delay_total = 0.0
+    handover_ops = 0
+    for (a, b), count in plan.stitches.items():
+        wt_a = per_widget[a]
+        lag = (per_widget[b].t_prep - wt_a.t_consump_intra
+               - wt_a.t_distill_delay)
+        if lag > 0:
+            t_prep_delay_total += count * lag
+        crossings = handover_crossings(
+            algo.compiled[a], algo.compiled[b], register_size, sel.layout)
+        if crossings:
+            handover_ops += count * -(-crossings // config.n_inter_pipes)
+    t_handover = 8.0 * config.t_inter * d * handover_ops
+    t_consump = (8.0 * t * d * (algo.l_prep_first + sel.counts.n_seq_consump)
+                 + t_distill_total + t_prep_delay_total)
+    quantum_tock = 8.0 * t * d
+    decoder_tock = config.t_decoder * d
+    factory_tock = 8.0 * t * sel.factory.cycles
+    consump_tocks = (algo.l_prep_first + sel.counts.n_seq_consump
+                     + math.ceil(t_prep_delay_total / quantum_tock))
+    distill_tocks = math.ceil(t_distill_total / factory_tock)
+    t_decode = (consump_tocks * max(0.0, decoder_tock - quantum_tock)
+                + distill_tocks * max(0.0, decoder_tock - factory_tock))
+    t_hardware = t_consump + t_handover + t_decode
+    return {
+        "t_consump_total": t_consump,
+        "t_distill_delay_total": t_distill_total,
+        "t_prep_delay_total": t_prep_delay_total,
+        "t_handover_inter_total": t_handover,
+        "t_decode_delay_total": t_decode,
+        "t_hardware_total": t_hardware,
+        "t_ft_total": config.n_algo_reps * t_hardware,
+    }

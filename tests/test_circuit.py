@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense import circuit_unitary
-from qre import _sim
+from qre import _sim, circuit
 from qre.circuit import (
     CircuitError,
     Gate,
@@ -85,6 +85,26 @@ class TestParseQasm:
     def test_duplicate_operand_rejected(self):
         with pytest.raises(CircuitError, match="duplicate"):
             parse_qasm("qreg q[2]; cx q[1],q[1];")
+
+    def test_repeated_angle_literal_is_folded_once(self, monkeypatch):
+        parsed = []
+        real_parse = circuit.ast.parse
+        monkeypatch.setattr(circuit.ast, "parse",
+                            lambda *args, **kw: parsed.append(args[0])
+                            or real_parse(*args, **kw))
+        circuit._fold_angle.cache_clear()
+        gates = parse_qasm("qreg q[2];\n" + "rz(pi/7) q[0];\ncp(pi/7) q[1],q[0];\n" * 40)
+        assert parsed == ["pi/7"]
+        assert {g.angle for g in gates} == {math.pi / 7}
+
+    def test_bad_angle_names_its_own_line_every_time(self):
+        good = "qreg q[1];\nrz(pi/7) q[0];\n"
+        for k in (3, 5, 8):
+            text = good + "rz(pi/7) q[0];\n" * (k - 3) + "rz(tau/2) q[0];\n"
+            with pytest.raises(CircuitError, match=rf"^line {k}: unknown symbol 'tau'"):
+                parse_qasm(text)
+        with pytest.raises(CircuitError, match=r"^line 2: bad angle expression"):
+            parse_qasm("qreg q[1];\nrz(pi/) q[0];")
 
     def test_roundtrip_exact(self):
         gates = [gate(GateKind.H, 0), gate(GateKind.Rz, 1, angle=0.12345678901234567),
@@ -184,6 +204,16 @@ class TestTranspileUnitarity:
                                   if g.kind in (GateKind.T, GateKind.Tdg))
         assert tw.n_Rz_init == sum(1 for g in tw.gates if g.kind is GateKind.Rz)
         assert tw.n_T_init + tw.n_Rz_init + tw.n_Clifford_init == len(tw.gates)
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_circuit())
+    def test_output_gates_pass_validation(self, gates):
+        """transpile builds its gates without Gate's checks; each one must
+        still pass them and hash like a validated gate."""
+        out = transpile(gates).gates
+        rebuilt = tuple(Gate(g.kind, g.qubits, g.angle) for g in out)
+        assert rebuilt == out
+        assert [hash(g) for g in rebuilt] == [hash(g) for g in out]
 
 
 class TestGenerateQft:

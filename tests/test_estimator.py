@@ -1,13 +1,23 @@
 """Tests for distance/precision/factory selection and the timing model."""
 
+import dataclasses
+import importlib.util
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import budget_lhs, layout_aware_lhs, min_distance_sweep
+from oracles import (
+    budget_lhs,
+    layout_aware_lhs,
+    min_distance_sweep,
+    timing_per_call,
+    widget_timing,
+)
 from qre.architecture import DEFAULT_FACTORIES, EstimationError, ModuleLayout, TFactory
 from qre.circuit import GateKind, WidgetizedCircuit, gate, generate_qft, transpile
 from qre.compiler import compile_widget
@@ -20,7 +30,6 @@ from qre.estimator import (
     _handover_crossings,
     _per_module_maxima,
     _solve_distance,
-    _widget_timing,
     budget_rhs,
     compute_timing,
     decoding_cores,
@@ -31,6 +40,7 @@ from qre.estimator import (
     solve_distance_and_factory,
     spacetime_lhs,
 )
+from qre.pipeline import compile_plan, load_circuit, run_pipe_sweep
 from qre.prepsched import schedule_preparation
 from qre.widgetizer import WidgetPlan
 
@@ -486,9 +496,9 @@ class TestCrossModule:
                                                  wide_selection):
         cfg, sel = wide_selection
         seq = ["a", "b", "a"]
-        per = {w: _widget_timing(cfg, wide_algo.compiled[w],
-                                 wide_algo.preps[w], sel,
-                                 wide_algo.est.n_logical_max)
+        per = {w: widget_timing(cfg, wide_algo.compiled[w],
+                                wide_algo.preps[w], sel,
+                                wide_algo.est.n_logical_max)
                for w in wide_algo.plan.widgets}
         distill = sum(per[w].t_distill_delay for w in seq[:-1])
         prep_delay = 0.0
@@ -521,10 +531,99 @@ class TestCrossModule:
             dict(wide_algo.compiled), dict(wide_algo.preps))
         cfg = cross_module_config()
         sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
-        per = {w: _widget_timing(cfg, algo.compiled[w], algo.preps[w], sel,
-                                 algo.est.n_logical_max)
+        per = {w: widget_timing(cfg, algo.compiled[w], algo.preps[w], sel,
+                                algo.est.n_logical_max)
                for w in algo.plan.widgets}
         seq = ["a", "a", "b"]
         distill = sum(per[w].t_distill_delay for w in seq[:-1])
         timing = compute_timing(cfg, algo, sel)
         assert timing.t_distill_delay_total == pytest.approx(distill, rel=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Timing inputs built once per layout, against the per-call oracle
+# --------------------------------------------------------------------------
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def benchmark_pool_circuit(sub_seed):
+    """Nested-JSON text of one benchmark pool circuit."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve field types through the module's sys.modules entry
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.nested_circuit(sub_seed).text
+
+
+@pytest.fixture(scope="module")
+def two_module_nested(tmp_path_factory):
+    """Benchmark pool circuit 3 on modules small enough for two per leg."""
+    path = tmp_path_factory.mktemp("pool") / "nested3.json"
+    path.write_text(benchmark_pool_circuit(3))
+    cfg = ArchConfig(n_phys_per_module=250_000)
+    algo, _ = compile_plan(load_circuit(path, cfg).plan, cfg)
+    return cfg, algo, solve_distance_and_factory(cfg, algo.est,
+                                                 algo.l_prep_total)
+
+
+class ReadCounter(tuple):
+    """A tuple that counts how often it is iterated."""
+
+    def __iter__(self):
+        self.reads = getattr(self, "reads", 0) + 1
+        return super().__iter__()
+
+
+class TestTimingMatchesPerCallOracle:
+    @pytest.mark.parametrize("pipes", range(1, 129))
+    def test_wide_algo_every_field_exact(self, wide_algo, wide_selection,
+                                         pipes):
+        _, sel = wide_selection
+        cfg = cross_module_config(pipes)
+        timing = compute_timing(cfg, wide_algo, sel)
+        assert dataclasses.asdict(timing) == timing_per_call(cfg, wide_algo,
+                                                             sel)
+
+    def test_nested_two_modules_per_leg_every_field_exact(
+            self, two_module_nested):
+        cfg, algo, sel = two_module_nested
+        assert (sel.d, sel.layout.n_per_leg) == (21, 2)
+        one_module = solve_distance_and_factory(ArchConfig(), algo.est,
+                                                algo.l_prep_total)
+        assert one_module.layout.n_per_leg == 1
+        # Slow inter-module links make the preparation crossings set lags.
+        for t_inter in (cfg.t_inter, 1e-4):
+            for pipes in (1, 2, 3, 5, 8, 13, 64):
+                pcfg = dataclasses.replace(cfg, n_inter_pipes=pipes,
+                                           t_inter=t_inter)
+                for s in (sel, one_module):
+                    assert (dataclasses.asdict(compute_timing(pcfg, algo, s))
+                            == timing_per_call(pcfg, algo, s))
+        slow = dataclasses.replace(cfg, t_inter=1e-4)
+        assert (compute_timing(slow, algo, sel).t_prep_delay_total
+                > 1e3 * compute_timing(cfg, algo, sel).t_prep_delay_total)
+        rows = run_pipe_sweep(algo, cfg, range(1, 65))
+        assert rows[-1].normalized_runtime == 0.875638243017282
+        assert all(row.t_hardware == timing_per_call(
+            dataclasses.replace(cfg, n_inter_pipes=int(row.label)),
+            algo, sel)["t_hardware_total"] for row in rows)
+
+    def test_pipe_sweep_reads_each_widget_once(self, wide_algo):
+        compiled = {
+            wid: dataclasses.replace(cw, measurements=ReadCounter(
+                cw.measurements))
+            for wid, cw in wide_algo.compiled.items()}
+        algo = CompiledAlgorithm(wide_algo.plan, compiled,
+                                 dict(wide_algo.preps))
+        cfg = cross_module_config()
+        sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+        assert sel.layout.n_per_leg == 3  # the module split walks nodes
+        assert len(run_pipe_sweep(algo, cfg, range(1, 65))) == 64
+        assert all(getattr(cw.measurements, "reads", 0) <= 1
+                   for cw in compiled.values())

@@ -74,9 +74,29 @@ class TestBuild:
         circ = NestedCircuit(5, {"main": gates}, "main")
         root = build_dependency_graph(circ, SplitCriterion(400, 3, 4))
         plan = WidgetPlan.from_root(root, n_input=5)
-        # All five single-H leaves are equivalent under relabeling.
-        ((wid, gates_out),) = plan.widgets.items()
-        assert plan.multiplicity[wid] == 5 and len(gates_out) == 1
+        # Five single-H leaves, each on its own qubit.
+        assert sorted(plan.widgets.values(), key=lambda g: g[0].qubits) == [
+            (gate(GateKind.H, q),) for q in range(5)]
+        assert set(plan.multiplicity.values()) == {1}
+
+    def test_leaves_on_different_qubits_stay_distinct(self):
+        a = [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1), gate(GateKind.T, 1)]
+        b = [gate(GateKind.H, 2), gate(GateKind.CX, 2, 0), gate(GateKind.T, 0)]
+        circ = NestedCircuit(3, {"main": [BlockRef("a"), BlockRef("b")],
+                                 "a": a, "b": b}, "main")
+        root = build_dependency_graph(circ, SplitCriterion(64, 4))
+        plan = WidgetPlan.from_root(root, n_input=3)
+        assert (plan.n_widgets, plan.n_distinct_widgets) == (2, 2)
+        assert [plan.widgets[plan.first], plan.widgets[plan.last]] == [
+            tuple(a), tuple(b)]
+
+    def test_same_gates_share_one_widget(self):
+        body = [gate(GateKind.H, 1), gate(GateKind.T, 1)]
+        circ = NestedCircuit(2, {"main": [BlockRef("a"), BlockRef("b")],
+                                 "a": list(body), "b": list(body)}, "main")
+        root = build_dependency_graph(circ, SplitCriterion(64, 3))
+        plan = WidgetPlan.from_root(root, n_input=2)
+        assert (plan.n_widgets, plan.n_distinct_widgets) == (2, 1)
 
     def test_cycle_detected(self):
         with pytest.raises(CircuitError, match="cyclic"):
@@ -267,4 +287,9 @@ class TestNestedFile:
     def test_bad_gate_name(self):
         payload = {"blocks": {"main": [{"gate": "u3", "qubits": [0]}]}}
         with pytest.raises(CircuitError, match="u3"):
+            parse_nested_file(payload, "nested.json")
+
+    def test_gate_name_that_is_not_a_string(self):
+        payload = {"blocks": {"main": [{"gate": ["h"], "qubits": [0]}]}}
+        with pytest.raises(CircuitError, match="unsupported gate"):
             parse_nested_file(payload, "nested.json")
