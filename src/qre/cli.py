@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .architecture import EstimationError
 from .circuit import CircuitError, emit_qasm, generate_qft, transpile
-from .compiler import CompileError, compile_widget
+from .compiler import CompileError
 from .config import ConfigError, load_config
 from .pipeline import (
     compile_plan,
@@ -69,12 +69,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     plan = load_circuit(args.circuit, config).plan
     algo, n_clifford = compile_plan(plan, config, args.cache_dir)
     for wid in plan.widgets:
-        cw = algo.compiled[wid]
-        prep = algo.preps[wid]
-        print(f"{wid}: {cw.n_nodes} nodes, {len(cw.edges)} edges, "
-              f"{cw.n_T} T, {cw.n_Rz} Rz, "
-              f"{len(cw.consump_schedule)} consumption steps, "
-              f"{prep.n_sub_steps} preparation sub-steps")
+        record = algo.compiled[wid]
+        print(f"{wid}: {record.n_nodes} nodes, {record.n_edges} edges, "
+              f"{record.n_T} T, {record.n_Rz} Rz, "
+              f"{record.n_consump_steps} consumption steps, "
+              f"{record.n_sub_steps} preparation sub-steps")
     est = algo.est
     print(f"sequence: {est.n_widgets} widgets, {est.n_nodes_total} nodes, "
           f"max {est.n_logical_max} logical, {n_clifford} Clifford gates")
@@ -84,8 +83,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     loaded = load_circuit(args.circuit, config)
-    worst = min(verify_circuit(loaded, seed=args.seed + i,
-                               cache_dir=args.cache_dir)
+    worst = min(verify_circuit(loaded, seed=args.seed + i)
                 for i in range(args.trials))
     print(f"fidelity: {worst!r} over {args.trials} trial(s)")
     if worst < 1.0 - VERIFY_TOLERANCE:
@@ -175,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
             "check compiled widgets against the circuit by simulation")
     p.add_argument("circuit")
     p.add_argument("--config")
-    p.add_argument("--cache-dir")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
 

@@ -9,6 +9,12 @@ Clifford form; conditional byproducts are commuted to end-of-preparation
 Pauli frames; consumption sub-steps are greedy maximal antichains of the
 frame-dependency order. ``verify_unitarity`` checks the whole construction
 by exact dense simulation; nothing else here simulates.
+
+``compile_widget`` is pure. What estimation reads of a compiled and
+prep-scheduled widget is a ``WidgetRecord``, and that record is what the
+disk cache stores (``load_cached``/``save_cached``), one JSON file per key.
+The verify-only fields (preparation ops, frames, local Cliffords,
+measurement angles) are never written.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import tempfile
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -35,10 +42,11 @@ from .circuit import (
     TranspiledWidget,
     circuit_width,
 )
+from .prepsched import PrepSchedule
 from .stabilizer import PauliRows, bits, graph_form, stabilizer_after
 
 CACHE_ENV = "QRE_CACHE_DIR"
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 SIM_QUBIT_LIMIT = 12
 
@@ -90,8 +98,8 @@ class CompiledWidget:
     @cached_property
     def nodes_by_kind(self) -> dict[str, tuple[int, ...]]:
         """Measured nodes of each measurement kind, in measurement order:
-        the one pass over ``measurements`` that the counts and the estimator's
-        per-module split share."""
+        the one pass over ``measurements`` that the counts and the widget
+        record share."""
         nodes: dict[str, list[int]] = {"T": [], "Rz": []}
         for m in self.measurements:
             nodes.setdefault(m.kind, []).append(m.node)
@@ -110,6 +118,57 @@ class CompiledWidget:
         return {m.node: m for m in self.measurements}
 
 
+@dataclass(frozen=True)
+class WidgetRecord:
+    """What estimation and ``qre compile`` read of one compiled widget and
+    its preparation schedule; the value the disk cache stores."""
+
+    n_input: int
+    n_nodes: int
+    n_edges: int
+    output_nodes: tuple[int, ...]
+    t_nodes: tuple[int, ...]      # T-measured nodes, in measurement order
+    rz_nodes: tuple[int, ...]     # Rz-measured nodes, in measurement order
+    n_consump_steps: int
+    n_logical: int
+    n_clifford: int               # transpiled Clifford gates of one instance
+    prep_spans: tuple[tuple[int, ...], ...]  # per prep sub-step, each
+                                             # tuple's d_max
+
+    @classmethod
+    def of(cls, cw: CompiledWidget, prep: PrepSchedule,
+           n_clifford: int) -> WidgetRecord:
+        by_kind = cw.nodes_by_kind
+        return cls(
+            n_input=cw.n_input,
+            n_nodes=cw.n_nodes,
+            n_edges=len(cw.edges),
+            output_nodes=cw.output_nodes,
+            t_nodes=by_kind["T"],
+            rz_nodes=by_kind["Rz"],
+            n_consump_steps=len(cw.consump_schedule),
+            n_logical=cw.n_logical,
+            n_clifford=n_clifford,
+            prep_spans=prep.substep_spans(),
+        )
+
+    @property
+    def input_nodes(self) -> range:
+        return range(self.n_input)
+
+    @property
+    def n_T(self) -> int:
+        return len(self.t_nodes)
+
+    @property
+    def n_Rz(self) -> int:
+        return len(self.rz_nodes)
+
+    @property
+    def n_sub_steps(self) -> int:
+        return len(self.prep_spans)
+
+
 def _gadget_angle(g: Gate) -> float:
     if g.kind is GateKind.T:
         return math.pi / 4
@@ -119,29 +178,15 @@ def _gadget_angle(g: Gate) -> float:
     return g.angle
 
 
-def compile_widget(
-    w: TranspiledWidget,
-    n_input: int | None = None,
-    cache_dir: str | Path | None = None,
-) -> CompiledWidget:
-    """Compile one transpiled widget; results are cached by content hash when
-    a cache directory is given (or set via the QRE_CACHE_DIR variable)."""
+def compile_widget(w: TranspiledWidget,
+                   n_input: int | None = None) -> CompiledWidget:
+    """Compile one transpiled widget on ``n_input`` wires (default: the
+    wires it touches)."""
     width = circuit_width(w.gates)
     n = max(width, 1) if n_input is None else n_input
     if width > n:
         raise CompileError(f"widget touches {width} wires but n_input={n}")
-
-    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
-    key = _cache_key(w, n)
-    if directory:
-        cached = load_cached(directory, key)
-        if cached is not None:
-            return cached
-
-    compiled = _compile(w, n)
-    if directory:
-        save_cached(directory, key, compiled)
-    return compiled
+    return _compile(w, n)
 
 
 def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
@@ -286,11 +331,10 @@ class StitchedEstimationSet:
     n_Rz_init: int
     n_logical_max: int
     n_nodes_total: int
-    per_widget: tuple[tuple[CompiledWidget, int], ...]
 
 
-def stitch(items: Sequence[tuple[CompiledWidget, int]]) -> StitchedEstimationSet:
-    """Combine compiled widgets (with multiplicities) into sequence totals.
+def stitch(items: Sequence[tuple[WidgetRecord, int]]) -> StitchedEstimationSet:
+    """Combine widget records (with multiplicities) into sequence totals.
 
     The stitched node count adds one output-teleportation relay per wire per
     internal boundary: sum(N_i) + (n_widgets - 1) * n_input.
@@ -311,7 +355,6 @@ def stitch(items: Sequence[tuple[CompiledWidget, int]]) -> StitchedEstimationSet
         n_logical_max=max(w.n_logical for w, _ in items),
         n_nodes_total=sum(mult * w.n_nodes for w, mult in items)
         + (n_widgets - 1) * n,
-        per_widget=tuple(items),
     )
 
 
@@ -460,67 +503,75 @@ def _inverse_mat(g: Gate) -> np.ndarray:
 # Disk cache
 # --------------------------------------------------------------------------
 
-def _cache_key(w: TranspiledWidget, n_input: int) -> str:
-    parts = [f"v{CACHE_FORMAT}", f"n{n_input}"]
+def cache_key(gates: Sequence[Gate], n_input: int, fan_out: int) -> str:
+    """Key of one widget's record: its source gates, wire count and
+    preparation fan-out, under ``CACHE_FORMAT``."""
+    parts = [f"v{CACHE_FORMAT}", f"n{n_input}", f"f{fan_out}"]
     # Gate.__repr__ rounds angles; repr(float) round-trips exactly.
-    parts.extend(f"{g.kind.value}{g.qubits}{g.angle!r}" for g in w.gates)
+    parts.extend(f"{g.kind.value}{g.qubits}{g.angle!r}" for g in gates)
     return hashlib.sha256("|".join(parts).encode()).hexdigest()[:32]
 
 
-def _to_dict(cw: CompiledWidget, key: str) -> dict:
-    return {
-        "format": CACHE_FORMAT,
-        "key": key,
-        "n_input": cw.n_input,
-        "n_nodes": cw.n_nodes,
-        "edges": [list(e) for e in cw.edges],
-        "local_cliffords": [list(l) for l in cw.local_cliffords],
-        "input_nodes": list(cw.input_nodes),
-        "output_nodes": list(cw.output_nodes),
-        "prep_ops": [[name, list(qs)] for name, qs in cw.prep_ops],
-        "measurements": [[m.node, m.kind, m.angle] for m in cw.measurements],
-        "frames": {str(a): {"x": list(f.x_support), "z": list(f.z_support)}
-                   for a, f in cw.frames.items()},
-        "consump_schedule": [list(layer) for layer in cw.consump_schedule],
-        "n_logical": cw.n_logical,
-    }
+_RECORD_COUNTS = ("n_input", "n_nodes", "n_edges", "n_consump_steps",
+                  "n_logical", "n_clifford")
 
 
-def _from_dict(payload: dict) -> CompiledWidget:
-    return CompiledWidget(
-        n_input=payload["n_input"],
-        n_nodes=payload["n_nodes"],
-        edges=tuple(map(tuple, payload["edges"])),
-        local_cliffords=tuple(map(tuple, payload["local_cliffords"])),
-        input_nodes=tuple(payload["input_nodes"]),
-        output_nodes=tuple(payload["output_nodes"]),
-        prep_ops=tuple([(name, tuple(qs)) for name, qs in payload["prep_ops"]]),
-        measurements=tuple(map(Measurement._make, payload["measurements"])),
-        frames={int(a): PauliFrame(tuple(f["x"]), tuple(f["z"]))
-                for a, f in payload["frames"].items()},
-        consump_schedule=tuple(map(tuple, payload["consump_schedule"])),
-        n_logical=payload["n_logical"],
+def _ints(values: object) -> tuple[int, ...]:
+    if type(values) is not list or not set(map(type, values)) <= {int}:
+        raise TypeError("expected a list of integers")
+    return tuple(values)
+
+
+def _from_dict(payload: dict) -> WidgetRecord:
+    """Rebuild a record; TypeError unless every count is an integer and
+    every node or span list a list of integers."""
+    counts = {name: payload[name] for name in _RECORD_COUNTS}
+    if not set(map(type, counts.values())) <= {int}:
+        raise TypeError("record counts must be integers")
+    return WidgetRecord(
+        **counts,
+        output_nodes=_ints(payload["output_nodes"]),
+        t_nodes=_ints(payload["t_nodes"]),
+        rz_nodes=_ints(payload["rz_nodes"]),
+        prep_spans=tuple(map(_ints, payload["prep_spans"])),
     )
 
 
-def save_cached(directory: str | Path, key: str, cw: CompiledWidget) -> Path:
+def save_cached(directory: str | Path, key: str, record: WidgetRecord) -> Path:
+    """Write ``record`` under ``key``. Each writer fills its own temporary
+    file and renames it into place, so concurrent writers of one key never
+    share a file; an empty directory squatting on the entry is replaced."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"widget-{key}.json"
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(_to_dict(cw, key)))
-    os.replace(tmp, path)
+    payload = {"format": CACHE_FORMAT, "key": key, **vars(record)}
+    fd, tmp = tempfile.mkstemp(prefix=f"widget-{key}.", suffix=".tmp",
+                               dir=directory)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.write(json.dumps(payload))
+        try:
+            os.replace(tmp, path)
+        except IsADirectoryError:
+            path.rmdir()
+            os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return path
 
 
-def load_cached(directory: str | Path, key: str) -> CompiledWidget | None:
-    path = Path(directory) / f"widget-{key}.json"
-    if not path.exists():
-        return None
+def load_cached(directory: str | Path, key: str) -> WidgetRecord | None:
+    """The record stored under ``key``, or None when the entry is missing,
+    unreadable, not a JSON object, of another format or key, or malformed:
+    the caller then recomputes and overwrites it."""
     try:
-        payload = json.loads(path.read_text())
-        if payload.get("format") != CACHE_FORMAT or payload.get("key") != key:
+        payload = json.loads((Path(directory) / f"widget-{key}.json")
+                             .read_bytes())
+        if (not isinstance(payload, dict)
+                or payload.get("format") != CACHE_FORMAT
+                or payload.get("key") != key):
             return None
         return _from_dict(payload)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+    except (OSError, KeyError, TypeError, ValueError):
         return None

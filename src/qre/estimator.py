@@ -40,9 +40,9 @@ from .architecture import (
     TFactory,
     choose_modules_per_leg,
 )
-from .compiler import CompiledWidget, StitchedEstimationSet, stitch
+from .compiler import StitchedEstimationSet, WidgetRecord, stitch
 from .config import ArchConfig
-from .prepsched import PrepSchedule, pipe_rounds, substep_crossings
+from .prepsched import pipe_rounds, substep_crossings
 from .widgetizer import WidgetPlan
 
 __all__ = [
@@ -117,23 +117,23 @@ def sequential_counts(n_t_init: int, n_rz_init: int, l_eps: int,
 
 @dataclass(frozen=True)
 class CompiledAlgorithm:
-    """A widget plan with each distinct widget compiled and prep-scheduled.
+    """A widget plan with the record of each distinct widget, compiled and
+    prep-scheduled.
 
-    Keys of `compiled` and `preps` are the plan's widget ids; sequence-level
-    sums use the plan's multiplicities and stitch counts.
+    Keys of `compiled` are the plan's widget ids; sequence-level sums use
+    the plan's multiplicities and stitch counts.
     """
 
     plan: WidgetPlan
-    compiled: Mapping[str, CompiledWidget]
-    preps: Mapping[str, PrepSchedule]
+    compiled: Mapping[str, WidgetRecord]
     _timing_memo: dict[tuple[int, int], _TimingInputs] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         missing = set(self.plan.widgets) - set(self.compiled)
-        if missing or set(self.plan.widgets) - set(self.preps):
+        if missing:
             raise EstimationError(
-                f"compiled/prep tables incomplete: missing {sorted(missing)}")
+                f"compiled table incomplete: missing {sorted(missing)}")
 
     @cached_property
     def est(self) -> StitchedEstimationSet:
@@ -143,13 +143,13 @@ class CompiledAlgorithm:
     @cached_property
     def l_prep_total(self) -> int:
         """Total preparation sub-steps over the full (repeated) sequence."""
-        return sum(self.plan.multiplicity[w] * self.preps[w].n_sub_steps
+        return sum(self.plan.multiplicity[w] * self.compiled[w].n_sub_steps
                    for w in self.plan.widgets)
 
     @property
     def l_prep_first(self) -> int:
         """Sub-steps to prepare the first graph (the unpipelined head)."""
-        return self.preps[self.plan.first].n_sub_steps
+        return self.compiled[self.plan.first].n_sub_steps
 
     def timing_inputs(self, layout: ModuleLayout) -> _TimingInputs:
         """The layout's integer timing inputs, built on first use: they
@@ -162,8 +162,7 @@ class CompiledAlgorithm:
 
     @cached_property
     def consump_steps_total(self) -> int:
-        return sum(self.plan.multiplicity[w]
-                   * len(self.compiled[w].consump_schedule)
+        return sum(self.plan.multiplicity[w] * self.compiled[w].n_consump_steps
                    for w in self.plan.widgets)
 
 
@@ -387,21 +386,21 @@ def _module_of(node: int, register_size: int, layout: ModuleLayout) -> int:
     return (node % register_size) // layout.memory_per_module
 
 
-def _per_module_maxima(cw: CompiledWidget, register_size: int,
+def _per_module_maxima(record: WidgetRecord, register_size: int,
                        layout: ModuleLayout) -> tuple[int, int]:
     """Max per-module counts of T- and Rz-basis measurements for one widget."""
     if layout.n_per_leg == 1:
-        return cw.n_T, cw.n_Rz
+        return record.n_T, record.n_Rz
     maxima = []
-    for kind in ("T", "Rz"):
+    for nodes in (record.t_nodes, record.rz_nodes):
         counts = [0] * layout.n_per_leg
-        for node in cw.nodes_by_kind[kind]:
+        for node in nodes:
             counts[_module_of(node, register_size, layout)] += 1
         maxima.append(max(counts))
     return maxima[0], maxima[1]
 
 
-def _handover_crossings(out_widget: CompiledWidget, in_widget: CompiledWidget,
+def _handover_crossings(out_widget: WidgetRecord, in_widget: WidgetRecord,
                         register_size: int, layout: ModuleLayout) -> int:
     """Module-boundary crossings to teleport one widget's outputs onto the
     next widget's inputs, wire by wire."""
@@ -420,13 +419,13 @@ def _timing_inputs(algo: CompiledAlgorithm,
     index = {wid: i for i, wid in enumerate(plan.widgets)}
     widgets = []
     for wid in plan.widgets:
-        prep = algo.preps[wid]
+        record = algo.compiled[wid]
         widgets.append(_WidgetInputs(
             plan.multiplicity[wid] - (1 if wid == plan.last else 0),
-            prep.n_sub_steps,
-            (substep_crossings(prep, register_size)
+            record.n_sub_steps,
+            (substep_crossings(record.prep_spans, register_size)
              if layout.n_per_leg > 1 else Counter()),
-            *_per_module_maxima(algo.compiled[wid], register_size, layout)))
+            *_per_module_maxima(record, register_size, layout)))
     handover: Counter[int] = Counter()
     for (a, b), count in plan.stitches.items():
         crossings = _handover_crossings(algo.compiled[a], algo.compiled[b],

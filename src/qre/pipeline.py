@@ -5,26 +5,41 @@ the run-level concerns the stages themselves do not: input-format dispatch
 (flat QASM, widget-table JSON, nested-block JSON), the shared widget cache,
 provenance hashing, and parameter sweeps that re-solve or re-time one
 compiled algorithm.
+
+The widget cache sits at ``compile_plan``'s per-widget step. Its key is the
+widget's source gates, the wire count and the preparation fan-out; its value
+is the ``WidgetRecord`` that estimation reads. A hit therefore transpiles,
+compiles and schedules nothing. ``verify_circuit`` does not use the cache:
+it compiles every distinct widget afresh, since it needs the fields the
+record leaves out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
+from . import __version__, compiler
 from .circuit import (
     CircuitError,
+    Gate,
     WidgetizedCircuit,
     invert_gates,
     parse_qasm,
     parse_widget_file,
     transpile,
 )
-from .compiler import compile_widget, verify_unitarity
+from .compiler import (
+    CACHE_ENV,
+    WidgetRecord,
+    cache_key,
+    compile_widget,
+    verify_unitarity,
+)
 from .config import ArchConfig, load_config
 from .estimator import (
     CompiledAlgorithm,
@@ -110,22 +125,38 @@ def compile_plan(
     config: ArchConfig,
     cache_dir: str | Path | None = None,
 ) -> tuple[CompiledAlgorithm, int]:
-    """Transpile, compile, and prep-schedule every distinct widget.
+    """Transpile, compile, and prep-schedule every distinct widget, reading
+    and writing each widget's record in the cache directory when one is
+    given (or set via the QRE_CACHE_DIR variable).
 
     Returns the compiled algorithm and the transpiled Clifford-gate total
-    over the full sequence (the graph states do not retain it).
+    over the full sequence.
     """
-    compiled = {}
-    preps = {}
+    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
+    records = {}
     n_clifford = 0
     for wid, gates in plan.widgets.items():
-        tw = transpile(gates)
-        cw = compile_widget(tw, n_input=plan.n_input, cache_dir=cache_dir)
-        compiled[wid] = cw
-        preps[wid] = schedule_preparation(cw.n_nodes, cw.edges,
-                                          fan_out=config.fan_out)
-        n_clifford += plan.multiplicity[wid] * tw.n_Clifford_init
-    return CompiledAlgorithm(plan, compiled, preps), n_clifford
+        record = None
+        if directory:
+            key = cache_key(gates, plan.n_input, config.fan_out)
+            # Load and save are looked up on the compiler module at call
+            # time, so wrappers installed there (the benchmark trace) see them.
+            record = compiler.load_cached(directory, key)
+        if record is None:
+            record = _widget_record(gates, plan.n_input, config.fan_out)
+            if directory:
+                compiler.save_cached(directory, key, record)
+        records[wid] = record
+        n_clifford += plan.multiplicity[wid] * record.n_clifford
+    return CompiledAlgorithm(plan, records), n_clifford
+
+
+def _widget_record(gates: Sequence[Gate], n_input: int,
+                   fan_out: int) -> WidgetRecord:
+    tw = transpile(gates)
+    cw = compile_widget(tw, n_input=n_input)
+    prep = schedule_preparation(cw.n_nodes, cw.edges, fan_out=fan_out)
+    return WidgetRecord.of(cw, prep, tw.n_Clifford_init)
 
 
 @dataclass(frozen=True)
@@ -254,19 +285,14 @@ def render_sweep_csv(rows: Sequence[SweepRow], label_name: str) -> str:
 # Verification entry point
 # --------------------------------------------------------------------------
 
-def verify_circuit(
-    loaded: LoadedCircuit,
-    seed: int | None = None,
-    cache_dir: str | Path | None = None,
-) -> float:
-    """Compile the circuit's widgets, execute the sequence by exact
+def verify_circuit(loaded: LoadedCircuit, seed: int | None = None) -> float:
+    """Compile the circuit's widgets afresh, execute the sequence by exact
     simulation, undo it with the inverted gate list, and return the overlap
     with the initial state (1.0 means the compilation is unitarily exact)."""
     if loaded.sequence is None:
         raise CircuitError("circuit too large to expand for verification")
     plan = loaded.plan
-    compiled = {wid: compile_widget(transpile(gates), n_input=plan.n_input,
-                                    cache_dir=cache_dir)
+    compiled = {wid: compile_widget(transpile(gates), n_input=plan.n_input)
                 for wid, gates in plan.widgets.items()}
     gates = [g for wid in loaded.sequence for g in plan.widgets[wid]]
     return verify_unitarity([compiled[wid] for wid in loaded.sequence],

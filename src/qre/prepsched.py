@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 FAN_OUT_CAP = 4
 
@@ -176,8 +176,10 @@ def schedule_preparation(
     return PrepSchedule(n_nodes, tuple(sub_steps))
 
 
-def substep_crossings(schedule: PrepSchedule, n_logical: int) -> Counter[int]:
-    """Module-boundary crossings of one widget's preparation, per sub-step.
+def substep_crossings(spans: Iterable[Sequence[int]],
+                      n_logical: int) -> Counter[int]:
+    """Module-boundary crossings of one widget's preparation, per sub-step,
+    from each sub-step's tuple spans (``PrepSchedule.substep_spans``).
 
     Each tuple spanning d_max register slots crosses floor(d_max / n_logical)
     module boundaries, and a sub-step's crossings travel together. The
@@ -185,8 +187,7 @@ def substep_crossings(schedule: PrepSchedule, n_logical: int) -> Counter[int]:
     """
     if n_logical < 1:
         raise ValueError("n_logical must be >= 1")
-    totals = (sum(span // n_logical for span in spans)
-              for spans in schedule.substep_spans())
+    totals = (sum(span // n_logical for span in step) for step in spans)
     return Counter(c for c in totals if c)
 
 
@@ -206,4 +207,5 @@ def cross_module_ops(
 ) -> int:
     """Vertical cross-module operation count for one widget's preparation:
     each sub-step's crossings (``substep_crossings``) share the pipes."""
-    return pipe_rounds(substep_crossings(schedule, n_logical), n_inter_pipes)
+    return pipe_rounds(substep_crossings(schedule.substep_spans(), n_logical),
+                       n_inter_pipes)

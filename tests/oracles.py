@@ -479,6 +479,22 @@ def layers_by_rescan(measurements, frames):
 # Timing model recomputed from the widgets on every call
 # --------------------------------------------------------------------------
 
+def compile_fresh(plan, fan_out):
+    """Each distinct widget of ``plan`` transpiled, compiled and
+    prep-scheduled from its source gates, outside the pipeline and its
+    widget records: {widget id: (compiled widget, prep schedule)}."""
+    from qre.circuit import transpile
+    from qre.compiler import compile_widget
+    from qre.prepsched import schedule_preparation
+
+    fresh = {}
+    for wid, gates in plan.widgets.items():
+        cw = compile_widget(transpile(gates), n_input=plan.n_input)
+        fresh[wid] = (cw, schedule_preparation(cw.n_nodes, cw.edges,
+                                               fan_out=fan_out))
+    return fresh
+
+
 class WidgetTiming(NamedTuple):
     """Per-widget quantities reused across sequence positions."""
 
@@ -558,16 +574,17 @@ def widget_timing(config, cw, prep, sel, register_size):
                         n_max_t, n_max_rz)
 
 
-def timing_per_call(config, algo, sel):
+def timing_per_call(config, algo, sel, fresh):
     """The seven TimingBreakdown fields as a dict, with every widget and
-    stitch recounted from the compiled widgets on each call."""
+    stitch recounted on each call from ``fresh`` (``compile_fresh`` of the
+    algorithm's plan) rather than from the algorithm's records."""
     plan = algo.plan
-    register_size = algo.est.n_logical_max
+    register_size = max(cw.n_logical for cw, _ in fresh.values())
+    l_prep_first = fresh[plan.first][1].n_sub_steps
     d = sel.d
     t = config.t
     per_widget = {
-        wid: widget_timing(config, algo.compiled[wid], algo.preps[wid], sel,
-                           register_size)
+        wid: widget_timing(config, *fresh[wid], sel, register_size)
         for wid in plan.widgets
     }
     t_distill_total = sum(
@@ -583,16 +600,16 @@ def timing_per_call(config, algo, sel):
         if lag > 0:
             t_prep_delay_total += count * lag
         crossings = handover_crossings(
-            algo.compiled[a], algo.compiled[b], register_size, sel.layout)
+            fresh[a][0], fresh[b][0], register_size, sel.layout)
         if crossings:
             handover_ops += count * -(-crossings // config.n_inter_pipes)
     t_handover = 8.0 * config.t_inter * d * handover_ops
-    t_consump = (8.0 * t * d * (algo.l_prep_first + sel.counts.n_seq_consump)
+    t_consump = (8.0 * t * d * (l_prep_first + sel.counts.n_seq_consump)
                  + t_distill_total + t_prep_delay_total)
     quantum_tock = 8.0 * t * d
     decoder_tock = config.t_decoder * d
     factory_tock = 8.0 * t * sel.factory.cycles
-    consump_tocks = (algo.l_prep_first + sel.counts.n_seq_consump
+    consump_tocks = (l_prep_first + sel.counts.n_seq_consump
                      + math.ceil(t_prep_delay_total / quantum_tock))
     distill_tocks = math.ceil(t_distill_total / factory_tock)
     t_decode = (consump_tocks * max(0.0, decoder_tock - quantum_tock)

@@ -308,8 +308,7 @@ def test_criterion_9_pipe_sweep_monotonic():
     start = time.perf_counter()
     try:
         from qre.circuit import WidgetizedCircuit
-        from qre.estimator import CompiledAlgorithm
-        from qre.prepsched import schedule_preparation
+        from qre.pipeline import compile_plan
         from qre.widgetizer import WidgetPlan
 
         n = 80
@@ -317,13 +316,7 @@ def test_criterion_9_pipe_sweep_monotonic():
         rotations = [gate(G.Rz, q, angle=0.375) for q in (0, 1, 2)]
         wc = WidgetizedCircuit(n_input=n, widgets=["a", "b", "a"],
                                distinct_widgets={"a": rotations, "b": ladder})
-        plan = WidgetPlan.from_widgetized(wc)
-        compiled, preps = {}, {}
-        for wid, gs in plan.widgets.items():
-            cw = compile_widget(transpile(list(gs)), n_input=n)
-            compiled[wid] = cw
-            preps[wid] = schedule_preparation(cw.n_nodes, cw.edges)
-        algo = CompiledAlgorithm(plan, compiled, preps)
+        algo, _ = compile_plan(WidgetPlan.from_widgetized(wc), ArchConfig())
 
         small_factory = TFactory("unit-test-15-to-1", 1.0e-5, 10, 12, 120,
                                  10.0)

@@ -125,6 +125,28 @@ class TestStageCommands:
         assert rc == EXIT_OK
         assert "fidelity:" in capsys.readouterr().out
 
+    def test_verify_takes_no_cache_dir(self, qft3_path, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(qft3_path), "--cache-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+
+    def test_compile_same_lines_cold_and_warm(self, qft3_path, tmp_path,
+                                              capsys):
+        cache = tmp_path / "cache"
+        assert main(["compile", str(qft3_path)]) == EXIT_OK
+        uncached = capsys.readouterr().out
+        for _ in range(2):  # cold, then warm
+            assert main(["compile", str(qft3_path),
+                         "--cache-dir", str(cache)]) == EXIT_OK
+            assert capsys.readouterr().out == uncached
+        assert len(list(cache.iterdir())) == 1
+        assert uncached == (
+            "w0: 12 nodes, 10 edges, 6 T, 3 Rz, 5 consumption steps, "
+            "4 preparation sub-steps\n"
+            "sequence: 1 widgets, 12 nodes, max 6 logical, "
+            "10 Clifford gates\n")
+
 
 class TestFitScaling:
     def test_recovers_parameters(self, tmp_path, capsys):

@@ -21,6 +21,8 @@ from qre.circuit import (
     ARITY,
     Gate,
     GateKind,
+    WidgetizedCircuit,
+    emit_qasm,
     gate,
     generate_qft,
     invert_gates,
@@ -33,12 +35,15 @@ from qre.compiler import (
     Measurement,
     PauliFrame,
     _layer_consumption,
+    cache_key,
     compile_widget,
-    load_cached,
     stitch,
     verify_unitarity,
 )
+from qre.config import ArchConfig
+from qre.pipeline import compile_plan, load_circuit, verify_circuit
 from qre.stabilizer import PauliRows
+from qre.widgetizer import WidgetPlan
 
 PI = math.pi
 
@@ -296,59 +301,77 @@ class TestStitch:
             stitch([(a, 0)])
 
 
+def cached_record(gates, cache_dir=None, n=None):
+    """The widget record ``compile_plan`` gives a single-widget circuit,
+    through the disk cache in ``cache_dir`` when one is given."""
+    plan = WidgetPlan.from_widgetized(WidgetizedCircuit.single(gates, n))
+    (record,) = compile_plan(plan, ArchConfig(), cache_dir)[0].compiled.values()
+    return record
+
+
 class TestDeterminismAndCache:
     def test_recompilation_is_identical(self):
         gates = transpile(generate_qft(3)).gates
         assert compiled(gates) == compiled(gates)
 
     def test_cache_round_trip(self, tmp_path):
-        tw = transpile(generate_qft(3))
-        first = compile_widget(tw, cache_dir=tmp_path)
+        gates = generate_qft(3)
+        first = cached_record(gates, cache_dir=tmp_path)
         files = list(tmp_path.glob("widget-*.json"))
         assert len(files) == 1
-        again = compile_widget(tw, cache_dir=tmp_path)
+        again = cached_record(gates, cache_dir=tmp_path)
         assert first == again
 
     def test_compile_and_cache_load_run_no_dense_simulation(
             self, tmp_path, monkeypatch):
-        tw = transpile(generate_qft(3))
+        gates = generate_qft(3)
 
         def refuse(*args):
             raise AssertionError("dense simulation outside verify")
 
         monkeypatch.setattr(_sim, "apply_matrix", refuse)
-        first = compile_widget(tw, cache_dir=tmp_path)
+        first = cached_record(gates, cache_dir=tmp_path)
         assert first.n_nodes <= SIM_QUBIT_LIMIT
-        assert compile_widget(tw, cache_dir=tmp_path) == first
+        assert cached_record(gates, cache_dir=tmp_path) == first
 
     def test_cache_is_actually_used(self, tmp_path, monkeypatch):
-        tw = transpile([gate(GateKind.T, 0)])
-        compile_widget(tw, cache_dir=tmp_path)
+        gates = [gate(GateKind.T, 0)]
+        cached_record(gates, cache_dir=tmp_path)
         import qre.compiler as comp
         monkeypatch.setattr(comp, "_compile",
                             lambda *a: (_ for _ in ()).throw(AssertionError))
-        cw = compile_widget(tw, cache_dir=tmp_path)
+        cw = cached_record(gates, cache_dir=tmp_path)
         assert cw.n_nodes == 2
 
     def test_corrupt_cache_recomputes(self, tmp_path):
-        tw = transpile([gate(GateKind.T, 0)])
-        compile_widget(tw, cache_dir=tmp_path)
+        gates = [gate(GateKind.T, 0)]
+        cached_record(gates, cache_dir=tmp_path)
         for f in tmp_path.glob("widget-*.json"):
             f.write_text("{not json")
-        cw = compile_widget(tw, cache_dir=tmp_path)
+        cw = cached_record(gates, cache_dir=tmp_path)
         assert cw.n_nodes == 2
 
     def test_env_var_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRE_CACHE_DIR", str(tmp_path))
-        compile_widget(transpile([gate(GateKind.T, 0)]))
+        cached_record([gate(GateKind.T, 0)])
         assert list(tmp_path.glob("widget-*.json"))
 
-    def test_verification_works_after_cache_load(self, tmp_path):
-        gates = generate_qft(3)
-        tw = transpile(gates)
-        compile_widget(tw, cache_dir=tmp_path)
-        cw = compile_widget(tw, cache_dir=tmp_path)
-        fid = verify_unitarity([cw], invert_gates(gates), seed=0)
+    def test_verification_works_after_cache_load(self, tmp_path,
+                                                 monkeypatch):
+        """verify compiles afresh: it passes after the cache is warm and
+        never reads it, even with QRE_CACHE_DIR set."""
+        path = tmp_path / "qft3.qasm"
+        path.write_text(emit_qasm(generate_qft(3), 3))
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("QRE_CACHE_DIR", str(cache))
+        loaded = load_circuit(path, ArchConfig())
+        compile_plan(loaded.plan, ArchConfig())
+        compile_plan(loaded.plan, ArchConfig())
+        import qre.compiler as comp
+        monkeypatch.setattr(
+            comp, "load_cached",
+            lambda *a: (_ for _ in ()).throw(AssertionError("cache read")))
+        fid = verify_circuit(loaded, seed=0)
         assert fid >= 1 - 1e-9
 
 
@@ -469,8 +492,15 @@ class TestConsumptionLayers:
 class TestExactCacheKey:
     def test_nearby_angles_get_separate_entries(self, tmp_path):
         angles = (0.1234561, 0.1234564)
-        got = [compile_widget(transpile([gate(GateKind.Rz, 0, angle=a)]),
-                              cache_dir=tmp_path).measurements[0].angle
-               for a in angles]
-        assert got == list(angles)
+        plans = [[gate(GateKind.Rz, 0, angle=a)] for a in angles]
+        assert repr(plans[0][0]) == repr(plans[1][0])  # Gate.__repr__ rounds
+        got = [cached_record(gates, cache_dir=tmp_path) for gates in plans]
+        assert got == [cached_record(gates) for gates in plans]
         assert len(list(tmp_path.glob("widget-*.json"))) == 2
+
+    def test_key_covers_gates_wires_and_fan_out(self):
+        gates = generate_qft(3)
+        keys = {cache_key(gates, 3, 4), cache_key(gates, 4, 4),
+                cache_key(gates, 3, 2), cache_key(gates[:-1], 3, 4)}
+        assert len(keys) == 4
+        assert cache_key(list(gates), 3, 4) == cache_key(tuple(gates), 3, 4)

@@ -1,11 +1,8 @@
 """Tests for distance/precision/factory selection and the timing model."""
 
 import dataclasses
-import importlib.util
 import math
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +10,15 @@ from hypothesis import strategies as st
 
 from oracles import (
     budget_lhs,
+    compile_fresh,
     layout_aware_lhs,
     min_distance_sweep,
     timing_per_call,
     widget_timing,
 )
+from pool import benchmark_pool_circuit
 from qre.architecture import DEFAULT_FACTORIES, EstimationError, ModuleLayout, TFactory
-from qre.circuit import GateKind, WidgetizedCircuit, gate, generate_qft, transpile
-from qre.compiler import compile_widget
+from qre.circuit import GateKind, WidgetizedCircuit, gate, generate_qft
 from qre.config import ArchConfig
 from qre.estimator import (
     CompiledAlgorithm,
@@ -41,7 +39,6 @@ from qre.estimator import (
     spacetime_lhs,
 )
 from qre.pipeline import compile_plan, load_circuit, run_pipe_sweep
-from qre.prepsched import schedule_preparation
 from qre.widgetizer import WidgetPlan
 
 
@@ -49,18 +46,18 @@ def build_algo(sequence, distinct, n_input):
     """Compile a widget sequence into a CompiledAlgorithm."""
     wc = WidgetizedCircuit(n_input=n_input, widgets=list(sequence),
                            distinct_widgets={k: list(v) for k, v in distinct.items()})
-    plan = WidgetPlan.from_widgetized(wc)
-    compiled, preps = {}, {}
-    for wid, gs in plan.widgets.items():
-        cw = compile_widget(transpile(list(gs)), n_input=plan.n_input)
-        compiled[wid] = cw
-        preps[wid] = schedule_preparation(cw.n_nodes, cw.edges)
-    return CompiledAlgorithm(plan, compiled, preps)
+    return compile_plan(WidgetPlan.from_widgetized(wc), ArchConfig())[0]
 
 
 def single_widget_algo(gates, n_input=None):
     wc = WidgetizedCircuit.single(list(gates), n_input=n_input)
     return build_algo(wc.widgets, wc.distinct_widgets, wc.n_input)
+
+
+def widget_record(gates, n_input):
+    """The record of a single-widget circuit."""
+    (record,) = single_widget_algo(gates, n_input).compiled.values()
+    return record
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +339,7 @@ class TestSelection:
 
     def test_completeness_check(self, qft3_algo):
         with pytest.raises(EstimationError, match="incomplete"):
-            CompiledAlgorithm(qft3_algo.plan, {}, dict(qft3_algo.preps))
+            CompiledAlgorithm(qft3_algo.plan, {})
 
 
 # --------------------------------------------------------------------------
@@ -398,10 +395,9 @@ class TestTimingQft3:
 
 class TestModuleAssignment:
     def test_per_module_maxima_splits_by_register_block(self):
-        cw = compile_widget(
-            transpile([gate(GateKind.T, 0), gate(GateKind.T, 1),
-                       gate(GateKind.T, 2)]), n_input=3)
-        assert sorted(m.node for m in cw.measurements) == [0, 1, 2]
+        cw = widget_record([gate(GateKind.T, 0), gate(GateKind.T, 1),
+                            gate(GateKind.T, 2)], n_input=3)
+        assert sorted(cw.t_nodes) == [0, 1, 2]
         layout = ModuleLayout(
             d=3, n_per_leg=2, factory=DEFAULT_FACTORIES[0], l_edge=16,
             memory_per_module=2, l_qbus=3, n_row_qbus=1, n_col_t_factories=1,
@@ -416,9 +412,8 @@ class TestModuleAssignment:
         assert _per_module_maxima(cw, 3, single) == (3, 0)
 
     def test_handover_crossings_wire_by_wire(self):
-        cw = compile_widget(
-            transpile([gate(GateKind.T, 0), gate(GateKind.T, 1),
-                       gate(GateKind.T, 2)]), n_input=3)
+        cw = widget_record([gate(GateKind.T, 0), gate(GateKind.T, 1),
+                            gate(GateKind.T, 2)], n_input=3)
         assert cw.output_nodes == (3, 4, 5)
         layout = ModuleLayout(
             d=3, n_per_leg=2, factory=DEFAULT_FACTORIES[0], l_edge=16,
@@ -457,6 +452,11 @@ def wide_algo():
 
 
 @pytest.fixture(scope="module")
+def wide_fresh(wide_algo):
+    return compile_fresh(wide_algo.plan, cross_module_config().fan_out)
+
+
+@pytest.fixture(scope="module")
 def wide_selection(wide_algo):
     cfg = cross_module_config()
     return cfg, solve_distance_and_factory(cfg, wide_algo.est,
@@ -492,12 +492,11 @@ class TestCrossModule:
         # saturated once one pipe round moves every crossing (max is 86)
         assert times[-3] == times[-2] == times[-1]
 
-    def test_sequence_totals_match_expanded_walk(self, wide_algo,
+    def test_sequence_totals_match_expanded_walk(self, wide_algo, wide_fresh,
                                                  wide_selection):
         cfg, sel = wide_selection
         seq = ["a", "b", "a"]
-        per = {w: widget_timing(cfg, wide_algo.compiled[w],
-                                wide_algo.preps[w], sel,
+        per = {w: widget_timing(cfg, *wide_fresh[w], sel,
                                 wide_algo.est.n_logical_max)
                for w in wide_algo.plan.widgets}
         distill = sum(per[w].t_distill_delay for w in seq[:-1])
@@ -520,7 +519,7 @@ class TestCrossModule:
             8.0 * cfg.t_inter * sel.d * handover_ops, rel=1e-12)
         assert distill > 0 and prep_delay > 0 and handover_ops > 0
 
-    def test_expanded_walk_other_ending(self, wide_algo):
+    def test_expanded_walk_other_ending(self, wide_algo, wide_fresh):
         """Same distinct widgets, different sequence shape: [a, a, b]."""
         algo = CompiledAlgorithm(
             WidgetPlan(n_input=wide_algo.plan.n_input,
@@ -528,10 +527,10 @@ class TestCrossModule:
                        multiplicity={"a": 2, "b": 1},
                        stitches={("a", "a"): 1, ("a", "b"): 1},
                        first="a", last="b"),
-            dict(wide_algo.compiled), dict(wide_algo.preps))
+            dict(wide_algo.compiled))
         cfg = cross_module_config()
         sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
-        per = {w: widget_timing(cfg, algo.compiled[w], algo.preps[w], sel,
+        per = {w: widget_timing(cfg, *wide_fresh[w], sel,
                                 algo.est.n_logical_max)
                for w in algo.plan.widgets}
         seq = ["a", "a", "b"]
@@ -544,23 +543,6 @@ class TestCrossModule:
 # Timing inputs built once per layout, against the per-call oracle
 # --------------------------------------------------------------------------
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def benchmark_pool_circuit(sub_seed):
-    """Nested-JSON text of one benchmark pool circuit."""
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolve field types through the module's sys.modules entry
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module.nested_circuit(sub_seed).text
-
-
 @pytest.fixture(scope="module")
 def two_module_nested(tmp_path_factory):
     """Benchmark pool circuit 3 on modules small enough for two per leg."""
@@ -568,8 +550,9 @@ def two_module_nested(tmp_path_factory):
     path.write_text(benchmark_pool_circuit(3))
     cfg = ArchConfig(n_phys_per_module=250_000)
     algo, _ = compile_plan(load_circuit(path, cfg).plan, cfg)
-    return cfg, algo, solve_distance_and_factory(cfg, algo.est,
-                                                 algo.l_prep_total)
+    return (cfg, algo,
+            solve_distance_and_factory(cfg, algo.est, algo.l_prep_total),
+            compile_fresh(algo.plan, cfg.fan_out))
 
 
 class ReadCounter(tuple):
@@ -582,17 +565,17 @@ class ReadCounter(tuple):
 
 class TestTimingMatchesPerCallOracle:
     @pytest.mark.parametrize("pipes", range(1, 129))
-    def test_wide_algo_every_field_exact(self, wide_algo, wide_selection,
-                                         pipes):
+    def test_wide_algo_every_field_exact(self, wide_algo, wide_fresh,
+                                         wide_selection, pipes):
         _, sel = wide_selection
         cfg = cross_module_config(pipes)
         timing = compute_timing(cfg, wide_algo, sel)
-        assert dataclasses.asdict(timing) == timing_per_call(cfg, wide_algo,
-                                                             sel)
+        assert dataclasses.asdict(timing) == timing_per_call(
+            cfg, wide_algo, sel, wide_fresh)
 
     def test_nested_two_modules_per_leg_every_field_exact(
             self, two_module_nested):
-        cfg, algo, sel = two_module_nested
+        cfg, algo, sel, fresh = two_module_nested
         assert (sel.d, sel.layout.n_per_leg) == (21, 2)
         one_module = solve_distance_and_factory(ArchConfig(), algo.est,
                                                 algo.l_prep_total)
@@ -604,7 +587,7 @@ class TestTimingMatchesPerCallOracle:
                                            t_inter=t_inter)
                 for s in (sel, one_module):
                     assert (dataclasses.asdict(compute_timing(pcfg, algo, s))
-                            == timing_per_call(pcfg, algo, s))
+                            == timing_per_call(pcfg, algo, s, fresh))
         slow = dataclasses.replace(cfg, t_inter=1e-4)
         assert (compute_timing(slow, algo, sel).t_prep_delay_total
                 > 1e3 * compute_timing(cfg, algo, sel).t_prep_delay_total)
@@ -612,18 +595,21 @@ class TestTimingMatchesPerCallOracle:
         assert rows[-1].normalized_runtime == 0.875638243017282
         assert all(row.t_hardware == timing_per_call(
             dataclasses.replace(cfg, n_inter_pipes=int(row.label)),
-            algo, sel)["t_hardware_total"] for row in rows)
+            algo, sel, fresh)["t_hardware_total"] for row in rows)
 
     def test_pipe_sweep_reads_each_widget_once(self, wide_algo):
         compiled = {
-            wid: dataclasses.replace(cw, measurements=ReadCounter(
-                cw.measurements))
-            for wid, cw in wide_algo.compiled.items()}
-        algo = CompiledAlgorithm(wide_algo.plan, compiled,
-                                 dict(wide_algo.preps))
+            wid: dataclasses.replace(
+                record, t_nodes=ReadCounter(record.t_nodes),
+                rz_nodes=ReadCounter(record.rz_nodes),
+                prep_spans=ReadCounter(record.prep_spans))
+            for wid, record in wide_algo.compiled.items()}
+        algo = CompiledAlgorithm(wide_algo.plan, compiled)
         cfg = cross_module_config()
         sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
         assert sel.layout.n_per_leg == 3  # the module split walks nodes
         assert len(run_pipe_sweep(algo, cfg, range(1, 65))) == 64
-        assert all(getattr(cw.measurements, "reads", 0) <= 1
-                   for cw in compiled.values())
+        assert all(getattr(nodes, "reads", 0) <= 1
+                   for record in compiled.values()
+                   for nodes in (record.t_nodes, record.rz_nodes,
+                                 record.prep_spans))

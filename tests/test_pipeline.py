@@ -2,12 +2,17 @@
 
 import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
+from pool import benchmark_pool_circuit
+from qre import compiler, pipeline
 from qre.architecture import EstimationError
 from qre.circuit import CircuitError, emit_qasm, gate, generate_qft, transpile
 from qre.circuit import GateKind as G
+from qre.cli import main
 from qre.config import ArchConfig
 from qre.pipeline import (
     LoadedCircuit,
@@ -118,7 +123,7 @@ class TestCompilePlan:
         plan = load_circuit(qft3_path, config).plan
         algo, n_clifford = compile_plan(plan, config)
         assert set(algo.compiled) == set(plan.widgets)
-        assert set(algo.preps) == set(plan.widgets)
+        assert all(record.n_sub_steps > 0 for record in algo.compiled.values())
         expected = sum(plan.multiplicity[w] * transpile(plan.widgets[w]).n_Clifford_init
                        for w in plan.widgets)
         assert n_clifford == expected > 0
@@ -143,6 +148,166 @@ class TestCompilePlan:
         algo_again, _ = compile_plan(plan, config, cache_dir=cache)
         for wid in plan.widgets:
             assert algo_again.compiled[wid] == algo_first.compiled[wid]
+
+
+def cache_entries(cache):
+    return sorted(p.name for p in cache.iterdir())
+
+
+def estimate_and_sweep(path, config_path, cache_dir):
+    """Report CSV plus 64-pipe and three-preset sweep CSVs of one run."""
+    result = run_estimate(path, config_path=config_path, cache_dir=cache_dir)
+    pipes = run_pipe_sweep(result.algo, result.config, range(1, 65))
+    presets = run_decoder_sweep(result.algo, result.config,
+                                ("mwpm-circuit", "mwpm-code-capacity",
+                                 "astra-gnn"))
+    return (render_csv(result.report)
+            + render_sweep_csv(pipes, "n_inter_pipes")
+            + render_sweep_csv(presets, "preset"))
+
+
+@pytest.fixture(scope="module")
+def pool3_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pool") / "nested3.json"
+    path.write_text(benchmark_pool_circuit(3))
+    return path
+
+
+def refuse(name):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{name} ran on a warm cache")
+    return refused
+
+
+class TestWidgetCache:
+    @pytest.mark.parametrize("circuit", ["qft3", "pool3"])
+    @pytest.mark.parametrize("modules", ["default", "small"])
+    def test_warm_run_compiles_nothing_and_matches_cold(
+            self, circuit, modules, qft3_path, pool3_path, tmp_path,
+            monkeypatch):
+        path = qft3_path if circuit == "qft3" else pool3_path
+        config_path = None
+        if modules == "small":
+            # several modules per leg: the crossings read the cached spans
+            config_path = tmp_path / "small.yaml"
+            config_path.write_text("physical:\n  n_phys_per_module: 250000\n")
+        cache = tmp_path / "cache"
+        uncached = estimate_and_sweep(path, config_path, None)
+        cold = estimate_and_sweep(path, config_path, cache)
+        for name in ("transpile", "compile_widget", "schedule_preparation"):
+            monkeypatch.setattr(pipeline, name, refuse(name))
+        warm = estimate_and_sweep(path, config_path, cache)
+        assert warm == cold == uncached
+        if modules == "small" and circuit == "pool3":
+            result = run_estimate(path, config_path=config_path,
+                                  cache_dir=cache)
+            assert result.selection.layout.n_per_leg > 1
+
+    def test_fan_out_keys_separate_entries(self, pool3_path, tmp_path):
+        cache = tmp_path / "cache"
+        plan = load_circuit(pool3_path, ArchConfig()).plan
+        records = {}
+        for fan_out in (2, 4):
+            cfg = ArchConfig(fan_out=fan_out)
+            records[fan_out] = compile_plan(plan, cfg, cache)[0].compiled
+            assert records[fan_out] == compile_plan(plan, cfg)[0].compiled
+        assert len(cache_entries(cache)) == 2 * plan.n_distinct_widgets
+        assert records[2] != records[4]
+        for fan_out in (2, 4):  # now warm
+            cfg = ArchConfig(fan_out=fan_out)
+            assert compile_plan(plan, cfg, cache)[0].compiled == records[fan_out]
+
+    @pytest.mark.parametrize("content", ["[]", "null", '"x"', "{}", "",
+                                         "format-2", "other-key", "missing",
+                                         "directory", "t_nodes", "n_nodes",
+                                         "n_logical", "prep_spans"])
+    def test_bad_entry_is_recomputed_and_overwritten(
+            self, content, qft3_path, config, tmp_path):
+        cache = tmp_path / "cache"
+        plan = load_circuit(qft3_path, config).plan
+        fresh = compile_plan(plan, config)[0].compiled
+        compile_plan(plan, config, cache)
+        (entry,) = cache.iterdir()
+        good = json.loads(entry.read_text())
+        if content == "directory":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            bad = dict(good)
+            if content == "format-2":
+                bad["format"] = 2
+            elif content == "other-key":
+                bad["key"] = "0" * 32
+            elif content == "missing":
+                del bad["prep_spans"]
+            elif content in good:  # right key and format, wrong type
+                bad[content] = {"t_nodes": "abcdefgh", "n_nodes": "12",
+                                "n_logical": True,
+                                "prep_spans": [[1, "2"]]}[content]
+            else:
+                bad = None
+            entry.write_text(content if bad is None else json.dumps(bad))
+        assert compile_plan(plan, config, cache)[0].compiled == fresh
+        assert json.loads(entry.read_text()) == good
+        assert cache_entries(cache) == [entry.name]
+
+    def test_bad_entry_does_not_fail_the_cli(self, qft3_path, tmp_path,
+                                             capsys):
+        cache = tmp_path / "cache"
+        assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
+        first = capsys.readouterr().out
+        (entry,) = cache.iterdir()
+        entry.write_text("[]")
+        assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
+        assert capsys.readouterr().out == first
+
+    def test_stale_temp_files_do_not_stop_a_save(self, qft3_path, config,
+                                                 tmp_path):
+        cache = tmp_path / "cache"
+        plan = load_circuit(qft3_path, config).plan
+        (gates,) = plan.widgets.values()
+        key = compiler.cache_key(gates, plan.n_input, config.fan_out)
+        cache.mkdir()
+        (cache / f"widget-{key}.tmp").mkdir()
+        (cache / f"widget-{key}.stale.tmp").write_text("half a rec")
+        compile_plan(plan, config, cache)
+        record = compiler.load_cached(cache, key)
+        assert record == compile_plan(plan, config)[0].compiled["w0"]
+        assert len(cache_entries(cache)) == 3
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        record = compiler.WidgetRecord(1, 1, 0, (0,), (), (), 0, 1,
+                                       object(), ())
+        with pytest.raises(TypeError):
+            compiler.save_cached(tmp_path, "k", record)
+        assert cache_entries(tmp_path) == []
+
+    def test_concurrent_writers_of_one_key(self, qft3_path, config, tmp_path):
+        plan = load_circuit(qft3_path, config).plan
+        record = compile_plan(plan, config)[0].compiled["w0"]
+        errors = []
+
+        def write():
+            try:
+                for _ in range(25):
+                    compiler.save_cached(tmp_path, "k", record)
+            except Exception as exc:  # reported through the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert cache_entries(tmp_path) == ["widget-k.json"]
+        assert compiler.load_cached(tmp_path, "k") == record
 
 
 class TestRunEstimate:
