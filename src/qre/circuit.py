@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import hashlib
 import math
 import re
 from dataclasses import dataclass, field
@@ -33,6 +34,10 @@ class GateKind(Enum):
     CCX = "ccx"      # composite; expanded by transpile
     CPhase = "cp"    # composite; expanded by transpile
 
+    # Members are singletons compared by identity, so they hash by identity
+    # too: in C, where Enum's own hash is a Python call on the name.
+    __hash__ = object.__hash__
+
 
 ARITY = {
     GateKind.H: 1, GateKind.S: 1, GateKind.Sdg: 1, GateKind.X: 1,
@@ -49,6 +54,8 @@ CLIFFORD_2Q = frozenset({GateKind.CX, GateKind.CZ, GateKind.SWAP})
 T_LIKE = frozenset({GateKind.T, GateKind.Tdg})
 
 _QASM_NAME_TO_KIND = {kind.value: kind for kind in GateKind}
+# Each kind's name, read in hot loops instead of the Python-level `.value`.
+KIND_NAME = {kind: kind.value for kind in GateKind}
 
 # Clifford-angle snapping tolerance (radians); float-synthesized multiples of
 # pi/4 must not be misclassified as generic rotations.
@@ -74,11 +81,19 @@ class Gate:
             )
         if len(set(self.qubits)) != len(self.qubits):
             raise CircuitError(f"duplicate qubit operand in {self.kind.name}{self.qubits}")
+        if min(self.qubits) < 0:
+            raise CircuitError(f"negative qubit index in {self.kind.name}{self.qubits}")
         if self.kind in ANGLED:
             if self.angle is None or not math.isfinite(self.angle):
                 raise CircuitError(f"{self.kind.name} requires a finite angle")
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.name} takes no angle")
+
+    @functools.cached_property
+    def exact_text(self) -> str:
+        """Kind name, qubit tuple and ``repr`` angle, e.g. ``rz(1,)0.3``:
+        unlike ``__repr__``, it tells every two unequal gates apart."""
+        return f"{KIND_NAME[self.kind]}{self.qubits}{self.angle!r}"
 
     def __repr__(self) -> str:  # compact, e.g. CX(0,1) or Rz(0.3)(1)
         qs = ",".join(str(q) for q in self.qubits)
@@ -89,6 +104,15 @@ class Gate:
 
 def gate(kind: GateKind, *qubits: int, angle: float | None = None) -> Gate:
     return Gate(kind, tuple(qubits), angle)
+
+
+def gate_list_digest(gates: Iterable[Gate]) -> str:
+    """Full sha256 of a gate list's exact encoding, each gate's
+    ``exact_text`` in order (cached on the gate, so a gate shared by many
+    lists is formatted once). Equal digests mean equal gate lists; the
+    digest keys both widget sharing and the widget cache."""
+    text = "|".join([g.exact_text for g in gates])
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def circuit_width(gates: Sequence[Gate]) -> int:
@@ -316,6 +340,10 @@ def parse_widget_file(payload: Mapping, path: str | Path) -> WidgetizedCircuit:
 
     distinct: dict[str, list[Gate]] = {}
     for wid, qasm in table.items():
+        if not isinstance(qasm, str):
+            raise CircuitError(
+                f"{path}: widget {wid!r} must be an OpenQASM string, "
+                f"got {type(qasm).__name__}")
         gates = parse_qasm(qasm)
         declared = _declared_width(qasm)
         if declared is not None and declared != n_input:

@@ -100,12 +100,23 @@ def _cmd_fit_scaling(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _pipe_values(text: str) -> list[int]:
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"--values: {token!r} is not an integer pipe "
+                             f"count") from None
+    return values
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    values = _pipe_values(args.values) if args.kind == "pipes" else None
     config = load_config(args.config)
     plan = load_circuit(args.circuit, config).plan
     algo, _ = compile_plan(plan, config, args.cache_dir)
-    if args.kind == "pipes":
-        values = [int(v) for v in args.values.split(",")]
+    if values is not None:
         rows = run_pipe_sweep(algo, config, values)
         text = render_sweep_csv(rows, "n_inter_pipes")
     else:

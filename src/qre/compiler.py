@@ -35,6 +35,7 @@ from . import _sim
 from .circuit import (
     CLIFFORD_1Q,
     CLIFFORD_2Q,
+    KIND_NAME,
     T_LIKE,
     CircuitError,
     Gate,
@@ -46,7 +47,7 @@ from .prepsched import PrepSchedule
 from .stabilizer import PauliRows, bits, graph_form, stabilizer_after
 
 CACHE_ENV = "QRE_CACHE_DIR"
-CACHE_FORMAT = 3
+CACHE_FORMAT = 4
 
 SIM_QUBIT_LIMIT = 12
 
@@ -201,7 +202,7 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
             a, b = g.qubits
             cur[a], cur[b] = cur[b], cur[a]
         elif g.kind in CLIFFORD_1Q or g.kind in CLIFFORD_2Q:
-            ops.append((g.kind.value, tuple(cur[q] for q in g.qubits)))
+            ops.append((KIND_NAME[g.kind], tuple(cur[q] for q in g.qubits)))
         elif g.kind in T_LIKE or g.kind is GateKind.Rz:
             theta = _gadget_angle(g)
             q = g.qubits[0]
@@ -503,13 +504,12 @@ def _inverse_mat(g: Gate) -> np.ndarray:
 # Disk cache
 # --------------------------------------------------------------------------
 
-def cache_key(gates: Sequence[Gate], n_input: int, fan_out: int) -> str:
-    """Key of one widget's record: its source gates, wire count and
-    preparation fan-out, under ``CACHE_FORMAT``."""
-    parts = [f"v{CACHE_FORMAT}", f"n{n_input}", f"f{fan_out}"]
-    # Gate.__repr__ rounds angles; repr(float) round-trips exactly.
-    parts.extend(f"{g.kind.value}{g.qubits}{g.angle!r}" for g in gates)
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:32]
+def cache_key(digest: str, n_input: int, fan_out: int) -> str:
+    """Key of one widget's record under ``CACHE_FORMAT``: the
+    ``gate_list_digest`` of its source gates, its wire count and the
+    preparation fan-out."""
+    text = f"v{CACHE_FORMAT}|n{n_input}|f{fan_out}|{digest}"
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 _RECORD_COUNTS = ("n_input", "n_nodes", "n_edges", "n_consump_steps",

@@ -21,9 +21,11 @@ The timing model's integer inputs are computed once per compiled algorithm
 and module layout (``CompiledAlgorithm.timing_inputs``): each widget's prep
 sub-step count, its per-sub-step cross-module crossings and its per-module
 T/Rz maxima, and each stitch's handover crossings.  A ``compute_timing``
-call, one per sweep point, only does the arithmetic that depends on the
-config and the operating point (t, t_inter, pipe count, d, synthesis length,
-factory), summing over ``plan.widgets`` and ``plan.stitches`` in their order.
+call only does the arithmetic that depends on the config and the operating
+point (t, t_inter, pipe count, d, synthesis length, factory), summing over
+``plan.widgets`` and ``plan.stitches`` in their order.  It reads the pipe
+count only through ``_TimingInputs.pipe_rounds``, so a pipe sweep times each
+distinct rounds tuple once.
 """
 
 from __future__ import annotations
@@ -372,13 +374,23 @@ class _WidgetInputs(NamedTuple):
 class _TimingInputs:
     """Integer timing inputs of one compiled algorithm on one module layout:
     ``widgets`` in ``plan.widgets`` order, ``stitches`` as (index of a,
-    index of b, count) in ``plan.stitches`` order, and ``handover`` mapping
-    a handover's module-boundary crossings to the stitch occurrences that
-    have that many."""
+    index of b, count) in ``plan.stitches`` order, ``handover`` mapping a
+    handover's module-boundary crossings to the stitch occurrences that
+    have that many, and ``crossing`` the nonempty per-sub-step crossings
+    of ``widgets``, in their order."""
 
     widgets: tuple[_WidgetInputs, ...]
     stitches: tuple[tuple[int, int, int], ...]
     handover: Counter[int]
+    crossing: tuple[Counter[int], ...]
+
+    def pipe_rounds(self, n_inter_pipes: int) -> tuple[int, ...]:
+        """Everything the timing reads of the pipe count: the preparation
+        pipe rounds of each widget that crosses modules, in ``widgets``
+        order, then the handover rounds. Pipe counts with equal tuples
+        give identical timings."""
+        return (*(pipe_rounds(c, n_inter_pipes) for c in self.crossing),
+                pipe_rounds(self.handover, n_inter_pipes))
 
 
 def _module_of(node: int, register_size: int, layout: ModuleLayout) -> int:
@@ -436,7 +448,8 @@ def _timing_inputs(algo: CompiledAlgorithm,
         widgets=tuple(widgets),
         stitches=tuple((index[a], index[b], count)
                        for (a, b), count in plan.stitches.items()),
-        handover=handover)
+        handover=handover,
+        crossing=tuple(w.crossings for w in widgets if w.crossings))
 
 
 def compute_timing(
@@ -455,10 +468,11 @@ def compute_timing(
     l_transfer_bus = sel.layout.l_transfer_bus
     prep_tock, tock, factory_tock = 8.0 * d, 8.0 * t * d, 8.0 * t * cycles
 
+    rounds = inputs.pipe_rounds(config.n_inter_pipes)
+    prep_rounds = iter(rounds)
     t_prep, t_consump_intra, t_distill_delay = [], [], []
     for _, n_intra, crossings, n_max_t, n_max_rz in inputs.widgets:
-        n_cross = (pipe_rounds(crossings, config.n_inter_pipes)
-                   if crossings else 0)
+        n_cross = next(prep_rounds) if crossings else 0
         prep = prep_tock * (n_intra * t + n_cross * t_inter)
         t_prep.append(prep)
         t_consump_intra.append(tock * (
@@ -485,8 +499,7 @@ def compute_timing(
         lag = t_prep[b] - t_consump_intra[a] - t_distill_delay[a]
         if lag > 0:
             t_prep_delay_total += count * lag
-    handover_ops = pipe_rounds(inputs.handover, config.n_inter_pipes)
-    t_handover = 8.0 * config.t_inter * d * handover_ops
+    t_handover = 8.0 * config.t_inter * d * rounds[-1]
 
     t_consump = (tock * (algo.l_prep_first + sel.counts.n_seq_consump)
                  + t_distill_total + t_prep_delay_total)

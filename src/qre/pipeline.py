@@ -6,12 +6,16 @@ the run-level concerns the stages themselves do not: input-format dispatch
 provenance hashing, and parameter sweeps that re-solve or re-time one
 compiled algorithm.
 
-The widget cache sits at ``compile_plan``'s per-widget step. Its key is the
-widget's source gates, the wire count and the preparation fan-out; its value
-is the ``WidgetRecord`` that estimation reads. A hit therefore transpiles,
-compiles and schedules nothing. ``verify_circuit`` does not use the cache:
-it compiles every distinct widget afresh, since it needs the fields the
-record leaves out.
+The widget cache sits at ``compile_plan``'s per-widget step. Its key comes
+from the widget's gate-list digest (``WidgetPlan.digest``), the wire count
+and the preparation fan-out; its value is the ``WidgetRecord`` that
+estimation reads. A hit therefore transpiles, compiles and schedules
+nothing. ``verify_circuit`` does not use the cache: it compiles every
+distinct widget afresh, since it needs the fields the record leaves out.
+
+A pipe sweep solves the machine once and times it once per distinct tuple
+of pipe rounds (``_TimingInputs.pipe_rounds``), the only way the timing
+reads the pipe count; every pipe count with that tuple reuses the time.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ def compile_plan(
     for wid, gates in plan.widgets.items():
         record = None
         if directory:
-            key = cache_key(gates, plan.n_input, config.fan_out)
+            key = cache_key(plan.digest(wid), plan.n_input, config.fan_out)
             # Load and save are looked up on the compiler module at call
             # time, so wrappers installed there (the benchmark trace) see them.
             record = compiler.load_cached(directory, key)
@@ -240,16 +244,28 @@ def run_pipe_sweep(
     """Re-time the solved machine at each interconnect-pipe count.
 
     The distance/factory solution does not depend on the pipe count, so it
-    is solved once and only the timing is recomputed per value.
+    is solved once. The timing reads the pipe count only through the
+    layout's pipe rounds, so it is computed once per distinct rounds tuple
+    and shared by every count that gives that tuple: one call in all when
+    each leg is a single module.
     """
     if not pipe_values:
         raise ValueError("pipe sweep needs at least one value")
+    # The pipe count is the only field that varies and its check is a lower
+    # bound, so this validates every count before any rounds are computed.
+    replace(config, n_inter_pipes=min(pipe_values))
     sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+    inputs = algo.timing_inputs(sel.layout)
+    by_rounds: dict[tuple[int, ...], float] = {}
     solved = []
     for pipes in pipe_values:
-        timing = compute_timing(replace(config, n_inter_pipes=pipes),
-                                algo, sel)
-        solved.append((sel.d, timing.t_hardware_total))
+        rounds = inputs.pipe_rounds(pipes)
+        t_hardware = by_rounds.get(rounds)
+        if t_hardware is None:
+            timing = compute_timing(replace(config, n_inter_pipes=pipes),
+                                    algo, sel)
+            t_hardware = by_rounds[rounds] = timing.t_hardware_total
+        solved.append((sel.d, t_hardware))
     return _normalize([str(v) for v in pipe_values], solved)
 
 

@@ -5,10 +5,14 @@ decomposed (one child per operation) if it invokes other blocks, or sliced
 into contiguous moment groups if it is a flat gate list. Repeat counts stay
 symbolic throughout, so widget/stitch multiplicities for circuits with
 billions of expanded gates are exact Python integers computed without ever
-materializing the leaf sequence. Nodes with equal equivalence keys (a hash of
-the exact gate list, qubits included, for a leaf; of the children's keys and
-repeats for a composite) are built once and shared, so a widget always acts
-on the qubits its gates name.
+materializing the leaf sequence. Nodes with equal equivalence keys (for a
+leaf, the ``gate_list_digest`` of its exact gate list, qubits included; for
+a composite, a hash of the children's keys and repeats) are built once and
+shared, so a widget always acts on the qubits its gates name. A plan keeps
+each widget's digest, from which the widget cache derives its key.
+
+``parse_nested_file`` validates each distinct gate item of a file once and
+builds one ``Gate`` for it, which every repetition of the item shares.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from .circuit import (
     CircuitError,
     Gate,
     WidgetizedCircuit,
-    _eval_angle,
+    _fold_angle,
     circuit_width,
+    gate_list_digest,
 )
 
 NESTED_FORMAT = 1
@@ -56,18 +61,24 @@ class NestedCircuit:
     def __post_init__(self) -> None:
         if self.root not in self.blocks:
             raise CircuitError(f"root block {self.root!r} is not defined")
-        self._check_acyclic()
+        refs: dict[str, list[str]] = {}
         width = 0
         for name, body in self.blocks.items():
+            names = refs[name] = []
             for item in body:
-                if isinstance(item, BlockRef) and item.name not in self.blocks:
-                    raise CircuitError(f"block {name!r} references undefined {item.name!r}")
-                if isinstance(item, Gate):
+                if isinstance(item, BlockRef):
+                    names.append(item.name)
+                elif isinstance(item, Gate):
                     width = max(width, max(item.qubits) + 1)
+        self._check_acyclic(refs)
+        for name, names in refs.items():
+            for ref in names:
+                if ref not in self.blocks:
+                    raise CircuitError(f"block {name!r} references undefined {ref!r}")
         if width > self.n_input:
             raise CircuitError(f"gates touch qubit {width - 1}, beyond n_input={self.n_input}")
 
-    def _check_acyclic(self) -> None:
+    def _check_acyclic(self, refs: Mapping[str, list[str]]) -> None:
         state: dict[str, int] = {}  # 1 = on stack, 2 = done
 
         def visit(name: str) -> None:
@@ -76,12 +87,12 @@ class NestedCircuit:
             if state.get(name) == 1:
                 raise CircuitError(f"cyclic block reference through {name!r}")
             state[name] = 1
-            for item in self.blocks[name]:
-                if isinstance(item, BlockRef) and item.name in self.blocks:
-                    visit(item.name)
+            for ref in refs[name]:
+                if ref in refs:
+                    visit(ref)
             state[name] = 2
 
-        for name in self.blocks:
+        for name in refs:
             visit(name)
 
 
@@ -139,17 +150,6 @@ def assign_moments(gates: Sequence[Gate]) -> list[int]:
         for q in g.qubits:
             free_at[q] = m + 1
     return moments
-
-
-def _leaf_key(gates: Sequence[Gate]) -> str:
-    """Hash of the exact gate list: kinds, qubits and exact angles."""
-    parts = []
-    for g in gates:
-        qs = ",".join(map(str, g.qubits))
-        angle = "" if g.angle is None else repr(g.angle)
-        parts.append(f"{g.kind.value}({angle})[{qs}]")
-    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()[:24]
-    return f"L:{digest}"
 
 
 def _composite_key(children: Sequence[tuple[SubcircuitNode, int]]) -> str:
@@ -277,7 +277,7 @@ class _Builder:
         node = SubcircuitNode(
             id=self._next_id(), label=label,
             active_qubits=len({q for g in gates for q in g.qubits}),
-            n_gates=len(gates), equivalence_key=_leaf_key(gates),
+            n_gates=len(gates), equivalence_key=gate_list_digest(gates),
             gates=gates,
         )
         return self._intern(node)
@@ -374,7 +374,10 @@ def iter_leaf_sequence(root: SubcircuitNode) -> Iterator[str]:
 class WidgetPlan:
     """Everything downstream estimation needs from a widget decomposition:
     the distinct gate lists, their multiplicities, the ordered-pair stitch
-    multiset, and the first/last widgets of the sequence."""
+    multiset, and the first/last widgets of the sequence. ``digests``
+    holds each widget's ``gate_list_digest`` once known: a nested plan
+    takes them from its leaf keys, and ``digest`` computes the others on
+    first use."""
 
     n_input: int
     widgets: dict[str, tuple[Gate, ...]]
@@ -382,6 +385,8 @@ class WidgetPlan:
     stitches: dict[tuple[str, str], int]
     first: str
     last: str
+    digests: dict[str, str] = field(default_factory=dict, compare=False,
+                                    repr=False)
 
     @property
     def n_widgets(self) -> int:
@@ -397,6 +402,13 @@ class WidgetPlan:
         if sum(self.stitches.values()) != self.n_widgets - 1:
             raise CircuitError("stitch counts must sum to n_widgets - 1")
 
+    def digest(self, wid: str) -> str:
+        """The ``gate_list_digest`` of widget ``wid``."""
+        digest = self.digests.get(wid)
+        if digest is None:
+            digest = self.digests[wid] = gate_list_digest(self.widgets[wid])
+        return digest
+
     @classmethod
     def from_root(cls, root: SubcircuitNode, n_input: int) -> "WidgetPlan":
         counts = _fold(root, {})
@@ -408,6 +420,7 @@ class WidgetPlan:
             stitches=dict(counts.stitches),
             first=counts.first,
             last=counts.last,
+            digests={wid: leaves[wid].equivalence_key for wid in counts.widgets},
         )
 
     @classmethod
@@ -430,19 +443,50 @@ class WidgetPlan:
 # Nested-circuit JSON
 # --------------------------------------------------------------------------
 
+def _json_int(value: object) -> int | None:
+    """A JSON integer: an int, or a float with an integral value such as
+    ``2.0``. None for anything else, booleans and ``2.5`` included."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return None
+
+
 def _gate_from_json(obj: Mapping, where: str) -> Gate:
     name = obj["gate"]
     kind = _QASM_NAME_TO_KIND.get(name) if isinstance(name, str) else None
     if kind is None:
         raise CircuitError(f"{where}: unsupported gate {name!r}")
-    qubits = tuple(map(int, obj.get("qubits", ())))
+    raw_qubits = obj.get("qubits", [])
+    if not isinstance(raw_qubits, list):
+        raise CircuitError(f"{where}: 'qubits' must be a list, got {raw_qubits!r}")
+    qubits = tuple(map(_json_int, raw_qubits))
+    if None in qubits:
+        raise CircuitError(f"{where}: qubits must be integers, got {raw_qubits!r}")
     angle = obj.get("angle")
-    if isinstance(angle, str):
-        angle = _eval_angle(angle, 0)
-    if angle is not None:
-        angle = float(angle)
     try:
+        if isinstance(angle, str):
+            angle = _fold_angle(angle)
+        elif angle is not None:
+            if type(angle) not in (int, float):
+                raise CircuitError(
+                    f"angle must be a number or an expression, got {angle!r}")
+            angle = float(angle)
         return Gate(kind, qubits, angle)
+    except CircuitError as exc:
+        raise CircuitError(f"{where}: {exc}") from exc
+
+
+def _block_ref_from_json(obj: object, where: str) -> BlockRef:
+    if not isinstance(obj, dict) or "block" not in obj:
+        raise CircuitError(f"{where}: need an object with 'gate' or 'block'")
+    repeat = _json_int(obj.get("repeat", 1))
+    if repeat is None:
+        raise CircuitError(
+            f"{where}: repeat must be an integer, got {obj['repeat']!r}")
+    try:
+        return BlockRef(str(obj["block"]), repeat)
     except CircuitError as exc:
         raise CircuitError(f"{where}: {exc}") from exc
 
@@ -450,31 +494,49 @@ def _gate_from_json(obj: Mapping, where: str) -> Gate:
 def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
     """Build a nested circuit from decoded JSON: {format, n_input?, root,
     blocks:{name: [items]}} where an item is {"gate", "qubits", "angle"?} or
-    {"block", "repeat"?}. ``path`` only names the source in error messages."""
+    {"block", "repeat"?}. ``path`` only names the source in error messages,
+    which also name the block and the first position of the bad item.
+
+    Each distinct gate item is validated once and becomes one ``Gate``,
+    shared by its repetitions. Items are told apart by their name, the
+    ``repr`` of their qubits and their angle with its type, since ``1``,
+    ``1.0`` and ``true`` are equal as Python values but not as JSON input.
+    """
     if payload.get("format", NESTED_FORMAT) != NESTED_FORMAT:
         raise CircuitError(f"{path}: unsupported nested-circuit format")
     raw_blocks = payload.get("blocks")
     if not isinstance(raw_blocks, dict) or not raw_blocks:
         raise CircuitError(f"{path}: 'blocks' must be a non-empty object")
 
+    gates: dict[tuple, Gate] = {}
     blocks: dict[str, list[BodyItem]] = {}
     for name, body in raw_blocks.items():
+        if not isinstance(body, list):
+            raise CircuitError(f"{path}: block {name!r} must be a list of items")
         items: list[BodyItem] = []
         for k, obj in enumerate(body):
-            where = f"{path}: block {name!r} item {k}"
-            if "gate" in obj:
-                items.append(_gate_from_json(obj, where))
-            elif "block" in obj:
-                items.append(BlockRef(str(obj["block"]), int(obj.get("repeat", 1))))
-            else:
-                raise CircuitError(f"{where}: need 'gate' or 'block'")
+            if not (isinstance(obj, dict) and "gate" in obj):
+                items.append(_block_ref_from_json(
+                    obj, f"{path}: block {name!r} item {k}"))
+                continue
+            angle = obj.get("angle")
+            key = (obj["gate"], repr(obj.get("qubits")), angle, type(angle))
+            try:
+                gate = gates.get(key)
+            except TypeError:  # an unhashable name or angle, never valid
+                gate = None
+            if gate is None:
+                gate = gates[key] = _gate_from_json(
+                    obj, f"{path}: block {name!r} item {k}")
+            items.append(gate)
         blocks[name] = items
 
     root = payload.get("root")
     if root is None:
         root = next(iter(raw_blocks))
-    width = max((circuit_width(
-        [i for i in body if isinstance(i, Gate)]) for body in blocks.values()),
-        default=0)
-    n_input = int(payload.get("n_input", max(width, 1)))
+    n_input = _json_int(payload.get("n_input",
+                                    max(circuit_width(list(gates.values())), 1)))
+    if n_input is None:
+        raise CircuitError(
+            f"{path}: n_input must be an integer, got {payload['n_input']!r}")
     return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))

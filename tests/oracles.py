@@ -624,3 +624,52 @@ def timing_per_call(config, algo, sel, fresh):
         "t_hardware_total": t_hardware,
         "t_ft_total": config.n_algo_reps * t_hardware,
     }
+
+
+def pipe_sweep_per_point(algo, config, pipe_values):
+    """(label, distance, hardware time) of each pipe count, with the machine
+    re-timed afresh at every point by ``compute_timing``."""
+    from dataclasses import replace
+
+    from qre.estimator import compute_timing, solve_distance_and_factory
+
+    sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+    return [(str(pipes), sel.d,
+             compute_timing(replace(config, n_inter_pipes=pipes), algo,
+                            sel).t_hardware_total)
+            for pipes in pipe_values]
+
+
+# --------------------------------------------------------------------------
+# Nested-circuit JSON parsed item by item
+# --------------------------------------------------------------------------
+
+def parse_nested_per_item(payload, path):
+    """Nested-circuit JSON parsed as before gate items were interned: one
+    ``Gate`` built and validated per item, qubits and repeats read with
+    ``int()``. Takes only well-formed input."""
+    from qre.circuit import _QASM_NAME_TO_KIND, Gate, _eval_angle, circuit_width
+    from qre.widgetizer import BlockRef, NestedCircuit
+
+    blocks = {}
+    for name, body in payload["blocks"].items():
+        items = []
+        for obj in body:
+            if "gate" in obj:
+                angle = obj.get("angle")
+                if isinstance(angle, str):
+                    angle = _eval_angle(angle, 0)
+                if angle is not None:
+                    angle = float(angle)
+                items.append(Gate(_QASM_NAME_TO_KIND[obj["gate"]],
+                                  tuple(map(int, obj.get("qubits", ()))),
+                                  angle))
+            else:
+                items.append(BlockRef(str(obj["block"]),
+                                      int(obj.get("repeat", 1))))
+        blocks[name] = items
+    root = payload.get("root", next(iter(payload["blocks"])))
+    width = max(circuit_width([i for i in body if isinstance(i, Gate)])
+                for body in blocks.values())
+    return NestedCircuit(int(payload.get("n_input", max(width, 1))), blocks,
+                         str(root))

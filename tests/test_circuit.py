@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dense import circuit_unitary
 from qre import _sim, circuit
 from qre.circuit import (
+    KIND_NAME,
     CircuitError,
     Gate,
     GateKind,
@@ -17,6 +18,7 @@ from qre.circuit import (
     count_stitches,
     emit_qasm,
     gate,
+    gate_list_digest,
     generate_qft,
     parse_qasm,
     parse_widget_file,
@@ -47,6 +49,29 @@ def _gate_matrix(g: Gate):
     if g.kind is GateKind.CPhase:
         return _sim.cphase_mat(g.angle)
     return table[g.kind]
+
+
+class TestGate:
+    def test_negative_qubit_rejected(self):
+        with pytest.raises(CircuitError, match="negative qubit index"):
+            Gate(GateKind.CX, (-1, 0))
+        with pytest.raises(CircuitError, match="negative qubit index"):
+            gate(GateKind.Rz, -3, angle=0.1)
+
+    def test_kinds_hash_by_identity_and_name_table(self):
+        assert all(hash(kind) == object.__hash__(kind) for kind in GateKind)
+        assert KIND_NAME == {kind: kind.value for kind in GateKind}
+
+    def test_digest_is_exact(self):
+        qft = generate_qft(4)
+        assert gate_list_digest(qft) == gate_list_digest(tuple(qft))
+        assert gate_list_digest(qft) != gate_list_digest(qft[:-1])
+        near = [[gate(GateKind.Rz, 0, angle=a)] for a in (0.1234561, 0.1234564)]
+        assert repr(near[0]) == repr(near[1])  # Gate.__repr__ rounds
+        assert gate_list_digest(near[0]) != gate_list_digest(near[1])
+        moved = [gate(GateKind.CX, 1, 0)]
+        assert gate_list_digest(moved) != gate_list_digest([gate(GateKind.CX, 0, 1)])
+        assert len(gate_list_digest(qft)) == 64
 
 
 class TestParseQasm:
@@ -297,6 +322,15 @@ class TestWidgetFiles:
             "sequence": ["A"],
         }
         with pytest.raises(CircuitError, match="declares 3"):
+            parse_widget_file(payload, self.PATH)
+
+    @pytest.mark.parametrize("body", [5, None, ["h q[0];"], {"qasm": "x"}])
+    def test_widget_body_not_a_string(self, body):
+        payload = {"format": 1, "n_input": 1,
+                   "distinct_widgets": {"A": "qreg q[1]; t q[0];", "B": body},
+                   "sequence": ["A", "B"]}
+        with pytest.raises(CircuitError,
+                           match=r"circ\.json: widget 'B' must be an OpenQASM"):
             parse_widget_file(payload, self.PATH)
 
     def test_count_stitches_plain(self):

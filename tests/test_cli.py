@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import json
+
 import pytest
 
 from qre.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_IO, EXIT_OK, main
@@ -203,6 +205,51 @@ class TestSweep:
     def test_bad_values_invalid(self, qft3_path):
         rc = main(["sweep", "pipes", str(qft3_path), "--values", "1,two"])
         assert rc == EXIT_INVALID
+
+    @pytest.mark.parametrize("values, token", [
+        ("1,x", "'x'"), ("", "''"), ("2,,3", "''"), ("1.5", "'1.5'")])
+    def test_non_integer_values_name_the_token(self, qft3_path, capsys,
+                                               values, token):
+        rc = main(["sweep", "pipes", str(qft3_path), f"--values={values}"])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"--values: {token} is not an integer" in err
+
+    @pytest.mark.parametrize("values", ["0", "-1", "4,0"])
+    def test_pipe_counts_below_one_invalid(self, qft3_path, capsys, values):
+        rc = main(["sweep", "pipes", str(qft3_path), f"--values={values}"])
+        assert rc == EXIT_INVALID
+        assert ("architecture.n_inter_pipes must be >= 1"
+                in capsys.readouterr().err)
+
+
+class TestBadInput:
+    NESTED = {
+        "negative qubit": {"gate": "cx", "qubits": [-1, 0]},
+        "fractional repeat": {"block": "w", "repeat": 2.5},
+        "boolean repeat": {"block": "w", "repeat": True},
+        "string repeat": {"block": "w", "repeat": "x"},
+        "qubits not a list": {"gate": "h", "qubits": 3},
+        "list angle": {"gate": "rz", "qubits": [0], "angle": [1]},
+        "a number": 7,
+        "a list": ["h", 0],
+    }
+
+    @pytest.mark.parametrize("case", sorted(NESTED))
+    def test_bad_nested_item_is_invalid(self, tmp_path, capsys, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_input": 2, "blocks": {
+            "main": [{"gate": "h", "qubits": [0]}, self.NESTED[case]],
+            "w": [{"gate": "x", "qubits": [1]}]}}))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert "block 'main' item 1: " in capsys.readouterr().err
+
+    def test_widget_body_not_a_string_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_input": 1, "sequence": ["A"],
+                                    "distinct_widgets": {"A": 7}}))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert "widget 'A' must be an OpenQASM string" in capsys.readouterr().err
 
 
 class TestParser:

@@ -4,16 +4,26 @@ import hashlib
 import json
 import sys
 import threading
+from dataclasses import replace
 
 import pytest
 
+from oracles import pipe_sweep_per_point
 from pool import benchmark_pool_circuit
 from qre import compiler, pipeline
 from qre.architecture import EstimationError
-from qre.circuit import CircuitError, emit_qasm, gate, generate_qft, transpile
+from qre.circuit import (
+    CircuitError,
+    WidgetizedCircuit,
+    emit_qasm,
+    gate,
+    generate_qft,
+    transpile,
+)
 from qre.circuit import GateKind as G
 from qre.cli import main
-from qre.config import ArchConfig
+from qre.config import ArchConfig, ConfigError
+from qre.estimator import solve_distance_and_factory
 from qre.pipeline import (
     LoadedCircuit,
     compile_plan,
@@ -25,6 +35,7 @@ from qre.pipeline import (
     verify_circuit,
 )
 from qre.report import parse_csv, render_csv
+from qre.widgetizer import WidgetPlan
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +276,8 @@ class TestWidgetCache:
                                                  tmp_path):
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
-        (gates,) = plan.widgets.values()
-        key = compiler.cache_key(gates, plan.n_input, config.fan_out)
+        key = compiler.cache_key(plan.digest("w0"), plan.n_input,
+                                 config.fan_out)
         cache.mkdir()
         (cache / f"widget-{key}.tmp").mkdir()
         (cache / f"widget-{key}.stale.tmp").write_text("half a rec")
@@ -274,6 +285,33 @@ class TestWidgetCache:
         record = compiler.load_cached(cache, key)
         assert record == compile_plan(plan, config)[0].compiled["w0"]
         assert len(cache_entries(cache)) == 3
+
+    def test_format_3_entry_is_recomputed_and_overwritten(
+            self, qft3_path, config, tmp_path):
+        cache = tmp_path / "cache"
+        plan = load_circuit(qft3_path, config).plan
+        fresh = compile_plan(plan, config)[0].compiled["w0"]
+        compile_plan(plan, config, cache)
+        (entry,) = cache.iterdir()
+        payload = json.loads(entry.read_text())
+        assert payload["format"] == compiler.CACHE_FORMAT == 4
+        payload["format"] = 3
+        payload["n_nodes"] += 1  # a stale record must not be read
+        entry.write_text(json.dumps(payload))
+        assert compile_plan(plan, config, cache)[0].compiled["w0"] == fresh
+        assert json.loads(entry.read_text())["format"] == 4
+        assert compiler.load_cached(cache, payload["key"]) == fresh
+
+    def test_entries_are_keyed_on_the_plan_digests(self, pool3_path, config,
+                                                   tmp_path):
+        plan = load_circuit(pool3_path, config).plan
+        compile_plan(plan, config, tmp_path)
+        keys = {compiler.cache_key(plan.digest(wid), plan.n_input,
+                                   config.fan_out)
+                for wid in plan.widgets}
+        assert cache_entries(tmp_path) == sorted(f"widget-{key}.json"
+                                                 for key in keys)
+        assert len(keys) == plan.n_distinct_widgets == 120
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         record = compiler.WidgetRecord(1, 1, 0, (0,), (), (), 0, 1,
@@ -374,7 +412,85 @@ def qft3_algo(qft3_path, config):
     return algo
 
 
+@pytest.fixture(scope="module")
+def pool3_small_modules(pool3_path):
+    """Pool circuit 3 on modules small enough for two per leg."""
+    config = ArchConfig(n_phys_per_module=250_000)
+    algo, _ = compile_plan(load_circuit(pool3_path, config).plan, config)
+    return config, algo
+
+
+@pytest.fixture(scope="module")
+def qft20_small_modules():
+    """QFT-20, one widget, on modules small enough for two per leg: only
+    its preparation crossings depend on the pipe count."""
+    config = ArchConfig(n_phys_per_module=300_000)
+    plan = WidgetPlan.from_widgetized(WidgetizedCircuit.single(
+        generate_qft(20)))
+    return config, compile_plan(plan, config)[0]
+
+
+def count_timing_calls(monkeypatch):
+    """Pipe counts of the `compute_timing` calls the sweeps make."""
+    calls = []
+    timing = pipeline.compute_timing
+
+    def counted(config, algo, sel):
+        calls.append(config.n_inter_pipes)
+        return timing(config, algo, sel)
+
+    monkeypatch.setattr(pipeline, "compute_timing", counted)
+    return calls
+
+
 class TestSweeps:
+    @pytest.mark.parametrize("t_inter", [1e-6, 1e-4])
+    @pytest.mark.parametrize("values", [range(1, 129), (64, 1, 64, 3)],
+                             ids=["1-128", "unsorted-repeated"])
+    def test_pipe_sweep_matches_per_point_timing(self, pool3_small_modules,
+                                                 t_inter, values):
+        config, algo = pool3_small_modules
+        config = replace(config, t_inter=t_inter)
+        rows = run_pipe_sweep(algo, config, values)
+        expected = pipe_sweep_per_point(algo, config, values)
+        assert [(r.label, r.d, r.t_hardware) for r in rows] == expected
+        assert [r.normalized_runtime for r in rows] == [
+            t / expected[0][2] for _, _, t in expected]
+        assert len({r.t_hardware for r in rows}) > 1
+
+    def test_one_module_sweep_times_once(self, pool3_path, config,
+                                         monkeypatch):
+        algo, _ = compile_plan(load_circuit(pool3_path, config).plan, config)
+        calls = count_timing_calls(monkeypatch)
+        rows = run_pipe_sweep(algo, config, range(1, 65))
+        assert calls == [1]
+        assert len(rows) == 64
+        assert all(r.t_hardware == rows[0].t_hardware for r in rows)
+
+    @pytest.mark.parametrize("machine", ["pool3_small_modules",
+                                         "qft20_small_modules"])
+    def test_sweep_times_each_rounds_tuple_once(self, request, machine,
+                                                monkeypatch):
+        config, algo = request.getfixturevalue(machine)
+        sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+        assert sel.layout.n_per_leg == 2
+        inputs = algo.timing_inputs(sel.layout)
+        first_of_each = {}
+        for pipes in range(1, 129):
+            first_of_each.setdefault(inputs.pipe_rounds(pipes), pipes)
+        calls = count_timing_calls(monkeypatch)
+        run_pipe_sweep(algo, config, range(1, 129))
+        assert calls == list(first_of_each.values())
+        assert 1 < len(calls) < 128
+
+    @pytest.mark.parametrize("values", [[0], [-1], [2, 0]])
+    def test_pipe_counts_below_one_fail_config_validation(
+            self, pool3_small_modules, values):
+        config, algo = pool3_small_modules
+        with pytest.raises(ConfigError,
+                           match="architecture.n_inter_pipes must be >= 1"):
+            run_pipe_sweep(algo, config, values)
+
     def test_pipe_sweep_single_module_is_flat(self, qft3_algo, config):
         rows = run_pipe_sweep(qft3_algo, config, [1, 2, 4, 8])
         assert [r.label for r in rows] == ["1", "2", "4", "8"]

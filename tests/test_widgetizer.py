@@ -1,15 +1,28 @@
 """Tests for dependency-graph construction and lazy widget/stitch counting."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qre.circuit import CircuitError, Gate, GateKind, WidgetizedCircuit, gate
+from oracles import parse_nested_per_item
+from pool import benchmark_pool_circuit
+from qre.circuit import (
+    CircuitError,
+    Gate,
+    GateKind,
+    WidgetizedCircuit,
+    gate,
+    gate_list_digest,
+)
+from qre.config import ArchConfig
 from qre.widgetizer import (
     BlockRef,
     NestedCircuit,
     SplitCriterion,
     SubcircuitNode,
     WidgetPlan,
+    _collect_leaves,
     assign_moments,
     build_dependency_graph,
     iter_leaf_sequence,
@@ -293,3 +306,126 @@ class TestNestedFile:
         payload = {"blocks": {"main": [{"gate": ["h"], "qubits": [0]}]}}
         with pytest.raises(CircuitError, match="unsupported gate"):
             parse_nested_file(payload, "nested.json")
+
+    BAD_ITEMS = {
+        "negative qubit": {"gate": "cx", "qubits": [-1, 0]},
+        "fractional qubit": {"gate": "h", "qubits": [0.5]},
+        "boolean qubit": {"gate": "h", "qubits": [True]},
+        "string qubit": {"gate": "h", "qubits": ["0"]},
+        "qubits not a list": {"gate": "h", "qubits": 3},
+        "list angle": {"gate": "rz", "qubits": [0], "angle": [1]},
+        "boolean angle": {"gate": "rz", "qubits": [0], "angle": True},
+        "bad angle expression": {"gate": "rz", "qubits": [0], "angle": "pi/"},
+        "fractional repeat": {"block": "w", "repeat": 2.5},
+        "boolean repeat": {"block": "w", "repeat": True},
+        "string repeat": {"block": "w", "repeat": "x"},
+        "zero repeat": {"block": "w", "repeat": 0},
+        "not an object": ["h", 0],
+        "a string": "h q[0]",
+        "neither gate nor block": {"qubits": [0]},
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_ITEMS))
+    def test_bad_item_names_block_and_item(self, case):
+        payload = {"blocks": {
+            "main": [{"gate": "h", "qubits": [0]}, {"block": "w"},
+                     self.BAD_ITEMS[case]],
+            "w": [{"gate": "x", "qubits": [0]}]}}
+        with pytest.raises(CircuitError,
+                           match=r"^nested\.json: block 'main' item 2: "):
+            parse_nested_file(payload, "nested.json")
+
+    def test_block_body_not_a_list(self):
+        payload = {"blocks": {"main": {"gate": "h", "qubits": [0]}}}
+        with pytest.raises(CircuitError, match="block 'main' must be a list"):
+            parse_nested_file(payload, "nested.json")
+
+    def test_non_integral_n_input(self):
+        payload = {"n_input": 2.5, "blocks": {"main": [{"gate": "h",
+                                                         "qubits": [0]}]}}
+        with pytest.raises(CircuitError, match="n_input must be an integer"):
+            parse_nested_file(payload, "nested.json")
+
+    def test_repeated_bad_item_names_its_first_position(self):
+        bad = {"gate": "cx", "qubits": [-1, 0]}
+        payload = {"blocks": {"a": [{"gate": "h", "qubits": [0]}, bad],
+                              "b": [dict(bad), bad]}}
+        with pytest.raises(CircuitError, match=r"block 'a' item 1: "):
+            parse_nested_file(payload, "nested.json")
+
+    @pytest.mark.parametrize("good, bad", [
+        ({"gate": "h", "qubits": [1]}, {"gate": "h", "qubits": [True]}),
+        ({"gate": "h", "qubits": [0]}, {"gate": "h", "qubits": [False]}),
+        ({"gate": "rz", "qubits": [0], "angle": 1},
+         {"gate": "rz", "qubits": [0], "angle": True}),
+    ])
+    def test_boolean_rejected_after_an_equal_number(self, good, bad):
+        payload = {"blocks": {"main": [good, bad]}}
+        with pytest.raises(CircuitError, match="item 1: "):
+            parse_nested_file(payload, "nested.json")
+
+    def test_equal_items_share_one_gate(self):
+        cx = {"gate": "cx", "qubits": [0, 1]}
+        payload = {"blocks": {"main": [cx, dict(cx), {"block": "b"}],
+                              "b": [dict(cx), {"gate": "cx", "qubits": [1, 0]}]}}
+        circ = parse_nested_file(payload, "nested.json")
+        a, b, _ = circ.blocks["main"]
+        c, d = circ.blocks["b"]
+        assert a is b is c
+        assert d.qubits == (1, 0)
+
+    def test_numeric_spellings_parse_as_before(self):
+        payload = {"n_input": 3.0, "blocks": {
+            "main": [{"gate": "rz", "qubits": [0], "angle": "pi/4"},
+                     {"gate": "rz", "qubits": [0],
+                      "angle": 0.7853981633974483},
+                     {"gate": "cp", "qubits": [0, 2], "angle": 1},
+                     {"gate": "cp", "qubits": [0, 2], "angle": 1.0},
+                     {"gate": "cx", "qubits": [0, 1]},
+                     {"gate": "cx", "qubits": [0.0, 1.0]},
+                     {"block": "w", "repeat": 2.0},
+                     {"block": "w", "repeat": 2}],
+            "w": [{"gate": "h", "qubits": [2]}]}}
+        circ = parse_nested_file(payload, "nested.json")
+        assert circ == parse_nested_per_item(payload, "nested.json")
+        assert circ.n_input == 3 and circ.blocks["main"][0].angle == 0.7853981633974483
+
+    @pytest.mark.parametrize("sub_seed", range(16))
+    def test_pool_plans_match_per_item_parse(self, sub_seed):
+        payload = json.loads(benchmark_pool_circuit(sub_seed))
+        config = ArchConfig()
+        criterion = SplitCriterion(config.max_active_qubits, config.max_gates,
+                                   config.slice_moments)
+        plans = []
+        for parse in (parse_nested_file, parse_nested_per_item):
+            circ = parse(payload, "pool.json")
+            plans.append(WidgetPlan.from_root(
+                build_dependency_graph(circ, criterion), circ.n_input))
+        assert plans[0] == plans[1]
+        assert plans[0].n_distinct_widgets == 120
+
+
+class TestSharedDigest:
+    def test_leaf_keys_and_plan_digests_are_gate_list_digests(self):
+        payload = json.loads(benchmark_pool_circuit(3))
+        config = ArchConfig()
+        criterion = SplitCriterion(config.max_active_qubits, config.max_gates,
+                                   config.slice_moments)
+        circ = parse_nested_file(payload, "pool.json")
+        root = build_dependency_graph(circ, criterion)
+        plan = WidgetPlan.from_root(root, circ.n_input)
+        for wid, leaf in _collect_leaves(root).items():
+            assert leaf.equivalence_key == gate_list_digest(leaf.gates)
+            assert plan.digests[wid] == leaf.equivalence_key
+
+    def test_widgetized_plan_digests_on_first_use(self):
+        wc = WidgetizedCircuit(n_input=2, widgets=["a", "b", "a"],
+                               distinct_widgets={"a": [gate(GateKind.H, 0)],
+                                                 "b": [gate(GateKind.CX, 0, 1)],
+                                                 "unused": []})
+        plan = WidgetPlan.from_widgetized(wc)
+        assert plan.digests == {}
+        for wid, gates in plan.widgets.items():
+            assert plan.digest(wid) == gate_list_digest(gates)
+        assert set(plan.digests) == {"a", "b"}
+        assert plan == WidgetPlan.from_widgetized(wc)
