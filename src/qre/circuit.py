@@ -1,8 +1,11 @@
-"""Logical-circuit representation, parsing, transpilation, and test fixtures.
+"""Logical gates: representation, OpenQASM parsing, transpilation, and the
+QFT generator.
 
 The gate alphabet is frozen: 1Q/2Q Cliffords, T/Tdg, arbitrary-angle Rz, plus
 the two composites (CCX, CPhase) that the transpiler expands exactly. Anything
-else in an input file is a hard parse error.
+else in an input file is a hard parse error. The two JSON inputs, widget
+tables and nested blocks, are read in ``widgetizer``, which builds the
+widget plan of every input.
 """
 
 from __future__ import annotations
@@ -12,10 +15,9 @@ import functools
 import hashlib
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class GateKind(Enum):
@@ -256,108 +258,6 @@ def emit_qasm(gates: Sequence[Gate], n_qubits: int | None = None) -> str:
         else:
             lines.append(f"{g.kind.value} {operands};")
     return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Widget files
-# --------------------------------------------------------------------------
-
-WIDGET_FORMAT = 1
-
-
-@dataclass
-class WidgetizedCircuit:
-    """A fixed-width widget sequence with its distinct-widget table.
-
-    ``stitches`` counts ordered adjacent pairs in the sequence; it always holds
-    exactly n_widgets - 1 entries counting multiplicity.
-    """
-
-    n_input: int
-    widgets: list[str]
-    distinct_widgets: dict[str, list[Gate]]
-    stitches: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.n_input < 1:
-            raise CircuitError("n_input must be >= 1")
-        if not self.widgets:
-            raise CircuitError("widget sequence is empty")
-        for wid in self.widgets:
-            if wid not in self.distinct_widgets:
-                raise CircuitError(f"sequence references undefined widget {wid!r}")
-        for wid, gates in self.distinct_widgets.items():
-            if circuit_width(gates) > self.n_input:
-                raise CircuitError(
-                    f"widget {wid!r} touches qubit {circuit_width(gates) - 1}, "
-                    f"beyond n_input={self.n_input}"
-                )
-        if not self.stitches:
-            self.stitches = count_stitches(self.widgets)
-
-    @property
-    def n_widgets(self) -> int:
-        return len(self.widgets)
-
-    @property
-    def n_distinct_widgets(self) -> int:
-        return len(self.distinct_widgets)
-
-    @classmethod
-    def single(cls, gates: Sequence[Gate], n_input: int | None = None) -> "WidgetizedCircuit":
-        """Wrap one flat gate list as a single-widget circuit."""
-        width = circuit_width(gates)
-        return cls(
-            n_input=n_input if n_input is not None else max(width, 1),
-            widgets=["w0"],
-            distinct_widgets={"w0": list(gates)},
-        )
-
-
-def count_stitches(sequence: Sequence[str]) -> dict[tuple[str, str], int]:
-    """Ordered adjacent-pair multiplicities of a widget sequence."""
-    stitches: dict[tuple[str, str], int] = {}
-    for a, b in zip(sequence, sequence[1:]):
-        stitches[(a, b)] = stitches.get((a, b), 0) + 1
-    return stitches
-
-
-def parse_widget_file(payload: Mapping, path: str | Path) -> WidgetizedCircuit:
-    """Build a widgetized circuit from decoded widget-table JSON: {format,
-    n_input, distinct_widgets, sequence}. ``path`` only names the source in
-    error messages."""
-    fmt = payload.get("format", WIDGET_FORMAT)
-    if fmt != WIDGET_FORMAT:
-        raise CircuitError(f"{path}: unsupported widget file format {fmt!r}")
-    try:
-        n_input = int(payload["n_input"])
-        table = payload["distinct_widgets"]
-        sequence = payload["sequence"]
-    except KeyError as exc:
-        raise CircuitError(f"{path}: missing key {exc.args[0]!r}") from exc
-    if not isinstance(table, dict) or not isinstance(sequence, list):
-        raise CircuitError(f"{path}: distinct_widgets must be a map and sequence a list")
-
-    distinct: dict[str, list[Gate]] = {}
-    for wid, qasm in table.items():
-        if not isinstance(qasm, str):
-            raise CircuitError(
-                f"{path}: widget {wid!r} must be an OpenQASM string, "
-                f"got {type(qasm).__name__}")
-        gates = parse_qasm(qasm)
-        declared = _declared_width(qasm)
-        if declared is not None and declared != n_input:
-            raise CircuitError(
-                f"{path}: widget {wid!r} declares {declared} qubits, expected {n_input}"
-            )
-        distinct[wid] = gates
-    return WidgetizedCircuit(n_input=n_input, widgets=[str(w) for w in sequence],
-                             distinct_widgets=distinct)
-
-
-def _declared_width(qasm: str) -> int | None:
-    m = re.search(r"qreg\s+[A-Za-z_][A-Za-z0-9_]*\s*\[\s*(\d+)\s*\]", qasm)
-    return int(m.group(1)) if m else None
 
 
 # --------------------------------------------------------------------------

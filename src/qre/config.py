@@ -9,6 +9,7 @@ invariant (e.g. a physical error rate at or above threshold) are hard errors.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -140,14 +141,24 @@ _INT_FIELDS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes", "fan_out",
                "width", "length", "qubits"}
 
 
-def _coerce(field_name: str, value):
-    if field_name not in _INT_FIELDS:
-        return None if value is None else float(value)
-    if isinstance(value, int):
-        return int(value)
-    number = float(value)
+def _number(name: str, value, integer: bool = False):
+    """``value`` as a float, or as an int for an integer field, from a number
+    or a numeric string. Anything else, booleans, ``None`` and NaN included,
+    is a ConfigError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{name}: must be a number, got {value!r}")
+    if integer and isinstance(value, int):
+        return value
+    try:
+        number = float(value)
+    except (ValueError, OverflowError):
+        number = math.nan
+    if math.isnan(number):
+        raise ConfigError(f"{name}: must be a number, got {value!r}")
+    if not integer:
+        return number
     if not number.is_integer():
-        raise ValueError(f"{field_name} must be a whole number, got {value!r}")
+        raise ConfigError(f"{name}: must be a whole number, got {value!r}")
     return int(number)
 
 
@@ -187,18 +198,12 @@ def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchC
             if target is None:
                 warnings.warn(
                     f"{source}: unknown key {section}.{key} ignored")
-                continue
-            try:
-                overrides[target] = _coerce(target, value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{source}: {section}.{key}: {exc}") from exc
-
-    try:
-        return ArchConfig(**overrides)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+            elif target == "epsilon" and value is None:
+                overrides[target] = None  # solve for it
+            else:
+                overrides[target] = _number(f"{source}: {section}.{key}",
+                                            value, target in _INT_FIELDS)
+    return ArchConfig(**overrides)
 
 
 # factories row key -> TFactory field
@@ -216,25 +221,21 @@ def _parse_factories(content, source: str) -> tuple[TFactory, ...]:
         known = {"name", *_FACTORY_FIELDS}
         for key in row.keys() - known:
             warnings.warn(f"{source}: unknown key factories[{i}].{key} ignored")
-        try:
-            fields = {}
-            for key, field in _FACTORY_FIELDS.items():
-                try:
-                    if row[key] is None:
-                        raise ValueError("must be a number, got None")
-                    fields[field] = _coerce(key, row[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(
-                        f"{source}: factories[{i}].{key}: {exc}") from exc
-            rows.append(TFactory(name=str(row["name"]), **fields))
-        except ConfigError:
-            raise
-        except KeyError as exc:
+        missing = [key for key in (*_FACTORY_FIELDS, "name") if key not in row]
+        if missing:
             raise ConfigError(
-                f"{source}: factories[{i}] missing key {exc.args[0]!r}") from exc
+                f"{source}: factories[{i}] missing key {missing[0]!r}")
+        fields = {field: _number(f"{source}: factories[{i}].{key}",
+                                 row[key], key in _INT_FIELDS)
+                  for key, field in _FACTORY_FIELDS.items()}
+        try:
+            rows.append(TFactory(name=str(row["name"]), **fields))
         except ValueError as exc:
             raise ConfigError(f"{source}: factories[{i}]: {exc}") from exc
     return tuple(rows)
+
+
+_LINE_FIELDS = ("per_qubit", "load_4k", "load_20mk")
 
 
 def _parse_thermal(content, source: str) -> ThermalConfig:
@@ -250,7 +251,7 @@ def _parse_thermal(content, source: str) -> ThermalConfig:
     lines = {c.name: c for c in DEFAULT_THERMAL.lines}
     for key, value in content.items():
         if key in kwargs:
-            kwargs[key] = float(value)
+            kwargs[key] = _number(f"{source}: thermal.{key}", value)
         elif key == "lines":
             if not isinstance(value, dict):
                 raise ConfigError(f"{source}: thermal.lines must be a mapping")
@@ -263,16 +264,14 @@ def _parse_thermal(content, source: str) -> ThermalConfig:
                 if not isinstance(entry, dict):
                     raise ConfigError(
                         f"{source}: thermal.lines.{name} must be a mapping")
-                for k in entry.keys() - {"per_qubit", "load_4k", "load_20mk"}:
+                for k in entry.keys() - set(_LINE_FIELDS):
                     warnings.warn(
                         f"{source}: unknown key thermal.lines.{name}.{k} ignored")
+                loads = {k: _number(f"{source}: thermal.lines.{name}.{k}",
+                                    entry.get(k, getattr(base, k)))
+                         for k in _LINE_FIELDS}
                 try:
-                    lines[name] = LineClass(
-                        name=name,
-                        per_qubit=float(entry.get("per_qubit", base.per_qubit)),
-                        load_4k=float(entry.get("load_4k", base.load_4k)),
-                        load_20mk=float(entry.get("load_20mk", base.load_20mk)),
-                    )
+                    lines[name] = LineClass(name=name, **loads)
                 except ValueError as exc:
                     raise ConfigError(
                         f"{source}: thermal.lines.{name}: {exc}") from exc

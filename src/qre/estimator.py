@@ -130,6 +130,10 @@ class CompiledAlgorithm:
     compiled: Mapping[str, WidgetRecord]
     _timing_memo: dict[tuple[int, int], _TimingInputs] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # Distance/factory selection per whole config, filled by the pipeline:
+    # an estimate and its sweeps solve each distinct config once.
+    selections: dict[ArchConfig, SelectionResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         missing = set(self.plan.widgets) - set(self.compiled)

@@ -6,6 +6,10 @@ the run-level concerns the stages themselves do not: input-format dispatch
 provenance hashing, and parameter sweeps that re-solve or re-time one
 compiled algorithm.
 
+``load_circuit`` builds the widget plan and expands nothing. Only
+``verify_circuit`` calls ``LoadedCircuit.expand``, and it checks the plan
+against the source's own gates.
+
 The widget cache sits at ``compile_plan``'s per-widget step. Its key comes
 from the widget's gate-list digest (``WidgetPlan.digest``), the wire count
 and the preparation fan-out; its value is the ``WidgetRecord`` that
@@ -13,9 +17,11 @@ estimation reads. A hit therefore transpiles, compiles and schedules
 nothing. ``verify_circuit`` does not use the cache: it compiles every
 distinct widget afresh, since it needs the fields the record leaves out.
 
-A pipe sweep solves the machine once and times it once per distinct tuple
-of pipe rounds (``_TimingInputs.pipe_rounds``), the only way the timing
-reads the pipe count; every pipe count with that tuple reuses the time.
+Each distinct config is solved once per compiled algorithm
+(``CompiledAlgorithm.selections``), so a sweep reuses the estimate's solve.
+A pipe sweep times the machine once per distinct tuple of pipe rounds
+(``_TimingInputs.pipe_rounds``), the only way the timing reads the pipe
+count; every pipe count with that tuple reuses the time.
 """
 
 from __future__ import annotations
@@ -23,18 +29,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import __version__, compiler
 from .circuit import (
     CircuitError,
     Gate,
-    WidgetizedCircuit,
+    circuit_width,
     invert_gates,
     parse_qasm,
-    parse_widget_file,
     transpile,
 )
 from .compiler import (
@@ -61,6 +66,7 @@ from .widgetizer import (
     build_dependency_graph,
     iter_leaf_sequence,
     parse_nested_file,
+    parse_widget_file,
 )
 
 __all__ = [
@@ -76,18 +82,23 @@ __all__ = [
     "verify_circuit",
 ]
 
-SEQUENCE_LIMIT = 100_000  # widget sequences longer than this stay symbolic
+Expansion = tuple[tuple[str, ...], list[Gate]]
 
 
 @dataclass(frozen=True)
 class LoadedCircuit:
-    """A parsed circuit source: the estimation plan, the expanded widget
-    sequence when it is small enough to materialize, and the raw bytes for
-    provenance hashing."""
+    """A parsed circuit source: the estimation plan, the raw bytes for
+    provenance hashing, and the source, which only ``expand`` reads."""
 
     plan: WidgetPlan
-    sequence: tuple[str, ...] | None
     data: bytes
+    _expand: Callable[[], Expansion] = field(repr=False, compare=False)
+
+    def expand(self) -> Expansion:
+        """The widget sequence and the source gate list, both in source
+        order. Each is as long as the expanded circuit, so check
+        ``plan.n_widgets`` before calling this."""
+        return self._expand()
 
 
 def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
@@ -97,17 +108,15 @@ def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
     latter widgetized under the configured split thresholds."""
     data = Path(path).read_bytes()
     if not data.lstrip().startswith(b"{"):
-        wc = WidgetizedCircuit.single(parse_qasm(data.decode()))
-        return LoadedCircuit(WidgetPlan.from_widgetized(wc),
-                             tuple(wc.widgets), data)
+        gates = parse_qasm(data.decode())
+        return _flat(max(circuit_width(gates), 1), {"w0": gates}, ["w0"],
+                     data)
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
     if "distinct_widgets" in payload:
-        wc = parse_widget_file(payload, path)
-        return LoadedCircuit(WidgetPlan.from_widgetized(wc),
-                             tuple(wc.widgets), data)
+        return _flat(*parse_widget_file(payload, path), data)
     nested = parse_nested_file(payload, path)
     criterion = SplitCriterion(
         max_active_qubits=config.max_active_qubits,
@@ -115,13 +124,17 @@ def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
         slice_moments=config.slice_moments,
     )
     root = build_dependency_graph(nested, criterion)
-    plan = WidgetPlan.from_root(root, nested.n_input)
-    sequence: tuple[str, ...] | None
-    if plan.n_widgets <= SEQUENCE_LIMIT:
-        sequence = tuple(iter_leaf_sequence(root))
-    else:
-        sequence = None
-    return LoadedCircuit(plan, sequence, data)
+    return LoadedCircuit(
+        WidgetPlan.from_root(root, nested.n_input), data,
+        lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
+
+
+def _flat(n_input: int, table: Mapping[str, list[Gate]],
+          sequence: list[str], data: bytes) -> LoadedCircuit:
+    """A flat widget sequence over a table of gate lists."""
+    return LoadedCircuit(
+        WidgetPlan.from_sequence(n_input, table, sequence), data,
+        lambda: (tuple(sequence), [g for wid in sequence for g in table[wid]]))
 
 
 def compile_plan(
@@ -175,6 +188,16 @@ class EstimateResult:
     n_clifford_init: int
 
 
+def _select(algo: CompiledAlgorithm, config: ArchConfig) -> SelectionResult:
+    """The selection of ``algo`` under ``config``, solved on first use. The
+    solver is looked up here, so a wrapper on it sees every real solve."""
+    sel = algo.selections.get(config)
+    if sel is None:
+        sel = algo.selections[config] = solve_distance_and_factory(
+            config, algo.est, algo.l_prep_total)
+    return sel
+
+
 def _config_hash(config: ArchConfig) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
 
@@ -185,7 +208,7 @@ def _estimate(
     cache_dir: str | Path | None,
 ) -> EstimateResult:
     algo, n_clifford = compile_plan(loaded.plan, config, cache_dir)
-    sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+    sel = _select(algo, config)
     timing = compute_timing(config, algo, sel)
     provenance = {
         "config_hash": _config_hash(config),
@@ -244,8 +267,8 @@ def run_pipe_sweep(
     """Re-time the solved machine at each interconnect-pipe count.
 
     The distance/factory solution does not depend on the pipe count, so it
-    is solved once. The timing reads the pipe count only through the
-    layout's pipe rounds, so it is computed once per distinct rounds tuple
+    is the one solved for ``config``. The timing reads the pipe count only
+    through the layout's pipe rounds, so it is computed once per distinct rounds tuple
     and shared by every count that gives that tuple: one call in all when
     each leg is a single module.
     """
@@ -254,7 +277,7 @@ def run_pipe_sweep(
     # The pipe count is the only field that varies and its check is a lower
     # bound, so this validates every count before any rounds are computed.
     replace(config, n_inter_pipes=min(pipe_values))
-    sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+    sel = _select(algo, config)
     inputs = algo.timing_inputs(sel.layout)
     by_rounds: dict[tuple[int, ...], float] = {}
     solved = []
@@ -283,7 +306,7 @@ def run_decoder_sweep(
     for name in presets:
         kappa, p_thresh = SCALING_PRESETS[name]
         cfg = replace(config, kappa=kappa, p_thresh=p_thresh)
-        sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+        sel = _select(algo, cfg)
         timing = compute_timing(cfg, algo, sel)
         solved.append((sel.d, timing.t_hardware_total))
     return _normalize(list(presets), solved)
@@ -301,15 +324,22 @@ def render_sweep_csv(rows: Sequence[SweepRow], label_name: str) -> str:
 # Verification entry point
 # --------------------------------------------------------------------------
 
+SEQUENCE_LIMIT = 100_000  # the longest widget sequence verify expands
+
+
 def verify_circuit(loaded: LoadedCircuit, seed: int | None = None) -> float:
-    """Compile the circuit's widgets afresh, execute the sequence by exact
-    simulation, undo it with the inverted gate list, and return the overlap
-    with the initial state (1.0 means the compilation is unitarily exact)."""
-    if loaded.sequence is None:
-        raise CircuitError("circuit too large to expand for verification")
+    """Compile the plan's widgets afresh, execute its widget sequence by
+    exact simulation, undo it with the inverted *source* gate list, and
+    return the overlap with the initial state: 1.0 means the plan and its
+    compilation reproduce the source circuit exactly. A plan of more than
+    ``SEQUENCE_LIMIT`` widgets is refused before anything is expanded."""
     plan = loaded.plan
+    if plan.n_widgets > SEQUENCE_LIMIT:
+        raise CircuitError(
+            f"circuit too large to expand for verification: "
+            f"{plan.n_widgets} widgets, limit is {SEQUENCE_LIMIT}")
+    sequence, source = loaded.expand()
     compiled = {wid: compile_widget(transpile(gates), n_input=plan.n_input)
                 for wid, gates in plan.widgets.items()}
-    gates = [g for wid in loaded.sequence for g in plan.widgets[wid]]
-    return verify_unitarity([compiled[wid] for wid in loaded.sequence],
-                            invert_gates(gates), seed=seed)
+    return verify_unitarity([compiled[wid] for wid in sequence],
+                            invert_gates(source), seed=seed)

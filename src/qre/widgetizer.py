@@ -1,4 +1,8 @@
-"""Split nested circuits into widgets via a subcircuit dependency graph.
+"""Widget plans, the one model of a circuit that estimation reads, and the
+JSON readers. A flat QASM file or a widget table (``parse_widget_file``)
+becomes a plan through ``WidgetPlan.from_sequence``; a nested-block file
+(``parse_nested_file``) is split into widgets via a subcircuit dependency
+graph and folded by ``WidgetPlan.from_root``.
 
 Blocks are expanded depth-first; a node that violates the split criterion is
 decomposed (one child per operation) if it invokes other blocks, or sliced
@@ -13,11 +17,14 @@ each widget's digest, from which the widget cache derives its key.
 
 ``parse_nested_file`` validates each distinct gate item of a file once and
 builds one ``Gate`` for it, which every repetition of the item shares.
+Only ``verify`` expands a whole circuit (``iter_leaf_sequence``,
+``NestedCircuit.flatten``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence, Union
@@ -26,13 +33,14 @@ from .circuit import (
     _QASM_NAME_TO_KIND,
     CircuitError,
     Gate,
-    WidgetizedCircuit,
     _fold_angle,
     circuit_width,
     gate_list_digest,
+    parse_qasm,
 )
 
 NESTED_FORMAT = 1
+WIDGET_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,17 @@ class NestedCircuit:
                     raise CircuitError(f"block {name!r} references undefined {ref!r}")
         if width > self.n_input:
             raise CircuitError(f"gates touch qubit {width - 1}, beyond n_input={self.n_input}")
+
+    def flatten(self, name: str | None = None) -> list[Gate]:
+        """Block ``name`` (the root by default) fully expanded, in source
+        order. It is as long as the block's expanded gate count."""
+        out: list[Gate] = []
+        for item in self.blocks[self.root if name is None else name]:
+            if isinstance(item, Gate):
+                out.append(item)
+            else:
+                out.extend(self.flatten(item.name) * item.repeat)
+        return out
 
     def _check_acyclic(self, refs: Mapping[str, list[str]]) -> None:
         state: dict[str, int] = {}  # 1 = on stack, 2 = done
@@ -200,17 +219,6 @@ class _Builder:
         self._stats_memo[name] = stats
         return stats
 
-    def flatten(self, name: str) -> list[Gate]:
-        """Fully expand a block known to satisfy the criterion."""
-        out: list[Gate] = []
-        for item in self.circ.blocks[name]:
-            if isinstance(item, Gate):
-                out.append(item)
-            else:
-                body = self.flatten(item.name)
-                out.extend(body * item.repeat)
-        return out
-
     # -- node construction ---------------------------------------------------
 
     def build_block(self, name: str) -> SubcircuitNode:
@@ -221,7 +229,7 @@ class _Builder:
         has_refs = any(isinstance(item, BlockRef) for item in body)
 
         if not self.criterion.violated_by(len(qubit_set), n_gates):
-            node = self.build_leaf(self.flatten(name), label=name)
+            node = self.build_leaf(self.circ.flatten(name), label=name)
         elif has_refs:
             children: list[tuple[SubcircuitNode, int]] = []
             for k, item in enumerate(body):
@@ -301,11 +309,15 @@ class _Counts:
     stitches: Mapping[tuple[str, str], int]
 
 
-def _fold(node: SubcircuitNode, memo: dict[str, _Counts]) -> _Counts:
+def _fold(node: SubcircuitNode, memo: dict[str, _Counts],
+          leaves: dict[str, SubcircuitNode]) -> _Counts:
+    """Widget and stitch multiplicities of ``node``, memoized per node id;
+    every leaf reached is recorded in ``leaves``."""
     cached = memo.get(node.id)
     if cached is not None:
         return cached
     if node.is_leaf:
+        leaves[node.id] = node
         result = _Counts(node.id, node.id, {node.id: 1}, {})
     else:
         widgets: dict[str, int] = {}
@@ -313,7 +325,7 @@ def _fold(node: SubcircuitNode, memo: dict[str, _Counts]) -> _Counts:
         prev_last: str | None = None
         first: str | None = None
         for child, repeat in node.children:
-            sub = _fold(child, memo)
+            sub = _fold(child, memo, leaves)
             for wid, count in sub.widgets.items():
                 widgets[wid] = widgets.get(wid, 0) + repeat * count
             for pair, count in sub.stitches.items():
@@ -331,23 +343,6 @@ def _fold(node: SubcircuitNode, memo: dict[str, _Counts]) -> _Counts:
         result = _Counts(first, prev_last, widgets, stitches)
     memo[node.id] = result
     return result
-
-
-def _collect_leaves(node: SubcircuitNode) -> dict[str, SubcircuitNode]:
-    leaves: dict[str, SubcircuitNode] = {}
-    seen: set[str] = set()
-
-    def walk(n: SubcircuitNode) -> None:
-        if n.id in seen:
-            return
-        seen.add(n.id)
-        if n.is_leaf:
-            leaves[n.id] = n
-        for child, _ in n.children:
-            walk(child)
-
-    walk(node)
-    return leaves
 
 
 def iter_leaf_sequence(root: SubcircuitNode) -> Iterator[str]:
@@ -411,8 +406,8 @@ class WidgetPlan:
 
     @classmethod
     def from_root(cls, root: SubcircuitNode, n_input: int) -> "WidgetPlan":
-        counts = _fold(root, {})
-        leaves = _collect_leaves(root)
+        leaves: dict[str, SubcircuitNode] = {}
+        counts = _fold(root, {}, leaves)
         return cls(
             n_input=n_input,
             widgets={wid: leaves[wid].gates for wid in counts.widgets},
@@ -424,23 +419,44 @@ class WidgetPlan:
         )
 
     @classmethod
-    def from_widgetized(cls, wc: WidgetizedCircuit) -> "WidgetPlan":
+    def from_sequence(cls, n_input: int, widgets: Mapping[str, Sequence[Gate]],
+                      sequence: Sequence[str]) -> "WidgetPlan":
+        """The plan of a flat widget sequence over a table of gate lists,
+        with multiplicities and stitches counted in one pass. It keeps the
+        table's order, which orders the estimator's sums, and drops the
+        widgets the sequence never uses."""
+        if n_input < 1:
+            raise CircuitError("n_input must be >= 1")
+        if not sequence:
+            raise CircuitError("widget sequence is empty")
         multiplicity: dict[str, int] = {}
-        for wid in wc.widgets:
+        stitches: dict[tuple[str, str], int] = {}
+        prev = None
+        for wid in sequence:
+            if wid not in widgets:
+                raise CircuitError(f"sequence references undefined widget {wid!r}")
             multiplicity[wid] = multiplicity.get(wid, 0) + 1
+            if prev is not None:
+                stitches[(prev, wid)] = stitches.get((prev, wid), 0) + 1
+            prev = wid
+        for wid, gates in widgets.items():
+            width = circuit_width(gates)
+            if width > n_input:
+                raise CircuitError(f"widget {wid!r} touches qubit {width - 1}, "
+                                   f"beyond n_input={n_input}")
         return cls(
-            n_input=wc.n_input,
-            widgets={wid: tuple(gates) for wid, gates in wc.distinct_widgets.items()
+            n_input=n_input,
+            widgets={wid: tuple(gates) for wid, gates in widgets.items()
                      if wid in multiplicity},
             multiplicity=multiplicity,
-            stitches=dict(wc.stitches),
-            first=wc.widgets[0],
-            last=wc.widgets[-1],
+            stitches=stitches,
+            first=sequence[0],
+            last=sequence[-1],
         )
 
 
 # --------------------------------------------------------------------------
-# Nested-circuit JSON
+# JSON inputs: widget tables and nested blocks
 # --------------------------------------------------------------------------
 
 def _json_int(value: object) -> int | None:
@@ -540,3 +556,48 @@ def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
         raise CircuitError(
             f"{path}: n_input must be an integer, got {payload['n_input']!r}")
     return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))
+
+
+def parse_widget_file(payload: Mapping, path: str | Path,
+                      ) -> tuple[int, dict[str, list[Gate]], list[str]]:
+    """Read decoded widget-table JSON, {format, n_input, distinct_widgets,
+    sequence} with each widget an OpenQASM string, into ``n_input``, the
+    table of gate lists in file order and the sequence, the arguments of
+    ``WidgetPlan.from_sequence``. ``path`` only names the source in error
+    messages, which also name the widget."""
+    fmt = payload.get("format", WIDGET_FORMAT)
+    if fmt != WIDGET_FORMAT:
+        raise CircuitError(f"{path}: unsupported widget file format {fmt!r}")
+    try:
+        raw_n_input = payload["n_input"]
+        table = payload["distinct_widgets"]
+        sequence = payload["sequence"]
+    except KeyError as exc:
+        raise CircuitError(f"{path}: missing key {exc.args[0]!r}") from exc
+    n_input = _json_int(raw_n_input)
+    if n_input is None:
+        raise CircuitError(
+            f"{path}: n_input must be an integer, got {raw_n_input!r}")
+    if not isinstance(table, dict) or not isinstance(sequence, list):
+        raise CircuitError(f"{path}: distinct_widgets must be a map and sequence a list")
+
+    distinct: dict[str, list[Gate]] = {}
+    for wid, qasm in table.items():
+        where = f"{path}: widget {wid!r}"
+        if not isinstance(qasm, str):
+            raise CircuitError(f"{where} must be an OpenQASM string, "
+                               f"got {type(qasm).__name__}")
+        try:
+            distinct[wid] = parse_qasm(qasm)
+        except CircuitError as exc:
+            raise CircuitError(f"{where}: {exc}") from exc
+        declared = _declared_width(qasm)
+        if declared is not None and declared != n_input:
+            raise CircuitError(
+                f"{where} declares {declared} qubits, expected {n_input}")
+    return n_input, distinct, [str(w) for w in sequence]
+
+
+def _declared_width(qasm: str) -> int | None:
+    m = re.search(r"qreg\s+[A-Za-z_][A-Za-z0-9_]*\s*\[\s*(\d+)\s*\]", qasm)
+    return int(m.group(1)) if m else None

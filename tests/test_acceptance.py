@@ -307,16 +307,15 @@ def test_criterion_9_pipe_sweep_monotonic():
     name = "pipe-sweep monotonicity"
     start = time.perf_counter()
     try:
-        from qre.circuit import WidgetizedCircuit
         from qre.pipeline import compile_plan
         from qre.widgetizer import WidgetPlan
 
         n = 80
         ladder = [gate(G.CZ, i, i + 1) for i in range(n - 1)]
         rotations = [gate(G.Rz, q, angle=0.375) for q in (0, 1, 2)]
-        wc = WidgetizedCircuit(n_input=n, widgets=["a", "b", "a"],
-                               distinct_widgets={"a": rotations, "b": ladder})
-        algo, _ = compile_plan(WidgetPlan.from_widgetized(wc), ArchConfig())
+        plan = WidgetPlan.from_sequence(n, {"a": rotations, "b": ladder},
+                                        ["a", "b", "a"])
+        algo, _ = compile_plan(plan, ArchConfig())
 
         small_factory = TFactory("unit-test-15-to-1", 1.0e-5, 10, 12, 120,
                                  10.0)

@@ -13,17 +13,17 @@ from qre.circuit import (
     CircuitError,
     Gate,
     GateKind,
-    WidgetizedCircuit,
     circuit_width,
-    count_stitches,
     emit_qasm,
     gate,
     gate_list_digest,
     generate_qft,
     parse_qasm,
-    parse_widget_file,
     transpile,
 )
+from qre.config import ArchConfig
+from qre.pipeline import load_circuit
+from qre.widgetizer import WidgetPlan, parse_widget_file
 
 import oracles
 
@@ -290,7 +290,7 @@ class TestWidgetFiles:
             "distinct_widgets": {"A": qasm, "B": qasm},
             "sequence": ["A", "B", "A", "B"],
         }
-        wc = parse_widget_file(payload, self.PATH)
+        wc = WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
         assert wc.n_widgets == 4
         assert wc.n_distinct_widgets == 2
         assert wc.stitches == {("A", "B"): 2, ("B", "A"): 1}
@@ -302,7 +302,7 @@ class TestWidgetFiles:
             "distinct_widgets": {"A": "qreg q[1]; t q[0];"},
             "sequence": ["A"],
         }
-        wc = parse_widget_file(payload, self.PATH)
+        wc = WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
         assert wc.n_widgets == 1
         assert wc.stitches == {}
 
@@ -313,7 +313,7 @@ class TestWidgetFiles:
             "sequence": ["A", "C"],
         }
         with pytest.raises(CircuitError, match="'C'"):
-            parse_widget_file(payload, self.PATH)
+            WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
 
     def test_width_mismatch(self):
         payload = {
@@ -333,12 +333,51 @@ class TestWidgetFiles:
                            match=r"circ\.json: widget 'B' must be an OpenQASM"):
             parse_widget_file(payload, self.PATH)
 
-    def test_count_stitches_plain(self):
-        assert count_stitches(["a"] * 4) == {("a", "a"): 3}
-        assert count_stitches(["a"]) == {}
+    @pytest.mark.parametrize("n_input", [None, 2.5, True, "2", [2]])
+    def test_n_input_must_be_an_integer(self, n_input):
+        payload = {"n_input": n_input, "distinct_widgets": {"A": "t q[0];"},
+                   "sequence": ["A"]}
+        with pytest.raises(CircuitError,
+                           match=r"^circ\.json: n_input must be an integer"):
+            parse_widget_file(payload, self.PATH)
 
-    def test_single_helper(self):
-        wc = WidgetizedCircuit.single([gate(GateKind.H, 0)])
+    def test_integral_n_input_accepted(self):
+        payload = {"n_input": 2.0, "distinct_widgets": {"A": "qreg q[2]; t q[1];"},
+                   "sequence": ["A"]}
+        n_input, _, _ = parse_widget_file(payload, self.PATH)
+        assert n_input == 2 and type(n_input) is int
+
+    def test_qasm_error_names_file_and_widget(self):
+        payload = {"n_input": 1,
+                   "distinct_widgets": {"A": "qreg q[1]; foo q[0];",
+                                        "B": "qreg q[1]; h q[0];"},
+                   "sequence": ["B", "A"]}
+        with pytest.raises(CircuitError, match=r"^circ\.json: widget 'A': "
+                           r"line 1: unsupported gate 'foo'"):
+            parse_widget_file(payload, self.PATH)
+
+    def test_table_order_is_kept(self):
+        payload = {"n_input": 1,
+                   "distinct_widgets": {"B": "qreg q[1]; h q[0];",
+                                        "U": "qreg q[1]; x q[0];",
+                                        "A": "qreg q[1]; t q[0];"},
+                   "sequence": ["A", "B", "A"]}
+        plan = WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
+        assert list(plan.widgets) == ["B", "A"]
+        assert list(plan.multiplicity) == ["A", "B"]
+        assert (plan.first, plan.last) == ("A", "A")
+
+    def test_count_stitches_plain(self):
+        def stitches(sequence):
+            return WidgetPlan.from_sequence(1, {"a": []}, sequence).stitches
+        assert stitches(["a"] * 4) == {("a", "a"): 3}
+        assert stitches(["a"]) == {}
+
+    def test_single_helper(self, tmp_path):
+        # a flat QASM file is one widget as wide as its gates
+        path = tmp_path / "h.qasm"
+        path.write_text("qreg q[3]; h q[0];")
+        wc = load_circuit(path, ArchConfig()).plan
         assert wc.n_input == 1
         assert wc.n_widgets == 1
 

@@ -252,6 +252,28 @@ class TestBadInput:
         assert "widget 'A' must be an OpenQASM string" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("n_input", [None, 2.5, True])
+    def test_bad_widget_table_n_input_is_invalid(self, tmp_path, capsys,
+                                                 n_input):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_input": n_input, "sequence": ["A"],
+                                    "distinct_widgets": {"A": "h q[0];"}}))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"{path}: n_input must be an integer" in err
+
+    def test_bad_widget_body_names_file_and_widget(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "n_input": 1, "sequence": ["B", "A"],
+            "distinct_widgets": {"A": "qreg q[1]; foo q[0];",
+                                 "B": "qreg q[1]; h q[0];"}}))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert (f"{path}: widget 'A': line 1: unsupported gate 'foo'"
+                in err)
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -21,7 +21,7 @@ from qre.circuit import (
     ARITY,
     Gate,
     GateKind,
-    WidgetizedCircuit,
+    circuit_width,
     emit_qasm,
     gate,
     gate_list_digest,
@@ -305,7 +305,8 @@ class TestStitch:
 def cached_record(gates, cache_dir=None, n=None):
     """The widget record ``compile_plan`` gives a single-widget circuit,
     through the disk cache in ``cache_dir`` when one is given."""
-    plan = WidgetPlan.from_widgetized(WidgetizedCircuit.single(gates, n))
+    n = max(circuit_width(gates), 1) if n is None else n
+    plan = WidgetPlan.from_sequence(n, {"w0": gates}, ["w0"])
     (record,) = compile_plan(plan, ArchConfig(), cache_dir)[0].compiled.values()
     return record
 

@@ -119,6 +119,58 @@ class TestSections:
             config_from_mapping({"physical": {"p": "fast"}})
 
 
+class TestBadValues:
+    """Every bad numeric value is a ConfigError naming its section and key."""
+
+    ROW = {"name": "tiny", "p_out": 1e-6, "width": 10, "length": 12,
+           "qubits": 120, "cycles": 10.0}
+    CASES = {
+        "null float": ({"physical": {"t": None}}, "physical.t"),
+        "non-numeric thermal": ({"thermal": {"eta_4k": "abc"}},
+                                "thermal.eta_4k"),
+        "boolean int": ({"architecture": {"n_inter_pipes": True}},
+                        "architecture.n_inter_pipes"),
+        "boolean epsilon": ({"synthesis": {"epsilon": True}},
+                            "synthesis.epsilon"),
+        "list thermal": ({"thermal": {"p_decoding_core": [1]}},
+                         "thermal.p_decoding_core"),
+        "null line load": ({"thermal": {"lines": {"readout": {
+            "per_qubit": None}}}}, "thermal.lines.readout.per_qubit"),
+        "boolean float": ({"physical": {"p": False}}, "physical.p"),
+        "nan float": ({"physical": {"t": float("nan")}}, "physical.t"),
+        "nan string": ({"timing": {"t_inter": "nan"}}, "timing.t_inter"),
+        "boolean factory size": ({"factories": [dict(ROW, width=True)]},
+                                 r"factories\[0\]\.width"),
+        "boolean factory p_out": ({"factories": [dict(ROW, p_out=True)]},
+                                  r"factories\[0\]\.p_out"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_names_the_key(self, case):
+        data, key = self.CASES[case]
+        with pytest.raises(ConfigError, match=rf"^cfg\.yaml: {key}: must be"):
+            config_from_mapping(data, source="cfg.yaml")
+
+    def test_cli_exits_invalid_naming_the_key(self, tmp_path, capsys):
+        from qre.cli import main
+        path = tmp_path / "cfg.yaml"
+        path.write_text("thermal:\n  lines:\n    readout:\n"
+                        "      per_qubit: null\n")
+        circuit = tmp_path / "h.qasm"
+        circuit.write_text("qreg q[1]; h q[0];")
+        assert main(["estimate", str(circuit), "--config", str(path)]) == 2
+        assert "thermal.lines.readout.per_qubit" in capsys.readouterr().err
+
+    def test_null_epsilon_means_solve(self):
+        cfg = config_from_mapping({"synthesis": {"epsilon": None}})
+        assert cfg.epsilon is None
+
+    def test_numeric_strings_still_read(self):
+        cfg = config_from_mapping({"physical": {"p": "1e-3",
+                                                "n_phys_per_module": "1e6"}})
+        assert (cfg.p, cfg.n_phys_per_module) == (1e-3, 1_000_000)
+
+
 class TestFactoriesSection:
     def test_replaces_table(self):
         cfg = config_from_mapping({"factories": [

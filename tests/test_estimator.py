@@ -18,7 +18,7 @@ from oracles import (
 )
 from pool import benchmark_pool_circuit
 from qre.architecture import DEFAULT_FACTORIES, EstimationError, ModuleLayout, TFactory
-from qre.circuit import GateKind, WidgetizedCircuit, gate, generate_qft
+from qre.circuit import GateKind, circuit_width, gate, generate_qft
 from qre.config import ArchConfig
 from qre.estimator import (
     CompiledAlgorithm,
@@ -44,14 +44,15 @@ from qre.widgetizer import WidgetPlan
 
 def build_algo(sequence, distinct, n_input):
     """Compile a widget sequence into a CompiledAlgorithm."""
-    wc = WidgetizedCircuit(n_input=n_input, widgets=list(sequence),
-                           distinct_widgets={k: list(v) for k, v in distinct.items()})
-    return compile_plan(WidgetPlan.from_widgetized(wc), ArchConfig())[0]
+    plan = WidgetPlan.from_sequence(n_input, distinct, list(sequence))
+    return compile_plan(plan, ArchConfig())[0]
 
 
 def single_widget_algo(gates, n_input=None):
-    wc = WidgetizedCircuit.single(list(gates), n_input=n_input)
-    return build_algo(wc.widgets, wc.distinct_widgets, wc.n_input)
+    gates = list(gates)
+    if n_input is None:
+        n_input = max(circuit_width(gates), 1)
+    return build_algo(["w0"], {"w0": gates}, n_input)
 
 
 def widget_record(gates, n_input):

@@ -10,11 +10,10 @@ import pytest
 
 from oracles import pipe_sweep_per_point
 from pool import benchmark_pool_circuit
-from qre import compiler, pipeline
+from qre import compiler, pipeline, widgetizer
 from qre.architecture import EstimationError
 from qre.circuit import (
     CircuitError,
-    WidgetizedCircuit,
     emit_qasm,
     gate,
     generate_qft,
@@ -23,9 +22,9 @@ from qre.circuit import (
 from qre.circuit import GateKind as G
 from qre.cli import main
 from qre.config import ArchConfig, ConfigError
-from qre.estimator import solve_distance_and_factory
+from qre.estimator import compute_timing, solve_distance_and_factory
 from qre.pipeline import (
-    LoadedCircuit,
+    SEQUENCE_LIMIT,
     compile_plan,
     load_circuit,
     render_sweep_csv,
@@ -35,6 +34,7 @@ from qre.pipeline import (
     verify_circuit,
 )
 from qre.report import parse_csv, render_csv
+from qre.scalefit import SCALING_PRESETS
 from qre.widgetizer import WidgetPlan
 
 
@@ -55,7 +55,7 @@ class TestLoadDispatch:
         loaded = load_circuit(qft3_path, config)
         assert loaded.plan.n_input == 3
         assert loaded.plan.n_widgets == 1
-        assert loaded.sequence == ("w0",)
+        assert loaded.expand()[0] == ("w0",)
         assert loaded.data == qft3_path.read_bytes()
 
     def test_widget_json(self, tmp_path, config):
@@ -70,7 +70,7 @@ class TestLoadDispatch:
         path.write_text(json.dumps(payload))
         loaded = load_circuit(path, config)
         assert loaded.plan.multiplicity == {"a": 3}
-        assert loaded.sequence == ("a", "a", "a")
+        assert loaded.expand()[0] == ("a", "a", "a")
         assert loaded.plan.stitches == {("a", "a"): 2}
 
     def test_nested_json(self, tmp_path, config):
@@ -94,7 +94,7 @@ class TestLoadDispatch:
         split = load_circuit(path, ArchConfig(max_gates=2))
         assert split.plan.n_widgets == 8
         assert split.plan.n_distinct_widgets == 2
-        assert split.sequence is not None and len(split.sequence) == 8
+        assert len(split.expand()[0]) == 8
         assert sum(split.plan.stitches.values()) == 7
 
     def test_nested_block_named_distinct_widgets(self, tmp_path, config):
@@ -354,6 +354,15 @@ class TestRunEstimate:
         text = (tmp_path / "out" / "report.csv").read_text()
         assert parse_csv(text) == result.report
 
+    def test_nested_run_never_expands_the_sequence(self, pool3_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(pipeline, "iter_leaf_sequence",
+                            refuse("iter_leaf_sequence"))
+        monkeypatch.setattr(widgetizer, "iter_leaf_sequence",
+                            refuse("iter_leaf_sequence"))
+        result = run_estimate(pool3_path)
+        assert result.algo.plan.n_widgets > 1
+
     def test_provenance_keys(self, qft3_path):
         result = run_estimate(qft3_path)
         assert set(result.report.provenance) == {
@@ -425,8 +434,7 @@ def qft20_small_modules():
     """QFT-20, one widget, on modules small enough for two per leg: only
     its preparation crossings depend on the pipe count."""
     config = ArchConfig(n_phys_per_module=300_000)
-    plan = WidgetPlan.from_widgetized(WidgetizedCircuit.single(
-        generate_qft(20)))
+    plan = WidgetPlan.from_sequence(20, {"w0": generate_qft(20)}, ["w0"])
     return config, compile_plan(plan, config)[0]
 
 
@@ -482,6 +490,34 @@ class TestSweeps:
         run_pipe_sweep(algo, config, range(1, 129))
         assert calls == list(first_of_each.values())
         assert 1 < len(calls) < 128
+
+    def test_estimate_and_sweeps_solve_each_config_once(self, pool3_path,
+                                                        monkeypatch):
+        solved = []
+        solve = pipeline.solve_distance_and_factory
+
+        def counted(config, est, l_prep_total):
+            solved.append(config)
+            return solve(config, est, l_prep_total)
+
+        monkeypatch.setattr(pipeline, "solve_distance_and_factory", counted)
+        presets = ("mwpm-circuit", "mwpm-code-capacity", "astra-gnn")
+        result = run_estimate(pool3_path)
+        algo, config = result.algo, result.config
+        pipe_rows = run_pipe_sweep(algo, config, range(1, 65))
+        preset_rows = run_decoder_sweep(algo, config, presets)
+        # the mwpm-circuit preset is the default config, the estimate's own
+        assert len(solved) == len(set(solved)) == 3
+
+        assert [(r.label, r.d, r.t_hardware) for r in pipe_rows] == (
+            pipe_sweep_per_point(algo, config, range(1, 65)))
+        fresh = []
+        for name in presets:
+            kappa, p_thresh = SCALING_PRESETS[name]
+            cfg = replace(config, kappa=kappa, p_thresh=p_thresh)
+            sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+            fresh.append((sel.d, compute_timing(cfg, algo, sel).t_hardware_total))
+        assert [(r.d, r.t_hardware) for r in preset_rows] == fresh
 
     @pytest.mark.parametrize("values", [[0], [-1], [2, 0]])
     def test_pipe_counts_below_one_fail_config_validation(
@@ -539,8 +575,55 @@ class TestVerifyCircuit:
         loaded = load_circuit(path, config)
         assert verify_circuit(loaded, seed=11) >= 1 - 1e-9
 
-    def test_unexpanded_sequence_rejected(self, qft3_path, config):
-        loaded = load_circuit(qft3_path, config)
-        symbolic = LoadedCircuit(loaded.plan, None, loaded.data)
+    def test_unexpanded_sequence_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"blocks": {
+            "main": [{"block": "w", "repeat": 10**6}],
+            "w": [{"gate": "h", "qubits": [0]}, {"gate": "t", "qubits": [0]}]}}))
+        loaded = load_circuit(path, ArchConfig())
+        assert loaded.plan.n_widgets == 10**6 > SEQUENCE_LIMIT
+
+        def expanded(root):
+            raise AssertionError("the sequence was expanded")
+        monkeypatch.setattr(pipeline, "iter_leaf_sequence", expanded)
         with pytest.raises(CircuitError, match="too large"):
-            verify_circuit(symbolic)
+            verify_circuit(loaded)
+
+    BELL = [{"gate": "h", "qubits": [0]}, {"gate": "cx", "qubits": [0, 1]},
+            {"gate": "t", "qubits": [1]}]
+    SOURCES = {
+        "qasm": "qreg q[3];\nh q[0];\ncx q[0],q[1];\nt q[1];\n",
+        "table": json.dumps({
+            "n_input": 3, "sequence": ["a", "b", "b"],
+            "distinct_widgets": {
+                "a": "qreg q[3]; h q[0]; cx q[0],q[1]; t q[1];",
+                "b": "qreg q[3]; s q[1];"}}),
+        "nested": json.dumps({"n_input": 3, "blocks": {"main": BELL}}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_tampered_plan_fails(self, tmp_path, config, kind):
+        path = tmp_path / "circuit"
+        path.write_text(self.SOURCES[kind])
+        loaded = load_circuit(path, config)
+        assert verify_circuit(loaded, seed=3) >= 1 - 1e-9
+        plan = loaded.plan
+        idle = plan.n_input - 1
+        plan.widgets[plan.first] += (gate(G.X, idle),)
+        assert verify_circuit(loaded, seed=3) < 0.5
+
+    def test_split_plan_verifies_against_its_source(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps({"blocks": {"main": [
+            {"gate": "h", "qubits": [0]}, {"gate": "cx", "qubits": [0, 1]},
+            {"gate": "t", "qubits": [1]}, {"gate": "h", "qubits": [2]},
+            {"gate": "rz", "qubits": [2], "angle": 0.3},
+            {"gate": "cx", "qubits": [1, 2]}]}}))
+        loaded = load_circuit(path, ArchConfig(max_gates=3, slice_moments=1))
+        plan = loaded.plan
+        sequence, source = loaded.expand()
+        assert len(sequence) == plan.n_widgets > 1
+        in_plan_order = [g for wid in sequence for g in plan.widgets[wid]]
+        assert in_plan_order != source
+        assert sorted(map(repr, in_plan_order)) == sorted(map(repr, source))
+        assert verify_circuit(loaded, seed=5) >= 1 - 1e-9

@@ -11,7 +11,6 @@ from qre.circuit import (
     CircuitError,
     Gate,
     GateKind,
-    WidgetizedCircuit,
     gate,
     gate_list_digest,
 )
@@ -22,7 +21,6 @@ from qre.widgetizer import (
     SplitCriterion,
     SubcircuitNode,
     WidgetPlan,
-    _collect_leaves,
     assign_moments,
     build_dependency_graph,
     iter_leaf_sequence,
@@ -40,6 +38,17 @@ def eager_counts(root):
     for a, b in zip(seq, seq[1:]):
         stitches[(a, b)] = stitches.get((a, b), 0) + 1
     return widgets, stitches
+
+
+def leaves_of(root):
+    """Every distinct leaf under ``root``, by id."""
+    leaves, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves[node.id] = node
+        stack.extend(child for child, _ in node.children)
+    return leaves
 
 
 def h_chain(qubit, n):
@@ -266,12 +275,10 @@ class TestWidgetPlan:
         assert plan.first == seq[0]
         assert plan.last == seq[-1]
 
-    def test_from_widgetized(self):
-        wc = WidgetizedCircuit(
-            n_input=1, widgets=["a", "b", "a"],
-            distinct_widgets={"a": [gate(GateKind.T, 0)],
-                              "b": [gate(GateKind.H, 0)]})
-        plan = WidgetPlan.from_widgetized(wc)
+    def test_from_sequence(self):
+        plan = WidgetPlan.from_sequence(
+            1, {"a": [gate(GateKind.T, 0)], "b": [gate(GateKind.H, 0)]},
+            ["a", "b", "a"])
         assert plan.multiplicity == {"a": 2, "b": 1}
         assert plan.stitches == {("a", "b"): 1, ("b", "a"): 1}
         assert (plan.first, plan.last) == ("a", "a")
@@ -414,18 +421,17 @@ class TestSharedDigest:
         circ = parse_nested_file(payload, "pool.json")
         root = build_dependency_graph(circ, criterion)
         plan = WidgetPlan.from_root(root, circ.n_input)
-        for wid, leaf in _collect_leaves(root).items():
+        assert set(leaves_of(root)) == set(plan.widgets)
+        for wid, leaf in leaves_of(root).items():
             assert leaf.equivalence_key == gate_list_digest(leaf.gates)
             assert plan.digests[wid] == leaf.equivalence_key
 
-    def test_widgetized_plan_digests_on_first_use(self):
-        wc = WidgetizedCircuit(n_input=2, widgets=["a", "b", "a"],
-                               distinct_widgets={"a": [gate(GateKind.H, 0)],
-                                                 "b": [gate(GateKind.CX, 0, 1)],
-                                                 "unused": []})
-        plan = WidgetPlan.from_widgetized(wc)
+    def test_sequence_plan_digests_on_first_use(self):
+        args = (2, {"a": [gate(GateKind.H, 0)], "b": [gate(GateKind.CX, 0, 1)],
+                    "unused": []}, ["a", "b", "a"])
+        plan = WidgetPlan.from_sequence(*args)
         assert plan.digests == {}
         for wid, gates in plan.widgets.items():
             assert plan.digest(wid) == gate_list_digest(gates)
         assert set(plan.digests) == {"a", "b"}
-        assert plan == WidgetPlan.from_widgetized(wc)
+        assert plan == WidgetPlan.from_sequence(*args)
