@@ -4,17 +4,24 @@ Every non-Clifford rotation becomes a teleportation gadget: the wire's current
 node is entangled to a fresh node (CZ then H on the fresh node), marked for
 measurement in the rotation-angle basis, and the wire retargets to the fresh
 node. Clifford gates act directly on current nodes (SWAP is pure relabeling).
-The accumulated Clifford preparation is canonicalized to graph + local
-Clifford form; conditional byproducts are commuted to end-of-preparation
-Pauli frames; consumption sub-steps are greedy maximal antichains of the
-frame-dependency order. ``verify_unitarity`` checks the whole construction
-by exact dense simulation; nothing else here simulates.
+
+One ``PauliRows`` sweep over the preparation ops carries two kinds of rows:
+rows 0..g-1 are the g gadgets' conditional byproducts, each injected at its
+gadget, and the rows above them the stabilizer tableau of |+>^n_nodes. Each
+node's column is then a mask: its low g bits are the frames that touch the
+node, its high bits the tableau column. The consumption sub-steps (greedy
+maximal antichains of the frame-dependency order) are read from the low
+bits of the measured nodes' columns, and ``graph_form`` canonicalizes the
+high bits to graph + local-Clifford form. ``verify_unitarity`` checks the
+whole construction by exact dense simulation; nothing else here simulates.
 
 ``compile_widget`` is pure. What estimation reads of a compiled and
 prep-scheduled widget is a ``WidgetRecord``, and that record is what the
 disk cache stores (``load_cached``/``save_cached``), one JSON file per key.
-The verify-only fields (preparation ops, frames, local Cliffords,
-measurement angles) are never written.
+The fields that only verification and the tests read are the preparation
+ops, the measurement angles and two derived on first read from the kept
+masks: the per-gadget frames (``CompiledWidget.frames``) and the local
+Cliffords (``CompiledWidget.local_cliffords``). None of them is written.
 """
 
 from __future__ import annotations
@@ -24,10 +31,10 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,7 +43,6 @@ from .circuit import (
     CLIFFORD_1Q,
     CLIFFORD_2Q,
     KIND_NAME,
-    T_LIKE,
     CircuitError,
     Gate,
     GateKind,
@@ -44,7 +50,8 @@ from .circuit import (
     circuit_width,
 )
 from .prepsched import PrepSchedule
-from .stabilizer import PauliRows, bits, graph_form, stabilizer_after
+from .stabilizer import GraphForm, PauliRows, bits, graph_form
+from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 
 CACHE_ENV = "QRE_CACHE_DIR"
 CACHE_FORMAT = 4
@@ -87,14 +94,31 @@ class CompiledWidget:
     n_input: int
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
-    local_cliffords: tuple[tuple[str, ...], ...]
     input_nodes: tuple[int, ...]
     output_nodes: tuple[int, ...]
     prep_ops: tuple[tuple[str, tuple[int, ...]], ...]
     measurements: tuple[Measurement, ...]
-    frames: dict[int, PauliFrame]
     consump_schedule: tuple[tuple[int, ...], ...]
     n_logical: int
+    # The sweep's rows (frames below, tableau above) and the graph form,
+    # kept for the fields derived on first read.
+    sweep: PauliRows = field(repr=False, compare=False)
+    graph: GraphForm = field(repr=False, compare=False)
+
+    @cached_property
+    def frames(self) -> dict[int, PauliFrame]:
+        """The byproduct frame of each measured node, in measurement order."""
+        n_frames = len(self.measurements)
+        low = (1 << n_frames) - 1
+        rows = PauliRows([c & low for c in self.sweep.x],
+                         [c & low for c in self.sweep.z], 0)
+        return {m.node: PauliFrame(tuple(bits(x)), tuple(bits(z)))
+                for m, (x, z, _) in zip(self.measurements,
+                                        rows.row_masks(n_frames))}
+
+    @property
+    def local_cliffords(self) -> tuple[tuple[str, ...], ...]:
+        return self.graph.applied
 
     @cached_property
     def nodes_by_kind(self) -> dict[str, tuple[int, ...]]:
@@ -170,13 +194,12 @@ class WidgetRecord:
         return len(self.prep_spans)
 
 
-def _gadget_angle(g: Gate) -> float:
-    if g.kind is GateKind.T:
-        return math.pi / 4
-    if g.kind is GateKind.Tdg:
-        return -math.pi / 4
-    assert g.angle is not None
-    return g.angle
+# The prep op of each Clifford kind except SWAP (a relabeling), and the
+# measurement kind and angle (None: the gate's own) of each gadget kind.
+_PREP_OP = {kind: KIND_NAME[kind]
+            for kind in (CLIFFORD_1Q | CLIFFORD_2Q) - {GateKind.SWAP}}
+_GADGET = {GateKind.T: ("T", math.pi / 4), GateKind.Tdg: ("T", -math.pi / 4),
+           GateKind.Rz: ("Rz", None)}
 
 
 def compile_widget(w: TranspiledWidget,
@@ -198,92 +221,91 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
     gadgets: list[tuple[int, int, int]] = []  # (measured node, fresh node, op index)
 
     for g in w.gates:
-        if g.kind is GateKind.SWAP:
+        name = _PREP_OP.get(g.kind)
+        if name is not None:
+            ops.append((name, tuple(map(cur.__getitem__, g.qubits))))
+        elif g.kind is GateKind.SWAP:
             a, b = g.qubits
             cur[a], cur[b] = cur[b], cur[a]
-        elif g.kind in CLIFFORD_1Q or g.kind in CLIFFORD_2Q:
-            ops.append((KIND_NAME[g.kind], tuple(cur[q] for q in g.qubits)))
-        elif g.kind in T_LIKE or g.kind is GateKind.Rz:
-            theta = _gadget_angle(g)
-            q = g.qubits[0]
+        elif g.kind in _GADGET:
+            kind, angle = _GADGET[g.kind]
+            (q,) = g.qubits
             a, f = cur[q], next_node
             next_node += 1
             ops.append(("cz", (a, f)))
             ops.append(("h", (f,)))
             measurements.append(
-                Measurement(a, "T" if g.kind in T_LIKE else "Rz", theta))
+                Measurement(a, kind, g.angle if angle is None else angle))
             gadgets.append((a, f, len(ops)))
             cur[q] = f
         else:
             raise CompileError(f"composite gate {g} in transpiled widget")
 
     n_nodes = next_node
-    if len(measurements) != w.n_T_init + w.n_Rz_init:
+    n_frames = len(gadgets)
+    if n_frames != w.n_T_init + w.n_Rz_init:
         raise CompileError("gadget count disagrees with transpiled gate counts")
 
-    # One sweep over ops: row j stays the identity (a fixed point of every
-    # conjugation) until op index k_j, where it becomes Z on its fresh node.
-    rows = PauliRows.zeros(n_nodes)
-    start = gadgets[0][2] if gadgets else len(ops)
+    # One sweep over ops: frame row j stays the identity (a fixed point of
+    # every conjugation) until op index k_j, where it becomes Z on its fresh
+    # node; tableau row n_frames + q starts as X_q.
+    rows = PauliRows([1 << q for q in range(n_frames, n_frames + n_nodes)],
+                     [0] * n_nodes, 0)
+    start = 0
     for j, (_, f, k) in enumerate(gadgets):
         rows.apply_ops(ops[start:k])
         rows.z[f] |= 1 << j
         start = k
     rows.apply_ops(ops[start:])
-    frames = {
-        a: PauliFrame(x_support=tuple(bits(x)), z_support=tuple(bits(z)))
-        for (a, _, _), (x, z, _) in zip(gadgets, rows.row_masks(len(gadgets)))
-    }
 
-    gf = graph_form(stabilizer_after(ops, n_nodes))
-    edges = tuple(gf.edges())
-    schedule = _layer_consumption(measurements, frames)
+    low = (1 << n_frames) - 1
+    nodes = [a for a, _, _ in gadgets]
+    schedule = _layer_consumption(
+        nodes, [(rows.x[a] | rows.z[a]) & low for a in nodes])
+    gf = graph_form(PauliRows([c >> n_frames for c in rows.x],
+                              [c >> n_frames for c in rows.z],
+                              rows.r >> n_frames))
+    edges = gf.edge_list
     n_logical = _max_live_nodes(n, n_nodes, edges, schedule)
 
     return CompiledWidget(
         n_input=n,
         n_nodes=n_nodes,
         edges=edges,
-        local_cliffords=gf.applied,
         input_nodes=tuple(range(n)),
         output_nodes=tuple(cur),
         prep_ops=tuple(ops),
         measurements=tuple(measurements),
-        frames=frames,
         consump_schedule=schedule,
         n_logical=n_logical,
+        sweep=rows,
+        graph=gf,
     )
 
 
 def _layer_consumption(
-    measurements: Sequence[Measurement], frames: Mapping[int, PauliFrame]
+    nodes: Sequence[int], preds: Sequence[int]
 ) -> tuple[tuple[int, ...], ...]:
-    """Greedy maximal antichains of 'b before a if b's frame touches a': a
-    node's layer is its longest-path depth, found in one topological pass."""
-    measured = {m.node for m in measurements}
-    succs: dict[int, list[int]] = {}
-    n_preds = dict.fromkeys(measured, 0)
-    for b, frame in frames.items():
-        for v in frame.touches():
-            if v in measured:
-                n_preds[v] += 1
-                succs.setdefault(b, []).append(v)
-    depth = dict.fromkeys(measured, 0)
-    # Kahn's order, first in first out: ready grows while it is read and
-    # stays sorted by depth, so a node's last predecessor is its deepest.
-    ready = [v for v in measured if not n_preds[v]]
-    for b in ready:
-        for v in succs.get(b, ()):
-            n_preds[v] -= 1
-            if not n_preds[v]:
-                depth[v] = depth[b] + 1
-                ready.append(v)
-    if len(ready) < len(measured):
-        raise CompileError("cyclic measurement dependencies")
-    layers: list[list[int]] = [
-        [] for _ in range(max(depth.values(), default=-1) + 1)]
-    for v in sorted(measured):
-        layers[depth[v]].append(v)
+    """Greedy maximal antichains of 'b before a if b's frame touches a'.
+
+    Gadget j measures ``nodes[j]``, and bit i of ``preds[j]`` is set when
+    gadget i's frame touches that node. Gadget order is topological (a
+    frame is injected after the last op on its own node, so it can touch
+    only nodes measured later), so one pass in that order finds each node's
+    layer, its longest-path depth: one more than its deepest pred's.
+    """
+    depth: list[int] = []
+    for j, p in enumerate(preds):
+        if p >> j:
+            raise CompileError("cyclic measurement dependencies")
+        d = 0
+        for i in bits(p):
+            if depth[i] >= d:
+                d = depth[i] + 1
+        depth.append(d)
+    layers: list[list[int]] = [[] for _ in range(max(depth, default=-1) + 1)]
+    for v, d in sorted(zip(nodes, depth)):
+        layers[d].append(v)
     return tuple(map(tuple, layers))
 
 
@@ -538,15 +560,19 @@ def _from_dict(payload: dict) -> WidgetRecord:
 
 
 def save_cached(directory: str | Path, key: str, record: WidgetRecord) -> Path:
-    """Write ``record`` under ``key``. Each writer fills its own temporary
-    file and renames it into place, so concurrent writers of one key never
-    share a file; an empty directory squatting on the entry is replaced."""
+    """Write ``record`` under ``key``, creating the directory on the first
+    write into it. Each writer fills its own temporary file and renames it
+    into place, so concurrent writers of one key never share a file; an
+    empty directory squatting on the entry is replaced."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"widget-{key}.json"
     payload = {"format": CACHE_FORMAT, "key": key, **vars(record)}
-    fd, tmp = tempfile.mkstemp(prefix=f"widget-{key}.", suffix=".tmp",
-                               dir=directory)
+    temp = {"prefix": f"widget-{key}.", "suffix": ".tmp", "dir": directory}
+    try:
+        fd, tmp = tempfile.mkstemp(**temp)
+    except FileNotFoundError:
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(**temp)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(json.dumps(payload))

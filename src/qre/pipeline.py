@@ -109,14 +109,14 @@ def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
     data = Path(path).read_bytes()
     if not data.lstrip().startswith(b"{"):
         gates = parse_qasm(data.decode())
-        return _flat(max(circuit_width(gates), 1), {"w0": gates}, ["w0"],
-                     data)
+        return _flat(path, max(circuit_width(gates), 1), {"w0": gates},
+                     ["w0"], data)
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
         raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
     if "distinct_widgets" in payload:
-        return _flat(*parse_widget_file(payload, path), data)
+        return _flat(path, *parse_widget_file(payload, path), data)
     nested = parse_nested_file(payload, path)
     criterion = SplitCriterion(
         max_active_qubits=config.max_active_qubits,
@@ -129,11 +129,16 @@ def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
         lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
 
 
-def _flat(n_input: int, table: Mapping[str, list[Gate]],
+def _flat(path: str | Path, n_input: int, table: Mapping[str, list[Gate]],
           sequence: list[str], data: bytes) -> LoadedCircuit:
-    """A flat widget sequence over a table of gate lists."""
+    """A flat widget sequence over a table of gate lists; a plan error
+    names the file."""
+    try:
+        plan = WidgetPlan.from_sequence(n_input, table, sequence)
+    except CircuitError as exc:
+        raise CircuitError(f"{path}: {exc}") from exc
     return LoadedCircuit(
-        WidgetPlan.from_sequence(n_input, table, sequence), data,
+        plan, data,
         lambda: (tuple(sequence), [g for wid in sequence for g in table[wid]]))
 
 

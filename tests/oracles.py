@@ -389,6 +389,78 @@ def graph_form_by_elimination(rows):
     return z, tuple(tuple(a) for a in applied)
 
 
+def pauli_product(a, b):
+    """The row of P_a * P_b for row-major (x mask, z mask, sign) rows; the
+    rows must commute for it to be Hermitian.
+
+    Moving Z^{z_a} past X^{x_b} gives (-1)^{|z_a & x_b|}, and the Hermitian
+    i^{|x & z|} factors give the exponent of i below.
+    """
+    from qre.stabilizer import StabilizerError
+
+    xa, za, sa = a
+    xb, zb, sb = b
+    x, z = xa ^ xb, za ^ zb
+    e = ((xa & za).bit_count() + (xb & zb).bit_count()
+         + 2 * (za & xb).bit_count() - (x & z).bit_count())
+    if e & 1:
+        raise StabilizerError("multiplied anticommuting rows")
+    return x, z, sa ^ sb ^ ((e >> 1) & 1)
+
+
+def graph_form_by_rows(rows):
+    """Graph form by row-major elimination on packed (x, z, sign) rows, with
+    ``pauli_product``: (adjacency masks, applied gates per qubit). H on the
+    non-pivot columns of the X block, echelon form keyed by lowest X bit,
+    back-substitution to [I | A], S on the diagonal, Z on the signs."""
+    from qre.stabilizer import StabilizerError, bits
+
+    n = rows.n_qubits
+    work = rows.row_masks(n)
+    pivots = {}
+    for x, _, _ in work:
+        while x:
+            low = x & -x
+            if low not in pivots:
+                pivots[low] = x
+                break
+            x ^= pivots[low]
+    h_mask = ((1 << n) - 1) & ~sum(pivots)
+    applied = [["h"] if h_mask >> q & 1 else [] for q in range(n)]
+    work = [(x & ~h_mask | z & h_mask, z & ~h_mask | x & h_mask,
+             s ^ ((x & z & h_mask).bit_count() & 1)) for x, z, s in work]
+
+    by_pivot = [None] * n
+    for row in work:
+        while row[0]:
+            q = (row[0] & -row[0]).bit_length() - 1
+            if by_pivot[q] is None:
+                by_pivot[q] = row
+                break
+            row = pauli_product(by_pivot[q], row)
+        else:
+            raise StabilizerError("stabilizer X block is not full rank after H sweep")
+    for q in reversed(range(n)):
+        row = by_pivot[q]
+        for p in bits(row[0] & ~((2 << q) - 1)):
+            row = pauli_product(by_pivot[p], row)
+        by_pivot[q] = row
+
+    adjacency = []
+    for v, (x, z, s) in enumerate(by_pivot):
+        if z >> v & 1:
+            z ^= 1 << v
+            s ^= 1
+            applied[v].append("s")
+        if s:
+            applied[v].append("z")
+        adjacency.append(z)
+    for u, row in enumerate(adjacency):
+        if any(not adjacency[v] >> u & 1 for v in bits(row)):
+            raise StabilizerError("canonical Z block is not a graph adjacency")
+    return tuple(adjacency), tuple(tuple(a) for a in applied)
+
+
 def max_live_nodes_by_scan(n_input, n_nodes, edges, schedule):
     """Peak live-node count, counting every node at every sub-step."""
     horizon = len(schedule) + 1
@@ -473,6 +545,36 @@ def layers_by_rescan(measurements, frames):
         done.update(layer)
         remaining.difference_update(layer)
     return tuple(layers)
+
+
+def layers_by_kahn(measurements, frames):
+    """Consumption layers from a dict of frames: Kahn's order over 'b before
+    a if b's frame touches a', first in first out, so a node's last
+    predecessor is its deepest and sets its longest-path depth."""
+    from qre.compiler import CompileError
+
+    measured = {m.node for m in measurements}
+    succs = {}
+    n_preds = dict.fromkeys(measured, 0)
+    for b, frame in frames.items():
+        for v in frame.touches():
+            if v in measured:
+                n_preds[v] += 1
+                succs.setdefault(b, []).append(v)
+    depth = dict.fromkeys(measured, 0)
+    ready = [v for v in measured if not n_preds[v]]
+    for b in ready:
+        for v in succs.get(b, ()):
+            n_preds[v] -= 1
+            if not n_preds[v]:
+                depth[v] = depth[b] + 1
+                ready.append(v)
+    if len(ready) < len(measured):
+        raise CompileError("cyclic measurement dependencies")
+    layers = [[] for _ in range(max(depth.values(), default=-1) + 1)]
+    for v in sorted(measured):
+        layers[depth[v]].append(v)
+    return tuple(map(tuple, layers))
 
 
 # --------------------------------------------------------------------------

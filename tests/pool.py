@@ -1,15 +1,16 @@
-"""Benchmark pool circuits as test inputs, loaded from perfbench/workloads.py
+"""Benchmark inputs as test inputs, loaded from perfbench/workloads.py
 (plain Python that never imports the estimator)."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
+REFS = PERFBENCH / "refs.json"
 
 
-def benchmark_pool_circuit(sub_seed):
-    """Nested-JSON text of one benchmark pool circuit."""
+def _workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   WORKLOADS)
     module = importlib.util.module_from_spec(spec)
@@ -19,4 +20,18 @@ def benchmark_pool_circuit(sub_seed):
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module.nested_circuit(sub_seed).text
+    return module
+
+
+def benchmark_pool_circuit(sub_seed):
+    """Nested-JSON text of one benchmark pool circuit."""
+    return _workloads().nested_circuit(sub_seed).text
+
+
+def benchmark_inputs():
+    """(name, file suffix, text) of the ``qft`` input and of every ``nested``
+    pool circuit, named as in refs.json."""
+    workloads = _workloads()
+    circuits = [workloads.qft_circuit()] + [
+        workloads.nested_circuit(s) for s in range(workloads.POOL_SIZE)]
+    return [(c.name, c.suffix, c.text) for c in circuits]

@@ -262,6 +262,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"{path}: n_input must be an integer" in err
 
+    def test_undefined_widget_names_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "n_input": 1, "sequence": ["A", "C"],
+            "distinct_widgets": {"A": "qreg q[1]; h q[0];"}}))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert (f"{path}: sequence references undefined widget 'C'"
+                in capsys.readouterr().err)
+
     def test_bad_widget_body_names_file_and_widget(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

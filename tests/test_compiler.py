@@ -11,10 +11,12 @@ from dense import graph_state, prep_state
 from oracles import (
     frames_by_replay,
     gadgets_of,
+    layers_by_kahn,
     layers_by_rescan,
     max_live_nodes_by_scan,
     same_up_to_phase,
 )
+from pool import benchmark_pool_circuit
 from qre import _sim
 from qre.circuit import (
     ANGLED,
@@ -43,7 +45,7 @@ from qre.compiler import (
 )
 from qre.config import ArchConfig
 from qre.pipeline import compile_plan, load_circuit, verify_circuit
-from qre.stabilizer import PauliRows
+from qre.stabilizer import GraphForm, PauliRows
 from qre.widgetizer import WidgetPlan
 
 PI = math.pi
@@ -436,40 +438,105 @@ class TestOneSweepFrames:
         assert frame_ops, "frames go through PauliRows.apply_ops"
         assert sum(frame_ops) <= len(cw.prep_ops)
 
+    def test_each_prep_op_is_swept_exactly_once(self, monkeypatch):
+        """Frames and tableau share one sweep: the ops passed to apply_ops,
+        in call order, are the prep ops, each once."""
+        swept = []
+        apply_ops = PauliRows.apply_ops
+
+        def recording_apply_ops(self, ops):
+            ops = list(ops)
+            swept.extend(ops)
+            apply_ops(self, ops)
+
+        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+        monkeypatch.setattr(PauliRows, "apply_ops", recording_apply_ops)
+        for gates in (generate_qft(16), [gate(GateKind.H, 0)],
+                      [gate(GateKind.T, 0), gate(GateKind.CX, 0, 1)]):
+            swept.clear()
+            cw = compile_widget(transpile(gates))
+            assert swept == list(cw.prep_ops)
+
+    @settings(max_examples=40, deadline=None)
+    @given(any_circuits())
+    def test_frames_touch_only_nodes_measured_later(self, gates):
+        """Gadget order is topological: no frame touches a node measured
+        at or before its own gadget."""
+        cw = compile_widget(transpile(gates), n_input=5)
+        measured = [m.node for m in cw.measurements]
+        for j, frame in enumerate(cw.frames.values()):
+            assert not frame.touches() & set(measured[:j + 1])
+
+    def test_qft_frames_touch_only_nodes_measured_later(self):
+        cw = compile_widget(transpile(generate_qft(8)))
+        measured = [m.node for m in cw.measurements]
+        assert list(cw.frames) == measured
+        for j, frame in enumerate(cw.frames.values()):
+            assert not frame.touches() & set(measured[:j + 1])
+
+
+class TestVerifyOnlyFields:
+    def test_estimation_derives_no_verify_only_field(self, tmp_path,
+                                                     monkeypatch):
+        """Frames and local Cliffords are derived on first read, and only
+        verification reads them."""
+        def refuse(self):
+            raise AssertionError("verify-only field read")
+
+        for owner, name in ((CompiledWidget, "frames"),
+                            (CompiledWidget, "local_cliffords"),
+                            (GraphForm, "applied")):
+            monkeypatch.setattr(owner, name, property(refuse))
+        pool3, qft8 = tmp_path / "pool3.json", tmp_path / "qft8.qasm"
+        pool3.write_text(benchmark_pool_circuit(3))
+        qft8.write_text(emit_qasm(generate_qft(8), 8))
+        for path in (pool3, qft8):
+            compile_plan(load_circuit(path, ArchConfig()).plan, ArchConfig())
+
+    def test_derived_fields_are_cached(self):
+        cw = compiled(transpile(generate_qft(3)).gates)
+        assert cw.frames is cw.frames
+        assert cw.local_cliffords is cw.local_cliffords
+
 
 @st.composite
-def dependency_cases(draw, max_nodes=12):
-    """Measured nodes and frames touching any node, measured or not. Half
-    the cases touch only higher nodes (acyclic, often deep); the rest may
-    touch lower nodes or the frame's own source, so many are cyclic."""
+def forward_cases(draw, max_nodes=12):
+    """Nodes measured in a random order, and one frame per measured node
+    touching any nodes measured after it or never measured: the shape the
+    compiler's one sweep produces."""
     n = draw(st.integers(0, max_nodes))
-    forward = draw(st.booleans())
-    measured = draw(st.lists(st.integers(0, n), unique=True, max_size=n + 1))
-    measurements = [Measurement(v, "T", PI / 4) for v in measured]
+    order = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    measurements = [Measurement(v, "T", PI / 4) for v in order]
+    later = set(range(n + 3)) - set(order)
     frames = {}
-    sources = measured + draw(st.lists(st.integers(0, n), max_size=2))
-    for b in sources:
-        touched = draw(st.lists(st.integers(b + 1 if forward else 0, n + 1),
-                                unique=True, max_size=4))
+    for b in reversed(order):
+        touched = draw(st.lists(st.sampled_from(sorted(later)), unique=True,
+                                max_size=4))
         frames[b] = PauliFrame(x_support=tuple(sorted(touched[:2])),
                                z_support=tuple(sorted(touched[2:])))
-    return measurements, frames
+        later.add(b)
+    return measurements, {b: frames[b] for b in order}
 
 
-def layers_or_error(layering, measurements, frames):
-    try:
-        return layering(measurements, frames)
-    except CompileError as err:
-        return str(err)
+def pred_masks(order, frames):
+    """Bit i of entry j: gadget i's frame touches the node gadget j measures."""
+    index = {v: j for j, v in enumerate(order)}
+    preds = [0] * len(order)
+    for i, b in enumerate(order):
+        for v in frames[b].touches():
+            if v in index:
+                preds[index[v]] |= 1 << i
+    return preds
 
 
 class TestConsumptionLayers:
     @settings(max_examples=300, deadline=None)
-    @given(dependency_cases())
+    @given(forward_cases())
     def test_matches_rescanning_reference(self, case):
         measurements, frames = case
-        assert (layers_or_error(_layer_consumption, measurements, frames)
-                == layers_or_error(layers_by_rescan, measurements, frames))
+        order = [m.node for m in measurements]
+        assert (_layer_consumption(order, pred_masks(order, frames))
+                == layers_by_rescan(measurements, frames))
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_qft_matches_rescanning_reference(self, n):
@@ -479,16 +546,22 @@ class TestConsumptionLayers:
         assert len(cw.consump_schedule) > 1
 
     def test_longest_path_sets_the_layer(self):
-        # 0 -> 1 -> 2 and 0 -> 2: node 2 waits for the longer chain
-        frames = {0: PauliFrame((1,), (2,)), 1: PauliFrame((), (2,))}
-        measurements = [Measurement(v, "T", PI / 4) for v in (2, 0, 1)]
-        assert _layer_consumption(measurements, frames) == ((0,), (1,), (2,))
+        # gadgets 0 -> 1 -> 2 and 0 -> 2, measuring nodes 7, 3, 5: the
+        # last waits for the longer chain
+        assert (_layer_consumption([7, 3, 5], [0, 0b1, 0b11])
+                == ((7,), (3,), (5,)))
+        assert _layer_consumption([7, 3, 5], [0, 0, 0b1]) == ((3, 7), (5,))
 
     def test_cycle_raises(self):
-        frames = {0: PauliFrame((), (1,)), 1: PauliFrame((0,), ())}
-        measurements = [Measurement(v, "T", PI / 4) for v in (0, 1, 2)]
-        with pytest.raises(CompileError, match="cyclic"):
-            _layer_consumption(measurements, frames)
+        """A frame touching a node measured at or before its own gadget."""
+        for preds in ([0b1], [0, 0b10], [0b10, 0], [0, 0b100, 0]):
+            with pytest.raises(CompileError, match="cyclic"):
+                _layer_consumption(list(range(len(preds))), preds)
+
+    def test_matches_kahn_layering_on_compiled_widgets(self):
+        cw = compile_widget(transpile(generate_qft(12)))
+        assert cw.consump_schedule == layers_by_kahn(cw.measurements,
+                                                     cw.frames)
 
 
 class TestExactCacheKey:

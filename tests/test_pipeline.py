@@ -5,11 +5,12 @@ import json
 import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from oracles import pipe_sweep_per_point
-from pool import benchmark_pool_circuit
+from pool import REFS, benchmark_inputs, benchmark_pool_circuit
 from qre import compiler, pipeline, widgetizer
 from qre.architecture import EstimationError
 from qre.circuit import (
@@ -111,6 +112,31 @@ class TestLoadDispatch:
         assert loaded.plan.n_input == 1
         (gates,) = loaded.plan.widgets.values()
         assert gates == (gate(G.H, 0), gate(G.H, 0))
+
+    # Widget tables that parse but make no plan: (n_input, table, sequence,
+    # the plan's error). A commented-out qreg satisfies the declared-width
+    # check, so the gate beyond n_input reaches the plan.
+    PLAN_ERRORS = {
+        "empty-sequence": (1, {"A": "qreg q[1]; h q[0];"}, [],
+                           "widget sequence is empty"),
+        "undefined-widget": (1, {"A": "qreg q[1]; h q[0];"}, ["A", "C"],
+                             "sequence references undefined widget 'C'"),
+        "gate-beyond-n-input": (
+            1, {"A": "// qreg c[1]\nqreg q[3];\nh q[2];"}, ["A"],
+            "widget 'A' touches qubit 2, beyond n_input=1"),
+        "n-input-zero": (0, {"A": ""}, ["A"], "n_input must be >= 1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PLAN_ERRORS))
+    def test_widget_table_plan_errors_name_the_file(self, case, tmp_path,
+                                                    config):
+        n_input, table, sequence, message = self.PLAN_ERRORS[case]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({"n_input": n_input, "sequence": sequence,
+                                    "distinct_widgets": table}))
+        with pytest.raises(CircuitError) as exc:
+            load_circuit(path, config)
+        assert str(exc.value) == f"{path}: {message}"
 
     def test_invalid_json_rejected(self, tmp_path, config):
         path = tmp_path / "bad.json"
@@ -313,6 +339,28 @@ class TestWidgetCache:
                                                  for key in keys)
         assert len(keys) == plan.n_distinct_widgets == 120
 
+    def test_save_creates_a_missing_directory_on_first_write(
+            self, qft3_path, config, tmp_path, monkeypatch):
+        plan = load_circuit(qft3_path, config).plan
+        record = compile_plan(plan, config)[0].compiled["w0"]
+        cache = tmp_path / "new" / "cache"
+        made = []
+        mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        compiler.save_cached(cache, "k0", record)
+        assert cache in made
+        first = len(made)
+        for key in ("k1", "k2"):
+            compiler.save_cached(cache, key, record)
+        assert len(made) == first
+        assert cache_entries(cache) == [f"widget-k{i}.json" for i in range(3)]
+        assert compiler.load_cached(cache, "k2") == record
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         record = compiler.WidgetRecord(1, 1, 0, (0,), (), (), 0, 1,
                                        object(), ())
@@ -412,6 +460,32 @@ class TestRunEstimate:
         result = run_estimate(path)
         assert result.report.value(16) is None
         assert ",n/a," in render_csv(result.report)
+
+
+@pytest.fixture(scope="module")
+def bench_inputs():
+    return {name: (suffix, text) for name, suffix, text in benchmark_inputs()}
+
+
+class TestBenchmarkReports:
+    """The benchmark's ``qft`` input and its 16 ``nested`` pool circuits,
+    estimated on a cold cache: inputs and report CSVs byte-identical to the
+    sha256s recorded in perfbench/refs.json (read, never written)."""
+
+    @pytest.mark.parametrize("name", ["qft20"] + [f"nested{s}"
+                                                  for s in range(16)])
+    def test_cold_report_matches_reference(self, name, bench_inputs,
+                                           tmp_path, monkeypatch):
+        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+        ref = json.loads(REFS.read_text())[name]
+        suffix, text = bench_inputs[name]
+        data = text.encode()
+        assert hashlib.sha256(data).hexdigest() == ref["input_sha256"]
+        path = tmp_path / f"{name}{suffix}"
+        path.write_bytes(data)
+        report = run_estimate(path, cache_dir=tmp_path / "cache").report
+        assert (hashlib.sha256(render_csv(report).encode()).hexdigest()
+                == ref["report_sha256"])
 
 
 @pytest.fixture(scope="module")

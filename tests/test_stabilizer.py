@@ -16,7 +16,12 @@ from dense import (
     prep_state,
     row_matrix,
 )
-from oracles import graph_form_by_elimination, same_up_to_phase
+from oracles import (
+    graph_form_by_elimination,
+    graph_form_by_rows,
+    pauli_product,
+    same_up_to_phase,
+)
 from qre import _sim
 from qre.circuit import generate_qft, transpile
 from qre.compiler import compile_widget
@@ -24,7 +29,6 @@ from qre.stabilizer import (
     PauliRows,
     StabilizerError,
     graph_form,
-    pauli_product,
     stabilizer_after,
 )
 
@@ -96,6 +100,24 @@ class TestGateConjugation:
                 after = pauli_matrix(rows)
                 assert np.allclose(after, u @ before @ u.conj().T, atol=1e-12), (
                     name, qubits, x_bits, z_bits, r_bit)
+
+
+class TestDispatch:
+    def test_unknown_gate_raises(self):
+        rows = PauliRows.identity_x(2)
+        with pytest.raises(StabilizerError, match="no conjugation rule for gate 'ccx'"):
+            rows.apply("ccx", (0, 1))
+        with pytest.raises(StabilizerError, match="'t'"):
+            rows.apply_ops([("h", (0,)), ("t", (1,))])
+
+    def test_error_inside_a_rule_is_not_relabeled(self):
+        """An AttributeError raised by a rule is the rule's own error, not a
+        missing rule."""
+        rows = PauliRows.__new__(PauliRows)  # no columns set
+        with pytest.raises(AttributeError):
+            rows.apply("h", (0,))
+        with pytest.raises(AttributeError):
+            rows.apply_ops([("cz", (0, 1))])
 
 
 class TestMultiplyInto:
@@ -226,11 +248,26 @@ class TestGraphForm:
         with pytest.raises(StabilizerError, match="graph adjacency"):
             graph_form(rows)
 
+    def test_asymmetry_below_the_diagonal_raises(self):
+        # X0 Z1 and X1: A has its one entry below the diagonal, so only the
+        # entry count tells
+        rows = packed_rows([[1, 0], [0, 1]], [[0, 1], [0, 0]], [0, 0])
+        with pytest.raises(StabilizerError, match="graph adjacency"):
+            graph_form(rows)
+
     def test_wrong_row_count_raises(self):
         with pytest.raises(StabilizerError):
             graph_form(packed_rows([[1, 0]], [[0, 0]], [0]))
         with pytest.raises(StabilizerError):
             graph_form(packed_rows([[1], [0]], [[0], [1]], [0, 0]))
+
+
+    def test_rows_are_left_unchanged(self):
+        rows = stabilizer_after([("h", (0,)), ("cx", (0, 1)), ("y", (1,))], 3)
+        before = (list(rows.x), list(rows.z), rows.r)
+        gf = graph_form(rows)
+        assert gf.applied
+        assert (rows.x, rows.z, rows.r) == before
 
 
 @st.composite
@@ -277,3 +314,36 @@ class TestMatchesElimination:
         gf = self.assert_same(stabilizer_after(cw.prep_ops, cw.n_nodes))
         assert tuple(gf.edges()) == cw.edges
         assert gf.applied == cw.local_cliffords
+
+
+class TestMatchesRowElimination:
+    """The column-basis graph form against the row-major elimination it
+    replaced (``oracles.graph_form_by_rows``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(clifford_ops(), rank_deficient_cliffords()))
+    def test_random_cliffords(self, case):
+        n, ops = case
+        rows = stabilizer_after(ops, n)
+        gf = graph_form(rows)
+        assert (gf.adjacency, gf.applied) == graph_form_by_rows(rows)
+
+    @pytest.mark.parametrize("n", [8, 20])
+    def test_qft_widgets(self, n, monkeypatch):
+        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+        cw = compile_widget(transpile(generate_qft(n)))
+        rows = stabilizer_after(cw.prep_ops, cw.n_nodes)
+        gf = graph_form(rows)
+        assert (gf.adjacency, gf.applied) == graph_form_by_rows(rows)
+        assert gf.edge_list == cw.edges
+        assert gf.applied == cw.local_cliffords
+
+    def test_invalid_rows_raise_in_both(self):
+        for rows in (packed_rows([[1, 0], [1, 0]], [[0, 0], [1, 1]], [0, 0]),
+                     packed_rows([[1, 0], [0, 1]], [[0, 0], [1, 0]], [0, 0]),
+                     packed_rows([[1, 0], [1, 0]], [[0, 0], [0, 0]], [0, 1]),
+                     packed_rows([[1, 0]], [[0, 0]], [0])):
+            with pytest.raises(StabilizerError):
+                graph_form(rows)
+            with pytest.raises(StabilizerError):
+                graph_form_by_rows(rows)
