@@ -163,12 +163,14 @@ _STMT_GATE = re.compile(
 _OPERAND = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(?P<idx>\d+)\s*\]$")
 
 
-def parse_qasm(text: str) -> list[Gate]:
-    """Parse the supported OpenQASM 2.0 subset into an ordered gate list.
+def parse_qasm(text: str) -> tuple[int | None, list[Gate]]:
+    """Parse the supported OpenQASM 2.0 subset into the declared register
+    size (None when the text declares no register, and so has no gates) and
+    the ordered gate list.
 
-    Supported: the version header, `include "qelib1.inc";`, exactly one qreg,
-    and gate statements drawn from the frozen alphabet. Anything else raises
-    :class:`CircuitError` naming the offending token and line.
+    Supported: the version header, `include "qelib1.inc";`, at most one
+    qreg, and gate statements drawn from the frozen alphabet. Anything else
+    raises :class:`CircuitError` naming the offending token and line.
     """
     gates: list[Gate] = []
     reg_name: str | None = None
@@ -225,7 +227,7 @@ def parse_qasm(text: str) -> list[Gate]:
         except CircuitError as exc:
             raise CircuitError(f"line {line_no}: {exc}") from exc
 
-    return gates
+    return (None if reg_name is None else reg_size), gates
 
 
 def _statements(text: str) -> Iterable[tuple[str, int]]:

@@ -20,7 +20,7 @@ from .circuit import CircuitError, emit_qasm, generate_qft, transpile
 from .compiler import CompileError
 from .config import ConfigError, load_config
 from .pipeline import (
-    compile_plan,
+    compile_circuit,
     load_circuit,
     render_sweep_csv,
     run_decoder_sweep,
@@ -66,9 +66,9 @@ def _cmd_widgetize(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    plan = load_circuit(args.circuit, config).plan
-    algo, n_clifford = compile_plan(plan, config, args.cache_dir)
-    for wid in plan.widgets:
+    algo, n_clifford, _ = compile_circuit(args.circuit, config,
+                                          args.cache_dir)
+    for wid in algo.plan.ids:
         record = algo.compiled[wid]
         print(f"{wid}: {record.n_nodes} nodes, {record.n_edges} edges, "
               f"{record.n_T} T, {record.n_Rz} Rz, "
@@ -114,8 +114,7 @@ def _pipe_values(text: str) -> list[int]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     values = _pipe_values(args.values) if args.kind == "pipes" else None
     config = load_config(args.config)
-    plan = load_circuit(args.circuit, config).plan
-    algo, _ = compile_plan(plan, config, args.cache_dir)
+    algo, _, _ = compile_circuit(args.circuit, config, args.cache_dir)
     if values is not None:
         rows = run_pipe_sweep(algo, config, values)
         text = render_sweep_csv(rows, "n_inter_pipes")

@@ -18,6 +18,9 @@ whole construction by exact dense simulation; nothing else here simulates.
 ``compile_widget`` is pure. What estimation reads of a compiled and
 prep-scheduled widget is a ``WidgetRecord``, and that record is what the
 disk cache stores (``load_cached``/``save_cached``), one JSON file per key.
+Beside the widget records the cache keeps one ``PlanRecord`` per input
+file and split thresholds (``load_plan``/``save_plan``); both kinds share
+one atomic write and one validated read.
 The fields that only verification and the tests read are the preparation
 ops, the measurement angles and two derived on first read from the kept
 masks: the per-gadget frames (``CompiledWidget.frames``) and the local
@@ -34,7 +37,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -52,9 +55,15 @@ from .circuit import (
 from .prepsched import PrepSchedule
 from .stabilizer import GraphForm, PauliRows, bits, graph_form
 from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
+from .widgetizer import PlanRecord, SplitCriterion
 
 CACHE_ENV = "QRE_CACHE_DIR"
 CACHE_FORMAT = 4
+# The rule that derives a plan from its source, part of every plan key, so
+# that a plan record written under another rule is never read. Rule 1 gave a
+# flat QASM file the width of its widest gate; rule 2 gives it its declared
+# register.
+PLAN_RULE = 2
 
 SIM_QUBIT_LIMIT = 12
 
@@ -526,6 +535,9 @@ def _inverse_mat(g: Gate) -> np.ndarray:
 # Disk cache
 # --------------------------------------------------------------------------
 
+T = TypeVar("T")
+
+
 def cache_key(digest: str, n_input: int, fan_out: int) -> str:
     """Key of one widget's record under ``CACHE_FORMAT``: the
     ``gate_list_digest`` of its source gates, its wire count and the
@@ -560,14 +572,79 @@ def _from_dict(payload: dict) -> WidgetRecord:
 
 
 def save_cached(directory: str | Path, key: str, record: WidgetRecord) -> Path:
-    """Write ``record`` under ``key``, creating the directory on the first
-    write into it. Each writer fills its own temporary file and renames it
-    into place, so concurrent writers of one key never share a file; an
-    empty directory squatting on the entry is replaced."""
+    """Write a widget's ``record`` under ``key`` (see ``_save_entry``)."""
+    return _save_entry(directory, "widget", key, vars(record))
+
+
+def load_cached(directory: str | Path, key: str) -> WidgetRecord | None:
+    """The widget record stored under ``key``, or None (see
+    ``_load_entry``): the caller then recomputes and overwrites it."""
+    return _load_entry(directory, "widget", key, _from_dict)
+
+
+def plan_key(source_digest: str, criterion: SplitCriterion) -> str:
+    """Key of one input's plan record under ``CACHE_FORMAT`` and
+    ``PLAN_RULE``: the full sha256 of the input file's bytes and the split
+    thresholds, which together fix the plan."""
+    text = (f"v{CACHE_FORMAT}|plan{PLAN_RULE}|a{criterion.max_active_qubits}"
+            f"|g{criterion.max_gates}|s{criterion.slice_moments}"
+            f"|{source_digest}")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def save_plan(directory: str | Path, key: str, plan: PlanRecord) -> Path:
+    """Write ``plan``'s record under ``key``: the widgets as [id,
+    multiplicity, digest] in plan order and the stitches as [id, id, count]
+    in their order, so a load rebuilds every sum in the same order."""
+    return _save_entry(directory, "plan", key, {
+        "n_input": plan.n_input,
+        "widgets": [[wid, plan.multiplicity[wid], plan.digest(wid)]
+                    for wid in plan.ids],
+        "stitches": [[a, b, count] for (a, b), count in plan.stitches.items()],
+        "first": plan.first,
+        "last": plan.last,
+    })
+
+
+def load_plan(directory: str | Path, key: str) -> PlanRecord | None:
+    """The plan record stored under ``key``, or None (see ``_load_entry``):
+    the caller then loads the source and overwrites it."""
+    return _load_entry(directory, "plan", key, _plan_from_dict)
+
+
+def _plan_from_dict(payload: dict) -> PlanRecord:
+    """Rebuild a plan record; TypeError or ValueError (``CircuitError``
+    included) unless every id is a string, every count a positive integer,
+    every digest a string, and the stitches form a valid plan."""
+    n_input = payload["n_input"]
+    if type(n_input) is not int or n_input < 1:
+        raise TypeError("n_input must be a positive integer")
+    multiplicity, digests = {}, {}
+    for wid, count, digest in payload["widgets"]:
+        if (type(wid) is not str or type(count) is not int or count < 1
+                or type(digest) is not str or wid in multiplicity):
+            raise TypeError("bad widget entry")
+        multiplicity[wid], digests[wid] = count, digest
+    stitches = {}
+    for a, b, count in payload["stitches"]:
+        if type(count) is not int or count < 1 or (a, b) in stitches:
+            raise TypeError("bad stitch entry")
+        stitches[(a, b)] = count
+    return PlanRecord(n_input, multiplicity, stitches, payload["first"],
+                      payload["last"], digests)
+
+
+def _save_entry(directory: str | Path, kind: str, key: str,
+                fields: dict) -> Path:
+    """Write ``fields`` as the ``kind`` entry under ``key``, creating the
+    directory on the first write into it. Each writer fills its own
+    temporary file and renames it into place, so concurrent writers of one
+    key never share a file; an empty directory squatting on the entry is
+    replaced."""
     directory = Path(directory)
-    path = directory / f"widget-{key}.json"
-    payload = {"format": CACHE_FORMAT, "key": key, **vars(record)}
-    temp = {"prefix": f"widget-{key}.", "suffix": ".tmp", "dir": directory}
+    path = directory / f"{kind}-{key}.json"
+    payload = {"format": CACHE_FORMAT, "key": key, **fields}
+    temp = {"prefix": f"{kind}-{key}.", "suffix": ".tmp", "dir": directory}
     try:
         fd, tmp = tempfile.mkstemp(**temp)
     except FileNotFoundError:
@@ -587,17 +664,19 @@ def save_cached(directory: str | Path, key: str, record: WidgetRecord) -> Path:
     return path
 
 
-def load_cached(directory: str | Path, key: str) -> WidgetRecord | None:
-    """The record stored under ``key``, or None when the entry is missing,
-    unreadable, not a JSON object, of another format or key, or malformed:
-    the caller then recomputes and overwrites it."""
+def _load_entry(directory: str | Path, kind: str, key: str,
+                build: Callable[[dict], T]) -> T | None:
+    """``build`` applied to the ``kind`` entry stored under ``key``, or None
+    when the entry is missing, unreadable, not a JSON object, of another
+    format or key, or malformed (``build`` raises KeyError, TypeError or
+    ValueError)."""
     try:
-        payload = json.loads((Path(directory) / f"widget-{key}.json")
-                             .read_bytes())
+        with open(os.path.join(directory, f"{kind}-{key}.json"), "rb") as f:
+            payload = json.loads(f.read())
         if (not isinstance(payload, dict)
                 or payload.get("format") != CACHE_FORMAT
                 or payload.get("key") != key):
             return None
-        return _from_dict(payload)
+        return build(payload)
     except (OSError, KeyError, TypeError, ValueError):
         return None

@@ -23,7 +23,7 @@ sub-step count, its per-sub-step cross-module crossings and its per-module
 T/Rz maxima, and each stitch's handover crossings.  A ``compute_timing``
 call only does the arithmetic that depends on the config and the operating
 point (t, t_inter, pipe count, d, synthesis length, factory), summing over
-``plan.widgets`` and ``plan.stitches`` in their order.  It reads the pipe
+``plan.ids`` and ``plan.stitches`` in their order.  It reads the pipe
 count only through ``_TimingInputs.pipe_rounds``, so a pipe sweep times each
 distinct rounds tuple once.
 """
@@ -45,7 +45,7 @@ from .architecture import (
 from .compiler import StitchedEstimationSet, WidgetRecord, stitch
 from .config import ArchConfig
 from .prepsched import pipe_rounds, substep_crossings
-from .widgetizer import WidgetPlan
+from .widgetizer import PlanRecord
 
 __all__ = [
     "CompiledAlgorithm",
@@ -119,14 +119,14 @@ def sequential_counts(n_t_init: int, n_rz_init: int, l_eps: int,
 
 @dataclass(frozen=True)
 class CompiledAlgorithm:
-    """A widget plan with the record of each distinct widget, compiled and
-    prep-scheduled.
+    """A widget plan, or the plan record of a warm run, with the record of
+    each distinct widget, compiled and prep-scheduled.
 
     Keys of `compiled` are the plan's widget ids; sequence-level sums use
-    the plan's multiplicities and stitch counts.
+    the plan's multiplicities and stitch counts, in plan order.
     """
 
-    plan: WidgetPlan
+    plan: PlanRecord
     compiled: Mapping[str, WidgetRecord]
     _timing_memo: dict[tuple[int, int], _TimingInputs] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -136,7 +136,7 @@ class CompiledAlgorithm:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        missing = set(self.plan.widgets) - set(self.compiled)
+        missing = set(self.plan.ids) - set(self.compiled)
         if missing:
             raise EstimationError(
                 f"compiled table incomplete: missing {sorted(missing)}")
@@ -144,13 +144,13 @@ class CompiledAlgorithm:
     @cached_property
     def est(self) -> StitchedEstimationSet:
         return stitch([(self.compiled[w], self.plan.multiplicity[w])
-                       for w in self.plan.widgets])
+                       for w in self.plan.ids])
 
     @cached_property
     def l_prep_total(self) -> int:
         """Total preparation sub-steps over the full (repeated) sequence."""
         return sum(self.plan.multiplicity[w] * self.compiled[w].n_sub_steps
-                   for w in self.plan.widgets)
+                   for w in self.plan.ids)
 
     @property
     def l_prep_first(self) -> int:
@@ -169,7 +169,7 @@ class CompiledAlgorithm:
     @cached_property
     def consump_steps_total(self) -> int:
         return sum(self.plan.multiplicity[w] * self.compiled[w].n_consump_steps
-                   for w in self.plan.widgets)
+                   for w in self.plan.ids)
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +377,7 @@ class _WidgetInputs(NamedTuple):
 @dataclass(frozen=True)
 class _TimingInputs:
     """Integer timing inputs of one compiled algorithm on one module layout:
-    ``widgets`` in ``plan.widgets`` order, ``stitches`` as (index of a,
+    ``widgets`` in ``plan.ids`` order, ``stitches`` as (index of a,
     index of b, count) in ``plan.stitches`` order, ``handover`` mapping a
     handover's module-boundary crossings to the stitch occurrences that
     have that many, and ``crossing`` the nonempty per-sub-step crossings
@@ -432,9 +432,9 @@ def _timing_inputs(algo: CompiledAlgorithm,
                    layout: ModuleLayout) -> _TimingInputs:
     plan = algo.plan
     register_size = algo.est.n_logical_max
-    index = {wid: i for i, wid in enumerate(plan.widgets)}
+    index = {wid: i for i, wid in enumerate(plan.ids)}
     widgets = []
-    for wid in plan.widgets:
+    for wid in plan.ids:
         record = algo.compiled[wid]
         widgets.append(_WidgetInputs(
             plan.multiplicity[wid] - (1 if wid == plan.last else 0),

@@ -2,7 +2,7 @@
 
 This module strings the stages together for a single circuit source and owns
 the run-level concerns the stages themselves do not: input-format dispatch
-(flat QASM, widget-table JSON, nested-block JSON), the shared widget cache,
+(flat QASM, widget-table JSON, nested-block JSON), the shared cache,
 provenance hashing, and parameter sweeps that re-solve or re-time one
 compiled algorithm.
 
@@ -10,11 +10,18 @@ compiled algorithm.
 ``verify_circuit`` calls ``LoadedCircuit.expand``, and it checks the plan
 against the source's own gates.
 
-The widget cache sits at ``compile_plan``'s per-widget step. Its key comes
-from the widget's gate-list digest (``WidgetPlan.digest``), the wire count
-and the preparation fan-out; its value is the ``WidgetRecord`` that
-estimation reads. A hit therefore transpiles, compiles and schedules
-nothing. ``verify_circuit`` does not use the cache: it compiles every
+``compile_circuit`` is the one entry point of ``estimate``, ``sweep`` and
+``compile``, and the cache holds two kinds of record for it. A plan record
+(``PlanRecord``) is keyed on the sha256 of the input file's bytes, which
+is also the report's ``circuit_hash``, and on the split thresholds. A
+widget record (``WidgetRecord``) is keyed on the widget's gate-list digest
+(``WidgetPlan.digest``), the wire count and the preparation fan-out. A warm
+run reads the plan record and then every widget record it names, so it
+parses, widgetizes, transpiles, compiles and schedules nothing. If any of
+them misses or is malformed, the run loads the source, and ``compile_plan``
+reads each widget record and compiles each miss; then the plan record is
+written anew. ``load_circuit`` itself never reads the cache, so neither
+``verify`` nor ``widgetize`` does. ``verify_circuit`` compiles every
 distinct widget afresh, since it needs the fields the record leaves out.
 
 Each distinct config is solved once per compiled algorithm
@@ -37,7 +44,6 @@ from . import __version__, compiler
 from .circuit import (
     CircuitError,
     Gate,
-    circuit_width,
     invert_gates,
     parse_qasm,
     transpile,
@@ -61,6 +67,7 @@ from .prepsched import schedule_preparation
 from .report import ResourceReport, assemble_report, render_csv
 from .scalefit import SCALING_PRESETS
 from .widgetizer import (
+    PlanRecord,
     SplitCriterion,
     WidgetPlan,
     build_dependency_graph,
@@ -74,6 +81,7 @@ __all__ = [
     "EstimateResult",
     "SweepRow",
     "load_circuit",
+    "compile_circuit",
     "compile_plan",
     "run_estimate",
     "run_pipe_sweep",
@@ -101,16 +109,18 @@ class LoadedCircuit:
         return self._expand()
 
 
-def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
+def load_circuit(path: str | Path, config: ArchConfig,
+                 data: bytes | None = None) -> LoadedCircuit:
     """Parse a circuit file, dispatching on its content: OpenQASM text
-    becomes a single widget; JSON is either a widget table
-    ({distinct_widgets, sequence}) or nested blocks ({blocks, root}), the
-    latter widgetized under the configured split thresholds."""
-    data = Path(path).read_bytes()
+    becomes a single widget on its declared register; JSON is either a
+    widget table ({distinct_widgets, sequence}) or nested blocks ({blocks,
+    root}), the latter widgetized under the configured split thresholds.
+    ``data`` is the file's bytes when the caller has read them already."""
+    if data is None:
+        data = Path(path).read_bytes()
     if not data.lstrip().startswith(b"{"):
-        gates = parse_qasm(data.decode())
-        return _flat(path, max(circuit_width(gates), 1), {"w0": gates},
-                     ["w0"], data)
+        n_qubits, gates = parse_qasm(data.decode())
+        return _flat(path, n_qubits or 1, {"w0": gates}, ["w0"], data)
     try:
         payload = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -118,15 +128,18 @@ def load_circuit(path: str | Path, config: ArchConfig) -> LoadedCircuit:
     if "distinct_widgets" in payload:
         return _flat(path, *parse_widget_file(payload, path), data)
     nested = parse_nested_file(payload, path)
-    criterion = SplitCriterion(
+    root = build_dependency_graph(nested, _criterion(config))
+    return LoadedCircuit(
+        WidgetPlan.from_root(root, nested.n_input), data,
+        lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
+
+
+def _criterion(config: ArchConfig) -> SplitCriterion:
+    return SplitCriterion(
         max_active_qubits=config.max_active_qubits,
         max_gates=config.max_gates,
         slice_moments=config.slice_moments,
     )
-    root = build_dependency_graph(nested, criterion)
-    return LoadedCircuit(
-        WidgetPlan.from_root(root, nested.n_input), data,
-        lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
 
 
 def _flat(path: str | Path, n_input: int, table: Mapping[str, list[Gate]],
@@ -142,6 +155,63 @@ def _flat(path: str | Path, n_input: int, table: Mapping[str, list[Gate]],
         lambda: (tuple(sequence), [g for wid in sequence for g in table[wid]]))
 
 
+def _cache_directory(cache_dir: str | Path | None) -> str | Path | None:
+    return cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
+
+
+def compile_circuit(
+    path: str | Path,
+    config: ArchConfig,
+    cache_dir: str | Path | None = None,
+) -> tuple[CompiledAlgorithm, int, str]:
+    """Compile a circuit file: the compiled algorithm, its transpiled
+    Clifford-gate total and the sha256 of the file's bytes.
+
+    With a cache directory (``cache_dir`` or the QRE_CACHE_DIR variable),
+    a warm run reads the input's plan record and every widget record and
+    parses nothing. If any of them misses or is malformed, the run loads
+    the source, compiles the plan (``compile_plan``, which reads and writes
+    the widget records) and writes the plan record anew.
+    """
+    data = Path(path).read_bytes()
+    source_digest = hashlib.sha256(data).hexdigest()
+    directory = _cache_directory(cache_dir)
+    if directory:
+        key = compiler.plan_key(source_digest, _criterion(config))
+        record = compiler.load_plan(directory, key)
+        if record is not None:
+            records = _cached_records(record, config, directory)
+            if records is not None:
+                return (CompiledAlgorithm(record, records),
+                        _clifford_total(record, records), source_digest)
+    plan = load_circuit(path, config, data).plan
+    algo, n_clifford = compile_plan(plan, config, directory)
+    if directory:
+        compiler.save_plan(directory, key, plan)
+    return algo, n_clifford, source_digest
+
+
+def _cached_records(plan: PlanRecord, config: ArchConfig,
+                    directory: str | Path) -> dict[str, WidgetRecord] | None:
+    """Every widget record of ``plan`` read from the cache, or None at the
+    first one that misses."""
+    records = {}
+    for wid in plan.ids:
+        key = cache_key(plan.digest(wid), plan.n_input, config.fan_out)
+        record = compiler.load_cached(directory, key)
+        if record is None:
+            return None
+        records[wid] = record
+    return records
+
+
+def _clifford_total(plan: PlanRecord,
+                    records: Mapping[str, WidgetRecord]) -> int:
+    """Transpiled Clifford gates over the full sequence."""
+    return sum(plan.multiplicity[wid] * records[wid].n_clifford
+               for wid in plan.ids)
+
+
 def compile_plan(
     plan: WidgetPlan,
     config: ArchConfig,
@@ -154,9 +224,8 @@ def compile_plan(
     Returns the compiled algorithm and the transpiled Clifford-gate total
     over the full sequence.
     """
-    directory = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
+    directory = _cache_directory(cache_dir)
     records = {}
-    n_clifford = 0
     for wid, gates in plan.widgets.items():
         record = None
         if directory:
@@ -169,8 +238,7 @@ def compile_plan(
             if directory:
                 compiler.save_cached(directory, key, record)
         records[wid] = record
-        n_clifford += plan.multiplicity[wid] * record.n_clifford
-    return CompiledAlgorithm(plan, records), n_clifford
+    return CompiledAlgorithm(plan, records), _clifford_total(plan, records)
 
 
 def _widget_record(gates: Sequence[Gate], n_input: int,
@@ -207,24 +275,6 @@ def _config_hash(config: ArchConfig) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
 
 
-def _estimate(
-    loaded: LoadedCircuit,
-    config: ArchConfig,
-    cache_dir: str | Path | None,
-) -> EstimateResult:
-    algo, n_clifford = compile_plan(loaded.plan, config, cache_dir)
-    sel = _select(algo, config)
-    timing = compute_timing(config, algo, sel)
-    provenance = {
-        "config_hash": _config_hash(config),
-        "circuit_hash": hashlib.sha256(loaded.data).hexdigest()[:16],
-        "tool_version": __version__,
-    }
-    report = assemble_report(config, algo, sel, timing, n_clifford,
-                             provenance)
-    return EstimateResult(report, config, algo, sel, timing, n_clifford)
-
-
 def run_estimate(
     circuit_path: str | Path,
     config_path: str | Path | None = None,
@@ -233,13 +283,22 @@ def run_estimate(
 ) -> EstimateResult:
     """Full run from files; writes report.csv under out_dir when given."""
     config = load_config(config_path)
-    loaded = load_circuit(circuit_path, config)
-    result = _estimate(loaded, config, cache_dir)
+    algo, n_clifford, source_digest = compile_circuit(circuit_path, config,
+                                                      cache_dir)
+    sel = _select(algo, config)
+    timing = compute_timing(config, algo, sel)
+    provenance = {
+        "config_hash": _config_hash(config),
+        "circuit_hash": source_digest[:16],
+        "tool_version": __version__,
+    }
+    report = assemble_report(config, algo, sel, timing, n_clifford,
+                             provenance)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text(render_csv(result.report))
-    return result
+        (out / "report.csv").write_text(render_csv(report))
+    return EstimateResult(report, config, algo, sel, timing, n_clifford)
 
 
 # --------------------------------------------------------------------------

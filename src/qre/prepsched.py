@@ -200,12 +200,3 @@ def pipe_rounds(crossings: Mapping[int, int], n_inter_pipes: int) -> int:
         raise ValueError("n_inter_pipes must be >= 1")
     return sum(count * -(-c // n_inter_pipes)
                for c, count in crossings.items())
-
-
-def cross_module_ops(
-    schedule: PrepSchedule, n_logical: int, n_inter_pipes: int
-) -> int:
-    """Vertical cross-module operation count for one widget's preparation:
-    each sub-step's crossings (``substep_crossings``) share the pipes."""
-    return pipe_rounds(substep_crossings(schedule.substep_spans(), n_logical),
-                       n_inter_pipes)

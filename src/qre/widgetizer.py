@@ -15,6 +15,9 @@ a composite, a hash of the children's keys and repeats) are built once and
 shared, so a widget always acts on the qubits its gates name. A plan keeps
 each widget's digest, from which the widget cache derives its key.
 
+A ``WidgetPlan`` is a ``PlanRecord``, the gate-free part that estimation
+reads and the plan cache stores, plus each widget's gate list.
+
 ``parse_nested_file`` validates each distinct gate item of a file once and
 builds one ``Gate`` for it, which every repetition of the item shares.
 Only ``verify`` expands a whole circuit (``iter_leaf_sequence``,
@@ -24,10 +27,9 @@ Only ``verify`` expands a whole circuit (``iter_leaf_sequence``,
 from __future__ import annotations
 
 import hashlib
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .circuit import (
     _QASM_NAME_TO_KIND,
@@ -366,16 +368,15 @@ def iter_leaf_sequence(root: SubcircuitNode) -> Iterator[str]:
 # --------------------------------------------------------------------------
 
 @dataclass
-class WidgetPlan:
-    """Everything downstream estimation needs from a widget decomposition:
-    the distinct gate lists, their multiplicities, the ordered-pair stitch
-    multiset, and the first/last widgets of the sequence. ``digests``
-    holds each widget's ``gate_list_digest`` once known: a nested plan
-    takes them from its leaf keys, and ``digest`` computes the others on
-    first use."""
+class PlanRecord:
+    """What estimation reads of a widget plan, with no gates: the wire
+    count, each widget's multiplicity and ``gate_list_digest`` in plan
+    order, the ordered-pair stitch multiset, and the first/last widgets of
+    the sequence. It is the value the plan cache stores (one record per
+    input file and split thresholds), and a warm run estimates from it and
+    the widget records alone."""
 
     n_input: int
-    widgets: dict[str, tuple[Gate, ...]]
     multiplicity: dict[str, int]
     stitches: dict[tuple[str, str], int]
     first: str
@@ -384,21 +385,50 @@ class WidgetPlan:
                                     repr=False)
 
     @property
+    def ids(self) -> Iterable[str]:
+        """The widget ids in plan order, the order of the estimator's sums."""
+        return self.multiplicity.keys()
+
+    @property
     def n_widgets(self) -> int:
         return sum(self.multiplicity.values())
 
     @property
     def n_distinct_widgets(self) -> int:
-        return len(self.widgets)
+        return len(self.multiplicity)
 
     def __post_init__(self) -> None:
-        if set(self.widgets) != set(self.multiplicity):
-            raise CircuitError("widget table and multiplicity keys differ")
+        if not {self.first, self.last}.union(*self.stitches).issubset(
+                self.multiplicity):
+            raise CircuitError("stitches and first/last must name widgets")
         if sum(self.stitches.values()) != self.n_widgets - 1:
             raise CircuitError("stitch counts must sum to n_widgets - 1")
 
     def digest(self, wid: str) -> str:
         """The ``gate_list_digest`` of widget ``wid``."""
+        return self.digests[wid]
+
+
+@dataclass(kw_only=True)
+class WidgetPlan(PlanRecord):
+    """A plan record with each distinct widget's gate list, in plan order:
+    everything downstream estimation needs from a widget decomposition.
+    ``digests`` holds each widget's digest once known: a nested plan takes
+    them from its leaf keys, and ``digest`` computes the others on first
+    use."""
+
+    widgets: dict[str, tuple[Gate, ...]]
+
+    @property
+    def ids(self) -> Iterable[str]:
+        return self.widgets.keys()
+
+    def __post_init__(self) -> None:
+        if set(self.widgets) != set(self.multiplicity):
+            raise CircuitError("widget table and multiplicity keys differ")
+        super().__post_init__()
+
+    def digest(self, wid: str) -> str:
         digest = self.digests.get(wid)
         if digest is None:
             digest = self.digests[wid] = gate_list_digest(self.widgets[wid])
@@ -563,8 +593,10 @@ def parse_widget_file(payload: Mapping, path: str | Path,
     """Read decoded widget-table JSON, {format, n_input, distinct_widgets,
     sequence} with each widget an OpenQASM string, into ``n_input``, the
     table of gate lists in file order and the sequence, the arguments of
-    ``WidgetPlan.from_sequence``. ``path`` only names the source in error
-    messages, which also name the widget."""
+    ``WidgetPlan.from_sequence``. A widget body that declares a register
+    must declare ``n_input`` qubits, as ``parse_qasm`` reads it, so a
+    commented-out declaration is never compared. ``path`` only names the
+    source in error messages, which also name the widget."""
     fmt = payload.get("format", WIDGET_FORMAT)
     if fmt != WIDGET_FORMAT:
         raise CircuitError(f"{path}: unsupported widget file format {fmt!r}")
@@ -588,16 +620,10 @@ def parse_widget_file(payload: Mapping, path: str | Path,
             raise CircuitError(f"{where} must be an OpenQASM string, "
                                f"got {type(qasm).__name__}")
         try:
-            distinct[wid] = parse_qasm(qasm)
+            declared, distinct[wid] = parse_qasm(qasm)
         except CircuitError as exc:
             raise CircuitError(f"{where}: {exc}") from exc
-        declared = _declared_width(qasm)
         if declared is not None and declared != n_input:
             raise CircuitError(
                 f"{where} declares {declared} qubits, expected {n_input}")
     return n_input, distinct, [str(w) for w in sequence]
-
-
-def _declared_width(qasm: str) -> int | None:
-    m = re.search(r"qreg\s+[A-Za-z_][A-Za-z0-9_]*\s*\[\s*(\d+)\s*\]", qasm)
-    return int(m.group(1)) if m else None

@@ -646,6 +646,16 @@ def prep_cross_ops(prep, register_size, n_inter_pipes):
     return total
 
 
+def cross_module_ops(schedule, n_logical, n_inter_pipes):
+    """Vertical cross-module operation count for one widget's preparation,
+    from the package's own steps: each sub-step's crossings
+    (``substep_crossings``) share the pipes (``pipe_rounds``)."""
+    from qre.prepsched import pipe_rounds, substep_crossings
+
+    return pipe_rounds(substep_crossings(schedule.substep_spans(), n_logical),
+                       n_inter_pipes)
+
+
 def widget_timing(config, cw, prep, sel, register_size):
     """One widget's prep, consumption and distillation-stall times at the
     selected operating point, counted from the widget itself."""

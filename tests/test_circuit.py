@@ -75,16 +75,21 @@ class TestGate:
 
 
 class TestParseQasm:
+    def test_declared_register(self):
+        assert parse_qasm("qreg q[40]; h q[0];")[0] == 40
+        assert parse_qasm("// qreg q[4];\n") == (None, [])
+
     def test_basic(self):
-        gates = parse_qasm("qreg q[2]; h q[0]; cx q[0],q[1];")
+        n_qubits, gates = parse_qasm("qreg q[2]; h q[0]; cx q[0],q[1];")
+        assert n_qubits == 2
         assert gates == [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1)]
 
     def test_rz_float(self):
-        gates = parse_qasm("qreg q[2]; rz(0.3) q[1];")
+        _, gates = parse_qasm("qreg q[2]; rz(0.3) q[1];")
         assert gates == [gate(GateKind.Rz, 1, angle=0.3)]
 
     def test_rz_pi_expression(self):
-        (g,) = parse_qasm("qreg q[1]; rz(pi/4) q[0];")
+        _, (g,) = parse_qasm("qreg q[1]; rz(pi/4) q[0];")
         assert g.kind is GateKind.Rz
         assert g.angle == pytest.approx(math.pi / 4, abs=0)
 
@@ -95,7 +100,7 @@ class TestParseQasm:
         // a comment
         ccx q[0],q[1],q[2]; cp(-pi/8) q[0],q[2];
         """
-        gates = parse_qasm(text)
+        _, gates = parse_qasm(text)
         assert [g.kind for g in gates] == [GateKind.CCX, GateKind.CPhase]
         assert gates[1].angle == pytest.approx(-math.pi / 8)
 
@@ -118,7 +123,7 @@ class TestParseQasm:
                             lambda *args, **kw: parsed.append(args[0])
                             or real_parse(*args, **kw))
         circuit._fold_angle.cache_clear()
-        gates = parse_qasm("qreg q[2];\n" + "rz(pi/7) q[0];\ncp(pi/7) q[1],q[0];\n" * 40)
+        _, gates = parse_qasm("qreg q[2];\n" + "rz(pi/7) q[0];\ncp(pi/7) q[1],q[0];\n" * 40)
         assert parsed == ["pi/7"]
         assert {g.angle for g in gates} == {math.pi / 7}
 
@@ -135,7 +140,7 @@ class TestParseQasm:
         gates = [gate(GateKind.H, 0), gate(GateKind.Rz, 1, angle=0.12345678901234567),
                  gate(GateKind.CPhase, 2, 0, angle=-math.pi / 16),
                  gate(GateKind.CCX, 0, 1, 2), gate(GateKind.SWAP, 1, 2)]
-        assert parse_qasm(emit_qasm(gates)) == gates
+        assert parse_qasm(emit_qasm(gates)) == (3, gates)
 
 
 class TestTranspile:
@@ -219,7 +224,7 @@ class TestTranspileUnitarity:
     @settings(max_examples=40, deadline=None)
     @given(random_circuit())
     def test_roundtrip_qasm(self, gates):
-        assert parse_qasm(emit_qasm(gates, 3)) == gates
+        assert parse_qasm(emit_qasm(gates, 3)) == (3, gates)
 
     @settings(max_examples=40, deadline=None)
     @given(random_circuit())
@@ -324,6 +329,18 @@ class TestWidgetFiles:
         with pytest.raises(CircuitError, match="declares 3"):
             parse_widget_file(payload, self.PATH)
 
+    def test_commented_qreg_is_not_a_declaration(self):
+        payload = {"n_input": 3, "sequence": ["A"],
+                   "distinct_widgets": {"A": "// qreg c[2]\nqreg q[3];\nh q[2];"}}
+        n_input, table, _ = parse_widget_file(payload, self.PATH)
+        assert n_input == 3
+        assert table == {"A": [gate(GateKind.H, 2)]}
+
+    def test_body_without_register_is_not_checked(self):
+        payload = {"n_input": 2, "sequence": ["A"],
+                   "distinct_widgets": {"A": "// qreg q[5];"}}
+        assert parse_widget_file(payload, self.PATH)[1] == {"A": []}
+
     @pytest.mark.parametrize("body", [5, None, ["h q[0];"], {"qasm": "x"}])
     def test_widget_body_not_a_string(self, body):
         payload = {"format": 1, "n_input": 1,
@@ -374,11 +391,11 @@ class TestWidgetFiles:
         assert stitches(["a"]) == {}
 
     def test_single_helper(self, tmp_path):
-        # a flat QASM file is one widget as wide as its gates
+        # a flat QASM file is one widget on its declared register
         path = tmp_path / "h.qasm"
         path.write_text("qreg q[3]; h q[0];")
         wc = load_circuit(path, ArchConfig()).plan
-        assert wc.n_input == 1
+        assert wc.n_input == 3
         assert wc.n_widgets == 1
 
 

@@ -142,7 +142,8 @@ class TestStageCommands:
             assert main(["compile", str(qft3_path),
                          "--cache-dir", str(cache)]) == EXIT_OK
             assert capsys.readouterr().out == uncached
-        assert len(list(cache.iterdir())) == 1
+        assert len(list(cache.glob("widget-*.json"))) == 1
+        assert len(list(cache.glob("plan-*.json"))) == 1
         assert uncached == (
             "w0: 12 nodes, 10 edges, 6 T, 3 Rz, 5 consumption steps, "
             "4 preparation sub-steps\n"

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import pipe_sweep_per_point
 from pool import REFS, benchmark_inputs, benchmark_pool_circuit
-from qre import compiler, pipeline, widgetizer
+from qre import cli, compiler, pipeline, widgetizer
 from qre.architecture import EstimationError
 from qre.circuit import (
     CircuitError,
@@ -26,6 +26,7 @@ from qre.config import ArchConfig, ConfigError
 from qre.estimator import compute_timing, solve_distance_and_factory
 from qre.pipeline import (
     SEQUENCE_LIMIT,
+    compile_circuit,
     compile_plan,
     load_circuit,
     render_sweep_csv,
@@ -113,9 +114,9 @@ class TestLoadDispatch:
         (gates,) = loaded.plan.widgets.values()
         assert gates == (gate(G.H, 0), gate(G.H, 0))
 
-    # Widget tables that parse but make no plan: (n_input, table, sequence,
-    # the plan's error). A commented-out qreg satisfies the declared-width
-    # check, so the gate beyond n_input reaches the plan.
+    # Widget tables that make no plan: (n_input, table, sequence, the
+    # error). A commented-out qreg is not a declaration, so the real one is
+    # compared with n_input.
     PLAN_ERRORS = {
         "empty-sequence": (1, {"A": "qreg q[1]; h q[0];"}, [],
                            "widget sequence is empty"),
@@ -123,7 +124,7 @@ class TestLoadDispatch:
                              "sequence references undefined widget 'C'"),
         "gate-beyond-n-input": (
             1, {"A": "// qreg c[1]\nqreg q[3];\nh q[2];"}, ["A"],
-            "widget 'A' touches qubit 2, beyond n_input=1"),
+            "widget 'A' declares 3 qubits, expected 1"),
         "n-input-zero": (0, {"A": ""}, ["A"], "n_input must be >= 1"),
     }
 
@@ -293,7 +294,7 @@ class TestWidgetCache:
         cache = tmp_path / "cache"
         assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
         first = capsys.readouterr().out
-        (entry,) = cache.iterdir()
+        (entry,) = cache.glob("widget-*.json")
         entry.write_text("[]")
         assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == first
@@ -396,6 +397,259 @@ class TestWidgetCache:
         assert compiler.load_cached(tmp_path, "k") == record
 
 
+TABLE = {"n_input": 2, "sequence": ["a", "b", "a"],
+         "distinct_widgets": {"b": "qreg q[2]; s q[1];",
+                              "a": "qreg q[2]; h q[0]; cx q[0],q[1]; "
+                                   "t q[1]; rz(0.3) q[0];"}}
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("table") / "table.json"
+    path.write_text(json.dumps(TABLE))
+    return path
+
+
+@pytest.fixture
+def source_path(request, qft3_path, table_path, pool3_path):
+    return {"qasm": qft3_path, "table": table_path,
+            "pool3": pool3_path}[request.param]
+
+
+def compile_lines(path, capsys, *options):
+    assert main(["compile", str(path), *options]) == 0
+    return capsys.readouterr().out
+
+
+def refuse_source_reads(monkeypatch, path):
+    """Make every read of ``path``'s content past its bytes raise: JSON
+    decoding of the source, each reader, the widgetizer and the plan fold,
+    and every compile stage."""
+    data = path.read_bytes()
+    loads = json.loads
+
+    def guarded_loads(text, *args, **kwargs):
+        if text in (data, data.decode()):
+            raise AssertionError("the source was decoded on a warm cache")
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", guarded_loads)
+    for owner, name in ((pipeline, "parse_qasm"),
+                        (pipeline, "parse_nested_file"),
+                        (pipeline, "parse_widget_file"),
+                        (pipeline, "build_dependency_graph"),
+                        (widgetizer, "parse_qasm"),
+                        (pipeline, "transpile"),
+                        (pipeline, "compile_widget"),
+                        (pipeline, "schedule_preparation")):
+        monkeypatch.setattr(owner, name, refuse(name))
+    monkeypatch.setattr(WidgetPlan, "from_root", refuse("from_root"))
+
+
+def counting(monkeypatch, owner, name):
+    """Wrap ``owner.name`` so that each call is counted in the returned
+    list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def plan_entry(cache):
+    (entry,) = cache.glob("plan-*.json")
+    return entry
+
+
+class TestPlanRecord:
+    """One plan record per input and split thresholds: a warm run reads it
+    and every widget record, and parses nothing."""
+
+    @pytest.mark.parametrize("source_path", ["qasm", "table", "pool3"],
+                             indirect=True)
+    def test_warm_run_parses_nothing_and_matches_cold(
+            self, source_path, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        uncached = (estimate_and_sweep(source_path, None, None),
+                    compile_lines(source_path, capsys))
+        cold = (estimate_and_sweep(source_path, None, cache),
+                compile_lines(source_path, capsys, "--cache-dir", str(cache)))
+        entry = plan_entry(cache)
+        refuse_source_reads(monkeypatch, source_path)
+        warm = (estimate_and_sweep(source_path, None, cache),
+                compile_lines(source_path, capsys, "--cache-dir", str(cache)))
+        assert warm == cold == uncached
+        assert plan_entry(cache) == entry
+
+    def test_record_holds_the_plan_in_plan_order(self, table_path, config,
+                                                 tmp_path):
+        plan = load_circuit(table_path, config).plan
+        assert list(plan.widgets) != list(plan.multiplicity)
+        compile_circuit(table_path, config, tmp_path)
+        payload = json.loads(plan_entry(tmp_path).read_text())
+        assert payload["n_input"] == 2
+        assert payload["widgets"] == [[wid, plan.multiplicity[wid],
+                                       plan.digest(wid)]
+                                      for wid in plan.widgets]
+        assert payload["stitches"] == [["a", "b", 1], ["b", "a", 1]]
+        assert (payload["first"], payload["last"]) == ("a", "a")
+        record = compiler.load_plan(tmp_path, payload["key"])
+        assert list(record.ids) == list(plan.widgets)
+        assert record.stitches == plan.stitches
+
+    @pytest.mark.parametrize("content", [
+        "[]", "null", '"x"', "{}", "", "format-2", "other-key", "missing",
+        "directory", "n_input", "widgets", "multiplicity",
+        "float-multiplicity", "digest",
+        "duplicate-widget", "stitches", "stitch-count", "stitch-sum",
+        "stitch-id", "first"])
+    def test_bad_entry_is_recomputed_and_overwritten(
+            self, content, pool3_path, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        fresh = estimate_and_sweep(pool3_path, None, None)
+        estimate_and_sweep(pool3_path, None, cache)
+        entry = plan_entry(cache)
+        entries = cache_entries(cache)
+        good = json.loads(entry.read_text())
+        if content == "directory":
+            entry.unlink()
+            entry.mkdir()
+        else:
+            bad = json.loads(entry.read_text())
+            widget, stitch = bad["widgets"][0], bad["stitches"][0]
+            if content == "format-2":
+                bad["format"] = 2
+            elif content == "other-key":
+                bad["key"] = "0" * 64
+            elif content == "missing":
+                del bad["stitches"]
+            elif content == "n_input":
+                bad["n_input"] = True
+            elif content == "widgets":
+                bad["widgets"] = {"a": 1}
+            elif content == "multiplicity":
+                widget[1] = str(widget[1])
+            elif content == "float-multiplicity":
+                widget[1] = float(widget[1])
+            elif content == "digest":
+                widget[2] = None
+            elif content == "duplicate-widget":
+                bad["widgets"].append(widget)
+            elif content == "stitches":
+                bad["stitches"] = [stitch[:2]]
+            elif content == "stitch-count":
+                stitch[2] = float(stitch[2])
+            elif content == "stitch-sum":
+                stitch[2] += 1
+            elif content == "stitch-id":
+                stitch[0] = "nowhere"
+            elif content == "first":
+                bad["first"] = ["a"]
+            else:
+                bad = None
+            entry.write_text(content if bad is None else json.dumps(bad))
+        loads = counting(monkeypatch, pipeline, "load_circuit")
+        assert estimate_and_sweep(pool3_path, None, cache) == fresh
+        assert len(loads) == 1
+        assert json.loads(entry.read_text()) == good
+        assert cache_entries(cache) == entries
+
+    def test_stitch_sum_is_a_plan_error(self, pool3_path, config, tmp_path):
+        compile_circuit(pool3_path, config, tmp_path)
+        payload = json.loads(plan_entry(tmp_path).read_text())
+        payload["stitches"][0][2] += 1
+        with pytest.raises(CircuitError, match="n_widgets - 1"):
+            compiler._plan_from_dict(payload)
+
+    def test_missing_widget_record_falls_back_to_the_source(
+            self, pool3_path, config, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cold = estimate_and_sweep(pool3_path, None, cache)
+        plan = load_circuit(pool3_path, config).plan
+        wid = list(plan.widgets)[7]
+        key = compiler.cache_key(plan.digest(wid), plan.n_input,
+                                 config.fan_out)
+        (cache / f"widget-{key}.json").unlink()
+        loads = counting(monkeypatch, pipeline, "load_circuit")
+        compiled = counting(monkeypatch, pipeline, "compile_widget")
+        assert estimate_and_sweep(pool3_path, None, cache) == cold
+        assert len(loads) == 1 and len(compiled) == 1
+        assert (cache / f"widget-{key}.json").is_file()
+
+    def test_one_byte_edit_misses(self, qft3_path, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        path = tmp_path / "edited.qasm"
+        data = qft3_path.read_bytes()
+        path.write_bytes(data)
+        estimate_and_sweep(path, None, cache)
+        path.write_bytes(data.replace(b"\nh q[0];", b"\nx q[0];", 1))
+        assert path.read_bytes() != data
+        assert len(path.read_bytes()) == len(data)
+        loads = counting(monkeypatch, pipeline, "load_circuit")
+        edited = estimate_and_sweep(path, None, cache)
+        assert len(loads) == 1
+        assert edited == estimate_and_sweep(path, None, None)
+        assert len(list(cache.glob("plan-*.json"))) == 2
+
+    def test_split_thresholds_key_the_record(self, pool3_path, tmp_path,
+                                             monkeypatch):
+        cache = tmp_path / "cache"
+        configs = {}
+        for name, text in (("gates", "architecture:\n  max_gates: 64\n"),
+                           ("modules",
+                            "physical:\n  n_phys_per_module: 250000\n")):
+            configs[name] = tmp_path / f"{name}.yaml"
+            configs[name].write_text(text)
+        estimate_and_sweep(pool3_path, None, cache)
+        estimate_and_sweep(pool3_path, configs["gates"], cache)
+        assert len(list(cache.glob("plan-*.json"))) == 2
+        loads = counting(monkeypatch, pipeline, "load_circuit")
+        small = estimate_and_sweep(pool3_path, configs["modules"], cache)
+        assert loads == []
+        assert len(list(cache.glob("plan-*.json"))) == 2
+        assert small == estimate_and_sweep(pool3_path, configs["modules"],
+                                           None)
+
+    def test_a_record_of_another_rule_is_never_read(self, tmp_path,
+                                                    monkeypatch):
+        # A plan of the first rule sized a flat QASM file by its widest
+        # gate. Plant one, with the widget records it names, under the
+        # first rule's key: the current rule must not read it.
+        cache = tmp_path / "cache"
+        narrow, wide = tmp_path / "narrow.qasm", tmp_path / "wide.qasm"
+        narrow.write_text("qreg q[1]; h q[0]; t q[0];\n")
+        wide.write_text("qreg q[40]; h q[0]; t q[0];\n")
+        config = ArchConfig()
+        compile_circuit(narrow, config, cache)
+        old = compiler.load_plan(cache, compiler.plan_key(
+            hashlib.sha256(narrow.read_bytes()).hexdigest(),
+            pipeline._criterion(config)))
+        monkeypatch.setattr(compiler, "PLAN_RULE", 1)
+        compiler.save_plan(cache, compiler.plan_key(
+            hashlib.sha256(wide.read_bytes()).hexdigest(),
+            pipeline._criterion(config)), old)
+        monkeypatch.undo()
+        report = run_estimate(wide, cache_dir=cache).report
+        assert report.value(15) == 40
+        assert render_csv(report) == render_csv(run_estimate(wide).report)
+
+    def test_verify_and_widgetize_never_read_the_record(
+            self, table_path, tmp_path, capsys, monkeypatch):
+        cache = tmp_path / "cache"
+        estimate_and_sweep(table_path, None, cache)
+        monkeypatch.setenv("QRE_CACHE_DIR", str(cache))
+        monkeypatch.setattr(compiler, "load_plan", refuse("load_plan"))
+        loads = counting(monkeypatch, cli, "load_circuit")
+        assert main(["widgetize", str(table_path)]) == 0
+        assert main(["verify", str(table_path)]) == 0
+        assert len(loads) == 2
+        assert "fidelity: " in capsys.readouterr().out
+
+
 class TestRunEstimate:
     def test_writes_parseable_csv(self, qft3_path, tmp_path):
         result = run_estimate(qft3_path, out_dir=tmp_path / "out")
@@ -410,6 +664,13 @@ class TestRunEstimate:
                             refuse("iter_leaf_sequence"))
         result = run_estimate(pool3_path)
         assert result.algo.plan.n_widgets > 1
+
+    def test_flat_qasm_is_sized_by_its_register(self, tmp_path):
+        path = tmp_path / "q40.qasm"
+        path.write_text("qreg q[40]; h q[0]; t q[0];\n")
+        report = run_estimate(path).report
+        assert report.value(15) == 40
+        assert report.value(2) == 40
 
     def test_provenance_keys(self, qft3_path):
         result = run_estimate(qft3_path)

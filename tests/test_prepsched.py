@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import min_prep_substeps, schedule_by_rescan
+from oracles import cross_module_ops, min_prep_substeps, schedule_by_rescan
 from qre.compiler import compile_widget
 from qre.circuit import generate_qft, transpile
 from qre.prepsched import (
     PrepSchedule,
     PrepTuple,
-    cross_module_ops,
     schedule_preparation,
 )
 

@@ -18,6 +18,7 @@ from qre.config import ArchConfig
 from qre.widgetizer import (
     BlockRef,
     NestedCircuit,
+    PlanRecord,
     SplitCriterion,
     SubcircuitNode,
     WidgetPlan,
@@ -282,6 +283,22 @@ class TestWidgetPlan:
         assert plan.multiplicity == {"a": 2, "b": 1}
         assert plan.stitches == {("a", "b"): 1, ("b", "a"): 1}
         assert (plan.first, plan.last) == ("a", "a")
+
+    def test_from_sequence_rejects_a_gate_beyond_n_input(self):
+        with pytest.raises(CircuitError, match="touches qubit 2, beyond"):
+            WidgetPlan.from_sequence(2, {"a": [gate(GateKind.H, 2)]}, ["a"])
+
+    @pytest.mark.parametrize("change", [
+        {"stitches": {("a", "c"): 2}}, {"first": "c"}, {"last": "c"},
+        {"stitches": {("a", "b"): 1}}])
+    def test_record_names_only_its_widgets(self, change):
+        fields = {"n_input": 1, "multiplicity": {"a": 2, "b": 1},
+                  "stitches": {("a", "b"): 1, ("b", "a"): 1},
+                  "first": "a", "last": "a", "digests": {"a": "0", "b": "1"}}
+        record = PlanRecord(**fields)
+        assert list(record.ids) == ["a", "b"] and record.n_widgets == 3
+        with pytest.raises(CircuitError):
+            PlanRecord(**{**fields, **change})
 
 
 class TestNestedFile:
