@@ -62,8 +62,8 @@ CACHE_FORMAT = 4
 # The rule that derives a plan from its source, part of every plan key, so
 # that a plan record written under another rule is never read. Rule 1 gave a
 # flat QASM file the width of its widest gate; rule 2 gives it its declared
-# register.
-PLAN_RULE = 2
+# register; rule 3 numbers a nested plan's widget ids over its leaves only.
+PLAN_RULE = 3
 
 SIM_QUBIT_LIMIT = 12
 

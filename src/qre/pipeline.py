@@ -118,11 +118,15 @@ def load_circuit(path: str | Path, config: ArchConfig,
     ``data`` is the file's bytes when the caller has read them already."""
     if data is None:
         data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        raise CircuitError(f"{path}: not UTF-8 text: {exc}") from exc
     if not data.lstrip().startswith(b"{"):
-        n_qubits, gates = parse_qasm(data.decode())
+        n_qubits, gates = parse_qasm(text)
         return _flat(path, n_qubits or 1, {"w0": gates}, ["w0"], data)
     try:
-        payload = json.loads(data)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
     if "distinct_widgets" in payload:

@@ -2,18 +2,18 @@
 JSON readers. A flat QASM file or a widget table (``parse_widget_file``)
 becomes a plan through ``WidgetPlan.from_sequence``; a nested-block file
 (``parse_nested_file``) is split into widgets via a subcircuit dependency
-graph and folded by ``WidgetPlan.from_root``.
+graph whose root ``WidgetPlan.from_root`` reads.
 
 Blocks are expanded depth-first; a node that violates the split criterion is
 decomposed (one child per operation) if it invokes other blocks, or sliced
-into contiguous moment groups if it is a flat gate list. Repeat counts stay
-symbolic throughout, so widget/stitch multiplicities for circuits with
-billions of expanded gates are exact Python integers computed without ever
-materializing the leaf sequence. Nodes with equal equivalence keys (for a
-leaf, the ``gate_list_digest`` of its exact gate list, qubits included; for
-a composite, a hash of the children's keys and repeats) are built once and
-shared, so a widget always acts on the qubits its gates name. A plan keeps
-each widget's digest, from which the widget cache derives its key.
+into contiguous moment groups if it is a flat gate list. Each node folds its
+children's widget and stitch multiplicities as it is built, with repeat
+counts kept symbolic, so the root's are exact Python integers even for
+billions of expanded gates, computed without materializing the leaf
+sequence. Leaves with equal gate lists, qubits included (equal
+``gate_list_digest``), are built once and shared, so a widget always acts
+on the qubits its gates name; ids number the leaves only. A plan keeps each
+widget's digest, from which the widget cache derives its key.
 
 A ``WidgetPlan`` is a ``PlanRecord``, the gate-free part that estimation
 reads and the plan cache stores, plus each widget's gate list.
@@ -26,7 +26,6 @@ Only ``verify`` expands a whole circuit (``iter_leaf_sequence``,
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -138,26 +137,59 @@ class SplitCriterion:
         return active_qubits >= self.max_active_qubits or n_gates >= self.max_gates
 
 
-@dataclass
+@dataclass(eq=False)
 class SubcircuitNode:
-    """One node of the dependency graph: a leaf gate list or a composite.
+    """One node of the dependency graph, a leaf gate list or a composite,
+    with its widget and stitch multiplicities folded in as it is built.
 
     ``children`` holds ordered (node, repeat) edges in execution order and is
-    empty exactly when ``gates`` is set. Equal equivalence keys mean the nodes
-    are interchangeable for resource purposes, and such nodes are shared.
+    empty exactly when ``gates`` is set. ``multiplicity`` counts each leaf
+    under the node and ``stitches`` each ordered pair of consecutive leaves,
+    both in order of first use; ``first`` and ``last`` open and close the
+    node's leaf sequence. A leaf's ``id`` names its widget, and ``digest``
+    is the ``gate_list_digest`` of its gates.
     """
 
-    id: str
-    label: str
-    active_qubits: int
-    n_gates: int  # fully expanded count (symbolic, exact)
-    equivalence_key: str
     gates: tuple[Gate, ...] | None = None
-    children: list[tuple["SubcircuitNode", int]] = field(default_factory=list)
+    children: list[tuple[SubcircuitNode, int]] = field(default_factory=list)
+    id: str = ""
+    digest: str = ""
+    multiplicity: dict[SubcircuitNode, int] = field(init=False, repr=False)
+    stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = field(
+        init=False, repr=False)
+    first: SubcircuitNode = field(init=False, repr=False)
+    last: SubcircuitNode = field(init=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.gates is not None
+
+    def __post_init__(self) -> None:
+        if self.is_leaf:
+            self.multiplicity, self.stitches = {self: 1}, {}
+            self.first = self.last = self
+            return
+        widgets: dict[SubcircuitNode, int] = {}
+        stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = {}
+        prev_last: SubcircuitNode | None = None
+        first: SubcircuitNode | None = None
+        for sub, repeat in self.children:
+            for wid, count in sub.multiplicity.items():
+                widgets[wid] = widgets.get(wid, 0) + repeat * count
+            for pair, count in sub.stitches.items():
+                stitches[pair] = stitches.get(pair, 0) + repeat * count
+            if repeat > 1:  # seam between consecutive repetitions
+                seam = (sub.last, sub.first)
+                stitches[seam] = stitches.get(seam, 0) + (repeat - 1)
+            if prev_last is not None:
+                pair = (prev_last, sub.first)
+                stitches[pair] = stitches.get(pair, 0) + 1
+            if first is None:
+                first = sub.first
+            prev_last = sub.last
+        assert first is not None and prev_last is not None
+        self.multiplicity, self.stitches = widgets, stitches
+        self.first, self.last = first, prev_last
 
 
 def assign_moments(gates: Sequence[Gate]) -> list[int]:
@@ -173,33 +205,13 @@ def assign_moments(gates: Sequence[Gate]) -> list[int]:
     return moments
 
 
-def _composite_key(children: Sequence[tuple[SubcircuitNode, int]]) -> str:
-    parts = [f"{child.equivalence_key}x{rep}" for child, rep in children]
-    digest = hashlib.sha256(";".join(parts).encode()).hexdigest()[:24]
-    return f"C:{digest}"
-
-
 class _Builder:
     def __init__(self, circ: NestedCircuit, criterion: SplitCriterion):
         self.circ = circ
         self.criterion = criterion
-        self.by_key: dict[str, SubcircuitNode] = {}
+        self.leaves: dict[str, SubcircuitNode] = {}  # by gate_list_digest
         self.block_nodes: dict[str, SubcircuitNode] = {}
-        self.counter = 0
         self._stats_memo: dict[str, tuple[frozenset[int], int]] = {}
-
-    def _next_id(self) -> str:
-        nid = f"n{self.counter}"
-        self.counter += 1
-        return nid
-
-    def _intern(self, node: SubcircuitNode) -> SubcircuitNode:
-        existing = self.by_key.get(node.equivalence_key)
-        if existing is not None:
-            self.counter -= 1  # id was never exposed
-            return existing
-        self.by_key[node.equivalence_key] = node
-        return node
 
     # -- expansion statistics (never materializes repeats) ------------------
 
@@ -217,8 +229,7 @@ class _Builder:
                 sub_q, sub_n = self.block_stats(item.name)
                 qubits.update(sub_q)
                 count += item.repeat * sub_n
-        stats = (frozenset(qubits), count)
-        self._stats_memo[name] = stats
+        stats = self._stats_memo[name] = (frozenset(qubits), count)
         return stats
 
     # -- node construction ---------------------------------------------------
@@ -228,23 +239,13 @@ class _Builder:
             return self.block_nodes[name]
         qubit_set, n_gates = self.block_stats(name)
         body = self.circ.blocks[name]
-        has_refs = any(isinstance(item, BlockRef) for item in body)
-
         if not self.criterion.violated_by(len(qubit_set), n_gates):
-            node = self.build_leaf(self.circ.flatten(name), label=name)
-        elif has_refs:
-            children: list[tuple[SubcircuitNode, int]] = []
-            for k, item in enumerate(body):
-                if isinstance(item, Gate):
-                    children.append((self.build_leaf([item], label=f"{name}.{k}"), 1))
-                else:
-                    children.append((self.build_block(item.name), item.repeat))
-            node = SubcircuitNode(
-                id=self._next_id(), label=name, active_qubits=len(qubit_set),
-                n_gates=n_gates, equivalence_key=_composite_key(children),
-                children=children,
-            )
-            node = self._intern(node)
+            node = self.build_leaf(self.circ.flatten(name))
+        elif any(isinstance(item, BlockRef) for item in body):
+            node = SubcircuitNode(children=[
+                (self.build_leaf([item]), 1) if isinstance(item, Gate)
+                else (self.build_block(item.name), item.repeat)
+                for item in body])
         else:
             node = self.build_gate_list(list(body), label=name)  # type: ignore[arg-type]
         self.block_nodes[name] = node
@@ -253,7 +254,7 @@ class _Builder:
     def build_gate_list(self, gates: list[Gate], label: str) -> SubcircuitNode:
         active = len({q for g in gates for q in g.qubits})
         if not self.criterion.violated_by(active, len(gates)):
-            return self.build_leaf(gates, label)
+            return self.build_leaf(gates)
 
         moments = assign_moments(gates)
         n_moments = moments[-1] + 1 if moments else 0
@@ -267,100 +268,43 @@ class _Builder:
                     f"still violates the split criterion; cannot split further"
                 )
             # One moment of parallel gates: decompose per gate.
-            children = [(self.build_leaf([g], label=f"{label}.{k}"), 1)
-                        for k, g in enumerate(gates)]
+            children = [(self.build_leaf([g]), 1) for g in gates]
         else:
             children = []
             for k, start in enumerate(range(0, n_moments, slice_size)):
                 sliced = [g for g, m in zip(gates, moments)
                           if start <= m < start + slice_size]
                 children.append((self.build_gate_list(sliced, label=f"{label}[{k}]"), 1))
-        node = SubcircuitNode(
-            id=self._next_id(), label=label, active_qubits=active,
-            n_gates=len(gates), equivalence_key=_composite_key(children),
-            children=children,
-        )
-        return self._intern(node)
+        return SubcircuitNode(children=children)
 
-    def build_leaf(self, gates: Sequence[Gate], label: str) -> SubcircuitNode:
+    def build_leaf(self, gates: Sequence[Gate]) -> SubcircuitNode:
+        """The one leaf of ``gates``, shared by every equal gate list."""
         gates = tuple(gates)
-        node = SubcircuitNode(
-            id=self._next_id(), label=label,
-            active_qubits=len({q for g in gates for q in g.qubits}),
-            n_gates=len(gates), equivalence_key=gate_list_digest(gates),
-            gates=gates,
-        )
-        return self._intern(node)
+        digest = gate_list_digest(gates)
+        leaf = self.leaves.get(digest)
+        if leaf is None:
+            leaf = self.leaves[digest] = SubcircuitNode(
+                gates=gates, id=f"n{len(self.leaves)}", digest=digest)
+        return leaf
 
 
 def build_dependency_graph(circ: NestedCircuit, criterion: SplitCriterion) -> SubcircuitNode:
     """Recursively split the circuit's root block until every leaf satisfies
-    the criterion, sharing equivalent subtrees, and return the root node."""
+    the criterion, sharing equal leaves, and return the root node, which
+    carries the whole circuit's multiplicities."""
     return _Builder(circ, criterion).build_block(circ.root)
-
-
-# --------------------------------------------------------------------------
-# Lazy enumeration
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Counts:
-    first: str
-    last: str
-    widgets: Mapping[str, int]
-    stitches: Mapping[tuple[str, str], int]
-
-
-def _fold(node: SubcircuitNode, memo: dict[str, _Counts],
-          leaves: dict[str, SubcircuitNode]) -> _Counts:
-    """Widget and stitch multiplicities of ``node``, memoized per node id;
-    every leaf reached is recorded in ``leaves``."""
-    cached = memo.get(node.id)
-    if cached is not None:
-        return cached
-    if node.is_leaf:
-        leaves[node.id] = node
-        result = _Counts(node.id, node.id, {node.id: 1}, {})
-    else:
-        widgets: dict[str, int] = {}
-        stitches: dict[tuple[str, str], int] = {}
-        prev_last: str | None = None
-        first: str | None = None
-        for child, repeat in node.children:
-            sub = _fold(child, memo, leaves)
-            for wid, count in sub.widgets.items():
-                widgets[wid] = widgets.get(wid, 0) + repeat * count
-            for pair, count in sub.stitches.items():
-                stitches[pair] = stitches.get(pair, 0) + repeat * count
-            if repeat > 1:  # seam between consecutive repetitions
-                seam = (sub.last, sub.first)
-                stitches[seam] = stitches.get(seam, 0) + (repeat - 1)
-            if prev_last is not None:
-                pair = (prev_last, sub.first)
-                stitches[pair] = stitches.get(pair, 0) + 1
-            if first is None:
-                first = sub.first
-            prev_last = sub.last
-        assert first is not None and prev_last is not None
-        result = _Counts(first, prev_last, widgets, stitches)
-    memo[node.id] = result
-    return result
 
 
 def iter_leaf_sequence(root: SubcircuitNode) -> Iterator[str]:
     """Depth-first leaf-id sequence, one id per widget occurrence. It is as
     long as the plan's ``n_widgets``: callers check that before they
     materialize it."""
-
-    def walk(node: SubcircuitNode) -> Iterator[str]:
-        if node.is_leaf:
-            yield node.id
-            return
-        for child, repeat in node.children:
-            for _ in range(repeat):
-                yield from walk(child)
-
-    return walk(root)
+    if root.is_leaf:
+        yield root.id
+        return
+    for child, repeat in root.children:
+        for _ in range(repeat):
+            yield from iter_leaf_sequence(child)
 
 
 # --------------------------------------------------------------------------
@@ -436,16 +380,17 @@ class WidgetPlan(PlanRecord):
 
     @classmethod
     def from_root(cls, root: SubcircuitNode, n_input: int) -> "WidgetPlan":
-        leaves: dict[str, SubcircuitNode] = {}
-        counts = _fold(root, {}, leaves)
+        """The plan of a dependency graph's root, each leaf named by its id."""
+        leaves = root.multiplicity
         return cls(
             n_input=n_input,
-            widgets={wid: leaves[wid].gates for wid in counts.widgets},
-            multiplicity=dict(counts.widgets),
-            stitches=dict(counts.stitches),
-            first=counts.first,
-            last=counts.last,
-            digests={wid: leaves[wid].equivalence_key for wid in counts.widgets},
+            widgets={leaf.id: leaf.gates for leaf in leaves},
+            multiplicity={leaf.id: count for leaf, count in leaves.items()},
+            stitches={(a.id, b.id): count
+                      for (a, b), count in root.stitches.items()},
+            first=root.first.id,
+            last=root.last.id,
+            digests={leaf.id: leaf.digest for leaf in leaves},
         )
 
     @classmethod
@@ -585,6 +530,8 @@ def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
     if n_input is None:
         raise CircuitError(
             f"{path}: n_input must be an integer, got {payload['n_input']!r}")
+    if n_input < 1:
+        raise CircuitError(f"{path}: n_input must be >= 1, got {n_input}")
     return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))
 
 

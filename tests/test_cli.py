@@ -245,6 +245,29 @@ class TestBadInput:
         assert main(["estimate", str(path)]) == EXIT_INVALID
         assert "block 'main' item 1: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, message", [
+        ({"n_input": 0, "blocks": {"main": []}}, "n_input must be >= 1, got 0"),
+        ({"n_input": -2, "blocks": {"main": [{"block": "e", "repeat": 3}],
+                                    "e": []}},
+         "n_input must be >= 1, got -2"),
+    ], ids=["zero", "negative"])
+    def test_nested_n_input_below_one_is_invalid(self, tmp_path, capsys,
+                                                 text, message):
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps(text))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, data", [
+        ("bad.qasm", b"\xffqreg q[1];\nh q[0];\n"),
+        ("bad.json", b'{"blocks": {"main": [{"gate": "h\xff", "qubits": [0]}]}}'),
+    ], ids=["qasm", "json"])
+    def test_non_utf8_input_is_invalid(self, tmp_path, capsys, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert f"error: {path}: not UTF-8 text: " in capsys.readouterr().err
+
     def test_widget_body_not_a_string_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_input": 1, "sequence": ["A"],

@@ -617,8 +617,10 @@ class TestPlanRecord:
     def test_a_record_of_another_rule_is_never_read(self, tmp_path,
                                                     monkeypatch):
         # A plan of the first rule sized a flat QASM file by its widest
-        # gate. Plant one, with the widget records it names, under the
-        # first rule's key: the current rule must not read it.
+        # gate, and one of the second numbered a nested plan's ids over its
+        # composites too. Plant a wrong plan, with the widget records it
+        # names, under each old rule's key: the current rule must read
+        # neither.
         cache = tmp_path / "cache"
         narrow, wide = tmp_path / "narrow.qasm", tmp_path / "wide.qasm"
         narrow.write_text("qreg q[1]; h q[0]; t q[0];\n")
@@ -628,10 +630,11 @@ class TestPlanRecord:
         old = compiler.load_plan(cache, compiler.plan_key(
             hashlib.sha256(narrow.read_bytes()).hexdigest(),
             pipeline._criterion(config)))
-        monkeypatch.setattr(compiler, "PLAN_RULE", 1)
-        compiler.save_plan(cache, compiler.plan_key(
-            hashlib.sha256(wide.read_bytes()).hexdigest(),
-            pipeline._criterion(config)), old)
+        for old_rule in (1, 2):
+            monkeypatch.setattr(compiler, "PLAN_RULE", old_rule)
+            compiler.save_plan(cache, compiler.plan_key(
+                hashlib.sha256(wide.read_bytes()).hexdigest(),
+                pipeline._criterion(config)), old)
         monkeypatch.undo()
         report = run_estimate(wide, cache_dir=cache).report
         assert report.value(15) == 40

@@ -1,6 +1,9 @@
 """Tests for dependency-graph construction and lazy widget/stitch counting."""
 
+import hashlib
+import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -80,7 +83,7 @@ class TestBuild:
         circ = NestedCircuit(1, {"main": h_chain(0, 10)}, "main")
         root = build_dependency_graph(circ, SplitCriterion(400, 10, 4))
         assert not root.is_leaf
-        sizes = [child.n_gates for child, _ in root.children]
+        sizes = [len(child.gates) for child, _ in root.children]
         assert sizes == [4, 4, 2]
         # The two 4-moment slices are identical, so they share one node.
         plan = WidgetPlan.from_root(root, n_input=1)
@@ -172,15 +175,12 @@ class TestTwoLevelRepeats:
 
     def test_seam_stitch_wraparound(self):
         root = build_dependency_graph(two_level_repeats(), self.CRIT)
-        stitches = WidgetPlan.from_root(root, n_input=2).stitches
-        leaves = {}
-
-        def walk(n):
-            if n.is_leaf:
-                leaves[n.label] = n.id
-            for c, _ in n.children:
-                walk(c)
-        walk(root)
+        plan = WidgetPlan.from_root(root, n_input=2)
+        stitches = plan.stitches
+        by_gates = {gates: wid for wid, gates in plan.widgets.items()}
+        blocks = two_level_repeats().blocks
+        leaves = {name: by_gates[tuple(blocks[name])]
+                  for name in ("W0", "W2", "C")}
         # A repeats 4 times: 3 seam stitches (W2 -> W0).
         assert stitches[(leaves["W2"], leaves["W0"])] == 3
         # C repeats 500 times per A: 499 self-seams, 4 A's -> 1996.
@@ -429,6 +429,42 @@ class TestNestedFile:
         assert plans[0].n_distinct_widgets == 120
 
 
+def plan_sha256(circ, criterion, prefix):
+    """sha256 of the id-free content and order of ``circ``'s nested plan:
+    each widget's digest and multiplicity in plan order, each stitch as two
+    digests and a count in stitch order, the first and last digests, and
+    the digests of the first ``prefix`` entries of the leaf sequence."""
+    root = build_dependency_graph(circ, criterion)
+    plan = WidgetPlan.from_root(root, circ.n_input)
+    d = plan.digests
+    h = hashlib.sha256()
+    h.update(repr([(d[w], plan.multiplicity[w]) for w in plan.ids]).encode())
+    h.update(repr([(d[a], d[b], n)
+                   for (a, b), n in plan.stitches.items()]).encode())
+    h.update(repr((d[plan.first], d[plan.last])).encode())
+    sequence = itertools.islice(iter_leaf_sequence(root), prefix)
+    h.update(" ".join(map(d.__getitem__, sequence)).encode())
+    return h.hexdigest()
+
+
+class TestPlanPins:
+    """Each pool circuit's plan under four split criteria, pinned by the
+    sha256s in plan_sha256.json, which were recorded with the earlier
+    two-pass fold. Only the first 20000 leaves of each sequence are
+    hashed: the full sequences run to millions."""
+
+    CRITERIA = [(64, 4096, 16), (400, 7, 2), (4, 50, 1), (64, 30, 3)]
+    PINS = Path(__file__).with_name("plan_sha256.json")
+
+    @pytest.mark.parametrize("sub_seed", range(16))
+    def test_plan_content_and_order_are_pinned(self, sub_seed):
+        circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)),
+                                 "pool.json")
+        got = {"%d,%d,%d" % c: plan_sha256(circ, SplitCriterion(*c), 20_000)
+               for c in self.CRITERIA}
+        assert got == json.loads(self.PINS.read_text())[str(sub_seed)]
+
+
 class TestSharedDigest:
     def test_leaf_keys_and_plan_digests_are_gate_list_digests(self):
         payload = json.loads(benchmark_pool_circuit(3))
@@ -440,8 +476,8 @@ class TestSharedDigest:
         plan = WidgetPlan.from_root(root, circ.n_input)
         assert set(leaves_of(root)) == set(plan.widgets)
         for wid, leaf in leaves_of(root).items():
-            assert leaf.equivalence_key == gate_list_digest(leaf.gates)
-            assert plan.digests[wid] == leaf.equivalence_key
+            assert leaf.digest == gate_list_digest(leaf.gates)
+            assert plan.digests[wid] == leaf.digest
 
     def test_sequence_plan_digests_on_first_use(self):
         args = (2, {"a": [gate(GateKind.H, 0)], "b": [gate(GateKind.CX, 0, 1)],
