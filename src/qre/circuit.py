@@ -49,7 +49,6 @@ ARITY = {
 }
 
 ANGLED = frozenset({GateKind.Rz, GateKind.CPhase})
-COMPOSITE = frozenset({GateKind.CCX, GateKind.CPhase})
 CLIFFORD_1Q = frozenset({GateKind.H, GateKind.S, GateKind.Sdg, GateKind.X,
                          GateKind.Y, GateKind.Z})
 CLIFFORD_2Q = frozenset({GateKind.CX, GateKind.CZ, GateKind.SWAP})

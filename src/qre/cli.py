@@ -5,12 +5,14 @@ verify) and end to end (estimate, sweep), plus the scaling-law fitter and a
 QFT circuit generator for quick experiments.
 
 Exit codes: 0 success, 2 invalid input or configuration, 3 estimation
-infeasible under the given constraints, 4 file I/O failure.
+infeasible under the given constraints, 4 file I/O failure, 141 standard
+output closed by its reader (the code of a filter killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
+EXIT_PIPE = 141
 
 VERIFY_TOLERANCE = 1e-9
 
@@ -66,8 +69,7 @@ def _cmd_widgetize(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    algo, n_clifford, _ = compile_circuit(args.circuit, config,
-                                          args.cache_dir)
+    algo, _ = compile_circuit(args.circuit, config, args.cache_dir)
     for wid in algo.plan.ids:
         record = algo.compiled[wid]
         print(f"{wid}: {record.n_nodes} nodes, {record.n_edges} edges, "
@@ -76,7 +78,8 @@ def _cmd_compile(args: argparse.Namespace) -> int:
               f"{record.n_sub_steps} preparation sub-steps")
     est = algo.est
     print(f"sequence: {est.n_widgets} widgets, {est.n_nodes_total} nodes, "
-          f"max {est.n_logical_max} logical, {n_clifford} Clifford gates")
+          f"max {est.n_logical_max} logical, "
+          f"{est.n_clifford_init} Clifford gates")
     return EXIT_OK
 
 
@@ -114,7 +117,7 @@ def _pipe_values(text: str) -> list[int]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     values = _pipe_values(args.values) if args.kind == "pipes" else None
     config = load_config(args.config)
-    algo, _, _ = compile_circuit(args.circuit, config, args.cache_dir)
+    algo, _ = compile_circuit(args.circuit, config, args.cache_dir)
     if values is not None:
         rows = run_pipe_sweep(algo, config, values)
         text = render_sweep_csv(rows, "n_inter_pipes")
@@ -217,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+        return status
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -225,6 +230,11 @@ def main(argv: list[str] | None = None) -> int:
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except BrokenPipeError:
+        # A reader such as `head` closed standard output: stop quietly, and
+        # point stdout at the null device so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

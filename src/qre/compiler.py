@@ -18,6 +18,7 @@ whole construction by exact dense simulation; nothing else here simulates.
 ``compile_widget`` is pure. What estimation reads of a compiled and
 prep-scheduled widget is a ``WidgetRecord``, and that record is what the
 disk cache stores (``load_cached``/``save_cached``), one JSON file per key.
+The records' sequence totals are the estimator's (``CompiledAlgorithm.est``).
 Beside the widget records the cache keeps one ``PlanRecord`` per input
 file and split thresholds (``load_plan``/``save_plan``); both kinds share
 one atomic write and one validated read.
@@ -62,8 +63,9 @@ CACHE_FORMAT = 4
 # The rule that derives a plan from its source, part of every plan key, so
 # that a plan record written under another rule is never read. Rule 1 gave a
 # flat QASM file the width of its widest gate; rule 2 gives it its declared
-# register; rule 3 numbers a nested plan's widget ids over its leaves only.
-PLAN_RULE = 3
+# register; rule 3 numbers a nested plan's widget ids over its leaves only;
+# rule 4 drops the blocks with no gates from a split nested plan.
+PLAN_RULE = 4
 
 SIM_QUBIT_LIMIT = 12
 
@@ -350,47 +352,6 @@ def _max_live_nodes(
 
 
 # --------------------------------------------------------------------------
-# Stitching
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class StitchedEstimationSet:
-    """Sequence-level counts: totals use multiplicities without expansion."""
-
-    n_input: int
-    n_widgets: int
-    n_T_init: int
-    n_Rz_init: int
-    n_logical_max: int
-    n_nodes_total: int
-
-
-def stitch(items: Sequence[tuple[WidgetRecord, int]]) -> StitchedEstimationSet:
-    """Combine widget records (with multiplicities) into sequence totals.
-
-    The stitched node count adds one output-teleportation relay per wire per
-    internal boundary: sum(N_i) + (n_widgets - 1) * n_input.
-    """
-    if not items:
-        raise CompileError("empty widget sequence")
-    n = items[0][0].n_input
-    if any(w.n_input != n for w, _ in items):
-        raise CompileError("stitched widgets must share n_input")
-    if any(mult < 1 for _, mult in items):
-        raise CompileError("multiplicities must be >= 1")
-    n_widgets = sum(mult for _, mult in items)
-    return StitchedEstimationSet(
-        n_input=n,
-        n_widgets=n_widgets,
-        n_T_init=sum(mult * w.n_T for w, mult in items),
-        n_Rz_init=sum(mult * w.n_Rz for w, mult in items),
-        n_logical_max=max(w.n_logical for w, _ in items),
-        n_nodes_total=sum(mult * w.n_nodes for w, mult in items)
-        + (n_widgets - 1) * n,
-    )
-
-
-# --------------------------------------------------------------------------
 # Simulation-backed verification
 # --------------------------------------------------------------------------
 
@@ -407,10 +368,6 @@ class _Register:
     def __init__(self) -> None:
         self.state = np.ones((), dtype=complex)
         self.axes: dict[object, int] = {}
-
-    @property
-    def size(self) -> int:
-        return self.state.ndim
 
     def add(self, label: object, vec: np.ndarray) -> None:
         self.state = np.multiply.outer(self.state, vec.astype(complex))

@@ -17,6 +17,9 @@ whenever the classical decoder tock exceeds the quantum tock.  All sums are
 multiplicity-weighted over the widget sequence so repeated widgets never
 force an expanded walk.
 
+Every sequence total the solver and the report read is
+``CompiledAlgorithm.est``, built in one pass over ``plan.ids``.
+
 The timing model's integer inputs are computed once per compiled algorithm
 and module layout (``CompiledAlgorithm.timing_inputs``): each widget's prep
 sub-step count, its per-sub-step cross-module crossings and its per-module
@@ -42,12 +45,13 @@ from .architecture import (
     TFactory,
     choose_modules_per_leg,
 )
-from .compiler import StitchedEstimationSet, WidgetRecord, stitch
+from .compiler import WidgetRecord
 from .config import ArchConfig
 from .prepsched import pipe_rounds, substep_crossings
 from .widgetizer import PlanRecord
 
 __all__ = [
+    "StitchedEstimationSet",
     "CompiledAlgorithm",
     "SequentialCounts",
     "SelectionResult",
@@ -118,12 +122,30 @@ def sequential_counts(n_t_init: int, n_rz_init: int, l_eps: int,
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class StitchedEstimationSet:
+    """Sequence totals of a compiled algorithm, each widget weighted by its
+    multiplicity, so repeated widgets are never expanded. The node total
+    adds one output-teleportation relay per wire per internal boundary:
+    sum(N_i) + (n_widgets - 1) * n_input."""
+
+    n_input: int
+    n_widgets: int
+    n_T_init: int
+    n_Rz_init: int
+    n_clifford_init: int       # transpiled Clifford gates
+    n_logical_max: int
+    n_nodes_total: int
+    l_prep_total: int          # preparation sub-steps
+    consump_steps_total: int
+
+
+@dataclass(frozen=True)
 class CompiledAlgorithm:
     """A widget plan, or the plan record of a warm run, with the record of
     each distinct widget, compiled and prep-scheduled.
 
-    Keys of `compiled` are the plan's widget ids; sequence-level sums use
-    the plan's multiplicities and stitch counts, in plan order.
+    Keys of `compiled` are the plan's widget ids, and every record shares
+    the plan's wire count. ``est`` holds every sequence total.
     """
 
     plan: PlanRecord
@@ -140,17 +162,31 @@ class CompiledAlgorithm:
         if missing:
             raise EstimationError(
                 f"compiled table incomplete: missing {sorted(missing)}")
+        if any(self.compiled[w].n_input != self.plan.n_input
+               for w in self.plan.ids):
+            raise EstimationError("stitched widgets must share n_input")
 
     @cached_property
     def est(self) -> StitchedEstimationSet:
-        return stitch([(self.compiled[w], self.plan.multiplicity[w])
-                       for w in self.plan.ids])
-
-    @cached_property
-    def l_prep_total(self) -> int:
-        """Total preparation sub-steps over the full (repeated) sequence."""
-        return sum(self.plan.multiplicity[w] * self.compiled[w].n_sub_steps
-                   for w in self.plan.ids)
+        """Every multiplicity-weighted total, in one pass over
+        ``plan.ids``."""
+        widgets = t = rz = clifford = nodes = prep = consump = logical = 0
+        for wid, mult in self.plan.multiplicity.items():
+            record = self.compiled[wid]
+            widgets += mult
+            t += mult * record.n_T
+            rz += mult * record.n_Rz
+            clifford += mult * record.n_clifford
+            nodes += mult * record.n_nodes
+            prep += mult * record.n_sub_steps
+            consump += mult * record.n_consump_steps
+            logical = max(logical, record.n_logical)
+        n = self.plan.n_input
+        return StitchedEstimationSet(
+            n_input=n, n_widgets=widgets, n_T_init=t, n_Rz_init=rz,
+            n_clifford_init=clifford, n_logical_max=logical,
+            n_nodes_total=nodes + (widgets - 1) * n, l_prep_total=prep,
+            consump_steps_total=consump)
 
     @property
     def l_prep_first(self) -> int:
@@ -165,11 +201,6 @@ class CompiledAlgorithm:
         if inputs is None:
             inputs = self._timing_memo[key] = _timing_inputs(self, layout)
         return inputs
-
-    @cached_property
-    def consump_steps_total(self) -> int:
-        return sum(self.plan.multiplicity[w] * self.compiled[w].n_consump_steps
-                   for w in self.plan.ids)
 
 
 # --------------------------------------------------------------------------
@@ -245,17 +276,13 @@ def _solve_distance(
 def solve_distance_and_factory(
     config: ArchConfig,
     est: StitchedEstimationSet,
-    l_prep_total: int,
 ) -> SelectionResult:
     """Scan the factory table in listed order; for each candidate co-solve
     the synthesis precision and code distance, then keep the first factory
     whose distilled output error beats the logical cell it supplies."""
-    needs_synthesis = est.n_Rz_init > 0
-
     last_failure = "factory table is empty"
     for factory in config.factories:
-        solved = _solve_epsilon_fixed_point(
-            config, est, l_prep_total, factory, needs_synthesis)
+        solved = _solve_epsilon_fixed_point(config, est, factory)
         if solved is None:
             last_failure = (
                 f"no odd d <= {D_CAP} meets the failure budget "
@@ -282,9 +309,7 @@ def solve_distance_and_factory(
 def _solve_epsilon_fixed_point(
     config: ArchConfig,
     est: StitchedEstimationSet,
-    l_prep_total: int,
     factory: TFactory,
-    needs_synthesis: bool,
 ) -> tuple[int, ModuleLayout, SequentialCounts, float | None, int] | None:
     """Co-solve (d, epsilon) for one factory.
 
@@ -295,10 +320,10 @@ def _solve_epsilon_fixed_point(
     while epsilon shrinks, so the loop settles quickly.
     """
     def solve(l_eps: int):
-        return _solve_distance(config, est.n_logical_max, l_prep_total,
+        return _solve_distance(config, est.n_logical_max, est.l_prep_total,
                                factory, l_eps, est.n_T_init, est.n_Rz_init)
 
-    if not needs_synthesis:
+    if est.n_Rz_init == 0:
         solved = solve(0)
         return None if solved is None else (*solved, None, 0)
 

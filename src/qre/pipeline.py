@@ -11,18 +11,21 @@ compiled algorithm.
 against the source's own gates.
 
 ``compile_circuit`` is the one entry point of ``estimate``, ``sweep`` and
-``compile``, and the cache holds two kinds of record for it. A plan record
-(``PlanRecord``) is keyed on the sha256 of the input file's bytes, which
-is also the report's ``circuit_hash``, and on the split thresholds. A
-widget record (``WidgetRecord``) is keyed on the widget's gate-list digest
-(``WidgetPlan.digest``), the wire count and the preparation fan-out. A warm
-run reads the plan record and then every widget record it names, so it
-parses, widgetizes, transpiles, compiles and schedules nothing. If any of
-them misses or is malformed, the run loads the source, and ``compile_plan``
-reads each widget record and compiles each miss; then the plan record is
-written anew. ``load_circuit`` itself never reads the cache, so neither
-``verify`` nor ``widgetize`` does. ``verify_circuit`` compiles every
-distinct widget afresh, since it needs the fields the record leaves out.
+``compile``: it gives the compiled algorithm and the input's sha256, and
+``compile_plan`` the compiled algorithm of a plan, whose ``est`` holds
+every sequence total the report prints. The cache holds two kinds of
+record for it. A plan record (``PlanRecord``) is keyed on the sha256 of
+the input file's bytes, which is also the report's ``circuit_hash``, and
+on the split thresholds. A widget record (``WidgetRecord``) is keyed on
+the widget's gate-list digest (``WidgetPlan.digest``), the wire count and
+the preparation fan-out. A warm run reads the plan record and then every
+widget record it names, so it parses, widgetizes, transpiles, compiles and
+schedules nothing. If any of them misses or is malformed, the run loads
+the source, and ``compile_plan`` reads each widget record and compiles
+each miss; then the plan record is written anew. ``load_circuit`` itself
+never reads the cache, so neither ``verify`` nor ``widgetize`` does.
+``verify_circuit`` compiles every distinct widget afresh, since it needs
+the fields the record leaves out.
 
 Each distinct config is solved once per compiled algorithm
 (``CompiledAlgorithm.selections``), so a sweep reuses the estimate's solve.
@@ -95,11 +98,10 @@ Expansion = tuple[tuple[str, ...], list[Gate]]
 
 @dataclass(frozen=True)
 class LoadedCircuit:
-    """A parsed circuit source: the estimation plan, the raw bytes for
-    provenance hashing, and the source, which only ``expand`` reads."""
+    """A parsed circuit source: the estimation plan, and the source, which
+    only ``expand`` reads."""
 
     plan: WidgetPlan
-    data: bytes
     _expand: Callable[[], Expansion] = field(repr=False, compare=False)
 
     def expand(self) -> Expansion:
@@ -124,17 +126,17 @@ def load_circuit(path: str | Path, config: ArchConfig,
         raise CircuitError(f"{path}: not UTF-8 text: {exc}") from exc
     if not data.lstrip().startswith(b"{"):
         n_qubits, gates = parse_qasm(text)
-        return _flat(path, n_qubits or 1, {"w0": gates}, ["w0"], data)
+        return _flat(path, n_qubits or 1, {"w0": gates}, ["w0"])
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
     if "distinct_widgets" in payload:
-        return _flat(path, *parse_widget_file(payload, path), data)
+        return _flat(path, *parse_widget_file(payload, path))
     nested = parse_nested_file(payload, path)
     root = build_dependency_graph(nested, _criterion(config))
     return LoadedCircuit(
-        WidgetPlan.from_root(root, nested.n_input), data,
+        WidgetPlan.from_root(root, nested.n_input),
         lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
 
 
@@ -147,7 +149,7 @@ def _criterion(config: ArchConfig) -> SplitCriterion:
 
 
 def _flat(path: str | Path, n_input: int, table: Mapping[str, list[Gate]],
-          sequence: list[str], data: bytes) -> LoadedCircuit:
+          sequence: list[str]) -> LoadedCircuit:
     """A flat widget sequence over a table of gate lists; a plan error
     names the file."""
     try:
@@ -155,7 +157,7 @@ def _flat(path: str | Path, n_input: int, table: Mapping[str, list[Gate]],
     except CircuitError as exc:
         raise CircuitError(f"{path}: {exc}") from exc
     return LoadedCircuit(
-        plan, data,
+        plan,
         lambda: (tuple(sequence), [g for wid in sequence for g in table[wid]]))
 
 
@@ -167,9 +169,9 @@ def compile_circuit(
     path: str | Path,
     config: ArchConfig,
     cache_dir: str | Path | None = None,
-) -> tuple[CompiledAlgorithm, int, str]:
-    """Compile a circuit file: the compiled algorithm, its transpiled
-    Clifford-gate total and the sha256 of the file's bytes.
+) -> tuple[CompiledAlgorithm, str]:
+    """Compile a circuit file: the compiled algorithm and the sha256 of the
+    file's bytes.
 
     With a cache directory (``cache_dir`` or the QRE_CACHE_DIR variable),
     a warm run reads the input's plan record and every widget record and
@@ -186,13 +188,12 @@ def compile_circuit(
         if record is not None:
             records = _cached_records(record, config, directory)
             if records is not None:
-                return (CompiledAlgorithm(record, records),
-                        _clifford_total(record, records), source_digest)
+                return CompiledAlgorithm(record, records), source_digest
     plan = load_circuit(path, config, data).plan
-    algo, n_clifford = compile_plan(plan, config, directory)
+    algo = compile_plan(plan, config, directory)
     if directory:
         compiler.save_plan(directory, key, plan)
-    return algo, n_clifford, source_digest
+    return algo, source_digest
 
 
 def _cached_records(plan: PlanRecord, config: ArchConfig,
@@ -209,25 +210,14 @@ def _cached_records(plan: PlanRecord, config: ArchConfig,
     return records
 
 
-def _clifford_total(plan: PlanRecord,
-                    records: Mapping[str, WidgetRecord]) -> int:
-    """Transpiled Clifford gates over the full sequence."""
-    return sum(plan.multiplicity[wid] * records[wid].n_clifford
-               for wid in plan.ids)
-
-
 def compile_plan(
     plan: WidgetPlan,
     config: ArchConfig,
     cache_dir: str | Path | None = None,
-) -> tuple[CompiledAlgorithm, int]:
+) -> CompiledAlgorithm:
     """Transpile, compile, and prep-schedule every distinct widget, reading
     and writing each widget's record in the cache directory when one is
-    given (or set via the QRE_CACHE_DIR variable).
-
-    Returns the compiled algorithm and the transpiled Clifford-gate total
-    over the full sequence.
-    """
+    given (or set via the QRE_CACHE_DIR variable)."""
     directory = _cache_directory(cache_dir)
     records = {}
     for wid, gates in plan.widgets.items():
@@ -242,7 +232,7 @@ def compile_plan(
             if directory:
                 compiler.save_cached(directory, key, record)
         records[wid] = record
-    return CompiledAlgorithm(plan, records), _clifford_total(plan, records)
+    return CompiledAlgorithm(plan, records)
 
 
 def _widget_record(gates: Sequence[Gate], n_input: int,
@@ -262,7 +252,6 @@ class EstimateResult:
     algo: CompiledAlgorithm
     selection: SelectionResult
     timing: TimingBreakdown
-    n_clifford_init: int
 
 
 def _select(algo: CompiledAlgorithm, config: ArchConfig) -> SelectionResult:
@@ -271,7 +260,7 @@ def _select(algo: CompiledAlgorithm, config: ArchConfig) -> SelectionResult:
     sel = algo.selections.get(config)
     if sel is None:
         sel = algo.selections[config] = solve_distance_and_factory(
-            config, algo.est, algo.l_prep_total)
+            config, algo.est)
     return sel
 
 
@@ -287,8 +276,7 @@ def run_estimate(
 ) -> EstimateResult:
     """Full run from files; writes report.csv under out_dir when given."""
     config = load_config(config_path)
-    algo, n_clifford, source_digest = compile_circuit(circuit_path, config,
-                                                      cache_dir)
+    algo, source_digest = compile_circuit(circuit_path, config, cache_dir)
     sel = _select(algo, config)
     timing = compute_timing(config, algo, sel)
     provenance = {
@@ -296,13 +284,12 @@ def run_estimate(
         "circuit_hash": source_digest[:16],
         "tool_version": __version__,
     }
-    report = assemble_report(config, algo, sel, timing, n_clifford,
-                             provenance)
+    report = assemble_report(config, algo, sel, timing, provenance)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.csv").write_text(render_csv(report))
-    return EstimateResult(report, config, algo, sel, timing, n_clifford)
+    return EstimateResult(report, config, algo, sel, timing)
 
 
 # --------------------------------------------------------------------------

@@ -101,7 +101,6 @@ def assemble_report(
     algo: CompiledAlgorithm,
     sel: SelectionResult,
     timing: TimingBreakdown,
-    n_clifford_init: int,
     provenance: Mapping[str, str] | None = None,
 ) -> ResourceReport:
     """Derive all 49 parameters and verify the cross-identities."""
@@ -179,11 +178,11 @@ def assemble_report(
                   -(-sel.counts.n_tot_t // est.n_logical_max), "layers"),
         ReportRow(19, "input_rz_count", est.n_Rz_init, "gates"),
         ReportRow(20, "input_t_count", est.n_T_init, "gates"),
-        ReportRow(21, "input_clifford_count", n_clifford_init, "gates"),
+        ReportRow(21, "input_clifford_count", est.n_clifford_init, "gates"),
         ReportRow(22, "graph_nodes_total", est.n_nodes_total, "nodes"),
-        ReportRow(23, "consumption_steps_total", algo.consump_steps_total,
+        ReportRow(23, "consumption_steps_total", est.consump_steps_total,
                   "steps"),
-        ReportRow(24, "preparation_steps_total", algo.l_prep_total, "steps"),
+        ReportRow(24, "preparation_steps_total", est.l_prep_total, "steps"),
         ReportRow(25, "widget_count", est.n_widgets, "widgets"),
         ReportRow(26, "distinct_widget_count",
                   algo.plan.n_distinct_widgets, "widgets"),

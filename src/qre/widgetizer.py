@@ -5,8 +5,9 @@ becomes a plan through ``WidgetPlan.from_sequence``; a nested-block file
 graph whose root ``WidgetPlan.from_root`` reads.
 
 Blocks are expanded depth-first; a node that violates the split criterion is
-decomposed (one child per operation) if it invokes other blocks, or sliced
-into contiguous moment groups if it is a flat gate list. Each node folds its
+decomposed (one child per operation, leaving out each invocation of a block
+with no gates) if it invokes other blocks, or sliced into contiguous moment
+groups if it is a flat gate list. Each node folds its
 children's widget and stitch multiplicities as it is built, with repeat
 counts kept symbolic, so the root's are exact Python integers even for
 billions of expanded gates, computed without materializing the leaf
@@ -242,10 +243,13 @@ class _Builder:
         if not self.criterion.violated_by(len(qubit_set), n_gates):
             node = self.build_leaf(self.circ.flatten(name))
         elif any(isinstance(item, BlockRef) for item in body):
+            # A block with no gates adds no widget; the body has gates, since
+            # it violates the criterion, so at least one child stays.
             node = SubcircuitNode(children=[
                 (self.build_leaf([item]), 1) if isinstance(item, Gate)
                 else (self.build_block(item.name), item.repeat)
-                for item in body])
+                for item in body
+                if isinstance(item, Gate) or self.block_stats(item.name)[1]])
         else:
             node = self.build_gate_list(list(body), label=name)  # type: ignore[arg-type]
         self.block_nodes[name] = node
@@ -345,6 +349,8 @@ class PlanRecord:
         if not {self.first, self.last}.union(*self.stitches).issubset(
                 self.multiplicity):
             raise CircuitError("stitches and first/last must name widgets")
+        if min(self.multiplicity.values()) < 1:
+            raise CircuitError("multiplicities must be >= 1")
         if sum(self.stitches.values()) != self.n_widgets - 1:
             raise CircuitError("stitch counts must sum to n_widgets - 1")
 
@@ -362,10 +368,6 @@ class WidgetPlan(PlanRecord):
     use."""
 
     widgets: dict[str, tuple[Gate, ...]]
-
-    @property
-    def ids(self) -> Iterable[str]:
-        return self.widgets.keys()
 
     def __post_init__(self) -> None:
         if set(self.widgets) != set(self.multiplicity):
@@ -404,13 +406,13 @@ class WidgetPlan(PlanRecord):
             raise CircuitError("n_input must be >= 1")
         if not sequence:
             raise CircuitError("widget sequence is empty")
-        multiplicity: dict[str, int] = {}
+        counts: dict[str, int] = {}
         stitches: dict[tuple[str, str], int] = {}
         prev = None
         for wid in sequence:
             if wid not in widgets:
                 raise CircuitError(f"sequence references undefined widget {wid!r}")
-            multiplicity[wid] = multiplicity.get(wid, 0) + 1
+            counts[wid] = counts.get(wid, 0) + 1
             if prev is not None:
                 stitches[(prev, wid)] = stitches.get((prev, wid), 0) + 1
             prev = wid
@@ -419,10 +421,10 @@ class WidgetPlan(PlanRecord):
             if width > n_input:
                 raise CircuitError(f"widget {wid!r} touches qubit {width - 1}, "
                                    f"beyond n_input={n_input}")
+        multiplicity = {wid: counts[wid] for wid in widgets if wid in counts}
         return cls(
             n_input=n_input,
-            widgets={wid: tuple(gates) for wid, gates in widgets.items()
-                     if wid in multiplicity},
+            widgets={wid: tuple(widgets[wid]) for wid in multiplicity},
             multiplicity=multiplicity,
             stitches=stitches,
             first=sequence[0],

@@ -597,6 +597,33 @@ def compile_fresh(plan, fan_out):
     return fresh
 
 
+def totals_by_walk(loaded, fan_out):
+    """Every field of ``CompiledAlgorithm.est``, summed position by position
+    over the expanded widget sequence of ``loaded`` with widgets compiled
+    by ``compile_fresh``: no multiplicity is read."""
+    from qre.circuit import transpile
+
+    plan = loaded.plan
+    fresh = compile_fresh(plan, fan_out)
+    sequence, _ = loaded.expand()
+    walk = [fresh[wid] for wid in sequence]
+    n_widgets = len(walk)
+    return {
+        "n_input": plan.n_input,
+        "n_widgets": n_widgets,
+        "n_T_init": sum(cw.n_T for cw, _ in walk),
+        "n_Rz_init": sum(cw.n_Rz for cw, _ in walk),
+        "n_clifford_init": sum(transpile(plan.widgets[wid]).n_Clifford_init
+                               for wid in sequence),
+        "n_logical_max": max(cw.n_logical for cw, _ in walk),
+        "n_nodes_total": (sum(cw.n_nodes for cw, _ in walk)
+                          + (n_widgets - 1) * plan.n_input),
+        "l_prep_total": sum(prep.n_sub_steps for _, prep in walk),
+        "consump_steps_total": sum(len(cw.consump_schedule)
+                                   for cw, _ in walk),
+    }
+
+
 class WidgetTiming(NamedTuple):
     """Per-widget quantities reused across sequence positions."""
 
@@ -745,7 +772,7 @@ def pipe_sweep_per_point(algo, config, pipe_values):
 
     from qre.estimator import compute_timing, solve_distance_and_factory
 
-    sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+    sel = solve_distance_and_factory(config, algo.est)
     return [(str(pipes), sel.d,
              compute_timing(replace(config, n_inter_pipes=pipes), algo,
                             sel).t_hardware_total)

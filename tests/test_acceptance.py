@@ -16,7 +16,7 @@ import oracles
 from qre.architecture import DEFAULT_FACTORIES, TFactory, compute_layout
 from qre.circuit import GateKind as G
 from qre.circuit import emit_qasm, gate, generate_qft, invert_gates, transpile
-from qre.compiler import compile_widget, stitch, verify_unitarity
+from qre.compiler import compile_widget, verify_unitarity
 from qre.config import ArchConfig
 from qre.estimator import (
     SequentialCounts,
@@ -30,6 +30,7 @@ from qre.pipeline import compile_plan, load_circuit, run_estimate, run_pipe_swee
 from qre.report import format_si
 from qre.scalefit import ScalingSample, fit_scaling_law
 from qre.thermal import DEFAULT_THERMAL, module_dissipation
+from qre.widgetizer import WidgetPlan
 
 
 def _conclude(num: int, name: str, started: float, budget: float) -> None:
@@ -238,9 +239,8 @@ def test_criterion_7_factory_dominance():
         kappa = (1 - (1 - forced) ** (1 / 3)) * (0.016 / 1e-3) ** 2
         cfg = ArchConfig(kappa=kappa)
         wc_gates = [gate(G.T, 0), gate(G.CX, 0, 1)]
-        cw = compile_widget(transpile(wc_gates), n_input=2)
-        est = stitch([(cw, 1)])
-        sel = solve_distance_and_factory(cfg, est, l_prep_total=1)
+        plan = WidgetPlan.from_sequence(2, {"wc": wc_gates}, ["wc"])
+        sel = solve_distance_and_factory(cfg, compile_plan(plan, cfg).est)
 
         assert sel.d == 3
         assert sel.p_logical == pytest.approx(forced, rel=1e-9)
@@ -284,10 +284,14 @@ def test_criterion_8_stitching_identity():
         n = 4
         for _ in range(20):
             k = int(rng.integers(1, 4))
-            compiled = [compile_widget(transpile(_random_widget(rng, n)),
-                                       n_input=n) for _ in range(k)]
+            widgets = {f"w{i}": _random_widget(rng, n) for i in range(k)}
             mults = [int(rng.integers(1, 4)) for _ in range(k)]
-            est = stitch(list(zip(compiled, mults)))
+            plan = WidgetPlan.from_sequence(
+                n, widgets, [w for w, m in zip(widgets, mults)
+                             for _ in range(m)])
+            algo = compile_plan(plan, ArchConfig())
+            compiled = [algo.compiled[w] for w in widgets]
+            est = algo.est
             n_widgets = sum(mults)
             assert est.n_nodes_total == (
                 sum(m * cw.n_nodes for cw, m in zip(compiled, mults))
@@ -307,15 +311,12 @@ def test_criterion_9_pipe_sweep_monotonic():
     name = "pipe-sweep monotonicity"
     start = time.perf_counter()
     try:
-        from qre.pipeline import compile_plan
-        from qre.widgetizer import WidgetPlan
-
         n = 80
         ladder = [gate(G.CZ, i, i + 1) for i in range(n - 1)]
         rotations = [gate(G.Rz, q, angle=0.375) for q in (0, 1, 2)]
         plan = WidgetPlan.from_sequence(n, {"a": rotations, "b": ladder},
                                         ["a", "b", "a"])
-        algo, _ = compile_plan(plan, ArchConfig())
+        algo = compile_plan(plan, ArchConfig())
 
         small_factory = TFactory("unit-test-15-to-1", 1.0e-5, 10, 12, 120,
                                  10.0)

@@ -381,7 +381,7 @@ class TestWidgetFiles:
                    "sequence": ["A", "B", "A"]}
         plan = WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
         assert list(plan.widgets) == ["B", "A"]
-        assert list(plan.multiplicity) == ["A", "B"]
+        assert list(plan.multiplicity) == list(plan.ids) == ["B", "A"]
         assert (plan.first, plan.last) == ("A", "A")
 
     def test_count_stitches_plain(self):

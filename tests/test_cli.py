@@ -1,10 +1,22 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from qre.cli import EXIT_INFEASIBLE, EXIT_INVALID, EXIT_IO, EXIT_OK, main
+import qre
+from qre.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_INVALID,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_PIPE,
+    main,
+)
 from qre.report import parse_csv
 
 
@@ -305,6 +317,37 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert (f"{path}: widget 'A': line 1: unsupported gate 'foo'"
                 in err)
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("n_widgets, lines_read", [(4000, 1), (1, 0)],
+                             ids=["after-one-line", "before-any"])
+    def test_closed_stdout_exits_like_a_filter(self, tmp_path, n_widgets,
+                                               lines_read):
+        """A reader that closes the pipe early, as `qre widgetize x | head`
+        does, ends the run with exit 141 and nothing on stderr: when the
+        output is more than a pipe buffer holds (4000 widget lines), and
+        when it is short enough to wait in stdout's buffer until exit."""
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps({
+            "n_input": 1, "sequence": [f"w{i}" for i in range(n_widgets)],
+            "distinct_widgets": {f"w{i}": "qreg q[1]; h q[0];"
+                                 for i in range(n_widgets)}}))
+        src = str(Path(qre.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qre.cli", "widgetize", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        for _ in range(lines_read):
+            assert proc.stdout.readline() == b"n_input: 1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_PIPE == 141
+        assert err == b""
 
 
 class TestParser:

@@ -18,9 +18,11 @@ from oracles import (
 )
 from pool import benchmark_pool_circuit
 from qre import _sim
+from qre.architecture import EstimationError
 from qre.circuit import (
     ANGLED,
     ARITY,
+    CircuitError,
     Gate,
     GateKind,
     circuit_width,
@@ -40,13 +42,13 @@ from qre.compiler import (
     _layer_consumption,
     cache_key,
     compile_widget,
-    stitch,
     verify_unitarity,
 )
 from qre.config import ArchConfig
+from qre.estimator import CompiledAlgorithm
 from qre.pipeline import compile_plan, load_circuit, verify_circuit
 from qre.stabilizer import GraphForm, PauliRows
-from qre.widgetizer import WidgetPlan
+from qre.widgetizer import PlanRecord, WidgetPlan
 
 PI = math.pi
 
@@ -269,39 +271,52 @@ class TestRandomVerification:
         assert fid >= 1 - 1e-9
 
 
+def stitched(n_input, *items):
+    """The compiled algorithm of ``(gates, multiplicity)`` widgets on
+    ``n_input`` wires, each repeated in a row, as ``compile_plan`` gives
+    it."""
+    widgets = {f"w{i}": gates for i, (gates, _) in enumerate(items)}
+    sequence = [f"w{i}" for i, (_, m) in enumerate(items) for _ in range(m)]
+    plan = WidgetPlan.from_sequence(n_input, widgets, sequence)
+    return compile_plan(plan, ArchConfig())
+
+
 class TestStitch:
     def test_single_widget_identity(self):
         cw = compiled([gate(GateKind.T, 0)])
-        s = stitch([(cw, 1)])
+        s = stitched(1, ([gate(GateKind.T, 0)], 1)).est
         assert s.n_nodes_total == cw.n_nodes
         assert s.n_widgets == 1
         assert s.n_logical_max == cw.n_logical
 
     def test_three_t_widgets(self):
-        cw = compiled([gate(GateKind.T, 0)])
-        s = stitch([(cw, 3)])
+        s = stitched(1, ([gate(GateKind.T, 0)], 3)).est
         assert s.n_widgets == 3
         assert s.n_nodes_total == 3 * 2 + 2 * 1
         assert s.n_T_init == 3
 
     def test_mixed_multiplicities(self):
-        a = compiled([gate(GateKind.T, 0), gate(GateKind.T, 1)], n=2)
-        b = compiled([gate(GateKind.Rz, 0, angle=0.5)], n=2)
-        s = stitch([(a, 2), (b, 1)])
+        ga = [gate(GateKind.T, 0), gate(GateKind.T, 1)]
+        gb = [gate(GateKind.Rz, 0, angle=0.5)]
+        a, b = compiled(ga, n=2), compiled(gb, n=2)
+        s = stitched(2, (ga, 2), (gb, 1)).est
         assert s.n_widgets == 3
         assert s.n_nodes_total == 2 * a.n_nodes + b.n_nodes + 2 * 2
         assert s.n_T_init == 4 and s.n_Rz_init == 1
         assert s.n_logical_max == max(a.n_logical, b.n_logical)
 
     def test_error_cases(self):
-        a = compiled([gate(GateKind.H, 0)], n=1)
-        b = compiled([gate(GateKind.H, 0)], n=2)
-        with pytest.raises(CompileError):
-            stitch([])
-        with pytest.raises(CompileError):
-            stitch([(a, 1), (b, 1)])
-        with pytest.raises(CompileError):
-            stitch([(a, 0)])
+        """Each check of a stitched sequence sits where its data is made: an
+        empty plan and a multiplicity below 1 are plan errors, and records
+        on other wire counts than the plan's an estimation error."""
+        with pytest.raises(CircuitError, match="must name widgets"):
+            PlanRecord(1, {}, {}, "a", "a")
+        algo = stitched(1, ([gate(GateKind.H, 0)], 1))
+        (wide,) = stitched(2, ([gate(GateKind.H, 0)], 1)).compiled.values()
+        with pytest.raises(EstimationError, match="must share n_input"):
+            CompiledAlgorithm(algo.plan, {"w0": wide})
+        with pytest.raises(CircuitError, match="multiplicities must be >= 1"):
+            PlanRecord(1, {"a": 0}, {}, "a", "a")
 
 
 def cached_record(gates, cache_dir=None, n=None):
@@ -309,7 +324,7 @@ def cached_record(gates, cache_dir=None, n=None):
     through the disk cache in ``cache_dir`` when one is given."""
     n = max(circuit_width(gates), 1) if n is None else n
     plan = WidgetPlan.from_sequence(n, {"w0": gates}, ["w0"])
-    (record,) = compile_plan(plan, ArchConfig(), cache_dir)[0].compiled.values()
+    (record,) = compile_plan(plan, ArchConfig(), cache_dir).compiled.values()
     return record
 
 

@@ -1,6 +1,7 @@
 """Tests for distance/precision/factory selection and the timing model."""
 
 import dataclasses
+import json
 import math
 import random
 
@@ -14,6 +15,7 @@ from oracles import (
     layout_aware_lhs,
     min_distance_sweep,
     timing_per_call,
+    totals_by_walk,
     widget_timing,
 )
 from pool import benchmark_pool_circuit
@@ -38,14 +40,19 @@ from qre.estimator import (
     solve_distance_and_factory,
     spacetime_lhs,
 )
-from qre.pipeline import compile_plan, load_circuit, run_pipe_sweep
+from qre.pipeline import (
+    compile_circuit,
+    compile_plan,
+    load_circuit,
+    run_pipe_sweep,
+)
 from qre.widgetizer import WidgetPlan
 
 
 def build_algo(sequence, distinct, n_input):
     """Compile a widget sequence into a CompiledAlgorithm."""
     plan = WidgetPlan.from_sequence(n_input, distinct, list(sequence))
-    return compile_plan(plan, ArchConfig())[0]
+    return compile_plan(plan, ArchConfig())
 
 
 def single_widget_algo(gates, n_input=None):
@@ -234,6 +241,44 @@ class TestBudgetInequality:
 # Full selection: distance + precision + factory
 # --------------------------------------------------------------------------
 
+NESTED_REPEATS = {"blocks": {
+    "main": [{"gate": "h", "qubits": [0]}, {"block": "outer", "repeat": 4},
+             {"gate": "t", "qubits": [2]}],
+    "outer": [{"block": "layer", "repeat": 3}, {"gate": "s", "qubits": [0]}],
+    "layer": [{"gate": "cx", "qubits": [0, 1]}, {"gate": "t", "qubits": [1]},
+              {"gate": "h", "qubits": [2]},
+              {"gate": "rz", "qubits": [2], "angle": 0.3},
+              {"gate": "cx", "qubits": [1, 2]}]}}
+TABLE_OUT_OF_USE_ORDER = {
+    "n_input": 2, "sequence": ["a", "b", "a", "a", "c", "a"],
+    "distinct_widgets": {"c": "qreg q[2]; rz(0.7) q[0]; h q[1];",
+                         "b": "qreg q[2]; s q[1];",
+                         "a": "qreg q[2]; h q[0]; cx q[0],q[1]; t q[1];"}}
+
+
+class TestSequenceTotals:
+    @pytest.mark.parametrize("payload", [NESTED_REPEATS,
+                                         TABLE_OUT_OF_USE_ORDER],
+                             ids=["nested", "table"])
+    def test_every_total_matches_an_expanded_walk(self, payload, tmp_path):
+        """``est`` of a cold and of a warm compile equals the totals of a
+        position-by-position walk over the expanded sequence."""
+        path = tmp_path / "circuit.json"
+        path.write_text(json.dumps(payload))
+        cfg = ArchConfig(max_gates=3)
+        loaded = load_circuit(path, cfg)
+        sequence, _ = loaded.expand()
+        assert 1 < loaded.plan.n_distinct_widgets < len(sequence)
+        if "sequence" in payload:  # table order, not the order of first use
+            assert list(loaded.plan.ids) == ["c", "b", "a"]
+        expected = totals_by_walk(loaded, cfg.fan_out)
+        est = compile_plan(loaded.plan, cfg).est
+        assert dataclasses.asdict(est) == expected
+        for _ in range(2):  # cold, then from the plan and widget records
+            algo, _ = compile_circuit(path, cfg, tmp_path / "cache")
+            assert dataclasses.asdict(algo.est) == expected
+
+
 @pytest.fixture(scope="module")
 def qft3_algo():
     return single_widget_algo(generate_qft(3))
@@ -242,8 +287,7 @@ def qft3_algo():
 @pytest.fixture(scope="module")
 def qft3_selection(qft3_algo):
     cfg = ArchConfig()
-    return cfg, solve_distance_and_factory(cfg, qft3_algo.est,
-                                           qft3_algo.l_prep_total)
+    return cfg, solve_distance_and_factory(cfg, qft3_algo.est)
 
 
 class TestSelection:
@@ -281,21 +325,20 @@ class TestSelection:
         cfg, sel = qft3_selection
         est = qft3_algo.est
         lhs_at = layout_aware_lhs(cfg, est.n_logical_max,
-                                  qft3_algo.l_prep_total, sel.factory,
+                                  est.l_prep_total, sel.factory,
                                   sel.l_eps, est.n_T_init, est.n_Rz_init)
         assert min_distance_sweep(lhs_at, cfg.p_algo_fail) == sel.d
 
     def test_deterministic(self, qft3_algo, qft3_selection):
         cfg, sel = qft3_selection
-        again = solve_distance_and_factory(cfg, qft3_algo.est,
-                                           qft3_algo.l_prep_total)
+        again = solve_distance_and_factory(cfg, qft3_algo.est)
         assert again == sel
 
     def test_clifford_only_needs_no_synthesis_or_distillation(self):
         algo = single_widget_algo(
             [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1), gate(GateKind.S, 1)])
         cfg = ArchConfig()
-        sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+        sel = solve_distance_and_factory(cfg, algo.est)
         assert algo.est.n_T_init == 0 and algo.est.n_Rz_init == 0
         assert sel.epsilon is None
         assert sel.l_eps == 0
@@ -305,8 +348,7 @@ class TestSelection:
 
     def test_pinned_precision_skips_fixed_point(self, qft3_algo):
         cfg = ArchConfig(epsilon=1e-10)
-        sel = solve_distance_and_factory(cfg, qft3_algo.est,
-                                         qft3_algo.l_prep_total)
+        sel = solve_distance_and_factory(cfg, qft3_algo.est)
         assert sel.epsilon == 1e-10
         assert sel.l_eps == 28
 
@@ -318,7 +360,7 @@ class TestSelection:
         kappa = p_c_target * (0.016 / 1e-3) ** 2
         algo = single_widget_algo([gate(GateKind.T, 0)])
         cfg = ArchConfig(kappa=kappa)
-        sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+        sel = solve_distance_and_factory(cfg, algo.est)
         assert sel.d == 3
         assert sel.p_logical == pytest.approx(1e-9, rel=1e-9)
         expected = next(f for f in DEFAULT_FACTORIES if f.p_out < sel.p_logical)
@@ -331,12 +373,12 @@ class TestSelection:
         # the distillation would be the weakest link.
         cfg = ArchConfig(factories=(DEFAULT_FACTORIES[0],))
         with pytest.raises(EstimationError, match="not below"):
-            solve_distance_and_factory(cfg, qft3_algo.est, qft3_algo.l_prep_total)
+            solve_distance_and_factory(cfg, qft3_algo.est)
 
     def test_no_layout_fits_is_infeasible(self, qft3_algo):
         cfg = ArchConfig(n_phys_per_module=5000)  # too small for any table row
         with pytest.raises(EstimationError, match="infeasible"):
-            solve_distance_and_factory(cfg, qft3_algo.est, qft3_algo.l_prep_total)
+            solve_distance_and_factory(cfg, qft3_algo.est)
 
     def test_completeness_check(self, qft3_algo):
         with pytest.raises(EstimationError, match="incomplete"):
@@ -460,8 +502,7 @@ def wide_fresh(wide_algo):
 @pytest.fixture(scope="module")
 def wide_selection(wide_algo):
     cfg = cross_module_config()
-    return cfg, solve_distance_and_factory(cfg, wide_algo.est,
-                                           wide_algo.l_prep_total)
+    return cfg, solve_distance_and_factory(cfg, wide_algo.est)
 
 
 class TestCrossModule:
@@ -530,7 +571,7 @@ class TestCrossModule:
                        first="a", last="b"),
             dict(wide_algo.compiled))
         cfg = cross_module_config()
-        sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+        sel = solve_distance_and_factory(cfg, algo.est)
         per = {w: widget_timing(cfg, *wide_fresh[w], sel,
                                 algo.est.n_logical_max)
                for w in algo.plan.widgets}
@@ -550,9 +591,9 @@ def two_module_nested(tmp_path_factory):
     path = tmp_path_factory.mktemp("pool") / "nested3.json"
     path.write_text(benchmark_pool_circuit(3))
     cfg = ArchConfig(n_phys_per_module=250_000)
-    algo, _ = compile_plan(load_circuit(path, cfg).plan, cfg)
+    algo = compile_plan(load_circuit(path, cfg).plan, cfg)
     return (cfg, algo,
-            solve_distance_and_factory(cfg, algo.est, algo.l_prep_total),
+            solve_distance_and_factory(cfg, algo.est),
             compile_fresh(algo.plan, cfg.fan_out))
 
 
@@ -578,8 +619,7 @@ class TestTimingMatchesPerCallOracle:
             self, two_module_nested):
         cfg, algo, sel, fresh = two_module_nested
         assert (sel.d, sel.layout.n_per_leg) == (21, 2)
-        one_module = solve_distance_and_factory(ArchConfig(), algo.est,
-                                                algo.l_prep_total)
+        one_module = solve_distance_and_factory(ArchConfig(), algo.est)
         assert one_module.layout.n_per_leg == 1
         # Slow inter-module links make the preparation crossings set lags.
         for t_inter in (cfg.t_inter, 1e-4):
@@ -607,7 +647,7 @@ class TestTimingMatchesPerCallOracle:
             for wid, record in wide_algo.compiled.items()}
         algo = CompiledAlgorithm(wide_algo.plan, compiled)
         cfg = cross_module_config()
-        sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+        sel = solve_distance_and_factory(cfg, algo.est)
         assert sel.layout.n_per_leg == 3  # the module split walks nodes
         assert len(run_pipe_sweep(algo, cfg, range(1, 65))) == 64
         assert all(getattr(nodes, "reads", 0) <= 1

@@ -58,7 +58,6 @@ class TestLoadDispatch:
         assert loaded.plan.n_input == 3
         assert loaded.plan.n_widgets == 1
         assert loaded.expand()[0] == ("w0",)
-        assert loaded.data == qft3_path.read_bytes()
 
     def test_widget_json(self, tmp_path, config):
         body = "qreg q[2];\nh q[0];\ncz q[0],q[1];\n"
@@ -159,12 +158,12 @@ class TestLoadDispatch:
 class TestCompilePlan:
     def test_tables_complete_and_clifford_total(self, qft3_path, config):
         plan = load_circuit(qft3_path, config).plan
-        algo, n_clifford = compile_plan(plan, config)
+        algo = compile_plan(plan, config)
         assert set(algo.compiled) == set(plan.widgets)
         assert all(record.n_sub_steps > 0 for record in algo.compiled.values())
         expected = sum(plan.multiplicity[w] * transpile(plan.widgets[w]).n_Clifford_init
                        for w in plan.widgets)
-        assert n_clifford == expected > 0
+        assert algo.est.n_clifford_init == expected > 0
 
     def test_multiplicity_scales_clifford_total(self, tmp_path, config):
         gates = [gate(G.H, 0), gate(G.CZ, 0, 1)]
@@ -175,15 +174,15 @@ class TestCompilePlan:
         path = tmp_path / "w.json"
         path.write_text(json.dumps(payload))
         plan = load_circuit(path, config).plan
-        _, n_clifford = compile_plan(plan, config)
+        n_clifford = compile_plan(plan, config).est.n_clifford_init
         assert n_clifford == 5 * transpile(gates).n_Clifford_init
 
     def test_cache_round_trip(self, qft3_path, config, tmp_path):
         plan = load_circuit(qft3_path, config).plan
         cache = tmp_path / "cache"
-        algo_first, _ = compile_plan(plan, config, cache_dir=cache)
+        algo_first = compile_plan(plan, config, cache_dir=cache)
         assert any(cache.iterdir())
-        algo_again, _ = compile_plan(plan, config, cache_dir=cache)
+        algo_again = compile_plan(plan, config, cache_dir=cache)
         for wid in plan.widgets:
             assert algo_again.compiled[wid] == algo_first.compiled[wid]
 
@@ -247,13 +246,13 @@ class TestWidgetCache:
         records = {}
         for fan_out in (2, 4):
             cfg = ArchConfig(fan_out=fan_out)
-            records[fan_out] = compile_plan(plan, cfg, cache)[0].compiled
-            assert records[fan_out] == compile_plan(plan, cfg)[0].compiled
+            records[fan_out] = compile_plan(plan, cfg, cache).compiled
+            assert records[fan_out] == compile_plan(plan, cfg).compiled
         assert len(cache_entries(cache)) == 2 * plan.n_distinct_widgets
         assert records[2] != records[4]
         for fan_out in (2, 4):  # now warm
             cfg = ArchConfig(fan_out=fan_out)
-            assert compile_plan(plan, cfg, cache)[0].compiled == records[fan_out]
+            assert compile_plan(plan, cfg, cache).compiled == records[fan_out]
 
     @pytest.mark.parametrize("content", ["[]", "null", '"x"', "{}", "",
                                          "format-2", "other-key", "missing",
@@ -263,7 +262,7 @@ class TestWidgetCache:
             self, content, qft3_path, config, tmp_path):
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
-        fresh = compile_plan(plan, config)[0].compiled
+        fresh = compile_plan(plan, config).compiled
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         good = json.loads(entry.read_text())
@@ -285,7 +284,7 @@ class TestWidgetCache:
             else:
                 bad = None
             entry.write_text(content if bad is None else json.dumps(bad))
-        assert compile_plan(plan, config, cache)[0].compiled == fresh
+        assert compile_plan(plan, config, cache).compiled == fresh
         assert json.loads(entry.read_text()) == good
         assert cache_entries(cache) == [entry.name]
 
@@ -310,14 +309,14 @@ class TestWidgetCache:
         (cache / f"widget-{key}.stale.tmp").write_text("half a rec")
         compile_plan(plan, config, cache)
         record = compiler.load_cached(cache, key)
-        assert record == compile_plan(plan, config)[0].compiled["w0"]
+        assert record == compile_plan(plan, config).compiled["w0"]
         assert len(cache_entries(cache)) == 3
 
     def test_format_3_entry_is_recomputed_and_overwritten(
             self, qft3_path, config, tmp_path):
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
-        fresh = compile_plan(plan, config)[0].compiled["w0"]
+        fresh = compile_plan(plan, config).compiled["w0"]
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         payload = json.loads(entry.read_text())
@@ -325,7 +324,7 @@ class TestWidgetCache:
         payload["format"] = 3
         payload["n_nodes"] += 1  # a stale record must not be read
         entry.write_text(json.dumps(payload))
-        assert compile_plan(plan, config, cache)[0].compiled["w0"] == fresh
+        assert compile_plan(plan, config, cache).compiled["w0"] == fresh
         assert json.loads(entry.read_text())["format"] == 4
         assert compiler.load_cached(cache, payload["key"]) == fresh
 
@@ -343,7 +342,7 @@ class TestWidgetCache:
     def test_save_creates_a_missing_directory_on_first_write(
             self, qft3_path, config, tmp_path, monkeypatch):
         plan = load_circuit(qft3_path, config).plan
-        record = compile_plan(plan, config)[0].compiled["w0"]
+        record = compile_plan(plan, config).compiled["w0"]
         cache = tmp_path / "new" / "cache"
         made = []
         mkdir = Path.mkdir
@@ -371,7 +370,7 @@ class TestWidgetCache:
 
     def test_concurrent_writers_of_one_key(self, qft3_path, config, tmp_path):
         plan = load_circuit(qft3_path, config).plan
-        record = compile_plan(plan, config)[0].compiled["w0"]
+        record = compile_plan(plan, config).compiled["w0"]
         errors = []
 
         def write():
@@ -488,7 +487,9 @@ class TestPlanRecord:
     def test_record_holds_the_plan_in_plan_order(self, table_path, config,
                                                  tmp_path):
         plan = load_circuit(table_path, config).plan
-        assert list(plan.widgets) != list(plan.multiplicity)
+        # plan order is table order, not the order of first use
+        assert list(plan.ids) == list(plan.widgets) == ["b", "a"]
+        assert plan.first == "a"
         compile_circuit(table_path, config, tmp_path)
         payload = json.loads(plan_entry(tmp_path).read_text())
         assert payload["n_input"] == 2
@@ -617,10 +618,11 @@ class TestPlanRecord:
     def test_a_record_of_another_rule_is_never_read(self, tmp_path,
                                                     monkeypatch):
         # A plan of the first rule sized a flat QASM file by its widest
-        # gate, and one of the second numbered a nested plan's ids over its
-        # composites too. Plant a wrong plan, with the widget records it
-        # names, under each old rule's key: the current rule must read
-        # neither.
+        # gate, one of the second numbered a nested plan's ids over its
+        # composites too, and one of the third kept a widget for each
+        # empty block of a split nested file. Plant a wrong plan, with the
+        # widget records it names, under each old rule's key: the current
+        # rule must read none of them.
         cache = tmp_path / "cache"
         narrow, wide = tmp_path / "narrow.qasm", tmp_path / "wide.qasm"
         narrow.write_text("qreg q[1]; h q[0]; t q[0];\n")
@@ -630,7 +632,7 @@ class TestPlanRecord:
         old = compiler.load_plan(cache, compiler.plan_key(
             hashlib.sha256(narrow.read_bytes()).hexdigest(),
             pipeline._criterion(config)))
-        for old_rule in (1, 2):
+        for old_rule in (1, 2, 3):
             monkeypatch.setattr(compiler, "PLAN_RULE", old_rule)
             compiler.save_plan(cache, compiler.plan_key(
                 hashlib.sha256(wide.read_bytes()).hexdigest(),
@@ -674,6 +676,38 @@ class TestRunEstimate:
         report = run_estimate(path).report
         assert report.value(15) == 40
         assert report.value(2) == 40
+
+    @pytest.mark.parametrize("blocks", [
+        {"main": ["h", "t", {"block": "e", "repeat": 1000}], "e": []},
+        {"main": ["h", {"block": "e"}, "t"], "e": []},
+        {"main": ["h", "t", {"block": "w", "repeat": 1000}],
+         "w": [{"block": "e", "repeat": 3}], "e": []},
+    ], ids=["repeated", "between-gates", "nested"])
+    def test_an_empty_block_adds_no_widget(self, tmp_path, blocks):
+        """Under a split, a reference to a block with no gates leaves the
+        report as it is without the reference, except for the input's
+        hash, and the plan still verifies against the source."""
+        gates = {"h": {"gate": "h", "qubits": [0]},
+                 "t": {"gate": "t", "qubits": [1]}}
+        config_path = tmp_path / "split.yaml"
+        config_path.write_text("architecture:\n  max_gates: 2\n")
+        with_ref, without = tmp_path / "empty.json", tmp_path / "plain.json"
+        with_ref.write_text(json.dumps({"n_input": 2, "blocks": {
+            name: [gates[item] if isinstance(item, str) else item
+                   for item in body]
+            for name, body in blocks.items()}}))
+        without.write_text(json.dumps({"n_input": 2, "blocks": {
+            "main": [gates["h"], gates["t"]]}}))
+        report = run_estimate(with_ref, config_path).report
+        plain = run_estimate(without, config_path).report
+        assert report.rows == plain.rows
+        assert report.value(25) == report.value(26) == 2
+        assert ({k: v for k, v in report.provenance.items()
+                 if k != "circuit_hash"}
+                == {k: v for k, v in plain.provenance.items()
+                    if k != "circuit_hash"})
+        loaded = load_circuit(with_ref, ArchConfig(max_gates=2))
+        assert verify_circuit(loaded, seed=0) >= 1 - 1e-9
 
     def test_provenance_keys(self, qft3_path):
         result = run_estimate(qft3_path)
@@ -755,7 +789,7 @@ class TestBenchmarkReports:
 @pytest.fixture(scope="module")
 def qft3_algo(qft3_path, config):
     plan = load_circuit(qft3_path, config).plan
-    algo, _ = compile_plan(plan, config)
+    algo = compile_plan(plan, config)
     return algo
 
 
@@ -763,7 +797,7 @@ def qft3_algo(qft3_path, config):
 def pool3_small_modules(pool3_path):
     """Pool circuit 3 on modules small enough for two per leg."""
     config = ArchConfig(n_phys_per_module=250_000)
-    algo, _ = compile_plan(load_circuit(pool3_path, config).plan, config)
+    algo = compile_plan(load_circuit(pool3_path, config).plan, config)
     return config, algo
 
 
@@ -773,7 +807,7 @@ def qft20_small_modules():
     its preparation crossings depend on the pipe count."""
     config = ArchConfig(n_phys_per_module=300_000)
     plan = WidgetPlan.from_sequence(20, {"w0": generate_qft(20)}, ["w0"])
-    return config, compile_plan(plan, config)[0]
+    return config, compile_plan(plan, config)
 
 
 def count_timing_calls(monkeypatch):
@@ -806,7 +840,7 @@ class TestSweeps:
 
     def test_one_module_sweep_times_once(self, pool3_path, config,
                                          monkeypatch):
-        algo, _ = compile_plan(load_circuit(pool3_path, config).plan, config)
+        algo = compile_plan(load_circuit(pool3_path, config).plan, config)
         calls = count_timing_calls(monkeypatch)
         rows = run_pipe_sweep(algo, config, range(1, 65))
         assert calls == [1]
@@ -818,7 +852,7 @@ class TestSweeps:
     def test_sweep_times_each_rounds_tuple_once(self, request, machine,
                                                 monkeypatch):
         config, algo = request.getfixturevalue(machine)
-        sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+        sel = solve_distance_and_factory(config, algo.est)
         assert sel.layout.n_per_leg == 2
         inputs = algo.timing_inputs(sel.layout)
         first_of_each = {}
@@ -834,9 +868,9 @@ class TestSweeps:
         solved = []
         solve = pipeline.solve_distance_and_factory
 
-        def counted(config, est, l_prep_total):
+        def counted(config, est):
             solved.append(config)
-            return solve(config, est, l_prep_total)
+            return solve(config, est)
 
         monkeypatch.setattr(pipeline, "solve_distance_and_factory", counted)
         presets = ("mwpm-circuit", "mwpm-code-capacity", "astra-gnn")
@@ -853,7 +887,7 @@ class TestSweeps:
         for name in presets:
             kappa, p_thresh = SCALING_PRESETS[name]
             cfg = replace(config, kappa=kappa, p_thresh=p_thresh)
-            sel = solve_distance_and_factory(cfg, algo.est, algo.l_prep_total)
+            sel = solve_distance_and_factory(cfg, algo.est)
             fresh.append((sel.d, compute_timing(cfg, algo, sel).t_hardware_total))
         assert [(r.d, r.t_hardware) for r in preset_rows] == fresh
 

@@ -209,11 +209,13 @@ def qft3_estimate(tmp_path_factory):
     path.write_text(qc.emit_qasm(qc.generate_qft(3), 3))
     config = ArchConfig()
     loaded = load_circuit(path, config)
-    algo, n_clifford = compile_plan(loaded.plan, config)
-    sel = solve_distance_and_factory(config, algo.est, algo.l_prep_total)
+    algo = compile_plan(loaded.plan, config)
+    sel = solve_distance_and_factory(config, algo.est)
     timing = compute_timing(config, algo, sel)
-    report = assemble_report(config, algo, sel, timing, n_clifford,
+    report = assemble_report(config, algo, sel, timing,
                              {"tool_version": "0.1.0"})
+    (gates,) = loaded.plan.widgets.values()
+    n_clifford = qc.transpile(gates).n_Clifford_init
     return config, algo, sel, timing, n_clifford, report
 
 
@@ -259,8 +261,8 @@ class TestAssembly:
         assert report.value(18) == math.ceil(report.value(17)
                                              / report.value(2))
         assert report.value(22) == algo.est.n_nodes_total
-        assert report.value(23) == algo.consump_steps_total
-        assert report.value(24) == algo.l_prep_total
+        assert report.value(23) == algo.est.consump_steps_total
+        assert report.value(24) == algo.est.l_prep_total
 
     def test_time_power_energy_identities(self, qft3_estimate):
         config, _, _, timing, _, report = qft3_estimate
@@ -278,7 +280,7 @@ class TestAssembly:
             wall * report.value(48) / 3600.0, rel=1e-12)
 
     def test_inconsistent_timing_rejected(self, qft3_estimate):
-        config, algo, sel, timing, n_clifford, _ = qft3_estimate
+        config, algo, sel, timing, _, _ = qft3_estimate
         broken = TimingBreakdown(
             t_consump_total=timing.t_consump_total,
             t_distill_delay_total=timing.t_distill_delay_total,
@@ -288,7 +290,7 @@ class TestAssembly:
             t_hardware_total=timing.t_hardware_total * 2,
             t_ft_total=timing.t_ft_total)
         with pytest.raises(EstimationError, match="wall time"):
-            assemble_report(config, algo, sel, broken, n_clifford)
+            assemble_report(config, algo, sel, broken)
 
     def test_provenance_carried(self, qft3_estimate):
         report = qft3_estimate[-1]
