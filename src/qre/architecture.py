@@ -166,23 +166,28 @@ def choose_modules_per_leg(
     n_logical: int,
     d: int,
     factory: TFactory,
-    max_per_leg: int = 10 ** 6,
 ) -> ModuleLayout:
     """Smallest n_per_leg whose layout is feasible (splitting the memory
-    across more modules shrinks the per-module bus until everything fits)."""
+    across more modules shrinks the per-module bus until everything fits).
+
+    Feasibility depends on n_per_leg only through the memory per module, and
+    a memory of 1 is the easiest case: l_qbus sits at its floor of 3, so the
+    factory columns and count are at their maximum, and n_unalloc >=
+    3 * l_edge - 2 > 0.  So once n_per_leg = 1 fails, the one-qubit-memory
+    layout tells at once whether any n_per_leg fits; if it does, the scan
+    ends by n_per_leg = n_logical."""
+    layout = compute_layout(n_phys_per_module, n_logical, d, factory, 1)
+    if layout is None and compute_layout(n_phys_per_module, 1, d, factory,
+                                         1) is None:
+        raise EstimationError(
+            f"no feasible module layout for n_logical={n_logical}, d={d}, "
+            f"factory={factory.name!r}, n_phys_per_module={n_phys_per_module}")
     n_per_leg = 1
-    while n_per_leg <= max_per_leg:
+    while layout is None:
+        n_per_leg += 1
         layout = compute_layout(n_phys_per_module, n_logical, d, factory,
                                 n_per_leg)
-        if layout is not None:
-            return layout
-        if -(-n_logical // n_per_leg) == 1:
-            break  # memory cannot shrink further; more modules won't help
-        n_per_leg += 1
-    raise EstimationError(
-        f"no feasible module layout for n_logical={n_logical}, d={d}, "
-        f"factory={factory.name!r}, n_phys_per_module={n_phys_per_module} "
-        f"(tried n_per_leg up to {n_per_leg})")
+    return layout
 
 
 def interconnect_count(n_per_leg: int, n_inter_pipes: int) -> int:

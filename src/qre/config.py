@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
@@ -102,37 +102,15 @@ class ArchConfig:
             raise ConfigError("; ".join(problems))
 
 
-# section -> {yaml key -> ArchConfig field}
-_SECTIONS: dict[str, dict[str, str]] = {
-    "physical": {
-        "p": "p",
-        "t": "t",
-        "n_phys_per_module": "n_phys_per_module",
-    },
-    "scaling": {
-        "kappa": "kappa",
-        "p_thresh": "p_thresh",
-    },
-    "timing": {
-        "t_inter": "t_inter",
-        "t_decoder": "t_decoder",
-        "n_algo_reps": "n_algo_reps",
-    },
-    "synthesis": {
-        "c0": "c0",
-        "c1": "c1",
-        "epsilon": "epsilon",
-    },
-    "architecture": {
-        "p_algo_fail": "p_algo_fail",
-        "n_inter_pipes": "n_inter_pipes",
-        "qubit_pitch": "qubit_pitch",
-        "couplers_per_qubit": "couplers_per_qubit",
-        "fan_out": "fan_out",
-        "max_active_qubits": "max_active_qubits",
-        "max_gates": "max_gates",
-        "slice_moments": "slice_moments",
-    },
+# section -> its ArchConfig fields, each read from the YAML key of its name
+_SECTIONS: dict[str, set[str]] = {
+    "physical": {"p", "t", "n_phys_per_module"},
+    "scaling": {"kappa", "p_thresh"},
+    "timing": {"t_inter", "t_decoder", "n_algo_reps"},
+    "synthesis": {"c0", "c1", "epsilon"},
+    "architecture": {"p_algo_fail", "n_inter_pipes", "qubit_pitch",
+                     "couplers_per_qubit", "fan_out", "max_active_qubits",
+                     "max_gates", "slice_moments"},
 }
 
 # ArchConfig fields, then the integer keys of a factories row.
@@ -194,15 +172,14 @@ def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchC
                         f"choices: {sorted(SCALING_PRESETS)}")
                 overrides["kappa"], overrides["p_thresh"] = preset
                 continue
-            target = known.get(key)
-            if target is None:
+            if key not in known:
                 warnings.warn(
                     f"{source}: unknown key {section}.{key} ignored")
-            elif target == "epsilon" and value is None:
-                overrides[target] = None  # solve for it
+            elif key == "epsilon" and value is None:
+                overrides[key] = None  # solve for it
             else:
-                overrides[target] = _number(f"{source}: {section}.{key}",
-                                            value, target in _INT_FIELDS)
+                overrides[key] = _number(f"{source}: {section}.{key}",
+                                         value, key in _INT_FIELDS)
     return ArchConfig(**overrides)
 
 
@@ -294,15 +271,3 @@ def load_config(path: str | Path | None) -> ArchConfig:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return config_from_mapping(data, source=str(path))
 
-
-def describe_defaults() -> str:
-    """Human-readable table of every field and its default."""
-    cfg = ArchConfig()
-    rows = []
-    for f in fields(cfg):
-        if f.name in ("thermal", "factories"):
-            continue
-        rows.append(f"{f.name} = {getattr(cfg, f.name)}")
-    rows.append(f"thermal = {cfg.thermal}")
-    rows.append("factories = " + ", ".join(x.name for x in cfg.factories))
-    return "\n".join(rows)

@@ -1,14 +1,18 @@
 """Code-distance / precision / factory selection and the timing model.
 
-Selection works outside-in: factories are tried in table order; for each, the
-synthesis precision and code distance are co-solved by a fixed point (the
-precision budget per rotation must stay below the per-tock logical error
-rate, but the synthesis length it implies feeds back into the space-time
-volume that sets the distance).  A factory is accepted only when its output
-error rate beats the logical cell it feeds (otherwise distillation would be
-the weakest link), and the module layout is recomputed for every candidate
-distance because the transfer-bus length and the concurrent T-state feed both
-depend on d.
+Selection works outside-in: factories are tried in table order, and each is
+solved by one loop (``_solve_factory``) that co-solves the synthesis
+precision and the code distance (the precision budget per rotation must stay
+below the per-tock logical error rate, but the synthesis length it implies
+feeds back into the space-time volume that sets the distance).  A factory is
+accepted only when its output error rate beats the logical cell it feeds
+(otherwise distillation would be the weakest link), and the module layout is
+recomputed for every candidate distance because the transfer-bus length and
+the concurrent T-state feed both depend on d.  A factory that fails gives
+its reason: no module layout fits at any distance, no distance up to
+``D_CAP`` meets the failure budget, or its output is not below the tock
+error at the solved distance.  An infeasible run names every factory with
+its reason.
 
 Timing follows the prepare-while-consuming pipeline across the two module
 legs: total consumption time plus per-step distillation and preparation
@@ -238,11 +242,15 @@ class SelectionResult:
     epsilon: float | None      # None when the algorithm needs no synthesis
     l_eps: int
     factory: TFactory
-    p_c: float
-    p_logical: float
-    j1: float                  # ln(1 - p_algo_fail), negative
+    p_logical: float           # logical error of one tock at d
     layout: ModuleLayout
     counts: SequentialCounts
+
+
+def _tock_error(config: ArchConfig, d: int) -> float:
+    """Logical error of one d-cycle tock at distance d."""
+    return logical_error_per_tock(
+        logical_error_per_cycle(config.p, d, config.kappa, config.p_thresh), d)
 
 
 def _solve_distance(
@@ -253,16 +261,19 @@ def _solve_distance(
     l_eps: int,
     n_t_init: int,
     n_rz_init: int,
-) -> tuple[int, ModuleLayout, SequentialCounts] | None:
+) -> tuple[int, ModuleLayout, SequentialCounts] | str:
     """Smallest odd d <= D_CAP meeting the failure budget, with the module
-    layout and sequential counts recomputed for every candidate distance."""
+    layout and sequential counts recomputed for every candidate distance;
+    otherwise the reason no distance does."""
     rhs = budget_rhs(config.p_algo_fail)
+    fits = False
     for d in range(3, D_CAP + 1, 2):
         try:
             layout = choose_modules_per_leg(
                 config.n_phys_per_module, n_logical, d, factory)
         except EstimationError:
             continue  # nothing fits at this distance
+        fits = True
         counts = sequential_counts(n_t_init, n_rz_init, l_eps,
                                    layout.n_prime_effective)
         lhs = spacetime_lhs(d, config, n_logical, l_prep_total,
@@ -270,92 +281,66 @@ def _solve_distance(
                             counts, factory.cycles)
         if lhs < rhs:
             return d, layout, counts
-    return None
+    if not fits:
+        return f"no module layout fits at any odd d <= {D_CAP}"
+    return (f"no odd d <= {D_CAP} meets the failure budget "
+            f"p_algo_fail={config.p_algo_fail}")
+
+
+def _solve_factory(
+    config: ArchConfig,
+    est: StitchedEstimationSet,
+    factory: TFactory,
+) -> SelectionResult | str:
+    """Co-solve (d, epsilon) for one factory, or the reason it fails.
+
+    Without rotations the synthesis length is zero, and a pinned precision
+    fixes it, so one distance solve suffices.  Otherwise start at length
+    zero and iterate: solve d, then demand epsilon below the tock error at
+    d, setting epsilon to that error the first time and to half of it after
+    each failed demand.  Distance grows monotonically while epsilon shrinks,
+    so the loop settles quickly.  The factory is accepted when its output
+    error beats the tock error of the cell it feeds, or when no T state is
+    consumed and the factories idle.
+    """
+    fixed_point = est.n_Rz_init > 0 and config.epsilon is None
+    epsilon = config.epsilon if est.n_Rz_init > 0 else None
+    for _ in range(EPS_ITER_CAP + 1):
+        l_eps = (0 if epsilon is None
+                 else gate_synthesis_length(epsilon, config.c0, config.c1))
+        solved = _solve_distance(config, est.n_logical_max, est.l_prep_total,
+                                 factory, l_eps, est.n_T_init, est.n_Rz_init)
+        if isinstance(solved, str):
+            return solved
+        d, layout, counts = solved
+        p_logical = _tock_error(config, d)
+        if fixed_point and (epsilon is None or not epsilon < p_logical):
+            epsilon = p_logical if epsilon is None else p_logical / 2.0
+            continue
+        if counts.n_tot_t > 0 and not factory.p_out < p_logical:
+            return (f"output error {factory.p_out} is not below the logical "
+                    f"tock error {p_logical:.3e} at d={d}")
+        return SelectionResult(
+            d=d, epsilon=epsilon, l_eps=l_eps, factory=factory,
+            p_logical=p_logical, layout=layout, counts=counts)
+    raise EstimationError(
+        f"precision fixed point did not settle within {EPS_ITER_CAP} "
+        f"iterations (factory {factory.name!r})")
 
 
 def solve_distance_and_factory(
     config: ArchConfig,
     est: StitchedEstimationSet,
 ) -> SelectionResult:
-    """Scan the factory table in listed order; for each candidate co-solve
-    the synthesis precision and code distance, then keep the first factory
-    whose distilled output error beats the logical cell it supplies."""
-    last_failure = "factory table is empty"
+    """Solve each factory in table order and keep the first that succeeds;
+    when none does, the error names every factory with its reason."""
+    reasons = []
     for factory in config.factories:
-        solved = _solve_epsilon_fixed_point(config, est, factory)
-        if solved is None:
-            last_failure = (
-                f"no odd d <= {D_CAP} meets the failure budget "
-                f"p_algo_fail={config.p_algo_fail} with factory {factory.name!r}")
-            continue
-        d, layout, counts, epsilon, l_eps = solved
-        p_c = logical_error_per_cycle(config.p, d, config.kappa,
-                                      config.p_thresh)
-        p_logical = logical_error_per_tock(p_c, d)
-        # With no T states consumed the factories idle, so any row serves;
-        # otherwise the distilled output must beat the cell it feeds.
-        if counts.n_tot_t > 0 and not factory.p_out < p_logical:
-            last_failure = (
-                f"factory {factory.name!r} output error {factory.p_out} is not "
-                f"below the logical tock error {p_logical:.3e} at d={d}")
-            continue
-        return SelectionResult(
-            d=d, epsilon=epsilon, l_eps=l_eps, factory=factory, p_c=p_c,
-            p_logical=p_logical, j1=math.log1p(-config.p_algo_fail),
-            layout=layout, counts=counts)
-    raise EstimationError(f"estimation infeasible: {last_failure}")
-
-
-def _solve_epsilon_fixed_point(
-    config: ArchConfig,
-    est: StitchedEstimationSet,
-    factory: TFactory,
-) -> tuple[int, ModuleLayout, SequentialCounts, float | None, int] | None:
-    """Co-solve (d, epsilon) for one factory.
-
-    Without rotations the synthesis length is zero and a single distance
-    solve suffices.  Otherwise iterate: solve d with the current synthesis
-    length, then demand epsilon below the resulting per-tock logical error,
-    halving epsilon whenever the demand fails.  Distance grows monotonically
-    while epsilon shrinks, so the loop settles quickly.
-    """
-    def solve(l_eps: int):
-        return _solve_distance(config, est.n_logical_max, est.l_prep_total,
-                               factory, l_eps, est.n_T_init, est.n_Rz_init)
-
-    if est.n_Rz_init == 0:
-        solved = solve(0)
-        return None if solved is None else (*solved, None, 0)
-
-    if config.epsilon is not None:
-        # User pinned the precision: single solve at its synthesis length.
-        l_eps = gate_synthesis_length(config.epsilon, config.c0, config.c1)
-        solved = solve(l_eps)
-        return None if solved is None else (*solved, config.epsilon, l_eps)
-
-    # Initial guess: the logical error of the shortest-synthesis solve.
-    guess = solve(0)
-    if guess is None:
-        return None
-    d0 = guess[0]
-    epsilon = logical_error_per_tock(
-        logical_error_per_cycle(config.p, d0, config.kappa, config.p_thresh),
-        d0)
-    for _ in range(EPS_ITER_CAP):
-        l_eps = gate_synthesis_length(epsilon, config.c0, config.c1)
-        solved = solve(l_eps)
-        if solved is None:
-            return None
-        d = solved[0]
-        p_logical = logical_error_per_tock(
-            logical_error_per_cycle(config.p, d, config.kappa,
-                                    config.p_thresh), d)
-        if epsilon < p_logical:
-            return (*solved, epsilon, l_eps)
-        epsilon = p_logical / 2.0
-    raise EstimationError(
-        f"precision fixed point did not settle within {EPS_ITER_CAP} "
-        f"iterations (factory {factory.name!r})")
+        solved = _solve_factory(config, est, factory)
+        if isinstance(solved, SelectionResult):
+            return solved
+        reasons.append(f"factory {factory.name!r}: {solved}")
+    raise EstimationError("estimation infeasible: " + "; ".join(reasons))
 
 
 # --------------------------------------------------------------------------

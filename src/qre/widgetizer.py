@@ -43,6 +43,8 @@ from .circuit import (
 
 NESTED_FORMAT = 1
 WIDGET_FORMAT = 1
+# Longest chain of block references below the root of a nested circuit.
+MAX_NESTING_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -100,21 +102,40 @@ class NestedCircuit:
         return out
 
     def _check_acyclic(self, refs: Mapping[str, list[str]]) -> None:
-        state: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(name: str) -> None:
-            if state.get(name) == 2:
-                return
-            if state.get(name) == 1:
-                raise CircuitError(f"cyclic block reference through {name!r}")
-            state[name] = 1
-            for ref in refs[name]:
-                if ref in refs:
-                    visit(ref)
-            state[name] = 2
-
-        for name in refs:
-            visit(name)
+        """Reject a cyclic block reference, and a root whose longest chain
+        of block references is deeper than MAX_NESTING_DEPTH. The block
+        walks (``flatten``, the dependency-graph builder) recurse once or
+        twice per level, and the limit keeps them within Python's recursion
+        limit; this check keeps its own stack."""
+        depth: dict[str, int] = {}  # done: longest reference chain below
+        for start in refs:
+            if start in depth:
+                continue
+            path = {start}
+            stack = [[start, iter(refs[start]), 0]]  # name, refs left, depth
+            while stack:
+                frame = stack[-1]
+                for ref in frame[1]:
+                    if ref in depth:
+                        if depth[ref] >= frame[2]:
+                            frame[2] = depth[ref] + 1
+                    elif ref in path:
+                        raise CircuitError(
+                            f"cyclic block reference through {ref!r}")
+                    elif ref in refs:
+                        path.add(ref)
+                        stack.append([ref, iter(refs[ref]), 0])
+                        break
+                else:
+                    name, _, below = stack.pop()
+                    path.remove(name)
+                    depth[name] = below
+                    if stack and below >= stack[-1][2]:
+                        stack[-1][2] = below + 1
+        if depth[self.root] > MAX_NESTING_DEPTH:
+            raise CircuitError(
+                f"block {self.root!r} nests {depth[self.root]} levels of "
+                f"block references, beyond the limit of {MAX_NESTING_DEPTH}")
 
 
 @dataclass(frozen=True)

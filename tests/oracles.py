@@ -281,6 +281,89 @@ def layout_aware_lhs(config, n_logical, l_prep_total, factory, l_eps,
     return lhs_at
 
 
+def modules_per_leg_by_scan(n_phys, n_log, d, factory):
+    """The layout of the first n_per_leg in 1..n_log that fits, found by
+    trying every one; None when none fits."""
+    from qre.architecture import compute_layout
+
+    for n_per_leg in range(1, n_log + 1):
+        layout = compute_layout(n_phys, n_log, d, factory, n_per_leg)
+        if layout is not None:
+            return layout
+    return None
+
+
+# --------------------------------------------------------------------------
+# Distance/precision/factory selection as a fixed point and a failure scan
+# --------------------------------------------------------------------------
+
+def select_by_fixed_point(config, est):
+    """(d, epsilon, l_eps, factory, p_logical, layout, counts) of the first
+    factory in table order that solves, each factory's (d, epsilon) found by
+    a separate fixed-point routine with its own guess and pinned branches;
+    EstimationError naming the last failure when none solves."""
+    from qre.architecture import EstimationError
+    from qre.estimator import (
+        EPS_ITER_CAP,
+        _solve_distance,
+        gate_synthesis_length,
+        logical_error_per_cycle,
+        logical_error_per_tock,
+    )
+
+    def fixed_point(factory):
+        def solve(l_eps):
+            solved = _solve_distance(config, est.n_logical_max,
+                                     est.l_prep_total, factory, l_eps,
+                                     est.n_T_init, est.n_Rz_init)
+            return None if isinstance(solved, str) else solved
+
+        if est.n_Rz_init == 0:
+            solved = solve(0)
+            return None if solved is None else (*solved, None, 0)
+        if config.epsilon is not None:
+            l_eps = gate_synthesis_length(config.epsilon, config.c0, config.c1)
+            solved = solve(l_eps)
+            return None if solved is None else (*solved, config.epsilon, l_eps)
+        guess = solve(0)
+        if guess is None:
+            return None
+        d0 = guess[0]
+        epsilon = logical_error_per_tock(
+            logical_error_per_cycle(config.p, d0, config.kappa,
+                                    config.p_thresh), d0)
+        for _ in range(EPS_ITER_CAP):
+            l_eps = gate_synthesis_length(epsilon, config.c0, config.c1)
+            solved = solve(l_eps)
+            if solved is None:
+                return None
+            d = solved[0]
+            p_logical = logical_error_per_tock(
+                logical_error_per_cycle(config.p, d, config.kappa,
+                                        config.p_thresh), d)
+            if epsilon < p_logical:
+                return (*solved, epsilon, l_eps)
+            epsilon = p_logical / 2.0
+        raise EstimationError(f"precision fixed point did not settle "
+                              f"(factory {factory.name!r})")
+
+    last_failure = "factory table is empty"
+    for factory in config.factories:
+        solved = fixed_point(factory)
+        if solved is None:
+            last_failure = f"no distance meets the budget ({factory.name!r})"
+            continue
+        d, layout, counts, epsilon, l_eps = solved
+        p_logical = logical_error_per_tock(
+            logical_error_per_cycle(config.p, d, config.kappa,
+                                    config.p_thresh), d)
+        if counts.n_tot_t > 0 and not factory.p_out < p_logical:
+            last_failure = f"output not good enough ({factory.name!r})"
+            continue
+        return d, epsilon, l_eps, factory, p_logical, layout, counts
+    raise EstimationError(f"estimation infeasible: {last_failure}")
+
+
 # --------------------------------------------------------------------------
 # Straightforward compiler and scheduler references (quadratic, kept simple)
 # --------------------------------------------------------------------------

@@ -115,11 +115,11 @@ def test_criterion_2_distance_minimality():
                     int(rng.integers(0, 200)))
 
             solved = _solve_distance(cfg, *args)
-            ours = None if solved is None else solved[0]
+            ours = None if isinstance(solved, str) else solved[0]
             ref = oracles.min_distance_sweep(
                 oracles.layout_aware_lhs(cfg, *args), paf)
             assert ours == ref, f"trial {trial}: {ours} != {ref}"
-            n_solved += solved is not None
+            n_solved += not isinstance(solved, str)
         assert n_solved >= 40, n_solved
     except BaseException:
         _fail_line(2, name)

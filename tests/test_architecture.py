@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import layout_oracle
+from oracles import layout_oracle, modules_per_leg_by_scan
 from qre.architecture import (
     DEFAULT_FACTORIES,
     EstimationError,
@@ -148,6 +148,25 @@ class TestChooseModulesPerLeg:
         lay = choose_modules_per_leg(10 ** 6, 5000, 17, FIRST)
         for smaller in range(1, lay.n_per_leg):
             assert compute_layout(10 ** 6, 5000, 17, FIRST, smaller) is None
+
+    def test_randomized_agreement_with_exhaustive_scan(self):
+        """The scan that stops once the one-qubit-memory layout fails
+        returns what trying every n_per_leg up to n_logical returns."""
+        rng = random.Random(20261018)
+        kinds = {"one": 0, "several": 0, "none": 0}
+        for trial in range(300):
+            args = (int(10 ** rng.uniform(3.5, 6.7)),
+                    int(10 ** rng.uniform(0, 4)),
+                    rng.randrange(3, 42, 2), rng.choice(DEFAULT_FACTORIES))
+            want = modules_per_leg_by_scan(*args)
+            if want is None:
+                with pytest.raises(EstimationError, match="no feasible"):
+                    choose_modules_per_leg(*args)
+                kinds["none"] += 1
+                continue
+            assert choose_modules_per_leg(*args) == want, (trial, args)
+            kinds["one" if want.n_per_leg == 1 else "several"] += 1
+        assert min(kinds.values()) >= 30, kinds
 
 
 class TestInterconnects:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qre
+from qre.architecture import DEFAULT_FACTORIES
 from qre.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID,
@@ -108,7 +109,10 @@ class TestEstimate:
         cfg.write_text("physical:\n  n_phys_per_module: 5000\n")
         rc = main(["estimate", str(qft3_path), "--config", str(cfg)])
         assert rc == EXIT_INFEASIBLE
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        for factory in DEFAULT_FACTORIES:
+            assert f"factory {factory.name!r}: no module layout fits" in err
 
     def test_cache_dir_used(self, qft3_path, tmp_path):
         cache = tmp_path / "cache"
@@ -256,6 +260,36 @@ class TestBadInput:
             "w": [{"gate": "x", "qubits": [1]}]}}))
         assert main(["estimate", str(path)]) == EXIT_INVALID
         assert "block 'main' item 1: " in capsys.readouterr().err
+
+    @staticmethod
+    def block_chain(depth):
+        """A nested file whose root starts a chain of ``depth`` block
+        references; every block but the last has a gate and a reference."""
+        names = ["main"] + [f"b{k}" for k in range(1, depth + 1)]
+        blocks = {a: [{"gate": "h", "qubits": [0]}, {"block": b}]
+                  for a, b in zip(names, names[1:])}
+        blocks[names[-1]] = [{"gate": "t", "qubits": [0]}]
+        return json.dumps({"blocks": blocks})
+
+    def test_too_deep_nesting_is_invalid(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text(self.block_chain(1000))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert ("block 'main' nests 1000 levels of block references, beyond "
+                "the limit of 256") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    def test_nesting_at_the_limit_estimates(self, tmp_path, split):
+        path = tmp_path / "deep.json"
+        path.write_text(self.block_chain(256))
+        args = ["estimate", str(path), "--out-dir", str(tmp_path / "out")]
+        if split:  # every block is split, one level of the build per block
+            cfg = tmp_path / "split.yaml"
+            cfg.write_text("architecture:\n  max_gates: 2\n")
+            args += ["--config", str(cfg)]
+        assert main(args) == EXIT_OK
+        report = parse_csv((tmp_path / "out" / "report.csv").read_text())
+        assert report.value(25) == (257 if split else 1)  # widget_count
 
     @pytest.mark.parametrize("text, message", [
         ({"n_input": 0, "blocks": {"main": []}}, "n_input must be >= 1, got 0"),

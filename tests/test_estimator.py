@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from oracles import (
     compile_fresh,
     layout_aware_lhs,
     min_distance_sweep,
+    select_by_fixed_point,
     timing_per_call,
     totals_by_walk,
     widget_timing,
@@ -26,6 +28,7 @@ from qre.estimator import (
     CompiledAlgorithm,
     SelectionResult,
     SequentialCounts,
+    StitchedEstimationSet,
     TimingBreakdown,
     _handover_crossings,
     _per_module_maxima,
@@ -151,7 +154,7 @@ SOLVE = dict(n_logical=1, l_prep_total=1, factory=DEFAULT_FACTORIES[0],
 
 def solved_d(cfg, **kwargs):
     solved = _solve_distance(cfg, **kwargs)
-    return None if solved is None else solved[0]
+    return None if isinstance(solved, str) else solved[0]
 
 
 class TestBudgetInequality:
@@ -200,9 +203,10 @@ class TestBudgetInequality:
             lhs_at = layout_aware_lhs(cfg, **args)
             solved = _solve_distance(cfg, **args)
             want = min_distance_sweep(lhs_at, p_algo_fail)
-            assert (None if solved is None else solved[0]) == want, trial
-            if solved is None:
+            if isinstance(solved, str):
+                assert want is None, trial
                 continue
+            assert solved[0] == want, trial
             n_solved += 1
             d, layout, counts = solved
             got = spacetime_lhs(d, cfg, args["n_logical"],
@@ -213,12 +217,20 @@ class TestBudgetInequality:
             assert got < budget_rhs(p_algo_fail)
         assert n_solved >= 40
 
-    def test_exhausted_cap_returns_none(self):
+    def test_exhausted_cap_returns_the_budget_reason(self):
         cfg = ArchConfig(p_algo_fail=1e-12)
         args = dict(SOLVE, l_prep_total=10 ** 140)
-        assert _solve_distance(cfg, **args) is None
+        assert _solve_distance(cfg, **args) == (
+            "no odd d <= 199 meets the failure budget p_algo_fail=1e-12")
         assert min_distance_sweep(layout_aware_lhs(cfg, **args),
                                   cfg.p_algo_fail) is None
+
+    def test_no_layout_at_any_distance_returns_the_layout_reason(self):
+        cfg = ArchConfig(n_phys_per_module=5000)
+        assert _solve_distance(cfg, **SOLVE) == (
+            "no module layout fits at any odd d <= 199")
+        assert all(lhs is None for lhs in map(
+            layout_aware_lhs(cfg, **SOLVE), range(3, 200, 2)))
 
     def test_generous_budget_gives_smallest_distance(self):
         cfg = ArchConfig(p_algo_fail=1 - 1e-9)
@@ -304,13 +316,13 @@ class TestSelection:
         assert sel.layout.n_prime_effective == 8
 
     def test_qft3_precision_consistency(self, qft3_selection):
-        _, sel = qft3_selection
+        cfg, sel = qft3_selection
         assert sel.epsilon is not None
         assert sel.epsilon < sel.p_logical
         assert sel.l_eps == gate_synthesis_length(sel.epsilon)
-        assert sel.p_logical == logical_error_per_tock(sel.p_c, sel.d)
+        p_c = logical_error_per_cycle(cfg.p, sel.d, cfg.kappa, cfg.p_thresh)
+        assert sel.p_logical == logical_error_per_tock(p_c, sel.d)
         assert sel.factory.p_out < sel.p_logical
-        assert sel.j1 == pytest.approx(math.log(0.95), rel=1e-14)
 
     def test_qft3_budget_binds(self, qft3_selection):
         cfg, sel = qft3_selection
@@ -372,17 +384,105 @@ class TestSelection:
         # the first row's 4.5e-8 output error; with only that row available
         # the distillation would be the weakest link.
         cfg = ArchConfig(factories=(DEFAULT_FACTORIES[0],))
-        with pytest.raises(EstimationError, match="not below"):
+        with pytest.raises(EstimationError) as info:
             solve_distance_and_factory(cfg, qft3_algo.est)
+        assert str(info.value) == (
+            "estimation infeasible: factory '(15-to-1)_17,7,7': output error "
+            "4.5e-08 is not below the logical tock error 5.901e-09 at d=11")
 
     def test_no_layout_fits_is_infeasible(self, qft3_algo):
         cfg = ArchConfig(n_phys_per_module=5000)  # too small for any table row
-        with pytest.raises(EstimationError, match="infeasible"):
+        with pytest.raises(EstimationError) as info:
             solve_distance_and_factory(cfg, qft3_algo.est)
+        assert str(info.value) == "estimation infeasible: " + "; ".join(
+            f"factory {f.name!r}: no module layout fits at any odd d <= 199"
+            for f in DEFAULT_FACTORIES)
+
+    def test_no_distance_meets_the_budget_is_infeasible(self):
+        est = StitchedEstimationSet(
+            n_input=1, n_widgets=1, n_T_init=10, n_Rz_init=0,
+            n_clifford_init=0, n_logical_max=1, n_nodes_total=1,
+            l_prep_total=10 ** 140, consump_steps_total=1)
+        cfg = ArchConfig(p_algo_fail=1e-12)
+        with pytest.raises(EstimationError) as info:
+            solve_distance_and_factory(cfg, est)
+        assert str(info.value) == "estimation infeasible: " + "; ".join(
+            f"factory {f.name!r}: no odd d <= 199 meets the failure budget "
+            f"p_algo_fail=1e-12" for f in DEFAULT_FACTORIES)
+
+    def test_each_factory_names_its_own_reason(self):
+        est = StitchedEstimationSet(
+            n_input=1, n_widgets=1, n_T_init=10 ** 6, n_Rz_init=10 ** 3,
+            n_clifford_init=0, n_logical_max=10, n_nodes_total=1,
+            l_prep_total=1000, consump_steps_total=1)
+        cfg = ArchConfig(n_phys_per_module=100000)
+        with pytest.raises(EstimationError) as info:
+            solve_distance_and_factory(cfg, est)
+        head, _, body = str(info.value).partition(": ")
+        assert head == "estimation infeasible"
+        reasons = body.split("; ")
+        assert [r.partition(": ")[0] for r in reasons] == [
+            f"factory {f.name!r}" for f in DEFAULT_FACTORIES]
+        kinds = {"not below": "output", "no module layout": "layout",
+                 "failure budget": "budget"}
+        assert [next(k for key, k in kinds.items() if key in r)
+                for r in reasons] == ["output", "layout", "layout", "output",
+                                      "budget", "layout", "layout"]
 
     def test_completeness_check(self, qft3_algo):
         with pytest.raises(EstimationError, match="incomplete"):
             CompiledAlgorithm(qft3_algo.plan, {})
+
+
+def random_selection_case(rng):
+    """A config and sequence totals spanning every outcome of the solve:
+    p up to 0.012, modules of 5,000 to 10^7 qubits, a pinned precision,
+    subsets of the factory table, T- and Rz-free algorithms, and T counts
+    up to 10^12."""
+    subset = tuple(f for f in DEFAULT_FACTORIES if rng.random() < 0.6)
+    cfg = ArchConfig(
+        p=0.012 if rng.random() < 0.1 else 10 ** rng.uniform(-4, -1.93),
+        p_algo_fail=10 ** rng.uniform(-4, -0.23),
+        n_phys_per_module=int(10 ** rng.uniform(3.7, 7)),
+        epsilon=10 ** -rng.uniform(2, 20) if rng.random() < 0.3 else None,
+        factories=subset if subset and rng.random() < 0.7
+        else DEFAULT_FACTORIES)
+    est = StitchedEstimationSet(
+        n_input=1, n_widgets=1,
+        n_T_init=0 if rng.random() < 0.2 else int(10 ** rng.uniform(0, 12)),
+        n_Rz_init=0 if rng.random() < 0.25 else int(10 ** rng.uniform(0, 9)),
+        n_clifford_init=0, n_logical_max=int(10 ** rng.uniform(0, 3.3)),
+        n_nodes_total=1, l_prep_total=int(10 ** rng.uniform(0, 6)),
+        consump_steps_total=1)
+    return cfg, est
+
+
+class TestSelectionReference:
+    def test_randomized_agreement_with_fixed_point_reference(self):
+        """The per-factory loop selects what a separate precision fixed
+        point and a failure scan select, or both raise the same type."""
+        rng = random.Random(20261018)
+        seen = Counter()
+        for trial in range(400):
+            cfg, est = random_selection_case(rng)
+            try:
+                ref = select_by_fixed_point(cfg, est)
+            except (EstimationError, ValueError) as exc:
+                with pytest.raises(type(exc)) as info:
+                    solve_distance_and_factory(cfg, est)
+                seen[type(exc).__name__] += 1
+                for key in ("not below", "no module layout", "failure budget"):
+                    seen[key] += key in str(info.value)
+                continue
+            sel = solve_distance_and_factory(cfg, est)
+            assert (sel.d, sel.epsilon, sel.l_eps, sel.factory, sel.p_logical,
+                    sel.layout, sel.counts) == ref, trial
+            seen["solved"] += 1
+            seen["pinned"] += cfg.epsilon is not None and est.n_Rz_init > 0
+            seen["no T"] += est.n_T_init == 0
+            seen["no Rz"] += est.n_Rz_init == 0
+        assert min(seen.values()) >= 10, seen
+        assert seen["solved"] >= 80 and seen["EstimationError"] >= 150, seen
 
 
 # --------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from qre.circuit import (
 )
 from qre.config import ArchConfig
 from qre.widgetizer import (
+    MAX_NESTING_DEPTH,
     BlockRef,
     NestedCircuit,
     PlanRecord,
@@ -130,6 +131,31 @@ class TestBuild:
                 "a": [BlockRef("b")],
                 "b": [BlockRef("a")],
             }, "a")
+
+    def test_self_reference_detected(self):
+        with pytest.raises(CircuitError, match="cyclic block reference "
+                                               "through 'a'"):
+            NestedCircuit(1, {"a": [gate(GateKind.H, 0), BlockRef("a")]}, "a")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING_DEPTH,
+                                       MAX_NESTING_DEPTH + 1])
+    def test_nesting_depth_limit(self, depth):
+        """Each block references the next two, listed leaf first: the
+        longest chain below the root is ``depth`` references long."""
+        names = [f"b{k}" for k in range(depth + 1)]
+        blocks = {names[-1]: [gate(GateKind.T, 0)],
+                  names[-2]: [BlockRef(names[-1])]}
+        for k in range(depth - 2, -1, -1):
+            blocks[names[k]] = [BlockRef(names[k + 1]),
+                                BlockRef(names[k + 2])]
+        if depth <= MAX_NESTING_DEPTH:
+            NestedCircuit(1, blocks, "b0")
+            return
+        with pytest.raises(CircuitError) as info:
+            NestedCircuit(1, blocks, "b0")
+        assert str(info.value) == (
+            f"block 'b0' nests {depth} levels of block references, beyond "
+            f"the limit of {MAX_NESTING_DEPTH}")
 
     def test_undefined_block(self):
         with pytest.raises(CircuitError, match="undefined"):
