@@ -16,12 +16,14 @@ high bits to graph + local-Clifford form. ``verify_unitarity`` checks the
 whole construction by exact dense simulation; nothing else here simulates.
 
 ``compile_widget`` is pure. What estimation reads of a compiled and
-prep-scheduled widget is a ``WidgetRecord``, and that record is what the
-disk cache stores (``load_cached``/``save_cached``), one JSON file per key.
-The records' sequence totals are the estimator's (``CompiledAlgorithm.est``).
-Beside the widget records the cache keeps one ``PlanRecord`` per input
-file and split thresholds (``load_plan``/``save_plan``); both kinds share
-one atomic write and one validated read.
+prep-scheduled widget is a ``WidgetRecord``. The disk cache stores those
+records one JSON file per distinct set of widgets (``load_cached``/
+``save_cached``), each record under its widget's gate-list digest, so a
+plan's widgets cost one read and one write. The records' sequence totals
+are the estimator's (``CompiledAlgorithm.est``). Beside the set records
+the cache keeps one ``PlanRecord`` per input file and split thresholds
+(``load_plan``/``save_plan``); both kinds share one atomic write and one
+validated read.
 The fields that only verification and the tests read are the preparation
 ops, the measurement angles and two derived on first read from the kept
 masks: the per-gadget frames (``CompiledWidget.frames``) and the local
@@ -38,7 +40,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 from .widgetizer import PlanRecord, SplitCriterion
 
 CACHE_ENV = "QRE_CACHE_DIR"
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
 # The rule that derives a plan from its source, part of every plan key, so
 # that a plan record written under another rule is never read. Rule 1 gave a
 # flat QASM file the width of its widest gate; rule 2 gives it its declared
@@ -495,11 +497,13 @@ def _inverse_mat(g: Gate) -> np.ndarray:
 T = TypeVar("T")
 
 
-def cache_key(digest: str, n_input: int, fan_out: int) -> str:
-    """Key of one widget's record under ``CACHE_FORMAT``: the
-    ``gate_list_digest`` of its source gates, its wire count and the
-    preparation fan-out."""
-    text = f"v{CACHE_FORMAT}|n{n_input}|f{fan_out}|{digest}"
+def widget_set_key(digests: Iterable[str], n_input: int, fan_out: int) -> str:
+    """Key of one widget set's record under ``CACHE_FORMAT``: the wire
+    count, the preparation fan-out and the sorted, distinct
+    ``gate_list_digest``s of the widgets' source gates, so that it does
+    not depend on the order or the multiplicity of the widgets."""
+    text = (f"v{CACHE_FORMAT}|n{n_input}|f{fan_out}|"
+            + "|".join(sorted(set(digests))))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -528,15 +532,31 @@ def _from_dict(payload: dict) -> WidgetRecord:
     )
 
 
-def save_cached(directory: str | Path, key: str, record: WidgetRecord) -> Path:
-    """Write a widget's ``record`` under ``key`` (see ``_save_entry``)."""
-    return _save_entry(directory, "widget", key, vars(record))
+def save_cached(directory: str | Path, key: str,
+                records: Mapping[str, WidgetRecord]) -> Path:
+    """Write a widget set's ``records``, by digest, under ``key`` (see
+    ``_save_entry``)."""
+    return _save_entry(directory, "widgets", key, {
+        "widgets": {digest: vars(record)
+                    for digest, record in records.items()}})
 
 
-def load_cached(directory: str | Path, key: str) -> WidgetRecord | None:
-    """The widget record stored under ``key``, or None (see
-    ``_load_entry``): the caller then recomputes and overwrites it."""
-    return _load_entry(directory, "widget", key, _from_dict)
+def load_cached(directory: str | Path,
+                key: str) -> dict[str, WidgetRecord] | None:
+    """The widget records, by digest, of the set stored under ``key``, or
+    None (see ``_load_entry``) when the set record or any record in it is
+    missing or malformed: the caller then recompiles the whole set and
+    overwrites it."""
+    return _load_entry(directory, "widgets", key, _set_from_dict)
+
+
+def _set_from_dict(payload: dict) -> dict[str, WidgetRecord]:
+    """Rebuild a set's records; TypeError unless ``widgets`` is an object
+    and every record in it one that ``_from_dict`` rebuilds."""
+    records = payload["widgets"]
+    if type(records) is not dict:
+        raise TypeError("widgets must be an object")
+    return {digest: _from_dict(fields) for digest, fields in records.items()}
 
 
 def plan_key(source_digest: str, criterion: SplitCriterion) -> str:

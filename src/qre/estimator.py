@@ -261,13 +261,14 @@ def _solve_distance(
     l_eps: int,
     n_t_init: int,
     n_rz_init: int,
+    d_start: int = 3,
 ) -> tuple[int, ModuleLayout, SequentialCounts] | str:
-    """Smallest odd d <= D_CAP meeting the failure budget, with the module
-    layout and sequential counts recomputed for every candidate distance;
-    otherwise the reason no distance does."""
+    """Smallest odd d in [d_start, D_CAP] meeting the failure budget, with
+    the module layout and sequential counts recomputed for every candidate
+    distance; otherwise the reason no distance does."""
     rhs = budget_rhs(config.p_algo_fail)
     fits = False
-    for d in range(3, D_CAP + 1, 2):
+    for d in range(d_start, D_CAP + 1, 2):
         try:
             layout = choose_modules_per_leg(
                 config.n_phys_per_module, n_logical, d, factory)
@@ -299,17 +300,25 @@ def _solve_factory(
     zero and iterate: solve d, then demand epsilon below the tock error at
     d, setting epsilon to that error the first time and to half of it after
     each failed demand.  Distance grows monotonically while epsilon shrinks,
-    so the loop settles quickly.  The factory is accepted when its output
-    error beats the tock error of the cell it feeds, or when no T state is
-    consumed and the factories idle.
+    so the loop settles quickly.  Each distance solve starts its scan at
+    the last one's d when the synthesis length has not shrunk: at a fixed
+    d the failure volume does not fall as that length grows (the layout
+    does not read it), so no smaller d can pass.  The factory is accepted
+    when its output error beats the tock error of the cell it feeds, or
+    when no T state is consumed and the factories idle.
     """
     fixed_point = est.n_Rz_init > 0 and config.epsilon is None
     epsilon = config.epsilon if est.n_Rz_init > 0 else None
+    d, l_eps = 3, 0
     for _ in range(EPS_ITER_CAP + 1):
+        last_l_eps = l_eps
         l_eps = (0 if epsilon is None
                  else gate_synthesis_length(epsilon, config.c0, config.c1))
+        # The synthesis constants are not range-checked, so the length can
+        # shrink with epsilon; the scan then starts over.
         solved = _solve_distance(config, est.n_logical_max, est.l_prep_total,
-                                 factory, l_eps, est.n_T_init, est.n_Rz_init)
+                                 factory, l_eps, est.n_T_init, est.n_Rz_init,
+                                 d if l_eps >= last_l_eps else 3)
         if isinstance(solved, str):
             return solved
         d, layout, counts = solved

@@ -16,16 +16,21 @@ against the source's own gates.
 every sequence total the report prints. The cache holds two kinds of
 record for it. A plan record (``PlanRecord``) is keyed on the sha256 of
 the input file's bytes, which is also the report's ``circuit_hash``, and
-on the split thresholds. A widget record (``WidgetRecord``) is keyed on
-the widget's gate-list digest (``WidgetPlan.digest``), the wire count and
-the preparation fan-out. A warm run reads the plan record and then every
-widget record it names, so it parses, widgetizes, transpiles, compiles and
-schedules nothing. If any of them misses or is malformed, the run loads
-the source, and ``compile_plan`` reads each widget record and compiles
-each miss; then the plan record is written anew. ``load_circuit`` itself
-never reads the cache, so neither ``verify`` nor ``widgetize`` does.
-``verify_circuit`` compiles every distinct widget afresh, since it needs
-the fields the record leaves out.
+on the split thresholds. A widget-set record holds the ``WidgetRecord`` of
+every widget of a plan under its gate-list digest (``WidgetPlan.digest``),
+and is keyed on the sorted, distinct digests, the wire count and the
+preparation fan-out; inputs with the same widgets, such as one circuit at
+several root repeats, share it. A warm run reads the plan record and then
+the one set record it names, so it parses, widgetizes, transpiles,
+compiles and schedules nothing. If either misses or is malformed, the run
+loads the source, and ``compile_plan`` reads the set record (unless it
+has just missed) or else compiles every widget and writes the set record
+anew; then the plan record is written anew. A set record lacking one
+widget is a miss as a whole, so inputs whose widget sets only partly
+overlap share no record. ``load_circuit`` itself never reads the cache, so
+neither ``verify`` nor ``widgetize`` does. ``verify_circuit`` compiles
+every distinct widget afresh, since it needs the fields the record leaves
+out.
 
 Each distinct config is solved once per compiled algorithm
 (``CompiledAlgorithm.selections``), so a sweep reuses the estimate's solve.
@@ -54,7 +59,6 @@ from .circuit import (
 from .compiler import (
     CACHE_ENV,
     WidgetRecord,
-    cache_key,
     compile_widget,
     verify_unitarity,
 )
@@ -174,40 +178,49 @@ def compile_circuit(
     file's bytes.
 
     With a cache directory (``cache_dir`` or the QRE_CACHE_DIR variable),
-    a warm run reads the input's plan record and every widget record and
-    parses nothing. If any of them misses or is malformed, the run loads
-    the source, compiles the plan (``compile_plan``, which reads and writes
-    the widget records) and writes the plan record anew.
+    a warm run reads the input's plan record and the set record of its
+    widgets, and parses nothing. If either misses or is malformed, the run
+    loads the source, compiles the plan and writes the plan record anew.
+    A plan hit whose set record missed compiles at once: the source gives
+    the same widgets, so their set record is not read a second time.
     """
     data = Path(path).read_bytes()
     source_digest = hashlib.sha256(data).hexdigest()
     directory = _cache_directory(cache_dir)
+    record = None
     if directory:
         key = compiler.plan_key(source_digest, _criterion(config))
         record = compiler.load_plan(directory, key)
         if record is not None:
-            records = _cached_records(record, config, directory)
+            records = _cached_set(record, config, directory)
             if records is not None:
                 return CompiledAlgorithm(record, records), source_digest
     plan = load_circuit(path, config, data).plan
-    algo = compile_plan(plan, config, directory)
+    algo = (compile_plan(plan, config, directory) if record is None
+            else _compile_and_save(plan, config, directory))
     if directory:
         compiler.save_plan(directory, key, plan)
     return algo, source_digest
 
 
-def _cached_records(plan: PlanRecord, config: ArchConfig,
-                    directory: str | Path) -> dict[str, WidgetRecord] | None:
-    """Every widget record of ``plan`` read from the cache, or None at the
-    first one that misses."""
-    records = {}
-    for wid in plan.ids:
-        key = cache_key(plan.digest(wid), plan.n_input, config.fan_out)
-        record = compiler.load_cached(directory, key)
-        if record is None:
-            return None
-        records[wid] = record
-    return records
+def _set_key(plan: PlanRecord, config: ArchConfig) -> str:
+    return compiler.widget_set_key(map(plan.digest, plan.ids), plan.n_input,
+                                   config.fan_out)
+
+
+def _cached_set(plan: PlanRecord, config: ArchConfig,
+                directory: str | Path) -> dict[str, WidgetRecord] | None:
+    """Every widget record of ``plan``, by id, from the set record of its
+    widgets, or None when that record misses or lacks one of them."""
+    # Load and save are looked up on the compiler module at call time, so
+    # wrappers installed there (the benchmark trace) see them.
+    by_digest = compiler.load_cached(directory, _set_key(plan, config))
+    if by_digest is None:
+        return None
+    try:
+        return {wid: by_digest[plan.digest(wid)] for wid in plan.ids}
+    except KeyError:
+        return None
 
 
 def compile_plan(
@@ -215,23 +228,28 @@ def compile_plan(
     config: ArchConfig,
     cache_dir: str | Path | None = None,
 ) -> CompiledAlgorithm:
-    """Transpile, compile, and prep-schedule every distinct widget, reading
-    and writing each widget's record in the cache directory when one is
-    given (or set via the QRE_CACHE_DIR variable)."""
+    """Transpile, compile, and prep-schedule every distinct widget. With a
+    cache directory (``cache_dir`` or the QRE_CACHE_DIR variable), the
+    records come from the set record of the plan's widgets when it holds
+    them all; otherwise every widget is compiled and the set record is
+    written anew."""
     directory = _cache_directory(cache_dir)
-    records = {}
-    for wid, gates in plan.widgets.items():
-        record = None
-        if directory:
-            key = cache_key(plan.digest(wid), plan.n_input, config.fan_out)
-            # Load and save are looked up on the compiler module at call
-            # time, so wrappers installed there (the benchmark trace) see them.
-            record = compiler.load_cached(directory, key)
-        if record is None:
-            record = _widget_record(gates, plan.n_input, config.fan_out)
-            if directory:
-                compiler.save_cached(directory, key, record)
-        records[wid] = record
+    records = _cached_set(plan, config, directory) if directory else None
+    if records is not None:
+        return CompiledAlgorithm(plan, records)
+    return _compile_and_save(plan, config, directory)
+
+
+def _compile_and_save(plan: WidgetPlan, config: ArchConfig,
+                      directory: str | Path | None) -> CompiledAlgorithm:
+    """Compile every distinct widget of ``plan`` and, given a cache
+    directory, write their set record."""
+    records = {wid: _widget_record(gates, plan.n_input, config.fan_out)
+               for wid, gates in plan.widgets.items()}
+    if directory:
+        compiler.save_cached(directory, _set_key(plan, config),
+                             {plan.digest(wid): record
+                              for wid, record in records.items()})
     return CompiledAlgorithm(plan, records)
 
 

@@ -555,7 +555,10 @@ def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
             f"{path}: n_input must be an integer, got {payload['n_input']!r}")
     if n_input < 1:
         raise CircuitError(f"{path}: n_input must be >= 1, got {n_input}")
-    return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))
+    try:
+        return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))
+    except CircuitError as exc:
+        raise CircuitError(f"{path}: {exc}") from exc
 
 
 def parse_widget_file(payload: Mapping, path: str | Path,

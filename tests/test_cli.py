@@ -158,7 +158,7 @@ class TestStageCommands:
             assert main(["compile", str(qft3_path),
                          "--cache-dir", str(cache)]) == EXIT_OK
             assert capsys.readouterr().out == uncached
-        assert len(list(cache.glob("widget-*.json"))) == 1
+        assert len(list(cache.glob("widgets-*.json"))) == 1
         assert len(list(cache.glob("plan-*.json"))) == 1
         assert uncached == (
             "w0: 12 nodes, 10 edges, 6 T, 3 Rz, 5 consumption steps, "
@@ -277,6 +277,30 @@ class TestBadInput:
         assert main(["estimate", str(path)]) == EXIT_INVALID
         assert ("block 'main' nests 1000 levels of block references, beyond "
                 "the limit of 256") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["cycle", "undefined", "too-deep",
+                                      "beyond-n_input"])
+    def test_nested_structure_error_names_the_file_first(self, tmp_path,
+                                                          capsys, case):
+        h = {"gate": "h", "qubits": [0]}
+        text, message = {
+            "cycle": (json.dumps({"blocks": {
+                "main": [h, {"block": "a"}], "a": [{"block": "main"}]}}),
+                "cyclic block reference through 'main'"),
+            "undefined": (json.dumps({"blocks": {
+                "main": [h, {"block": "nope"}]}}),
+                "block 'main' references undefined 'nope'"),
+            "too-deep": (self.block_chain(257),
+                         "block 'main' nests 257 levels of block references, "
+                         "beyond the limit of 256"),
+            "beyond-n_input": (json.dumps({"n_input": 2, "blocks": {
+                "main": [h, {"gate": "cx", "qubits": [0, 2]}]}}),
+                "gates touch qubit 2, beyond n_input=2"),
+        }[case]
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
     def test_nesting_at_the_limit_estimates(self, tmp_path, split):

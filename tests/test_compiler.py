@@ -40,9 +40,9 @@ from qre.compiler import (
     Measurement,
     PauliFrame,
     _layer_consumption,
-    cache_key,
     compile_widget,
     verify_unitarity,
+    widget_set_key,
 )
 from qre.config import ArchConfig
 from qre.estimator import CompiledAlgorithm
@@ -336,7 +336,7 @@ class TestDeterminismAndCache:
     def test_cache_round_trip(self, tmp_path):
         gates = generate_qft(3)
         first = cached_record(gates, cache_dir=tmp_path)
-        files = list(tmp_path.glob("widget-*.json"))
+        files = list(tmp_path.glob("widgets-*.json"))
         assert len(files) == 1
         again = cached_record(gates, cache_dir=tmp_path)
         assert first == again
@@ -365,7 +365,7 @@ class TestDeterminismAndCache:
     def test_corrupt_cache_recomputes(self, tmp_path):
         gates = [gate(GateKind.T, 0)]
         cached_record(gates, cache_dir=tmp_path)
-        for f in tmp_path.glob("widget-*.json"):
+        for f in tmp_path.glob("widgets-*.json"):
             f.write_text("{not json")
         cw = cached_record(gates, cache_dir=tmp_path)
         assert cw.n_nodes == 2
@@ -373,7 +373,7 @@ class TestDeterminismAndCache:
     def test_env_var_cache(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QRE_CACHE_DIR", str(tmp_path))
         cached_record([gate(GateKind.T, 0)])
-        assert list(tmp_path.glob("widget-*.json"))
+        assert list(tmp_path.glob("widgets-*.json"))
 
     def test_verification_works_after_cache_load(self, tmp_path,
                                                  monkeypatch):
@@ -586,12 +586,22 @@ class TestExactCacheKey:
         assert repr(plans[0][0]) == repr(plans[1][0])  # Gate.__repr__ rounds
         got = [cached_record(gates, cache_dir=tmp_path) for gates in plans]
         assert got == [cached_record(gates) for gates in plans]
-        assert len(list(tmp_path.glob("widget-*.json"))) == 2
+        assert len(list(tmp_path.glob("widgets-*.json"))) == 2
 
     def test_key_covers_gates_wires_and_fan_out(self):
         gates = generate_qft(3)
         digest, shorter = gate_list_digest(gates), gate_list_digest(gates[:-1])
-        keys = {cache_key(digest, 3, 4), cache_key(digest, 4, 4),
-                cache_key(digest, 3, 2), cache_key(shorter, 3, 4)}
-        assert len(keys) == 4
+        keys = {widget_set_key([digest], 3, 4), widget_set_key([digest], 4, 4),
+                widget_set_key([digest], 3, 2),
+                widget_set_key([shorter], 3, 4),
+                widget_set_key([digest, shorter], 3, 4)}
+        assert len(keys) == 5
         assert gate_list_digest(list(gates)) == gate_list_digest(tuple(gates))
+
+    def test_set_key_ignores_order_and_repeats(self):
+        digests = [gate_list_digest(generate_qft(n)) for n in (2, 3, 4)]
+        key = widget_set_key(digests, 4, 4)
+        assert widget_set_key(reversed(digests), 4, 4) == key
+        assert widget_set_key(digests + digests[:1], 4, 4) == key
+        for k in range(3):  # every digest is covered
+            assert widget_set_key(digests[:k] + digests[k + 1:], 4, 4) != key

@@ -24,6 +24,7 @@ from pool import benchmark_pool_circuit
 from qre.architecture import DEFAULT_FACTORIES, EstimationError, ModuleLayout, TFactory
 from qre.circuit import GateKind, circuit_width, gate, generate_qft
 from qre.config import ArchConfig
+from qre import estimator
 from qre.estimator import (
     CompiledAlgorithm,
     SelectionResult,
@@ -483,6 +484,49 @@ class TestSelectionReference:
             seen["no Rz"] += est.n_Rz_init == 0
         assert min(seen.values()) >= 10, seen
         assert seen["solved"] >= 80 and seen["EstimationError"] >= 150, seen
+
+    def test_synthesis_length_shrinking_with_precision_agrees(self):
+        """With a negative c0 the synthesis length shrinks as epsilon does,
+        so a distance below the last one may pass again: the selection
+        still equals the reference, which scans every distance from 3."""
+        rng = random.Random(5)
+        solved = 0
+        for trial in range(400):
+            cfg, est = random_selection_case(rng)
+            cfg = dataclasses.replace(cfg, c0=-rng.uniform(0.01, 1.0),
+                                      c1=rng.uniform(10, 60), epsilon=None)
+            try:
+                ref = select_by_fixed_point(cfg, est)
+            except (EstimationError, ValueError) as exc:
+                with pytest.raises(type(exc)):
+                    solve_distance_and_factory(cfg, est)
+                continue
+            sel = solve_distance_and_factory(cfg, est)
+            assert (sel.d, sel.epsilon, sel.l_eps, sel.factory, sel.p_logical,
+                    sel.layout, sel.counts) == ref, trial
+            solved += 1
+        assert solved >= 80
+
+    def test_each_precision_step_resumes_the_distance_scan(
+            self, tmp_path, monkeypatch):
+        """Pool circuit 3 tries six factories with three distance solves
+        each. Each solve after a factory's first starts at the last d, so
+        the layout is chosen 68 times (163 when every solve scans from
+        d=3)."""
+        path = tmp_path / "nested3.json"
+        path.write_text(benchmark_pool_circuit(3))
+        algo, _ = compile_circuit(path, ArchConfig())
+        calls = []
+        choose = estimator.choose_modules_per_leg
+
+        def counted(*args):
+            calls.append(args[2])
+            return choose(*args)
+
+        monkeypatch.setattr(estimator, "choose_modules_per_leg", counted)
+        sel = solve_distance_and_factory(ArchConfig(), algo.est)
+        assert sel.d == 21
+        assert len(calls) == 68
 
 
 # --------------------------------------------------------------------------

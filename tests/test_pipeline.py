@@ -248,7 +248,7 @@ class TestWidgetCache:
             cfg = ArchConfig(fan_out=fan_out)
             records[fan_out] = compile_plan(plan, cfg, cache).compiled
             assert records[fan_out] == compile_plan(plan, cfg).compiled
-        assert len(cache_entries(cache)) == 2 * plan.n_distinct_widgets
+        assert len(cache_entries(cache)) == 2  # one set record per fan-out
         assert records[2] != records[4]
         for fan_out in (2, 4):  # now warm
             cfg = ArchConfig(fan_out=fan_out)
@@ -257,7 +257,8 @@ class TestWidgetCache:
     @pytest.mark.parametrize("content", ["[]", "null", '"x"', "{}", "",
                                          "format-2", "other-key", "missing",
                                          "directory", "t_nodes", "n_nodes",
-                                         "n_logical", "prep_spans"])
+                                         "n_logical", "prep_spans",
+                                         "widgets", "record", "no-record"])
     def test_bad_entry_is_recomputed_and_overwritten(
             self, content, qft3_path, config, tmp_path):
         cache = tmp_path / "cache"
@@ -270,17 +271,24 @@ class TestWidgetCache:
             entry.unlink()
             entry.mkdir()
         else:
-            bad = dict(good)
+            bad = json.loads(entry.read_text())
+            (record,) = bad["widgets"].values()
             if content == "format-2":
                 bad["format"] = 2
             elif content == "other-key":
                 bad["key"] = "0" * 32
             elif content == "missing":
-                del bad["prep_spans"]
-            elif content in good:  # right key and format, wrong type
-                bad[content] = {"t_nodes": "abcdefgh", "n_nodes": "12",
-                                "n_logical": True,
-                                "prep_spans": [[1, "2"]]}[content]
+                del record["prep_spans"]
+            elif content == "widgets":
+                bad["widgets"] = [record]
+            elif content == "record":
+                bad["widgets"] = {plan.digest("w0"): [record]}
+            elif content == "no-record":
+                bad["widgets"] = {}
+            elif content in record:  # right key and format, wrong type
+                record[content] = {"t_nodes": "abcdefgh", "n_nodes": "12",
+                                   "n_logical": True,
+                                   "prep_spans": [[1, "2"]]}[content]
             else:
                 bad = None
             entry.write_text(content if bad is None else json.dumps(bad))
@@ -293,7 +301,7 @@ class TestWidgetCache:
         cache = tmp_path / "cache"
         assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
         first = capsys.readouterr().out
-        (entry,) = cache.glob("widget-*.json")
+        (entry,) = cache.glob("widgets-*.json")
         entry.write_text("[]")
         assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == first
@@ -302,47 +310,53 @@ class TestWidgetCache:
                                                  tmp_path):
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
-        key = compiler.cache_key(plan.digest("w0"), plan.n_input,
-                                 config.fan_out)
+        digest = plan.digest("w0")
+        key = compiler.widget_set_key([digest], plan.n_input, config.fan_out)
         cache.mkdir()
-        (cache / f"widget-{key}.tmp").mkdir()
-        (cache / f"widget-{key}.stale.tmp").write_text("half a rec")
+        (cache / f"widgets-{key}.tmp").mkdir()
+        (cache / f"widgets-{key}.stale.tmp").write_text("half a rec")
         compile_plan(plan, config, cache)
-        record = compiler.load_cached(cache, key)
-        assert record == compile_plan(plan, config).compiled["w0"]
+        records = compiler.load_cached(cache, key)
+        assert records == {digest: compile_plan(plan, config).compiled["w0"]}
         assert len(cache_entries(cache)) == 3
 
     def test_format_3_entry_is_recomputed_and_overwritten(
             self, qft3_path, config, tmp_path):
+        """An entry of an older format (3, and 4, the last one with a
+        record per widget) is never read, even under the current key."""
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
         fresh = compile_plan(plan, config).compiled["w0"]
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         payload = json.loads(entry.read_text())
-        assert payload["format"] == compiler.CACHE_FORMAT == 4
-        payload["format"] = 3
-        payload["n_nodes"] += 1  # a stale record must not be read
-        entry.write_text(json.dumps(payload))
-        assert compile_plan(plan, config, cache).compiled["w0"] == fresh
-        assert json.loads(entry.read_text())["format"] == 4
-        assert compiler.load_cached(cache, payload["key"]) == fresh
+        assert payload["format"] == compiler.CACHE_FORMAT == 5
+        for old in (3, 4):
+            stale = json.loads(entry.read_text())
+            stale["format"] = old
+            (record,) = stale["widgets"].values()
+            record["n_nodes"] += 1  # a stale record must not be read
+            entry.write_text(json.dumps(stale))
+            assert compile_plan(plan, config, cache).compiled["w0"] == fresh
+            assert json.loads(entry.read_text()) == payload
+        assert compiler.load_cached(cache, payload["key"]) == {
+            plan.digest("w0"): fresh}
 
     def test_entries_are_keyed_on_the_plan_digests(self, pool3_path, config,
                                                    tmp_path):
         plan = load_circuit(pool3_path, config).plan
         compile_plan(plan, config, tmp_path)
-        keys = {compiler.cache_key(plan.digest(wid), plan.n_input,
-                                   config.fan_out)
-                for wid in plan.widgets}
-        assert cache_entries(tmp_path) == sorted(f"widget-{key}.json"
-                                                 for key in keys)
-        assert len(keys) == plan.n_distinct_widgets == 120
+        digests = {plan.digest(wid) for wid in plan.widgets}
+        key = compiler.widget_set_key(digests, plan.n_input, config.fan_out)
+        assert cache_entries(tmp_path) == [f"widgets-{key}.json"]
+        payload = json.loads((tmp_path / f"widgets-{key}.json").read_text())
+        assert set(payload["widgets"]) == digests
+        assert len(digests) == plan.n_distinct_widgets == 120
 
     def test_save_creates_a_missing_directory_on_first_write(
             self, qft3_path, config, tmp_path, monkeypatch):
         plan = load_circuit(qft3_path, config).plan
-        record = compile_plan(plan, config).compiled["w0"]
+        records = {plan.digest("w0"): compile_plan(plan, config).compiled["w0"]}
         cache = tmp_path / "new" / "cache"
         made = []
         mkdir = Path.mkdir
@@ -352,31 +366,31 @@ class TestWidgetCache:
             return mkdir(self, *args, **kwargs)
 
         monkeypatch.setattr(Path, "mkdir", counting_mkdir)
-        compiler.save_cached(cache, "k0", record)
+        compiler.save_cached(cache, "k0", records)
         assert cache in made
         first = len(made)
         for key in ("k1", "k2"):
-            compiler.save_cached(cache, key, record)
+            compiler.save_cached(cache, key, records)
         assert len(made) == first
-        assert cache_entries(cache) == [f"widget-k{i}.json" for i in range(3)]
-        assert compiler.load_cached(cache, "k2") == record
+        assert cache_entries(cache) == [f"widgets-k{i}.json" for i in range(3)]
+        assert compiler.load_cached(cache, "k2") == records
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         record = compiler.WidgetRecord(1, 1, 0, (0,), (), (), 0, 1,
                                        object(), ())
         with pytest.raises(TypeError):
-            compiler.save_cached(tmp_path, "k", record)
+            compiler.save_cached(tmp_path, "k", {"d": record})
         assert cache_entries(tmp_path) == []
 
     def test_concurrent_writers_of_one_key(self, qft3_path, config, tmp_path):
         plan = load_circuit(qft3_path, config).plan
-        record = compile_plan(plan, config).compiled["w0"]
+        records = {plan.digest("w0"): compile_plan(plan, config).compiled["w0"]}
         errors = []
 
         def write():
             try:
                 for _ in range(25):
-                    compiler.save_cached(tmp_path, "k", record)
+                    compiler.save_cached(tmp_path, "k", records)
             except Exception as exc:  # reported through the assertion below
                 errors.append(exc)
 
@@ -392,9 +406,63 @@ class TestWidgetCache:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
-        assert cache_entries(tmp_path) == ["widget-k.json"]
-        assert compiler.load_cached(tmp_path, "k") == record
+        assert cache_entries(tmp_path) == ["widgets-k.json"]
+        assert compiler.load_cached(tmp_path, "k") == records
 
+    def test_cache_traffic_is_one_record_of_each_kind(
+            self, pool3_path, tmp_path, monkeypatch):
+        """A cold estimate writes the set record and the plan record; a
+        warm estimate and both sweeps read them and compile nothing; a plan
+        hit whose set misses reads the set record once."""
+        cache = tmp_path / "cache"
+        saves = counting(monkeypatch, compiler, "_save_entry")
+        loads = counting(monkeypatch, compiler, "_load_entry")
+        compiles = counting(monkeypatch, pipeline, "compile_widget")
+        run_estimate(pool3_path, cache_dir=cache)
+        assert [args[1] for args in saves] == ["widgets", "plan"]
+        assert len(compiles) == 120
+        del saves[:], loads[:], compiles[:]
+        estimate_and_sweep(pool3_path, None, cache)
+        assert [args[1] for args in loads] == ["plan", "widgets"]
+        assert saves == compiles == []
+        del loads[:]
+        fan_out = tmp_path / "fan_out.yaml"
+        fan_out.write_text("architecture:\n  fan_out: 2\n")
+        run_estimate(pool3_path, config_path=fan_out, cache_dir=cache)
+        assert [args[1] for args in loads] == ["plan", "widgets"]
+        assert [args[1] for args in saves] == ["widgets", "plan"]
+        assert len(compiles) == 120
+        assert len(cache_entries(cache)) == 3
+
+    def test_inputs_with_the_same_widgets_share_one_set_record(
+            self, pool3_path, table_path, tmp_path, monkeypatch):
+        """Root repeats and plan order do not key the set record: the
+        second input's cold run reads it and compiles nothing."""
+        payload = json.loads(pool3_path.read_text())
+        for item in payload["blocks"][payload.get("root", "main")]:
+            if "repeat" in item:
+                item["repeat"] *= 10
+        scaled = tmp_path / "scaled.json"
+        scaled.write_text(json.dumps(payload))
+        table = json.loads(table_path.read_text())
+        table["distinct_widgets"] = dict(
+            reversed(table["distinct_widgets"].items()))
+        reordered = tmp_path / "reordered.json"
+        reordered.write_text(json.dumps(table))
+        assert list(load_circuit(reordered, ArchConfig()).plan.ids) == [
+            "a", "b"]
+        config = ArchConfig()
+        for first, second in ((pool3_path, scaled), (table_path, reordered)):
+            cache = tmp_path / f"cache-{first.stem}"
+            compile_circuit(first, config, cache)
+            compiles = counting(monkeypatch, pipeline, "compile_widget")
+            algo, _ = compile_circuit(second, config, cache)
+            assert compiles == []
+            monkeypatch.undo()
+            fresh, _ = compile_circuit(second, config)
+            assert (algo.compiled, algo.est) == (fresh.compiled, fresh.est)
+            assert len(list(cache.glob("widgets-*.json"))) == 1
+            assert len(list(cache.glob("plan-*.json"))) == 2
 
 TABLE = {"n_input": 2, "sequence": ["a", "b", "a"],
          "distinct_widgets": {"b": "qreg q[2]; s q[1];",
@@ -568,18 +636,23 @@ class TestPlanRecord:
 
     def test_missing_widget_record_falls_back_to_the_source(
             self, pool3_path, config, tmp_path, monkeypatch):
+        """A set record lacking one widget's record is a miss as a whole:
+        the source is loaded, every widget compiled and the set record
+        written whole again."""
         cache = tmp_path / "cache"
         cold = estimate_and_sweep(pool3_path, None, cache)
         plan = load_circuit(pool3_path, config).plan
-        wid = list(plan.widgets)[7]
-        key = compiler.cache_key(plan.digest(wid), plan.n_input,
-                                 config.fan_out)
-        (cache / f"widget-{key}.json").unlink()
+        (entry,) = cache.glob("widgets-*.json")
+        good = json.loads(entry.read_text())
+        bad = json.loads(entry.read_text())
+        del bad["widgets"][plan.digest(list(plan.widgets)[7])]
+        entry.write_text(json.dumps(bad))
         loads = counting(monkeypatch, pipeline, "load_circuit")
         compiled = counting(monkeypatch, pipeline, "compile_widget")
         assert estimate_and_sweep(pool3_path, None, cache) == cold
-        assert len(loads) == 1 and len(compiled) == 1
-        assert (cache / f"widget-{key}.json").is_file()
+        assert len(loads) == 1
+        assert len(compiled) == plan.n_distinct_widgets
+        assert json.loads(entry.read_text()) == good
 
     def test_one_byte_edit_misses(self, qft3_path, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
