@@ -1,9 +1,14 @@
-"""Dense state-vector helpers for simulation-backed verification.
+"""Dense state-vector simulation, for ``verify`` and the tests alone.
 
 Qubit 0 is the most significant bit of the computational-basis index; a state
 on n qubits is stored as a complex ndarray of shape (2,)*n so that axis q is
 qubit q. Everything here is exact linear algebra on <= a dozen qubits; no
 approximations, no stabilizer shortcuts.
+
+``verify_unitarity`` runs a sequence of compiled widgets on such a state and
+undoes it with the inverse source gates. ``pipeline.verify_circuit`` imports
+this module when it is called, so an estimate, a sweep or a compile never
+loads numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +17,9 @@ import math
 from typing import Sequence
 
 import numpy as np
+
+from .circuit import Gate, GateKind
+from .compiler import CompileError, CompiledWidget
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -74,3 +82,141 @@ def project_qubit(state: np.ndarray, qubit: int, vec: np.ndarray) -> tuple[np.nd
     reduced = np.tensordot(vec.conj(), state, axes=([0], [qubit]))
     prob = float(np.vdot(reduced, reduced).real)
     return reduced, prob
+
+
+# --------------------------------------------------------------------------
+# Simulation-backed verification of compiled widgets
+# --------------------------------------------------------------------------
+
+SIM_QUBIT_LIMIT = 12  # the most qubits verify_unitarity holds at once
+
+_OP_MATS = {
+    "h": H_MAT, "s": S_MAT, "sdg": SDG_MAT, "x": X_MAT, "y": Y_MAT,
+    "z": Z_MAT, "cx": CX_MAT, "cz": CZ_MAT, "swap": SWAP_MAT,
+}
+
+
+class _Register:
+    """Dense register addressed by node labels (axes tracked under removal)."""
+
+    def __init__(self) -> None:
+        self.state = np.ones((), dtype=complex)
+        self.axes: dict[object, int] = {}
+
+    def add(self, label: object, vec: np.ndarray) -> None:
+        self.state = np.multiply.outer(self.state, vec.astype(complex))
+        self.axes[label] = self.state.ndim - 1
+
+    def apply(self, mat: np.ndarray, labels: Sequence[object]) -> None:
+        self.state = apply_matrix(
+            self.state, mat, tuple(self.axes[l] for l in labels))
+
+    def measure(self, label: object, vecs: Sequence[np.ndarray],
+                rng: np.random.Generator) -> int:
+        axis = self.axes.pop(label)
+        reduced0, p0 = project_qubit(self.state, axis, vecs[0])
+        outcome = 0 if rng.random() < p0 else 1
+        if outcome == 0:
+            self.state = reduced0 / math.sqrt(max(p0, 1e-300))
+        else:
+            reduced1, p1 = project_qubit(self.state, axis, vecs[1])
+            self.state = reduced1 / math.sqrt(max(p1, 1e-300))
+        for other, ax in self.axes.items():
+            if ax > axis:
+                self.axes[other] = ax - 1
+        return outcome
+
+    def ordered(self, labels: Sequence[object]) -> np.ndarray:
+        perm = [self.axes[l] for l in labels]
+        return np.transpose(self.state, perm)
+
+
+def _meas_vectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal pair for an angle-rotated X measurement (angle 0 is X)."""
+    a = np.array([np.exp(0.5j * angle), np.exp(-0.5j * angle)]) / math.sqrt(2)
+    b = np.array([np.exp(0.5j * angle), -np.exp(-0.5j * angle)]) / math.sqrt(2)
+    return a, b
+
+
+_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
+_ZERO = np.array([1, 0], dtype=complex)
+_X_VECS = _meas_vectors(0.0)
+
+
+def verify_unitarity(
+    widgets: Sequence[CompiledWidget],
+    inverse_gates: Sequence[Gate],
+    *,
+    seed: int | None = None,
+) -> float:
+    """Execute the widget sequence by exact simulation on |0...0> with random
+    measurement outcomes and eager frame corrections, apply the inverse gate
+    list, and return the overlap-squared with |0...0>."""
+    if not widgets:
+        raise CompileError("empty widget sequence")
+    n = widgets[0].n_input
+    if any(w.n_input != n for w in widgets):
+        raise CompileError("widgets must share n_input")
+    peak = max(w.n_nodes for w in widgets)
+    if len(widgets) > 1:
+        peak = max(peak, n + 2)
+    if peak > SIM_QUBIT_LIMIT:
+        raise CompileError(f"verification needs {peak} simulated qubits, "
+                           f"limit is {SIM_QUBIT_LIMIT}")
+
+    rng = np.random.default_rng(seed)
+    reg = _Register()
+    carriers: list[object] = []
+
+    for i, w in enumerate(widgets):
+        if i == 0:
+            for q in range(n):
+                reg.add((0, q), _ZERO)
+            carriers = [(0, q) for q in range(n)]
+        else:
+            for q in range(n):
+                relay = ("relay", i, q)
+                target = (i, q)
+                reg.add(relay, _PLUS)
+                reg.apply(CZ_MAT, (carriers[q], relay))
+                s1 = reg.measure(carriers[q], _X_VECS, rng)
+                reg.add(target, _PLUS)
+                reg.apply(CZ_MAT, (relay, target))
+                s2 = reg.measure(relay, _X_VECS, rng)
+                if s2:
+                    reg.apply(X_MAT, (target,))
+                if s1:
+                    reg.apply(Z_MAT, (target,))
+                carriers[q] = target
+        for v in range(n, w.n_nodes):
+            reg.add((i, v), _PLUS)
+        for name, qubits in w.prep_ops:
+            reg.apply(_OP_MATS[name], [(i, v) for v in qubits])
+        meas = w.meas_schedule
+        for layer in w.consump_schedule:
+            for node in layer:
+                spec = meas[node]
+                outcome = reg.measure((i, node), _meas_vectors(spec.angle), rng)
+                if outcome:
+                    frame = w.frames[node]
+                    for v in frame.x_support:
+                        reg.apply(X_MAT, [(i, v)])
+                    for v in frame.z_support:
+                        reg.apply(Z_MAT, [(i, v)])
+        carriers = [(i, w.output_nodes[q]) for q in range(n)]
+
+    state = reg.ordered(carriers)
+    for g in inverse_gates:
+        state = apply_matrix(state, _inverse_mat(g), g.qubits)
+    amp = state[(0,) * n]
+    return float(abs(amp) ** 2)
+
+
+def _inverse_mat(g: Gate) -> np.ndarray:
+    if g.kind is GateKind.Rz:
+        return rz_mat(g.angle)
+    if g.kind is GateKind.CPhase:
+        return cphase_mat(g.angle)
+    table = {GateKind.T: T_MAT, GateKind.Tdg: TDG_MAT,
+             GateKind.CCX: CCX_MAT}
+    return table.get(g.kind, _OP_MATS.get(g.kind.value))

@@ -12,8 +12,9 @@ node's column is then a mask: its low g bits are the frames that touch the
 node, its high bits the tableau column. The consumption sub-steps (greedy
 maximal antichains of the frame-dependency order) are read from the low
 bits of the measured nodes' columns, and ``graph_form`` canonicalizes the
-high bits to graph + local-Clifford form. ``verify_unitarity`` checks the
-whole construction by exact dense simulation; nothing else here simulates.
+high bits to graph + local-Clifford form. Nothing here simulates: the
+dense check of the whole construction, ``verify_unitarity``, lives in
+``_sim``, which only ``verify`` and the tests import.
 
 ``compile_widget`` is pure. What estimation reads of a compiled and
 prep-scheduled widget is a ``WidgetRecord``. The disk cache stores those
@@ -42,15 +43,10 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-import numpy as np
-
-from . import _sim
 from .circuit import (
     CLIFFORD_1Q,
     CLIFFORD_2Q,
     KIND_NAME,
-    CircuitError,
-    Gate,
     GateKind,
     TranspiledWidget,
     circuit_width,
@@ -68,8 +64,6 @@ CACHE_FORMAT = 5
 # register; rule 3 numbers a nested plan's widget ids over its leaves only;
 # rule 4 drops the blocks with no gates from a split nested plan.
 PLAN_RULE = 4
-
-SIM_QUBIT_LIMIT = 12
 
 
 class CompileError(ValueError):
@@ -351,143 +345,6 @@ def _max_live_nodes(
         live += delta[t]
         peak = max(peak, live)
     return peak
-
-
-# --------------------------------------------------------------------------
-# Simulation-backed verification
-# --------------------------------------------------------------------------
-
-_OP_MATS = {
-    "h": _sim.H_MAT, "s": _sim.S_MAT, "sdg": _sim.SDG_MAT, "x": _sim.X_MAT,
-    "y": _sim.Y_MAT, "z": _sim.Z_MAT, "cx": _sim.CX_MAT, "cz": _sim.CZ_MAT,
-    "swap": _sim.SWAP_MAT,
-}
-
-
-class _Register:
-    """Dense register addressed by node labels (axes tracked under removal)."""
-
-    def __init__(self) -> None:
-        self.state = np.ones((), dtype=complex)
-        self.axes: dict[object, int] = {}
-
-    def add(self, label: object, vec: np.ndarray) -> None:
-        self.state = np.multiply.outer(self.state, vec.astype(complex))
-        self.axes[label] = self.state.ndim - 1
-
-    def apply(self, mat: np.ndarray, labels: Sequence[object]) -> None:
-        self.state = _sim.apply_matrix(
-            self.state, mat, tuple(self.axes[l] for l in labels))
-
-    def measure(self, label: object, vecs: Sequence[np.ndarray],
-                rng: np.random.Generator) -> int:
-        axis = self.axes.pop(label)
-        reduced0, p0 = _sim.project_qubit(self.state, axis, vecs[0])
-        outcome = 0 if rng.random() < p0 else 1
-        if outcome == 0:
-            self.state = reduced0 / math.sqrt(max(p0, 1e-300))
-        else:
-            reduced1, p1 = _sim.project_qubit(self.state, axis, vecs[1])
-            self.state = reduced1 / math.sqrt(max(p1, 1e-300))
-        for other, ax in self.axes.items():
-            if ax > axis:
-                self.axes[other] = ax - 1
-        return outcome
-
-    def ordered(self, labels: Sequence[object]) -> np.ndarray:
-        perm = [self.axes[l] for l in labels]
-        return np.transpose(self.state, perm)
-
-
-def _meas_vectors(angle: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal pair for an angle-rotated X measurement (angle 0 is X)."""
-    a = np.array([np.exp(0.5j * angle), np.exp(-0.5j * angle)]) / math.sqrt(2)
-    b = np.array([np.exp(0.5j * angle), -np.exp(-0.5j * angle)]) / math.sqrt(2)
-    return a, b
-
-
-_PLUS = np.array([1, 1], dtype=complex) / math.sqrt(2)
-_ZERO = np.array([1, 0], dtype=complex)
-_X_VECS = _meas_vectors(0.0)
-
-
-def verify_unitarity(
-    widgets: Sequence[CompiledWidget],
-    inverse_gates: Sequence[Gate],
-    *,
-    seed: int | None = None,
-) -> float:
-    """Execute the widget sequence by exact simulation on |0...0> with random
-    measurement outcomes and eager frame corrections, apply the inverse gate
-    list, and return the overlap-squared with |0...0>."""
-    if not widgets:
-        raise CompileError("empty widget sequence")
-    n = widgets[0].n_input
-    if any(w.n_input != n for w in widgets):
-        raise CompileError("widgets must share n_input")
-    peak = max(w.n_nodes for w in widgets)
-    if len(widgets) > 1:
-        peak = max(peak, n + 2)
-    if peak > SIM_QUBIT_LIMIT:
-        raise CompileError(f"verification needs {peak} simulated qubits, "
-                           f"limit is {SIM_QUBIT_LIMIT}")
-
-    rng = np.random.default_rng(seed)
-    reg = _Register()
-    carriers: list[object] = []
-
-    for i, w in enumerate(widgets):
-        if i == 0:
-            for q in range(n):
-                reg.add((0, q), _ZERO)
-            carriers = [(0, q) for q in range(n)]
-        else:
-            for q in range(n):
-                relay = ("relay", i, q)
-                target = (i, q)
-                reg.add(relay, _PLUS)
-                reg.apply(_sim.CZ_MAT, (carriers[q], relay))
-                s1 = reg.measure(carriers[q], _X_VECS, rng)
-                reg.add(target, _PLUS)
-                reg.apply(_sim.CZ_MAT, (relay, target))
-                s2 = reg.measure(relay, _X_VECS, rng)
-                if s2:
-                    reg.apply(_sim.X_MAT, (target,))
-                if s1:
-                    reg.apply(_sim.Z_MAT, (target,))
-                carriers[q] = target
-        for v in range(n, w.n_nodes):
-            reg.add((i, v), _PLUS)
-        for name, qubits in w.prep_ops:
-            reg.apply(_OP_MATS[name], [(i, v) for v in qubits])
-        meas = w.meas_schedule
-        for layer in w.consump_schedule:
-            for node in layer:
-                spec = meas[node]
-                outcome = reg.measure((i, node), _meas_vectors(spec.angle), rng)
-                if outcome:
-                    frame = w.frames[node]
-                    for v in frame.x_support:
-                        reg.apply(_sim.X_MAT, [(i, v)])
-                    for v in frame.z_support:
-                        reg.apply(_sim.Z_MAT, [(i, v)])
-        carriers = [(i, w.output_nodes[q]) for q in range(n)]
-
-    state = reg.ordered(carriers)
-    for g in inverse_gates:
-        state = _sim.apply_matrix(state, _inverse_mat(g), g.qubits)
-    amp = state[(0,) * n]
-    return float(abs(amp) ** 2)
-
-
-def _inverse_mat(g: Gate) -> np.ndarray:
-    if g.kind is GateKind.Rz:
-        return _sim.rz_mat(g.angle)
-    if g.kind is GateKind.CPhase:
-        return _sim.cphase_mat(g.angle)
-    table = {GateKind.T: _sim.T_MAT, GateKind.Tdg: _sim.TDG_MAT,
-             GateKind.CCX: _sim.CCX_MAT}
-    return table.get(g.kind, _OP_MATS.get(g.kind.value))
 
 
 # --------------------------------------------------------------------------

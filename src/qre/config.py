@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .architecture import DEFAULT_FACTORIES, TFactory
 from .scalefit import SCALING_PRESETS
 from .thermal import DEFAULT_THERMAL, LineClass, ThermalConfig
@@ -79,6 +77,14 @@ class ArchConfig:
         for name in ("t", "t_inter", "t_decoder"):
             if getattr(self, name) <= 0:
                 problems.append(f"{name} must be positive: {getattr(self, name)}")
+        # A synthesis length of at least 1 at epsilon = 1 that never
+        # shrinks as epsilon does.
+        if not (math.isfinite(self.c0) and self.c0 >= 0):
+            problems.append(
+                f"synthesis.c0 must be finite and >= 0: {self.c0}")
+        if not (math.isfinite(self.c1) and self.c1 > 0):
+            problems.append(
+                f"synthesis.c1 must be finite and positive: {self.c1}")
         if self.epsilon is not None and not 0 < self.epsilon <= 1:
             problems.append(
                 f"synthesis.epsilon out of (0, 1]: {self.epsilon}")
@@ -264,6 +270,8 @@ def load_config(path: str | Path | None) -> ArchConfig:
     """Load a YAML config file; None or an empty file yields all defaults."""
     if path is None:
         return ArchConfig()
+    import yaml  # only a config file needs it
+
     text = Path(path).read_text()
     try:
         data = yaml.safe_load(text)

@@ -301,24 +301,22 @@ def _solve_factory(
     d, setting epsilon to that error the first time and to half of it after
     each failed demand.  Distance grows monotonically while epsilon shrinks,
     so the loop settles quickly.  Each distance solve starts its scan at
-    the last one's d when the synthesis length has not shrunk: at a fixed
-    d the failure volume does not fall as that length grows (the layout
-    does not read it), so no smaller d can pass.  The factory is accepted
-    when its output error beats the tock error of the cell it feeds, or
-    when no T state is consumed and the factories idle.
+    the last one's d: with ``c0 >= 0`` (``ArchConfig.validate``) the
+    synthesis length never shrinks as epsilon does, and at a fixed d the
+    failure volume does not fall as that length grows (the layout does not
+    read it), so no smaller d can pass.  The factory is accepted when its
+    output error beats the tock error of the cell it feeds, or when no T
+    state is consumed and the factories idle.
     """
     fixed_point = est.n_Rz_init > 0 and config.epsilon is None
     epsilon = config.epsilon if est.n_Rz_init > 0 else None
-    d, l_eps = 3, 0
+    d = 3
     for _ in range(EPS_ITER_CAP + 1):
-        last_l_eps = l_eps
         l_eps = (0 if epsilon is None
                  else gate_synthesis_length(epsilon, config.c0, config.c1))
-        # The synthesis constants are not range-checked, so the length can
-        # shrink with epsilon; the scan then starts over.
         solved = _solve_distance(config, est.n_logical_max, est.l_prep_total,
-                                 factory, l_eps, est.n_T_init, est.n_Rz_init,
-                                 d if l_eps >= last_l_eps else 3)
+                                 factory, l_eps, est.n_T_init,
+                                 est.n_Rz_init, d)
         if isinstance(solved, str):
             return solved
         d, layout, counts = solved

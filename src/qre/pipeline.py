@@ -56,12 +56,7 @@ from .circuit import (
     parse_qasm,
     transpile,
 )
-from .compiler import (
-    CACHE_ENV,
-    WidgetRecord,
-    compile_widget,
-    verify_unitarity,
-)
+from .compiler import CACHE_ENV, WidgetRecord, compile_widget
 from .config import ArchConfig, load_config
 from .estimator import (
     CompiledAlgorithm,
@@ -411,6 +406,8 @@ def verify_circuit(loaded: LoadedCircuit, seed: int | None = None) -> float:
         raise CircuitError(
             f"circuit too large to expand for verification: "
             f"{plan.n_widgets} widgets, limit is {SEQUENCE_LIMIT}")
+    from ._sim import verify_unitarity  # loads numpy; an estimate does not
+
     sequence, source = loaded.expand()
     compiled = {wid: compile_widget(transpile(gates), n_input=plan.n_input)
                 for wid, gates in plan.widgets.items()}

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "FitError",
     "ScalingSample",
@@ -83,6 +81,8 @@ def fit_scaling_law(samples: Sequence[ScalingSample]) -> ScalingFit:
         raise FitError("need at least two samples")
     if len({s.d for s in samples}) < 2:
         raise FitError("need samples at two or more distinct code distances")
+
+    import numpy as np  # only this fit needs it; an estimate does not
 
     m = np.array([(s.d + 1) / 2.0 for s in samples])
     y = np.array([math.log(s.p_c_obs) - mi * math.log(s.p)

@@ -18,6 +18,7 @@ from oracles import (
 )
 from pool import benchmark_pool_circuit
 from qre import _sim
+from qre._sim import SIM_QUBIT_LIMIT, verify_unitarity
 from qre.architecture import EstimationError
 from qre.circuit import (
     ANGLED,
@@ -34,14 +35,12 @@ from qre.circuit import (
     transpile,
 )
 from qre.compiler import (
-    SIM_QUBIT_LIMIT,
     CompileError,
     CompiledWidget,
     Measurement,
     PauliFrame,
     _layer_consumption,
     compile_widget,
-    verify_unitarity,
     widget_set_key,
 )
 from qre.config import ArchConfig

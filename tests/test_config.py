@@ -1,8 +1,11 @@
 """Tests for configuration loading and validation."""
 
+import math
+
 import pytest
 
 from qre.architecture import DEFAULT_FACTORIES
+from qre.circuit import emit_qasm, generate_qft
 from qre.config import ArchConfig, ConfigError, config_from_mapping, load_config
 from qre.thermal import DEFAULT_THERMAL
 
@@ -49,6 +52,21 @@ class TestValidation:
         with pytest.raises(ConfigError, match="epsilon"):
             ArchConfig(epsilon=1.5)
         assert ArchConfig(epsilon=1.0).epsilon == 1.0
+
+    @pytest.mark.parametrize("c0, c1, key", [
+        (-0.5, 8.83, "c0"), (-1e-12, 8.83, "c0"), (math.inf, 8.83, "c0"),
+        (math.nan, 8.83, "c0"), (0.57, 0.0, "c1"), (0.57, -40.0, "c1"),
+        (0.57, math.inf, "c1"), (0.57, math.nan, "c1"),
+    ])
+    def test_synthesis_constants_range(self, c0, c1, key):
+        """The synthesis length must be at least 1 at epsilon = 1 and never
+        shrink as epsilon does: a finite c0 >= 0 and a finite c1 > 0."""
+        with pytest.raises(ConfigError, match=rf"synthesis\.{key}"):
+            ArchConfig(c0=c0, c1=c1)
+
+    def test_synthesis_constants_at_their_bounds(self):
+        cfg = ArchConfig(c0=0.0, c1=1e-9)
+        assert (cfg.c0, cfg.c1) == (0.0, 1e-9)
 
     def test_factories_must_be_nonempty(self):
         with pytest.raises(ConfigError, match="factories"):
@@ -160,6 +178,20 @@ class TestBadValues:
         circuit.write_text("qreg q[1]; h q[0];")
         assert main(["estimate", str(circuit), "--config", str(path)]) == 2
         assert "thermal.lines.readout.per_qubit" in capsys.readouterr().err
+
+    def test_cli_exits_invalid_on_bad_synthesis_constants(
+            self, tmp_path, capsys):
+        """Without the range check this config ran QFT-3 to a negative
+        timing component (exit 3) and pool circuit 3 to a negative T count
+        (exit 0)."""
+        from qre.cli import main
+        path = tmp_path / "cfg.yaml"
+        path.write_text("synthesis:\n  c0: -0.5\n  c1: -40\n")
+        circuit = tmp_path / "qft3.qasm"
+        circuit.write_text(emit_qasm(generate_qft(3), 3))
+        assert main(["estimate", str(circuit), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "synthesis.c0" in err and "synthesis.c1" in err
 
     def test_null_epsilon_means_solve(self):
         cfg = config_from_mapping({"synthesis": {"epsilon": None}})

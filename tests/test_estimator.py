@@ -23,7 +23,7 @@ from oracles import (
 from pool import benchmark_pool_circuit
 from qre.architecture import DEFAULT_FACTORIES, EstimationError, ModuleLayout, TFactory
 from qre.circuit import GateKind, circuit_width, gate, generate_qft
-from qre.config import ArchConfig
+from qre.config import ArchConfig, ConfigError
 from qre import estimator
 from qre.estimator import (
     CompiledAlgorithm,
@@ -485,16 +485,28 @@ class TestSelectionReference:
         assert min(seen.values()) >= 10, seen
         assert seen["solved"] >= 80 and seen["EstimationError"] >= 150, seen
 
-    def test_synthesis_length_shrinking_with_precision_agrees(self):
-        """With a negative c0 the synthesis length shrinks as epsilon does,
-        so a distance below the last one may pass again: the selection
-        still equals the reference, which scans every distance from 3."""
+    def test_synthesis_length_shrinking_with_precision_is_rejected(self):
+        """A negative c0 would shrink the synthesis length as epsilon
+        shrinks, which the resumed distance scan does not allow for: every
+        such config is a ConfigError naming ``synthesis.c0``."""
+        rng = random.Random(5)
+        for trial in range(400):
+            cfg, _ = random_selection_case(rng)
+            with pytest.raises(ConfigError, match=r"synthesis\.c0"):
+                dataclasses.replace(cfg, c0=-rng.uniform(0.01, 1.0),
+                                    c1=rng.uniform(10, 60), epsilon=None)
+
+    def test_synthesis_constants_in_range_agree(self):
+        """With c0 in [0, 1] the synthesis length grows as epsilon shrinks,
+        and the selection equals the reference, which scans every distance
+        from 3."""
         rng = random.Random(5)
         solved = 0
         for trial in range(400):
             cfg, est = random_selection_case(rng)
-            cfg = dataclasses.replace(cfg, c0=-rng.uniform(0.01, 1.0),
-                                      c1=rng.uniform(10, 60), epsilon=None)
+            c0 = 0.0 if trial % 10 == 0 else rng.uniform(0.0, 1.0)
+            cfg = dataclasses.replace(cfg, c0=c0, c1=rng.uniform(0.01, 60),
+                                      epsilon=None)
             try:
                 ref = select_by_fixed_point(cfg, est)
             except (EstimationError, ValueError) as exc:
