@@ -43,6 +43,10 @@ class TFactory:
         return 4 if self.has_20to4_layer else 1
 
 
+# Litinski's protocols (arXiv:1905.06903) with their outputs, footprints and
+# cycle counts at the physical error rate DEFAULT_FACTORIES_P: the rows do
+# not follow a config's own p.
+DEFAULT_FACTORIES_P = 1e-3
 DEFAULT_FACTORIES: tuple[TFactory, ...] = (
     TFactory("(15-to-1)_17,7,7", 4.5e-8, 64, 72, 4620, 42.6),
     TFactory("(15-to-1)^6_15,5,5 x (20-to-4)_23,11,13", 1.4e-10, 387, 155,

@@ -326,24 +326,29 @@ def _max_live_nodes(
     from the first sub-step that measures it or a neighbor (inputs from the
     start) until its own measurement, outputs until the end."""
     horizon = len(schedule) + 1
-    meas_time = {v: t + 1 for t, layer in enumerate(schedule) for v in layer}
-    create = [0] * n_input + [
-        meas_time.get(v, horizon) for v in range(n_input, n_nodes)]
+    meas = [horizon] * n_nodes
+    for t, layer in enumerate(schedule, 1):
+        for v in layer:
+            meas[v] = t
+    # Minima and maxima are taken inline: a builtin call per edge and per
+    # node costs more than the comparison.
+    create = [0] * n_input + meas[n_input:]
     for u, v in edges:
-        if u >= n_input:
-            create[u] = min(create[u], meas_time.get(v, horizon))
-        if v >= n_input:
-            create[v] = min(create[v], meas_time.get(u, horizon))
+        if u >= n_input and meas[v] < create[u]:
+            create[u] = meas[v]
+        if v >= n_input and meas[u] < create[v]:
+            create[v] = meas[u]
     # Node v is live on sub-steps max(create, 1)..its measurement (or the
     # horizon): count it with +1/-1 at the ends and take the peak prefix sum.
     delta = [0] * (horizon + 2)
-    for v in range(n_nodes):
-        delta[max(create[v], 1)] += 1
-        delta[meas_time.get(v, horizon) + 1] -= 1
+    for c, m in zip(create, meas):
+        delta[c if c > 1 else 1] += 1
+        delta[m + 1] -= 1
     peak = live = 0
-    for t in range(1, horizon + 1):
-        live += delta[t]
-        peak = max(peak, live)
+    for d in delta[1:horizon + 1]:
+        live += d
+        if live > peak:
+            peak = live
     return peak
 
 

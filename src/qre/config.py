@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .architecture import DEFAULT_FACTORIES, TFactory
+from .architecture import DEFAULT_FACTORIES, DEFAULT_FACTORIES_P, TFactory
 from .scalefit import SCALING_PRESETS
 from .thermal import DEFAULT_THERMAL, LineClass, ThermalConfig
 
@@ -186,7 +186,16 @@ def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchC
             else:
                 overrides[key] = _number(f"{source}: {section}.{key}",
                                          value, key in _INT_FIELDS)
-    return ArchConfig(**overrides)
+    try:
+        config = ArchConfig(**overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
+    if "factories" not in overrides and config.p != DEFAULT_FACTORIES_P:
+        warnings.warn(
+            f"{source}: physical.p is {config.p!r}, but the default factories "
+            f"are sized for p = {DEFAULT_FACTORIES_P!r}; give a factories "
+            f"section sized for this p")
+    return config
 
 
 # factories row key -> TFactory field

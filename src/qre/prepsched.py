@@ -23,9 +23,12 @@ passes, found without visiting the others:
   one descent, and accepting a star rekeys only its own nodes.
 - (b) centers whose neighbors at or below reach were all used this
   sub-step. Such a center's lowest uncovered neighbor is a used node, so a
-  per-sub-step heap collects the uncovered neighbors of each newly used node
-  that it is the lowest neighbor of; heap entries below the type (a)
-  candidate are tested in order and dropped when they fail.
+  per-sub-step heap collects centers v from each newly used node u: v is
+  pushed when it is an uncovered neighbor of u above reach, u is v's lowest
+  uncovered neighbor, and v keeps an uncovered neighbor above reach (one
+  without can never pass, as reach only grows and edges only go). Heap
+  entries below the type (a) candidate are tested in order and dropped
+  when they fail.
 """
 
 from __future__ import annotations
@@ -41,7 +44,8 @@ FAN_OUT_CAP = 4
 
 @dataclass(frozen=True)
 class PrepTuple:
-    """One star MPPO: center plus the neighbors it entangles this sub-step."""
+    """One star MPPO: center plus the neighbors it entangles this sub-step,
+    at least one and in ascending order."""
 
     center: int
     leaves: tuple[int, ...]
@@ -82,8 +86,17 @@ class PrepSchedule:
         return [e for t in self.all_tuples() for e in t.covered_edges()]
 
     def substep_spans(self) -> tuple[tuple[int, ...], ...]:
-        """Per sub-step, the d_max of each tuple (for cross-module counting)."""
-        return tuple(tuple(t.d_max for t in step) for step in self.sub_steps)
+        """Per sub-step, the d_max of each tuple (for cross-module counting),
+        read off each tuple's center and end leaves with no call per tuple."""
+        out = []
+        for step in self.sub_steps:
+            spans = []
+            for t in step:
+                c, leaves = t.center, t.leaves
+                lo, hi = leaves[0], leaves[-1]
+                spans.append((c if c > hi else hi) - (c if c < lo else lo))
+            out.append(tuple(spans))
+        return tuple(out)
 
 
 def schedule_preparation(
@@ -166,10 +179,13 @@ def schedule_preparation(
                     left, right = tree[2 * i], tree[2 * i + 1]
                     key = left if left > right else right
                 # A center whose lowest neighbor is unused cannot pass
-                # this sub-step, so u queues only the centers above reach
-                # whose lowest neighbor it is.
+                # this sub-step, nor can one with no neighbor above reach
+                # (reach only grows and edges only go), so u queues only
+                # the centers above reach whose lowest neighbor it is and
+                # that keep a neighbor above reach.
                 for v in nbrs[bisect_right(nbrs, reach):]:
-                    if unc[v][0] == u:
+                    nv = unc[v]
+                    if nv[0] == u and nv[-1] > reach:
                         heappush(waiting, v)
         assert step, "a fresh sub-step always fits at least one star"
         sub_steps.append(tuple(step))

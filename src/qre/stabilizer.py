@@ -6,8 +6,8 @@ i^{x_q z_q} X_q^{x_q} Z_q^{z_q}, so the (1,1) pair is Y. ``PauliRows``
 stores a set of rows by qubit column instead: x[q] and z[q] hold bit j for
 row j, and the signs of all rows are one int. A gate conjugation is then a
 few big-int operations per gate over all rows at once (the CHP update rules
-of Aaronson & Gottesman, looked up in a class-level table), and rows of
-any kind share one sweep: the compiler runs its byproduct frames and the
+of Aaronson & Gottesman, in one branch chain over the gate name), and rows
+of any kind share one sweep: the compiler runs its byproduct frames and the
 stabilizer tableau through the preparation ops together.
 
 ``graph_form`` reads the graph-state form straight from the tableau's
@@ -79,60 +79,59 @@ class PauliRows:
 
     # -- gate conjugation (columns) ------------------------------------------
 
-    def _h(self, q: int) -> None:
-        x, z = self.x, self.z
-        self.r ^= x[q] & z[q]
-        x[q], z[q] = z[q], x[q]
-
-    def _s(self, q: int) -> None:
-        x, z = self.x, self.z
-        self.r ^= x[q] & z[q]
-        z[q] ^= x[q]
-
-    def _sdg(self, q: int) -> None:
-        x, z = self.x, self.z
-        z[q] ^= x[q]
-        self.r ^= x[q] & z[q]
-
-    def _x(self, q: int) -> None:
-        self.r ^= self.z[q]
-
-    def _y(self, q: int) -> None:
-        self.r ^= self.x[q] ^ self.z[q]
-
-    def _z(self, q: int) -> None:
-        self.r ^= self.x[q]
-
-    def _cx(self, a: int, b: int) -> None:
-        x, z = self.x, self.z
-        self.r ^= x[a] & z[b] & ~(x[b] ^ z[a])
-        x[b] ^= x[a]
-        z[a] ^= z[b]
-
-    def _cz(self, a: int, b: int) -> None:
-        x, z = self.x, self.z
-        self.r ^= x[a] & x[b] & (z[a] ^ z[b])
-        z[a] ^= x[b]
-        z[b] ^= x[a]
-
-    def _swap(self, a: int, b: int) -> None:
-        x, z = self.x, self.z
-        x[a], x[b] = x[b], x[a]
-        z[a], z[b] = z[b], z[a]
-
-    _RULES = {"h": _h, "s": _s, "sdg": _sdg, "x": _x, "y": _y, "z": _z,
-              "cx": _cx, "cz": _cz, "swap": _swap}
-
     def apply(self, name: str, qubits: Sequence[int]) -> None:
         self.apply_ops(((name, qubits),))
 
     def apply_ops(self, ops: Iterable[tuple[str, tuple[int, ...]]]) -> None:
-        rules = self._RULES
-        for name, qubits in ops:
-            rule = rules.get(name)
-            if rule is None:
-                raise StabilizerError(f"no conjugation rule for gate {name!r}")
-            rule(self, *qubits)
+        """Conjugate every row by each op in turn. An unknown gate name
+        raises StabilizerError with the ops before it applied, signs too."""
+        # Most frequent compiled ops first; the sign is written back on a raise.
+        x, z, r = self.x, self.z, self.r
+        try:
+            for name, qubits in ops:
+                if name == "h":
+                    (q,) = qubits
+                    xq, zq = x[q], z[q]
+                    r ^= xq & zq
+                    x[q], z[q] = zq, xq
+                elif name == "cz":
+                    a, b = qubits
+                    xa, xb = x[a], x[b]
+                    r ^= xa & xb & (z[a] ^ z[b])
+                    z[a] ^= xb
+                    z[b] ^= xa
+                elif name == "cx":
+                    a, b = qubits
+                    xa, zb = x[a], z[b]
+                    r ^= xa & zb & ~(x[b] ^ z[a])
+                    x[b] ^= xa
+                    z[a] ^= zb
+                elif name == "s":
+                    (q,) = qubits
+                    r ^= x[q] & z[q]
+                    z[q] ^= x[q]
+                elif name == "sdg":
+                    (q,) = qubits
+                    z[q] ^= x[q]
+                    r ^= x[q] & z[q]
+                elif name == "x":
+                    (q,) = qubits
+                    r ^= z[q]
+                elif name == "z":
+                    (q,) = qubits
+                    r ^= x[q]
+                elif name == "y":
+                    (q,) = qubits
+                    r ^= x[q] ^ z[q]
+                elif name == "swap":
+                    a, b = qubits
+                    x[a], x[b] = x[b], x[a]
+                    z[a], z[b] = z[b], z[a]
+                else:
+                    raise StabilizerError(
+                        f"no conjugation rule for gate {name!r}")
+        finally:
+            self.r = r
 
 
 def stabilizer_after(ops: Iterable[tuple[str, tuple[int, ...]]], n: int) -> PauliRows:
@@ -192,12 +191,9 @@ class GraphForm:
         coordinate vector of the signs in the basis of the X columns."""
         t = self.tableau
         rows = PauliRows(list(t.x), list(t.z), t.r)
-        for q in bits(self.h_mask):
-            rows._h(q)
-        for q in bits(self.s_mask):
-            rows._s(q)
-        for u, v in self.edge_list:
-            rows._cz(u, v)
+        rows.apply_ops([*(("h", (q,)) for q in bits(self.h_mask)),
+                        *(("s", (q,)) for q in bits(self.s_mask)),
+                        *(("cz", e) for e in self.edge_list)])
         basis: Basis = {}
         for q, col in enumerate(rows.x):
             v, c = _reduce(basis, col, 1 << q)

@@ -77,6 +77,15 @@ class TestEstimate:
         assert rc == EXIT_INVALID
         assert "p_thresh" in capsys.readouterr().err
 
+    def test_invariant_config_error_names_the_file(self, qft3_path, tmp_path,
+                                                  capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text("synthesis:\n  c0: -0.5\n")
+        rc = main(["estimate", str(qft3_path), "--config", str(cfg)])
+        assert rc == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: synthesis.c0")
+
     def test_non_integral_fan_out_is_invalid(self, qft3_path, tmp_path,
                                              capsys):
         cfg = tmp_path / "frac.yaml"
@@ -406,6 +415,29 @@ class TestClosedOutput:
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_PIPE == 141
         assert err == b""
+
+
+class TestFactoryWarning:
+    def run(self, *args):
+        src = str(Path(qre.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "qre.cli", *args],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_changed_p_warns_on_stderr(self, qft3_path, tmp_path):
+        """The default factories assume p = 1e-3: an estimate at another p
+        still runs, with a warning on stderr; the default run prints none."""
+        cfg = tmp_path / "low.yaml"
+        cfg.write_text("physical:\n  p: 1.0e-4\n")
+        low = self.run("estimate", str(qft3_path), "--config", str(cfg))
+        assert low.returncode == EXIT_OK
+        assert f"{cfg}: physical.p is 0.0001, but the default factories" \
+            in low.stderr
+        default = self.run("estimate", str(qft3_path))
+        assert (default.returncode, default.stderr) == (EXIT_OK, "")
 
 
 class TestParser:

@@ -1,10 +1,11 @@
 """Tests for configuration loading and validation."""
 
 import math
+import warnings
 
 import pytest
 
-from qre.architecture import DEFAULT_FACTORIES
+from qre.architecture import DEFAULT_FACTORIES, DEFAULT_FACTORIES_P
 from qre.circuit import emit_qasm, generate_qft
 from qre.config import ArchConfig, ConfigError, config_from_mapping, load_config
 from qre.thermal import DEFAULT_THERMAL
@@ -75,10 +76,11 @@ class TestValidation:
 
 class TestSections:
     def test_physical_and_timing_overrides(self):
-        cfg = config_from_mapping({
-            "physical": {"p": 2e-3, "n_phys_per_module": 2_000_000},
-            "timing": {"t_decoder": 5e-7, "n_algo_reps": 3},
-        })
+        with pytest.warns(UserWarning, match="default factories"):
+            cfg = config_from_mapping({
+                "physical": {"p": 2e-3, "n_phys_per_module": 2_000_000},
+                "timing": {"t_decoder": 5e-7, "n_algo_reps": 3},
+            })
         assert cfg.p == 2e-3
         assert cfg.n_phys_per_module == 2_000_000
         assert cfg.t_decoder == 5e-7
@@ -193,6 +195,13 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert "synthesis.c0" in err and "synthesis.c1" in err
 
+    def test_invariant_error_names_the_source(self):
+        """A value that parses but breaks an invariant names the file, as a
+        malformed one does."""
+        with pytest.raises(ConfigError,
+                           match=r"^cfg\.yaml: synthesis\.c0 must be"):
+            config_from_mapping({"synthesis": {"c0": -0.5}}, source="cfg.yaml")
+
     def test_null_epsilon_means_solve(self):
         cfg = config_from_mapping({"synthesis": {"epsilon": None}})
         assert cfg.epsilon is None
@@ -294,7 +303,8 @@ class TestYamlFiles:
             "architecture:\n"
             "  p_algo_fail: 0.01\n"
             "  n_inter_pipes: 4\n")
-        cfg = load_config(path)
+        with pytest.warns(UserWarning, match="default factories"):
+            cfg = load_config(path)
         assert cfg.p == 5e-4
         assert (cfg.kappa, cfg.p_thresh) == (0.52, 0.14)
         assert cfg.p_algo_fail == 0.01
@@ -315,4 +325,37 @@ class TestYamlFiles:
         path = tmp_path / "bad.yaml"
         path.write_text("physical:\n  p: 0.5\n")
         with pytest.raises(ConfigError, match="p_thresh"):
+            load_config(path)
+
+
+class TestFactoryAssumption:
+    """The default factory rows hold for one physical error rate only."""
+
+    ROW = {"name": "tiny", "p_out": 1e-6, "width": 10, "length": 12,
+           "qubits": 120, "cycles": 10.0}
+
+    def test_reference_p_is_the_default_p(self):
+        assert DEFAULT_FACTORIES_P == ArchConfig().p == 1e-3
+
+    def test_changed_p_with_default_factories_warns(self):
+        with pytest.warns(UserWarning, match=r"^cfg\.yaml: physical\.p is "
+                          r"0\.0001, but the default factories are sized "
+                          r"for p = 0\.001"):
+            cfg = config_from_mapping({"physical": {"p": 1e-4}},
+                                      source="cfg.yaml")
+        assert cfg.p == 1e-4 and cfg.factories == DEFAULT_FACTORIES
+
+    @pytest.mark.parametrize("data", [
+        None, {}, {"physical": {"p": 1e-3, "t": 1e-8}},
+        {"physical": {"p": 1e-4}, "factories": [ROW]},
+    ], ids=["none", "empty", "reference-p", "own-factories"])
+    def test_no_warning(self, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config_from_mapping(data, source="cfg.yaml")
+
+    def test_load_config_warns_with_the_path(self, tmp_path):
+        path = tmp_path / "low.yaml"
+        path.write_text("physical:\n  p: 1.0e-4\n")
+        with pytest.warns(UserWarning, match="low.yaml: physical.p is"):
             load_config(path)

@@ -1,5 +1,6 @@
 """Tests for the greedy graph-preparation scheduler."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -103,6 +104,30 @@ class TestExamples:
     def test_determinism(self):
         edges = [(0, 3), (1, 2), (2, 3), (0, 1), (1, 3)]
         assert schedule_preparation(5, edges) == schedule_preparation(5, edges)
+
+
+def hub_and_spoke(n_spokes, hub, seed, p_chord=0.0):
+    """A hub joined to ``n_spokes`` spokes in index order, the hub placed
+    ``hub`` of the way along. Without chords most spokes have degree 1; a
+    seeded third start a chain of 1-3 fresh nodes that ends at the next
+    spoke, so the chain nodes sit between the spokes they join. With
+    ``p_chord``, each non-hub node also joins each of the second to fourth
+    non-hub nodes after it with that probability."""
+    rng = random.Random(seed)
+    order = ["spoke"]
+    for _ in range(n_spokes - 1):
+        if rng.random() < 1 / 3:
+            order += ["chain"] * rng.randint(1, 3)
+        order.append("spoke")
+    order.insert(round(hub * len(order)), "hub")
+    h = order.index("hub")
+    edges = [(h, v) for v, kind in enumerate(order) if kind == "spoke"]
+    rest = [v for v in range(len(order)) if v != h]
+    edges += [(a, b) for a, b in zip(rest, rest[1:])
+              if "chain" in (order[a], order[b])]
+    edges += [(a, b) for i, a in enumerate(rest) for b in rest[i + 2:i + 5]
+              if rng.random() < p_chord]
+    return len(order), edges
 
 
 @st.composite
@@ -231,3 +256,30 @@ class TestOnCompiledWidgets:
             s = schedule_preparation(cw.n_nodes, cw.edges, fan_out=fan_out)
             assert stars(s) == schedule_by_rescan(cw.n_nodes, cw.edges,
                                                   fan_out)
+
+    def test_qft24_matches_rescanning_reference(self):
+        cw = compile_widget(transpile(generate_qft(24)))
+        s = schedule_preparation(cw.n_nodes, cw.edges, fan_out=4)
+        assert stars(s) == schedule_by_rescan(cw.n_nodes, cw.edges, 4)
+
+    def test_qft64_schedule_size(self):
+        cw = compile_widget(transpile(generate_qft(64)))
+        s = schedule_preparation(cw.n_nodes, cw.edges)
+        assert (s.n_sub_steps, len(s.all_tuples())) == (1770, 2592)
+
+
+class TestHubGraphs:
+    """Hubs of high degree leave many centers whose lowest neighbor is used
+    but whose other neighbors all lie at or below reach: the type (b)
+    candidates the push rule leaves out of the heap."""
+
+    @pytest.mark.parametrize("p_chord", [0.0, 0.3])
+    @pytest.mark.parametrize("hub", [0, 0.5, 1])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_rescanning_reference(self, hub, seed, p_chord):
+        n, edges = hub_and_spoke(40 + 5 * seed, hub, seed, p_chord)
+        degree = Counter(u for e in edges for u in e)
+        assert max(degree.values()) >= 40
+        for fan_out in range(1, 6):
+            s = schedule_preparation(n, edges, fan_out=fan_out)
+            assert stars(s) == schedule_by_rescan(n, edges, fan_out)

@@ -110,6 +110,21 @@ class TestDispatch:
         with pytest.raises(StabilizerError, match="'t'"):
             rows.apply_ops([("h", (0,)), ("t", (1,))])
 
+    def test_unknown_gate_keeps_the_ops_before_it(self):
+        """The columns and the signs of a failed sweep equal those of its
+        prefix alone: the ops before the bad one stay applied."""
+        prefix = [("h", (0,)), ("s", (1,)), ("cx", (1, 2)), ("y", (2,)),
+                  ("cz", (0, 2)), ("sdg", (0,)), ("x", (1,)),
+                  ("swap", (0, 1)), ("z", (2,))]
+        start = stabilizer_after([("h", (1,)), ("s", (1,))], 3)
+        want = PauliRows(list(start.x), list(start.z), start.r)
+        want.apply_ops(prefix)
+        assert want.r != start.r
+        rows = PauliRows(list(start.x), list(start.z), start.r)
+        with pytest.raises(StabilizerError, match="'ccz'"):
+            rows.apply_ops(prefix + [("ccz", (0, 1, 2)), ("h", (2,))])
+        assert (rows.x, rows.z, rows.r) == (want.x, want.z, want.r)
+
     def test_error_inside_a_rule_is_not_relabeled(self):
         """An AttributeError raised by a rule is the rule's own error, not a
         missing rule."""
