@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__
@@ -217,8 +218,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None) -> None:
+    """Print a warning as one ``warning: <message>`` line on stderr, without
+    the source location and line that Python's default format adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the parsed command; map its failures to exit codes."""
     try:
         status = args.func(args)
         sys.stdout.flush()  # so a closed pipe fails here, not at exit

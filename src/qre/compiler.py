@@ -19,12 +19,14 @@ dense check of the whole construction, ``verify_unitarity``, lives in
 ``compile_widget`` is pure. What estimation reads of a compiled and
 prep-scheduled widget is a ``WidgetRecord``. The disk cache stores those
 records one JSON file per distinct set of widgets (``load_cached``/
-``save_cached``), each record under its widget's gate-list digest, so a
-plan's widgets cost one read and one write. The records' sequence totals
-are the estimator's (``CompiledAlgorithm.est``). Beside the set records
-the cache keeps one ``PlanRecord`` per input file and split thresholds
-(``load_plan``/``save_plan``); both kinds share one atomic write and one
-validated read.
+``save_cached``), so a plan's widgets cost one read and one write. The
+file is columnar: the widgets' gate-list digests in one list, and one list
+per ``WidgetRecord`` field in digest order, so a read validates each
+field once per set, over its column, not once per record. The records'
+sequence totals are the estimator's (``CompiledAlgorithm.est``). Beside
+the set records the cache keeps one ``PlanRecord`` per input file and
+split thresholds (``load_plan``/``save_plan``); both kinds share one
+atomic write and one validated read.
 The fields that only verification and the tests read are the preparation
 ops, the measurement angles and two derived on first read from the kept
 masks: the per-gadget frames (``CompiledWidget.frames``) and the local
@@ -38,8 +40,9 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -57,7 +60,7 @@ from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 from .widgetizer import PlanRecord, SplitCriterion
 
 CACHE_ENV = "QRE_CACHE_DIR"
-CACHE_FORMAT = 5
+CACHE_FORMAT = 6
 # The rule that derives a plan from its source, part of every plan key, so
 # that a plan record written under another rule is never read. Rule 1 gave a
 # flat QASM file the width of its widest gate; rule 2 gives it its declared
@@ -369,56 +372,81 @@ def widget_set_key(digests: Iterable[str], n_input: int, fan_out: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+# The set record's columns, one per ``WidgetRecord`` field in field order:
+# the counts, the node lists, and the preparation spans (per record a list
+# of sub-steps, each a list of integer spans).
 _RECORD_COUNTS = ("n_input", "n_nodes", "n_edges", "n_consump_steps",
                   "n_logical", "n_clifford")
+_RECORD_NODES = ("output_nodes", "t_nodes", "rz_nodes")
+_RECORD_FIELDS = tuple(f.name for f in fields(WidgetRecord))
 
 
-def _ints(values: object) -> tuple[int, ...]:
-    if type(values) is not list or not set(map(type, values)) <= {int}:
-        raise TypeError("expected a list of integers")
-    return tuple(values)
-
-
-def _from_dict(payload: dict) -> WidgetRecord:
-    """Rebuild a record; TypeError unless every count is an integer and
-    every node or span list a list of integers."""
-    counts = {name: payload[name] for name in _RECORD_COUNTS}
-    if not set(map(type, counts.values())) <= {int}:
-        raise TypeError("record counts must be integers")
-    return WidgetRecord(
-        **counts,
-        output_nodes=_ints(payload["output_nodes"]),
-        t_nodes=_ints(payload["t_nodes"]),
-        rz_nodes=_ints(payload["rz_nodes"]),
-        prep_spans=tuple(map(_ints, payload["prep_spans"])),
-    )
+def _all(kind: type, values: Iterable[object]) -> bool:
+    """Whether every value is exactly of type ``kind`` (a bool is not an
+    int, and 1.0 not an int)."""
+    return set(map(type, values)) <= {kind}
 
 
 def save_cached(directory: str | Path, key: str,
                 records: Mapping[str, WidgetRecord]) -> Path:
     """Write a widget set's ``records``, by digest, under ``key`` (see
-    ``_save_entry``)."""
-    return _save_entry(directory, "widgets", key, {
-        "widgets": {digest: vars(record)
-                    for digest, record in records.items()}})
+    ``_save_entry``), as columns: ``digests`` lists the digests, and each
+    ``WidgetRecord`` field has one list of its values in digest order."""
+    columns: dict[str, list] = {"digests": list(records)}
+    for name in _RECORD_FIELDS:
+        columns[name] = [getattr(record, name) for record in records.values()]
+    return _save_entry(directory, "widgets", key, columns)
 
 
 def load_cached(directory: str | Path,
                 key: str) -> dict[str, WidgetRecord] | None:
     """The widget records, by digest, of the set stored under ``key``, or
-    None (see ``_load_entry``) when the set record or any record in it is
-    missing or malformed: the caller then recompiles the whole set and
+    None (see ``_load_entry``) when the set record is missing or any of
+    its columns malformed: the caller then recompiles the whole set and
     overwrites it."""
     return _load_entry(directory, "widgets", key, _set_from_dict)
 
 
 def _set_from_dict(payload: dict) -> dict[str, WidgetRecord]:
-    """Rebuild a set's records; TypeError unless ``widgets`` is an object
-    and every record in it one that ``_from_dict`` rebuilds."""
-    records = payload["widgets"]
-    if type(records) is not dict:
-        raise TypeError("widgets must be an object")
-    return {digest: _from_dict(fields) for digest, fields in records.items()}
+    """Rebuild a set's records from its columns; TypeError unless the
+    digests are distinct strings, every field's column is a list as long,
+    every count an integer and every node list and preparation sub-step a
+    list of integers. Each check runs once over a whole column, and each
+    record is built without the frozen dataclass's ``__init__``, which
+    sets every field through ``object.__setattr__``."""
+    digests = payload["digests"]
+    if (type(digests) is not list or not _all(str, digests)
+            or len(set(digests)) != len(digests)):
+        raise TypeError("digests must be distinct strings")
+    columns = {name: payload[name] for name in _RECORD_FIELDS}
+    if not _all(list, columns.values()) or any(
+            len(column) != len(digests) for column in columns.values()):
+        raise TypeError("every column must be a list, one value per digest")
+    if not _all(int, chain.from_iterable(
+            columns[name] for name in _RECORD_COUNTS)):
+        raise TypeError("record counts must be integers")
+    for name in _RECORD_NODES:
+        columns[name] = _int_lists(columns[name])
+    spans = columns["prep_spans"]
+    if not _all(list, spans):
+        raise TypeError("preparation spans must be lists of sub-steps")
+    steps = iter(_int_lists(chain.from_iterable(spans)))
+    columns["prep_spans"] = [tuple(islice(steps, len(record)))
+                             for record in spans]
+    records = {}
+    for digest, values in zip(digests, zip(*columns.values())):
+        record = object.__new__(WidgetRecord)
+        record.__dict__.update(zip(_RECORD_FIELDS, values))
+        records[digest] = record
+    return records
+
+
+def _int_lists(lists: Iterable[object]) -> list[tuple[int, ...]]:
+    """``lists`` as tuples; TypeError unless each is a list of integers."""
+    lists = list(lists)
+    if not _all(list, lists) or not _all(int, chain.from_iterable(lists)):
+        raise TypeError("expected lists of integers")
+    return list(map(tuple, lists))
 
 
 def plan_key(source_digest: str, criterion: SplitCriterion) -> str:

@@ -434,10 +434,20 @@ class TestFactoryWarning:
         cfg.write_text("physical:\n  p: 1.0e-4\n")
         low = self.run("estimate", str(qft3_path), "--config", str(cfg))
         assert low.returncode == EXIT_OK
-        assert f"{cfg}: physical.p is 0.0001, but the default factories" \
-            in low.stderr
+        assert low.stderr == (
+            f"warning: {cfg}: physical.p is 0.0001, but the default "
+            f"factories are sized for p = 0.001; give a factories section "
+            f"sized for this p\n")
         default = self.run("estimate", str(qft3_path))
         assert (default.returncode, default.stderr) == (EXIT_OK, "")
+
+    def test_unknown_key_warns_on_one_line(self, qft3_path, tmp_path):
+        cfg = tmp_path / "typo.yaml"
+        cfg.write_text("physical:\n  colour: red\n")
+        run = self.run("estimate", str(qft3_path), "--config", str(cfg))
+        assert run.returncode == EXIT_OK
+        assert run.stderr == f"warning: {cfg}: unknown key physical.colour " \
+            "ignored\n"
 
 
 class TestParser:

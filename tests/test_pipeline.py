@@ -4,14 +4,15 @@ import hashlib
 import json
 import sys
 import threading
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from oracles import pipe_sweep_per_point
 from pool import REFS, benchmark_inputs, benchmark_pool_circuit
-from qre import cli, compiler, pipeline, widgetizer
+from qre import cli, compiler, estimator, pipeline, widgetizer
 from qre.architecture import EstimationError
 from qre.circuit import (
     CircuitError,
@@ -216,18 +217,49 @@ def refuse(name):
     return refused
 
 
+def _record(n_nodes, t_nodes=(), rz_nodes=(), prep_spans=()):
+    return compiler.WidgetRecord(
+        n_input=2, n_nodes=n_nodes, n_edges=n_nodes - 1,
+        output_nodes=(n_nodes - 2, n_nodes - 1), t_nodes=t_nodes,
+        rz_nodes=rz_nodes, n_consump_steps=len(t_nodes) + len(rz_nodes),
+        n_logical=n_nodes, n_clifford=3, prep_spans=prep_spans)
+
+
+# Widget sets by digest: one widget; one with no T, no Rz and no preparation
+# sub-step; such a widget beside ones whose sub-steps differ in length.
+HAND_MADE_SETS = {
+    "single": {"a" * 64: _record(5, (2,), (3,), ((1, 2), (4,)))},
+    "empty": {"b" * 64: _record(2)},
+    "mixed": {"c" * 64: _record(6, (2, 4), (), ((1,), (2, 2, 5), ())),
+              "d" * 64: _record(2),
+              "e" * 64: _record(4, (), (2,), ((3, 1),))},
+}
+
+
+def _all_ints(values):
+    return type(values) is tuple and all(type(v) is int for v in values)
+
+
+# The timing section of each small-module config of the warm-run test: the
+# default inter-module time, under which no report row depends on the
+# preparation crossings, and a slow one, under which 7 rows of pool circuit
+# 3 do.
+WARM_TIMING = {"small": "", "slow-links": "timing:\n  t_inter: 1.0e-4\n"}
+
+
 class TestWidgetCache:
     @pytest.mark.parametrize("circuit", ["qft3", "pool3"])
-    @pytest.mark.parametrize("modules", ["default", "small"])
+    @pytest.mark.parametrize("modules", ["default", "small", "slow-links"])
     def test_warm_run_compiles_nothing_and_matches_cold(
             self, circuit, modules, qft3_path, pool3_path, tmp_path,
             monkeypatch):
         path = qft3_path if circuit == "qft3" else pool3_path
         config_path = None
-        if modules == "small":
+        if modules != "default":
             # several modules per leg: the crossings read the cached spans
             config_path = tmp_path / "small.yaml"
-            config_path.write_text("physical:\n  n_phys_per_module: 250000\n")
+            config_path.write_text("physical:\n  n_phys_per_module: 250000\n"
+                                   + WARM_TIMING[modules])
         cache = tmp_path / "cache"
         uncached = estimate_and_sweep(path, config_path, None)
         cold = estimate_and_sweep(path, config_path, cache)
@@ -235,10 +267,57 @@ class TestWidgetCache:
             monkeypatch.setattr(pipeline, name, refuse(name))
         warm = estimate_and_sweep(path, config_path, cache)
         assert warm == cold == uncached
-        if modules == "small" and circuit == "pool3":
+        if modules != "default" and circuit == "pool3":
             result = run_estimate(path, config_path=config_path,
                                   cache_dir=cache)
             assert result.selection.layout.n_per_leg > 1
+        if modules == "slow-links" and circuit == "pool3":
+            # Here the crossings move the report, so a warm run that
+            # decoded the spans wrongly would not match the cold one.
+            monkeypatch.setattr(estimator, "substep_crossings",
+                                lambda spans, n_logical: Counter())
+            dropped = run_estimate(path, config_path=config_path,
+                                   cache_dir=cache)
+            rows = zip(render_csv(result.report).splitlines(),
+                       render_csv(dropped.report).splitlines())
+            assert sum(row != other for row, other in rows) == 7
+
+    def test_every_column_is_checked(self):
+        """Each ``WidgetRecord`` field is a count, a node list or the
+        preparation spans, so the set reader validates every column."""
+        assert set(compiler._RECORD_FIELDS) == {
+            *compiler._RECORD_COUNTS, *compiler._RECORD_NODES, "prep_spans"}
+
+    @pytest.mark.parametrize("name", [f"nested{s}" for s in range(16)]
+                             + ["qft3", "qft8", "qft20", "single", "empty",
+                                "mixed"])
+    def test_load_of_a_save_returns_the_records(self, name, bench_inputs,
+                                                config, tmp_path):
+        """``load_cached`` of ``save_cached(records)`` gives the records
+        back equal, in their order and with every list a tuple."""
+        if name in HAND_MADE_SETS:
+            records = HAND_MADE_SETS[name]
+        else:
+            if name.startswith("nested"):
+                path = tmp_path / f"{name}.json"
+                path.write_text(bench_inputs[name][1])
+                plan = load_circuit(path, config).plan
+            else:
+                n = int(name.removeprefix("qft"))
+                plan = WidgetPlan.from_sequence(n, {"w0": generate_qft(n)},
+                                                ["w0"])
+            compiled = compile_plan(plan, config).compiled
+            records = {plan.digest(wid): compiled[wid] for wid in plan.ids}
+        compiler.save_cached(tmp_path, "k", records)
+        loaded = compiler.load_cached(tmp_path, "k")
+        assert loaded == records
+        assert list(loaded) == list(records)
+        for record in loaded.values():
+            assert type(record) is compiler.WidgetRecord
+            assert _all_ints(record.output_nodes)
+            assert _all_ints(record.t_nodes) and _all_ints(record.rz_nodes)
+            assert type(record.prep_spans) is tuple
+            assert all(map(_all_ints, record.prep_spans))
 
     def test_fan_out_keys_separate_entries(self, pool3_path, tmp_path):
         cache = tmp_path / "cache"
@@ -256,9 +335,13 @@ class TestWidgetCache:
 
     @pytest.mark.parametrize("content", ["[]", "null", '"x"', "{}", "",
                                          "format-2", "other-key", "missing",
-                                         "directory", "t_nodes", "n_nodes",
-                                         "n_logical", "prep_spans",
-                                         "widgets", "record", "no-record"])
+                                         "missing-digests", "directory",
+                                         "t_nodes", "n_nodes", "n_logical",
+                                         "prep_spans", "widgets", "record",
+                                         "no-record", "short-column",
+                                         "long-column", "duplicate-digest",
+                                         "digest-type", "true-count",
+                                         "float-count", "sub-step"])
     def test_bad_entry_is_recomputed_and_overwritten(
             self, content, qft3_path, config, tmp_path):
         cache = tmp_path / "cache"
@@ -266,34 +349,54 @@ class TestWidgetCache:
         fresh = compile_plan(plan, config).compiled
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
-        good = json.loads(entry.read_text())
+        good = entry.read_text()  # text: a 1.0 left in place equals 1
+        assert json.loads(good)["digests"] == [plan.digest("w0")]
+        assert json.loads(good)["prep_spans"][0]  # a sub-step to break
         if content == "directory":
             entry.unlink()
             entry.mkdir()
         else:
             bad = json.loads(entry.read_text())
-            (record,) = bad["widgets"].values()
+            columns = ["digests", *(f.name for f in fields(compiler.WidgetRecord))]
             if content == "format-2":
                 bad["format"] = 2
             elif content == "other-key":
                 bad["key"] = "0" * 32
-            elif content == "missing":
-                del record["prep_spans"]
-            elif content == "widgets":
-                bad["widgets"] = [record]
-            elif content == "record":
-                bad["widgets"] = {plan.digest("w0"): [record]}
+            elif content == "missing":  # a field's column
+                del bad["prep_spans"]
+            elif content == "missing-digests":
+                del bad["digests"]
+            elif content == "widgets":  # digests as an object, not a list
+                bad["digests"] = {plan.digest("w0"): 0}
+            elif content == "record":  # a column as an object, not a list
+                bad["n_nodes"] = {plan.digest("w0"): bad["n_nodes"][0]}
             elif content == "no-record":
-                bad["widgets"] = {}
-            elif content in record:  # right key and format, wrong type
-                record[content] = {"t_nodes": "abcdefgh", "n_nodes": "12",
-                                   "n_logical": True,
-                                   "prep_spans": [[1, "2"]]}[content]
+                for name in columns:
+                    bad[name] = []
+            elif content == "short-column":
+                bad["n_edges"] = []
+            elif content == "long-column":
+                bad["rz_nodes"].append([])
+            elif content == "duplicate-digest":  # every column doubled
+                for name in columns:
+                    bad[name] = bad[name] * 2
+            elif content == "digest-type":
+                bad["digests"] = [7]
+            elif content == "true-count":
+                bad["n_edges"] = [True]
+            elif content == "float-count":
+                bad["n_clifford"] = [float(bad["n_clifford"][0])]
+            elif content == "sub-step":  # a sub-step that is not a list
+                bad["prep_spans"][0][0] = 1
+            elif content in bad:  # right key and format, wrong type
+                bad[content] = [{"t_nodes": "abcdefgh", "n_nodes": "12",
+                                 "n_logical": True,
+                                 "prep_spans": [[1, "2"]]}[content]]
             else:
                 bad = None
             entry.write_text(content if bad is None else json.dumps(bad))
         assert compile_plan(plan, config, cache).compiled == fresh
-        assert json.loads(entry.read_text()) == good
+        assert entry.read_text() == good
         assert cache_entries(cache) == [entry.name]
 
     def test_bad_entry_does_not_fail_the_cli(self, qft3_path, tmp_path,
@@ -322,20 +425,20 @@ class TestWidgetCache:
 
     def test_format_3_entry_is_recomputed_and_overwritten(
             self, qft3_path, config, tmp_path):
-        """An entry of an older format (3, and 4, the last one with a
-        record per widget) is never read, even under the current key."""
+        """An entry of an older format (3; 4, the last one with a record
+        per widget; 5, the last one with a record per widget inside the
+        set record) is never read, even under the current key."""
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
         fresh = compile_plan(plan, config).compiled["w0"]
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         payload = json.loads(entry.read_text())
-        assert payload["format"] == compiler.CACHE_FORMAT == 5
-        for old in (3, 4):
+        assert payload["format"] == compiler.CACHE_FORMAT == 6
+        for old in (3, 4, 5):
             stale = json.loads(entry.read_text())
             stale["format"] = old
-            (record,) = stale["widgets"].values()
-            record["n_nodes"] += 1  # a stale record must not be read
+            stale["n_nodes"][0] += 1  # a stale record must not be read
             entry.write_text(json.dumps(stale))
             assert compile_plan(plan, config, cache).compiled["w0"] == fresh
             assert json.loads(entry.read_text()) == payload
@@ -350,7 +453,7 @@ class TestWidgetCache:
         key = compiler.widget_set_key(digests, plan.n_input, config.fan_out)
         assert cache_entries(tmp_path) == [f"widgets-{key}.json"]
         payload = json.loads((tmp_path / f"widgets-{key}.json").read_text())
-        assert set(payload["widgets"]) == digests
+        assert set(payload["digests"]) == digests
         assert len(digests) == plan.n_distinct_widgets == 120
 
     def test_save_creates_a_missing_directory_on_first_write(
@@ -645,7 +748,9 @@ class TestPlanRecord:
         (entry,) = cache.glob("widgets-*.json")
         good = json.loads(entry.read_text())
         bad = json.loads(entry.read_text())
-        del bad["widgets"][plan.digest(list(plan.widgets)[7])]
+        k = bad["digests"].index(plan.digest(list(plan.widgets)[7]))
+        for name in ("digests", *(f.name for f in fields(compiler.WidgetRecord))):
+            del bad[name][k]
         entry.write_text(json.dumps(bad))
         loads = counting(monkeypatch, pipeline, "load_circuit")
         compiled = counting(monkeypatch, pipeline, "compile_widget")
