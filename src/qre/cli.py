@@ -46,11 +46,15 @@ VERIFY_TOLERANCE = 1e-9
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    result = run_estimate(args.circuit, args.config, args.out_dir,
-                          args.cache_dir)
+    result = run_estimate(args.circuit, args.config, args.cache_dir)
+    text = render_csv(result.report)
+    if args.out_dir is not None:
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "report.csv").write_text(text)
     print(render_console(result.report))
     if args.csv:
-        Path(args.csv).write_text(render_csv(result.report))
+        Path(args.csv).write_text(text)
     return EXIT_OK
 
 
@@ -85,6 +89,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     config = load_config(args.config)
     loaded = load_circuit(args.circuit, config)
     worst = min(verify_circuit(loaded, seed=args.seed + i)

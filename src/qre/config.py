@@ -108,10 +108,11 @@ class ArchConfig:
             raise ConfigError("; ".join(problems))
 
 
-# section -> its ArchConfig fields, each read from the YAML key of its name
+# section -> its keys: ArchConfig fields, each read from the YAML key of its
+# name, and scaling's preset, which sets kappa and p_thresh
 _SECTIONS: dict[str, set[str]] = {
     "physical": {"p", "t", "n_phys_per_module"},
-    "scaling": {"kappa", "p_thresh"},
+    "scaling": {"kappa", "p_thresh", "preset"},
     "timing": {"t_inter", "t_decoder", "n_algo_reps"},
     "synthesis": {"c0", "c1", "epsilon"},
     "architecture": {"p_algo_fail", "n_inter_pipes", "qubit_pitch",
@@ -169,18 +170,17 @@ def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchC
             continue
         if not isinstance(content, dict):
             raise ConfigError(f"{source}: section {section!r} must be a mapping")
+        _warn_unknown(source, section, content, known)
         for key, value in content.items():
-            if section == "scaling" and key == "preset":
+            if key not in known:
+                continue
+            if key == "preset":
                 preset = SCALING_PRESETS.get(str(value))
                 if preset is None:
                     raise ConfigError(
                         f"{source}: unknown scaling preset {value!r}; "
                         f"choices: {sorted(SCALING_PRESETS)}")
                 overrides["kappa"], overrides["p_thresh"] = preset
-                continue
-            if key not in known:
-                warnings.warn(
-                    f"{source}: unknown key {section}.{key} ignored")
             elif key == "epsilon" and value is None:
                 overrides[key] = None  # solve for it
             else:
@@ -198,6 +198,14 @@ def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchC
     return config
 
 
+def _warn_unknown(source: str, where: str, mapping: dict, known) -> None:
+    """Warn about each key of ``mapping`` not in ``known``, in the file's
+    order, so the warnings do not depend on the hash seed."""
+    for key in mapping:
+        if key not in known:
+            warnings.warn(f"{source}: unknown key {where}.{key} ignored")
+
+
 # factories row key -> TFactory field
 _FACTORY_FIELDS = {"p_out": "p_out", "width": "l_width", "length": "l_length",
                    "qubits": "q_phys", "cycles": "cycles"}
@@ -210,9 +218,8 @@ def _parse_factories(content, source: str) -> tuple[TFactory, ...]:
     for i, row in enumerate(content):
         if not isinstance(row, dict):
             raise ConfigError(f"{source}: factories[{i}] must be a mapping")
-        known = {"name", *_FACTORY_FIELDS}
-        for key in row.keys() - known:
-            warnings.warn(f"{source}: unknown key factories[{i}].{key} ignored")
+        _warn_unknown(source, f"factories[{i}]", row,
+                      {"name", *_FACTORY_FIELDS})
         missing = [key for key in (*_FACTORY_FIELDS, "name") if key not in row]
         if missing:
             raise ConfigError(
@@ -241,6 +248,7 @@ def _parse_thermal(content, source: str) -> ThermalConfig:
         "p_decoding_core": DEFAULT_THERMAL.p_decoding_core,
     }
     lines = {c.name: c for c in DEFAULT_THERMAL.lines}
+    _warn_unknown(source, "thermal", content, {*kwargs, "lines"})
     for key, value in content.items():
         if key in kwargs:
             kwargs[key] = _number(f"{source}: thermal.{key}", value)
@@ -256,9 +264,8 @@ def _parse_thermal(content, source: str) -> ThermalConfig:
                 if not isinstance(entry, dict):
                     raise ConfigError(
                         f"{source}: thermal.lines.{name} must be a mapping")
-                for k in entry.keys() - set(_LINE_FIELDS):
-                    warnings.warn(
-                        f"{source}: unknown key thermal.lines.{name}.{k} ignored")
+                _warn_unknown(source, f"thermal.lines.{name}", entry,
+                              _LINE_FIELDS)
                 loads = {k: _number(f"{source}: thermal.lines.{name}.{k}",
                                     entry.get(k, getattr(base, k)))
                          for k in _LINE_FIELDS}
@@ -267,8 +274,6 @@ def _parse_thermal(content, source: str) -> ThermalConfig:
                 except ValueError as exc:
                     raise ConfigError(
                         f"{source}: thermal.lines.{name}: {exc}") from exc
-        else:
-            warnings.warn(f"{source}: unknown key thermal.{key} ignored")
     try:
         return ThermalConfig(lines=tuple(lines.values()), **kwargs)
     except ValueError as exc:

@@ -23,14 +23,13 @@ preparation fan-out; inputs with the same widgets, such as one circuit at
 several root repeats, share it. A warm run reads the plan record and then
 the one set record it names, so it parses, widgetizes, transpiles,
 compiles and schedules nothing. If either misses or is malformed, the run
-loads the source, and ``compile_plan`` reads the set record (unless it
-has just missed) or else compiles every widget and writes the set record
-anew; then the plan record is written anew. A set record lacking one
-widget is a miss as a whole, so inputs whose widget sets only partly
-overlap share no record. ``load_circuit`` itself never reads the cache, so
-neither ``verify`` nor ``widgetize`` does. ``verify_circuit`` compiles
-every distinct widget afresh, since it needs the fields the record leaves
-out.
+loads the source, and ``compile_plan`` reads the set record or else
+compiles every widget and writes the set record anew; then the plan record
+is written anew. A set record lacking one widget is a miss as a whole, so
+inputs whose widget sets only partly overlap share no record.
+``load_circuit`` itself never reads the cache, so neither ``verify`` nor
+``widgetize`` does. ``verify_circuit`` compiles every distinct widget
+afresh, since it needs the fields the record leaves out.
 
 Each distinct config is solved once per compiled algorithm
 (``CompiledAlgorithm.selections``), so a sweep reuses the estimate's solve.
@@ -66,7 +65,7 @@ from .estimator import (
     solve_distance_and_factory,
 )
 from .prepsched import schedule_preparation
-from .report import ResourceReport, assemble_report, render_csv
+from .report import ResourceReport, assemble_report
 from .scalefit import SCALING_PRESETS
 from .widgetizer import (
     PlanRecord,
@@ -175,14 +174,12 @@ def compile_circuit(
     With a cache directory (``cache_dir`` or the QRE_CACHE_DIR variable),
     a warm run reads the input's plan record and the set record of its
     widgets, and parses nothing. If either misses or is malformed, the run
-    loads the source, compiles the plan and writes the plan record anew.
-    A plan hit whose set record missed compiles at once: the source gives
-    the same widgets, so their set record is not read a second time.
+    loads the source, compiles the plan through ``compile_plan`` and writes
+    the plan record anew.
     """
     data = Path(path).read_bytes()
     source_digest = hashlib.sha256(data).hexdigest()
     directory = _cache_directory(cache_dir)
-    record = None
     if directory:
         key = compiler.plan_key(source_digest, _criterion(config))
         record = compiler.load_plan(directory, key)
@@ -191,8 +188,7 @@ def compile_circuit(
             if records is not None:
                 return CompiledAlgorithm(record, records), source_digest
     plan = load_circuit(path, config, data).plan
-    algo = (compile_plan(plan, config, directory) if record is None
-            else _compile_and_save(plan, config, directory))
+    algo = compile_plan(plan, config, directory)
     if directory:
         compiler.save_plan(directory, key, plan)
     return algo, source_digest
@@ -230,21 +226,13 @@ def compile_plan(
     written anew."""
     directory = _cache_directory(cache_dir)
     records = _cached_set(plan, config, directory) if directory else None
-    if records is not None:
-        return CompiledAlgorithm(plan, records)
-    return _compile_and_save(plan, config, directory)
-
-
-def _compile_and_save(plan: WidgetPlan, config: ArchConfig,
-                      directory: str | Path | None) -> CompiledAlgorithm:
-    """Compile every distinct widget of ``plan`` and, given a cache
-    directory, write their set record."""
-    records = {wid: _widget_record(gates, plan.n_input, config.fan_out)
-               for wid, gates in plan.widgets.items()}
-    if directory:
-        compiler.save_cached(directory, _set_key(plan, config),
-                             {plan.digest(wid): record
-                              for wid, record in records.items()})
+    if records is None:
+        records = {wid: _widget_record(gates, plan.n_input, config.fan_out)
+                   for wid, gates in plan.widgets.items()}
+        if directory:
+            compiler.save_cached(directory, _set_key(plan, config),
+                                 {plan.digest(wid): record
+                                  for wid, record in records.items()})
     return CompiledAlgorithm(plan, records)
 
 
@@ -284,10 +272,9 @@ def _config_hash(config: ArchConfig) -> str:
 def run_estimate(
     circuit_path: str | Path,
     config_path: str | Path | None = None,
-    out_dir: str | Path | None = None,
     cache_dir: str | Path | None = None,
 ) -> EstimateResult:
-    """Full run from files; writes report.csv under out_dir when given."""
+    """Full run from files: the report and what it was built from."""
     config = load_config(config_path)
     algo, source_digest = compile_circuit(circuit_path, config, cache_dir)
     sel = _select(algo, config)
@@ -298,10 +285,6 @@ def run_estimate(
         "tool_version": __version__,
     }
     report = assemble_report(config, algo, sel, timing, provenance)
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text(render_csv(report))
     return EstimateResult(report, config, algo, sel, timing)
 
 

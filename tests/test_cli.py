@@ -18,7 +18,8 @@ from qre.cli import (
     EXIT_PIPE,
     main,
 )
-from qre.report import parse_csv
+from qre.pipeline import run_estimate
+from qre.report import parse_csv, render_csv
 
 
 @pytest.fixture(scope="module")
@@ -55,10 +56,18 @@ class TestEstimate:
         assert len(report.rows) == 49
 
     def test_out_dir(self, qft3_path, tmp_path):
-        out_dir = tmp_path / "artifacts"
-        rc = main(["estimate", str(qft3_path), "--out-dir", str(out_dir)])
+        """--out-dir makes its directory and writes report.csv; with --csv
+        too, both files hold the report's CSV."""
+        out_dir = tmp_path / "artifacts" / "new"
+        csv_path = tmp_path / "report.csv"
+        rc = main(["estimate", str(qft3_path), "--out-dir", str(out_dir),
+                   "--csv", str(csv_path)])
         assert rc == EXIT_OK
-        assert (out_dir / "report.csv").exists()
+        text = (out_dir / "report.csv").read_text()
+        assert csv_path.read_text() == text
+        report = run_estimate(qft3_path).report
+        assert text == render_csv(report)
+        assert parse_csv(text) == report
 
     def test_missing_circuit_is_io_error(self, tmp_path, capsys):
         rc = main(["estimate", str(tmp_path / "absent.qasm")])
@@ -151,6 +160,17 @@ class TestStageCommands:
         rc = main(["verify", str(qft3_path), "--trials", "2", "--seed", "5"])
         assert rc == EXIT_OK
         assert "fidelity:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "--trials must be >= 1, got 0"),
+        ("--seed", "-1", "--seed must be >= 0, got -1"),
+    ], ids=["trials", "seed"])
+    def test_verify_bad_flag_names_the_fix(self, tmp_path, capsys, flag,
+                                           value, message):
+        # checked before the circuit is read: a missing file is not reported
+        absent = str(tmp_path / "absent.qasm")
+        assert main(["verify", absent, flag, value]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_verify_takes_no_cache_dir(self, qft3_path, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -418,9 +438,9 @@ class TestClosedOutput:
 
 
 class TestFactoryWarning:
-    def run(self, *args):
+    def run(self, *args, **env_vars):
         src = str(Path(qre.__file__).resolve().parent.parent)
-        env = dict(os.environ)
+        env = dict(os.environ, **env_vars)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run([sys.executable, "-m", "qre.cli", *args],
@@ -448,6 +468,28 @@ class TestFactoryWarning:
         assert run.returncode == EXIT_OK
         assert run.stderr == f"warning: {cfg}: unknown key physical.colour " \
             "ignored\n"
+
+
+    def test_warnings_in_file_order_under_any_hash_seed(self, qft3_path,
+                                                        tmp_path):
+        """Unknown keys of a factories row and of a thermal line warn in
+        the file's order, whatever PYTHONHASHSEED is."""
+        cfg = tmp_path / "extra.yaml"
+        f = DEFAULT_FACTORIES[1]
+        cfg.write_text(
+            f"factories:\n  - {{name: f, p_out: {f.p_out!r}, "
+            f"width: {f.l_width}, length: {f.l_length}, qubits: {f.q_phys}, "
+            f"cycles: {f.cycles!r}, size: 3, colour: red, shape: round}}\n"
+            "thermal:\n  lines:\n"
+            "    hemt: {load_4k: 1.0e-4, size: 3, colour: red, shape: round}\n")
+        expected = "".join(
+            f"warning: {cfg}: unknown key {where}.{key} ignored\n"
+            for where in ("factories[0]", "thermal.lines.hemt")
+            for key in ("size", "colour", "shape"))
+        for seed in ("1", "2", "3"):
+            run = self.run("estimate", str(qft3_path), "--config", str(cfg),
+                           PYTHONHASHSEED=seed)
+            assert (run.returncode, run.stderr) == (EXIT_OK, expected)
 
 
 class TestParser:

@@ -266,6 +266,30 @@ class TestFactoriesSection:
             ]})
 
 
+class TestWarningOrder:
+    def test_unknown_keys_warn_in_file_order(self):
+        """Every mapping warns about its unknown keys in the file's
+        order, not in the order of a set of strings."""
+        extra = {"size": 3, "colour": "red", "spin": 1, "shape": "round",
+                 "mass": 2, "charge": 0}
+        data = {
+            "physical": {"p": 1e-3, **extra, "t": 25e-9},
+            "factories": [{"name": "tiny", "p_out": 1e-6, **extra,
+                           "width": 10, "length": 12, "qubits": 120,
+                           "cycles": 10.0}],
+            "thermal": {**extra, "lines": {"hemt": {**extra,
+                                                    "load_4k": 1e-4}}},
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config_from_mapping(data, source="cfg.yaml")
+        assert [str(w.message) for w in caught] == [
+            f"cfg.yaml: unknown key {where}.{key} ignored"
+            for where in ("physical", "factories[0]", "thermal",
+                          "thermal.lines.hemt")
+            for key in extra]
+
+
 class TestThermalSection:
     def test_efficiency_override(self):
         cfg = config_from_mapping({"thermal": {"eta_4k": 300.0}})
