@@ -36,7 +36,7 @@ from qre.pipeline import (
     run_pipe_sweep,
     verify_circuit,
 )
-from qre.report import render_csv
+from qre.report import parse_csv, render_csv
 from qre.scalefit import SCALING_PRESETS
 from qre.widgetizer import WidgetPlan
 
@@ -854,6 +854,14 @@ class TestPlanRecord:
 
 
 class TestRunEstimate:
+    def test_writes_parseable_csv(self, qft3_path, tmp_path, monkeypatch):
+        """run_estimate writes no file; its report renders to a CSV that
+        parses back to the same report."""
+        monkeypatch.chdir(tmp_path)
+        result = run_estimate(qft3_path)
+        assert list(tmp_path.iterdir()) == []
+        assert parse_csv(render_csv(result.report)) == result.report
+
     def test_nested_run_never_expands_the_sequence(self, pool3_path,
                                                    monkeypatch):
         monkeypatch.setattr(pipeline, "iter_leaf_sequence",
