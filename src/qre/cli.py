@@ -52,9 +52,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.csv").write_text(text)
-    print(render_console(result.report))
     if args.csv:
         Path(args.csv).write_text(text)
+    print(render_console(result.report))
     return EXIT_OK
 
 

@@ -65,8 +65,10 @@ CACHE_FORMAT = 6
 # that a plan record written under another rule is never read. Rule 1 gave a
 # flat QASM file the width of its widest gate; rule 2 gives it its declared
 # register; rule 3 numbers a nested plan's widget ids over its leaves only;
-# rule 4 drops the blocks with no gates from a split nested plan.
-PLAN_RULE = 4
+# rule 4 drops the blocks with no gates from a split nested plan; rule 5
+# slices a flat block up to its largest moment, where rule 4 stopped at the
+# last gate's moment and dropped the gates past it.
+PLAN_RULE = 5
 
 
 class CompileError(ValueError):

@@ -4,10 +4,14 @@ becomes a plan through ``WidgetPlan.from_sequence``; a nested-block file
 (``parse_nested_file``) is split into widgets via a subcircuit dependency
 graph whose root ``WidgetPlan.from_root`` reads.
 
-Blocks are expanded depth-first; a node that violates the split criterion is
-decomposed (one child per operation, leaving out each invocation of a block
-with no gates) if it invokes other blocks, or sliced into contiguous moment
-groups if it is a flat gate list. Each node folds its
+A ``NestedCircuit`` validates its blocks in one walk, which also records
+each block's active qubits and expanded gate count (``stats``); the builder
+reads them and walks no block again to size it. Blocks are expanded
+depth-first; a node that violates the split criterion is decomposed (one
+child per operation, leaving out each invocation of a block with no gates)
+if it invokes other blocks, or sliced into contiguous moment groups if it
+is a flat gate list, each gate put in its group in one pass, up to the
+largest moment so that no gate is dropped. Each node folds its
 children's widget and stitch multiplicities as it is built, with repeat
 counts kept symbolic, so the root's are exact Python integers even for
 billions of expanded gates, computed without materializing the leaf
@@ -70,23 +74,69 @@ class NestedCircuit:
     blocks: dict[str, list[BodyItem]]
     root: str
 
+    # Each block's (active qubit set, fully expanded gate count) for one
+    # repetition, recorded by the validating walk; never materializes repeats.
+    stats: dict[str, tuple[frozenset[int], int]] = field(
+        init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
-        if self.root not in self.blocks:
+        """Validate the blocks in one post-order walk over them all, which
+        records their ``stats`` and rejects an undefined or cyclic block
+        reference where it meets one; then reject a root whose longest
+        chain of block references is deeper than MAX_NESTING_DEPTH, and a
+        gate beyond ``n_input``. The block walks (``flatten``, the
+        dependency-graph builder) recurse once or twice per level, and the
+        depth limit keeps them within Python's recursion limit; this walk
+        keeps its own stack."""
+        blocks = self.blocks
+        if self.root not in blocks:
             raise CircuitError(f"root block {self.root!r} is not defined")
-        refs: dict[str, list[str]] = {}
-        width = 0
-        for name, body in self.blocks.items():
-            names = refs[name] = []
-            for item in body:
-                if isinstance(item, BlockRef):
-                    names.append(item.name)
-                elif isinstance(item, Gate):
-                    width = max(width, max(item.qubits) + 1)
-        self._check_acyclic(refs)
-        for name, names in refs.items():
-            for ref in names:
-                if ref not in self.blocks:
-                    raise CircuitError(f"block {name!r} references undefined {ref!r}")
+        stats = self.stats = {}
+        depth: dict[str, int] = {}  # done: longest reference chain below
+        for start in blocks:
+            if start in stats:
+                continue
+            path = {start}
+            # name, items left, qubits, gates, depth below, repeat in caller
+            stack = [[start, iter(blocks[start]), set(), 0, 0, 1]]
+            while stack:
+                frame = stack[-1]
+                for item in frame[1]:
+                    if isinstance(item, Gate):
+                        frame[2].update(item.qubits)
+                        frame[3] += 1
+                        continue
+                    ref = item.name
+                    if ref in stats:
+                        frame[2] |= stats[ref][0]
+                        frame[3] += item.repeat * stats[ref][1]
+                        frame[4] = max(frame[4], depth[ref] + 1)
+                    elif ref in path:
+                        raise CircuitError(
+                            f"cyclic block reference through {ref!r}")
+                    elif ref not in blocks:
+                        raise CircuitError(
+                            f"block {frame[0]!r} references undefined {ref!r}")
+                    else:
+                        path.add(ref)
+                        stack.append([ref, iter(blocks[ref]), set(), 0, 0,
+                                      item.repeat])
+                        break
+                else:
+                    name, _, qubits, n_gates, below, repeat = stack.pop()
+                    path.remove(name)
+                    stats[name] = (frozenset(qubits), n_gates)
+                    depth[name] = below
+                    if stack:  # fold into the caller's frame
+                        stack[-1][2] |= qubits
+                        stack[-1][3] += repeat * n_gates
+                        stack[-1][4] = max(stack[-1][4], below + 1)
+        if depth[self.root] > MAX_NESTING_DEPTH:
+            raise CircuitError(
+                f"block {self.root!r} nests {depth[self.root]} levels of "
+                f"block references, beyond the limit of {MAX_NESTING_DEPTH}")
+        width = max((max(qubits) + 1 for qubits, _ in stats.values()
+                     if qubits), default=0)
         if width > self.n_input:
             raise CircuitError(f"gates touch qubit {width - 1}, beyond n_input={self.n_input}")
 
@@ -100,42 +150,6 @@ class NestedCircuit:
             else:
                 out.extend(self.flatten(item.name) * item.repeat)
         return out
-
-    def _check_acyclic(self, refs: Mapping[str, list[str]]) -> None:
-        """Reject a cyclic block reference, and a root whose longest chain
-        of block references is deeper than MAX_NESTING_DEPTH. The block
-        walks (``flatten``, the dependency-graph builder) recurse once or
-        twice per level, and the limit keeps them within Python's recursion
-        limit; this check keeps its own stack."""
-        depth: dict[str, int] = {}  # done: longest reference chain below
-        for start in refs:
-            if start in depth:
-                continue
-            path = {start}
-            stack = [[start, iter(refs[start]), 0]]  # name, refs left, depth
-            while stack:
-                frame = stack[-1]
-                for ref in frame[1]:
-                    if ref in depth:
-                        if depth[ref] >= frame[2]:
-                            frame[2] = depth[ref] + 1
-                    elif ref in path:
-                        raise CircuitError(
-                            f"cyclic block reference through {ref!r}")
-                    elif ref in refs:
-                        path.add(ref)
-                        stack.append([ref, iter(refs[ref]), 0])
-                        break
-                else:
-                    name, _, below = stack.pop()
-                    path.remove(name)
-                    depth[name] = below
-                    if stack and below >= stack[-1][2]:
-                        stack[-1][2] = below + 1
-        if depth[self.root] > MAX_NESTING_DEPTH:
-            raise CircuitError(
-                f"block {self.root!r} nests {depth[self.root]} levels of "
-                f"block references, beyond the limit of {MAX_NESTING_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -233,33 +247,11 @@ class _Builder:
         self.criterion = criterion
         self.leaves: dict[str, SubcircuitNode] = {}  # by gate_list_digest
         self.block_nodes: dict[str, SubcircuitNode] = {}
-        self._stats_memo: dict[str, tuple[frozenset[int], int]] = {}
-
-    # -- expansion statistics (never materializes repeats) ------------------
-
-    def block_stats(self, name: str) -> tuple[frozenset[int], int]:
-        """(active qubit set, fully expanded gate count) of one repetition."""
-        if name in self._stats_memo:
-            return self._stats_memo[name]
-        qubits: set[int] = set()
-        count = 0
-        for item in self.circ.blocks[name]:
-            if isinstance(item, Gate):
-                qubits.update(item.qubits)
-                count += 1
-            else:
-                sub_q, sub_n = self.block_stats(item.name)
-                qubits.update(sub_q)
-                count += item.repeat * sub_n
-        stats = self._stats_memo[name] = (frozenset(qubits), count)
-        return stats
-
-    # -- node construction ---------------------------------------------------
 
     def build_block(self, name: str) -> SubcircuitNode:
         if name in self.block_nodes:
             return self.block_nodes[name]
-        qubit_set, n_gates = self.block_stats(name)
+        qubit_set, n_gates = self.circ.stats[name]
         body = self.circ.blocks[name]
         if not self.criterion.violated_by(len(qubit_set), n_gates):
             node = self.build_leaf(self.circ.flatten(name))
@@ -270,7 +262,7 @@ class _Builder:
                 (self.build_leaf([item]), 1) if isinstance(item, Gate)
                 else (self.build_block(item.name), item.repeat)
                 for item in body
-                if isinstance(item, Gate) or self.block_stats(item.name)[1]])
+                if isinstance(item, Gate) or self.circ.stats[item.name][1]])
         else:
             node = self.build_gate_list(list(body), label=name)  # type: ignore[arg-type]
         self.block_nodes[name] = node
@@ -282,7 +274,7 @@ class _Builder:
             return self.build_leaf(gates)
 
         moments = assign_moments(gates)
-        n_moments = moments[-1] + 1 if moments else 0
+        n_moments = max(moments) + 1
         slice_size = self.criterion.slice_moments
         if n_moments <= slice_size:
             slice_size = 1  # same-size slice would not shrink; fall back
@@ -295,11 +287,12 @@ class _Builder:
             # One moment of parallel gates: decompose per gate.
             children = [(self.build_leaf([g]), 1) for g in gates]
         else:
-            children = []
-            for k, start in enumerate(range(0, n_moments, slice_size)):
-                sliced = [g for g, m in zip(gates, moments)
-                          if start <= m < start + slice_size]
-                children.append((self.build_gate_list(sliced, label=f"{label}[{k}]"), 1))
+            # Every moment up to the last holds a gate, so no slice is empty.
+            slices: list[list[Gate]] = [[] for _ in range(0, n_moments, slice_size)]
+            for g, m in zip(gates, moments):
+                slices[m // slice_size].append(g)
+            children = [(self.build_gate_list(sliced, label=f"{label}[{k}]"), 1)
+                        for k, sliced in enumerate(slices)]
         return SubcircuitNode(children=children)
 
     def build_leaf(self, gates: Sequence[Gate]) -> SubcircuitNode:

@@ -895,3 +895,44 @@ def parse_nested_per_item(payload, path):
                 for body in blocks.values())
     return NestedCircuit(int(payload.get("n_input", max(width, 1))), blocks,
                          str(root))
+
+
+# --------------------------------------------------------------------------
+# Nested-circuit block statistics by memoized recursion
+# --------------------------------------------------------------------------
+
+def block_stats(blocks, name, memo):
+    """(active qubit set, fully expanded gate count) of one repetition of
+    block ``name``, by recursion over its references, memoized in
+    ``memo``. Never materializes repeats."""
+    if name in memo:
+        return memo[name]
+    qubits = set()
+    count = 0
+    for item in blocks[name]:
+        if hasattr(item, "qubits"):
+            qubits.update(item.qubits)
+            count += 1
+        else:
+            sub_q, sub_n = block_stats(blocks, item.name, memo)
+            qubits.update(sub_q)
+            count += item.repeat * sub_n
+    stats = memo[name] = (frozenset(qubits), count)
+    return stats
+
+
+def expanded_kind_counts(blocks, name, memo):
+    """{gate kind: count} over block ``name`` fully expanded, by the same
+    memoized recursion as ``block_stats``."""
+    if name in memo:
+        return memo[name]
+    counts = {}
+    for item in blocks[name]:
+        if hasattr(item, "qubits"):
+            counts[item.kind] = counts.get(item.kind, 0) + 1
+        else:
+            for kind, n in expanded_kind_counts(blocks, item.name,
+                                                memo).items():
+                counts[kind] = counts.get(kind, 0) + item.repeat * n
+    memo[name] = counts
+    return counts

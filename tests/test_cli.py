@@ -69,6 +69,17 @@ class TestEstimate:
         assert text == render_csv(report)
         assert parse_csv(text) == report
 
+    def test_unwritable_csv_prints_no_report(self, qft3_path, tmp_path,
+                                             capsys):
+        """The CSV is written before the console report: a --csv path in a
+        missing directory fails with nothing on stdout and names the path."""
+        csv_path = tmp_path / "nodir" / "r.csv"
+        rc = main(["estimate", str(qft3_path), "--csv", str(csv_path)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_IO
+        assert out == ""
+        assert err.startswith("error: ") and str(csv_path) in err
+
     def test_missing_circuit_is_io_error(self, tmp_path, capsys):
         rc = main(["estimate", str(tmp_path / "absent.qasm")])
         assert rc == EXIT_IO

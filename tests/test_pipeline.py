@@ -817,10 +817,11 @@ class TestPlanRecord:
                                                     monkeypatch):
         # A plan of the first rule sized a flat QASM file by its widest
         # gate, one of the second numbered a nested plan's ids over its
-        # composites too, and one of the third kept a widget for each
-        # empty block of a split nested file. Plant a wrong plan, with the
-        # widget records it names, under each old rule's key: the current
-        # rule must read none of them.
+        # composites too, one of the third kept a widget for each empty
+        # block of a split nested file, and one of the fourth dropped the
+        # gates of a flat block that sat past its last gate's moment. Plant
+        # a wrong plan, with the widget records it names, under each old
+        # rule's key: the current rule must read none of them.
         cache = tmp_path / "cache"
         narrow, wide = tmp_path / "narrow.qasm", tmp_path / "wide.qasm"
         narrow.write_text("qreg q[1]; h q[0]; t q[0];\n")
@@ -830,7 +831,7 @@ class TestPlanRecord:
         old = compiler.load_plan(cache, compiler.plan_key(
             hashlib.sha256(narrow.read_bytes()).hexdigest(),
             pipeline._criterion(config)))
-        for old_rule in (1, 2, 3):
+        for old_rule in (1, 2, 3, 4):
             monkeypatch.setattr(compiler, "PLAN_RULE", old_rule)
             compiler.save_plan(cache, compiler.plan_key(
                 hashlib.sha256(wide.read_bytes()).hexdigest(),

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import parse_nested_per_item
+from oracles import block_stats, expanded_kind_counts, parse_nested_per_item
 from pool import benchmark_pool_circuit
 from qre.circuit import (
     CircuitError,
@@ -91,6 +91,19 @@ class TestBuild:
         assert sorted(plan.multiplicity.values()) == [1, 2]
         assert plan.n_widgets == 3
 
+    def test_gates_past_the_last_gates_moment_are_kept(self):
+        """The last gate sits in moment 1 of a block that spans moments
+        0-3: each moment is one widget, and no gate is dropped."""
+        body = [gate(GateKind.H, 0), gate(GateKind.T, 0), gate(GateKind.S, 0),
+                gate(GateKind.X, 0), gate(GateKind.CX, 1, 2),
+                gate(GateKind.T, 1)]
+        circ = NestedCircuit(3, {"main": body}, "main")
+        root = build_dependency_graph(circ, SplitCriterion(64, 3, 16))
+        plan = WidgetPlan.from_root(root, n_input=3)
+        assert (plan.n_widgets, plan.n_distinct_widgets) == (4, 4)
+        assert [plan.widgets[wid] for wid in iter_leaf_sequence(root)] == [
+            (body[0], body[4]), (body[1], body[5]), (body[2],), (body[3],)]
+
     def test_single_gate_too_large(self):
         circ = NestedCircuit(3, {"main": [gate(GateKind.CCX, 0, 1, 2)]}, "main")
         with pytest.raises(CircuitError, match="cannot split further"):
@@ -160,6 +173,33 @@ class TestBuild:
     def test_undefined_block(self):
         with pytest.raises(CircuitError, match="undefined"):
             NestedCircuit(1, {"a": [BlockRef("zzz")]}, "a")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_recorded_stats_match_recursion(self, data):
+        """Random acyclic block graphs, empty blocks and repeats up to 1e12
+        included: each block's recorded stats equal the recursive ones."""
+        n_blocks = data.draw(st.integers(1, 6))
+        names = [f"b{i}" for i in range(n_blocks)]
+        blocks = {}
+        for i, name in enumerate(names):
+            items = []
+            for _ in range(data.draw(st.integers(0, 5))):
+                # Only reference later blocks: acyclic by construction.
+                if i + 1 < n_blocks and data.draw(st.booleans()):
+                    items.append(BlockRef(
+                        data.draw(st.sampled_from(names[i + 1:])),
+                        data.draw(st.integers(1, 10**12))))
+                else:
+                    qubits = data.draw(st.sampled_from(
+                        [(0,), (3,), (1, 4), (4, 2)]))
+                    items.append(gate(GateKind.CX if len(qubits) == 2
+                                      else GateKind.T, *qubits))
+            blocks[name] = items
+        circ = NestedCircuit(5, blocks, "b0")
+        memo = {}
+        assert circ.stats == {name: block_stats(blocks, name, memo)
+                              for name in blocks}
 
 
 def two_level_repeats():
@@ -475,8 +515,10 @@ def plan_sha256(circ, criterion, prefix):
 
 class TestPlanPins:
     """Each pool circuit's plan under four split criteria, pinned by the
-    sha256s in plan_sha256.json, which were recorded with the earlier
-    two-pass fold. Only the first 20000 leaves of each sequence are
+    sha256s in plan_sha256.json. The default criterion's (64, 4096, 16)
+    were recorded with the earlier two-pass fold; the other three were
+    recorded again once flat-block slicing kept the gates past the last
+    gate's moment. Only the first 20000 leaves of each sequence are
     hashed: the full sequences run to millions."""
 
     CRITERIA = [(64, 4096, 16), (400, 7, 2), (4, 50, 1), (64, 30, 3)]
@@ -489,6 +531,27 @@ class TestPlanPins:
         got = {"%d,%d,%d" % c: plan_sha256(circ, SplitCriterion(*c), 20_000)
                for c in self.CRITERIA}
         assert got == json.loads(self.PINS.read_text())[str(sub_seed)]
+
+
+class TestEveryGateKept:
+    """Each pool circuit's plan under each pinned split criterion holds
+    every source gate: its widgets' gate kinds, weighted by multiplicity,
+    count the fully expanded source's (gates, T and Rz included)."""
+
+    @pytest.mark.parametrize("criterion", TestPlanPins.CRITERIA,
+                             ids="%d,%d,%d".__mod__)
+    @pytest.mark.parametrize("sub_seed", range(16))
+    def test_plan_counts_match_source(self, sub_seed, criterion):
+        circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)),
+                                 "pool.json")
+        plan = WidgetPlan.from_root(
+            build_dependency_graph(circ, SplitCriterion(*criterion)),
+            circ.n_input)
+        got = {}
+        for wid, gates in plan.widgets.items():
+            for g in gates:
+                got[g.kind] = got.get(g.kind, 0) + plan.multiplicity[wid]
+        assert got == expanded_kind_counts(circ.blocks, circ.root, {})
 
 
 class TestSharedDigest:
