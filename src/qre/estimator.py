@@ -8,7 +8,10 @@ feeds back into the space-time volume that sets the distance).  A factory is
 accepted only when its output error rate beats the logical cell it feeds
 (otherwise distillation would be the weakest link), and the module layout is
 recomputed for every candidate distance because the transfer-bus length and
-the concurrent T-state feed both depend on d.  A factory that fails gives
+the concurrent T-state feed both depend on d.  The distance scan skips,
+without choosing a layout, each d at which the preparation volume alone
+fails the budget: that volume reads neither the layout nor the synthesis
+length.  A factory that fails gives
 its reason: no module layout fits at any distance, no distance up to
 ``D_CAP`` meets the failure budget, or its output is not below the tock
 error at the solved distance.  An infeasible run names every factory with
@@ -160,6 +163,11 @@ class CompiledAlgorithm:
     # an estimate and its sweeps solve each distinct config once.
     selections: dict[ArchConfig, SelectionResult] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    # Timing per whole config at its selection, filled likewise: configs
+    # that share one, such as the default pipe count or decoder preset of a
+    # sweep, are timed once.
+    timings: dict[ArchConfig, TimingBreakdown] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         missing = set(self.plan.ids) - set(self.compiled)
@@ -227,10 +235,22 @@ def spacetime_lhs(
     cycles: float,
 ) -> float:
     """Expected failure weight of the full space-time volume at distance d."""
-    p_c = logical_error_per_cycle(config.p, d, config.kappa, config.p_thresh)
-    prep_volume = 2.0 * n_logical * l_prep_total * d
     consump_volume = (2.0 * n_logical + n_per_leg * l_transfer_bus) * (
         counts.n_seq_consump * d + counts.n_seq_distill * cycles)
+    return _failure_weight(d, config, n_logical, l_prep_total, consump_volume)
+
+
+def _failure_weight(d: int, config: ArchConfig, n_logical: int,
+                    l_prep_total: int, consump_volume: float) -> float:
+    """Failure weight of the preparation volume plus ``consump_volume``.
+
+    The preparation volume reads neither the layout nor the synthesis
+    length. With ``consump_volume`` zero this is a lower bound on
+    ``spacetime_lhs`` at d for every layout, exact in floating point: the
+    rounded sum is never below its nonnegative addend, and multiplying by
+    the positive factor ``p_c * d`` keeps the order."""
+    p_c = logical_error_per_cycle(config.p, d, config.kappa, config.p_thresh)
+    prep_volume = 2.0 * n_logical * l_prep_total * d
     return p_c * d * (prep_volume + consump_volume)
 
 
@@ -265,15 +285,22 @@ def _solve_distance(
 ) -> tuple[int, ModuleLayout, SequentialCounts] | str:
     """Smallest odd d in [d_start, D_CAP] meeting the failure budget, with
     the module layout and sequential counts recomputed for every candidate
-    distance; otherwise the reason no distance does."""
+    distance; otherwise the reason no distance does.
+
+    A distance whose preparation volume alone sinks the budget fails at
+    every layout, so it is skipped without choosing one. Only when no
+    distance passes are the skipped ones checked for a layout, to tell a
+    machine too small at every distance from a budget no distance meets."""
     rhs = budget_rhs(config.p_algo_fail)
     fits = False
+    skipped = []
     for d in range(d_start, D_CAP + 1, 2):
-        try:
-            layout = choose_modules_per_leg(
-                config.n_phys_per_module, n_logical, d, factory)
-        except EstimationError:
-            continue  # nothing fits at this distance
+        if _failure_weight(d, config, n_logical, l_prep_total, 0.0) >= rhs:
+            skipped.append(d)
+            continue
+        layout = _layout_at(config, n_logical, d, factory)
+        if layout is None:
+            continue
         fits = True
         counts = sequential_counts(n_t_init, n_rz_init, l_eps,
                                    layout.n_prime_effective)
@@ -282,10 +309,21 @@ def _solve_distance(
                             counts, factory.cycles)
         if lhs < rhs:
             return d, layout, counts
-    if not fits:
+    if not (fits or any(_layout_at(config, n_logical, d, factory) is not None
+                        for d in skipped)):
         return f"no module layout fits at any odd d <= {D_CAP}"
     return (f"no odd d <= {D_CAP} meets the failure budget "
             f"p_algo_fail={config.p_algo_fail}")
+
+
+def _layout_at(config: ArchConfig, n_logical: int, d: int,
+               factory: TFactory) -> ModuleLayout | None:
+    """The module layout at d, or None when nothing fits there."""
+    try:
+        return choose_modules_per_leg(config.n_phys_per_module, n_logical, d,
+                                      factory)
+    except EstimationError:
+        return None
 
 
 def _solve_factory(

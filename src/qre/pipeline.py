@@ -31,9 +31,10 @@ inputs whose widget sets only partly overlap share no record.
 ``widgetize`` does. ``verify_circuit`` compiles every distinct widget
 afresh, since it needs the fields the record leaves out.
 
-Each distinct config is solved once per compiled algorithm
-(``CompiledAlgorithm.selections``), so a sweep reuses the estimate's solve.
-A pipe sweep times the machine once per distinct tuple of pipe rounds
+Each distinct config is solved and timed once per compiled algorithm
+(``CompiledAlgorithm.selections`` and ``CompiledAlgorithm.timings``), so a
+sweep reuses the estimate's solve and timing at its default point. A pipe
+sweep times the machine once per distinct tuple of pipe rounds
 (``_TimingInputs.pipe_rounds``), the only way the timing reads the pipe
 count; every pipe count with that tuple reuses the time.
 """
@@ -265,6 +266,17 @@ def _select(algo: CompiledAlgorithm, config: ArchConfig) -> SelectionResult:
     return sel
 
 
+def _time(algo: CompiledAlgorithm, config: ArchConfig,
+          sel: SelectionResult) -> TimingBreakdown:
+    """The timing of ``algo`` under ``config`` at its selection ``sel``,
+    computed on first use. The timing model is looked up here, so a wrapper
+    on it sees every real timing."""
+    timing = algo.timings.get(config)
+    if timing is None:
+        timing = algo.timings[config] = compute_timing(config, algo, sel)
+    return timing
+
+
 def _config_hash(config: ArchConfig) -> str:
     return hashlib.sha256(repr(config).encode()).hexdigest()[:16]
 
@@ -278,7 +290,7 @@ def run_estimate(
     config = load_config(config_path)
     algo, source_digest = compile_circuit(circuit_path, config, cache_dir)
     sel = _select(algo, config)
-    timing = compute_timing(config, algo, sel)
+    timing = _time(algo, config, sel)
     provenance = {
         "config_hash": _config_hash(config),
         "circuit_hash": source_digest[:16],
@@ -319,9 +331,11 @@ def run_pipe_sweep(
 
     The distance/factory solution does not depend on the pipe count, so it
     is the one solved for ``config``. The timing reads the pipe count only
-    through the layout's pipe rounds, so it is computed once per distinct rounds tuple
-    and shared by every count that gives that tuple: one call in all when
-    each leg is a single module.
+    through the layout's pipe rounds, so it is computed once per distinct
+    rounds tuple and shared by every count that gives that tuple: one call
+    in all when each leg is a single module. The tuple of ``config``'s own
+    pipe count is timed under ``config``, so it shares the estimate's
+    timing.
     """
     if not pipe_values:
         raise ValueError("pipe sweep needs at least one value")
@@ -330,15 +344,17 @@ def run_pipe_sweep(
     replace(config, n_inter_pipes=min(pipe_values))
     sel = _select(algo, config)
     inputs = algo.timing_inputs(sel.layout)
+    own_rounds = inputs.pipe_rounds(config.n_inter_pipes)
     by_rounds: dict[tuple[int, ...], float] = {}
     solved = []
     for pipes in pipe_values:
         rounds = inputs.pipe_rounds(pipes)
         t_hardware = by_rounds.get(rounds)
         if t_hardware is None:
-            timing = compute_timing(replace(config, n_inter_pipes=pipes),
-                                    algo, sel)
-            t_hardware = by_rounds[rounds] = timing.t_hardware_total
+            cfg = (config if rounds == own_rounds
+                   else replace(config, n_inter_pipes=pipes))
+            t_hardware = by_rounds[rounds] = _time(
+                algo, cfg, sel).t_hardware_total
         solved.append((sel.d, t_hardware))
     return _normalize([str(v) for v in pipe_values], solved)
 
@@ -358,8 +374,7 @@ def run_decoder_sweep(
         kappa, p_thresh = SCALING_PRESETS[name]
         cfg = replace(config, kappa=kappa, p_thresh=p_thresh)
         sel = _select(algo, cfg)
-        timing = compute_timing(cfg, algo, sel)
-        solved.append((sel.d, timing.t_hardware_total))
+        solved.append((sel.d, _time(algo, cfg, sel).t_hardware_total))
     return _normalize(list(presets), solved)
 
 

@@ -297,71 +297,106 @@ def modules_per_leg_by_scan(n_phys, n_log, d, factory):
 # Distance/precision/factory selection as a fixed point and a failure scan
 # --------------------------------------------------------------------------
 
+def distance_by_full_scan(config, n_logical, l_prep_total, factory, l_eps,
+                          n_t_init, n_rz_init):
+    """(d, layout, counts) of the smallest odd d in 3..D_CAP meeting the
+    failure budget, choosing a layout at every distance with no bound to
+    skip any; otherwise the solver's reason, decided from the whole scan."""
+    from qre.architecture import EstimationError, choose_modules_per_leg
+    from qre.estimator import (
+        D_CAP,
+        budget_rhs,
+        sequential_counts,
+        spacetime_lhs,
+    )
+
+    rhs = budget_rhs(config.p_algo_fail)
+    fits = False
+    for d in range(3, D_CAP + 1, 2):
+        try:
+            layout = choose_modules_per_leg(config.n_phys_per_module,
+                                            n_logical, d, factory)
+        except EstimationError:
+            continue
+        fits = True
+        counts = sequential_counts(n_t_init, n_rz_init, l_eps,
+                                   layout.n_prime_effective)
+        if spacetime_lhs(d, config, n_logical, l_prep_total,
+                         layout.n_per_leg, layout.l_transfer_bus, counts,
+                         factory.cycles) < rhs:
+            return d, layout, counts
+    if not fits:
+        return f"no module layout fits at any odd d <= {D_CAP}"
+    return (f"no odd d <= {D_CAP} meets the failure budget "
+            f"p_algo_fail={config.p_algo_fail}")
+
+
 def select_by_fixed_point(config, est):
     """(d, epsilon, l_eps, factory, p_logical, layout, counts) of the first
     factory in table order that solves, each factory's (d, epsilon) found by
-    a separate fixed-point routine with its own guess and pinned branches;
-    EstimationError naming the last failure when none solves."""
+    a separate fixed-point routine with its own guess and pinned branches,
+    and every distance by a full scan from d=3; when none solves, the
+    EstimationError names every factory with its reason, word for word as
+    the solver gives it."""
     from qre.architecture import EstimationError
     from qre.estimator import (
         EPS_ITER_CAP,
-        _solve_distance,
         gate_synthesis_length,
         logical_error_per_cycle,
         logical_error_per_tock,
     )
 
+    def tock_error(d):
+        return logical_error_per_tock(
+            logical_error_per_cycle(config.p, d, config.kappa,
+                                    config.p_thresh), d)
+
     def fixed_point(factory):
         def solve(l_eps):
-            solved = _solve_distance(config, est.n_logical_max,
-                                     est.l_prep_total, factory, l_eps,
-                                     est.n_T_init, est.n_Rz_init)
-            return None if isinstance(solved, str) else solved
+            return distance_by_full_scan(config, est.n_logical_max,
+                                         est.l_prep_total, factory, l_eps,
+                                         est.n_T_init, est.n_Rz_init)
 
         if est.n_Rz_init == 0:
             solved = solve(0)
-            return None if solved is None else (*solved, None, 0)
+            return solved if isinstance(solved, str) else (*solved, None, 0)
         if config.epsilon is not None:
             l_eps = gate_synthesis_length(config.epsilon, config.c0, config.c1)
             solved = solve(l_eps)
-            return None if solved is None else (*solved, config.epsilon, l_eps)
+            return (solved if isinstance(solved, str)
+                    else (*solved, config.epsilon, l_eps))
         guess = solve(0)
-        if guess is None:
-            return None
-        d0 = guess[0]
-        epsilon = logical_error_per_tock(
-            logical_error_per_cycle(config.p, d0, config.kappa,
-                                    config.p_thresh), d0)
+        if isinstance(guess, str):
+            return guess
+        epsilon = tock_error(guess[0])
         for _ in range(EPS_ITER_CAP):
             l_eps = gate_synthesis_length(epsilon, config.c0, config.c1)
             solved = solve(l_eps)
-            if solved is None:
-                return None
-            d = solved[0]
-            p_logical = logical_error_per_tock(
-                logical_error_per_cycle(config.p, d, config.kappa,
-                                        config.p_thresh), d)
+            if isinstance(solved, str):
+                return solved
+            p_logical = tock_error(solved[0])
             if epsilon < p_logical:
                 return (*solved, epsilon, l_eps)
             epsilon = p_logical / 2.0
-        raise EstimationError(f"precision fixed point did not settle "
-                              f"(factory {factory.name!r})")
+        raise EstimationError(
+            f"precision fixed point did not settle within {EPS_ITER_CAP} "
+            f"iterations (factory {factory.name!r})")
 
-    last_failure = "factory table is empty"
+    reasons = []
     for factory in config.factories:
         solved = fixed_point(factory)
-        if solved is None:
-            last_failure = f"no distance meets the budget ({factory.name!r})"
+        if isinstance(solved, str):
+            reasons.append(f"factory {factory.name!r}: {solved}")
             continue
         d, layout, counts, epsilon, l_eps = solved
-        p_logical = logical_error_per_tock(
-            logical_error_per_cycle(config.p, d, config.kappa,
-                                    config.p_thresh), d)
+        p_logical = tock_error(d)
         if counts.n_tot_t > 0 and not factory.p_out < p_logical:
-            last_failure = f"output not good enough ({factory.name!r})"
+            reasons.append(
+                f"factory {factory.name!r}: output error {factory.p_out} is "
+                f"not below the logical tock error {p_logical:.3e} at d={d}")
             continue
         return d, epsilon, l_eps, factory, p_logical, layout, counts
-    raise EstimationError(f"estimation infeasible: {last_failure}")
+    raise EstimationError("estimation infeasible: " + "; ".join(reasons))
 
 
 # --------------------------------------------------------------------------

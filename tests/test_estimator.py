@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from oracles import (
     budget_lhs,
     compile_fresh,
+    distance_by_full_scan,
     layout_aware_lhs,
     min_distance_sweep,
     select_by_fixed_point,
@@ -232,6 +233,49 @@ class TestBudgetInequality:
             "no module layout fits at any odd d <= 199")
         assert all(lhs is None for lhs in map(
             layout_aware_lhs(cfg, **SOLVE), range(3, 200, 2)))
+
+    def test_no_layout_at_skipped_distances_keeps_the_layout_reason(self):
+        """The preparation volume skips d = 3..9 here, and no layout fits
+        at those either."""
+        cfg = ArchConfig(n_phys_per_module=5000)
+        args = dict(SOLVE, l_prep_total=10 ** 5)
+        assert estimator._failure_weight(
+            3, cfg, 1, 10 ** 5, 0.0) >= budget_rhs(cfg.p_algo_fail)
+        assert _solve_distance(cfg, **args) == (
+            "no module layout fits at any odd d <= 199")
+        assert distance_by_full_scan(cfg, **args) == (
+            "no module layout fits at any odd d <= 199")
+
+    def test_layout_only_at_skipped_distances_returns_the_budget_reason(
+            self, monkeypatch):
+        """On 20,000-qubit modules a layout fits only at d = 3..9, and there
+        the preparation volume alone fails the budget, so the scan skips
+        them and chooses a layout only at d = 11..199, where none fits.
+        The reason is still the budget's, as in a full scan."""
+        cfg = ArchConfig(n_phys_per_module=20_000)
+        args = dict(SOLVE, l_prep_total=10 ** 5)
+        lhs_at = layout_aware_lhs(cfg, **args)
+        fitting = [d for d in range(3, 200, 2) if lhs_at(d) is not None]
+        assert fitting == [3, 5, 7, 9]
+        rhs = budget_rhs(cfg.p_algo_fail)
+        assert all(estimator._failure_weight(d, cfg, 1, 10 ** 5, 0.0) >= rhs
+                   for d in fitting)
+        assert estimator._failure_weight(11, cfg, 1, 10 ** 5, 0.0) < rhs
+
+        calls = []
+        choose = estimator.choose_modules_per_leg
+
+        def counted(*a):
+            calls.append(a[2])
+            return choose(*a)
+
+        monkeypatch.setattr(estimator, "choose_modules_per_leg", counted)
+        reason = _solve_distance(cfg, **args)
+        assert reason == (
+            "no odd d <= 199 meets the failure budget p_algo_fail=0.05")
+        assert reason == distance_by_full_scan(cfg, **args)
+        # the scan from d=11, then the skipped distances until one fits
+        assert calls == [*range(11, 200, 2), 3]
 
     def test_generous_budget_gives_smallest_distance(self):
         cfg = ArchConfig(p_algo_fail=1 - 1e-9)
@@ -461,7 +505,8 @@ def random_selection_case(rng):
 class TestSelectionReference:
     def test_randomized_agreement_with_fixed_point_reference(self):
         """The per-factory loop selects what a separate precision fixed
-        point and a failure scan select, or both raise the same type."""
+        point and a full failure scan select, or both raise the same error
+        with the same message, every factory's reason included."""
         rng = random.Random(20261018)
         seen = Counter()
         for trial in range(400):
@@ -471,6 +516,7 @@ class TestSelectionReference:
             except (EstimationError, ValueError) as exc:
                 with pytest.raises(type(exc)) as info:
                     solve_distance_and_factory(cfg, est)
+                assert str(info.value) == str(exc), trial
                 seen[type(exc).__name__] += 1
                 for key in ("not below", "no module layout", "failure budget"):
                     seen[key] += key in str(info.value)
@@ -498,8 +544,8 @@ class TestSelectionReference:
 
     def test_synthesis_constants_in_range_agree(self):
         """With c0 in [0, 1] the synthesis length grows as epsilon shrinks,
-        and the selection equals the reference, which scans every distance
-        from 3."""
+        and the selection, or the error and its message, equals the
+        reference, which scans every distance from 3."""
         rng = random.Random(5)
         solved = 0
         for trial in range(400):
@@ -510,8 +556,9 @@ class TestSelectionReference:
             try:
                 ref = select_by_fixed_point(cfg, est)
             except (EstimationError, ValueError) as exc:
-                with pytest.raises(type(exc)):
+                with pytest.raises(type(exc)) as info:
                     solve_distance_and_factory(cfg, est)
+                assert str(info.value) == str(exc), trial
                 continue
             sel = solve_distance_and_factory(cfg, est)
             assert (sel.d, sel.epsilon, sel.l_eps, sel.factory, sel.p_logical,
@@ -522,9 +569,11 @@ class TestSelectionReference:
     def test_each_precision_step_resumes_the_distance_scan(
             self, tmp_path, monkeypatch):
         """Pool circuit 3 tries six factories with three distance solves
-        each. Each solve after a factory's first starts at the last d, so
-        the layout is chosen 68 times (163 when every solve scans from
-        d=3)."""
+        each. Each solve after a factory's first starts at the last d, and
+        every d below 17 is skipped because its preparation volume alone
+        fails the budget, so the layout is chosen 26 times (37 when every
+        solve scans from d=3, 163 when it also chooses a layout at every
+        d)."""
         path = tmp_path / "nested3.json"
         path.write_text(benchmark_pool_circuit(3))
         algo, _ = compile_circuit(path, ArchConfig())
@@ -538,7 +587,7 @@ class TestSelectionReference:
         monkeypatch.setattr(estimator, "choose_modules_per_leg", counted)
         sel = solve_distance_and_factory(ArchConfig(), algo.est)
         assert sel.d == 21
-        assert len(calls) == 68
+        assert len(calls) == 26
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,11 @@ from qre.circuit import (
 from qre.circuit import GateKind as G
 from qre.cli import main
 from qre.config import ArchConfig, ConfigError
-from qre.estimator import compute_timing, solve_distance_and_factory
+from qre.estimator import (
+    CompiledAlgorithm,
+    compute_timing,
+    solve_distance_and_factory,
+)
 from qre.pipeline import (
     SEQUENCE_LIMIT,
     compile_circuit,
@@ -1053,7 +1057,9 @@ class TestSweeps:
                                          "qft20_small_modules"])
     def test_sweep_times_each_rounds_tuple_once(self, request, machine,
                                                 monkeypatch):
-        config, algo = request.getfixturevalue(machine)
+        config, shared = request.getfixturevalue(machine)
+        # a fresh algorithm: the fixture's may hold timings from other tests
+        algo = CompiledAlgorithm(shared.plan, shared.compiled)
         sel = solve_distance_and_factory(config, algo.est)
         assert sel.layout.n_per_leg == 2
         inputs = algo.timing_inputs(sel.layout)
@@ -1092,6 +1098,22 @@ class TestSweeps:
             sel = solve_distance_and_factory(cfg, algo.est)
             fresh.append((sel.d, compute_timing(cfg, algo, sel).t_hardware_total))
         assert [(r.d, r.t_hardware) for r in preset_rows] == fresh
+
+    def test_estimate_and_sweeps_time_each_config_once(self, pool3_path,
+                                                       monkeypatch):
+        """The estimate, the pipe sweep's default count and the
+        mwpm-circuit preset share one timing; the two other presets each
+        need their own."""
+        calls = count_timing_calls(monkeypatch)
+        result = run_estimate(pool3_path)
+        algo, config = result.algo, result.config
+        pipe_rows = run_pipe_sweep(algo, config, range(1, 65))
+        preset_rows = run_decoder_sweep(
+            algo, config, ("mwpm-circuit", "mwpm-code-capacity", "astra-gnn"))
+        assert len(calls) == 3
+        t_hardware = result.timing.t_hardware_total
+        assert all(r.t_hardware == t_hardware for r in pipe_rows)
+        assert preset_rows[0].t_hardware == t_hardware
 
     @pytest.mark.parametrize("values", [[0], [-1], [2, 0]])
     def test_pipe_counts_below_one_fail_config_validation(
@@ -1132,6 +1154,22 @@ class TestSweeps:
         assert len(lines) == 3
         first = lines[1].split(",")
         assert first[0] == "1" and float(first[3]) == 1.0
+
+
+class TestReportInvariants:
+    def test_more_pipes_never_lengthen_the_run(self, pool3_path, tmp_path):
+        """Pool circuit 3 on 250,000-qubit modules, two per leg: the
+        hardware time never rises over pipes 1..64, and the sweep's point
+        at the config's own pipe count is the estimate's time."""
+        config_path = tmp_path / "small.yaml"
+        config_path.write_text("physical:\n  n_phys_per_module: 250000\n")
+        result = run_estimate(pool3_path, config_path)
+        assert result.selection.layout.n_per_leg == 2
+        rows = run_pipe_sweep(result.algo, result.config, range(1, 65))
+        times = [r.t_hardware for r in rows]
+        assert all(b <= a for a, b in zip(times, times[1:]))
+        assert times[-1] < times[0]
+        assert times[0] == result.timing.t_hardware_total
 
 
 class TestVerifyCircuit:
