@@ -67,8 +67,9 @@ CACHE_FORMAT = 6
 # register; rule 3 numbers a nested plan's widget ids over its leaves only;
 # rule 4 drops the blocks with no gates from a split nested plan; rule 5
 # slices a flat block up to its largest moment, where rule 4 stopped at the
-# last gate's moment and dropped the gates past it.
-PLAN_RULE = 5
+# last gate's moment and dropped the gates past it; rule 6 rejects a flat
+# QASM file with no register or an empty one, which rule 5 sized as 1 qubit.
+PLAN_RULE = 6
 
 
 class CompileError(ValueError):
@@ -94,9 +95,6 @@ class PauliFrame(NamedTuple):
 
     x_support: tuple[int, ...]
     z_support: tuple[int, ...]
-
-    def touches(self) -> frozenset[int]:
-        return frozenset(self.x_support) | frozenset(self.z_support)
 
 
 @dataclass(eq=True)

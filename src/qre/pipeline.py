@@ -113,10 +113,11 @@ class LoadedCircuit:
 def load_circuit(path: str | Path, config: ArchConfig,
                  data: bytes | None = None) -> LoadedCircuit:
     """Parse a circuit file, dispatching on its content: OpenQASM text
-    becomes a single widget on its declared register; JSON is either a
-    widget table ({distinct_widgets, sequence}) or nested blocks ({blocks,
-    root}), the latter widgetized under the configured split thresholds.
-    ``data`` is the file's bytes when the caller has read them already."""
+    becomes a single widget on its declared register, which must hold at
+    least one qubit; JSON is either a widget table ({distinct_widgets,
+    sequence}) or nested blocks ({blocks, root}), the latter widgetized
+    under the configured split thresholds. ``data`` is the file's bytes
+    when the caller has read them already."""
     if data is None:
         data = Path(path).read_bytes()
     try:
@@ -125,7 +126,10 @@ def load_circuit(path: str | Path, config: ArchConfig,
         raise CircuitError(f"{path}: not UTF-8 text: {exc}") from exc
     if not data.lstrip().startswith(b"{"):
         n_qubits, gates = parse_qasm(text)
-        return _flat(path, n_qubits or 1, {"w0": gates}, ["w0"])
+        if not n_qubits:
+            raise CircuitError(f"{path}: a flat QASM file needs a qreg of "
+                               f"at least 1 qubit")
+        return _flat(path, n_qubits, {"w0": gates}, ["w0"])
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

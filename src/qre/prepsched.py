@@ -50,23 +50,6 @@ class PrepTuple:
     center: int
     leaves: tuple[int, ...]
 
-    @property
-    def nodes(self) -> tuple[int, ...]:
-        return (self.center,) + self.leaves
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        nodes = self.nodes
-        return min(nodes), max(nodes)
-
-    @property
-    def d_max(self) -> int:
-        lo, hi = self.interval
-        return hi - lo
-
-    def covered_edges(self) -> list[tuple[int, int]]:
-        return [(min(self.center, v), max(self.center, v)) for v in self.leaves]
-
 
 @dataclass(frozen=True)
 class PrepSchedule:
@@ -79,15 +62,10 @@ class PrepSchedule:
     def n_sub_steps(self) -> int:
         return len(self.sub_steps)
 
-    def all_tuples(self) -> list[PrepTuple]:
-        return [t for step in self.sub_steps for t in step]
-
-    def covered_edges(self) -> list[tuple[int, int]]:
-        return [e for t in self.all_tuples() for e in t.covered_edges()]
-
     def substep_spans(self) -> tuple[tuple[int, ...], ...]:
-        """Per sub-step, the d_max of each tuple (for cross-module counting),
-        read off each tuple's center and end leaves with no call per tuple."""
+        """Per sub-step, the d_max of each tuple, the width of the interval
+        its nodes span (for cross-module counting), read off each tuple's
+        center and end leaves with no call per tuple."""
         out = []
         for step in self.sub_steps:
             spans = []

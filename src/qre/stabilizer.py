@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Row = tuple[int, int, int]  # (x mask, z mask, sign bit)
 
@@ -78,9 +78,6 @@ class PauliRows:
         return [(xs[j], zs[j], (self.r >> j) & 1) for j in range(n_rows)]
 
     # -- gate conjugation (columns) ------------------------------------------
-
-    def apply(self, name: str, qubits: Sequence[int]) -> None:
-        self.apply_ops(((name, qubits),))
 
     def apply_ops(self, ops: Iterable[tuple[str, tuple[int, ...]]]) -> None:
         """Conjugate every row by each op in turn. An unknown gate name
@@ -167,7 +164,7 @@ class GraphForm:
     """Graph-state canonical form: |psi> = (tensor of locals) |G(adjacency)>.
 
     ``adjacency[u]`` has bit v set for each edge u-v (symmetric, no
-    self-loops); ``edges()`` lists each edge once, u < v, sorted. The gates
+    self-loops); ``edge_list`` holds each edge once, u < v, sorted. The gates
     applied to each qubit to reach |G> are H on ``h_mask``, then S on
     ``s_mask``, then Z where the sign calls for it; ``applied`` lists them
     per qubit (the node's local Clifford is their inverse product), read
@@ -179,9 +176,6 @@ class GraphForm:
     h_mask: int
     s_mask: int
     tableau: PauliRows = field(repr=False, compare=False)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return list(self.edge_list)
 
     @cached_property
     def applied(self) -> tuple[tuple[str, ...], ...]:

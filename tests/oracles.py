@@ -16,6 +16,21 @@ from typing import NamedTuple
 import numpy as np
 
 # --------------------------------------------------------------------------
+# Views of package records that only the tests read
+# --------------------------------------------------------------------------
+
+
+def touches(frame) -> frozenset[int]:
+    """The nodes a ``PauliFrame`` acts on: its X and Z supports."""
+    return frozenset(frame.x_support) | frozenset(frame.z_support)
+
+
+def star_nodes(star) -> tuple[int, ...]:
+    """A ``PrepTuple``'s center, then its leaves."""
+    return (star.center,) + star.leaves
+
+
+# --------------------------------------------------------------------------
 # Dense unitaries by index arithmetic (qubit 0 = most significant bit)
 # --------------------------------------------------------------------------
 
@@ -649,7 +664,7 @@ def layers_by_rescan(measurements, frames):
     measured = {m.node for m in measurements}
     preds = {v: set() for v in measured}
     for b, frame in frames.items():
-        for v in frame.touches():
+        for v in touches(frame):
             if v in measured:
                 preds[v].add(b)
     remaining = set(measured)
@@ -675,7 +690,7 @@ def layers_by_kahn(measurements, frames):
     succs = {}
     n_preds = dict.fromkeys(measured, 0)
     for b, frame in frames.items():
-        for v in frame.touches():
+        for v in touches(frame):
             if v in measured:
                 n_preds[v] += 1
                 succs.setdefault(b, []).append(v)
@@ -785,7 +800,8 @@ def prep_cross_ops(prep, register_size, n_inter_pipes):
     floor(d_max / register_size) crossings share the pipes."""
     total = 0
     for step in prep.sub_steps:
-        crossings = sum((max(t.nodes) - min(t.nodes)) // register_size
+        crossings = sum((max(star_nodes(t)) - min(star_nodes(t)))
+                        // register_size
                         for t in step)
         total += -(-crossings // n_inter_pipes)
     return total

@@ -9,6 +9,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
 REFS = PERFBENCH / "refs.json"
 
+# Split criteria (max_active_qubits, max_gates, slice_moments) that the
+# pool circuits' plans are pinned and checked under: the default first.
+SPLIT_CRITERIA = [(64, 4096, 16), (400, 7, 2), (4, 50, 1), (64, 30, 3)]
+
 
 def _workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads",

@@ -1,14 +1,12 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
+import random
+import time
 
 import pytest
 
-import qre
+from pool import benchmark_pool_circuit
 from qre.architecture import DEFAULT_FACTORIES
 from qre.cli import (
     EXIT_INFEASIBLE,
@@ -20,6 +18,7 @@ from qre.cli import (
 )
 from qre.pipeline import run_estimate
 from qre.report import parse_csv, render_csv
+from subproc import QRE, run_python, start_python
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +205,89 @@ class TestStageCommands:
             "sequence: 1 widgets, 12 nodes, max 6 logical, "
             "10 Clifford gates\n")
 
+    # Inputs that verify against their own gates, each with the split
+    # threshold it runs under and its widget count: a table whose order
+    # differs from first use; a nested block that max_gates 3 splits and
+    # reorders; a repeated block that max_gates 3 splits into leaves shared
+    # across the repetitions, with seams between them; an empty block
+    # repeated 1000 times, which a split leaves out (2 widgets, not 1002);
+    # a flat block whose last gate sits in moment 1 of 4, sliced into four
+    # one-moment widgets that keep all six gates.
+    VERIFIED = {
+        "table": ({"n_input": 2, "sequence": ["a", "b", "a"],
+                   "distinct_widgets": {
+                       "b": "qreg q[2]; s q[1];",
+                       "a": "qreg q[2]; h q[0]; cx q[0],q[1]; t q[1];"}},
+                  None, "widgets: 3 (2 distinct)"),
+        "split": ({"blocks": {"main": [
+            {"gate": "h", "qubits": [0]}, {"gate": "cx", "qubits": [0, 1]},
+            {"gate": "t", "qubits": [1]}, {"gate": "h", "qubits": [2]},
+            {"gate": "rz", "qubits": [2], "angle": 0.3},
+            {"gate": "cx", "qubits": [1, 2]}]}},
+            3, "widgets: 4 (4 distinct)"),
+        "repeat": ({"blocks": {
+            "main": [{"gate": "h", "qubits": [0]},
+                     {"block": "layer", "repeat": 3},
+                     {"gate": "t", "qubits": [2]}],
+            "layer": [{"gate": "cx", "qubits": [0, 1]},
+                      {"gate": "t", "qubits": [1]},
+                      {"gate": "h", "qubits": [2]},
+                      {"gate": "rz", "qubits": [2], "angle": 0.3},
+                      {"gate": "cx", "qubits": [1, 2]}]}},
+            3, "widgets: 11 (5 distinct)"),
+        "empty": ({"n_input": 2, "blocks": {
+            "main": [{"gate": "h", "qubits": [0]},
+                     {"gate": "t", "qubits": [1]},
+                     {"block": "e", "repeat": 1000}],
+            "e": []}},
+            2, "widgets: 2 (2 distinct)"),
+        "late": ({"blocks": {"main": [
+            {"gate": "h", "qubits": [0]}, {"gate": "t", "qubits": [0]},
+            {"gate": "s", "qubits": [0]}, {"gate": "x", "qubits": [0]},
+            {"gate": "cx", "qubits": [1, 2]}, {"gate": "t", "qubits": [1]}]}},
+            3, "widgets: 4 (4 distinct)"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(VERIFIED))
+    def test_widgetize_and_verify_against_the_source(self, tmp_path, capsys,
+                                                     case):
+        payload, max_gates, widgets = self.VERIFIED[case]
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(payload))
+        options = []
+        if max_gates is not None:
+            cfg = tmp_path / "split.yaml"
+            cfg.write_text(f"architecture:\n  max_gates: {max_gates}\n")
+            options = ["--config", str(cfg)]
+        assert main(["widgetize", str(path), *options]) == EXIT_OK
+        assert widgets in capsys.readouterr().out.splitlines()
+        assert main(["verify", str(path), *options]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("fidelity: ")
+
+    def test_long_flat_block_widgetizes_in_one_pass(self, tmp_path, capsys):
+        """A flat block is sliced into groups of moments in one pass over
+        its gates: a seeded 262,144-gate block on 8 qubits widgetizes
+        within 30 s (about 2 s on one core; a rescan of the whole block
+        per slice took 80 s), and its widgets hold every gate."""
+        rng = random.Random(1)
+        gates = [{"gate": "cx", "qubits": rng.sample(range(8), 2)}
+                 if rng.random() < 0.5 else
+                 {"gate": rng.choice(["h", "t", "s", "x"]),
+                  "qubits": [rng.randrange(8)]}
+                 for _ in range(262_144)]
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"n_input": 8, "blocks": {"main": gates}}))
+        start = time.perf_counter()
+        assert main(["widgetize", str(path)]) == EXIT_OK
+        assert time.perf_counter() - start < 30
+        # widget lines read "  n0: x1, 66 gates": sum multiplicity * gates
+        total = 0
+        for line in capsys.readouterr().out.splitlines():
+            if line.endswith(" gates"):
+                _, mult, n_gates, _ = line.split()
+                total += int(mult[1:-1]) * int(n_gates)
+        assert total == 262_144
+
 
 class TestFitScaling:
     def test_recovers_parameters(self, tmp_path, capsys):
@@ -253,6 +335,36 @@ class TestSweep:
         table = {row.split(",")[0]: int(row.split(",")[1])
                  for row in lines[1:]}
         assert table["astra-gnn"] <= table["mwpm-circuit"]
+
+    def test_decoder_rows_match_estimates_naming_the_preset(self, tmp_path,
+                                                            capsys):
+        """A decoder sweep re-solves and re-times the machine per preset,
+        and its default preset shares the estimate's solve and timing: each
+        row's distance and hardware time equal those of one estimate whose
+        config file names that preset, and the distance differs between
+        the rows."""
+        pool3 = tmp_path / "pool3.json"
+        pool3.write_text(benchmark_pool_circuit(3))
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        presets = ("mwpm-circuit", "mwpm-code-capacity", "astra-gnn")
+        assert main(["sweep", "decoder", str(pool3),
+                     "--presets", ",".join(presets), *cache]) == EXIT_OK
+        swept = [row.split(",")[:3]
+                 for row in capsys.readouterr().out.splitlines()[1:]]
+        single = []
+        for preset in presets:
+            cfg = tmp_path / f"{preset}.yaml"
+            cfg.write_text(f"scaling:\n  preset: {preset}\n")
+            csv_path = tmp_path / f"{preset}.csv"
+            assert main(["estimate", str(pool3), "--config", str(cfg),
+                         "--csv", str(csv_path), *cache]) == EXIT_OK
+            rows = dict(row.split(",")[1:3]
+                        for row in csv_path.read_text().splitlines()
+                        if row[:1].isdigit())
+            single.append([preset, rows["code_distance"],
+                           rows["hardware_time_per_step"]])
+        assert swept == single
+        assert len({d for _, d, _ in swept}) > 1
 
     def test_unknown_preset_invalid(self, qft3_path, capsys):
         rc = main(["sweep", "decoder", str(qft3_path),
@@ -378,6 +490,18 @@ class TestBadInput:
         assert main(["estimate", str(path)]) == EXIT_INVALID
         assert f"error: {path}: not UTF-8 text: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "", 'OPENQASM 2.0;\ninclude "qelib1.inc";\n', "qreg q[0];\n"],
+        ids=["empty", "header-only", "zero-qubits"])
+    def test_flat_qasm_without_a_register_is_invalid(self, tmp_path, capsys,
+                                                     text):
+        path = tmp_path / "x.qasm"
+        path.write_text(text)
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {path}: a flat QASM file needs a qreg of at least 1 "
+            "qubit\n")
+
     def test_widget_body_not_a_string_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_input": 1, "sequence": ["A"],
@@ -431,14 +555,7 @@ class TestClosedOutput:
             "n_input": 1, "sequence": [f"w{i}" for i in range(n_widgets)],
             "distinct_widgets": {f"w{i}": "qreg q[1]; h q[0];"
                                  for i in range(n_widgets)}}))
-        src = str(Path(qre.__file__).resolve().parent.parent)
-        env = {key: value for key, value in os.environ.items()
-               if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "qre.cli", "widgetize", str(path)],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc = start_python(*QRE, "widgetize", str(path))
         for _ in range(lines_read):
             assert proc.stdout.readline() == b"n_input: 1\n"
         proc.stdout.close()
@@ -449,33 +566,26 @@ class TestClosedOutput:
 
 
 class TestFactoryWarning:
-    def run(self, *args, **env_vars):
-        src = str(Path(qre.__file__).resolve().parent.parent)
-        env = dict(os.environ, **env_vars)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH"))))
-        return subprocess.run([sys.executable, "-m", "qre.cli", *args],
-                              capture_output=True, text=True, env=env,
-                              timeout=120)
-
     def test_changed_p_warns_on_stderr(self, qft3_path, tmp_path):
         """The default factories assume p = 1e-3: an estimate at another p
         still runs, with a warning on stderr; the default run prints none."""
         cfg = tmp_path / "low.yaml"
         cfg.write_text("physical:\n  p: 1.0e-4\n")
-        low = self.run("estimate", str(qft3_path), "--config", str(cfg))
+        low = run_python(*QRE, "estimate", str(qft3_path),
+                         "--config", str(cfg))
         assert low.returncode == EXIT_OK
         assert low.stderr == (
             f"warning: {cfg}: physical.p is 0.0001, but the default "
             f"factories are sized for p = 0.001; give a factories section "
             f"sized for this p\n")
-        default = self.run("estimate", str(qft3_path))
+        default = run_python(*QRE, "estimate", str(qft3_path))
         assert (default.returncode, default.stderr) == (EXIT_OK, "")
 
     def test_unknown_key_warns_on_one_line(self, qft3_path, tmp_path):
         cfg = tmp_path / "typo.yaml"
         cfg.write_text("physical:\n  colour: red\n")
-        run = self.run("estimate", str(qft3_path), "--config", str(cfg))
+        run = run_python(*QRE, "estimate", str(qft3_path),
+                         "--config", str(cfg))
         assert run.returncode == EXIT_OK
         assert run.stderr == f"warning: {cfg}: unknown key physical.colour " \
             "ignored\n"
@@ -498,8 +608,8 @@ class TestFactoryWarning:
             for where in ("factories[0]", "thermal.lines.hemt")
             for key in ("size", "colour", "shape"))
         for seed in ("1", "2", "3"):
-            run = self.run("estimate", str(qft3_path), "--config", str(cfg),
-                           PYTHONHASHSEED=seed)
+            run = run_python(*QRE, "estimate", str(qft3_path),
+                             "--config", str(cfg), PYTHONHASHSEED=seed)
             assert (run.returncode, run.stderr) == (EXIT_OK, expected)
 
 

@@ -2,21 +2,17 @@
 PyYAML only for a config file."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import qre
 from pool import benchmark_pool_circuit
 from qre.circuit import emit_qasm, generate_qft
+from subproc import run_python
 
 # Runs in a fresh interpreter and prints, after each stage, which of numpy
 # and yaml are loaded; the last line holds the verified fidelity.
 SCRIPT = """
-import json, sys
+import contextlib, io, json, sys
 
 def loaded(stage):
     print(json.dumps([stage, sorted(m for m in ("numpy", "yaml")
@@ -27,6 +23,9 @@ loaded("import qre.cli")
 from qre.config import ArchConfig
 from qre.pipeline import load_circuit, run_estimate, verify_circuit
 qft8, pool3, qft3, config, cache = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qre.cli.main(["estimate", qft8]) == 0
+loaded("qre estimate")
 for path in (qft8, pool3):
     run_estimate(path, cache_dir=cache)
     loaded("cold " + path)
@@ -40,21 +39,17 @@ print(json.dumps(fidelity))
 """
 
 
-def run_python(*args):
-    src = str(Path(qre.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env, timeout=300)
+def python_output(*args):
+    proc = run_python(*args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
 def test_estimate_loads_neither_numpy_nor_yaml(tmp_path):
-    """``import qre.cli`` and a cold and a warm estimate of QFT-8 and of
-    pool circuit 3 load neither numpy nor yaml; an estimate with a config
-    file loads yaml, and ``verify_circuit`` loads numpy and gives 1.0."""
+    """``import qre.cli``, ``qre estimate`` of QFT-8, and a cold and a
+    warm estimate of QFT-8 and of pool circuit 3 load neither numpy nor
+    yaml; an estimate with a config file loads yaml, and
+    ``verify_circuit`` loads numpy and gives 1.0."""
     qft8, pool3, qft3 = (tmp_path / name for name in
                          ("qft8.qasm", "pool3.json", "qft3.qasm"))
     qft8.write_text(emit_qasm(generate_qft(8), 8))
@@ -62,12 +57,12 @@ def test_estimate_loads_neither_numpy_nor_yaml(tmp_path):
     qft3.write_text(emit_qasm(generate_qft(3), 3))
     config = tmp_path / "config.yaml"
     config.write_text("timing:\n  t_inter: 2.0e-6\n")
-    out = run_python("-c", SCRIPT, str(qft8), str(pool3), str(qft3),
-                     str(config), str(tmp_path / "cache"))
+    out = python_output("-c", SCRIPT, str(qft8), str(pool3), str(qft3),
+                        str(config), str(tmp_path / "cache"))
     *stages, fidelity = out.splitlines()
     modules = dict(map(json.loads, stages))
     assert modules == {
-        "import qre.cli": [],
+        "import qre.cli": [], "qre estimate": [],
         f"cold {qft8}": [], f"warm {qft8}": [],
         f"cold {pool3}": [], f"warm {pool3}": [],
         "with a config file": ["yaml"],
@@ -80,7 +75,7 @@ def test_sim_resolves_as_a_package_attribute():
     """The benchmark's hooks read ``qre._sim.apply_matrix`` after importing
     ``qre.pipeline`` alone; any other missing name is still an
     AttributeError."""
-    out = run_python("-c", (
+    out = python_output("-c", (
         "import sys, qre.pipeline\n"
         "assert 'qre._sim' not in sys.modules\n"
         "import qre\n"

@@ -11,7 +11,12 @@ from pathlib import Path
 import pytest
 
 from oracles import pipe_sweep_per_point
-from pool import REFS, benchmark_inputs, benchmark_pool_circuit
+from pool import (
+    REFS,
+    SPLIT_CRITERIA,
+    benchmark_inputs,
+    benchmark_pool_circuit,
+)
 from qre import cli, compiler, estimator, pipeline, widgetizer
 from qre.architecture import EstimationError
 from qre.circuit import (
@@ -19,6 +24,7 @@ from qre.circuit import (
     emit_qasm,
     gate,
     generate_qft,
+    parse_qasm,
     transpile,
 )
 from qre.circuit import GateKind as G
@@ -271,6 +277,8 @@ class TestWidgetCache:
             monkeypatch.setattr(pipeline, name, refuse(name))
         warm = estimate_and_sweep(path, config_path, cache)
         assert warm == cold == uncached
+        assert len(list(cache.glob("plan-*.json"))) == 1
+        assert len(list(cache.glob("widgets-*.json"))) == 1
         if modules != "default" and circuit == "pool3":
             result = run_estimate(path, config_path=config_path,
                                   cache_dir=cache)
@@ -822,10 +830,11 @@ class TestPlanRecord:
         # A plan of the first rule sized a flat QASM file by its widest
         # gate, one of the second numbered a nested plan's ids over its
         # composites too, one of the third kept a widget for each empty
-        # block of a split nested file, and one of the fourth dropped the
-        # gates of a flat block that sat past its last gate's moment. Plant
-        # a wrong plan, with the widget records it names, under each old
-        # rule's key: the current rule must read none of them.
+        # block of a split nested file, one of the fourth dropped the gates
+        # of a flat block that sat past its last gate's moment, and one of
+        # the fifth sized a flat QASM file with no register as 1 qubit.
+        # Plant a wrong plan, with the widget records it names, under each
+        # old rule's key: the current rule must read none of them.
         cache = tmp_path / "cache"
         narrow, wide = tmp_path / "narrow.qasm", tmp_path / "wide.qasm"
         narrow.write_text("qreg q[1]; h q[0]; t q[0];\n")
@@ -835,7 +844,7 @@ class TestPlanRecord:
         old = compiler.load_plan(cache, compiler.plan_key(
             hashlib.sha256(narrow.read_bytes()).hexdigest(),
             pipeline._criterion(config)))
-        for old_rule in (1, 2, 3, 4):
+        for old_rule in (1, 2, 3, 4, 5):
             monkeypatch.setattr(compiler, "PLAN_RULE", old_rule)
             compiler.save_plan(cache, compiler.plan_key(
                 hashlib.sha256(wide.read_bytes()).hexdigest(),
@@ -844,6 +853,29 @@ class TestPlanRecord:
         report = run_estimate(wide, cache_dir=cache).report
         assert report.value(15) == 40
         assert render_csv(report) == render_csv(run_estimate(wide).report)
+
+    @pytest.mark.parametrize("text", ["", "qreg q[0];\n"],
+                             ids=["empty", "zero-qubits"])
+    def test_a_record_of_a_registerless_file_is_never_read(
+            self, tmp_path, monkeypatch, text):
+        """Rule 5 planned a flat QASM file with no register, or with an
+        empty one, as one empty widget on 1 qubit. Such a record, with its
+        widget records, left in a cache must not let a warm run estimate
+        the file, which is now an input error."""
+        cache = tmp_path / "cache"
+        path = tmp_path / "none.qasm"
+        path.write_text(text)
+        config = ArchConfig()
+        plan = WidgetPlan.from_sequence(1, {"w0": []}, ["w0"])
+        compile_plan(plan, config, cache)
+        monkeypatch.setattr(compiler, "PLAN_RULE", 5)
+        compiler.save_plan(cache, compiler.plan_key(
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            pipeline._criterion(config)), plan)
+        assert run_estimate(path, cache_dir=cache).report.value(15) == 1
+        monkeypatch.undo()
+        with pytest.raises(CircuitError, match="needs a qreg of at least 1"):
+            run_estimate(path, cache_dir=cache)
 
     def test_verify_and_widgetize_never_read_the_record(
             self, table_path, tmp_path, capsys, monkeypatch):
@@ -1170,6 +1202,73 @@ class TestReportInvariants:
         assert all(b <= a for a, b in zip(times, times[1:]))
         assert times[-1] < times[0]
         assert times[0] == result.timing.t_hardware_total
+
+    def test_flat_and_one_block_nested_qft20_agree(self, tmp_path):
+        """The benchmark's QFT-20 as flat QASM and its gates as the one
+        block of a nested file give the same 49 rows: of the report CSV
+        only the circuit_hash line differs."""
+        (text,) = [text for name, _, text in benchmark_inputs()
+                   if name == "qft20"]
+        n_qubits, gates = parse_qasm(text)
+        flat, nested = tmp_path / "qft20.qasm", tmp_path / "qft20.json"
+        flat.write_text(text)
+        nested.write_text(json.dumps({"n_input": n_qubits, "blocks": {
+            "main": [{"gate": g.kind.value, "qubits": list(g.qubits),
+                      **({} if g.angle is None else {"angle": g.angle})}
+                     for g in gates]}}))
+        lines = [render_csv(run_estimate(path).report).splitlines()
+                 for path in (flat, nested)]
+        differ = [a for a, b in zip(*lines) if a != b]
+        assert len(lines[0]) == len(lines[1])
+        assert [line.split(":")[0] for line in differ] == ["# circuit_hash"]
+
+    @pytest.fixture(scope="class")
+    def pool_cache(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("invariants") / "cache"
+
+    @staticmethod
+    def pool_est(payload, config, cache, tmp_path):
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(payload))
+        return compile_plan(load_circuit(path, config).plan, config, cache).est
+
+    @pytest.mark.parametrize("k", [10, 10**3, 10**6])
+    @pytest.mark.parametrize("sub_seed", [3, 7])
+    def test_root_repeats_scale_the_totals(self, sub_seed, k, config,
+                                           pool_cache, tmp_path):
+        """Multiplying every root repeat by k multiplies the T, Rz and
+        Clifford counts, the consumption and preparation steps and the
+        widgets by exactly k. The node total adds n_input per internal
+        boundary, so what scales is the node total plus n_input."""
+        payload = json.loads(benchmark_pool_circuit(sub_seed))
+        base = self.pool_est(payload, config, pool_cache, tmp_path)
+        root = payload["blocks"][payload["root"]]
+        assert all("block" in item for item in root)
+        for item in root:
+            item["repeat"] = k * item.get("repeat", 1)
+        scaled = self.pool_est(payload, config, pool_cache, tmp_path)
+        for name in ("n_T_init", "n_Rz_init", "n_clifford_init",
+                     "consump_steps_total", "l_prep_total", "n_widgets"):
+            assert getattr(scaled, name) == k * getattr(base, name), name
+        assert (scaled.n_nodes_total + scaled.n_input
+                == k * (base.n_nodes_total + base.n_input))
+        assert (scaled.n_input, scaled.n_logical_max) == (
+            base.n_input, base.n_logical_max)
+
+    @pytest.mark.parametrize("sub_seed", [3, 7])
+    def test_splits_keep_the_gate_totals(self, sub_seed, pool_cache,
+                                         tmp_path):
+        """Under every pinned split criterion the plan keeps n_input and
+        the T, Rz and Clifford totals of the default one."""
+        payload = json.loads(benchmark_pool_circuit(sub_seed))
+        totals = set()
+        for active, max_gates, moments in SPLIT_CRITERIA:
+            config = ArchConfig(max_active_qubits=active, max_gates=max_gates,
+                                slice_moments=moments)
+            est = self.pool_est(payload, config, pool_cache, tmp_path)
+            totals.add((est.n_input, est.n_T_init, est.n_Rz_init,
+                        est.n_clifford_init))
+        assert len(totals) == 1
 
 
 class TestVerifyCircuit:

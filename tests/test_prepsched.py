@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cross_module_ops, min_prep_substeps, schedule_by_rescan
+from oracles import (
+    cross_module_ops,
+    min_prep_substeps,
+    schedule_by_rescan,
+    star_nodes,
+)
 from qre.compiler import compile_widget
 from qre.circuit import generate_qft, transpile
 from qre.prepsched import (
@@ -23,19 +28,24 @@ def stars(schedule: PrepSchedule):
             for step in schedule.sub_steps]
 
 
+def all_tuples(schedule: PrepSchedule) -> list[PrepTuple]:
+    return [t for step in schedule.sub_steps for t in step]
+
+
 def check_schedule(schedule: PrepSchedule, edges) -> None:
     want = Counter((min(u, v), max(u, v)) for u, v in edges)
-    got = Counter(schedule.covered_edges())
+    got = Counter((min(t.center, v), max(t.center, v))
+                  for t in all_tuples(schedule) for v in t.leaves)
     assert want == got, "every edge covered exactly once"
     for step in schedule.sub_steps:
         seen = set()
         intervals = []
         for t in step:
-            assert len(t.nodes) <= 5
-            assert t.d_max >= 0
-            assert not (set(t.nodes) & seen), "node-disjoint within sub-step"
-            seen.update(t.nodes)
-            lo, hi = t.interval
+            nodes = star_nodes(t)
+            assert len(nodes) <= 5
+            assert not (set(nodes) & seen), "node-disjoint within sub-step"
+            seen.update(nodes)
+            lo, hi = min(nodes), max(nodes)
             assert all(hi < a or b < lo for a, b in intervals), \
                 "interval-disjoint within sub-step"
             intervals.append((lo, hi))
@@ -52,21 +62,21 @@ class TestExamples:
         s = schedule_preparation(5, edges)
         check_schedule(s, edges)
         assert s.n_sub_steps == 1
-        (t,) = s.all_tuples()
+        (t,) = all_tuples(s)
         assert t == PrepTuple(0, (1, 2, 3, 4))
-        assert t.d_max == 4
+        assert s.substep_spans() == ((4,),)
 
     def test_empty_graph(self):
         s = schedule_preparation(4, [])
         assert s.n_sub_steps == 0
-        assert s.all_tuples() == []
+        assert all_tuples(s) == []
 
     def test_fan_out_cap_splits_large_stars(self):
         edges = [(0, v) for v in range(1, 7)]
         s = schedule_preparation(7, edges)
         check_schedule(s, edges)
         assert s.n_sub_steps == 2
-        assert max(len(t.leaves) for t in s.all_tuples()) == 4
+        assert max(len(t.leaves) for t in all_tuples(s)) == 4
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ValueError):
@@ -265,7 +275,7 @@ class TestOnCompiledWidgets:
     def test_qft64_schedule_size(self):
         cw = compile_widget(transpile(generate_qft(64)))
         s = schedule_preparation(cw.n_nodes, cw.edges)
-        assert (s.n_sub_steps, len(s.all_tuples())) == (1770, 2592)
+        assert (s.n_sub_steps, len(all_tuples(s))) == (1770, 2592)
 
 
 class TestHubGraphs:

@@ -96,7 +96,7 @@ class TestGateConjugation:
             for x_bits, z_bits, r_bit in all_paulis(n):
                 rows = make_rows(x_bits, z_bits, r_bit)
                 before = pauli_matrix(rows)
-                rows.apply(name, qubits)
+                rows.apply_ops([(name, qubits)])
                 after = pauli_matrix(rows)
                 assert np.allclose(after, u @ before @ u.conj().T, atol=1e-12), (
                     name, qubits, x_bits, z_bits, r_bit)
@@ -106,7 +106,7 @@ class TestDispatch:
     def test_unknown_gate_raises(self):
         rows = PauliRows.identity_x(2)
         with pytest.raises(StabilizerError, match="no conjugation rule for gate 'ccx'"):
-            rows.apply("ccx", (0, 1))
+            rows.apply_ops([("ccx", (0, 1))])
         with pytest.raises(StabilizerError, match="'t'"):
             rows.apply_ops([("h", (0,)), ("t", (1,))])
 
@@ -130,7 +130,7 @@ class TestDispatch:
         missing rule."""
         rows = PauliRows.__new__(PauliRows)  # no columns set
         with pytest.raises(AttributeError):
-            rows.apply("h", (0,))
+            rows.apply_ops([("h", (0,))])
         with pytest.raises(AttributeError):
             rows.apply_ops([("cz", (0, 1))])
 
@@ -211,16 +211,16 @@ class TestStabilizerAfter:
 class TestGraphForm:
     def test_plus_states_give_empty_graph(self):
         gf = graph_form(PauliRows.identity_x(4))
-        assert not gf.edges()
+        assert not gf.edge_list
         assert adjacency_matrix(gf).shape == (4, 4)
 
     def test_bell_pair_graph(self):
         gf = graph_form(stabilizer_after([("h", (1,)), ("cx", (0, 1))], 2))
-        assert gf.edges() == [(0, 1)]
+        assert gf.edge_list == ((0, 1),)
 
     def test_product_state_has_no_edges(self):
         gf = graph_form(stabilizer_after([("h", (0,)), ("cx", (0, 1))], 2))
-        assert gf.edges() == []
+        assert gf.edge_list == ()
 
     def test_adjacency_shape_and_symmetry(self):
         ops = [("h", (0,)), ("cx", (0, 1)), ("s", (1,)), ("cz", (1, 2))]
@@ -247,7 +247,7 @@ class TestGraphForm:
     def test_state_level_equivalence(self, case):
         n, ops = case
         gf = graph_form(stabilizer_after(ops, n))
-        state = graph_state(gf.edges(), gf.applied)
+        state = graph_state(gf.edge_list, gf.applied)
         assert same_up_to_phase(state.reshape(-1),
                                 prep_state(ops, n).reshape(-1))
 
@@ -319,7 +319,7 @@ class TestMatchesElimination:
         assert gf.applied == (("h", "z"), ())
         gf = self.assert_same(stabilizer_after([("h", (1,)), ("cx", (0, 1)),
                                                 ("s", (0,)), ("y", (1,))], 2))
-        assert gf.edges() == [(0, 1)]
+        assert gf.edge_list == ((0, 1),)
         assert {g for a in gf.applied for g in a} == {"h", "s", "z"}
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -327,7 +327,7 @@ class TestMatchesElimination:
         monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
         cw = compile_widget(transpile(generate_qft(n)))
         gf = self.assert_same(stabilizer_after(cw.prep_ops, cw.n_nodes))
-        assert tuple(gf.edges()) == cw.edges
+        assert gf.edge_list == cw.edges
         assert gf.applied == cw.local_cliffords
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import block_stats, expanded_kind_counts, parse_nested_per_item
-from pool import benchmark_pool_circuit
+from pool import SPLIT_CRITERIA, benchmark_pool_circuit
 from qre.circuit import (
     CircuitError,
     Gate,
@@ -521,7 +521,7 @@ class TestPlanPins:
     gate's moment. Only the first 20000 leaves of each sequence are
     hashed: the full sequences run to millions."""
 
-    CRITERIA = [(64, 4096, 16), (400, 7, 2), (4, 50, 1), (64, 30, 3)]
+    CRITERIA = SPLIT_CRITERIA
     PINS = Path(__file__).with_name("plan_sha256.json")
 
     @pytest.mark.parametrize("sub_seed", range(16))
