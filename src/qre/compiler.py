@@ -22,11 +22,15 @@ records one JSON file per distinct set of widgets (``load_cached``/
 ``save_cached``), so a plan's widgets cost one read and one write. The
 file is columnar: the widgets' gate-list digests in one list, and one list
 per ``WidgetRecord`` field in digest order, so a read validates each
-field once per set, over its column, not once per record. The records'
-sequence totals are the estimator's (``CompiledAlgorithm.est``). Beside
-the set records the cache keeps one ``PlanRecord`` per input file and
-split thresholds (``load_plan``/``save_plan``); both kinds share one
-atomic write and one validated read.
+field once per set, over its column, not once per record. A record holds
+its node lists and preparation spans as compact text, which a read checks
+but does not decode: the counts come from the separators, and the values
+are decoded on first read, which only a layout with more than one module
+per leg makes. The records' sequence totals are the estimator's
+(``CompiledAlgorithm.est``). Beside the set records the cache keeps one
+``PlanRecord`` per input file and split thresholds (``load_plan``/
+``save_plan``), columnar too; both kinds share one atomic write and one
+validated read.
 The fields that only verification and the tests read are the preparation
 ops, the measurement angles and two derived on first read from the kept
 masks: the per-gadget frames (``CompiledWidget.frames``) and the local
@@ -39,10 +43,11 @@ import hashlib
 import json
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -60,7 +65,7 @@ from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 from .widgetizer import PlanRecord, SplitCriterion
 
 CACHE_ENV = "QRE_CACHE_DIR"
-CACHE_FORMAT = 6
+CACHE_FORMAT = 7
 # The rule that derives a plan from its source, part of every plan key, so
 # that a plan record written under another rule is never read. Rule 1 gave a
 # flat QASM file the width of its widest gate; rule 2 gives it its declared
@@ -153,22 +158,43 @@ class CompiledWidget:
         return {m.node: m for m in self.measurements}
 
 
+def encode_nodes(nodes: Iterable[int]) -> str:
+    """A node list as a record holds it: each node in decimal, followed by
+    one space."""
+    return "".join([f"{v} " for v in nodes])
+
+
+def encode_spans(spans: Iterable[Iterable[int]]) -> str:
+    """Preparation spans as a record holds them: each sub-step's spans as
+    ``encode_nodes`` writes them, then ``;``."""
+    return "".join([encode_nodes(step) + ";" for step in spans])
+
+
+def _decode(text: str) -> tuple[int, ...]:
+    """The integers of an ``encode_nodes`` text."""
+    return tuple(map(int, text.split()))
+
+
 @dataclass(frozen=True)
 class WidgetRecord:
     """What estimation and ``qre compile`` read of one compiled widget and
-    its preparation schedule; the value the disk cache stores."""
+    its preparation schedule; the value the disk cache stores.
+
+    The node lists and the spans are held as text (``encode_nodes``,
+    ``encode_spans``): their lengths are counted from the separators, and
+    the values, which only a layout with more than one module per leg
+    reads, are decoded on first read."""
 
     n_input: int
     n_nodes: int
     n_edges: int
-    output_nodes: tuple[int, ...]
-    t_nodes: tuple[int, ...]      # T-measured nodes, in measurement order
-    rz_nodes: tuple[int, ...]     # Rz-measured nodes, in measurement order
+    output_text: str              # output nodes, wire by wire
+    t_text: str                   # T-measured nodes, in measurement order
+    rz_text: str                  # Rz-measured nodes, in measurement order
     n_consump_steps: int
     n_logical: int
     n_clifford: int               # transpiled Clifford gates of one instance
-    prep_spans: tuple[tuple[int, ...], ...]  # per prep sub-step, each
-                                             # tuple's d_max
+    spans_text: str               # per prep sub-step, each tuple's d_max
 
     @classmethod
     def of(cls, cw: CompiledWidget, prep: PrepSchedule,
@@ -178,13 +204,13 @@ class WidgetRecord:
             n_input=cw.n_input,
             n_nodes=cw.n_nodes,
             n_edges=len(cw.edges),
-            output_nodes=cw.output_nodes,
-            t_nodes=by_kind["T"],
-            rz_nodes=by_kind["Rz"],
+            output_text=encode_nodes(cw.output_nodes),
+            t_text=encode_nodes(by_kind["T"]),
+            rz_text=encode_nodes(by_kind["Rz"]),
             n_consump_steps=len(cw.consump_schedule),
             n_logical=cw.n_logical,
             n_clifford=n_clifford,
-            prep_spans=prep.substep_spans(),
+            spans_text=encode_spans(prep.substep_spans()),
         )
 
     @property
@@ -193,15 +219,31 @@ class WidgetRecord:
 
     @property
     def n_T(self) -> int:
-        return len(self.t_nodes)
+        return self.t_text.count(" ")
 
     @property
     def n_Rz(self) -> int:
-        return len(self.rz_nodes)
+        return self.rz_text.count(" ")
 
     @property
     def n_sub_steps(self) -> int:
-        return len(self.prep_spans)
+        return self.spans_text.count(";")
+
+    @cached_property
+    def output_nodes(self) -> tuple[int, ...]:
+        return _decode(self.output_text)
+
+    @cached_property
+    def t_nodes(self) -> tuple[int, ...]:
+        return _decode(self.t_text)
+
+    @cached_property
+    def rz_nodes(self) -> tuple[int, ...]:
+        return _decode(self.rz_text)
+
+    @cached_property
+    def prep_spans(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(_decode, self.spans_text.split(";")[:-1]))
 
 
 # The prep op of each Clifford kind except SWAP (a relabeling), and the
@@ -373,12 +415,15 @@ def widget_set_key(digests: Iterable[str], n_input: int, fan_out: int) -> str:
 
 
 # The set record's columns, one per ``WidgetRecord`` field in field order:
-# the counts, the node lists, and the preparation spans (per record a list
-# of sub-steps, each a list of integer spans).
+# the counts, JSON integers, and the texts, JSON strings.
 _RECORD_COUNTS = ("n_input", "n_nodes", "n_edges", "n_consump_steps",
                   "n_logical", "n_clifford")
-_RECORD_NODES = ("output_nodes", "t_nodes", "rz_nodes")
+_RECORD_NODES = ("output_text", "t_text", "rz_text")
 _RECORD_FIELDS = tuple(f.name for f in fields(WidgetRecord))
+# The characters of a node or spans text column joined by ",".
+_NODE_CHARS = re.compile(r"[0-9 ,]*")
+_SPANS_CHARS = re.compile(r"[0-9 ;,]*")
+_DIGITS_AS_0 = str.maketrans("123456789", "000000000")
 
 
 def _all(kind: type, values: Iterable[object]) -> bool:
@@ -410,43 +455,51 @@ def load_cached(directory: str | Path,
 def _set_from_dict(payload: dict) -> dict[str, WidgetRecord]:
     """Rebuild a set's records from its columns; TypeError unless the
     digests are distinct strings, every field's column is a list as long,
-    every count an integer and every node list and preparation sub-step a
-    list of integers. Each check runs once over a whole column, and each
+    every count an integer and every text well formed (``_check_texts``).
+    Each check runs once over a whole column, no text is decoded, and each
     record is built without the frozen dataclass's ``__init__``, which
     sets every field through ``object.__setattr__``."""
     digests = payload["digests"]
     if (type(digests) is not list or not _all(str, digests)
             or len(set(digests)) != len(digests)):
         raise TypeError("digests must be distinct strings")
-    columns = {name: payload[name] for name in _RECORD_FIELDS}
-    if not _all(list, columns.values()) or any(
-            len(column) != len(digests) for column in columns.values()):
+    columns = [payload[name] for name in _RECORD_FIELDS]
+    if not _all(list, columns) or any(
+            len(column) != len(digests) for column in columns):
         raise TypeError("every column must be a list, one value per digest")
     if not _all(int, chain.from_iterable(
-            columns[name] for name in _RECORD_COUNTS)):
+            payload[name] for name in _RECORD_COUNTS)):
         raise TypeError("record counts must be integers")
     for name in _RECORD_NODES:
-        columns[name] = _int_lists(columns[name])
-    spans = columns["prep_spans"]
-    if not _all(list, spans):
-        raise TypeError("preparation spans must be lists of sub-steps")
-    steps = iter(_int_lists(chain.from_iterable(spans)))
-    columns["prep_spans"] = [tuple(islice(steps, len(record)))
-                             for record in spans]
+        _check_texts(payload[name], " ")
+    _check_texts(payload["spans_text"], ";")
     records = {}
-    for digest, values in zip(digests, zip(*columns.values())):
+    for digest, values in zip(digests, zip(*columns)):
         record = object.__new__(WidgetRecord)
         record.__dict__.update(zip(_RECORD_FIELDS, values))
         records[digest] = record
     return records
 
 
-def _int_lists(lists: Iterable[object]) -> list[tuple[int, ...]]:
-    """``lists`` as tuples; TypeError unless each is a list of integers."""
-    lists = list(lists)
-    if not _all(list, lists) or not _all(int, chain.from_iterable(lists)):
-        raise TypeError("expected lists of integers")
-    return list(map(tuple, lists))
+def _check_texts(texts: list, end: str) -> None:
+    """TypeError unless every text of a column is what ``encode_nodes``
+    writes (``end`` " ") or what ``encode_spans`` writes (``end`` ";").
+
+    The texts are joined, each followed by ",", and each check is one pass
+    over the joined text: only digits, spaces, "," and, in spans, ";"; one
+    "," per text (no text holds one); ``end`` before the "," of each
+    nonempty text; no space that does not follow a digit (none first, none
+    after a space, a "," or a ";"); and, in spans, no digit right before a
+    ";". So each value is digits and then one space, and each sub-step is
+    closed."""
+    joined = ",".join([*texts, ""])  # TypeError unless all are strings
+    chars = _SPANS_CHARS if end == ";" else _NODE_CHARS
+    if (not chars.fullmatch(joined) or joined.count(",") != len(texts)
+            or joined.count(end + ",") != len(texts) - texts.count("")
+            or joined.startswith(" ") or "  " in joined or ", " in joined
+            or (end == ";" and ("; " in joined
+                                or "0;" in joined.translate(_DIGITS_AS_0)))):
+        raise TypeError("malformed text")
 
 
 def plan_key(source_digest: str, criterion: SplitCriterion) -> str:
@@ -460,14 +513,18 @@ def plan_key(source_digest: str, criterion: SplitCriterion) -> str:
 
 
 def save_plan(directory: str | Path, key: str, plan: PlanRecord) -> Path:
-    """Write ``plan``'s record under ``key``: the widgets as [id,
-    multiplicity, digest] in plan order and the stitches as [id, id, count]
-    in their order, so a load rebuilds every sum in the same order."""
+    """Write ``plan``'s record under ``key``, as columns: the widget ids,
+    multiplicities and digests in plan order, and the stitches' first and
+    second ids and counts in their order, so a load rebuilds every sum in
+    the same order."""
     return _save_entry(directory, "plan", key, {
         "n_input": plan.n_input,
-        "widgets": [[wid, plan.multiplicity[wid], plan.digest(wid)]
-                    for wid in plan.ids],
-        "stitches": [[a, b, count] for (a, b), count in plan.stitches.items()],
+        "ids": list(plan.ids),
+        "multiplicities": list(plan.multiplicity.values()),
+        "digests": [plan.digest(wid) for wid in plan.ids],
+        "stitch_a": [a for a, _ in plan.stitches],
+        "stitch_b": [b for _, b in plan.stitches],
+        "stitch_counts": list(plan.stitches.values()),
         "first": plan.first,
         "last": plan.last,
     })
@@ -481,24 +538,33 @@ def load_plan(directory: str | Path, key: str) -> PlanRecord | None:
 
 def _plan_from_dict(payload: dict) -> PlanRecord:
     """Rebuild a plan record; TypeError or ValueError (``CircuitError``
-    included) unless every id is a string, every count a positive integer,
-    every digest a string, and the stitches form a valid plan."""
+    included) unless every column is a list, the three widget columns
+    equally long and so the three stitch columns, the ids distinct
+    strings, the digests and stitch ids strings, the multiplicities and
+    stitch counts positive integers, the stitch pairs distinct, and the
+    stitches form a valid plan. Each check runs once over its columns."""
     n_input = payload["n_input"]
     if type(n_input) is not int or n_input < 1:
         raise TypeError("n_input must be a positive integer")
-    multiplicity, digests = {}, {}
-    for wid, count, digest in payload["widgets"]:
-        if (type(wid) is not str or type(count) is not int or count < 1
-                or type(digest) is not str or wid in multiplicity):
-            raise TypeError("bad widget entry")
-        multiplicity[wid], digests[wid] = count, digest
-    stitches = {}
-    for a, b, count in payload["stitches"]:
-        if type(count) is not int or count < 1 or (a, b) in stitches:
-            raise TypeError("bad stitch entry")
-        stitches[(a, b)] = count
-    return PlanRecord(n_input, multiplicity, stitches, payload["first"],
-                      payload["last"], digests)
+    ids, digests = payload["ids"], payload["digests"]
+    counts = payload["multiplicities"]
+    a, b = payload["stitch_a"], payload["stitch_b"]
+    stitch_counts = payload["stitch_counts"]
+    if (not _all(list, (ids, counts, digests, a, b, stitch_counts))
+            or not len(ids) == len(counts) == len(digests)
+            or not len(a) == len(b) == len(stitch_counts)):
+        raise TypeError("every column must be a list, as long as its kind's")
+    if not _all(str, chain(ids, digests, a, b)) or len(set(ids)) != len(ids):
+        raise TypeError("ids must be distinct strings, digests strings")
+    if not _all(int, chain(counts, stitch_counts)) or min(
+            chain(counts, stitch_counts), default=1) < 1:
+        raise TypeError("counts must be positive integers")
+    stitches = dict(zip(zip(a, b), stitch_counts))
+    if len(stitches) != len(stitch_counts):
+        raise TypeError("stitch pairs must be distinct")
+    return PlanRecord(n_input, dict(zip(ids, counts)), stitches,
+                      payload["first"], payload["last"],
+                      dict(zip(ids, digests)))
 
 
 def _save_entry(directory: str | Path, kind: str, key: str,

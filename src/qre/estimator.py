@@ -485,8 +485,11 @@ def _handover_crossings(out_widget: WidgetRecord, in_widget: WidgetRecord,
 
 def _timing_inputs(algo: CompiledAlgorithm,
                    layout: ModuleLayout) -> _TimingInputs:
+    """With one module per leg nothing crosses a module boundary, so no
+    node list or span is read: only the counts."""
     plan = algo.plan
     register_size = algo.est.n_logical_max
+    split = layout.n_per_leg > 1
     index = {wid: i for i, wid in enumerate(plan.ids)}
     widgets = []
     for wid in plan.ids:
@@ -495,14 +498,15 @@ def _timing_inputs(algo: CompiledAlgorithm,
             plan.multiplicity[wid] - (1 if wid == plan.last else 0),
             record.n_sub_steps,
             (substep_crossings(record.prep_spans, register_size)
-             if layout.n_per_leg > 1 else Counter()),
+             if split else Counter()),
             *_per_module_maxima(record, register_size, layout)))
     handover: Counter[int] = Counter()
-    for (a, b), count in plan.stitches.items():
-        crossings = _handover_crossings(algo.compiled[a], algo.compiled[b],
-                                        register_size, layout)
-        if crossings:
-            handover[crossings] += count
+    if split:
+        for (a, b), count in plan.stitches.items():
+            crossings = _handover_crossings(algo.compiled[a], algo.compiled[b],
+                                            register_size, layout)
+            if crossings:
+                handover[crossings] += count
     return _TimingInputs(
         widgets=tuple(widgets),
         stitches=tuple((index[a], index[b], count)

@@ -207,16 +207,20 @@ def _set_key(plan: PlanRecord, config: ArchConfig) -> str:
 def _cached_set(plan: PlanRecord, config: ArchConfig,
                 directory: str | Path) -> dict[str, WidgetRecord] | None:
     """Every widget record of ``plan``, by id, from the set record of its
-    widgets, or None when that record misses or lacks one of them."""
+    widgets, or None when that record misses, lacks one of them or holds
+    one on another wire count than its key's."""
     # Load and save are looked up on the compiler module at call time, so
     # wrappers installed there (the benchmark trace) see them.
     by_digest = compiler.load_cached(directory, _set_key(plan, config))
     if by_digest is None:
         return None
     try:
-        return {wid: by_digest[plan.digest(wid)] for wid in plan.ids}
+        records = {wid: by_digest[plan.digest(wid)] for wid in plan.ids}
     except KeyError:
         return None
+    if any(r.n_input != plan.n_input for r in records.values()):
+        return None
+    return records
 
 
 def compile_plan(

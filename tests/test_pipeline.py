@@ -3,12 +3,15 @@
 import hashlib
 import json
 import sys
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import pipe_sweep_per_point
 from pool import (
@@ -227,12 +230,18 @@ def refuse(name):
     return refused
 
 
-def _record(n_nodes, t_nodes=(), rz_nodes=(), prep_spans=()):
+def _record(n_nodes, t_nodes=(), rz_nodes=(), prep_spans=(), n_input=2,
+            output_nodes=None):
+    if output_nodes is None:
+        output_nodes = (n_nodes - 2, n_nodes - 1)
     return compiler.WidgetRecord(
-        n_input=2, n_nodes=n_nodes, n_edges=n_nodes - 1,
-        output_nodes=(n_nodes - 2, n_nodes - 1), t_nodes=t_nodes,
-        rz_nodes=rz_nodes, n_consump_steps=len(t_nodes) + len(rz_nodes),
-        n_logical=n_nodes, n_clifford=3, prep_spans=prep_spans)
+        n_input=n_input, n_nodes=n_nodes, n_edges=n_nodes - 1,
+        output_text=compiler.encode_nodes(output_nodes),
+        t_text=compiler.encode_nodes(t_nodes),
+        rz_text=compiler.encode_nodes(rz_nodes),
+        n_consump_steps=len(t_nodes) + len(rz_nodes),
+        n_logical=n_nodes, n_clifford=3,
+        spans_text=compiler.encode_spans(prep_spans))
 
 
 # Widget sets by digest: one widget; one with no T, no Rz and no preparation
@@ -295,10 +304,11 @@ class TestWidgetCache:
             assert sum(row != other for row, other in rows) == 7
 
     def test_every_column_is_checked(self):
-        """Each ``WidgetRecord`` field is a count, a node list or the
-        preparation spans, so the set reader validates every column."""
+        """Each ``WidgetRecord`` field is a count, a node list's text or
+        the preparation spans' text, so the set reader validates every
+        column."""
         assert set(compiler._RECORD_FIELDS) == {
-            *compiler._RECORD_COUNTS, *compiler._RECORD_NODES, "prep_spans"}
+            *compiler._RECORD_COUNTS, *compiler._RECORD_NODES, "spans_text"}
 
     @pytest.mark.parametrize("name", [f"nested{s}" for s in range(16)]
                              + ["qft3", "qft8", "qft20", "single", "empty",
@@ -306,7 +316,8 @@ class TestWidgetCache:
     def test_load_of_a_save_returns_the_records(self, name, bench_inputs,
                                                 config, tmp_path):
         """``load_cached`` of ``save_cached(records)`` gives the records
-        back equal, in their order and with every list a tuple."""
+        back equal, in their order, with every text a string and every
+        decoded list a tuple of integers."""
         if name in HAND_MADE_SETS:
             records = HAND_MADE_SETS[name]
         else:
@@ -326,6 +337,8 @@ class TestWidgetCache:
         assert list(loaded) == list(records)
         for record in loaded.values():
             assert type(record) is compiler.WidgetRecord
+            assert {type(getattr(record, name)) for name in (
+                *compiler._RECORD_NODES, "spans_text")} == {str}
             assert _all_ints(record.output_nodes)
             assert _all_ints(record.t_nodes) and _all_ints(record.rz_nodes)
             assert type(record.prep_spans) is tuple
@@ -353,7 +366,12 @@ class TestWidgetCache:
                                          "no-record", "short-column",
                                          "long-column", "duplicate-digest",
                                          "digest-type", "true-count",
-                                         "float-count", "sub-step"])
+                                         "float-count", "sub-step",
+                                         "non-digit", "minus-sign",
+                                         "doubled-separator",
+                                         "number-as-text", "leading-space",
+                                         "no-final-space", "span-space",
+                                         "step-space", "comma", "n_input"])
     def test_bad_entry_is_recomputed_and_overwritten(
             self, content, qft3_path, config, tmp_path):
         cache = tmp_path / "cache"
@@ -363,7 +381,9 @@ class TestWidgetCache:
         (entry,) = cache.iterdir()
         good = entry.read_text()  # text: a 1.0 left in place equals 1
         assert json.loads(good)["digests"] == [plan.digest("w0")]
-        assert json.loads(good)["prep_spans"][0]  # a sub-step to break
+        # the texts to break
+        assert json.loads(good)["t_text"] == ["0 1 3 4 7 9 "]
+        assert json.loads(good)["spans_text"] == ["4 ;8 ;9 ;7 ;"]
         if content == "directory":
             entry.unlink()
             entry.mkdir()
@@ -375,7 +395,7 @@ class TestWidgetCache:
             elif content == "other-key":
                 bad["key"] = "0" * 32
             elif content == "missing":  # a field's column
-                del bad["prep_spans"]
+                del bad["spans_text"]
             elif content == "missing-digests":
                 del bad["digests"]
             elif content == "widgets":  # digests as an object, not a list
@@ -388,7 +408,7 @@ class TestWidgetCache:
             elif content == "short-column":
                 bad["n_edges"] = []
             elif content == "long-column":
-                bad["rz_nodes"].append([])
+                bad["rz_text"].append("")
             elif content == "duplicate-digest":  # every column doubled
                 for name in columns:
                     bad[name] = bad[name] * 2
@@ -398,12 +418,36 @@ class TestWidgetCache:
                 bad["n_edges"] = [True]
             elif content == "float-count":
                 bad["n_clifford"] = [float(bad["n_clifford"][0])]
-            elif content == "sub-step":  # a sub-step that is not a list
-                bad["prep_spans"][0][0] = 1
-            elif content in bad:  # right key and format, wrong type
-                bad[content] = [{"t_nodes": "abcdefgh", "n_nodes": "12",
-                                 "n_logical": True,
-                                 "prep_spans": [[1, "2"]]}[content]]
+            elif content == "sub-step":  # the last sub-step left open
+                bad["spans_text"] = ["4 ;8 ;9 ;7 "]
+            elif content == "non-digit":
+                bad["t_text"] = ["0 1 3 x 7 9 "]
+            elif content == "minus-sign":
+                bad["t_text"] = ["0 1 -3 4 7 9 "]
+            elif content == "doubled-separator":
+                bad["t_text"] = ["0 1  3 4 7 9 "]
+            elif content == "number-as-text":
+                bad["spans_text"] = [1]
+            elif content == "leading-space":
+                bad["output_text"] = [" " + bad["output_text"][0]]
+            elif content == "no-final-space":  # one node fewer by count
+                bad["t_text"] = ["0 1 3 4 7 9"]
+            elif content == "span-space":  # a span with no space before ;
+                bad["spans_text"] = ["4 ;8;9 ;7 ;"]
+            elif content == "step-space":  # a sub-step led by a space
+                bad["spans_text"] = ["4 ; 8 ;9 ;7 ;"]
+            elif content == "comma":  # two texts in one
+                bad["rz_text"] = [bad["rz_text"][0] + ","]
+            elif content == "n_input":  # disagrees with the key
+                bad["n_input"] = [9]
+            elif content in ("t_nodes", "n_nodes", "n_logical",
+                             "prep_spans"):
+                # right key and format, wrong type
+                name, value = {"t_nodes": ("t_text", "abcdefgh"),
+                               "n_nodes": ("n_nodes", "12"),
+                               "n_logical": ("n_logical", True),
+                               "prep_spans": ("spans_text", [[1, 2]])}[content]
+                bad[name] = [value]
             else:
                 bad = None
             entry.write_text(content if bad is None else json.dumps(bad))
@@ -420,6 +464,84 @@ class TestWidgetCache:
         entry.write_text("[]")
         assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == first
+
+    def test_set_record_on_another_wire_count_does_not_fail_the_cli(
+            self, pool3_path, tmp_path, capsys):
+        """A set record whose ``n_input`` column disagrees with its key is
+        a miss: recompiled and overwritten, with the same output."""
+        cache = tmp_path / "cache"
+        args = ["estimate", str(pool3_path), "--cache-dir", str(cache)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        (entry,) = cache.glob("widgets-*.json")
+        good = entry.read_text()
+        bad = json.loads(good)
+        assert bad["n_input"][0] == 8
+        bad["n_input"][0] = 9
+        entry.write_text(json.dumps(bad))
+        assert main(args) == 0
+        assert capsys.readouterr() == (first, "")
+        assert entry.read_text() == good
+
+    def test_warm_one_module_run_decodes_no_text(self, pool3_path, tmp_path,
+                                                 monkeypatch):
+        """With one module per leg, a warm estimate and its pipe and
+        decoder sweeps read only the records' counts, and walk no
+        handover."""
+        cache = tmp_path / "cache"
+        cold = estimate_and_sweep(pool3_path, None, cache)
+        assert run_estimate(pool3_path).selection.layout.n_per_leg == 1
+        monkeypatch.setattr(compiler, "_decode", refuse("_decode"))
+        monkeypatch.setattr(estimator, "_handover_crossings",
+                            refuse("_handover_crossings"))
+        assert estimate_and_sweep(pool3_path, None, cache) == cold
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.fixed_dictionaries({
+        "n_nodes": st.integers(2, 10 ** 12),
+        "t_nodes": st.lists(st.integers(0, 10 ** 12), max_size=6).map(tuple),
+        "rz_nodes": st.lists(st.integers(0, 10 ** 12), max_size=6).map(tuple),
+        "prep_spans": st.lists(st.lists(st.integers(0, 10 ** 6), max_size=4)
+                               .map(tuple), max_size=5).map(tuple),
+        "n_input": st.integers(1, 64),
+        "output_nodes": st.lists(st.integers(0, 99), max_size=4).map(tuple),
+    }), max_size=5))
+    def test_random_records_round_trip(self, values):
+        """Records with any node lists and spans, empty ones, no sub-step
+        and empty sub-steps included, load back equal, and decode to the
+        lists they were made from."""
+        by_digest = {f"{i:064x}": _record(**v) for i, v in enumerate(values)}
+        with tempfile.TemporaryDirectory() as directory:
+            compiler.save_cached(directory, "k", by_digest)
+            loaded = compiler.load_cached(directory, "k")
+        assert loaded == by_digest
+        for record, made in zip(loaded.values(), values):
+            for name in ("output_nodes", "t_nodes", "rz_nodes", "prep_spans"):
+                assert getattr(record, name) == made[name]
+            assert (record.n_T, record.n_Rz, record.n_sub_steps) == (
+                len(made["t_nodes"]), len(made["rz_nodes"]),
+                len(made["prep_spans"]))
+
+    @pytest.mark.parametrize("texts, end, ok", [
+        (["1 2 ", "", "30 "], " ", True),
+        (["1 2 ", " 30 "], " ", False),     # a later text led by a space
+        (["1 2", "30 "], " ", False),       # a text not closed by a space
+        (["1 2 ", "3,0 "], " ", False),     # a "," inside a text
+        (["1 2 ", "3;"], " ", False),       # a ";" in a node text
+        (["1 ;;", "", ";2 30 ;"], ";", True),
+        (["1 ;", " 2 ;"], ";", False),      # a later text led by a space
+        (["1 ;", "2 ; 3 ;"], ";", False),   # a sub-step led by a space
+        (["1 ;", "2 ;3 "], ";", False),     # a sub-step left open
+        (["1 ;", "2 ;3;"], ";", False),     # a span not followed by a space
+        (["1 ;", "2  ;"], ";", False),      # a doubled space
+        (["1 ;", "\u0663 ;"], ";", False),  # a non-ASCII digit
+    ])
+    def test_text_column_check(self, texts, end, ok):
+        if ok:
+            compiler._check_texts(texts, end)
+        else:
+            with pytest.raises(TypeError):
+                compiler._check_texts(texts, end)
 
     def test_stale_temp_files_do_not_stop_a_save(self, qft3_path, config,
                                                  tmp_path):
@@ -439,17 +561,26 @@ class TestWidgetCache:
             self, qft3_path, config, tmp_path):
         """An entry of an older format (3; 4, the last one with a record
         per widget; 5, the last one with a record per widget inside the
-        set record) is never read, even under the current key."""
+        set record; 6, the last one with node lists as JSON lists) is never
+        read, even under the current key."""
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
         fresh = compile_plan(plan, config).compiled["w0"]
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         payload = json.loads(entry.read_text())
-        assert payload["format"] == compiler.CACHE_FORMAT == 6
-        for old in (3, 4, 5):
-            stale = json.loads(entry.read_text())
-            stale["format"] = old
+        assert payload["format"] == compiler.CACHE_FORMAT == 7
+        # Format 6 as written: the lists in place of the texts.
+        lists = {**json.loads(entry.read_text()), "format": 6,
+                 "output_nodes": [list(fresh.output_nodes)],
+                 "t_nodes": [list(fresh.t_nodes)],
+                 "rz_nodes": [list(fresh.rz_nodes)],
+                 "prep_spans": [[list(step) for step in fresh.prep_spans]]}
+        for name in ("output_text", "t_text", "rz_text", "spans_text"):
+            del lists[name]
+        stales = [{**json.loads(entry.read_text()), "format": old}
+                  for old in (3, 4, 5, 6)]
+        for stale in [*stales, lists]:
             stale["n_nodes"][0] += 1  # a stale record must not be read
             entry.write_text(json.dumps(stale))
             assert compile_plan(plan, config, cache).compiled["w0"] == fresh
@@ -491,8 +622,8 @@ class TestWidgetCache:
         assert compiler.load_cached(cache, "k2") == records
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        record = compiler.WidgetRecord(1, 1, 0, (0,), (), (), 0, 1,
-                                       object(), ())
+        record = compiler.WidgetRecord(1, 1, 0, "0 ", "", "", 0, 1,
+                                       object(), "")
         with pytest.raises(TypeError):
             compiler.save_cached(tmp_path, "k", {"d": record})
         assert cache_entries(tmp_path) == []
@@ -696,10 +827,11 @@ class TestPlanRecord:
         compile_circuit(table_path, config, tmp_path)
         payload = json.loads(plan_entry(tmp_path).read_text())
         assert payload["n_input"] == 2
-        assert payload["widgets"] == [[wid, plan.multiplicity[wid],
-                                       plan.digest(wid)]
-                                      for wid in plan.widgets]
-        assert payload["stitches"] == [["a", "b", 1], ["b", "a", 1]]
+        assert payload["ids"] == ["b", "a"]
+        assert payload["multiplicities"] == [1, 2]
+        assert payload["digests"] == [plan.digest("b"), plan.digest("a")]
+        assert (payload["stitch_a"], payload["stitch_b"],
+                payload["stitch_counts"]) == (["a", "b"], ["b", "a"], [1, 1])
         assert (payload["first"], payload["last"]) == ("a", "a")
         record = compiler.load_plan(tmp_path, payload["key"])
         assert list(record.ids) == list(plan.widgets)
@@ -710,7 +842,9 @@ class TestPlanRecord:
         "directory", "n_input", "widgets", "multiplicity",
         "float-multiplicity", "digest",
         "duplicate-widget", "stitches", "stitch-count", "stitch-sum",
-        "stitch-id", "first"])
+        "stitch-id", "first", "zero-multiplicity", "id-type",
+        "duplicate-stitch", "zero-stitch", "short-column",
+        "stitch-column"])
     def test_bad_entry_is_recomputed_and_overwritten(
             self, content, pool3_path, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
@@ -724,33 +858,52 @@ class TestPlanRecord:
             entry.mkdir()
         else:
             bad = json.loads(entry.read_text())
-            widget, stitch = bad["widgets"][0], bad["stitches"][0]
+            ids, counts = bad["ids"], bad["multiplicities"]
             if content == "format-2":
                 bad["format"] = 2
             elif content == "other-key":
                 bad["key"] = "0" * 64
             elif content == "missing":
-                del bad["stitches"]
+                del bad["stitch_b"]
             elif content == "n_input":
                 bad["n_input"] = True
-            elif content == "widgets":
-                bad["widgets"] = {"a": 1}
+            elif content == "widgets":  # a column as an object
+                bad["ids"] = {"a": 1}
             elif content == "multiplicity":
-                widget[1] = str(widget[1])
+                counts[0] = str(counts[0])
             elif content == "float-multiplicity":
-                widget[1] = float(widget[1])
+                counts[0] = float(counts[0])
+            elif content == "zero-multiplicity":
+                counts[0] = 0
             elif content == "digest":
-                widget[2] = None
-            elif content == "duplicate-widget":
-                bad["widgets"].append(widget)
-            elif content == "stitches":
-                bad["stitches"] = [stitch[:2]]
+                bad["digests"][0] = None
+            elif content == "id-type":
+                ids[0] = 0
+            elif content == "duplicate-widget":  # every widget column
+                for name in ("ids", "multiplicities", "digests"):
+                    bad[name].append(bad[name][0])
+            elif content == "short-column":
+                bad["digests"].pop()
+            elif content == "stitches":  # a stitch without its count
+                bad["stitch_counts"].pop()
+            elif content == "stitch-column":  # a column as an object
+                bad["stitch_counts"] = {"0": bad["stitch_counts"][0]}
+            elif content == "duplicate-stitch":  # every stitch column
+                for name in ("stitch_a", "stitch_b", "stitch_counts"):
+                    bad[name].append(bad[name][0])
+            elif content == "zero-stitch":  # a new pair, counted 0 times
+                pairs = set(zip(bad["stitch_a"], bad["stitch_b"]))
+                new = next((x, y) for x in ids for y in ids
+                           if (x, y) not in pairs)
+                for name, value in zip(("stitch_a", "stitch_b",
+                                        "stitch_counts"), (*new, 0)):
+                    bad[name].append(value)
             elif content == "stitch-count":
-                stitch[2] = float(stitch[2])
+                bad["stitch_counts"][0] = float(bad["stitch_counts"][0])
             elif content == "stitch-sum":
-                stitch[2] += 1
+                bad["stitch_counts"][0] += 1
             elif content == "stitch-id":
-                stitch[0] = "nowhere"
+                bad["stitch_a"][0] = "nowhere"
             elif content == "first":
                 bad["first"] = ["a"]
             else:
@@ -765,7 +918,7 @@ class TestPlanRecord:
     def test_stitch_sum_is_a_plan_error(self, pool3_path, config, tmp_path):
         compile_circuit(pool3_path, config, tmp_path)
         payload = json.loads(plan_entry(tmp_path).read_text())
-        payload["stitches"][0][2] += 1
+        payload["stitch_counts"][0] += 1
         with pytest.raises(CircuitError, match="n_widgets - 1"):
             compiler._plan_from_dict(payload)
 
