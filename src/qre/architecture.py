@@ -170,9 +170,10 @@ def choose_modules_per_leg(
     n_logical: int,
     d: int,
     factory: TFactory,
-) -> ModuleLayout:
+) -> ModuleLayout | None:
     """Smallest n_per_leg whose layout is feasible (splitting the memory
-    across more modules shrinks the per-module bus until everything fits).
+    across more modules shrinks the per-module bus until everything fits),
+    or None when no n_per_leg is.
 
     Feasibility depends on n_per_leg only through the memory per module, and
     a memory of 1 is the easiest case: l_qbus sits at its floor of 3, so the
@@ -183,9 +184,7 @@ def choose_modules_per_leg(
     layout = compute_layout(n_phys_per_module, n_logical, d, factory, 1)
     if layout is None and compute_layout(n_phys_per_module, 1, d, factory,
                                          1) is None:
-        raise EstimationError(
-            f"no feasible module layout for n_logical={n_logical}, d={d}, "
-            f"factory={factory.name!r}, n_phys_per_module={n_phys_per_module}")
+        return None
     n_per_leg = 1
     while layout is None:
         n_per_leg += 1

@@ -11,8 +11,8 @@ gadget, and the rows above them the stabilizer tableau of |+>^n_nodes. Each
 node's column is then a mask: its low g bits are the frames that touch the
 node, its high bits the tableau column. The consumption sub-steps (greedy
 maximal antichains of the frame-dependency order) are read from the low
-bits of the measured nodes' columns, and ``graph_form`` canonicalizes the
-high bits to graph + local-Clifford form. Nothing here simulates: the
+bits of the measured nodes' columns, and ``graph_form`` reads the graph of
+the state's graph-state form from the high bits. Nothing here simulates: the
 dense check of the whole construction, ``verify_unitarity``, lives in
 ``_sim``, which only ``verify`` and the tests import.
 
@@ -32,9 +32,9 @@ per leg makes. The records' sequence totals are the estimator's
 ``save_plan``), columnar too; both kinds share one atomic write and one
 validated read.
 The fields that only verification and the tests read are the preparation
-ops, the measurement angles and two derived on first read from the kept
-masks: the per-gadget frames (``CompiledWidget.frames``) and the local
-Cliffords (``CompiledWidget.local_cliffords``). None of them is written.
+ops, the measurement angles and one derived on first read from the kept
+sweep: the per-gadget frames (``CompiledWidget.frames``). None of them is
+written.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .circuit import (
     circuit_width,
 )
 from .prepsched import PrepSchedule
-from .stabilizer import GraphForm, PauliRows, bits, graph_form
+from .stabilizer import PauliRows, bits, graph_form
 from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 from .widgetizer import PlanRecord, SplitCriterion
 
@@ -84,9 +84,8 @@ class CompileError(ValueError):
 class Measurement(NamedTuple):
     """Consumption measurement of one node.
 
-    kind "T" and "Rz" measure in the X basis rotated by the stored angle
-    (pi/4-magnitude angles are tagged "T"); kind "X" is a plain X-basis
-    teleportation measurement.
+    Both kinds, "T" and "Rz", measure in the X basis rotated by the stored
+    angle (pi/4-magnitude angles are tagged "T").
     """
 
     node: int
@@ -115,10 +114,8 @@ class CompiledWidget:
     measurements: tuple[Measurement, ...]
     consump_schedule: tuple[tuple[int, ...], ...]
     n_logical: int
-    # The sweep's rows (frames below, tableau above) and the graph form,
-    # kept for the fields derived on first read.
+    # The sweep's rows (frames below, tableau above), kept for ``frames``.
     sweep: PauliRows = field(repr=False, compare=False)
-    graph: GraphForm = field(repr=False, compare=False)
 
     @cached_property
     def frames(self) -> dict[int, PauliFrame]:
@@ -131,10 +128,6 @@ class CompiledWidget:
                 for m, (x, z, _) in zip(self.measurements,
                                         rows.row_masks(n_frames))}
 
-    @property
-    def local_cliffords(self) -> tuple[tuple[str, ...], ...]:
-        return self.graph.applied
-
     @cached_property
     def nodes_by_kind(self) -> dict[str, tuple[int, ...]]:
         """Measured nodes of each measurement kind, in measurement order:
@@ -142,7 +135,7 @@ class CompiledWidget:
         record share."""
         nodes: dict[str, list[int]] = {"T": [], "Rz": []}
         for m in self.measurements:
-            nodes.setdefault(m.kind, []).append(m.node)
+            nodes[m.kind].append(m.node)
         return {kind: tuple(v) for kind, v in nodes.items()}
 
     @property
@@ -314,10 +307,9 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
     nodes = [a for a, _, _ in gadgets]
     schedule = _layer_consumption(
         nodes, [(rows.x[a] | rows.z[a]) & low for a in nodes])
-    gf = graph_form(PauliRows([c >> n_frames for c in rows.x],
-                              [c >> n_frames for c in rows.z],
-                              rows.r >> n_frames))
-    edges = gf.edge_list
+    edges = graph_form(PauliRows([c >> n_frames for c in rows.x],
+                                 [c >> n_frames for c in rows.z],
+                                 rows.r >> n_frames)).edge_list
     n_logical = _max_live_nodes(n, n_nodes, edges, schedule)
 
     return CompiledWidget(
@@ -331,7 +323,6 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
         consump_schedule=schedule,
         n_logical=n_logical,
         sweep=rows,
-        graph=gf,
     )
 
 

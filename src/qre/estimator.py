@@ -292,13 +292,14 @@ def _solve_distance(
     distance passes are the skipped ones checked for a layout, to tell a
     machine too small at every distance from a budget no distance meets."""
     rhs = budget_rhs(config.p_algo_fail)
+    n_phys = config.n_phys_per_module
     fits = False
     skipped = []
     for d in range(d_start, D_CAP + 1, 2):
         if _failure_weight(d, config, n_logical, l_prep_total, 0.0) >= rhs:
             skipped.append(d)
             continue
-        layout = _layout_at(config, n_logical, d, factory)
+        layout = choose_modules_per_leg(n_phys, n_logical, d, factory)
         if layout is None:
             continue
         fits = True
@@ -309,21 +310,11 @@ def _solve_distance(
                             counts, factory.cycles)
         if lhs < rhs:
             return d, layout, counts
-    if not (fits or any(_layout_at(config, n_logical, d, factory) is not None
-                        for d in skipped)):
+    if not (fits or any(choose_modules_per_leg(n_phys, n_logical, d, factory)
+                        is not None for d in skipped)):
         return f"no module layout fits at any odd d <= {D_CAP}"
     return (f"no odd d <= {D_CAP} meets the failure budget "
             f"p_algo_fail={config.p_algo_fail}")
-
-
-def _layout_at(config: ArchConfig, n_logical: int, d: int,
-               factory: TFactory) -> ModuleLayout | None:
-    """The module layout at d, or None when nothing fits there."""
-    try:
-        return choose_modules_per_leg(config.n_phys_per_module, n_logical, d,
-                                      factory)
-    except EstimationError:
-        return None
 
 
 def _solve_factory(
@@ -474,9 +465,8 @@ def _per_module_maxima(record: WidgetRecord, register_size: int,
 def _handover_crossings(out_widget: WidgetRecord, in_widget: WidgetRecord,
                         register_size: int, layout: ModuleLayout) -> int:
     """Module-boundary crossings to teleport one widget's outputs onto the
-    next widget's inputs, wire by wire."""
-    if layout.n_per_leg == 1:
-        return 0
+    next widget's inputs, wire by wire, on a layout of more than one module
+    per leg."""
     return sum(abs(_module_of(out_node, register_size, layout)
                    - _module_of(in_node, register_size, layout)) + 1
                for out_node, in_node in zip(out_widget.output_nodes,

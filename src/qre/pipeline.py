@@ -66,7 +66,7 @@ from .estimator import (
     solve_distance_and_factory,
 )
 from .prepsched import schedule_preparation
-from .report import ResourceReport, assemble_report
+from .report import ResourceReport, assemble_report, emit_value
 from .scalefit import SCALING_PRESETS
 from .widgetizer import (
     PlanRecord,
@@ -315,18 +315,19 @@ def run_estimate(
 @dataclass(frozen=True)
 class SweepRow:
     """One sweep point: the varied setting, the solved distance, the wall
-    time per run, and that time divided by the first row's."""
+    time per run, and that time divided by the first row's (None when the
+    first row takes no time)."""
 
     label: str
     d: int
     t_hardware: float
-    normalized_runtime: float
+    normalized_runtime: float | None
 
 
 def _normalize(labels: Sequence[str], solved: Sequence[tuple[int, float]],
                ) -> list[SweepRow]:
     base = solved[0][1]
-    return [SweepRow(label, d, t, t / base)
+    return [SweepRow(label, d, t, t / base if base else None)
             for label, (d, t) in zip(labels, solved)]
 
 
@@ -390,7 +391,7 @@ def render_sweep_csv(rows: Sequence[SweepRow], label_name: str) -> str:
     lines = [f"{label_name},code_distance,t_hardware,normalized_runtime"]
     for row in rows:
         lines.append(f"{row.label},{row.d},{row.t_hardware!r},"
-                     f"{row.normalized_runtime!r}")
+                     f"{emit_value(row.normalized_runtime)}")
     return "\n".join(lines) + "\n"
 
 

@@ -123,8 +123,8 @@ def assemble_report(
         config.thermal, config.n_phys_per_module)
     p_4k = n_modules * p_4k_module
     p_20mk = n_modules * p_20mk_module
-    energy = total_energy(p_4k, p_20mk, cores, timing.t_ft_total,
-                          config.thermal)
+    energy_j = total_energy(p_4k, p_20mk, cores, timing.t_ft_total,
+                            config.thermal)
 
     # Consistency gates: the module grid must tile exactly, the per-module
     # allocation may exceed one leg's share only by the memory-split ceiling
@@ -224,7 +224,7 @@ def assemble_report(
                   "s"),
         ReportRow(47, "hardware_time_per_step", timing.t_hardware_total, "s"),
         ReportRow(48, "total_ft_time", timing.t_ft_total, "s"),
-        ReportRow(49, "total_energy", energy.watt_hours, "Wh"),
+        ReportRow(49, "total_energy", energy_j / 3600.0, "Wh"),
     )
     return ResourceReport(rows=rows, provenance=dict(provenance or {}))
 
@@ -329,7 +329,7 @@ def render_console(report: ResourceReport) -> str:
     return "\n".join(lines)
 
 
-def _emit_value(value) -> str:
+def emit_value(value) -> str:
     if value is None:
         return "n/a"
     return repr(value)
@@ -351,7 +351,7 @@ def render_csv(report: ResourceReport) -> str:
              for key in sorted(report.provenance)]
     lines.append("param_id,param_name,value,unit")
     for row in report.rows:
-        lines.append(f"{row.id},{row.name},{_emit_value(row.value)},{row.unit}")
+        lines.append(f"{row.id},{row.name},{emit_value(row.value)},{row.unit}")
     return "\n".join(lines) + "\n"
 
 

@@ -14,15 +14,15 @@ stabilizer tableau through the preparation ops together.
 columns: the pivot columns of the X block come from an XOR basis over the
 x[q], H on the other columns makes the X block invertible, and node q's
 adjacency is the coordinate vector of z[q] in the basis of the X columns.
-The per-node local Cliffords (``GraphForm.applied``), which also need the
-row signs, are derived on first read: only verification and the tests
-read them.
+Only the graph is kept: nothing the package runs reads the per-node local
+Cliffords that turn it back into the state (``verify`` simulates the
+preparation ops themselves), and the reference derivations of those live
+with the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Row = tuple[int, int, int]  # (x mask, z mask, sign bit)
@@ -54,12 +54,6 @@ class PauliRows:
     def identity_x(cls, n: int) -> "PauliRows":
         """n rows: row i = X_i (the stabilizers of |+...+>)."""
         return cls([1 << q for q in range(n)], [0] * n, 0)
-
-    @classmethod
-    def zeros(cls, n: int) -> "PauliRows":
-        """Identity rows over n qubits: every row is a fixed point of every
-        conjugation until one of its bits is set."""
-        return cls([0] * n, [0] * n, 0)
 
     @property
     def n_qubits(self) -> int:
@@ -161,54 +155,27 @@ def _reduce(basis: Basis, v: int, c: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GraphForm:
-    """Graph-state canonical form: |psi> = (tensor of locals) |G(adjacency)>.
+    """The graph of a stabilizer state's graph-state canonical form
+    |psi> = (tensor of local Cliffords) |G>.
 
     ``adjacency[u]`` has bit v set for each edge u-v (symmetric, no
-    self-loops); ``edge_list`` holds each edge once, u < v, sorted. The gates
-    applied to each qubit to reach |G> are H on ``h_mask``, then S on
-    ``s_mask``, then Z where the sign calls for it; ``applied`` lists them
-    per qubit (the node's local Clifford is their inverse product), read
-    from ``tableau``, a copy of the rows ``graph_form`` was given.
+    self-loops); ``edge_list`` holds each edge once, u < v, sorted.
     """
 
     adjacency: tuple[int, ...]
     edge_list: tuple[tuple[int, int], ...]
-    h_mask: int
-    s_mask: int
-    tableau: PauliRows = field(repr=False, compare=False)
-
-    @cached_property
-    def applied(self) -> tuple[tuple[str, ...], ...]:
-        """Per qubit, the gates applied to reach |G>. After H, S and CZ on
-        every edge the state is Z^c |+...+>, so the tableau's rows are
-        X strings and its sign vector is sum_v c_v x[v]: c is the
-        coordinate vector of the signs in the basis of the X columns."""
-        t = self.tableau
-        rows = PauliRows(list(t.x), list(t.z), t.r)
-        rows.apply_ops([*(("h", (q,)) for q in bits(self.h_mask)),
-                        *(("s", (q,)) for q in bits(self.s_mask)),
-                        *(("cz", e) for e in self.edge_list)])
-        basis: Basis = {}
-        for q, col in enumerate(rows.x):
-            v, c = _reduce(basis, col, 1 << q)
-            basis[v.bit_length()] = (v, c)
-        z_mask = _reduce(basis, rows.r, 0)[1]
-        return tuple(("h",) * (self.h_mask >> q & 1)
-                     + ("s",) * (self.s_mask >> q & 1)
-                     + ("z",) * (z_mask >> q & 1)
-                     for q in range(len(self.adjacency)))
 
 
 def graph_form(rows: PauliRows) -> GraphForm:
-    """Canonicalize a stabilizer state into graph + local-Clifford form.
+    """The graph of a stabilizer state's graph + local-Clifford form.
 
     H on the columns that are not pivots of the X block makes that block
     invertible; multiplying the rows by its inverse gives [I | A], and
     column q of A is z[q]'s coordinate vector in the basis of the X
-    columns. S clears the diagonal of A (and Z clears the signs, see
-    ``GraphForm.applied``). Every step is fixed by the state, not by the
-    generators it is given, so the form is canonical. ``rows`` is left as
-    it is.
+    columns. S clears the diagonal of A, and Z would clear the signs, which
+    the graph does not depend on. Every step is fixed by the state, not by
+    the generators it is given, so the form is canonical. ``rows`` is left
+    as it is.
     """
     n = rows.n_qubits
     x, z = rows.x, rows.z
@@ -235,14 +202,9 @@ def graph_form(rows: PauliRows) -> GraphForm:
         basis[v.bit_length()] = (v, c)
     # n independent columns: every highest bit has an entry, so z[q] reduces
     # to zero. Only a pivot's coordinates can hold its own bit: S clears it.
-    s_mask = 0
     for q in range(n):
         if not h_mask >> q & 1:
-            c = _reduce(basis, z[q], 0)[1]
-            if c >> q & 1:
-                s_mask |= 1 << q
-                c ^= 1 << q
-            coords[q] = c
+            coords[q] = _reduce(basis, z[q], 0)[1] & ~(1 << q)
     # Each upper-triangle bit needs its mirror; equal totals then leave no
     # unmatched bit below the diagonal. Anticommuting rows show up here.
     edges = []
@@ -253,8 +215,7 @@ def graph_form(rows: PauliRows) -> GraphForm:
             edges.append((u, v))
     if sum(map(int.bit_count, coords)) != 2 * len(edges):
         raise StabilizerError(_NOT_A_GRAPH)
-    return GraphForm(tuple(coords), tuple(edges), h_mask, s_mask,
-                     PauliRows(list(x), list(z), rows.r))
+    return GraphForm(tuple(coords), tuple(edges))
 
 
 _NOT_A_GRAPH = "canonical Z block is not a graph adjacency (anticommuting rows)"

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 __all__ = [
     "LineClass",
     "ThermalConfig",
-    "EnergyEstimate",
     "DEFAULT_LINES",
     "DEFAULT_THERMAL",
     "module_dissipation",
@@ -85,29 +84,18 @@ def module_dissipation(
     return p_4k, p_20mk
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
-    """Total wall-plug energy in both joules and watt-hours."""
-
-    joules: float
-
-    @property
-    def watt_hours(self) -> float:
-        return self.joules / 3600.0
-
-
 def total_energy(
     p_4k_total: float,
     p_20mk_total: float,
     cores: int,
     t_ft_total: float,
     thermal: ThermalConfig = DEFAULT_THERMAL,
-) -> EnergyEstimate:
-    """Energy over the full algorithm: decoding cores at fixed TDP plus each
-    cryo stage's dissipation amplified by its cooling efficiency."""
+) -> float:
+    """Energy in joules over the full algorithm: decoding cores at fixed TDP
+    plus each cryo stage's dissipation amplified by its cooling efficiency."""
     wall_power = (
         thermal.p_decoding_core * cores
         + thermal.eta_4k * p_4k_total
         + thermal.eta_20mk * p_20mk_total
     )
-    return EnergyEstimate(joules=wall_power * t_ft_total)
+    return wall_power * t_ft_total

@@ -317,7 +317,7 @@ def distance_by_full_scan(config, n_logical, l_prep_total, factory, l_eps,
     """(d, layout, counts) of the smallest odd d in 3..D_CAP meeting the
     failure budget, choosing a layout at every distance with no bound to
     skip any; otherwise the solver's reason, decided from the whole scan."""
-    from qre.architecture import EstimationError, choose_modules_per_leg
+    from qre.architecture import choose_modules_per_leg
     from qre.estimator import (
         D_CAP,
         budget_rhs,
@@ -328,10 +328,9 @@ def distance_by_full_scan(config, n_logical, l_prep_total, factory, l_eps,
     rhs = budget_rhs(config.p_algo_fail)
     fits = False
     for d in range(3, D_CAP + 1, 2):
-        try:
-            layout = choose_modules_per_leg(config.n_phys_per_module,
-                                            n_logical, d, factory)
-        except EstimationError:
+        layout = choose_modules_per_leg(config.n_phys_per_module,
+                                        n_logical, d, factory)
+        if layout is None:
             continue
         fits = True
         counts = sequential_counts(n_t_init, n_rz_init, l_eps,
@@ -441,7 +440,7 @@ def frames_by_replay(ops, gadgets, n_nodes):
 
     frames = {}
     for a, f, k in gadgets:
-        p = PauliRows.zeros(n_nodes)
+        p = PauliRows([0] * n_nodes, [0] * n_nodes, 0)
         p.z[f] = 1
         p.apply_ops(ops[k:])
         frames[a] = (tuple(q for q in range(n_nodes) if p.x[q] & 1),

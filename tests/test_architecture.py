@@ -7,7 +7,6 @@ import pytest
 from oracles import layout_oracle, modules_per_leg_by_scan
 from qre.architecture import (
     DEFAULT_FACTORIES,
-    EstimationError,
     ModuleLayout,
     TFactory,
     choose_modules_per_leg,
@@ -140,9 +139,8 @@ class TestChooseModulesPerLeg:
         assert lay.n_per_leg == 2
         assert compute_layout(10 ** 6, base, 17, FIRST, 1) is None
 
-    def test_impossible_configuration_raises(self):
-        with pytest.raises(EstimationError):
-            choose_modules_per_leg(2000, 5, 17, FIRST)
+    def test_impossible_configuration_returns_none(self):
+        assert choose_modules_per_leg(2000, 5, 17, FIRST) is None
 
     def test_feasible_layout_returned_is_first(self):
         lay = choose_modules_per_leg(10 ** 6, 5000, 17, FIRST)
@@ -160,8 +158,7 @@ class TestChooseModulesPerLeg:
                     rng.randrange(3, 42, 2), rng.choice(DEFAULT_FACTORIES))
             want = modules_per_leg_by_scan(*args)
             if want is None:
-                with pytest.raises(EstimationError, match="no feasible"):
-                    choose_modules_per_leg(*args)
+                assert choose_modules_per_leg(*args) is None, (trial, args)
                 kinds["none"] += 1
                 continue
             assert choose_modules_per_leg(*args) == want, (trial, args)

@@ -366,6 +366,19 @@ class TestSweep:
         assert swept == single
         assert len({d for _, d, _ in swept}) > 1
 
+    @pytest.mark.parametrize("kind", ["pipes", "decoder"])
+    def test_zero_time_circuit_normalizes_to_n_a(self, tmp_path, capsys,
+                                                 kind):
+        """A circuit with no T or Rz gate takes no hardware time, so no row
+        can be divided by the first: every normalized runtime is n/a."""
+        path = tmp_path / "x1.qasm"
+        path.write_text("OPENQASM 2.0;\nqreg q[1];\nx q[0];\n")
+        assert main(["sweep", kind, str(path)]) == EXIT_OK
+        rows = [line.split(",") for line in
+                capsys.readouterr().out.strip().splitlines()[1:]]
+        assert len(rows) > 1
+        assert all(r[2:] == ["0.0", "n/a"] for r in rows), rows
+
     def test_unknown_preset_invalid(self, qft3_path, capsys):
         rc = main(["sweep", "decoder", str(qft3_path),
                    "--presets", "union-find"])

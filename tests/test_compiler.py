@@ -11,6 +11,7 @@ from dense import graph_state, prep_state
 from oracles import (
     frames_by_replay,
     gadgets_of,
+    graph_form_by_rows,
     layers_by_kahn,
     layers_by_rescan,
     max_live_nodes_by_scan,
@@ -47,7 +48,7 @@ from qre.compiler import (
 from qre.config import ArchConfig
 from qre.estimator import CompiledAlgorithm
 from qre.pipeline import compile_plan, load_circuit, verify_circuit
-from qre.stabilizer import GraphForm, PauliRows
+from qre.stabilizer import PauliRows, stabilizer_after
 from qre.widgetizer import PlanRecord, WidgetPlan
 
 PI = math.pi
@@ -156,12 +157,16 @@ class TestNodeCounts:
 
 class TestLocalState:
     def test_canonical_graph_reproduces_prep_state(self):
+        """The compiled edges, with the reference local Cliffords, give the
+        state the preparation ops prepare."""
         for gates in ([gate(GateKind.T, 0)],
                       [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1),
                        gate(GateKind.T, 1), gate(GateKind.S, 0)],
                       transpile(generate_qft(3)).gates):
             cw = compiled(gates)
-            state = graph_state(cw.edges, cw.local_cliffords)
+            _, local = graph_form_by_rows(
+                stabilizer_after(cw.prep_ops, cw.n_nodes))
+            state = graph_state(cw.edges, local)
             assert same_up_to_phase(
                 state.reshape(-1),
                 prep_state(cw.prep_ops, cw.n_nodes).reshape(-1))
@@ -493,15 +498,12 @@ class TestOneSweepFrames:
 class TestVerifyOnlyFields:
     def test_estimation_derives_no_verify_only_field(self, tmp_path,
                                                      monkeypatch):
-        """Frames and local Cliffords are derived on first read, and only
-        verification reads them."""
+        """Frames are derived on first read, and only verification reads
+        them."""
         def refuse(self):
             raise AssertionError("verify-only field read")
 
-        for owner, name in ((CompiledWidget, "frames"),
-                            (CompiledWidget, "local_cliffords"),
-                            (GraphForm, "applied")):
-            monkeypatch.setattr(owner, name, property(refuse))
+        monkeypatch.setattr(CompiledWidget, "frames", property(refuse))
         pool3, qft8 = tmp_path / "pool3.json", tmp_path / "qft8.qasm"
         pool3.write_text(benchmark_pool_circuit(3))
         qft8.write_text(emit_qasm(generate_qft(8), 8))
@@ -511,7 +513,6 @@ class TestVerifyOnlyFields:
     def test_derived_fields_are_cached(self):
         cw = compiled(transpile(generate_qft(3)).gates)
         assert cw.frames is cw.frames
-        assert cw.local_cliffords is cw.local_cliffords
 
 
 @st.composite

@@ -670,12 +670,6 @@ class TestModuleAssignment:
             n_unalloc_logical=0)
         # outputs 3,4,5 fold to 0,1,2 -> same module as inputs: 1 seam each
         assert _handover_crossings(cw, cw, 3, layout) == 3
-        single = ModuleLayout(
-            d=3, n_per_leg=1, factory=DEFAULT_FACTORIES[0], l_edge=16,
-            memory_per_module=3, l_qbus=3, n_row_qbus=1, n_col_t_factories=1,
-            n_t_factories=2, l_transfer_bus=20, n_prime=1,
-            n_unalloc_logical=0)
-        assert _handover_crossings(cw, cw, 3, single) == 0
 
 
 # --------------------------------------------------------------------------

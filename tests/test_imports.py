@@ -1,7 +1,11 @@
 """What an estimate imports: numpy only for ``verify`` and ``fit-scaling``,
-PyYAML only for a config file."""
+PyYAML only for a config file; and what the package defines: only what
+something other than the tests calls."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -86,3 +90,62 @@ def test_sim_resolves_as_a_package_attribute():
         "    print(exc)\n"))
     assert out.splitlines() == [
         "qre._sim", "module 'qre' has no attribute 'nonexistent'"]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Names the package defines for its library users alone, each with why.
+PUBLIC_ONLY = {
+    ("report", "parse_csv"): "public in report.__all__: reads a report CSV "
+                             "back, the inverse of render_csv",
+    ("scalefit", "per_cycle_error"): "public in scalefit.__all__ and its "
+                                     "docstring: a per-shot error rate as "
+                                     "a per-cycle one",
+}
+
+
+def _code_names(tree):
+    """(name, line) of every name and attribute the code reads: docstrings
+    and comments are not code."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def _bench_names(tree):
+    """Names of the package the benchmark reads: attributes reached from
+    ``qre``, and the attribute names its trace hooks give as strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            root = node
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id == "qre":
+                yield node.attr
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)*", node.value)):
+            yield from node.value.split(".")
+
+
+def test_every_package_definition_has_a_caller():
+    """Each function, method and class in ``src/qre`` (dunders aside) is
+    named in package code outside its own definition or by the benchmark,
+    so no code lives in the package for the tests alone."""
+    defs, uses = [], []
+    for path in sorted((ROOT / "src" / "qre").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses += [(path.stem, name, line) for name, line in _code_names(tree)]
+        defs += [(path.stem, node.name, node.lineno, node.end_lineno)
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))
+                 and not re.fullmatch(r"__\w+__", node.name)]
+    bench = {name for path in (ROOT / "perfbench").glob("*.py")
+             for name in _bench_names(ast.parse(path.read_text()))}
+    unused = [(module, name) for module, name, first, last in defs
+              if name not in bench
+              and not any(n == name and not (m == module and first <= line <= last)
+                          for m, n, line in uses)]
+    assert sorted(unused) == sorted(PUBLIC_ONLY)
