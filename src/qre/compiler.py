@@ -5,16 +5,18 @@ node is entangled to a fresh node (CZ then H on the fresh node), marked for
 measurement in the rotation-angle basis, and the wire retargets to the fresh
 node. Clifford gates act directly on current nodes (SWAP is pure relabeling).
 
-One ``PauliRows`` sweep over the preparation ops carries two kinds of rows:
-rows 0..g-1 are the g gadgets' conditional byproducts, each injected at its
-gadget, and the rows above them the stabilizer tableau of |+>^n_nodes. Each
-node's column is then a mask: its low g bits are the frames that touch the
-node, its high bits the tableau column. The consumption sub-steps (greedy
-maximal antichains of the frame-dependency order) are read from the low
-bits of the measured nodes' columns, and ``graph_form`` reads the graph of
-the state's graph-state form from the high bits. Nothing here simulates: the
-dense check of the whole construction, ``verify_unitarity``, lives in
-``_sim``, which only ``verify`` and the tests import.
+One ``PauliRows`` sweep over the preparation ops carries two kinds of rows,
+both Paulis up to sign: rows 0..g-1 are the g gadgets' conditional
+byproducts, each injected at its gadget, and the rows above them the
+stabilizer tableau of |+>^n_nodes. Each node's column is then a mask: its
+low g bits are the frames that touch the node, its high bits the tableau
+column. The consumption sub-steps (greedy maximal antichains of the
+frame-dependency order) are read from the low bits of the measured nodes'
+columns, and ``graph_form`` reads the edges of the state's graph-state form
+from the high bits. None of these reads a sign: a frame is an X and a Z
+support, and the graph does not depend on the signs. Nothing here
+simulates: the dense check of the whole construction, ``verify_unitarity``,
+lives in ``_sim``, which only ``verify`` and the tests import.
 
 ``compile_widget`` is pure. What estimation reads of a compiled and
 prep-scheduled widget is a ``WidgetRecord``. The disk cache stores those
@@ -108,7 +110,6 @@ class CompiledWidget:
     n_input: int
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
-    input_nodes: tuple[int, ...]
     output_nodes: tuple[int, ...]
     prep_ops: tuple[tuple[str, tuple[int, ...]], ...]
     measurements: tuple[Measurement, ...]
@@ -123,10 +124,10 @@ class CompiledWidget:
         n_frames = len(self.measurements)
         low = (1 << n_frames) - 1
         rows = PauliRows([c & low for c in self.sweep.x],
-                         [c & low for c in self.sweep.z], 0)
+                         [c & low for c in self.sweep.z])
         return {m.node: PauliFrame(tuple(bits(x)), tuple(bits(z)))
-                for m, (x, z, _) in zip(self.measurements,
-                                        rows.row_masks(n_frames))}
+                for m, (x, z) in zip(self.measurements,
+                                     rows.row_masks(n_frames))}
 
     @cached_property
     def nodes_by_kind(self) -> dict[str, tuple[int, ...]]:
@@ -295,7 +296,7 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
     # every conjugation) until op index k_j, where it becomes Z on its fresh
     # node; tableau row n_frames + q starts as X_q.
     rows = PauliRows([1 << q for q in range(n_frames, n_frames + n_nodes)],
-                     [0] * n_nodes, 0)
+                     [0] * n_nodes)
     start = 0
     for j, (_, f, k) in enumerate(gadgets):
         rows.apply_ops(ops[start:k])
@@ -308,15 +309,13 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
     schedule = _layer_consumption(
         nodes, [(rows.x[a] | rows.z[a]) & low for a in nodes])
     edges = graph_form(PauliRows([c >> n_frames for c in rows.x],
-                                 [c >> n_frames for c in rows.z],
-                                 rows.r >> n_frames)).edge_list
+                                 [c >> n_frames for c in rows.z]))
     n_logical = _max_live_nodes(n, n_nodes, edges, schedule)
 
     return CompiledWidget(
         n_input=n,
         n_nodes=n_nodes,
         edges=edges,
-        input_nodes=tuple(range(n)),
         output_nodes=tuple(cur),
         prep_ops=tuple(ops),
         measurements=tuple(measurements),

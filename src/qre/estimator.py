@@ -93,10 +93,10 @@ def logical_error_per_tock(p_c: float, d: int) -> float:
     return 1.0 - (1.0 - p_c) ** d
 
 
-def gate_synthesis_length(epsilon: float, c0: float = 0.57,
-                          c1: float = 8.83) -> int:
-    """Worst-case Clifford+T length approximating one rotation to diamond
-    distance epsilon."""
+def gate_synthesis_length(epsilon: float, c0: float, c1: float) -> int:
+    """Worst-case Clifford+T length, c0 log2(1/epsilon) + c1 rounded up,
+    approximating one rotation to diamond distance epsilon (c0 and c1 are
+    ``ArchConfig``'s)."""
     if epsilon <= 0:
         raise ValueError(f"synthesis precision must be positive: {epsilon}")
     return math.ceil(c0 * math.log2(1.0 / epsilon) + c1)

@@ -1,12 +1,13 @@
 """Greedy scheduling of graph-state preparation on a bilinear register.
 
 Each multi-Pauli product operation (MPPO) prepares one star: a center node
-together with up to four of its not-yet-entangled neighbors. Node v sits at
-register index v, and an MPPO occupies the inclusive index interval spanned
-by its nodes, so two MPPOs can share a sub-step only if their intervals are
-disjoint (they ride the same auxiliary bus). The schedule greedily packs a
-maximal set of compatible stars per sub-step, sweeping centers in index
-order, until every edge is covered exactly once.
+together with up to ``fan_out`` (``ArchConfig.fan_out``) of its
+not-yet-entangled neighbors. Node v sits at register index v, and an MPPO
+occupies the inclusive index interval spanned by its nodes, so two MPPOs
+can share a sub-step only if their intervals are disjoint (they ride the
+same auxiliary bus). The schedule greedily packs a maximal set of
+compatible stars per sub-step, sweeping centers in index order, until every
+edge is covered exactly once.
 
 Centers rise through the sweep and every interval holds its center, so a
 star fits only past ``reach``, the high end of the sub-step's last accepted
@@ -38,9 +39,6 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Mapping, Sequence
-
-FAN_OUT_CAP = 4
-
 
 @dataclass(frozen=True)
 class PrepTuple:
@@ -80,7 +78,7 @@ class PrepSchedule:
 def schedule_preparation(
     n_nodes: int,
     edges: Iterable[tuple[int, int]],
-    fan_out: int = FAN_OUT_CAP,
+    fan_out: int,
 ) -> PrepSchedule:
     """Greedy star packing; see module docstring for the conflict model and
     the search that finds each sub-step's next star."""

@@ -1,14 +1,21 @@
-"""Bit-packed Pauli algebra and stabilizer-state canonicalization.
+"""Bit-packed Pauli algebra, up to sign, and graph-state canonicalization.
 
-A Pauli row is three Python ints (x, z, sign): bit q of x and z is the
-qubit-q pair, in the Hermitian convention (x, z, s) = (-1)^s * prod_q
-i^{x_q z_q} X_q^{x_q} Z_q^{z_q}, so the (1,1) pair is Y. ``PauliRows``
-stores a set of rows by qubit column instead: x[q] and z[q] hold bit j for
-row j, and the signs of all rows are one int. A gate conjugation is then a
-few big-int operations per gate over all rows at once (the CHP update rules
-of Aaronson & Gottesman, in one branch chain over the gate name), and rows
-of any kind share one sweep: the compiler runs its byproduct frames and the
-stabilizer tableau through the preparation ops together.
+A Pauli row is two Python ints (x, z): bit q of x and z is the qubit-q
+pair, and the (1,1) pair is Y. ``PauliRows`` stores a set of rows by qubit
+column instead: x[q] and z[q] hold bit j for row j. A gate conjugation is
+then a few big-int operations per gate over all rows at once, in one branch
+chain over the gate name, and rows of any kind share one sweep: the
+compiler runs its byproduct frames and the stabilizer tableau through the
+preparation ops together.
+
+Rows are Paulis up to sign: a Clifford conjugation maps P to +-P', and
+only P' is kept. Nothing the package runs reads a sign. A stabilizer
+state is local-Clifford equivalent to a graph state whose edges do not
+depend on its generators' signs (Van den Nest, Dehaene & De Moor), the
+byproduct frames are X and Z supports, and the consumption layering reads
+those supports alone. So the CHP sign updates of Aaronson & Gottesman are
+left out, and the Pauli gates x, y and z, which change only signs, leave
+the columns as they are.
 
 ``graph_form`` reads the graph-state form straight from the tableau's
 columns: the pivot columns of the X block come from an XOR basis over the
@@ -22,10 +29,9 @@ with the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-Row = tuple[int, int, int]  # (x mask, z mask, sign bit)
+Row = tuple[int, int]  # (x mask, z mask)
 
 
 class StabilizerError(ValueError):
@@ -41,27 +47,27 @@ def bits(mask: int) -> Iterator[int]:
 
 
 class PauliRows:
-    """Pauli rows over n qubits, packed by qubit column (see module docstring)."""
+    """Pauli rows over n qubits, up to sign, packed by qubit column (see
+    module docstring)."""
 
-    __slots__ = ("x", "z", "r")
+    __slots__ = ("x", "z")
 
-    def __init__(self, x: list[int], z: list[int], r: int):
+    def __init__(self, x: list[int], z: list[int]):
         self.x = x
         self.z = z
-        self.r = r
 
     @classmethod
     def identity_x(cls, n: int) -> "PauliRows":
         """n rows: row i = X_i (the stabilizers of |+...+>)."""
-        return cls([1 << q for q in range(n)], [0] * n, 0)
+        return cls([1 << q for q in range(n)], [0] * n)
 
     @property
     def n_qubits(self) -> int:
         return len(self.x)
 
     def row_masks(self, n_rows: int) -> list[Row]:
-        """Rows 0..n_rows-1 as row-major (x, z, sign) masks."""
-        if any(m >> n_rows for m in (*self.x, *self.z, self.r)):
+        """Rows 0..n_rows-1 as row-major (x, z) masks."""
+        if any(m >> n_rows for m in (*self.x, *self.z)):
             raise StabilizerError(f"rows beyond the first {n_rows} are set")
         xs, zs = [0] * n_rows, [0] * n_rows
         for q in range(len(self.x)):
@@ -69,64 +75,43 @@ class PauliRows:
                 xs[j] |= 1 << q
             for j in bits(self.z[q]):
                 zs[j] |= 1 << q
-        return [(xs[j], zs[j], (self.r >> j) & 1) for j in range(n_rows)]
+        return list(zip(xs, zs))
 
     # -- gate conjugation (columns) ------------------------------------------
 
     def apply_ops(self, ops: Iterable[tuple[str, tuple[int, ...]]]) -> None:
-        """Conjugate every row by each op in turn. An unknown gate name
-        raises StabilizerError with the ops before it applied, signs too."""
-        # Most frequent compiled ops first; the sign is written back on a raise.
-        x, z, r = self.x, self.z, self.r
-        try:
-            for name, qubits in ops:
-                if name == "h":
-                    (q,) = qubits
-                    xq, zq = x[q], z[q]
-                    r ^= xq & zq
-                    x[q], z[q] = zq, xq
-                elif name == "cz":
-                    a, b = qubits
-                    xa, xb = x[a], x[b]
-                    r ^= xa & xb & (z[a] ^ z[b])
-                    z[a] ^= xb
-                    z[b] ^= xa
-                elif name == "cx":
-                    a, b = qubits
-                    xa, zb = x[a], z[b]
-                    r ^= xa & zb & ~(x[b] ^ z[a])
-                    x[b] ^= xa
-                    z[a] ^= zb
-                elif name == "s":
-                    (q,) = qubits
-                    r ^= x[q] & z[q]
-                    z[q] ^= x[q]
-                elif name == "sdg":
-                    (q,) = qubits
-                    z[q] ^= x[q]
-                    r ^= x[q] & z[q]
-                elif name == "x":
-                    (q,) = qubits
-                    r ^= z[q]
-                elif name == "z":
-                    (q,) = qubits
-                    r ^= x[q]
-                elif name == "y":
-                    (q,) = qubits
-                    r ^= x[q] ^ z[q]
-                elif name == "swap":
-                    a, b = qubits
-                    x[a], x[b] = x[b], x[a]
-                    z[a], z[b] = z[b], z[a]
-                else:
-                    raise StabilizerError(
-                        f"no conjugation rule for gate {name!r}")
-        finally:
-            self.r = r
+        """Conjugate every row by each op in turn, up to sign. An unknown
+        gate name raises StabilizerError with the ops before it applied."""
+        # Most frequent compiled ops first.
+        x, z = self.x, self.z
+        for name, qubits in ops:
+            if name == "h":
+                (q,) = qubits
+                x[q], z[q] = z[q], x[q]
+            elif name == "cz":
+                a, b = qubits
+                z[a] ^= x[b]
+                z[b] ^= x[a]
+            elif name == "cx":
+                a, b = qubits
+                x[b] ^= x[a]
+                z[a] ^= z[b]
+            elif name == "s" or name == "sdg":
+                (q,) = qubits
+                z[q] ^= x[q]
+            elif name == "x" or name == "y" or name == "z":
+                pass  # a Pauli changes signs only
+            elif name == "swap":
+                a, b = qubits
+                x[a], x[b] = x[b], x[a]
+                z[a], z[b] = z[b], z[a]
+            else:
+                raise StabilizerError(
+                    f"no conjugation rule for gate {name!r}")
 
 
 def stabilizer_after(ops: Iterable[tuple[str, tuple[int, ...]]], n: int) -> PauliRows:
-    """Stabilizer rows of (ops applied to |+>^n)."""
+    """Stabilizer rows, up to sign, of (ops applied to |+>^n)."""
     rows = PauliRows.identity_x(n)
     rows.apply_ops(ops)
     return rows
@@ -153,33 +138,22 @@ def _reduce(basis: Basis, v: int, c: int) -> tuple[int, int]:
     return v, c
 
 
-@dataclass(frozen=True)
-class GraphForm:
-    """The graph of a stabilizer state's graph-state canonical form
-    |psi> = (tensor of local Cliffords) |G>.
-
-    ``adjacency[u]`` has bit v set for each edge u-v (symmetric, no
-    self-loops); ``edge_list`` holds each edge once, u < v, sorted.
-    """
-
-    adjacency: tuple[int, ...]
-    edge_list: tuple[tuple[int, int], ...]
-
-
-def graph_form(rows: PauliRows) -> GraphForm:
-    """The graph of a stabilizer state's graph + local-Clifford form.
+def graph_form(rows: PauliRows) -> tuple[tuple[int, int], ...]:
+    """The edges of the graph in a stabilizer state's graph + local-Clifford
+    form |psi> = (tensor of local Cliffords) |G>: each edge once, u < v,
+    sorted.
 
     H on the columns that are not pivots of the X block makes that block
     invertible; multiplying the rows by its inverse gives [I | A], and
     column q of A is z[q]'s coordinate vector in the basis of the X
     columns. S clears the diagonal of A, and Z would clear the signs, which
-    the graph does not depend on. Every step is fixed by the state, not by
-    the generators it is given, so the form is canonical. ``rows`` is left
-    as it is.
+    the rows do not hold and the graph does not depend on. Every step is
+    fixed by the state, not by the generators it is given, so the form is
+    canonical. ``rows`` is left as it is.
     """
     n = rows.n_qubits
     x, z = rows.x, rows.z
-    if max(max(x, default=0), max(z, default=0), rows.r) >> n:
+    if max(max(x, default=0), max(z, default=0)) >> n:
         raise StabilizerError(f"rows beyond the first {n} are set")
 
     # The pivot columns are those independent of the columns before them.
@@ -215,7 +189,7 @@ def graph_form(rows: PauliRows) -> GraphForm:
             edges.append((u, v))
     if sum(map(int.bit_count, coords)) != 2 * len(edges):
         raise StabilizerError(_NOT_A_GRAPH)
-    return GraphForm(tuple(coords), tuple(edges))
+    return tuple(edges)
 
 
 _NOT_A_GRAPH = "canonical Z block is not a graph adjacency (anticommuting rows)"

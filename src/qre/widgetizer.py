@@ -360,8 +360,9 @@ class PlanRecord:
         return len(self.multiplicity)
 
     def __post_init__(self) -> None:
-        if not {self.first, self.last}.union(*self.stitches).issubset(
-                self.multiplicity):
+        named = self.multiplicity
+        if not (self.first in named and self.last in named
+                and all(a in named and b in named for a, b in self.stitches)):
             raise CircuitError("stitches and first/last must name widgets")
         if min(self.multiplicity.values()) < 1:
             raise CircuitError("multiplicities must be >= 1")

@@ -35,18 +35,17 @@ def circuit_unitary(apply_fn, n: int) -> np.ndarray:
     return out.reshape(2 ** n, 2 ** n)
 
 
-def packed_rows(x_rows, z_rows, signs) -> PauliRows:
+def packed_rows(x_rows, z_rows) -> PauliRows:
     """``PauliRows`` from row-major 0/1 lists: x_rows[j][q] is row j's X bit
     on qubit q."""
     def columns(bit_rows):
         return [sum(int(bool(r[q])) << j for j, r in enumerate(bit_rows))
                 for q in range(len(bit_rows[0]))]
-    return PauliRows(columns(x_rows), columns(z_rows),
-                     sum(int(bool(s)) << j for j, s in enumerate(signs)))
+    return PauliRows(columns(x_rows), columns(z_rows))
 
 
 def row_matrix(row, n: int) -> np.ndarray:
-    """Dense matrix of one (x mask, z mask, sign) row over n qubits."""
+    """Dense matrix of one (x mask, z mask, sign bit) row over n qubits."""
     x, z, sign = row
     out = np.eye(1, dtype=complex)
     for q in range(n):
@@ -63,19 +62,32 @@ def row_matrix(row, n: int) -> np.ndarray:
     return -out if sign else out
 
 
-def pauli_matrix(rows: PauliRows, row: int = 0) -> np.ndarray:
-    """Dense matrix of one row of a ``PauliRows``."""
+def pauli_matrix(rows: PauliRows, row: int = 0, sign: int = 0) -> np.ndarray:
+    """Dense matrix of one row of a ``PauliRows``, which holds no sign,
+    times (-1)^sign."""
     def mask(columns):
         return sum((c >> row & 1) << q for q, c in enumerate(columns))
-    return row_matrix((mask(rows.x), mask(rows.z), rows.r >> row & 1),
-                      rows.n_qubits)
+    return row_matrix((mask(rows.x), mask(rows.z), sign), rows.n_qubits)
 
 
-def adjacency_matrix(gf) -> np.ndarray:
-    """(n, n) bool adjacency matrix of a ``GraphForm``."""
-    n = len(gf.adjacency)
-    return np.array([[bool(row >> v & 1) for v in range(n)]
-                     for row in gf.adjacency], dtype=bool).reshape(n, n)
+def row_signs(rows: PauliRows, psi: np.ndarray) -> list[int]:
+    """The sign bit of each row of ``rows`` that stabilizes ``psi``: each
+    row P must have <psi|P|psi> = +-1, and -1 gives sign bit 1."""
+    psi = psi.reshape(-1)
+    signs = []
+    for j in range(rows.n_qubits):
+        value = np.vdot(psi, pauli_matrix(rows, j) @ psi)
+        assert np.isclose(abs(value), 1.0, atol=1e-9), (j, value)
+        signs.append(int(round(value.real) < 0))
+    return signs
+
+
+def adjacency_matrix(edges, n: int) -> np.ndarray:
+    """(n, n) bool adjacency matrix of an edge list."""
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        adj[u, v] = adj[v, u] = True
+    return adj
 
 
 def local_matrix(applied) -> np.ndarray:

@@ -132,7 +132,7 @@ def ccx_matrix() -> np.ndarray:
 # Exhaustive minimum preparation-schedule length (tiny graphs only)
 # --------------------------------------------------------------------------
 
-def min_prep_substeps(n_nodes, edges, fan_out=4, cap=12):
+def min_prep_substeps(n_nodes, edges, fan_out, cap=12):
     """Minimum sub-step count over all valid star schedules, by memoized
     search over uncovered-edge sets. Intervals are inclusive index ranges;
     two stars are compatible iff their intervals are disjoint (which also
@@ -440,7 +440,7 @@ def frames_by_replay(ops, gadgets, n_nodes):
 
     frames = {}
     for a, f, k in gadgets:
-        p = PauliRows([0] * n_nodes, [0] * n_nodes, 0)
+        p = PauliRows([0] * n_nodes, [0] * n_nodes)
         p.z[f] = 1
         p.apply_ops(ops[k:])
         frames[a] = (tuple(q for q in range(n_nodes) if p.x[q] & 1),
@@ -462,17 +462,19 @@ def _g(x1, z1, x2, z2):
     return out
 
 
-def graph_form_by_elimination(rows):
+def graph_form_by_elimination(rows, signs=None):
     """Graph form of n stabilizer rows by Gauss-Jordan elimination on numpy
     bool arrays, with per-qubit phase bookkeeping: (adjacency as an (n, n)
-    bool array, applied gates per qubit). Same steps as the package: H on
-    non-pivot columns of the X block, S on the Z diagonal, Z on signs."""
+    bool array, applied gates per qubit). ``signs`` holds row j's sign bit
+    at j (default: all +1), since ``PauliRows`` holds none. Same steps as
+    the package: H on non-pivot columns of the X block, S on the Z
+    diagonal, Z on signs."""
     n = rows.n_qubits
     x = np.array([[rows.x[q] >> j & 1 for q in range(n)] for j in range(n)],
                  dtype=bool).reshape(n, n)
     z = np.array([[rows.z[q] >> j & 1 for q in range(n)] for j in range(n)],
                  dtype=bool).reshape(n, n)
-    r = np.array([rows.r >> j & 1 for j in range(n)], dtype=np.uint8)
+    r = np.array(signs or [0] * n, dtype=np.uint8)
     applied = [[] for _ in range(n)]
 
     def multiply_into(h, i):
@@ -540,15 +542,17 @@ def pauli_product(a, b):
     return x, z, sa ^ sb ^ ((e >> 1) & 1)
 
 
-def graph_form_by_rows(rows):
-    """Graph form by row-major elimination on packed (x, z, sign) rows, with
-    ``pauli_product``: (adjacency masks, applied gates per qubit). H on the
-    non-pivot columns of the X block, echelon form keyed by lowest X bit,
+def graph_form_by_rows(rows, signs=None):
+    """Graph form by row-major elimination on (x, z, sign) rows, with
+    ``pauli_product``: (adjacency masks, applied gates per qubit). ``signs``
+    holds row j's sign bit at j (default: all +1). H on the non-pivot
+    columns of the X block, echelon form keyed by lowest X bit,
     back-substitution to [I | A], S on the diagonal, Z on the signs."""
     from qre.stabilizer import StabilizerError, bits
 
     n = rows.n_qubits
-    work = rows.row_masks(n)
+    work = [(x, z, s) for (x, z), s in zip(rows.row_masks(n),
+                                           signs or [0] * n)]
     pivots = {}
     for x, _, _ in work:
         while x:
@@ -615,7 +619,7 @@ def max_live_nodes_by_scan(n_input, n_nodes, edges, schedule):
     return peak
 
 
-def schedule_by_rescan(n_nodes, edges, fan_out=4):
+def schedule_by_rescan(n_nodes, edges, fan_out):
     """Greedy star packing that rescans every node, neighbour list and
     interval on each sub-step: a list of sub-steps of (center, leaves)."""
     def norm(u, v):
@@ -791,7 +795,8 @@ def handover_crossings(out_widget, in_widget, register_size, layout):
         return 0
     return sum(abs(_module(o, register_size, layout)
                    - _module(i, register_size, layout)) + 1
-               for o, i in zip(out_widget.output_nodes, in_widget.input_nodes))
+               for o, i in zip(out_widget.output_nodes,
+                               range(in_widget.n_input)))
 
 
 def prep_cross_ops(prep, register_size, n_inter_pipes):

@@ -27,7 +27,7 @@ from qre.estimator import (
     spacetime_lhs,
     budget_rhs,
 )
-from qre.pipeline import compile_plan, load_circuit, run_estimate, run_pipe_sweep
+from qre.pipeline import compile_plan, run_estimate, run_pipe_sweep
 from qre.report import format_si
 from qre.scalefit import ScalingSample, fit_scaling_law
 from qre.thermal import DEFAULT_THERMAL, module_dissipation
@@ -219,7 +219,8 @@ def test_criterion_6_synthesis_length():
     name = "synthesis-length anchors"
     start = time.perf_counter()
     try:
-        assert gate_synthesis_length(1e-10) == 28
+        cfg = ArchConfig()
+        assert gate_synthesis_length(1e-10, cfg.c0, cfg.c1) == 28
         assert gate_synthesis_length(2.0 ** -10, c0=3.0, c1=0.0) == 30
     except BaseException:
         _fail_line(6, name)

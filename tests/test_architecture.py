@@ -7,7 +7,6 @@ import pytest
 from oracles import layout_oracle, modules_per_leg_by_scan
 from qre.architecture import (
     DEFAULT_FACTORIES,
-    ModuleLayout,
     TFactory,
     choose_modules_per_leg,
     compute_layout,

@@ -2,12 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense import graph_state, prep_state
+from dense import graph_state, prep_state, row_signs
 from oracles import (
     frames_by_replay,
     gadgets_of,
@@ -64,7 +63,6 @@ class TestSingleGadget:
         assert cw.n_input == 1
         assert cw.n_nodes == 2
         assert cw.edges == ((0, 1),)
-        assert cw.input_nodes == (0,)
         assert cw.output_nodes == (1,)
         assert cw.measurements == (Measurement(0, "T", PI / 4),)
         assert cw.frames == {0: PauliFrame(x_support=(), z_support=(1,))}
@@ -157,19 +155,19 @@ class TestNodeCounts:
 
 class TestLocalState:
     def test_canonical_graph_reproduces_prep_state(self):
-        """The compiled edges, with the reference local Cliffords, give the
-        state the preparation ops prepare."""
+        """The compiled edges, with the reference local Cliffords of the
+        rows signed as the dense state signs them, give the state the
+        preparation ops prepare."""
         for gates in ([gate(GateKind.T, 0)],
                       [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1),
                        gate(GateKind.T, 1), gate(GateKind.S, 0)],
                       transpile(generate_qft(3)).gates):
             cw = compiled(gates)
-            _, local = graph_form_by_rows(
-                stabilizer_after(cw.prep_ops, cw.n_nodes))
+            rows = stabilizer_after(cw.prep_ops, cw.n_nodes)
+            psi = prep_state(cw.prep_ops, cw.n_nodes)
+            _, local = graph_form_by_rows(rows, row_signs(rows, psi))
             state = graph_state(cw.edges, local)
-            assert same_up_to_phase(
-                state.reshape(-1),
-                prep_state(cw.prep_ops, cw.n_nodes).reshape(-1))
+            assert same_up_to_phase(state.reshape(-1), psi.reshape(-1))
 
 
 class TestVerification:

@@ -7,7 +7,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -28,7 +28,6 @@ from qre.config import ArchConfig, ConfigError
 from qre import compiler, estimator
 from qre.estimator import (
     CompiledAlgorithm,
-    SelectionResult,
     SequentialCounts,
     StitchedEstimationSet,
     TimingBreakdown,
@@ -95,26 +94,33 @@ class TestErrorRates:
 
 
 class TestSynthesisLength:
+    """At the default ``ArchConfig`` constants unless a case sets its own."""
+
+    C0, C1 = ArchConfig().c0, ArchConfig().c1
+
+    def length(self, epsilon):
+        return gate_synthesis_length(epsilon, self.C0, self.C1)
+
     def test_mixed_fallback_constants(self):
-        assert gate_synthesis_length(1e-10) == 28
+        assert self.length(1e-10) == 28
 
     def test_gridsynth_constants(self):
         assert gate_synthesis_length(2.0 ** -10, c0=3.0, c1=0.0) == 30
 
     def test_trivial_precision(self):
-        assert gate_synthesis_length(1.0) == 9  # ceil(c1)
+        assert self.length(1.0) == 9  # ceil(c1)
 
     def test_nonpositive_precision_rejected(self):
         with pytest.raises(ValueError):
-            gate_synthesis_length(0.0)
+            self.length(0.0)
         with pytest.raises(ValueError):
-            gate_synthesis_length(-1e-3)
+            self.length(-1e-3)
 
     @given(st.floats(min_value=1e-30, max_value=1.0),
            st.floats(min_value=1.0, max_value=1e6))
     def test_tighter_precision_never_shortens(self, eps, factor):
         tighter = eps / factor
-        assert gate_synthesis_length(tighter) >= gate_synthesis_length(eps)
+        assert self.length(tighter) >= self.length(eps)
 
 
 class TestSequentialCounts:
@@ -364,7 +370,7 @@ class TestSelection:
         cfg, sel = qft3_selection
         assert sel.epsilon is not None
         assert sel.epsilon < sel.p_logical
-        assert sel.l_eps == gate_synthesis_length(sel.epsilon)
+        assert sel.l_eps == gate_synthesis_length(sel.epsilon, cfg.c0, cfg.c1)
         p_c = logical_error_per_cycle(cfg.p, sel.d, cfg.kappa, cfg.p_thresh)
         assert sel.p_logical == logical_error_per_tock(p_c, sel.d)
         assert sel.factory.p_out < sel.p_logical

@@ -1,6 +1,7 @@
 """What an estimate imports: numpy only for ``verify`` and ``fit-scaling``,
-PyYAML only for a config file; and what the package defines: only what
-something other than the tests calls."""
+PyYAML only for a config file; what the package defines: only what
+something other than the tests calls; and what the tests import: only what
+they read."""
 
 import ast
 import json
@@ -149,3 +150,30 @@ def test_every_package_definition_has_a_caller():
               and not any(n == name and not (m == module and first <= line <= last)
                           for m, n, line in uses)]
     assert sorted(unused) == sorted(PUBLIC_ONLY)
+
+
+def _imported_names(tree):
+    """(name, line) of every name an import binds; ``__future__`` imports
+    bind none that code reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_test_import_is_read():
+    """Each name a module under ``tests/`` imports is read somewhere in
+    that module."""
+    unread = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, line, name)
+                   for name, line in _imported_names(tree)
+                   if name not in read]
+    assert unread == []

@@ -15,11 +15,14 @@ from oracles import (
 )
 from qre.compiler import compile_widget
 from qre.circuit import generate_qft, transpile
+from qre.config import ArchConfig
 from qre.prepsched import (
     PrepSchedule,
     PrepTuple,
     schedule_preparation,
 )
+
+FAN_OUT = ArchConfig().fan_out
 
 
 def stars(schedule: PrepSchedule):
@@ -53,13 +56,13 @@ def check_schedule(schedule: PrepSchedule, edges) -> None:
 
 class TestExamples:
     def test_path_takes_two_substeps(self):
-        s = schedule_preparation(3, [(0, 1), (1, 2)])
+        s = schedule_preparation(3, [(0, 1), (1, 2)], FAN_OUT)
         check_schedule(s, [(0, 1), (1, 2)])
         assert s.n_sub_steps == 2
 
     def test_star_hub_first_is_one_substep(self):
         edges = [(0, v) for v in range(1, 5)]
-        s = schedule_preparation(5, edges)
+        s = schedule_preparation(5, edges, FAN_OUT)
         check_schedule(s, edges)
         assert s.n_sub_steps == 1
         (t,) = all_tuples(s)
@@ -67,28 +70,28 @@ class TestExamples:
         assert s.substep_spans() == ((4,),)
 
     def test_empty_graph(self):
-        s = schedule_preparation(4, [])
+        s = schedule_preparation(4, [], FAN_OUT)
         assert s.n_sub_steps == 0
         assert all_tuples(s) == []
 
     def test_fan_out_cap_splits_large_stars(self):
         edges = [(0, v) for v in range(1, 7)]
-        s = schedule_preparation(7, edges)
+        s = schedule_preparation(7, edges, FAN_OUT)
         check_schedule(s, edges)
         assert s.n_sub_steps == 2
         assert max(len(t.leaves) for t in all_tuples(s)) == 4
 
     def test_invalid_edges_rejected(self):
         with pytest.raises(ValueError):
-            schedule_preparation(3, [(0, 0)])
+            schedule_preparation(3, [(0, 0)], FAN_OUT)
         with pytest.raises(ValueError):
-            schedule_preparation(3, [(0, 5)])
+            schedule_preparation(3, [(0, 5)], FAN_OUT)
 
     def test_center_whose_low_neighbors_are_all_used(self):
         # After star (0, (1,)) reaches 1, center 3 fits: its only neighbor
         # at or below reach is the used node 1, so it takes 4, ahead of
         # center 4 whose lowest neighbor 3 lies past reach.
-        s = schedule_preparation(5, [(0, 1), (1, 3), (3, 4)])
+        s = schedule_preparation(5, [(0, 1), (1, 3), (3, 4)], FAN_OUT)
         assert stars(s) == [[(0, (1,)), (3, (4,))], [(1, (3,))]]
 
     def test_queued_center_that_a_later_star_uses_waits(self):
@@ -106,14 +109,15 @@ class TestExamples:
         (12, [(0, 3), (1, 2), (2, 3), (0, 1)]),  # isolated trailing nodes
     ])
     def test_small_and_sparse_node_counts(self, n, edges):
-        s = schedule_preparation(n, edges)
+        s = schedule_preparation(n, edges, FAN_OUT)
         check_schedule(s, edges)
         assert s.n_nodes == n
-        assert stars(s) == schedule_by_rescan(n, edges)
+        assert stars(s) == schedule_by_rescan(n, edges, FAN_OUT)
 
     def test_determinism(self):
         edges = [(0, 3), (1, 2), (2, 3), (0, 1), (1, 3)]
-        assert schedule_preparation(5, edges) == schedule_preparation(5, edges)
+        assert (schedule_preparation(5, edges, FAN_OUT)
+                == schedule_preparation(5, edges, FAN_OUT))
 
 
 def hub_and_spoke(n_spokes, hub, seed, p_chord=0.0):
@@ -157,7 +161,7 @@ class TestInvariants:
     @given(random_graphs())
     def test_coverage_and_disjointness(self, case):
         n, edges = case
-        s = schedule_preparation(n, edges)
+        s = schedule_preparation(n, edges, FAN_OUT)
         check_schedule(s, edges)
 
     @settings(max_examples=30, deadline=None)
@@ -166,8 +170,8 @@ class TestInvariants:
         n, edges = case
         if len(edges) > 6:
             edges = edges[:6]
-        s = schedule_preparation(n, edges)
-        assert s.n_sub_steps >= min_prep_substeps(n, edges)
+        s = schedule_preparation(n, edges, FAN_OUT)
+        assert s.n_sub_steps >= min_prep_substeps(n, edges, FAN_OUT)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
@@ -181,9 +185,11 @@ class TestInvariants:
         assert stars(s) == schedule_by_rescan(n, edges, fan_out=fan_out)
 
     def test_minimum_matches_on_known_cases(self):
-        assert min_prep_substeps(5, [(0, v) for v in range(1, 5)]) == 1
-        assert min_prep_substeps(3, [(0, 1), (1, 2)]) == 1  # center-1 star
-        assert min_prep_substeps(4, [(0, 1), (2, 3)]) == 1  # parallel pairs
+        star = [(0, v) for v in range(1, 5)]
+        assert min_prep_substeps(5, star, FAN_OUT) == 1
+        # center-1 star, then parallel pairs
+        assert min_prep_substeps(3, [(0, 1), (1, 2)], FAN_OUT) == 1
+        assert min_prep_substeps(4, [(0, 1), (2, 3)], FAN_OUT) == 1
 
 
 class TestDegreeBound:
@@ -194,7 +200,7 @@ class TestDegreeBound:
             (5, [(0, v) for v in range(1, 5)]),                # star, hub first
             (5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),  # K5
         ]:
-            s = schedule_preparation(n, edges)
+            s = schedule_preparation(n, edges, FAN_OUT)
             degree = Counter()
             for u, v in edges:
                 degree[u] += 1
@@ -206,10 +212,10 @@ class TestDegreeBound:
         # model even though every node has degree 1, so no schedule (greedy
         # or optimal) can meet a 2*max-degree bound here.
         edges = [(0, 5), (1, 4), (2, 3)]
-        s = schedule_preparation(6, edges)
+        s = schedule_preparation(6, edges, FAN_OUT)
         check_schedule(s, edges)
         assert s.n_sub_steps == 3
-        assert min_prep_substeps(6, edges) == 3
+        assert min_prep_substeps(6, edges, FAN_OUT) == 3
         assert s.n_sub_steps > 2 * 1
 
     def test_adding_an_edge_can_shorten_the_schedule(self):
@@ -218,19 +224,19 @@ class TestDegreeBound:
         n = 8
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if (u, v) != (1, 2)]
-        before = schedule_preparation(n, edges).n_sub_steps
-        after = schedule_preparation(n, edges + [(1, 2)]).n_sub_steps
+        before = schedule_preparation(n, edges, FAN_OUT).n_sub_steps
+        after = schedule_preparation(n, edges + [(1, 2)], FAN_OUT).n_sub_steps
         assert (before, after) == (9, 8)
 
 
 class TestCrossModuleOps:
     def test_short_spans_never_cross(self):
-        s = schedule_preparation(3, [(0, 1), (1, 2)])
+        s = schedule_preparation(3, [(0, 1), (1, 2)], FAN_OUT)
         assert cross_module_ops(s, n_logical=3, n_inter_pipes=1) == 0
 
     def test_long_span_crossings(self):
         edges = [(0, 7)]
-        s = schedule_preparation(8, edges)
+        s = schedule_preparation(8, edges, FAN_OUT)
         # span 7 with 3 slots per module crosses floor(7/3) = 2 boundaries
         assert cross_module_ops(s, n_logical=3, n_inter_pipes=1) == 2
         assert cross_module_ops(s, n_logical=3, n_inter_pipes=2) == 1
@@ -240,12 +246,12 @@ class TestCrossModuleOps:
     @given(random_graphs(max_nodes=7), st.integers(1, 5))
     def test_nonincreasing_in_pipes(self, case, n_logical):
         n, edges = case
-        s = schedule_preparation(n, edges)
+        s = schedule_preparation(n, edges, FAN_OUT)
         counts = [cross_module_ops(s, n_logical, pipes) for pipes in (1, 2, 3, 4)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_argument_validation(self):
-        s = schedule_preparation(2, [(0, 1)])
+        s = schedule_preparation(2, [(0, 1)], FAN_OUT)
         with pytest.raises(ValueError):
             cross_module_ops(s, 0, 1)
         with pytest.raises(ValueError):
@@ -255,7 +261,7 @@ class TestCrossModuleOps:
 class TestOnCompiledWidgets:
     def test_qft3_graph_schedules_cleanly(self):
         cw = compile_widget(transpile(generate_qft(3)))
-        s = schedule_preparation(cw.n_nodes, cw.edges)
+        s = schedule_preparation(cw.n_nodes, cw.edges, FAN_OUT)
         check_schedule(s, cw.edges)
         assert s.n_sub_steps >= 1
 
@@ -269,12 +275,12 @@ class TestOnCompiledWidgets:
 
     def test_qft24_matches_rescanning_reference(self):
         cw = compile_widget(transpile(generate_qft(24)))
-        s = schedule_preparation(cw.n_nodes, cw.edges, fan_out=4)
-        assert stars(s) == schedule_by_rescan(cw.n_nodes, cw.edges, 4)
+        s = schedule_preparation(cw.n_nodes, cw.edges, FAN_OUT)
+        assert stars(s) == schedule_by_rescan(cw.n_nodes, cw.edges, FAN_OUT)
 
     def test_qft64_schedule_size(self):
         cw = compile_widget(transpile(generate_qft(64)))
-        s = schedule_preparation(cw.n_nodes, cw.edges)
+        s = schedule_preparation(cw.n_nodes, cw.edges, FAN_OUT)
         assert (s.n_sub_steps, len(all_tuples(s))) == (1770, 2592)
 
 

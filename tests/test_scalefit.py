@@ -8,7 +8,6 @@ import pytest
 from qre.scalefit import (
     SCALING_PRESETS,
     FitError,
-    ScalingFit,
     ScalingSample,
     fit_scaling_law,
     per_cycle_error,

@@ -24,7 +24,6 @@ from qre.widgetizer import (
     NestedCircuit,
     PlanRecord,
     SplitCriterion,
-    SubcircuitNode,
     WidgetPlan,
     assign_moments,
     build_dependency_graph,
