@@ -310,8 +310,13 @@ def _snap_rz(qubit: int, angle: float) -> list[Gate] | None:
     return [_derived(kind, (qubit,)) for kind in _SNAP_TABLE[k % 8]]
 
 
+# The kinds that ``_expand`` rewrites; ``transpile`` keeps every other gate.
+_EXPANDED = frozenset({GateKind.CCX, GateKind.CPhase, GateKind.Rz})
+
+
 def _expand(g: Gate) -> list[Gate]:
-    """Expand one gate into the Clifford+T+Rz alphabet by exact identities."""
+    """Expand one composite gate or Rz into the Clifford+T+Rz alphabet by
+    exact identities."""
     if g.kind is GateKind.CCX:
         a, b, c = g.qubits
         k = GateKind
@@ -334,10 +339,8 @@ def _expand(g: Gate) -> list[Gate]:
         out.extend(_rz_or_snapped(a, half))
         out.extend(_rz_or_snapped(b, half))
         return out
-    if g.kind is GateKind.Rz:
-        assert g.angle is not None
-        return _rz_or_snapped(g.qubits[0], g.angle)
-    return [g]
+    assert g.angle is not None  # an Rz
+    return _rz_or_snapped(g.qubits[0], g.angle)
 
 
 def _rz_or_snapped(qubit: int, angle: float) -> list[Gate]:
@@ -351,10 +354,14 @@ def transpile(gates: Sequence[Gate]) -> TranspiledWidget:
     """Expand composites and canonicalize Clifford-angle rotations, with counts."""
     out: list[Gate] = []
     for g in gates:
-        out.extend(_expand(g))
+        if g.kind in _EXPANDED:
+            out.extend(_expand(g))
+        else:
+            out.append(g)
     n_t = n_rz = 0
+    rz = GateKind.Rz  # read once: a read off the Enum class is slow
     for g in out:
-        if g.kind is GateKind.Rz:
+        if g.kind is rz:
             n_rz += 1
         elif g.kind in T_LIKE:
             n_t += 1

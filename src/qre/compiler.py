@@ -5,18 +5,23 @@ node is entangled to a fresh node (CZ then H on the fresh node), marked for
 measurement in the rotation-angle basis, and the wire retargets to the fresh
 node. Clifford gates act directly on current nodes (SWAP is pure relabeling).
 
-One ``PauliRows`` sweep over the preparation ops carries two kinds of rows,
-both Paulis up to sign: rows 0..g-1 are the g gadgets' conditional
-byproducts, each injected at its gadget, and the rows above them the
-stabilizer tableau of |+>^n_nodes. Each node's column is then a mask: its
-low g bits are the frames that touch the node, its high bits the tableau
-column. The consumption sub-steps (greedy maximal antichains of the
-frame-dependency order) are read from the low bits of the measured nodes'
-columns, and ``graph_form`` reads the edges of the state's graph-state form
-from the high bits. None of these reads a sign: a frame is an X and a Z
-support, and the graph does not depend on the signs. Nothing here
-simulates: the dense check of the whole construction, ``verify_unitarity``,
-lives in ``_sim``, which only ``verify`` and the tests import.
+One pass over the widget's gates emits the preparation ops and, as it
+reads each gate, conjugates the columns of one ``PauliRows`` sweep by it.
+The sweep carries two kinds of rows, both Paulis up to sign: rows 0..g-1
+are the g gadgets' conditional byproducts, each injected right after its
+gadget's H, and the rows above them the stabilizer tableau of
+|+>^n_nodes. The pass applies the conjugation rules by gate kind; they are
+those of ``PauliRows.apply_ops``, the rules by op name that
+``stabilizer_after`` and the tests replay the preparation ops through.
+Each node's column is then a mask: its low g bits are the frames that
+touch the node, its high bits the tableau column. The consumption
+sub-steps (greedy maximal antichains of the frame-dependency order) are
+read from the low bits of the measured nodes' columns, and ``graph_form``
+reads the edges of the state's graph-state form from the high bits. None
+of these reads a sign: a frame is an X and a Z support, and the graph
+does not depend on the signs. Nothing here simulates: the dense check of
+the whole construction, ``verify_unitarity``, lives in ``_sim``, which
+only ``verify`` and the tests import.
 
 ``compile_widget`` is pure. What estimation reads of a compiled and
 prep-scheduled widget is a ``WidgetRecord``. The disk cache stores those
@@ -53,14 +58,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .circuit import (
-    CLIFFORD_1Q,
-    CLIFFORD_2Q,
-    KIND_NAME,
-    GateKind,
-    TranspiledWidget,
-    circuit_width,
-)
+from .circuit import KIND_NAME, GateKind, TranspiledWidget, circuit_width
 from .prepsched import PrepSchedule
 from .stabilizer import PauliRows, bits, graph_form
 from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
@@ -240,76 +238,105 @@ class WidgetRecord:
         return tuple(map(_decode, self.spans_text.split(";")[:-1]))
 
 
-# The prep op of each Clifford kind except SWAP (a relabeling), and the
-# measurement kind and angle (None: the gate's own) of each gadget kind.
-_PREP_OP = {kind: KIND_NAME[kind]
-            for kind in (CLIFFORD_1Q | CLIFFORD_2Q) - {GateKind.SWAP}}
+# The measurement kind and angle (None: the gate's own) of each gadget kind.
 _GADGET = {GateKind.T: ("T", math.pi / 4), GateKind.Tdg: ("T", -math.pi / 4),
            GateKind.Rz: ("Rz", None)}
+_PAULI = frozenset({GateKind.X, GateKind.Y, GateKind.Z})
+# Members read as module globals: a read off the Enum class is a Python-level
+# descriptor call, some ten times slower, and the compile loop makes one per
+# branch it tests.
+_H, _S, _SDG = GateKind.H, GateKind.S, GateKind.Sdg
+_CX, _CZ, _SWAP = GateKind.CX, GateKind.CZ, GateKind.SWAP
+_COUNT_MISMATCH = "gadget count disagrees with transpiled gate counts"
 
 
 def compile_widget(w: TranspiledWidget,
                    n_input: int | None = None) -> CompiledWidget:
     """Compile one transpiled widget on ``n_input`` wires (default: the
-    wires it touches)."""
-    width = circuit_width(w.gates)
-    n = max(width, 1) if n_input is None else n_input
-    if width > n:
-        raise CompileError(f"widget touches {width} wires but n_input={n}")
+    wires it touches). CompileError when a gate reaches a wire past them,
+    when the gadgets disagree with the widget's T and Rz counts, or on a
+    composite gate."""
+    n = max(circuit_width(w.gates), 1) if n_input is None else n_input
     return _compile(w, n)
 
 
 def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
+    # One pass over the gates emits the prep ops and conjugates the sweep's
+    # columns by each, by the rules of ``PauliRows.apply_ops``. Frame row j
+    # stays the identity (a fixed point of every conjugation) until its
+    # gadget's H, where it becomes Z on the fresh node n + j; tableau row
+    # n_frames + v starts as X_v.
+    n_frames = w.n_T_init + w.n_Rz_init
+    n_nodes = n + n_frames
+    x = [1 << v for v in range(n_frames, n_frames + n_nodes)]
+    z = [0] * n_nodes
     cur = list(range(n))
-    next_node = n
+    f = n  # the next fresh node
     ops: list[tuple[str, tuple[int, ...]]] = []
     measurements: list[Measurement] = []
-    gadgets: list[tuple[int, int, int]] = []  # (measured node, fresh node, op index)
-
-    for g in w.gates:
-        name = _PREP_OP.get(g.kind)
-        if name is not None:
-            ops.append((name, tuple(map(cur.__getitem__, g.qubits))))
-        elif g.kind is GateKind.SWAP:
-            a, b = g.qubits
-            cur[a], cur[b] = cur[b], cur[a]
-        elif g.kind in _GADGET:
-            kind, angle = _GADGET[g.kind]
-            (q,) = g.qubits
-            a, f = cur[q], next_node
-            next_node += 1
-            ops.append(("cz", (a, f)))
-            ops.append(("h", (f,)))
-            measurements.append(
-                Measurement(a, kind, g.angle if angle is None else angle))
-            gadgets.append((a, f, len(ops)))
-            cur[q] = f
-        else:
-            raise CompileError(f"composite gate {g} in transpiled widget")
-
-    n_nodes = next_node
-    n_frames = len(gadgets)
-    if n_frames != w.n_T_init + w.n_Rz_init:
-        raise CompileError("gadget count disagrees with transpiled gate counts")
-
-    # One sweep over ops: frame row j stays the identity (a fixed point of
-    # every conjugation) until op index k_j, where it becomes Z on its fresh
-    # node; tableau row n_frames + q starts as X_q.
-    rows = PauliRows([1 << q for q in range(n_frames, n_frames + n_nodes)],
-                     [0] * n_nodes)
-    start = 0
-    for j, (_, f, k) in enumerate(gadgets):
-        rows.apply_ops(ops[start:k])
-        rows.z[f] |= 1 << j
-        start = k
-    rows.apply_ops(ops[start:])
+    nodes: list[int] = []  # the measured node of each gadget
+    try:
+        for g in w.gates:
+            k = g.kind
+            if k is _CX:
+                a, b = g.qubits
+                a, b = cur[a], cur[b]
+                ops.append(("cx", (a, b)))
+                x[b] ^= x[a]
+                z[a] ^= z[b]
+            elif k in _GADGET:
+                # CZ(a, f) then H on f, whose column is X_f until then.
+                kind, angle = _GADGET[k]
+                (q,) = g.qubits
+                a = cur[q]
+                ops.append(("cz", (a, f)))
+                ops.append(("h", (f,)))
+                xf = x[f]
+                z[a] ^= xf
+                x[f] = x[a]
+                z[f] = xf | 1 << (f - n)
+                measurements.append(
+                    Measurement(a, kind, g.angle if angle is None else angle))
+                nodes.append(a)
+                cur[q] = f
+                f += 1
+            elif k is _H:
+                q = cur[g.qubits[0]]
+                ops.append(("h", (q,)))
+                x[q], z[q] = z[q], x[q]
+            elif k is _CZ:
+                a, b = g.qubits
+                a, b = cur[a], cur[b]
+                ops.append(("cz", (a, b)))
+                z[a] ^= x[b]
+                z[b] ^= x[a]
+            elif k is _S or k is _SDG:
+                q = cur[g.qubits[0]]
+                ops.append((KIND_NAME[k], (q,)))
+                z[q] ^= x[q]
+            elif k in _PAULI:  # changes signs only
+                ops.append((KIND_NAME[k], (cur[g.qubits[0]],)))
+            elif k is _SWAP:  # a relabeling
+                a, b = g.qubits
+                cur[a], cur[b] = cur[b], cur[a]
+            else:
+                raise CompileError(f"composite gate {g} in transpiled widget")
+    except IndexError:
+        # A wire at or past n, or a gadget past the counted ones, indexes
+        # past the lists; the width is counted on this path alone.
+        width = circuit_width(w.gates)
+        if width > n:
+            raise CompileError(
+                f"widget touches {width} wires but n_input={n}") from None
+        raise CompileError(_COUNT_MISMATCH) from None
+    if f != n_nodes:
+        raise CompileError(_COUNT_MISMATCH)
 
     low = (1 << n_frames) - 1
-    nodes = [a for a, _, _ in gadgets]
     schedule = _layer_consumption(
-        nodes, [(rows.x[a] | rows.z[a]) & low for a in nodes])
-    edges = graph_form(PauliRows([c >> n_frames for c in rows.x],
-                                 [c >> n_frames for c in rows.z]))
+        nodes, [(x[a] | z[a]) & low for a in nodes])
+    edges = graph_form(PauliRows([c >> n_frames for c in x],
+                                 [c >> n_frames for c in z]))
     n_logical = _max_live_nodes(n, n_nodes, edges, schedule)
 
     return CompiledWidget(
@@ -321,7 +348,7 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
         measurements=tuple(measurements),
         consump_schedule=schedule,
         n_logical=n_logical,
-        sweep=rows,
+        sweep=PauliRows(x, z),
     )
 
 
@@ -341,9 +368,12 @@ def _layer_consumption(
         if p >> j:
             raise CompileError("cyclic measurement dependencies")
         d = 0
-        for i in bits(p):
+        while p:  # each set bit i of p, lowest first
+            low = p & -p
+            i = low.bit_length() - 1
             if depth[i] >= d:
                 d = depth[i] + 1
+            p ^= low
         depth.append(d)
     layers: list[list[int]] = [[] for _ in range(max(depth, default=-1) + 1)]
     for v, d in sorted(zip(nodes, depth)):

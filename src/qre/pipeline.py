@@ -49,6 +49,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__, compiler
+from .architecture import EstimationError
 from .circuit import (
     CircuitError,
     Gate,
@@ -189,9 +190,9 @@ def compile_circuit(
         key = compiler.plan_key(source_digest, _criterion(config))
         record = compiler.load_plan(directory, key)
         if record is not None:
-            records = _cached_set(record, config, directory)
-            if records is not None:
-                return CompiledAlgorithm(record, records), source_digest
+            algo = _cached_set(record, config, directory)
+            if algo is not None:
+                return algo, source_digest
     plan = load_circuit(path, config, data).plan
     algo = compile_plan(plan, config, directory)
     if directory:
@@ -205,22 +206,21 @@ def _set_key(plan: PlanRecord, config: ArchConfig) -> str:
 
 
 def _cached_set(plan: PlanRecord, config: ArchConfig,
-                directory: str | Path) -> dict[str, WidgetRecord] | None:
-    """Every widget record of ``plan``, by id, from the set record of its
+                directory: str | Path) -> CompiledAlgorithm | None:
+    """The compiled algorithm of ``plan`` from the set record of its
     widgets, or None when that record misses, lacks one of them or holds
-    one on another wire count than its key's."""
+    one on another wire count than its key's, which ``CompiledAlgorithm``
+    refuses."""
     # Load and save are looked up on the compiler module at call time, so
     # wrappers installed there (the benchmark trace) see them.
     by_digest = compiler.load_cached(directory, _set_key(plan, config))
     if by_digest is None:
         return None
     try:
-        records = {wid: by_digest[plan.digest(wid)] for wid in plan.ids}
-    except KeyError:
+        return CompiledAlgorithm(
+            plan, {wid: by_digest[plan.digest(wid)] for wid in plan.ids})
+    except (KeyError, EstimationError):
         return None
-    if any(r.n_input != plan.n_input for r in records.values()):
-        return None
-    return records
 
 
 def compile_plan(
@@ -234,14 +234,15 @@ def compile_plan(
     them all; otherwise every widget is compiled and the set record is
     written anew."""
     directory = _cache_directory(cache_dir)
-    records = _cached_set(plan, config, directory) if directory else None
-    if records is None:
-        records = {wid: _widget_record(gates, plan.n_input, config.fan_out)
-                   for wid, gates in plan.widgets.items()}
-        if directory:
-            compiler.save_cached(directory, _set_key(plan, config),
-                                 {plan.digest(wid): record
-                                  for wid, record in records.items()})
+    algo = _cached_set(plan, config, directory) if directory else None
+    if algo is not None:
+        return algo
+    records = {wid: _widget_record(gates, plan.n_input, config.fan_out)
+               for wid, gates in plan.widgets.items()}
+    if directory:
+        compiler.save_cached(directory, _set_key(plan, config),
+                             {plan.digest(wid): record
+                              for wid, record in records.items()})
     return CompiledAlgorithm(plan, records)
 
 

@@ -38,10 +38,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-@dataclass(frozen=True)
-class PrepTuple:
+
+class PrepTuple(NamedTuple):
     """One star MPPO: center plus the neighbors it entangles this sub-step,
     at least one and in ascending order."""
 

@@ -3,10 +3,12 @@
 A Pauli row is two Python ints (x, z): bit q of x and z is the qubit-q
 pair, and the (1,1) pair is Y. ``PauliRows`` stores a set of rows by qubit
 column instead: x[q] and z[q] hold bit j for row j. A gate conjugation is
-then a few big-int operations per gate over all rows at once, in one branch
-chain over the gate name, and rows of any kind share one sweep: the
-compiler runs its byproduct frames and the stabilizer tableau through the
-preparation ops together.
+then a few big-int operations per gate over all rows at once, and rows of
+any kind share one sweep. ``apply_ops`` holds the rules, one branch chain
+over the op name, and ``stabilizer_after`` and the tests replay op lists
+through it. The compiler applies the same rules by gate kind as it reads
+a widget's gates, to its byproduct frames and the stabilizer tableau
+together, and passes no op list through ``apply_ops``.
 
 Rows are Paulis up to sign: a Clifford conjugation maps P to +-P', and
 only P' is kept. Nothing the package runs reads a sign. A stabilizer
@@ -120,22 +122,14 @@ def stabilizer_after(ops: Iterable[tuple[str, tuple[int, ...]]], n: int) -> Paul
 # An XOR basis of column vectors, keyed by each vector's highest set bit
 # (its bit_length, which costs nothing to read off a big int):
 # basis[v.bit_length()] = (v, the columns whose XOR v is, as a mask).
+# ``graph_form`` reduces a vector v against it, with a column mask c, while
+# v's highest set bit has an entry, XOR-ing each entry used into v and its
+# mask into c. From c = 0, c ends as v's coordinates if v reduces to zero;
+# from c = 1 << q for column q, a zero v means column q is the XOR of the
+# columns in c ^ (1 << q), and a nonzero v is the XOR of those in c. The
+# reduction is written out in each of its three loops: a call per column
+# costs more than the reduction of most columns.
 Basis = dict[int, tuple[int, int]]
-
-
-def _reduce(basis: Basis, v: int, c: int) -> tuple[int, int]:
-    """Reduce ``v`` against ``basis`` while its highest set bit has an
-    entry, XOR-ing each entry used into v and its column mask into ``c``.
-    From c = 0, c ends as v's coordinates if v reduces to zero; from
-    c = 1 << q for column q, a zero v means column q is the XOR of the
-    columns in c ^ (1 << q), and a nonzero v is the XOR of those in c."""
-    while v:
-        entry = basis.get(v.bit_length())
-        if entry is None:
-            break
-        v ^= entry[0]
-        c ^= entry[1]
-    return v, c
 
 
 def graph_form(rows: PauliRows) -> tuple[tuple[int, int], ...]:
@@ -163,14 +157,20 @@ def graph_form(rows: PauliRows) -> tuple[tuple[int, int], ...]:
     coords = [0] * n
     h_mask = 0
     for q in range(n):
-        v, c = _reduce(basis, x[q], 1 << q)
+        v, c = x[q], 1 << q
+        while v and (entry := basis.get(v.bit_length())) is not None:
+            v ^= entry[0]
+            c ^= entry[1]
         if v:
             basis[v.bit_length()] = (v, c)
         else:
             h_mask |= 1 << q
             coords[q] = c ^ (1 << q)
     for q in bits(h_mask):
-        v, c = _reduce(basis, z[q], 1 << q)
+        v, c = z[q], 1 << q
+        while v and (entry := basis.get(v.bit_length())) is not None:
+            v ^= entry[0]
+            c ^= entry[1]
         if not v:
             raise StabilizerError("stabilizer X block is not full rank after H sweep")
         basis[v.bit_length()] = (v, c)
@@ -178,15 +178,24 @@ def graph_form(rows: PauliRows) -> tuple[tuple[int, int], ...]:
     # to zero. Only a pivot's coordinates can hold its own bit: S clears it.
     for q in range(n):
         if not h_mask >> q & 1:
-            coords[q] = _reduce(basis, z[q], 0)[1] & ~(1 << q)
+            v, c = z[q], 0
+            while v:
+                entry = basis[v.bit_length()]
+                v ^= entry[0]
+                c ^= entry[1]
+            coords[q] = c & ~(1 << q)
     # Each upper-triangle bit needs its mirror; equal totals then leave no
     # unmatched bit below the diagonal. Anticommuting rows show up here.
     edges = []
     for u, row in enumerate(coords):
-        for v in bits(row & ~((2 << u) - 1)):
+        row &= ~((2 << u) - 1)
+        while row:
+            low = row & -row
+            v = low.bit_length() - 1
             if not coords[v] >> u & 1:
                 raise StabilizerError(_NOT_A_GRAPH)
             edges.append((u, v))
+            row ^= low
     if sum(map(int.bit_count, coords)) != 2 * len(edges):
         raise StabilizerError(_NOT_A_GRAPH)
     return tuple(edges)

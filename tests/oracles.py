@@ -448,6 +448,24 @@ def frames_by_replay(ops, gadgets, n_nodes):
     return frames
 
 
+def sweep_by_replay(ops, gadgets, n_nodes):
+    """The compiler's sweep replayed by op name: the prep ops run through
+    ``PauliRows.apply_ops`` on frame rows 0..g-1 (the identity) and tableau
+    rows g + v (X_v to start), with frame bit j set on gadget j's fresh node
+    right after its H."""
+    from qre.stabilizer import PauliRows
+
+    g = len(gadgets)
+    rows = PauliRows([1 << v for v in range(g, g + n_nodes)], [0] * n_nodes)
+    start = 0
+    for j, (_, f, k) in enumerate(gadgets):
+        rows.apply_ops(ops[start:k])
+        rows.z[f] |= 1 << j
+        start = k
+    rows.apply_ops(ops[start:])
+    return rows
+
+
 def _g(x1, z1, x2, z2):
     """Per-qubit exponent of i picked up multiplying row-1 Paulis into row 2."""
     x1i, z1i = x1.astype(np.int8), z1.astype(np.int8)

@@ -15,6 +15,7 @@ from oracles import (
     layers_by_rescan,
     max_live_nodes_by_scan,
     same_up_to_phase,
+    sweep_by_replay,
     touches,
 )
 from pool import benchmark_pool_circuit
@@ -27,6 +28,7 @@ from qre.circuit import (
     CircuitError,
     Gate,
     GateKind,
+    TranspiledWidget,
     circuit_width,
     emit_qasm,
     gate,
@@ -47,7 +49,7 @@ from qre.compiler import (
 from qre.config import ArchConfig
 from qre.estimator import CompiledAlgorithm
 from qre.pipeline import compile_plan, load_circuit, verify_circuit
-from qre.stabilizer import PauliRows, stabilizer_after
+from qre.stabilizer import graph_form, stabilizer_after
 from qre.widgetizer import PlanRecord, WidgetPlan
 
 PI = math.pi
@@ -97,8 +99,35 @@ class TestSingleGadget:
         assert cw.output_nodes == (1, 0)
 
     def test_width_overflow_rejected(self):
-        with pytest.raises(CompileError):
+        with pytest.raises(CompileError, match=r"^widget touches 2 wires "
+                                               r"but n_input=1$"):
             compiled([gate(GateKind.CX, 0, 1)], n=1)
+
+    @pytest.mark.parametrize("gates, width", [
+        ([gate(GateKind.H, 0), gate(GateKind.SWAP, 0, 2)], 3),
+        ([gate(GateKind.T, 0), gate(GateKind.T, 1), gate(GateKind.T, 3)], 4),
+    ], ids=["swap", "gadget"])
+    def test_width_overflow_message(self, gates, width):
+        """An overflow is named by the widget's width, whichever gate
+        reaches past the wires: a relabeling or a gadget."""
+        with pytest.raises(CompileError, match=rf"^widget touches {width} "
+                                               rf"wires but n_input=2$"):
+            compiled(gates, n=2)
+
+    @pytest.mark.parametrize("n_t", [1, 3], ids=["short", "over"])
+    def test_gadget_count_mismatch_rejected(self, n_t):
+        gates = (gate(GateKind.T, 0), gate(GateKind.CX, 0, 1),
+                 gate(GateKind.Tdg, 1))
+        tw = TranspiledWidget(gates, n_T_init=n_t, n_Rz_init=0,
+                              n_Clifford_init=1)
+        with pytest.raises(CompileError, match="^gadget count disagrees "
+                                               "with transpiled gate counts$"):
+            compile_widget(tw, n_input=2)
+
+    def test_composite_gate_rejected(self):
+        tw = TranspiledWidget((gate(GateKind.CCX, 0, 1, 2),), 0, 0, 1)
+        with pytest.raises(CompileError, match="^composite gate CCX"):
+            compile_widget(tw, n_input=3)
 
 
 class TestFramesAndSchedule:
@@ -410,7 +439,16 @@ def any_circuits(draw, n=5, max_gates=40):
     return gates
 
 
+def assert_matches_replay(cw):
+    """The sweep equals a replay of the prep ops through ``apply_ops``, and
+    the edges are the graph form of the replayed tableau."""
+    want = sweep_by_replay(cw.prep_ops, gadgets_of(cw), cw.n_nodes)
+    assert (cw.sweep.x, cw.sweep.z) == (want.x, want.z)
+    assert cw.edges == graph_form(stabilizer_after(cw.prep_ops, cw.n_nodes))
+
+
 def assert_matches_references(cw):
+    assert_matches_replay(cw)
     want = frames_by_replay(cw.prep_ops, gadgets_of(cw), cw.n_nodes)
     assert {a: (f.x_support, f.z_support) for a, f in cw.frames.items()} == want
     assert list(cw.frames) == list(want)
@@ -428,52 +466,38 @@ class TestOneSweepFrames:
     def test_qft_matches_per_gadget_replay(self):
         assert_matches_references(compile_widget(transpile(generate_qft(8))))
 
-    def test_frame_ops_at_most_prep_ops(self, monkeypatch):
-        """Frame propagation passes each prep op to apply_ops at most once."""
-        import qre.compiler as comp
+    @pytest.mark.parametrize("gates", [
+        generate_qft(16), [gate(GateKind.H, 0)],
+        [gate(GateKind.T, 0), gate(GateKind.CX, 0, 1)],
+    ], ids=["qft16", "h", "t_cx"])
+    def test_sweep_matches_apply_ops_replay(self, gates):
+        assert_matches_replay(compiled(gates))
 
-        frame_ops = []
-        tableau_depth = []
-        apply_ops, stabilizer_after = PauliRows.apply_ops, comp.stabilizer_after
+    def test_pool_circuit_matches_references(self, tmp_path):
+        path = tmp_path / "pool0.json"
+        path.write_text(benchmark_pool_circuit(0))
+        plan = load_circuit(path, ArchConfig()).plan
+        for gates in plan.widgets.values():
+            assert_matches_references(
+                compile_widget(transpile(gates), n_input=plan.n_input))
 
-        def counting_apply_ops(self, ops):
-            ops = list(ops)
-            if not tableau_depth:
-                frame_ops.append(len(ops))
-            apply_ops(self, ops)
-
-        def marked_stabilizer_after(ops, n):
-            tableau_depth.append(1)
-            try:
-                return stabilizer_after(ops, n)
-            finally:
-                tableau_depth.pop()
-
-        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
-        monkeypatch.setattr(PauliRows, "apply_ops", counting_apply_ops)
-        monkeypatch.setattr(comp, "stabilizer_after", marked_stabilizer_after)
-        cw = compile_widget(transpile(generate_qft(16)))
-        assert frame_ops, "frames go through PauliRows.apply_ops"
-        assert sum(frame_ops) <= len(cw.prep_ops)
-
-    def test_each_prep_op_is_swept_exactly_once(self, monkeypatch):
-        """Frames and tableau share one sweep: the ops passed to apply_ops,
-        in call order, are the prep ops, each once."""
-        swept = []
-        apply_ops = PauliRows.apply_ops
-
-        def recording_apply_ops(self, ops):
-            ops = list(ops)
-            swept.extend(ops)
-            apply_ops(self, ops)
-
-        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
-        monkeypatch.setattr(PauliRows, "apply_ops", recording_apply_ops)
-        for gates in (generate_qft(16), [gate(GateKind.H, 0)],
-                      [gate(GateKind.T, 0), gate(GateKind.CX, 0, 1)]):
-            swept.clear()
-            cw = compile_widget(transpile(gates))
-            assert swept == list(cw.prep_ops)
+    @pytest.mark.parametrize("kind", [
+        k for k in GateKind if k not in (GateKind.CCX, GateKind.CPhase)],
+        ids=lambda k: k.value)
+    def test_each_gate_kind_matches_apply_ops_replay(self, kind):
+        """The compile loop applies each kind's conjugation by kind, apart
+        from ``apply_ops``'s rules by name: each kind once, after a prefix
+        that leaves both wires' columns nonzero in x and z and unequal."""
+        prefix = [gate(GateKind.T, 0), gate(GateKind.T, 1),
+                  gate(GateKind.CZ, 0, 1), gate(GateKind.H, 0),
+                  gate(GateKind.H, 1), gate(GateKind.CX, 0, 1),
+                  gate(GateKind.T, 0)]
+        before = compiled(prefix, n=2)
+        x, z = before.sweep.x, before.sweep.z
+        a, b = before.output_nodes
+        assert all((x[a], z[a], x[b], z[b])) and (x[a], z[a]) != (x[b], z[b])
+        g = Gate(kind, (0, 1)[:ARITY[kind]], 0.3 if kind in ANGLED else None)
+        assert_matches_replay(compiled(prefix + [g], n=2))
 
     @settings(max_examples=40, deadline=None)
     @given(any_circuits())
