@@ -5,8 +5,11 @@ node is entangled to a fresh node (CZ then H on the fresh node), marked for
 measurement in the rotation-angle basis, and the wire retargets to the fresh
 node. Clifford gates act directly on current nodes (SWAP is pure relabeling).
 
-One pass over the widget's gates emits the preparation ops and, as it
-reads each gate, conjugates the columns of one ``PauliRows`` sweep by it.
+One pass over the widget's gates (the ``GateOp`` tuples of
+``circuit.transpile``, read by ``kind``, ``qubits`` and ``angle``) emits the
+preparation ops and each gadget's ``Measurement``, a tuple it builds in C
+with no Python-level constructor call, and, as it reads each gate,
+conjugates the columns of one ``PauliRows`` sweep by it.
 The sweep carries two kinds of rows, both Paulis up to sign: rows 0..g-1
 are the g gadgets' conditional byproducts, each injected right after its
 gadget's H, and the rows above them the stabilizer tableau of
@@ -248,6 +251,7 @@ _PAULI = frozenset({GateKind.X, GateKind.Y, GateKind.Z})
 _H, _S, _SDG = GateKind.H, GateKind.S, GateKind.Sdg
 _CX, _CZ, _SWAP = GateKind.CX, GateKind.CZ, GateKind.SWAP
 _COUNT_MISMATCH = "gadget count disagrees with transpiled gate counts"
+_new = tuple.__new__  # builds a NamedTuple in C, past its Python __new__
 
 
 def compile_widget(w: TranspiledWidget,
@@ -295,8 +299,8 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
                 z[a] ^= xf
                 x[f] = x[a]
                 z[f] = xf | 1 << (f - n)
-                measurements.append(
-                    Measurement(a, kind, g.angle if angle is None else angle))
+                measurements.append(_new(
+                    Measurement, (a, kind, g.angle if angle is None else angle)))
                 nodes.append(a)
                 cur[q] = f
                 f += 1

@@ -43,10 +43,14 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 class PrepTuple(NamedTuple):
     """One star MPPO: center plus the neighbors it entangles this sub-step,
-    at least one and in ascending order."""
+    at least one and in ascending order. ``schedule_preparation`` builds
+    each in C (``tuple.__new__``), past the Python-level ``__new__``."""
 
     center: int
     leaves: tuple[int, ...]
+
+
+_new = tuple.__new__  # builds a PrepTuple in C, past its Python __new__
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,7 @@ def schedule_preparation(
             del nbrs[low:low + fan_out]
             for v in take:
                 del unc[v][bisect_left(unc[v], c)]
-            step.append(PrepTuple(c, take))
+            step.append(_new(PrepTuple, (c, take)))
             reach = max(c, take[-1])
             star = (c,) + take
             used.update(star)

@@ -484,6 +484,8 @@ def _gate_from_json(obj: Mapping, where: str) -> Gate:
         return Gate(kind, qubits, angle)
     except CircuitError as exc:
         raise CircuitError(f"{where}: {exc}") from exc
+    except OverflowError:  # an integer past the float range
+        raise CircuitError(f"{where}: integer angle does not fit in a float") from None
 
 
 def _block_ref_from_json(obj: object, where: str) -> BlockRef:

@@ -943,7 +943,7 @@ def parse_nested_per_item(payload, path):
     """Nested-circuit JSON parsed as before gate items were interned: one
     ``Gate`` built and validated per item, qubits and repeats read with
     ``int()``. Takes only well-formed input."""
-    from qre.circuit import _QASM_NAME_TO_KIND, Gate, _eval_angle, circuit_width
+    from qre.circuit import _QASM_NAME_TO_KIND, Gate, circuit_width
     from qre.widgetizer import BlockRef, NestedCircuit
 
     blocks = {}
@@ -953,7 +953,7 @@ def parse_nested_per_item(payload, path):
             if "gate" in obj:
                 angle = obj.get("angle")
                 if isinstance(angle, str):
-                    angle = _eval_angle(angle, 0)
+                    angle = fold_angle_by_eval(angle)
                 if angle is not None:
                     angle = float(angle)
                 items.append(Gate(_QASM_NAME_TO_KIND[obj["gate"]],
@@ -1009,3 +1009,159 @@ def expanded_kind_counts(blocks, name, memo):
                 counts[kind] = counts.get(kind, 0) + item.repeat * n
     memo[name] = counts
     return counts
+
+
+# --------------------------------------------------------------------------
+# The circuit reader and transpiler as first built: line buffers, eval, and
+# one validated Gate per transpiled gate
+# --------------------------------------------------------------------------
+
+def fold_angle_by_eval(expr):
+    """An angle expression checked node by node and then handed to
+    ``eval``, with no bound on ``**`` and no mapping of arithmetic errors."""
+    import ast
+
+    from qre.circuit import CircuitError
+
+    allowed = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
+               ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow,
+               ast.USub, ast.UAdd)
+    try:
+        tree = ast.parse(expr.strip(), mode="eval")
+    except SyntaxError as exc:
+        raise CircuitError(f"bad angle expression {expr!r}") from exc
+    for node in ast.walk(tree):
+        if not isinstance(node, allowed):
+            raise CircuitError(f"unsupported angle syntax {expr!r}")
+        if isinstance(node, ast.Name) and node.id != "pi":
+            raise CircuitError(f"unknown symbol {node.id!r} in angle")
+        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
+            raise CircuitError("non-numeric constant in angle")
+    value = eval(compile(tree, "<angle>", "eval"), {"__builtins__": {}},
+                 {"pi": math.pi})
+    return float(value)
+
+
+def _statements_by_lines(text):
+    """Yield (statement, starting line number), comments stripped, from a
+    buffer that grows line by line and is cut at each ';'."""
+    from qre.circuit import CircuitError
+
+    buffer = ""
+    buffer_line = 1
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("//", 1)[0]
+        if not buffer.strip():
+            buffer_line = line_no
+        buffer += line + "\n"
+        while ";" in buffer:
+            stmt, buffer = buffer.split(";", 1)
+            stmt = " ".join(stmt.split())
+            if stmt:
+                yield stmt, buffer_line
+            buffer_line = line_no
+    if buffer.strip():
+        raise CircuitError(f"line {buffer_line}: missing ';' after {buffer.strip()!r}")
+
+
+def parse_qasm_by_lines(text):
+    """``parse_qasm`` read statement by statement from a line buffer, each
+    statement whitespace-normalized and matched field by field."""
+    import re
+
+    from qre.circuit import _QASM_NAME_TO_KIND, ANGLED, CircuitError, Gate
+
+    stmt_gate = re.compile(r"^(?P<name>[a-z][a-z0-9_]*)\s*(?:\(\s*(?P<args>[^)]*)"
+                           r"\s*\))?\s+(?P<operands>.+)$")
+    operand_re = re.compile(r"^(?P<reg>[A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(?P<idx>\d+)\s*\]$")
+    gates = []
+    reg_name = None
+    reg_size = 0
+    for stmt, line_no in _statements_by_lines(text):
+        if stmt.startswith("OPENQASM"):
+            if not re.fullmatch(r"OPENQASM\s+2\.0", stmt):
+                raise CircuitError(f"line {line_no}: unsupported QASM version: {stmt!r}")
+            continue
+        if stmt.startswith("include"):
+            continue
+        if stmt.startswith("qreg"):
+            m = re.fullmatch(r"qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]", stmt)
+            if not m:
+                raise CircuitError(f"line {line_no}: malformed qreg: {stmt!r}")
+            if reg_name is not None:
+                raise CircuitError(f"line {line_no}: multiple qreg declarations")
+            reg_name, reg_size = m.group(1), int(m.group(2))
+            continue
+        m = stmt_gate.match(stmt)
+        if not m:
+            raise CircuitError(f"line {line_no}: unsupported statement: {stmt!r}")
+        name = m.group("name")
+        kind = _QASM_NAME_TO_KIND.get(name)
+        if kind is None:
+            raise CircuitError(f"line {line_no}: unsupported gate {name!r}")
+        if reg_name is None:
+            raise CircuitError(f"line {line_no}: gate before qreg declaration")
+        angle = None
+        if kind in ANGLED:
+            if m.group("args") is None:
+                raise CircuitError(f"line {line_no}: {name} requires an angle argument")
+            try:
+                angle = fold_angle_by_eval(m.group("args"))
+            except CircuitError as exc:
+                raise CircuitError(f"line {line_no}: {exc}") from exc
+        elif m.group("args") is not None:
+            raise CircuitError(f"line {line_no}: {name} takes no argument")
+        qubits = []
+        for operand in m.group("operands").split(","):
+            om = operand_re.match(operand.strip())
+            if not om or om.group("reg") != reg_name:
+                raise CircuitError(f"line {line_no}: bad operand {operand.strip()!r}")
+            idx = int(om.group("idx"))
+            if idx >= reg_size:
+                raise CircuitError(f"line {line_no}: qubit index {idx} out of range "
+                                   f"for {reg_name}[{reg_size}]")
+            qubits.append(idx)
+        try:
+            gates.append(Gate(kind, tuple(qubits), angle))
+        except CircuitError as exc:
+            raise CircuitError(f"line {line_no}: {exc}") from exc
+    return (None if reg_name is None else reg_size), gates
+
+
+def transpile_by_gates(gates):
+    """``transpile`` expanding gate by gate into validated ``Gate``s, each
+    rotation snapped on its own, and counting in a second pass:
+    ``(gates, n_T, n_Rz, n_Clifford)``."""
+    from qre.circuit import SNAP_TOL, Gate, GateKind as K
+
+    snap_table = {0: (), 1: (K.T,), 2: (K.S,), 3: (K.S, K.T), 4: (K.Z,),
+                  5: (K.Z, K.T), 6: (K.Sdg,), 7: (K.Tdg,)}
+
+    def rz_or_snapped(qubit, angle):
+        k = round(angle / (math.pi / 4))
+        if abs(angle - k * (math.pi / 4)) > SNAP_TOL:
+            return [Gate(K.Rz, (qubit,), angle)]
+        return [Gate(kind, (qubit,)) for kind in snap_table[k % 8]]
+
+    out = []
+    for g in gates:
+        if g.kind is K.CCX:
+            a, b, c = g.qubits
+            out += [Gate(K.H, (c,)), Gate(K.CX, (b, c)), Gate(K.Tdg, (c,)),
+                    Gate(K.CX, (a, c)), Gate(K.T, (c,)), Gate(K.CX, (b, c)),
+                    Gate(K.Tdg, (c,)), Gate(K.CX, (a, c)), Gate(K.T, (b,)),
+                    Gate(K.T, (c,)), Gate(K.H, (c,)), Gate(K.CX, (a, b)),
+                    Gate(K.T, (a,)), Gate(K.Tdg, (b,)), Gate(K.CX, (a, b))]
+        elif g.kind is K.CPhase:
+            a, b = g.qubits
+            half = g.angle / 2.0
+            out += [Gate(K.CX, (a, b)), *rz_or_snapped(b, -half),
+                    Gate(K.CX, (a, b)), *rz_or_snapped(a, half),
+                    *rz_or_snapped(b, half)]
+        elif g.kind is K.Rz:
+            out += rz_or_snapped(g.qubits[0], g.angle)
+        else:
+            out.append(Gate(g.kind, g.qubits, g.angle))
+    n_t = sum(g.kind in (K.T, K.Tdg) for g in out)
+    n_rz = sum(g.kind is K.Rz for g in out)
+    return tuple(out), n_t, n_rz, len(out) - n_t - n_rz

@@ -1,6 +1,7 @@
 """Tests for parsing, transpilation, QFT generation, and widget files."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +10,14 @@ from hypothesis import given, settings, strategies as st
 from dense import circuit_unitary
 from qre import _sim, circuit
 from qre.circuit import (
+    ANGLE_LIMIT,
+    ARITY,
     KIND_NAME,
+    SNAP_TOL,
     CircuitError,
     Gate,
     GateKind,
+    GateOp,
     circuit_width,
     emit_qasm,
     gate,
@@ -57,6 +62,22 @@ class TestGate:
             Gate(GateKind.CX, (-1, 0))
         with pytest.raises(CircuitError, match="negative qubit index"):
             gate(GateKind.Rz, -3, angle=0.1)
+
+    @pytest.mark.parametrize("kind, qubits", [(GateKind.Rz, (0,)),
+                                              (GateKind.CPhase, (0, 1))])
+    def test_angle_limit(self, kind, qubits):
+        """At and past 2**52 * SNAP_TOL an angle's float spacing nears
+        SNAP_TOL, so the pi/4 snap test means nothing: rz(1e16) became Z
+        and rz(1e20) vanished. Such angles are refused."""
+        assert ANGLE_LIMIT == 2**52 * SNAP_TOL
+        below = math.nextafter(ANGLE_LIMIT, 0)
+        assert Gate(kind, qubits, below).angle == below
+        assert Gate(kind, qubits, -below).angle == -below
+        for angle in (ANGLE_LIMIT, -ANGLE_LIMIT, 1e16, -1e20):
+            with pytest.raises(CircuitError, match=(
+                    rf"^{kind.name} angle {re.escape(repr(angle))} is too "
+                    r"large: reduce it modulo 2\*pi below 4503\.6$")):
+                Gate(kind, qubits, angle)
 
     def test_kinds_hash_by_identity_and_name_table(self):
         assert all(hash(kind) == object.__hash__(kind) for kind in GateKind)
@@ -136,11 +157,145 @@ class TestParseQasm:
         with pytest.raises(CircuitError, match=r"^line 2: bad angle expression"):
             parse_qasm("qreg q[1];\nrz(pi/) q[0];")
 
+    @pytest.mark.parametrize("expr, message", [
+        ("1/0", "division by zero in angle '1/0'"),
+        ("0**-1", "division by zero in angle '0**-1'"),
+        ("10**400", "angle '10**400' does not fit in a float"),
+        ("2**0.5**-2000", "angle '2**0.5**-2000' does not fit in a float"),
+        # Refused before the integer is built: it would take ~1.2e9 bits.
+        ("9**9**9", "angle '9**9**9' does not fit in a float"),
+        ("2**1024/2", "angle '2**1024/2' does not fit in a float"),
+        ("10**300*10**300/3", "angle '10**300*10**300/3' does not fit in a float"),
+        # Too deep for the evaluator, and for the parser itself.
+        ("-" * 1200 + "1", f"angle expression {'-' * 1200 + '1'!r} is nested too deeply"),
+        ("+".join(["1"] * 5000),
+         f"angle expression {'+'.join(['1'] * 5000)!r} is nested too deeply"),
+        ("2**" * 5000 + "2", f"angle expression {'2**' * 5000 + '2'!r} is nested too deeply"),
+    ])
+    def test_angle_arithmetic_failure_names_its_line(self, expr, message):
+        with pytest.raises(CircuitError, match="^line 3: " + re.escape(message) + "$"):
+            parse_qasm(f"qreg q[1];\nh q[0];\nrz({expr}) q[0];")
+
+    def test_complex_angle_rejected(self):
+        with pytest.raises(CircuitError, match=r"^angle '\(-1\)\*\*0\.5' is not a real number$"):
+            circuit._fold_angle("(-1)**0.5")
+
+    def test_powers_that_fit_keep_their_value(self):
+        assert circuit._fold_angle("2**1023") == 2.0**1023
+        assert circuit._fold_angle("(2**1023 + 2**970) / 2**1000") == float(
+            (2**1023 + 2**970) / 2**1000)
+        assert circuit._fold_angle("1**(10**300)") == 1.0
+        assert circuit._fold_angle("2**-2000") == 0.0
+
+    ANGLE_ATOMS = st.sampled_from(["0", "1", "2", "3", "7", "9", "0.5", "1e-3",
+                                   "2.5e2", "pi", "1e308"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.recursive(
+        st.one_of(ANGLE_ATOMS,
+                  st.builds("{}**{}".format, ANGLE_ATOMS,
+                            st.sampled_from(["0", "1", "2", "3", "0.5"]))),
+        lambda inner: st.one_of(
+            st.builds("({}){}({})".format, inner,
+                      st.sampled_from(["+", "-", "*", "/"]), inner),
+            st.builds("-({})".format, inner)),
+        max_leaves=6))
+    def test_fold_matches_eval(self, expr):
+        """Powers apply to numbers alone, so every integer these
+        expressions build fits a float: the fold gives ``eval``'s value,
+        and fails exactly where ``eval`` does."""
+        try:
+            expected = repr(oracles.fold_angle_by_eval(expr))
+        except ArithmeticError:
+            expected = None
+        try:
+            got = repr(circuit._fold_angle(expr))
+        except CircuitError:
+            got = None
+        assert got == expected
+
     def test_roundtrip_exact(self):
         gates = [gate(GateKind.H, 0), gate(GateKind.Rz, 1, angle=0.12345678901234567),
                  gate(GateKind.CPhase, 2, 0, angle=-math.pi / 16),
                  gate(GateKind.CCX, 0, 1, 2), gate(GateKind.SWAP, 1, 2)]
         assert parse_qasm(emit_qasm(gates)) == (3, gates)
+
+
+# Statements as token runs; ``qasm_texts`` draws the whitespace between
+# tokens, so a statement may split over lines or lose a needed space.
+QASM_VALID = [
+    ("h", "q[0]"), ("h", "q", "[", "2", "]"), ("x", "q[1]"), ("y", "q[\u0661]"),
+    ("t", "q[2]"), ("sdg", "q[0]"), ("cx", "q[0]", ",", "q[1]"),
+    ("swap", "q[0],", "q[2]"), ("ccx", "q[0],q[1],q[2]"), ("cz", "q[2],q[1]"),
+    ("rz(pi/4)", "q[1]"), ("rz", "(", "0.3", ")", "q[2]"), ("rz(-pi/8)", "q[0]"),
+    ("rz(pi", "/", "2)", "q[0]"), ("rz(", "pi/2", ")", "q[1]"),
+    ("rz(2*pi/3)", "q[2]"), ("cp(pi/16)", "q[2],q[0]"), ("cp(1e3)", "q[0],q[1]"),
+    ("cp(-1.5)", "q[1]", ",", "q[2]"), ("include", '"qelib1.inc"'),
+]
+QASM_INVALID = [
+    ("OPENQASM", "3.0"), ("qreg", "q", "[", "4", "]"), ("qreg", "r[2]"),
+    ("qreg", "q"), ("x", "q[3]"), ("t", "r[0]"), ("cx", "q[1],q[1]"),
+    ("cz", "q[0]"), ("cz", "q[0],q[1],q[2]"), ("cz", "q[0],r[1]"), ("rz", "q[0]"),
+    ("h(0.5)", "q[0]"), ("rz(tau)", "q[0]"), ("rz()", "q[0]"), ("rz(pi/)", "q[0]"),
+    ("rz((pi)/2)", "q[0]"), ("rz(pi\\", "/2)", "q[0]"), ("rz(5e3)", "q[0]"),
+    ("foo", "q[0]"), ("U3(0,0,0)", "q[0]"), ("h", "q[0]", "q[1]"), ("h", "q[-1]"),
+    ("hq[0]",), ("measure", "q[0]", "->", "c[0]"),
+]
+QASM_SPACES = [" ", "  ", "\n", "\t", "\r\n", "\r", "\n \n",
+               " // a comment; not a statement\n", "//\n", "\x0b", "\x85",
+               "\u2028", "\xa0", "\x1f"]
+
+
+@st.composite
+def qasm_texts(draw):
+    """Random QASM-like text: mostly valid statements after a header,
+    tokens and statements parted by any whitespace or comment (now and
+    then by none), several statements on a line or one over several, the
+    last sometimes missing its ';'."""
+    space = st.sampled_from([""] + QASM_SPACES)
+    token_space = st.sampled_from([" "] * 8 + QASM_SPACES + [""])
+    statements = draw(st.lists(
+        st.sampled_from(QASM_VALID * 12 + QASM_INVALID), max_size=10))
+    if draw(st.sampled_from([True] * 9 + [False])):
+        statements.insert(0, ("qreg q[3]",))
+    if draw(st.booleans()):
+        statements.insert(0, ("OPENQASM", "2.0"))
+    parts = [draw(space)]
+    for k, tokens in enumerate(statements):
+        for token in tokens:
+            parts += [token, draw(token_space)]
+        if k < len(statements) - 1 or draw(st.integers(0, 3)):
+            parts += [";", draw(space)]
+    return "".join(parts)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except CircuitError as exc:
+        return str(exc)
+
+
+class TestParseQasmOracle:
+    """parse_qasm against ``oracles.parse_qasm_by_lines``, the reader that
+    cut statements from a line buffer and matched each field by field: the
+    same register size and gates, or the same error message."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(qasm_texts())
+    def test_same_result_or_message(self, text):
+        assert outcome(parse_qasm, text) == outcome(oracles.parse_qasm_by_lines, text)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "qreg q[2];", "qreg q[2];\nh q[0]",
+        "qreg q[2];\n\n  h\n q[0] // c;\n\n x q[5];",
+        "qreg q[2]; h q[0];\r\nfoo q[1];", "qreg q[2];\x0bh q[0];\u2028 rz(pi/) q[1];",
+        "qreg q[2];\nh q[0]; x q[1]\n\n", "qreg q[2];\nrz(pi\\\n/2) q[0];",
+        "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+        "qreg q[2];\ncp(pi/2) q[0], q[1];\nrz( pi / 4 ) q[1];\n",
+    ])
+    def test_examples(self, text):
+        assert outcome(parse_qasm, text) == outcome(oracles.parse_qasm_by_lines, text)
 
 
 class TestTranspile:
@@ -238,12 +393,62 @@ class TestTranspileUnitarity:
     @settings(max_examples=40, deadline=None)
     @given(random_circuit())
     def test_output_gates_pass_validation(self, gates):
-        """transpile builds its gates without Gate's checks; each one must
-        still pass them and hash like a validated gate."""
+        """transpile builds its ops without Gate's checks; each one must
+        still pass them when rebuilt as a Gate, with the same triple."""
         out = transpile(gates).gates
-        rebuilt = tuple(Gate(g.kind, g.qubits, g.angle) for g in out)
-        assert rebuilt == out
-        assert [hash(g) for g in rebuilt] == [hash(g) for g in out]
+        rebuilt = [Gate(*op) for op in out]
+        assert [(g.kind, g.qubits, g.angle) for g in rebuilt] == list(map(tuple, out))
+
+
+SNAP_ANGLES = st.builds(
+    lambda k, delta: k * math.pi / 4 + delta,
+    st.integers(-16, 16),
+    st.one_of(st.just(0.0),
+              st.floats(-2 * SNAP_TOL, 2 * SNAP_TOL, allow_nan=False)))
+
+
+@st.composite
+def near_snap_circuit(draw, n_qubits=3, max_len=12):
+    """Gates of every kind whose Rz angles, and CPhase half-angles, lie
+    near multiples of pi/4: within SNAP_TOL, just past it, or generic."""
+    gates = []
+    for _ in range(draw(st.integers(0, max_len))):
+        kind = draw(st.sampled_from(ALPHABET))
+        qubits = tuple(draw(st.permutations(range(n_qubits)))[:ARITY[kind]])
+        angle = None
+        if kind in (GateKind.Rz, GateKind.CPhase):
+            angle = draw(st.one_of(SNAP_ANGLES,
+                                   st.floats(-4 * math.pi, 4 * math.pi,
+                                             allow_nan=False)))
+            if kind is GateKind.CPhase:
+                angle *= 2
+        gates.append(Gate(kind, qubits, angle))
+    return gates
+
+
+class TestTranspileOracle:
+    """transpile against ``oracles.transpile_by_gates``, which builds one
+    validated Gate per output gate, snaps each rotation on its own and
+    counts in a second pass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(near_snap_circuit())
+    def test_ops_and_counts_match(self, gates):
+        tw = transpile(gates)
+        ref, n_t, n_rz, n_clifford = oracles.transpile_by_gates(gates)
+        assert all(type(op) is GateOp for op in tw.gates)
+        assert list(map(tuple, tw.gates)) == [(g.kind, g.qubits, g.angle)
+                                              for g in ref]
+        assert (tw.n_T_init, tw.n_Rz_init, tw.n_Clifford_init) == (
+            n_t, n_rz, n_clifford)
+
+    def test_cphase_halves_snap_together(self):
+        for k in range(-8, 9):
+            for delta in (0.0, SNAP_TOL / 2, -SNAP_TOL / 2, 3 * SNAP_TOL):
+                g = gate(GateKind.CPhase, 0, 1, angle=2 * (k * math.pi / 4 + delta))
+                ref = oracles.transpile_by_gates([g])[0]
+                assert list(map(tuple, transpile([g]).gates)) == [
+                    (r.kind, r.qubits, r.angle) for r in ref]
 
 
 class TestGenerateQft:

@@ -554,6 +554,59 @@ class TestBadInput:
                 in err)
 
 
+class TestBadAngle:
+    """An angle expression whose arithmetic fails, and an Rz or CPhase
+    angle too large for the pi/4 snap test, are input errors (exit 2) that
+    name the QASM line or the JSON block item, from every command that
+    reads a circuit. Before, the first three raised a traceback (exit 1),
+    rz(1e20) transpiled to nothing and rz(1e16) to Z."""
+
+    TOO_LARGE = "is too large: reduce it modulo 2*pi below 4503.6"
+    CASES = {
+        "division by zero": ("rz(1/0)", "division by zero in angle '1/0'"),
+        "integer overflow": ("rz(10**400)", "angle '10**400' does not fit in a float"),
+        "float overflow": ("rz(2**0.5**-2000)",
+                           "angle '2**0.5**-2000' does not fit in a float"),
+        "unbounded power": ("rz(9**9**9)", "angle '9**9**9' does not fit in a float"),
+        "dropped angle": ("rz(1e20)", f"Rz angle 1e+20 {TOO_LARGE}"),
+        "snapped to Z": ("rz(1e16)", f"Rz angle 1e+16 {TOO_LARGE}"),
+        "large cphase": ("cp(-5000)", f"CPhase angle -5000.0 {TOO_LARGE}"),
+    }
+
+    @pytest.mark.parametrize("command", ["estimate", "transpile"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_qasm(self, tmp_path, capsys, command, case):
+        gate, message = self.CASES[case]
+        path = tmp_path / "bad.qasm"
+        path.write_text(f"OPENQASM 2.0;\nqreg q[2];\nh q[0];\n{gate} q[0],q[1];\n"
+                        if gate.startswith("cp") else
+                        f"OPENQASM 2.0;\nqreg q[2];\nh q[0];\n{gate} q[1];\n")
+        assert main([command, str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == f"error: line 4: {message}\n"
+
+    JSON_CASES = {
+        "division by zero": ("rz", "1/0", "division by zero in angle '1/0'"),
+        "unbounded power": ("rz", "9**9**9", "angle '9**9**9' does not fit in a float"),
+        "complex": ("rz", "(-1)**0.5", "angle '(-1)**0.5' is not a real number"),
+        "integer too large": ("rz", 10**400, "integer angle does not fit in a float"),
+        "dropped angle": ("rz", 1e20, f"Rz angle 1e+20 {TOO_LARGE}"),
+        "string too large": ("cp", "2**13", f"CPhase angle 8192.0 {TOO_LARGE}"),
+    }
+
+    @pytest.mark.parametrize("command", ["estimate", "transpile"])
+    @pytest.mark.parametrize("case", sorted(JSON_CASES))
+    def test_nested_json(self, tmp_path, capsys, command, case):
+        name, angle, message = self.JSON_CASES[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n_input": 2, "blocks": {"main": [
+            {"gate": "h", "qubits": [0]},
+            {"gate": name, "qubits": [0, 1] if name == "cp" else [1],
+             "angle": angle}]}}))
+        assert main([command, str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {path}: block 'main' item 1: {message}\n")
+
+
 class TestClosedOutput:
     @pytest.mark.parametrize("n_widgets, lines_read", [(4000, 1), (1, 0)],
                              ids=["after-one-line", "before-any"])

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 import threading
@@ -24,6 +25,8 @@ from qre import cli, compiler, estimator, pipeline, widgetizer
 from qre.architecture import EstimationError
 from qre.circuit import (
     CircuitError,
+    Gate,
+    GateOp,
     emit_qasm,
     gate,
     generate_qft,
@@ -49,6 +52,7 @@ from qre.pipeline import (
     run_pipe_sweep,
     verify_circuit,
 )
+from qre.prepsched import PrepTuple
 from qre.report import parse_csv, render_csv
 from qre.scalefit import SCALING_PRESETS
 from qre.widgetizer import WidgetPlan
@@ -199,6 +203,48 @@ class TestCompilePlan:
         algo_again = compile_plan(plan, config, cache_dir=cache)
         for wid in plan.widgets:
             assert algo_again.compiled[wid] == algo_first.compiled[wid]
+
+
+class TestColdPathConstructors:
+    """A cold widget record builds no Python object per gate, gadget or
+    star: ``_widget_record`` never enters a constructor written in Python.
+    A deterministic count of calls, seen through ``sys.setprofile``."""
+
+    WATCHED = {
+        Gate.__init__.__code__: "Gate.__init__",
+        Gate.__post_init__.__code__: "Gate.__post_init__",
+        GateOp.__new__.__code__: "GateOp.__new__",
+        compiler.Measurement.__new__.__code__: "Measurement.__new__",
+        PrepTuple.__new__.__code__: "PrepTuple.__new__",
+        # A positive control: the profile hook sees Python calls.
+        pipeline.transpile.__code__: "transpile",
+    }
+
+    def calls(self, gates, n_input, config):
+        seen = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in self.WATCHED:
+                seen[self.WATCHED[frame.f_code]] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            record = pipeline._widget_record(gates, n_input, config.fan_out)
+        finally:
+            sys.setprofile(previous)
+        assert record.n_T + record.n_Rz > 0
+        return seen
+
+    def test_qft8(self, config):
+        assert self.calls(generate_qft(8), 8, config) == {"transpile": 1}
+
+    def test_ccx_cphase_and_generic_rz(self, config):
+        gates = [gate(G.H, 0), gate(G.CCX, 0, 1, 2),
+                 gate(G.CPhase, 1, 2, angle=0.3), gate(G.Rz, 0, angle=0.7),
+                 gate(G.CPhase, 0, 2, angle=math.pi / 2), gate(G.T, 1),
+                 gate(G.Rz, 2, angle=-math.pi / 4), gate(G.SWAP, 0, 2)]
+        assert self.calls(gates, 3, config) == {"transpile": 1}
 
 
 def cache_entries(cache):
