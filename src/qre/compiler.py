@@ -159,12 +159,6 @@ def encode_nodes(nodes: Iterable[int]) -> str:
     return "".join([f"{v} " for v in nodes])
 
 
-def encode_spans(spans: Iterable[Iterable[int]]) -> str:
-    """Preparation spans as a record holds them: each sub-step's spans as
-    ``encode_nodes`` writes them, then ``;``."""
-    return "".join([encode_nodes(step) + ";" for step in spans])
-
-
 def _decode(text: str) -> tuple[int, ...]:
     """The integers of an ``encode_nodes`` text."""
     return tuple(map(int, text.split()))
@@ -175,10 +169,11 @@ class WidgetRecord:
     """What estimation and ``qre compile`` read of one compiled widget and
     its preparation schedule; the value the disk cache stores.
 
-    The node lists and the spans are held as text (``encode_nodes``,
-    ``encode_spans``): their lengths are counted from the separators, and
-    the values, which only a layout with more than one module per leg
-    reads, are decoded on first read."""
+    The node lists and the spans are held as text: a node list as
+    ``encode_nodes`` writes it, and the spans as each sub-step's tuple
+    spans written the same way, then ``;``. Their lengths are counted from
+    the separators, and the values, which only a layout with more than one
+    module per leg reads, are decoded on first read."""
 
     n_input: int
     n_nodes: int
@@ -194,7 +189,18 @@ class WidgetRecord:
     @classmethod
     def of(cls, cw: CompiledWidget, prep: PrepSchedule,
            n_clifford: int) -> WidgetRecord:
+        """The record of ``cw`` and its preparation ``prep``. The spans
+        text is written in one pass over the sub-steps: each tuple's span,
+        its d_max (the width of the interval its nodes span, for
+        cross-module counting), read off its center and end leaves."""
         by_kind = cw.nodes_by_kind
+        spans = []
+        for step in prep.sub_steps:
+            for c, leaves in step:
+                lo, hi = leaves[0], leaves[-1]
+                span = (c if c > hi else hi) - (c if c < lo else lo)
+                spans.append(f"{span} ")
+            spans.append(";")
         return cls(
             n_input=cw.n_input,
             n_nodes=cw.n_nodes,
@@ -205,7 +211,7 @@ class WidgetRecord:
             n_consump_steps=len(cw.consump_schedule),
             n_logical=cw.n_logical,
             n_clifford=n_clifford,
-            spans_text=encode_spans(prep.substep_spans()),
+            spans_text="".join(spans),
         )
 
     @property
@@ -507,7 +513,8 @@ def _set_from_dict(payload: dict) -> dict[str, WidgetRecord]:
 
 def _check_texts(texts: list, end: str) -> None:
     """TypeError unless every text of a column is what ``encode_nodes``
-    writes (``end`` " ") or what ``encode_spans`` writes (``end`` ";").
+    writes (``end`` " ") or what ``WidgetRecord.of`` writes for the spans
+    (``end`` ";").
 
     The texts are joined, each followed by ",", and each check is one pass
     over the joined text: only digits, spaces, "," and, in spans, ";"; one

@@ -118,7 +118,7 @@ def load_circuit(path: str | Path, config: ArchConfig,
     least one qubit; JSON is either a widget table ({distinct_widgets,
     sequence}) or nested blocks ({blocks, root}), the latter widgetized
     under the configured split thresholds. ``data`` is the file's bytes
-    when the caller has read them already."""
+    when the caller has read them already. A CircuitError names the file."""
     if data is None:
         data = Path(path).read_bytes()
     try:
@@ -126,14 +126,17 @@ def load_circuit(path: str | Path, config: ArchConfig,
     except UnicodeDecodeError as exc:
         raise CircuitError(f"{path}: not UTF-8 text: {exc}") from exc
     if not data.lstrip().startswith(b"{"):
-        n_qubits, gates = parse_qasm(text)
+        try:
+            n_qubits, gates = parse_qasm(text)
+        except CircuitError as exc:
+            raise CircuitError(f"{path}: {exc}") from exc
         if not n_qubits:
             raise CircuitError(f"{path}: a flat QASM file needs a qreg of "
                                f"at least 1 qubit")
         return _flat(path, n_qubits, {"w0": gates}, ["w0"])
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long
         raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
     if "distinct_widgets" in payload:
         return _flat(path, *parse_widget_file(payload, path))

@@ -9,6 +9,12 @@ same auxiliary bus). The schedule greedily packs a maximal set of
 compatible stars per sub-step, sweeping centers in index order, until every
 edge is covered exactly once.
 
+The graph comes in the form ``stabilizer.graph_form`` returns it: each edge
+once as a pair (u, v) with u < v, the pairs in sorted order. The scheduler
+checks that form and does not rebuild it, so its neighbor lists, appended
+along the edges, are sorted as they are built; an edge list in any other
+form raises ValueError.
+
 Centers rise through the sweep and every interval holds its center, so a
 star fits only past ``reach``, the high end of the sub-step's last accepted
 interval, and every node used in the sub-step lies at or below it. The sweep
@@ -38,6 +44,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import lt
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 
@@ -64,38 +71,35 @@ class PrepSchedule:
     def n_sub_steps(self) -> int:
         return len(self.sub_steps)
 
-    def substep_spans(self) -> tuple[tuple[int, ...], ...]:
-        """Per sub-step, the d_max of each tuple, the width of the interval
-        its nodes span (for cross-module counting), read off each tuple's
-        center and end leaves with no call per tuple."""
-        out = []
-        for step in self.sub_steps:
-            spans = []
-            for t in step:
-                c, leaves = t.center, t.leaves
-                lo, hi = leaves[0], leaves[-1]
-                spans.append((c if c > hi else hi) - (c if c < lo else lo))
-            out.append(tuple(spans))
-        return tuple(out)
-
 
 def schedule_preparation(
     n_nodes: int,
-    edges: Iterable[tuple[int, int]],
+    edges: Sequence[tuple[int, int]],
     fan_out: int,
 ) -> PrepSchedule:
     """Greedy star packing; see module docstring for the conflict model and
-    the search that finds each sub-step's next star."""
-    # Sorted uncovered neighbours per node; both entries go when an edge is
-    # covered.
+    the search that finds each sub-step's next star.
+
+    ``edges`` is the form ``graph_form`` returns: each edge once as (u, v)
+    with 0 <= u < v < ``n_nodes``, the pairs strictly increasing. The input
+    is checked, not normalized: any other list raises ValueError."""
+    if edges and not (edges[0][0] >= 0
+                      and all(map(lt, edges, edges[1:]))):
+        raise ValueError("edges must be distinct (u, v) pairs in sorted "
+                         "order, nodes from 0")
+    # Uncovered neighbours per node; both entries go when an edge is
+    # covered. Appending along the sorted edges leaves each list sorted: a
+    # node's lower neighbours arrive, in order, before its higher ones.
     unc: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v in {(u, v) if u < v else (v, u) for u, v in edges}:
-        if u == v or u < 0 or v >= n_nodes:
-            raise ValueError("edges must join distinct nodes in range")
-        unc[u].append(v)
-        unc[v].append(u)
-    for nbrs in unc:
-        nbrs.sort()
+    try:
+        for u, v in edges:
+            if u >= v:
+                raise ValueError("each edge must be a pair (u, v), u < v")
+            unc[u].append(v)
+            unc[v].append(u)
+    except IndexError:
+        raise ValueError(f"edges must join nodes below n_nodes={n_nodes}") \
+            from None
 
     # Max-segment tree over key(c) = min(c, unc[c][0]), -1 without edges;
     # node i covers children 2i and 2i + 1, leaf c sits at size + c. Maxima
@@ -106,7 +110,7 @@ def schedule_preparation(
     tree = [-1] * (2 * size)
     for c, nbrs in enumerate(unc):
         if nbrs:
-            tree[size + c] = min(c, nbrs[0])
+            tree[size + c] = c if c < nbrs[0] else nbrs[0]
     for i in range(size - 1, 0, -1):
         left, right = tree[2 * i], tree[2 * i + 1]
         tree[i] = left if left > right else right
@@ -129,26 +133,28 @@ def schedule_preparation(
             # all used; one that fails now fails for the rest of the step.
             while waiting and (c < 0 or waiting[0] < c):
                 b = heappop(waiting)
-                if b <= reach:
-                    continue
                 nbrs = unc[b]
-                low = bisect_right(nbrs, reach)
-                if low < len(nbrs) and used.issuperset(nbrs[:low]):
+                # b passes if it lies past reach, keeps a neighbor past it
+                # and has only used ones below; the bisect comes last.
+                if (b > reach and nbrs and nbrs[-1] > reach
+                        and used.issuperset(nbrs[:bisect_right(nbrs, reach)])):
                     c = b
                     break
             if c < 0:
                 break
             nbrs = unc[c]
             low = bisect_right(nbrs, reach)
-            take = tuple(nbrs[low:low + fan_out])
+            take = nbrs[low:low + fan_out]
             del nbrs[low:low + fan_out]
             for v in take:
                 del unc[v][bisect_left(unc[v], c)]
-            step.append(_new(PrepTuple, (c, take)))
-            reach = max(c, take[-1])
-            star = (c,) + take
-            used.update(star)
-            for u in star:
+            step.append(_new(PrepTuple, (c, tuple(take))))
+            reach = take[-1]
+            if c > reach:
+                reach = c
+            take.append(c)  # now the star's nodes
+            used.update(take)
+            for u in take:
                 # Rekey u, then refresh its ancestors until one is unchanged.
                 nbrs = unc[u]
                 key = (u if u < nbrs[0] else nbrs[0]) if nbrs else -1
@@ -162,11 +168,14 @@ def schedule_preparation(
                 # this sub-step, nor can one with no neighbor above reach
                 # (reach only grows and edges only go), so u queues only
                 # the centers above reach whose lowest neighbor it is and
-                # that keep a neighbor above reach.
-                for v in nbrs[bisect_right(nbrs, reach):]:
-                    nv = unc[v]
-                    if nv[0] == u and nv[-1] > reach:
-                        heappush(waiting, v)
+                # that keep a neighbor above reach. Every star node lies at
+                # or below reach, so one without a neighbor past it queues
+                # none and skips the scan.
+                if nbrs and nbrs[-1] > reach:
+                    for v in nbrs[bisect_right(nbrs, reach):]:
+                        nv = unc[v]
+                        if nv[0] == u and nv[-1] > reach:
+                            heappush(waiting, v)
         assert step, "a fresh sub-step always fits at least one star"
         sub_steps.append(tuple(step))
     return PrepSchedule(n_nodes, tuple(sub_steps))
@@ -175,7 +184,7 @@ def schedule_preparation(
 def substep_crossings(spans: Iterable[Sequence[int]],
                       n_logical: int) -> Counter[int]:
     """Module-boundary crossings of one widget's preparation, per sub-step,
-    from each sub-step's tuple spans (``PrepSchedule.substep_spans``).
+    from each sub-step's tuple spans (``WidgetRecord.prep_spans``).
 
     Each tuple spanning d_max register slots crosses floor(d_max / n_logical)
     module boundaries, and a sub-step's crossings travel together. The

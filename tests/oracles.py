@@ -30,6 +30,21 @@ def star_nodes(star) -> tuple[int, ...]:
     return (star.center,) + star.leaves
 
 
+def substep_spans(schedule) -> tuple[tuple[int, ...], ...]:
+    """Per sub-step of a ``PrepSchedule``, the d_max of each tuple: the
+    width of the interval its nodes span."""
+    return tuple(tuple(max(star_nodes(t)) - min(star_nodes(t)) for t in step)
+                 for step in schedule.sub_steps)
+
+
+def encode_spans(spans) -> str:
+    """Preparation spans as a ``WidgetRecord`` holds them, the reference
+    encoding: each span in decimal and one space, each sub-step closed by
+    ``;``."""
+    return "".join("".join(f"{span} " for span in step) + ";"
+                   for step in spans)
+
+
 # --------------------------------------------------------------------------
 # Dense unitaries by index arithmetic (qubit 0 = most significant bit)
 # --------------------------------------------------------------------------
@@ -835,7 +850,7 @@ def cross_module_ops(schedule, n_logical, n_inter_pipes):
     (``substep_crossings``) share the pipes (``pipe_rounds``)."""
     from qre.prepsched import pipe_rounds, substep_crossings
 
-    return pipe_rounds(substep_crossings(schedule.substep_spans(), n_logical),
+    return pipe_rounds(substep_crossings(substep_spans(schedule), n_logical),
                        n_inter_pipes)
 
 

@@ -515,6 +515,26 @@ class TestBadInput:
             f"error: {path}: a flat QASM file needs a qreg of at least 1 "
             "qubit\n")
 
+    def test_flat_qasm_error_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "foo.qasm"
+        path.write_text("qreg q[1];\nfoo q[0];\n")
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {path}: line 2: unsupported gate 'foo'\n")
+
+    def test_json_integer_too_long_to_read_names_the_file(self, tmp_path,
+                                                         capsys):
+        """Python reads no integer of more than 4300 digits; json.loads then
+        raises a plain ValueError, which names the file like a syntax
+        error."""
+        path = tmp_path / "long.json"
+        path.write_text('{"n_input": 2, "blocks": {"main": [{"gate": "rz", '
+                        '"qubits": [0], "angle": ' + "1" * 5001 + '}]}}')
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON: ")
+        assert "4300" in err
+
     def test_widget_body_not_a_string_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"n_input": 1, "sequence": ["A"],
@@ -582,7 +602,7 @@ class TestBadAngle:
                         if gate.startswith("cp") else
                         f"OPENQASM 2.0;\nqreg q[2];\nh q[0];\n{gate} q[1];\n")
         assert main([command, str(path)]) == EXIT_INVALID
-        assert capsys.readouterr().err == f"error: line 4: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: line 4: {message}\n"
 
     JSON_CASES = {
         "division by zero": ("rz", "1/0", "division by zero in angle '1/0'"),

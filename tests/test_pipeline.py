@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pipe_sweep_per_point
+from oracles import encode_spans, pipe_sweep_per_point
 from pool import (
     REFS,
     SPLIT_CRITERIA,
@@ -287,7 +287,7 @@ def _record(n_nodes, t_nodes=(), rz_nodes=(), prep_spans=(), n_input=2,
         rz_text=compiler.encode_nodes(rz_nodes),
         n_consump_steps=len(t_nodes) + len(rz_nodes),
         n_logical=n_nodes, n_clifford=3,
-        spans_text=compiler.encode_spans(prep_spans))
+        spans_text=encode_spans(prep_spans))
 
 
 # Widget sets by digest: one widget; one with no T, no Rz and no preparation

@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from oracles import (
     cross_module_ops,
+    encode_spans,
     min_prep_substeps,
     schedule_by_rescan,
     star_nodes,
+    substep_spans,
 )
-from qre.compiler import compile_widget
+from pool import benchmark_pool_circuit
+from qre.compiler import WidgetRecord, compile_widget
 from qre.circuit import generate_qft, transpile
 from qre.config import ArchConfig
+from qre.pipeline import load_circuit
 from qre.prepsched import (
     PrepSchedule,
     PrepTuple,
@@ -23,6 +27,12 @@ from qre.prepsched import (
 )
 
 FAN_OUT = ArchConfig().fan_out
+
+
+def canonical(edges):
+    """A hand-made or random edge list in the scheduler's input form, the
+    form ``graph_form`` returns: each edge once as (u, v), u < v, sorted."""
+    return sorted({(u, v) if u < v else (v, u) for u, v in edges})
 
 
 def stars(schedule: PrepSchedule):
@@ -67,7 +77,7 @@ class TestExamples:
         assert s.n_sub_steps == 1
         (t,) = all_tuples(s)
         assert t == PrepTuple(0, (1, 2, 3, 4))
-        assert s.substep_spans() == ((4,),)
+        assert substep_spans(s) == ((4,),)
 
     def test_empty_graph(self):
         s = schedule_preparation(4, [], FAN_OUT)
@@ -82,10 +92,19 @@ class TestExamples:
         assert max(len(t.leaves) for t in all_tuples(s)) == 4
 
     def test_invalid_edges_rejected(self):
-        with pytest.raises(ValueError):
-            schedule_preparation(3, [(0, 0)], FAN_OUT)
-        with pytest.raises(ValueError):
-            schedule_preparation(3, [(0, 5)], FAN_OUT)
+        """The input is checked, not normalized: each edge once as (u, v)
+        with 0 <= u < v < n, the pairs strictly increasing."""
+        for n, edges in [
+            (3, [(1, 0)]),            # reversed pair
+            (3, [(0, 1), (0, 1)]),    # duplicate
+            (4, [(0, 2), (0, 1)]),    # unsorted
+            (4, [(1, 2), (0, 3)]),    # unsorted by first node
+            (3, [(0, 0)]),            # self-loop
+            (3, [(-1, 2)]),           # negative node
+            (3, [(0, 5)]),            # out of range
+        ]:
+            with pytest.raises(ValueError):
+                schedule_preparation(n, edges, FAN_OUT)
 
     def test_center_whose_low_neighbors_are_all_used(self):
         # After star (0, (1,)) reaches 1, center 3 fits: its only neighbor
@@ -109,13 +128,14 @@ class TestExamples:
         (12, [(0, 3), (1, 2), (2, 3), (0, 1)]),  # isolated trailing nodes
     ])
     def test_small_and_sparse_node_counts(self, n, edges):
+        edges = canonical(edges)
         s = schedule_preparation(n, edges, FAN_OUT)
         check_schedule(s, edges)
         assert s.n_nodes == n
         assert stars(s) == schedule_by_rescan(n, edges, FAN_OUT)
 
     def test_determinism(self):
-        edges = [(0, 3), (1, 2), (2, 3), (0, 1), (1, 3)]
+        edges = canonical([(0, 3), (1, 2), (2, 3), (0, 1), (1, 3)])
         assert (schedule_preparation(5, edges, FAN_OUT)
                 == schedule_preparation(5, edges, FAN_OUT))
 
@@ -181,6 +201,7 @@ class TestInvariants:
         st.integers(1, 5))
     def test_matches_rescanning_reference(self, case, fan_out):
         n, edges = case
+        edges = canonical(edges)
         s = schedule_preparation(n, edges, fan_out=fan_out)
         assert stars(s) == schedule_by_rescan(n, edges, fan_out=fan_out)
 
@@ -200,7 +221,7 @@ class TestDegreeBound:
             (5, [(0, v) for v in range(1, 5)]),                # star, hub first
             (5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),  # K5
         ]:
-            s = schedule_preparation(n, edges, FAN_OUT)
+            s = schedule_preparation(n, canonical(edges), FAN_OUT)
             degree = Counter()
             for u, v in edges:
                 degree[u] += 1
@@ -225,7 +246,8 @@ class TestDegreeBound:
         edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                  if (u, v) != (1, 2)]
         before = schedule_preparation(n, edges, FAN_OUT).n_sub_steps
-        after = schedule_preparation(n, edges + [(1, 2)], FAN_OUT).n_sub_steps
+        after = schedule_preparation(n, canonical(edges + [(1, 2)]),
+                                     FAN_OUT).n_sub_steps
         assert (before, after) == (9, 8)
 
 
@@ -294,8 +316,47 @@ class TestHubGraphs:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_rescanning_reference(self, hub, seed, p_chord):
         n, edges = hub_and_spoke(40 + 5 * seed, hub, seed, p_chord)
+        edges = canonical(edges)
         degree = Counter(u for e in edges for u in e)
         assert max(degree.values()) >= 40
         for fan_out in range(1, 6):
             s = schedule_preparation(n, edges, fan_out=fan_out)
             assert stars(s) == schedule_by_rescan(n, edges, fan_out)
+
+
+QFT3 = compile_widget(transpile(generate_qft(3)))
+
+
+def record_spans(cw, schedule):
+    """The spans text a widget record writes for ``schedule``."""
+    return WidgetRecord.of(cw, schedule, n_clifford=0).spans_text
+
+
+class TestRecordSpans:
+    """A record writes its spans in one pass over the sub-steps; the text
+    is the reference encoding of the schedule's spans, character for
+    character."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_graphs(max_nodes=12), st.integers(1, 6))
+    def test_random_graphs(self, case, fan_out):
+        n, edges = case
+        s = schedule_preparation(n, edges, fan_out)
+        assert record_spans(QFT3, s) == encode_spans(substep_spans(s))
+
+    def test_qft20(self):
+        cw = compile_widget(transpile(generate_qft(20)))
+        for fan_out in range(1, 7):
+            s = schedule_preparation(cw.n_nodes, cw.edges, fan_out)
+            assert record_spans(cw, s) == encode_spans(substep_spans(s))
+
+    def test_every_widget_of_pool_circuit_0(self):
+        text = benchmark_pool_circuit(0)
+        plan = load_circuit("pool0.json", ArchConfig(),
+                            text.encode()).plan
+        assert len(plan.widgets) > 1
+        for gates in plan.widgets.values():
+            cw = compile_widget(transpile(gates), n_input=plan.n_input)
+            for fan_out in range(1, 7):
+                s = schedule_preparation(cw.n_nodes, cw.edges, fan_out)
+                assert record_spans(cw, s) == encode_spans(substep_spans(s))
