@@ -116,10 +116,6 @@ class Gate:
         return f"{self.kind.name}({qs})"
 
 
-def gate(kind: GateKind, *qubits: int, angle: float | None = None) -> Gate:
-    return Gate(kind, tuple(qubits), angle)
-
-
 def gate_list_digest(gates: Iterable[Gate]) -> str:
     """Full sha256 of a gate list's exact encoding, each gate's
     ``exact_text`` in order (cached on the gate, so a gate shared by many

@@ -68,7 +68,7 @@ from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 from .widgetizer import PlanRecord, SplitCriterion
 
 CACHE_ENV = "QRE_CACHE_DIR"
-CACHE_FORMAT = 7
+CACHE_FORMAT = 8
 # The rule that derives a plan from its source, part of every plan key, so
 # that a plan record written under another rule is never read. Rule 1 gave a
 # flat QASM file the width of its widest gate; rule 2 gives it its declared
@@ -132,21 +132,12 @@ class CompiledWidget:
 
     @cached_property
     def nodes_by_kind(self) -> dict[str, tuple[int, ...]]:
-        """Measured nodes of each measurement kind, in measurement order:
-        the one pass over ``measurements`` that the counts and the widget
-        record share."""
+        """Measured nodes of each measurement kind, in measurement order,
+        as the widget record holds them."""
         nodes: dict[str, list[int]] = {"T": [], "Rz": []}
         for m in self.measurements:
             nodes[m.kind].append(m.node)
         return {kind: tuple(v) for kind, v in nodes.items()}
-
-    @property
-    def n_T(self) -> int:
-        return len(self.nodes_by_kind["T"])
-
-    @property
-    def n_Rz(self) -> int:
-        return len(self.nodes_by_kind["Rz"])
 
     @property
     def meas_schedule(self) -> dict[int, Measurement]:
@@ -167,7 +158,8 @@ def _decode(text: str) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class WidgetRecord:
     """What estimation and ``qre compile`` read of one compiled widget and
-    its preparation schedule; the value the disk cache stores.
+    its preparation schedule; the value the disk cache stores. It holds no
+    wire count: the plan and the set record's key fix it.
 
     The node lists and the spans are held as text: a node list as
     ``encode_nodes`` writes it, and the spans as each sub-step's tuple
@@ -175,7 +167,6 @@ class WidgetRecord:
     the separators, and the values, which only a layout with more than one
     module per leg reads, are decoded on first read."""
 
-    n_input: int
     n_nodes: int
     n_edges: int
     output_text: str              # output nodes, wire by wire
@@ -202,7 +193,6 @@ class WidgetRecord:
                 spans.append(f"{span} ")
             spans.append(";")
         return cls(
-            n_input=cw.n_input,
             n_nodes=cw.n_nodes,
             n_edges=len(cw.edges),
             output_text=encode_nodes(cw.output_nodes),
@@ -213,10 +203,6 @@ class WidgetRecord:
             n_clifford=n_clifford,
             spans_text="".join(spans),
         )
-
-    @property
-    def input_nodes(self) -> range:
-        return range(self.n_input)
 
     @property
     def n_T(self) -> int:
@@ -446,8 +432,8 @@ def widget_set_key(digests: Iterable[str], n_input: int, fan_out: int) -> str:
 
 # The set record's columns, one per ``WidgetRecord`` field in field order:
 # the counts, JSON integers, and the texts, JSON strings.
-_RECORD_COUNTS = ("n_input", "n_nodes", "n_edges", "n_consump_steps",
-                  "n_logical", "n_clifford")
+_RECORD_COUNTS = ("n_nodes", "n_edges", "n_consump_steps", "n_logical",
+                  "n_clifford")
 _RECORD_NODES = ("output_text", "t_text", "rz_text")
 _RECORD_FIELDS = tuple(f.name for f in fields(WidgetRecord))
 # The characters of a node or spans text column joined by ",".

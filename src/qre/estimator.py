@@ -27,14 +27,15 @@ force an expanded walk.
 Every sequence total the solver and the report read is
 ``CompiledAlgorithm.est``, built in one pass over ``plan.ids``.
 
-The timing model's integer inputs are computed once per compiled algorithm
-and module layout (``CompiledAlgorithm.timing_inputs``): each widget's prep
-sub-step count, its per-sub-step cross-module crossings and its per-module
-T/Rz maxima, and each stitch's handover crossings.  A ``compute_timing``
-call only does the arithmetic that depends on the config and the operating
-point (t, t_inter, pipe count, d, synthesis length, factory), summing over
-``plan.ids`` and ``plan.stitches`` in their order.  It reads the pipe
-count only through ``_TimingInputs.pipe_rounds``, so a pipe sweep times each
+The module-crossing model lives here whole: ``_widget_inputs``, the one
+place a node is mapped to a module, gives each widget's prep sub-step
+count, per-sub-step crossings, per-module T/Rz maxima and handover
+crossings, once per compiled algorithm and module layout
+(``CompiledAlgorithm.timing_inputs``).  A ``compute_timing`` call only
+does the arithmetic that depends on the config and the operating point
+(t, t_inter, pipe count, d, synthesis length, factory), summing over
+``plan.ids`` and ``plan.stitches`` in their order.  What it reads of the
+pipe count is ``_TimingInputs.pipe_rounds``, so a pipe sweep times each
 distinct rounds tuple once.
 """
 
@@ -44,7 +45,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .architecture import (
     EstimationError,
@@ -54,7 +55,6 @@ from .architecture import (
 )
 from .compiler import WidgetRecord
 from .config import ArchConfig
-from .prepsched import pipe_rounds, substep_crossings
 from .widgetizer import PlanRecord
 
 __all__ = [
@@ -71,6 +71,8 @@ __all__ = [
     "spacetime_lhs",
     "solve_distance_and_factory",
     "decoding_cores",
+    "substep_crossings",
+    "pipe_rounds",
     "compute_timing",
 ]
 
@@ -151,7 +153,7 @@ class CompiledAlgorithm:
     """A widget plan, or the plan record of a warm run, with the record of
     each distinct widget, compiled and prep-scheduled.
 
-    Keys of `compiled` are the plan's widget ids, and every record shares
+    Keys of `compiled` are the plan's widget ids, each record compiled on
     the plan's wire count. ``est`` holds every sequence total.
     """
 
@@ -174,9 +176,6 @@ class CompiledAlgorithm:
         if missing:
             raise EstimationError(
                 f"compiled table incomplete: missing {sorted(missing)}")
-        if any(self.compiled[w].n_input != self.plan.n_input
-               for w in self.plan.ids):
-            raise EstimationError("stitched widgets must share n_input")
 
     @cached_property
     def est(self) -> StitchedEstimationSet:
@@ -409,27 +408,80 @@ class TimingBreakdown:
             raise EstimationError(f"negative timing component: {self}")
 
 
+def substep_crossings(spans: Iterable[Sequence[int]],
+                      n_logical: int) -> Counter[int]:
+    """Module-boundary crossings of one widget's preparation, per sub-step,
+    from each sub-step's tuple spans (``WidgetRecord.prep_spans``).
+
+    Each tuple spanning d_max register slots crosses floor(d_max / n_logical)
+    module boundaries, and a sub-step's crossings travel together. The
+    result maps each nonzero per-sub-step total to its number of sub-steps.
+    """
+    if n_logical < 1:
+        raise ValueError("n_logical must be >= 1")
+    totals = (sum(span // n_logical for span in step) for step in spans)
+    return Counter(c for c in totals if c)
+
+
+def pipe_rounds(crossings: Mapping[int, int], n_inter_pipes: int) -> int:
+    """Operations that carry batches of crossings over the inter-module
+    pipes: a batch of c crossings shares the pipes, so it takes
+    ceil(c / n_inter_pipes) operations. ``crossings`` maps each batch size
+    to its number of batches."""
+    if n_inter_pipes < 1:
+        raise ValueError("n_inter_pipes must be >= 1")
+    return sum(count * -(-c // n_inter_pipes)
+               for c, count in crossings.items())
+
+
 class _WidgetInputs(NamedTuple):
     """One widget's integer timing inputs on one module layout."""
 
-    weight: int               # positions that can stall: multiplicity, less
-                              # one for the sequence's last widget
     n_sub_steps: int          # preparation sub-steps
     crossings: Counter[int]   # per-sub-step cross-module crossings
     n_max_t: int              # per-module T maximum
     n_max_rz: int             # per-module Rz maximum
+    handover: int             # crossings to teleport its outputs onward
+
+
+def _widget_inputs(record: WidgetRecord, register_size: int,
+                   layout: ModuleLayout) -> _WidgetInputs:
+    """One widget's timing inputs on ``layout``: node v sits in module
+    (v % register_size) // memory_per_module of its leg. The handover
+    teleports output j onto wire j, input j of the next widget, so it
+    reads this widget alone. With one module per leg nothing crosses a
+    module boundary, so no node list or span is read: only the counts."""
+    if layout.n_per_leg == 1:
+        return _WidgetInputs(record.n_sub_steps, Counter(), record.n_T,
+                             record.n_Rz, 0)
+    slots = layout.memory_per_module
+    maxima = []
+    for nodes in (record.t_nodes, record.rz_nodes):
+        counts = [0] * layout.n_per_leg
+        for node in nodes:
+            counts[node % register_size // slots] += 1
+        maxima.append(max(counts))
+    handover = sum(abs(node % register_size // slots
+                       - wire % register_size // slots) + 1
+                   for wire, node in enumerate(record.output_nodes))
+    return _WidgetInputs(record.n_sub_steps,
+                         substep_crossings(record.prep_spans, register_size),
+                         *maxima, handover)
 
 
 @dataclass(frozen=True)
 class _TimingInputs:
     """Integer timing inputs of one compiled algorithm on one module layout:
-    ``widgets`` in ``plan.ids`` order, ``stitches`` as (index of a,
-    index of b, count) in ``plan.stitches`` order, ``handover`` mapping a
-    handover's module-boundary crossings to the stitch occurrences that
-    have that many, and ``crossing`` the nonempty per-sub-step crossings
-    of ``widgets``, in their order."""
+    ``widgets`` in ``plan.ids`` order; ``weights`` the positions of each
+    that can stall, its multiplicity less one for the sequence's last
+    widget; ``stitches`` as (index of a, index of b, count) in
+    ``plan.stitches`` order; ``handover`` mapping a handover's
+    module-boundary crossings to the stitch occurrences that have that
+    many; and ``crossing`` the nonempty per-sub-step crossings of
+    ``widgets``, in their order."""
 
     widgets: tuple[_WidgetInputs, ...]
+    weights: tuple[int, ...]
     stitches: tuple[tuple[int, int, int], ...]
     handover: Counter[int]
     crossing: tuple[Counter[int], ...]
@@ -443,64 +495,24 @@ class _TimingInputs:
                 pipe_rounds(self.handover, n_inter_pipes))
 
 
-def _module_of(node: int, register_size: int, layout: ModuleLayout) -> int:
-    """Module holding a node: contiguous register blocks per module."""
-    return (node % register_size) // layout.memory_per_module
-
-
-def _per_module_maxima(record: WidgetRecord, register_size: int,
-                       layout: ModuleLayout) -> tuple[int, int]:
-    """Max per-module counts of T- and Rz-basis measurements for one widget."""
-    if layout.n_per_leg == 1:
-        return record.n_T, record.n_Rz
-    maxima = []
-    for nodes in (record.t_nodes, record.rz_nodes):
-        counts = [0] * layout.n_per_leg
-        for node in nodes:
-            counts[_module_of(node, register_size, layout)] += 1
-        maxima.append(max(counts))
-    return maxima[0], maxima[1]
-
-
-def _handover_crossings(out_widget: WidgetRecord, in_widget: WidgetRecord,
-                        register_size: int, layout: ModuleLayout) -> int:
-    """Module-boundary crossings to teleport one widget's outputs onto the
-    next widget's inputs, wire by wire, on a layout of more than one module
-    per leg."""
-    return sum(abs(_module_of(out_node, register_size, layout)
-                   - _module_of(in_node, register_size, layout)) + 1
-               for out_node, in_node in zip(out_widget.output_nodes,
-                                            in_widget.input_nodes))
-
-
 def _timing_inputs(algo: CompiledAlgorithm,
                    layout: ModuleLayout) -> _TimingInputs:
-    """With one module per leg nothing crosses a module boundary, so no
-    node list or span is read: only the counts."""
     plan = algo.plan
     register_size = algo.est.n_logical_max
-    split = layout.n_per_leg > 1
+    widgets = tuple(_widget_inputs(algo.compiled[wid], register_size, layout)
+                    for wid in plan.ids)
     index = {wid: i for i, wid in enumerate(plan.ids)}
-    widgets = []
-    for wid in plan.ids:
-        record = algo.compiled[wid]
-        widgets.append(_WidgetInputs(
-            plan.multiplicity[wid] - (1 if wid == plan.last else 0),
-            record.n_sub_steps,
-            (substep_crossings(record.prep_spans, register_size)
-             if split else Counter()),
-            *_per_module_maxima(record, register_size, layout)))
+    stitches = tuple((index[a], index[b], count)
+                     for (a, b), count in plan.stitches.items())
     handover: Counter[int] = Counter()
-    if split:
-        for (a, b), count in plan.stitches.items():
-            crossings = _handover_crossings(algo.compiled[a], algo.compiled[b],
-                                            register_size, layout)
-            if crossings:
-                handover[crossings] += count
+    for a, _, count in stitches:
+        if widgets[a].handover:
+            handover[widgets[a].handover] += count
     return _TimingInputs(
-        widgets=tuple(widgets),
-        stitches=tuple((index[a], index[b], count)
-                       for (a, b), count in plan.stitches.items()),
+        widgets=widgets,
+        weights=tuple(plan.multiplicity[wid] - (1 if wid == plan.last else 0)
+                      for wid in plan.ids),
+        stitches=stitches,
         handover=handover,
         crossing=tuple(w.crossings for w in widgets if w.crossings))
 
@@ -521,11 +533,10 @@ def compute_timing(
     l_transfer_bus = sel.layout.l_transfer_bus
     prep_tock, tock, factory_tock = 8.0 * d, 8.0 * t * d, 8.0 * t * cycles
 
-    rounds = inputs.pipe_rounds(config.n_inter_pipes)
-    prep_rounds = iter(rounds)
+    pipes = config.n_inter_pipes
     t_prep, t_consump_intra, t_distill_delay = [], [], []
-    for _, n_intra, crossings, n_max_t, n_max_rz in inputs.widgets:
-        n_cross = next(prep_rounds) if crossings else 0
+    for n_intra, crossings, n_max_t, n_max_rz, _ in inputs.widgets:
+        n_cross = pipe_rounds(crossings, pipes) if crossings else 0
         prep = prep_tock * (n_intra * t + n_cross * t_inter)
         t_prep.append(prep)
         t_consump_intra.append(tock * (
@@ -543,7 +554,7 @@ def compute_timing(
 
     # Distillation stalls occur at every sequence position except the last.
     t_distill_total = sum(
-        w.weight * delay for w, delay in zip(inputs.widgets, t_distill_delay))
+        w * delay for w, delay in zip(inputs.weights, t_distill_delay))
 
     # Preparation stalls and handover teleports are properties of ordered
     # adjacent pairs, so the stitch multiset gives their sequence totals.
@@ -552,7 +563,7 @@ def compute_timing(
         lag = t_prep[b] - t_consump_intra[a] - t_distill_delay[a]
         if lag > 0:
             t_prep_delay_total += count * lag
-    t_handover = 8.0 * config.t_inter * d * rounds[-1]
+    t_handover = 8.0 * t_inter * d * pipe_rounds(inputs.handover, pipes)
 
     t_consump = (tock * (algo.l_prep_first + sel.counts.n_seq_consump)
                  + t_distill_total + t_prep_delay_total)

@@ -22,11 +22,13 @@ and is keyed on the sorted, distinct digests, the wire count and the
 preparation fan-out; inputs with the same widgets, such as one circuit at
 several root repeats, share it. A warm run reads the plan record and then
 the one set record it names, so it parses, widgetizes, transpiles,
-compiles and schedules nothing. If either misses or is malformed, the run
-loads the source, and ``compile_plan`` reads the set record or else
-compiles every widget and writes the set record anew; then the plan record
-is written anew. A set record lacking one widget is a miss as a whole, so
-inputs whose widget sets only partly overlap share no record.
+compiles and schedules nothing. If the plan record misses or is
+malformed, the run loads the source, and ``compile_plan`` reads the set
+record or else compiles every widget and writes the set record anew; then
+the plan record is written anew. If only the set record misses, the run
+loads the source, compiles every widget and writes the set record anew.
+A set record lacking one widget is a miss as a whole, so inputs whose
+widget sets only partly overlap share no record.
 ``load_circuit`` itself never reads the cache, so neither ``verify`` nor
 ``widgetize`` does. ``verify_circuit`` compiles every distinct widget
 afresh, since it needs the fields the record leaves out.
@@ -35,7 +37,7 @@ Each distinct config is solved and timed once per compiled algorithm
 (``CompiledAlgorithm.selections`` and ``CompiledAlgorithm.timings``), so a
 sweep reuses the estimate's solve and timing at its default point. A pipe
 sweep times the machine once per distinct tuple of pipe rounds
-(``_TimingInputs.pipe_rounds``), the only way the timing reads the pipe
+(``_TimingInputs.pipe_rounds``), all that the timing reads of the pipe
 count; every pipe count with that tuple reuses the time.
 """
 
@@ -49,7 +51,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 from . import __version__, compiler
-from .architecture import EstimationError
 from .circuit import (
     CircuitError,
     Gate,
@@ -182,13 +183,15 @@ def compile_circuit(
 
     With a cache directory (``cache_dir`` or the QRE_CACHE_DIR variable),
     a warm run reads the input's plan record and the set record of its
-    widgets, and parses nothing. If either misses or is malformed, the run
-    loads the source, compiles the plan through ``compile_plan`` and writes
-    the plan record anew.
+    widgets, and parses nothing. If the plan record misses or is
+    malformed, the run loads the source, compiles the plan through
+    ``compile_plan`` and writes the plan record anew; if only the set
+    record misses, it loads the source and compiles every widget.
     """
     data = Path(path).read_bytes()
     source_digest = hashlib.sha256(data).hexdigest()
     directory = _cache_directory(cache_dir)
+    record = None
     if directory:
         key = compiler.plan_key(source_digest, _criterion(config))
         record = compiler.load_plan(directory, key)
@@ -197,6 +200,8 @@ def compile_circuit(
             if algo is not None:
                 return algo, source_digest
     plan = load_circuit(path, config, data).plan
+    if record is not None:
+        return _compile_set(plan, config, directory), source_digest
     algo = compile_plan(plan, config, directory)
     if directory:
         compiler.save_plan(directory, key, plan)
@@ -211,9 +216,7 @@ def _set_key(plan: PlanRecord, config: ArchConfig) -> str:
 def _cached_set(plan: PlanRecord, config: ArchConfig,
                 directory: str | Path) -> CompiledAlgorithm | None:
     """The compiled algorithm of ``plan`` from the set record of its
-    widgets, or None when that record misses, lacks one of them or holds
-    one on another wire count than its key's, which ``CompiledAlgorithm``
-    refuses."""
+    widgets, or None when that record misses or lacks one of them."""
     # Load and save are looked up on the compiler module at call time, so
     # wrappers installed there (the benchmark trace) see them.
     by_digest = compiler.load_cached(directory, _set_key(plan, config))
@@ -222,7 +225,7 @@ def _cached_set(plan: PlanRecord, config: ArchConfig,
     try:
         return CompiledAlgorithm(
             plan, {wid: by_digest[plan.digest(wid)] for wid in plan.ids})
-    except (KeyError, EstimationError):
+    except KeyError:
         return None
 
 
@@ -238,8 +241,13 @@ def compile_plan(
     written anew."""
     directory = _cache_directory(cache_dir)
     algo = _cached_set(plan, config, directory) if directory else None
-    if algo is not None:
-        return algo
+    return algo if algo is not None else _compile_set(plan, config, directory)
+
+
+def _compile_set(plan: WidgetPlan, config: ArchConfig,
+                 directory: str | Path | None) -> CompiledAlgorithm:
+    """Compile every widget of ``plan`` and, with a cache directory, write
+    the set record of its widgets anew."""
     records = {wid: _widget_record(gates, plan.n_input, config.fan_out)
                for wid, gates in plan.widgets.items()}
     if directory:

@@ -7,7 +7,9 @@ occupies the inclusive index interval spanned by its nodes, so two MPPOs
 can share a sub-step only if their intervals are disjoint (they ride the
 same auxiliary bus). The schedule greedily packs a maximal set of
 compatible stars per sub-step, sweeping centers in index order, until every
-edge is covered exactly once.
+edge is covered exactly once. This module holds the scheduler alone: what a
+schedule costs across module boundaries is counted in ``estimator``, the
+one module that places a node in a module.
 
 The graph comes in the form ``stabilizer.graph_form`` returns it: each edge
 once as a pair (u, v) with u < v, the pairs in sorted order. The scheduler
@@ -41,11 +43,10 @@ passes, found without visiting the others:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import lt
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class PrepTuple(NamedTuple):
@@ -179,29 +180,3 @@ def schedule_preparation(
         assert step, "a fresh sub-step always fits at least one star"
         sub_steps.append(tuple(step))
     return PrepSchedule(n_nodes, tuple(sub_steps))
-
-
-def substep_crossings(spans: Iterable[Sequence[int]],
-                      n_logical: int) -> Counter[int]:
-    """Module-boundary crossings of one widget's preparation, per sub-step,
-    from each sub-step's tuple spans (``WidgetRecord.prep_spans``).
-
-    Each tuple spanning d_max register slots crosses floor(d_max / n_logical)
-    module boundaries, and a sub-step's crossings travel together. The
-    result maps each nonzero per-sub-step total to its number of sub-steps.
-    """
-    if n_logical < 1:
-        raise ValueError("n_logical must be >= 1")
-    totals = (sum(span // n_logical for span in step) for step in spans)
-    return Counter(c for c in totals if c)
-
-
-def pipe_rounds(crossings: Mapping[int, int], n_inter_pipes: int) -> int:
-    """Operations that carry batches of crossings over the inter-module
-    pipes: a batch of c crossings shares the pipes, so it takes
-    ceil(c / n_inter_pipes) operations. ``crossings`` maps each batch size
-    to its number of batches."""
-    if n_inter_pipes < 1:
-        raise ValueError("n_inter_pipes must be >= 1")
-    return sum(count * -(-c // n_inter_pipes)
-               for c, count in crossings.items())

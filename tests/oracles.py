@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 # --------------------------------------------------------------------------
-# Views of package records that only the tests read
+# Builders and views of package objects that only the tests use
 # --------------------------------------------------------------------------
 
 
@@ -28,6 +28,23 @@ def touches(frame) -> frozenset[int]:
 def star_nodes(star) -> tuple[int, ...]:
     """A ``PrepTuple``'s center, then its leaves."""
     return (star.center,) + star.leaves
+
+
+def gate(kind, *qubits: int, angle: float | None = None):
+    """A source ``Gate`` of ``kind`` on ``qubits``."""
+    from qre.circuit import Gate
+
+    return Gate(kind, qubits, angle)
+
+
+def n_T(cw) -> int:
+    """A ``CompiledWidget``'s T-measured node count."""
+    return len(cw.nodes_by_kind["T"])
+
+
+def n_Rz(cw) -> int:
+    """A ``CompiledWidget``'s Rz-measured node count."""
+    return len(cw.nodes_by_kind["Rz"])
 
 
 def substep_spans(schedule) -> tuple[tuple[int, ...], ...]:
@@ -780,8 +797,8 @@ def totals_by_walk(loaded, fan_out):
     return {
         "n_input": plan.n_input,
         "n_widgets": n_widgets,
-        "n_T_init": sum(cw.n_T for cw, _ in walk),
-        "n_Rz_init": sum(cw.n_Rz for cw, _ in walk),
+        "n_T_init": sum(n_T(cw) for cw, _ in walk),
+        "n_Rz_init": sum(n_Rz(cw) for cw, _ in walk),
         "n_clifford_init": sum(transpile(plan.widgets[wid]).n_Clifford_init
                                for wid in sequence),
         "n_logical_max": max(cw.n_logical for cw, _ in walk),
@@ -848,7 +865,7 @@ def cross_module_ops(schedule, n_logical, n_inter_pipes):
     """Vertical cross-module operation count for one widget's preparation,
     from the package's own steps: each sub-step's crossings
     (``substep_crossings``) share the pipes (``pipe_rounds``)."""
-    from qre.prepsched import pipe_rounds, substep_crossings
+    from qre.estimator import pipe_rounds, substep_crossings
 
     return pipe_rounds(substep_crossings(substep_spans(schedule), n_logical),
                        n_inter_pipes)

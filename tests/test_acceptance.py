@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import gate
 from qre._sim import verify_unitarity
 from qre.architecture import DEFAULT_FACTORIES, TFactory, compute_layout
 from qre.circuit import GateKind as G
-from qre.circuit import emit_qasm, gate, generate_qft, invert_gates, transpile
+from qre.circuit import emit_qasm, generate_qft, invert_gates, transpile
 from qre.compiler import compile_widget
 from qre.config import ArchConfig
 from qre.estimator import (

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense import circuit_unitary
+from oracles import gate
 from qre import _sim, circuit
 from qre.circuit import (
     ANGLE_LIMIT,
@@ -20,7 +21,6 @@ from qre.circuit import (
     GateOp,
     circuit_width,
     emit_qasm,
-    gate,
     gate_list_digest,
     generate_qft,
     parse_qasm,

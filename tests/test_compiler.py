@@ -10,10 +10,13 @@ from dense import graph_state, prep_state, row_signs
 from oracles import (
     frames_by_replay,
     gadgets_of,
+    gate,
     graph_form_by_rows,
     layers_by_kahn,
     layers_by_rescan,
     max_live_nodes_by_scan,
+    n_Rz,
+    n_T,
     same_up_to_phase,
     sweep_by_replay,
     touches,
@@ -21,7 +24,6 @@ from oracles import (
 from pool import benchmark_pool_circuit
 from qre import _sim
 from qre._sim import SIM_QUBIT_LIMIT, verify_unitarity
-from qre.architecture import EstimationError
 from qre.circuit import (
     ANGLED,
     ARITY,
@@ -31,7 +33,6 @@ from qre.circuit import (
     TranspiledWidget,
     circuit_width,
     emit_qasm,
-    gate,
     gate_list_digest,
     generate_qft,
     invert_gates,
@@ -47,7 +48,6 @@ from qre.compiler import (
     widget_set_key,
 )
 from qre.config import ArchConfig
-from qre.estimator import CompiledAlgorithm
 from qre.pipeline import compile_plan, load_circuit, verify_circuit
 from qre.stabilizer import graph_form, stabilizer_after
 from qre.widgetizer import PlanRecord, WidgetPlan
@@ -70,7 +70,7 @@ class TestSingleGadget:
         assert cw.frames == {0: PauliFrame(x_support=(), z_support=(1,))}
         assert cw.consump_schedule == ((0,),)
         assert cw.n_logical == 2
-        assert cw.n_T == 1 and cw.n_Rz == 0
+        assert n_T(cw) == 1 and n_Rz(cw) == 0
 
     def test_tdg_and_rz_angles(self):
         cw = compiled([gate(GateKind.Tdg, 0), gate(GateKind.Rz, 0, angle=0.3)])
@@ -164,12 +164,12 @@ class TestNodeCounts:
     def test_qft3_totals(self):
         cw = compile_widget(transpile(generate_qft(3)))
         assert cw.n_nodes == 12
-        assert cw.n_T == 6 and cw.n_Rz == 3
+        assert n_T(cw) == 6 and n_Rz(cw) == 3
 
     def test_toffoli_totals(self):
         cw = compiled([gate(GateKind.CCX, 0, 1, 2)])
         assert cw.n_nodes == 10
-        assert cw.n_T == 7 and cw.n_Rz == 0
+        assert n_T(cw) == 7 and n_Rz(cw) == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 6), st.integers(0, 3))
@@ -339,14 +339,9 @@ class TestStitch:
 
     def test_error_cases(self):
         """Each check of a stitched sequence sits where its data is made: an
-        empty plan and a multiplicity below 1 are plan errors, and records
-        on other wire counts than the plan's an estimation error."""
+        empty plan and a multiplicity below 1 are plan errors."""
         with pytest.raises(CircuitError, match="must name widgets"):
             PlanRecord(1, {}, {}, "a", "a")
-        algo = stitched(1, ([gate(GateKind.H, 0)], 1))
-        (wide,) = stitched(2, ([gate(GateKind.H, 0)], 1)).compiled.values()
-        with pytest.raises(EstimationError, match="must share n_input"):
-            CompiledAlgorithm(algo.plan, {"w0": wide})
         with pytest.raises(CircuitError, match="multiplicities must be >= 1"):
             PlanRecord(1, {"a": 0}, {}, "a", "a")
 

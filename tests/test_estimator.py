@@ -14,16 +14,19 @@ from oracles import (
     budget_lhs,
     compile_fresh,
     distance_by_full_scan,
+    gate,
+    handover_crossings,
     layout_aware_lhs,
     min_distance_sweep,
     select_by_fixed_point,
+    star_nodes,
     timing_per_call,
     totals_by_walk,
     widget_timing,
 )
 from pool import benchmark_pool_circuit
 from qre.architecture import DEFAULT_FACTORIES, EstimationError, ModuleLayout, TFactory
-from qre.circuit import GateKind, circuit_width, gate, generate_qft
+from qre.circuit import GateKind, circuit_width, generate_qft
 from qre.config import ArchConfig, ConfigError
 from qre import compiler, estimator
 from qre.estimator import (
@@ -31,9 +34,8 @@ from qre.estimator import (
     SequentialCounts,
     StitchedEstimationSet,
     TimingBreakdown,
-    _handover_crossings,
-    _per_module_maxima,
     _solve_distance,
+    _widget_inputs,
     budget_rhs,
     compute_timing,
     decoding_cores,
@@ -657,13 +659,15 @@ class TestModuleAssignment:
             memory_per_module=2, l_qbus=3, n_row_qbus=1, n_col_t_factories=1,
             n_t_factories=2, l_transfer_bus=20, n_prime=1,
             n_unalloc_logical=0)
-        assert _per_module_maxima(cw, 3, layout) == (2, 0)  # nodes 0,1 | 2
+        inputs = _widget_inputs(cw, 3, layout)
+        assert (inputs.n_max_t, inputs.n_max_rz) == (2, 0)  # nodes 0,1 | 2
         single = ModuleLayout(
             d=3, n_per_leg=1, factory=DEFAULT_FACTORIES[0], l_edge=16,
             memory_per_module=3, l_qbus=3, n_row_qbus=1, n_col_t_factories=1,
             n_t_factories=2, l_transfer_bus=20, n_prime=1,
             n_unalloc_logical=0)
-        assert _per_module_maxima(cw, 3, single) == (3, 0)
+        inputs = _widget_inputs(cw, 3, single)
+        assert (inputs.n_max_t, inputs.n_max_rz) == (3, 0)
 
     def test_handover_crossings_wire_by_wire(self):
         cw = widget_record([gate(GateKind.T, 0), gate(GateKind.T, 1),
@@ -675,7 +679,47 @@ class TestModuleAssignment:
             n_t_factories=2, l_transfer_bus=20, n_prime=1,
             n_unalloc_logical=0)
         # outputs 3,4,5 fold to 0,1,2 -> same module as inputs: 1 seam each
-        assert _handover_crossings(cw, cw, 3, layout) == 3
+        assert _widget_inputs(cw, 3, layout).handover == 3
+
+    def test_preparation_crossings_divide_spans_by_the_register(self):
+        """A preparation tuple spanning d_max slots crosses floor(d_max /
+        register size) module boundaries, where the register size is
+        ``n_logical_max``, not the slots per module, also on a layout of
+        two modules per leg."""
+        record = compiler.WidgetRecord(
+            n_nodes=14, n_edges=5, output_text="", t_text="", rz_text="",
+            n_consump_steps=0, n_logical=6, n_clifford=0,
+            spans_text="7 ;5 2 ;13 6 ;")
+        layout = ModuleLayout(
+            d=3, n_per_leg=2, factory=DEFAULT_FACTORIES[0], l_edge=16,
+            memory_per_module=3, l_qbus=3, n_row_qbus=1, n_col_t_factories=1,
+            n_t_factories=2, l_transfer_bus=20, n_prime=1,
+            n_unalloc_logical=0)
+        inputs = _widget_inputs(record, 6, layout)
+        # per sub-step: 7//6 = 1; 5//6 + 2//6 = 0; 13//6 + 6//6 = 3
+        # (with the 3 slots per module as divisor: 2; 1; 6)
+        assert inputs.n_sub_steps == 3
+        assert inputs.crossings == Counter({1: 1, 3: 1})
+        assert estimator.pipe_rounds(inputs.crossings, 1) == 4
+        assert estimator.pipe_rounds(inputs.crossings, 2) == 3
+
+    def test_pool3_preparation_and_placement_disagree(self, two_module_nested):
+        """On pool circuit 3 at two modules per leg (28 slots each, register
+        55), the preparation rule counts 10 crossings over the 1916 tuples
+        of its distinct widgets, while 799 of those tuples hold nodes in
+        both modules by the placement that the maxima and handovers use."""
+        _, algo, sel, fresh = two_module_nested
+        register = algo.est.n_logical_max
+        slots = sel.layout.memory_per_module
+        assert (sel.layout.n_per_leg, slots, register) == (2, 28, 55)
+        inputs = algo.timing_inputs(sel.layout)
+        assert sum(c * n for w in inputs.widgets
+                   for c, n in w.crossings.items()) == 10
+        tuples = [star_nodes(t) for _, prep in fresh.values()
+                  for step in prep.sub_steps for t in step]
+        split = [t for t in tuples
+                 if len({v % register // slots for v in t}) > 1]
+        assert (len(tuples), len(split)) == (1916, 799)
 
 
 # --------------------------------------------------------------------------
@@ -754,8 +798,8 @@ class TestCrossModule:
                    - per[a].t_distill_delay)
             if lag > 0:
                 prep_delay += lag
-            crossings = _handover_crossings(
-                wide_algo.compiled[a], wide_algo.compiled[b],
+            crossings = handover_crossings(
+                wide_fresh[a][0], wide_fresh[b][0],
                 wide_algo.est.n_logical_max, sel.layout)
             if crossings:
                 handover_ops += -(-crossings // cfg.n_inter_pipes)

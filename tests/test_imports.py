@@ -164,16 +164,36 @@ def _imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
-def test_every_test_import_is_read():
-    """Each name a module under ``tests/`` imports is read somewhere in
-    that module."""
+def _unread_imports(directory):
+    """(module, line, name) of each name that a module in ``directory``
+    imports and never reads."""
     unread = []
-    for path in sorted((ROOT / "tests").glob("*.py")):
+    for path in sorted(directory.glob("*.py")):
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)
                 and isinstance(node.ctx, ast.Load)}
-        unread += [(path.name, line, name)
+        unread += [(path.stem, line, name)
                    for name, line in _imported_names(tree)
                    if name not in read]
-    assert unread == []
+    return unread
+
+
+def test_every_test_import_is_read():
+    """Each name a module under ``tests/`` imports is read somewhere in
+    that module."""
+    assert _unread_imports(ROOT / "tests") == []
+
+
+# Names a package module imports for others to read, each with why.
+REEXPORTS = {
+    ("compiler", "stabilizer_after"): "the benchmark's trace hook wraps "
+                                      "it as an attribute of compiler",
+}
+
+
+def test_every_package_import_is_read():
+    """Each name a module of ``src/qre`` imports is read somewhere in that
+    module, but for the re-exports in ``REEXPORTS``."""
+    unread = _unread_imports(ROOT / "src" / "qre")
+    assert {(module, name) for module, _, name in unread} == set(REEXPORTS)

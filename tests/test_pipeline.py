@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import encode_spans, pipe_sweep_per_point
+from oracles import encode_spans, gate, pipe_sweep_per_point
 from pool import (
     REFS,
     SPLIT_CRITERIA,
@@ -28,7 +28,6 @@ from qre.circuit import (
     Gate,
     GateOp,
     emit_qasm,
-    gate,
     generate_qft,
     parse_qasm,
     transpile,
@@ -276,12 +275,12 @@ def refuse(name):
     return refused
 
 
-def _record(n_nodes, t_nodes=(), rz_nodes=(), prep_spans=(), n_input=2,
+def _record(n_nodes, t_nodes=(), rz_nodes=(), prep_spans=(),
             output_nodes=None):
     if output_nodes is None:
         output_nodes = (n_nodes - 2, n_nodes - 1)
     return compiler.WidgetRecord(
-        n_input=n_input, n_nodes=n_nodes, n_edges=n_nodes - 1,
+        n_nodes=n_nodes, n_edges=n_nodes - 1,
         output_text=compiler.encode_nodes(output_nodes),
         t_text=compiler.encode_nodes(t_nodes),
         rz_text=compiler.encode_nodes(rz_nodes),
@@ -417,7 +416,7 @@ class TestWidgetCache:
                                          "doubled-separator",
                                          "number-as-text", "leading-space",
                                          "no-final-space", "span-space",
-                                         "step-space", "comma", "n_input"])
+                                         "step-space", "comma"])
     def test_bad_entry_is_recomputed_and_overwritten(
             self, content, qft3_path, config, tmp_path):
         cache = tmp_path / "cache"
@@ -484,8 +483,6 @@ class TestWidgetCache:
                 bad["spans_text"] = ["4 ; 8 ;9 ;7 ;"]
             elif content == "comma":  # two texts in one
                 bad["rz_text"] = [bad["rz_text"][0] + ","]
-            elif content == "n_input":  # disagrees with the key
-                bad["n_input"] = [9]
             elif content in ("t_nodes", "n_nodes", "n_logical",
                              "prep_spans"):
                 # right key and format, wrong type
@@ -511,35 +508,15 @@ class TestWidgetCache:
         assert main(["estimate", str(qft3_path), "--cache-dir", str(cache)]) == 0
         assert capsys.readouterr().out == first
 
-    def test_set_record_on_another_wire_count_does_not_fail_the_cli(
-            self, pool3_path, tmp_path, capsys):
-        """A set record whose ``n_input`` column disagrees with its key is
-        a miss: recompiled and overwritten, with the same output."""
-        cache = tmp_path / "cache"
-        args = ["estimate", str(pool3_path), "--cache-dir", str(cache)]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        (entry,) = cache.glob("widgets-*.json")
-        good = entry.read_text()
-        bad = json.loads(good)
-        assert bad["n_input"][0] == 8
-        bad["n_input"][0] = 9
-        entry.write_text(json.dumps(bad))
-        assert main(args) == 0
-        assert capsys.readouterr() == (first, "")
-        assert entry.read_text() == good
-
     def test_warm_one_module_run_decodes_no_text(self, pool3_path, tmp_path,
                                                  monkeypatch):
         """With one module per leg, a warm estimate and its pipe and
-        decoder sweeps read only the records' counts, and walk no
-        handover."""
+        decoder sweeps read only the records' counts: no node list, so no
+        handover is walked, and no span."""
         cache = tmp_path / "cache"
         cold = estimate_and_sweep(pool3_path, None, cache)
         assert run_estimate(pool3_path).selection.layout.n_per_leg == 1
         monkeypatch.setattr(compiler, "_decode", refuse("_decode"))
-        monkeypatch.setattr(estimator, "_handover_crossings",
-                            refuse("_handover_crossings"))
         assert estimate_and_sweep(pool3_path, None, cache) == cold
 
     @settings(max_examples=60, deadline=None)
@@ -549,7 +526,6 @@ class TestWidgetCache:
         "rz_nodes": st.lists(st.integers(0, 10 ** 12), max_size=6).map(tuple),
         "prep_spans": st.lists(st.lists(st.integers(0, 10 ** 6), max_size=4)
                                .map(tuple), max_size=5).map(tuple),
-        "n_input": st.integers(1, 64),
         "output_nodes": st.lists(st.integers(0, 99), max_size=4).map(tuple),
     }), max_size=5))
     def test_random_records_round_trip(self, values):
@@ -607,15 +583,17 @@ class TestWidgetCache:
             self, qft3_path, config, tmp_path):
         """An entry of an older format (3; 4, the last one with a record
         per widget; 5, the last one with a record per widget inside the
-        set record; 6, the last one with node lists as JSON lists) is never
-        read, even under the current key."""
+        set record; 6, the last one with node lists as JSON lists; 7, the
+        last one with an ``n_input`` column) is never read, even under the
+        current key."""
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
         fresh = compile_plan(plan, config).compiled["w0"]
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         payload = json.loads(entry.read_text())
-        assert payload["format"] == compiler.CACHE_FORMAT == 7
+        assert payload["format"] == compiler.CACHE_FORMAT == 8
+        assert "n_input" not in payload
         # Format 6 as written: the lists in place of the texts.
         lists = {**json.loads(entry.read_text()), "format": 6,
                  "output_nodes": [list(fresh.output_nodes)],
@@ -626,6 +604,9 @@ class TestWidgetCache:
             del lists[name]
         stales = [{**json.loads(entry.read_text()), "format": old}
                   for old in (3, 4, 5, 6)]
+        # Format 7 as written: one more column, the wire count.
+        stales.append({**json.loads(entry.read_text()), "format": 7,
+                       "n_input": [plan.n_input]})
         for stale in [*stales, lists]:
             stale["n_nodes"][0] += 1  # a stale record must not be read
             entry.write_text(json.dumps(stale))
@@ -668,8 +649,8 @@ class TestWidgetCache:
         assert compiler.load_cached(cache, "k2") == records
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        record = compiler.WidgetRecord(1, 1, 0, "0 ", "", "", 0, 1,
-                                       object(), "")
+        record = compiler.WidgetRecord(1, 0, "0 ", "", "", 0, 1, object(),
+                                       "")
         with pytest.raises(TypeError):
             compiler.save_cached(tmp_path, "k", {"d": record})
         assert cache_entries(tmp_path) == []
@@ -705,9 +686,8 @@ class TestWidgetCache:
             self, pool3_path, tmp_path, monkeypatch):
         """A cold estimate writes the set record and the plan record; a
         warm estimate and both sweeps read them and compile nothing; a plan
-        hit whose set misses loads the source and, like every other miss,
-        compiles through ``compile_plan``, which reads the set record
-        again before it compiles the whole set."""
+        hit whose set misses loads the source, reads the set record once,
+        compiles the whole set and writes its set record alone."""
         cache = tmp_path / "cache"
         saves = counting(monkeypatch, compiler, "_save_entry")
         loads = counting(monkeypatch, compiler, "_load_entry")
@@ -722,17 +702,21 @@ class TestWidgetCache:
         del loads[:]
         fan_out = tmp_path / "fan_out.yaml"
         fan_out.write_text("architecture:\n  fan_out: 2\n")
+        set_loads = counting(monkeypatch, compiler, "load_cached")
+        monkeypatch.setattr(compiler, "save_plan", refuse("save_plan"))
         run_estimate(pool3_path, config_path=fan_out, cache_dir=cache)
-        assert [args[1] for args in loads] == ["plan", "widgets", "widgets"]
-        assert [args[1] for args in saves] == ["widgets", "plan"]
+        assert len(set_loads) == 1
+        assert [args[1] for args in loads] == ["plan", "widgets"]
+        assert [args[1] for args in saves] == ["widgets"]
         assert len(compiles) == 120
         assert len(cache_entries(cache)) == 3
 
     def test_malformed_set_record_of_a_plan_hit_matches_uncached(
             self, pool3_path, tmp_path, monkeypatch):
-        """A plan hit whose set record is malformed compiles every widget
-        and writes the set record whole again; the report and sweeps are
-        byte-identical to an uncached run's."""
+        """A plan hit whose set record is malformed reads it once, compiles
+        every widget and writes the set record whole again, and keeps the
+        plan record; the report and sweeps are byte-identical to an
+        uncached run's."""
         cache = tmp_path / "cache"
         uncached = estimate_and_sweep(pool3_path, None, None)
         estimate_and_sweep(pool3_path, None, cache)
@@ -741,8 +725,9 @@ class TestWidgetCache:
         entry.write_text(good[:len(good) // 2])
         loads = counting(monkeypatch, compiler, "_load_entry")
         compiles = counting(monkeypatch, pipeline, "compile_widget")
+        monkeypatch.setattr(compiler, "save_plan", refuse("save_plan"))
         assert estimate_and_sweep(pool3_path, None, cache) == uncached
-        assert [args[1] for args in loads] == ["plan", "widgets", "widgets"]
+        assert [args[1] for args in loads] == ["plan", "widgets"]
         assert len(compiles) == 120
         assert entry.read_text() == good
 

@@ -259,7 +259,8 @@ class TestCrossModuleOps:
     def test_long_span_crossings(self):
         edges = [(0, 7)]
         s = schedule_preparation(8, edges, FAN_OUT)
-        # span 7 with 3 slots per module crosses floor(7/3) = 2 boundaries
+        # span 7 crosses floor(7/3) = 2 boundaries: the divisor is the
+        # register size n_logical, not the slots per module
         assert cross_module_ops(s, n_logical=3, n_inter_pipes=1) == 2
         assert cross_module_ops(s, n_logical=3, n_inter_pipes=2) == 1
         assert cross_module_ops(s, n_logical=8, n_inter_pipes=1) == 0

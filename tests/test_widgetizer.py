@@ -8,13 +8,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import block_stats, expanded_kind_counts, parse_nested_per_item
+from oracles import (
+    block_stats,
+    expanded_kind_counts,
+    gate,
+    parse_nested_per_item,
+)
 from pool import SPLIT_CRITERIA, benchmark_pool_circuit
 from qre.circuit import (
     CircuitError,
     Gate,
     GateKind,
-    gate,
     gate_list_digest,
 )
 from qre.config import ArchConfig
