@@ -553,8 +553,11 @@ def compute_timing(
             t_distill_delay.append(0.0)
 
     # Distillation stalls occur at every sequence position except the last.
-    t_distill_total = sum(
-        w * delay for w, delay in zip(inputs.weights, t_distill_delay))
+    # Added left to right, not by sum(), whose float rounding changed in
+    # Python 3.12, so every interpreter gives one total.
+    t_distill_total = 0.0
+    for w, delay in zip(inputs.weights, t_distill_delay):
+        t_distill_total += w * delay
 
     # Preparation stalls and handover teleports are properties of ordered
     # adjacent pairs, so the stitch multiset gives their sequence totals.

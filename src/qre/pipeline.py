@@ -43,6 +43,7 @@ count; every pipe count with that tuple reuses the time.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -187,25 +188,36 @@ def compile_circuit(
     malformed, the run loads the source, compiles the plan through
     ``compile_plan`` and writes the plan record anew; if only the set
     record misses, it loads the source and compiles every widget.
+
+    The run pauses the cyclic garbage collector, process-wide, and restores
+    the caller's setting on return or raise. Loading and compiling build no
+    reference cycle, so reference counting frees all they build, and the
+    collector's passes over it would only cost time.
     """
-    data = Path(path).read_bytes()
-    source_digest = hashlib.sha256(data).hexdigest()
-    directory = _cache_directory(cache_dir)
-    record = None
-    if directory:
-        key = compiler.plan_key(source_digest, _criterion(config))
-        record = compiler.load_plan(directory, key)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = Path(path).read_bytes()
+        source_digest = hashlib.sha256(data).hexdigest()
+        directory = _cache_directory(cache_dir)
+        record = None
+        if directory:
+            key = compiler.plan_key(source_digest, _criterion(config))
+            record = compiler.load_plan(directory, key)
+            if record is not None:
+                algo = _cached_set(record, config, directory)
+                if algo is not None:
+                    return algo, source_digest
+        plan = load_circuit(path, config, data).plan
         if record is not None:
-            algo = _cached_set(record, config, directory)
-            if algo is not None:
-                return algo, source_digest
-    plan = load_circuit(path, config, data).plan
-    if record is not None:
-        return _compile_set(plan, config, directory), source_digest
-    algo = compile_plan(plan, config, directory)
-    if directory:
-        compiler.save_plan(directory, key, plan)
-    return algo, source_digest
+            return _compile_set(plan, config, directory), source_digest
+        algo = compile_plan(plan, config, directory)
+        if directory:
+            compiler.save_plan(directory, key, plan)
+        return algo, source_digest
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _set_key(plan: PlanRecord, config: ArchConfig) -> str:

@@ -38,6 +38,24 @@ passes, found without visiting the others:
   without can never pass, as reach only grows and edges only go). Heap
   entries below the type (a) candidate are tested in order and dropped
   when they fail.
+
+Single-star runs. A sub-step's first star is at the lowest node with an
+edge and takes that node's lowest ``fan_out`` neighbors. Once a sub-step
+holds that one star alone, every following sub-step is one star at the same
+center, taking its next ``fan_out`` neighbors in order, until the center has
+no edge left. The scheduler emits such a run in one loop, with no descent,
+neighbor scan, ``used`` set or heap. Proof: a sub-step ends with reach r
+when no center passes, that is when every key is at or below r and every
+node above r is dead (no neighbor above r) or blocked (an unused neighbor
+at or below r). Take a sub-step that ends so with one star. The next star's
+leaves all lie above r, and it covers only the center's edges. A leaf's key
+stays at or below the leaf, hence at or below the new reach, and every
+other key is unchanged. A dead node stays dead. A blocker was unused, so it
+is not the center, and it lies at or below r, so it is not a leaf: it
+stays unused and stays a neighbor. So no second star fits, and by
+induction the run goes on until the center has no edge left. The center
+stays the lowest node with an edge, so it is every leaf's lowest neighbor,
+and covering an edge drops the head of the leaf's neighbor list.
 """
 
 from __future__ import annotations
@@ -83,7 +101,13 @@ def schedule_preparation(
 
     ``edges`` is the form ``graph_form`` returns: each edge once as (u, v)
     with 0 <= u < v < ``n_nodes``, the pairs strictly increasing. The input
-    is checked, not normalized: any other list raises ValueError."""
+    is checked, not normalized: any other list raises ValueError, as do an
+    ``n_nodes`` that is not an int >= 0 and a ``fan_out`` that is not an
+    int >= 1."""
+    if not isinstance(n_nodes, int) or n_nodes < 0:
+        raise ValueError(f"n_nodes must be an int >= 0, got {n_nodes!r}")
+    if not isinstance(fan_out, int) or fan_out < 1:
+        raise ValueError(f"fan_out must be an int >= 1, got {fan_out!r}")
     if edges and not (edges[0][0] >= 0
                       and all(map(lt, edges, edges[1:]))):
         raise ValueError("edges must be distinct (u, v) pairs in sorted "
@@ -179,4 +203,28 @@ def schedule_preparation(
                             heappush(waiting, v)
         assert step, "a fresh sub-step always fits at least one star"
         sub_steps.append(tuple(step))
+        if len(step) > 1:
+            continue
+        # A single-star run (module docstring): each next sub-step is one
+        # star at c, the lowest node with an edge, so c is every leaf's
+        # lowest neighbor, and c keeps key c until its last edge goes.
+        c = step[0].center
+        nbrs = unc[c]
+        while nbrs:
+            take = nbrs[:fan_out]
+            del nbrs[:fan_out]
+            sub_steps.append((_new(PrepTuple, (c, tuple(take))),))
+            for v in take:
+                del unc[v][0]
+            if not nbrs:
+                take.append(c)
+            for u in take:
+                nu = unc[u]
+                key = (u if u < nu[0] else nu[0]) if nu else -1
+                i = size + u
+                while i and tree[i] != key:
+                    tree[i] = key
+                    i >>= 1
+                    left, right = tree[2 * i], tree[2 * i + 1]
+                    key = left if left > right else right
     return PrepSchedule(n_nodes, tuple(sub_steps))

@@ -76,12 +76,15 @@ DEFAULT_THERMAL = ThermalConfig()
 def module_dissipation(
     thermal: ThermalConfig, n_phys_per_module: int
 ) -> tuple[float, float]:
-    """(P_4K, P_20mK) in watts for one module of n_phys_per_module qubits."""
-    p_4k = n_phys_per_module * sum(c.per_qubit * c.load_4k for c in thermal.lines)
-    p_20mk = n_phys_per_module * sum(
-        c.per_qubit * c.load_20mk for c in thermal.lines
-    )
-    return p_4k, p_20mk
+    """(P_4K, P_20mK) in watts for one module of n_phys_per_module qubits.
+    The line loads add left to right, not by ``sum()``, whose float
+    rounding changed in Python 3.12, so every interpreter gives one value."""
+    per_qubit_4k = per_qubit_20mk = 0.0
+    for c in thermal.lines:
+        per_qubit_4k += c.per_qubit * c.load_4k
+        per_qubit_20mk += c.per_qubit * c.load_20mk
+    return (n_phys_per_module * per_qubit_4k,
+            n_phys_per_module * per_qubit_20mk)
 
 
 def total_energy(

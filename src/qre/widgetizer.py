@@ -183,27 +183,43 @@ class SubcircuitNode:
     under the node and ``stitches`` each ordered pair of consecutive leaves,
     both in order of first use; ``first`` and ``last`` open and close the
     node's leaf sequence. A leaf's ``id`` names its widget, and ``digest``
-    is the ``gate_list_digest`` of its gates.
+    is the ``gate_list_digest`` of its gates. A composite stores the four
+    folded fields; a leaf derives them on each read, since storing itself
+    in them would make every leaf a reference cycle.
     """
 
     gates: tuple[Gate, ...] | None = None
     children: list[tuple[SubcircuitNode, int]] = field(default_factory=list)
     id: str = ""
     digest: str = ""
-    multiplicity: dict[SubcircuitNode, int] = field(init=False, repr=False)
-    stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = field(
+    _multiplicity: dict[SubcircuitNode, int] = field(init=False, repr=False)
+    _stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = field(
         init=False, repr=False)
-    first: SubcircuitNode = field(init=False, repr=False)
-    last: SubcircuitNode = field(init=False, repr=False)
+    _first: SubcircuitNode = field(init=False, repr=False)
+    _last: SubcircuitNode = field(init=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.gates is not None
 
+    @property
+    def multiplicity(self) -> dict[SubcircuitNode, int]:
+        return {self: 1} if self.is_leaf else self._multiplicity
+
+    @property
+    def stitches(self) -> dict[tuple[SubcircuitNode, SubcircuitNode], int]:
+        return {} if self.is_leaf else self._stitches
+
+    @property
+    def first(self) -> SubcircuitNode:
+        return self if self.is_leaf else self._first
+
+    @property
+    def last(self) -> SubcircuitNode:
+        return self if self.is_leaf else self._last
+
     def __post_init__(self) -> None:
         if self.is_leaf:
-            self.multiplicity, self.stitches = {self: 1}, {}
-            self.first = self.last = self
             return
         widgets: dict[SubcircuitNode, int] = {}
         stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = {}
@@ -224,8 +240,8 @@ class SubcircuitNode:
                 first = sub.first
             prev_last = sub.last
         assert first is not None and prev_last is not None
-        self.multiplicity, self.stitches = widgets, stitches
-        self.first, self.last = first, prev_last
+        self._multiplicity, self._stitches = widgets, stitches
+        self._first, self._last = first, prev_last
 
 
 def assign_moments(gates: Sequence[Gate]) -> list[int]:

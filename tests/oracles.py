@@ -914,10 +914,13 @@ def timing_per_call(config, algo, sel, fresh):
         wid: widget_timing(config, *fresh[wid], sel, register_size)
         for wid in plan.widgets
     }
-    t_distill_total = sum(
-        (plan.multiplicity[wid] - (1 if wid == plan.last else 0))
-        * wt.t_distill_delay
-        for wid, wt in per_widget.items())
+    # Left to right, as the estimator adds them: sum() rounds floats
+    # differently from Python 3.12 on.
+    t_distill_total = 0.0
+    for wid, wt in per_widget.items():
+        t_distill_total += ((plan.multiplicity[wid]
+                             - (1 if wid == plan.last else 0))
+                            * wt.t_distill_delay)
     t_prep_delay_total = 0.0
     handover_ops = 0
     for (a, b), count in plan.stitches.items():

@@ -648,6 +648,34 @@ class TestTimingQft3:
         with pytest.raises(EstimationError):
             TimingBreakdown(-1.0, 0, 0, 0, 0, 0, 0)
 
+    def test_distillation_stalls_add_left_to_right(self, qft3_selection,
+                                                   monkeypatch):
+        """Three widgets whose stalls are 2**54, 1 and 1 factory tocks:
+        added in order the small two vanish, while the compensated sum()
+        of Python 3.12+ keeps them. The total must not depend on the
+        interpreter."""
+        cfg, sel = qft3_selection
+        layout = sel.layout
+        factory_tock = 8.0 * cfg.t * sel.factory.cycles
+        shortfalls = (2**54, 1, 1)
+        widgets = tuple(
+            estimator._WidgetInputs(
+                n_sub_steps=0, crossings=Counter(), n_max_rz=0, handover=0,
+                n_max_t=layout.l_transfer_bus + k * layout.n_t_factories)
+            for k in shortfalls)
+        inputs = estimator._TimingInputs(
+            widgets=widgets, weights=(1, 1, 1), stitches=(),
+            handover=Counter(), crossing=())
+        monkeypatch.setattr(CompiledAlgorithm, "timing_inputs",
+                            lambda self, layout: inputs)
+        in_order = 0.0
+        for k in shortfalls:
+            in_order += factory_tock * k
+        assert in_order != math.fsum(factory_tock * k for k in shortfalls)
+        algo = single_widget_algo(generate_qft(3))
+        timing = compute_timing(cfg, algo, sel)
+        assert timing.t_distill_delay_total == in_order
+
 
 class TestModuleAssignment:
     def test_per_module_maxima_splits_by_register_block(self):

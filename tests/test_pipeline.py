@@ -1,5 +1,6 @@
 """End-to-end pipeline: input dispatch, caching, estimation runs, sweeps."""
 
+import gc
 import hashlib
 import json
 import math
@@ -1206,6 +1207,66 @@ class TestBenchmarkReports:
         report = run_estimate(path, cache_dir=tmp_path / "cache").report
         assert (hashlib.sha256(render_csv(report).encode()).hexdigest()
                 == ref["report_sha256"])
+
+
+class TestCollectorPause:
+    """``compile_circuit`` runs with the cyclic collector paused and hands
+    back the caller's setting; the pause is safe because loading and
+    compiling leave no reference cycle for the collector to find."""
+
+    @staticmethod
+    def set_collector(enabled):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        self.set_collector(enabled)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_restored_on_return(self, enabled, qft3_path, config,
+                                        collector, monkeypatch):
+        seen = []
+        load = pipeline.load_circuit
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return load(*args)
+
+        monkeypatch.setattr(pipeline, "load_circuit", spy)
+        self.set_collector(enabled)
+        compile_circuit(qft3_path, config)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_setting_restored_on_raise(self, enabled, tmp_path, config,
+                                       collector):
+        path = tmp_path / "bad.qasm"
+        path.write_text("qreg q[1]; frob q[0];\n")
+        self.set_collector(enabled)
+        with pytest.raises(CircuitError):
+            compile_circuit(path, config)
+        assert gc.isenabled() is enabled
+
+    def test_estimates_leave_no_cyclic_garbage(self, bench_inputs, tmp_path,
+                                               collector, monkeypatch):
+        """Cold, warm and uncached estimates of QFT-20 and of pool circuit
+        0, each followed by a full collection that finds nothing."""
+        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+        for name in ("qft20", "nested0"):
+            suffix, text = bench_inputs[name]
+            path = tmp_path / f"{name}{suffix}"
+            path.write_text(text)
+            for cache in (tmp_path / name, tmp_path / name, None):
+                gc.collect()
+                gc.disable()
+                run_estimate(path, cache_dir=cache)
+                assert gc.collect() == 0, (name, cache)
 
 
 @pytest.fixture(scope="module")

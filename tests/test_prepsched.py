@@ -93,7 +93,9 @@ class TestExamples:
 
     def test_invalid_edges_rejected(self):
         """The input is checked, not normalized: each edge once as (u, v)
-        with 0 <= u < v < n, the pairs strictly increasing."""
+        with 0 <= u < v < n, the pairs strictly increasing; an int n_nodes
+        >= 0 and an int fan_out >= 1 (0 would drop edges), or a ValueError
+        that names the argument."""
         for n, edges in [
             (3, [(1, 0)]),            # reversed pair
             (3, [(0, 1), (0, 1)]),    # duplicate
@@ -105,6 +107,16 @@ class TestExamples:
         ]:
             with pytest.raises(ValueError):
                 schedule_preparation(n, edges, FAN_OUT)
+        for n, fan_out, name in [
+            (3, 0, "fan_out"),
+            (3, -1, "fan_out"),
+            (3, 2.0, "fan_out"),
+            (3, "4", "fan_out"),
+            (-1, FAN_OUT, "n_nodes"),
+            (3.0, FAN_OUT, "n_nodes"),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                schedule_preparation(n, [(0, 1), (1, 2)], fan_out)
 
     def test_center_whose_low_neighbors_are_all_used(self):
         # After star (0, (1,)) reaches 1, center 3 fits: its only neighbor
@@ -174,6 +186,72 @@ def random_graphs(draw, max_nodes=8, p_edge=0.4):
                     st.floats(0, 1).map(lambda x: x < p_edge)):
                 edges.append((u, v))
     return n, edges
+
+
+def check_single_star_runs(n, edges, sub_steps, fan_out):
+    """The run rule, on a list of sub-steps of (center, leaves): after a
+    sub-step of one star, while its center keeps an edge, each sub-step is
+    one star at that center, which is the lowest node with an edge, taking
+    its next ``fan_out`` neighbors in order. Returns the sub-steps so
+    predicted."""
+    unc = {v: [] for v in range(n)}
+    for u, v in edges:
+        unc[u].append(v)
+        unc[v].append(u)
+    for nbrs in unc.values():
+        nbrs.sort()
+    run_center = None
+    predicted = 0
+    for step in sub_steps:
+        if run_center is not None and unc[run_center]:
+            c = run_center
+            assert c == min(v for v in unc if unc[v])
+            assert step == [(c, tuple(unc[c][:fan_out]))]
+            predicted += 1
+        for c, leaves in step:
+            for v in leaves:
+                unc[c].remove(v)
+                unc[v].remove(c)
+        run_center = step[0][0] if len(step) == 1 else None
+    return predicted
+
+
+class TestSingleStarRuns:
+    """The rule the scheduler's run loop relies on (module docstring),
+    checked on the rescanning reference's output, not on the loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda e: e[0] != e[1]), max_size=120))),
+        st.integers(1, 6))
+    def test_random_graphs(self, case, fan_out):
+        n, edges = case
+        edges = canonical(edges)
+        check_single_star_runs(n, edges, schedule_by_rescan(n, edges,
+                                                            fan_out), fan_out)
+
+    def test_hub_graph_runs(self):
+        n, edges = hub_and_spoke(60, 0, 0)
+        edges = canonical(edges)
+        for fan_out in range(1, 7):
+            steps = schedule_by_rescan(n, edges, fan_out)
+            assert check_single_star_runs(n, edges, steps, fan_out) > 0
+
+    def test_qft20_and_pool_circuit_0_widgets(self):
+        plan = load_circuit("pool0.json", ArchConfig(),
+                            benchmark_pool_circuit(0).encode()).plan
+        widgets = [(generate_qft(20), 20)] + [
+            (gates, plan.n_input) for gates in plan.widgets.values()]
+        runs = 0
+        for gates, n_input in widgets:
+            cw = compile_widget(transpile(gates), n_input=n_input)
+            for fan_out in range(1, 7):
+                steps = schedule_by_rescan(cw.n_nodes, cw.edges, fan_out)
+                runs += check_single_star_runs(cw.n_nodes, cw.edges, steps,
+                                               fan_out)
+        assert runs > 0
 
 
 class TestInvariants:

@@ -53,6 +53,17 @@ class TestModuleDissipation:
         assert p_4k == pytest.approx(n * one_4k)
         assert p_20mk == pytest.approx(n * one_20mk)
 
+    def test_loads_add_left_to_right(self):
+        """1e16 + 1 + 1 is 1e16 added in order, but 1e16 + 2 under the
+        compensated sum() of Python 3.12+: the report must not depend on
+        the interpreter."""
+        big = ThermalConfig(lines=(
+            LineClass("big", 1.0, 1e16, 1e16),
+            LineClass("one", 1.0, 1.0, 1.0),
+            LineClass("two", 1.0, 1.0, 1.0),
+        ))
+        assert module_dissipation(big, 1) == (1e16, 1e16)
+
     def test_custom_lines(self):
         custom = ThermalConfig(lines=(
             LineClass("only", 3.0, 1e-3, 1e-12),))
