@@ -103,12 +103,6 @@ class Gate:
         elif self.angle is not None:
             raise CircuitError(f"{self.kind.name} takes no angle")
 
-    @functools.cached_property
-    def exact_text(self) -> str:
-        """Kind name, qubit tuple and ``repr`` angle, e.g. ``rz(1,)0.3``:
-        unlike ``__repr__``, it tells every two unequal gates apart."""
-        return f"{KIND_NAME[self.kind]}{self.qubits}{self.angle!r}"
-
     def __repr__(self) -> str:  # compact, e.g. CX(0,1) or Rz(0.3)(1)
         qs = ",".join(str(q) for q in self.qubits)
         if self.kind in ANGLED:
@@ -117,11 +111,13 @@ class Gate:
 
 
 def gate_list_digest(gates: Iterable[Gate]) -> str:
-    """Full sha256 of a gate list's exact encoding, each gate's
-    ``exact_text`` in order (cached on the gate, so a gate shared by many
-    lists is formatted once). Equal digests mean equal gate lists; the
-    digest keys both widget sharing and the widget cache."""
-    text = "|".join([g.exact_text for g in gates])
+    """Full sha256 of a gate list's exact encoding: each gate's kind name,
+    qubit tuple and ``repr`` angle, e.g. ``rz(1,)0.3``, in order. Unlike
+    ``__repr__``, the encoding tells every two unequal gates apart, so
+    equal digests mean equal gate lists; the digest keys both widget
+    sharing and the widget cache."""
+    text = "|".join([f"{KIND_NAME[g.kind]}{g.qubits}{g.angle!r}"
+                     for g in gates])
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -475,8 +471,8 @@ def generate_qft(n: int) -> list[Gate]:
 
     Gate count is n(n+1)/2 + floor(n/2).
     """
-    if not 1 <= n <= 64:
-        raise CircuitError(f"QFT size must be in 1..64, got {n}")
+    if not 1 <= n <= 512:
+        raise CircuitError(f"QFT size must be in 1..512, got {n}")
     gates: list[Gate] = []
     for i in range(n):
         gates.append(Gate(GateKind.H, (i,)))

@@ -76,8 +76,9 @@ CACHE_FORMAT = 8
 # rule 4 drops the blocks with no gates from a split nested plan; rule 5
 # slices a flat block up to its largest moment, where rule 4 stopped at the
 # last gate's moment and dropped the gates past it; rule 6 rejects a flat
-# QASM file with no register or an empty one, which rule 5 sized as 1 qubit.
-PLAN_RULE = 6
+# QASM file with no register or an empty one, which rule 5 sized as 1 qubit;
+# rule 7 splits flat QASM and cuts gate lists in gate order.
+PLAN_RULE = 7
 
 
 class CompileError(ValueError):
@@ -524,8 +525,7 @@ def plan_key(source_digest: str, criterion: SplitCriterion) -> str:
     ``PLAN_RULE``: the full sha256 of the input file's bytes and the split
     thresholds, which together fix the plan."""
     text = (f"v{CACHE_FORMAT}|plan{PLAN_RULE}|a{criterion.max_active_qubits}"
-            f"|g{criterion.max_gates}|s{criterion.slice_moments}"
-            f"|{source_digest}")
+            f"|g{criterion.max_gates}|{source_digest}")
     return hashlib.sha256(text.encode()).hexdigest()
 
 

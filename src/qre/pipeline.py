@@ -6,7 +6,9 @@ the run-level concerns the stages themselves do not: input-format dispatch
 provenance hashing, and parameter sweeps that re-solve or re-time one
 compiled algorithm.
 
-``load_circuit`` builds the widget plan and expands nothing. Only
+``load_circuit`` builds the widget plan and expands nothing. Flat QASM
+and nested JSON are cut into widgets by the one widgetizer, under the
+configured split thresholds; a widget table's sequence is its plan. Only
 ``verify_circuit`` calls ``LoadedCircuit.expand``, and it checks the plan
 against the source's own gates.
 
@@ -72,6 +74,7 @@ from .prepsched import schedule_preparation
 from .report import ResourceReport, assemble_report, emit_value
 from .scalefit import SCALING_PRESETS
 from .widgetizer import (
+    NestedCircuit,
     PlanRecord,
     SplitCriterion,
     WidgetPlan,
@@ -116,11 +119,12 @@ class LoadedCircuit:
 def load_circuit(path: str | Path, config: ArchConfig,
                  data: bytes | None = None) -> LoadedCircuit:
     """Parse a circuit file, dispatching on its content: OpenQASM text
-    becomes a single widget on its declared register, which must hold at
-    least one qubit; JSON is either a widget table ({distinct_widgets,
-    sequence}) or nested blocks ({blocks, root}), the latter widgetized
-    under the configured split thresholds. ``data`` is the file's bytes
-    when the caller has read them already. A CircuitError names the file."""
+    becomes the one root block of a nested circuit on its declared
+    register, which must hold at least one qubit; JSON is either a widget
+    table ({distinct_widgets, sequence}), whose sequence is the plan, or
+    nested blocks ({blocks, root}). A nested circuit is widgetized under
+    the configured split thresholds. ``data`` is the file's bytes when the
+    caller has read them already. A CircuitError names the file."""
     if data is None:
         data = Path(path).read_bytes()
     try:
@@ -130,37 +134,37 @@ def load_circuit(path: str | Path, config: ArchConfig,
     if not data.lstrip().startswith(b"{"):
         try:
             n_qubits, gates = parse_qasm(text)
+            if not n_qubits:
+                raise CircuitError(
+                    "a flat QASM file needs a qreg of at least 1 qubit")
+            nested = NestedCircuit(n_qubits, {"main": gates}, "main")
         except CircuitError as exc:
             raise CircuitError(f"{path}: {exc}") from exc
-        if not n_qubits:
-            raise CircuitError(f"{path}: a flat QASM file needs a qreg of "
-                               f"at least 1 qubit")
-        return _flat(path, n_qubits, {"w0": gates}, ["w0"])
+    else:
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long
+            raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
+        if "distinct_widgets" in payload:
+            return _flat(path, *parse_widget_file(payload, path))
+        nested = parse_nested_file(payload, path)
     try:
-        payload = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer too long
-        raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
-    if "distinct_widgets" in payload:
-        return _flat(path, *parse_widget_file(payload, path))
-    nested = parse_nested_file(payload, path)
-    root = build_dependency_graph(nested, _criterion(config))
+        root = build_dependency_graph(nested, _criterion(config))
+    except CircuitError as exc:
+        raise CircuitError(f"{path}: {exc}") from exc
     return LoadedCircuit(
         WidgetPlan.from_root(root, nested.n_input),
         lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
 
 
 def _criterion(config: ArchConfig) -> SplitCriterion:
-    return SplitCriterion(
-        max_active_qubits=config.max_active_qubits,
-        max_gates=config.max_gates,
-        slice_moments=config.slice_moments,
-    )
+    return SplitCriterion(config.max_active_qubits, config.max_gates)
 
 
 def _flat(path: str | Path, n_input: int, table: Mapping[str, list[Gate]],
           sequence: list[str]) -> LoadedCircuit:
-    """A flat widget sequence over a table of gate lists; a plan error
-    names the file."""
+    """The plan of a widget table's sequence; a plan error names the
+    file."""
     try:
         plan = WidgetPlan.from_sequence(n_input, table, sequence)
     except CircuitError as exc:

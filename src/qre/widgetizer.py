@@ -1,21 +1,23 @@
 """Widget plans, the one model of a circuit that estimation reads, and the
-JSON readers. A flat QASM file or a widget table (``parse_widget_file``)
-becomes a plan through ``WidgetPlan.from_sequence``; a nested-block file
-(``parse_nested_file``) is split into widgets via a subcircuit dependency
+JSON readers. A widget table (``parse_widget_file``) becomes a plan through
+``WidgetPlan.from_sequence``, the cuts its user chose; a nested-block file
+(``parse_nested_file``), or a flat QASM file taken as the one root block of
+a ``NestedCircuit``, is split into widgets via a subcircuit dependency
 graph whose root ``WidgetPlan.from_root`` reads.
 
 A ``NestedCircuit`` validates its blocks in one walk, which also records
 each block's active qubits and expanded gate count (``stats``); the builder
 reads them and walks no block again to size it. Blocks are expanded
-depth-first; a node that violates the split criterion is decomposed (one
-child per operation, leaving out each invocation of a block with no gates)
-if it invokes other blocks, or sliced into contiguous moment groups if it
-is a flat gate list, each gate put in its group in one pass, up to the
-largest moment so that no gate is dropped. Each node folds its
-children's widget and stitch multiplicities as it is built, with repeat
-counts kept symbolic, so the root's are exact Python integers even for
-billions of expanded gates, computed without materializing the leaf
-sequence. Leaves with equal gate lists, qubits included (equal
+depth-first; a node that violates the split criterion is decomposed into
+one child per run of consecutive gates and one per invocation of another
+block, leaving out each invocation of a block with no gates. A run of
+gates is cut in gate order into contiguous pieces, each closed when its
+next gate would make it violate the criterion, so a split never reorders
+gates and a piece holds one gate only when the next would break it. Each
+node folds its children's widget and stitch multiplicities as it is built,
+with repeat counts kept symbolic, so the root's are exact Python integers
+even for billions of expanded gates, computed without materializing the
+leaf sequence. Leaves with equal gate lists, qubits included (equal
 ``gate_list_digest``), are built once and shared, so a widget always acts
 on the qubits its gates name; ids number the leaves only. A plan keeps each
 widget's digest, from which the widget cache derives its key.
@@ -32,6 +34,7 @@ Only ``verify`` expands a whole circuit (``iter_leaf_sequence``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -157,16 +160,14 @@ class SplitCriterion:
     """Thresholds deciding when a subcircuit must be split further.
 
     A node is split when active_qubits >= max_active_qubits or its fully
-    expanded gate count >= max_gates. Flat gate lists are sliced into groups
-    of `slice_moments` moments.
+    expanded gate count >= max_gates.
     """
 
     max_active_qubits: int
     max_gates: int
-    slice_moments: int = 1
 
     def __post_init__(self) -> None:
-        if min(self.max_active_qubits, self.max_gates, self.slice_moments) < 1:
+        if min(self.max_active_qubits, self.max_gates) < 1:
             raise CircuitError("split-criterion thresholds must all be >= 1")
 
     def violated_by(self, active_qubits: int, n_gates: int) -> bool:
@@ -244,19 +245,6 @@ class SubcircuitNode:
         self._first, self._last = first, prev_last
 
 
-def assign_moments(gates: Sequence[Gate]) -> list[int]:
-    """Greedy left-packed moment index per gate (a gate joins the earliest
-    moment in which all its qubits are free)."""
-    free_at: dict[int, int] = {}
-    moments = []
-    for g in gates:
-        m = max((free_at.get(q, 0) for q in g.qubits), default=0)
-        moments.append(m)
-        for q in g.qubits:
-            free_at[q] = m + 1
-    return moments
-
-
 class _Builder:
     def __init__(self, circ: NestedCircuit, criterion: SplitCriterion):
         self.circ = circ
@@ -271,45 +259,48 @@ class _Builder:
         body = self.circ.blocks[name]
         if not self.criterion.violated_by(len(qubit_set), n_gates):
             node = self.build_leaf(self.circ.flatten(name))
-        elif any(isinstance(item, BlockRef) for item in body):
-            # A block with no gates adds no widget; the body has gates, since
-            # it violates the criterion, so at least one child stays.
-            node = SubcircuitNode(children=[
-                (self.build_leaf([item]), 1) if isinstance(item, Gate)
-                else (self.build_block(item.name), item.repeat)
-                for item in body
-                if isinstance(item, Gate) or self.circ.stats[item.name][1]])
         else:
-            node = self.build_gate_list(list(body), label=name)  # type: ignore[arg-type]
+            # Each run of consecutive gates is cut as one gate list. A block
+            # with no gates adds no widget; the body has gates, since it
+            # violates the criterion, so at least one child stays.
+            children: list[tuple[SubcircuitNode, int]] = []
+            for is_gate, run in groupby(
+                    body, lambda item: isinstance(item, Gate)):
+                if is_gate:
+                    children.append((self.build_gate_list(run), 1))
+                else:
+                    children += [(self.build_block(ref.name), ref.repeat)
+                                 for ref in run if self.circ.stats[ref.name][1]]
+            node = SubcircuitNode(children=children)
         self.block_nodes[name] = node
         return node
 
-    def build_gate_list(self, gates: list[Gate], label: str) -> SubcircuitNode:
-        active = len({q for g in gates for q in g.qubits})
-        if not self.criterion.violated_by(active, len(gates)):
-            return self.build_leaf(gates)
-
-        moments = assign_moments(gates)
-        n_moments = max(moments) + 1
-        slice_size = self.criterion.slice_moments
-        if n_moments <= slice_size:
-            slice_size = 1  # same-size slice would not shrink; fall back
-        if n_moments <= 1:
-            if len(gates) == 1:
+    def build_gate_list(self, gates: Iterable[Gate]) -> SubcircuitNode:
+        """The leaf of ``gates`` when they meet the criterion; otherwise a
+        node over contiguous pieces of them in gate order, each closed when
+        its next gate would make it violate the criterion."""
+        violated_by = self.criterion.violated_by
+        pieces: list[list[Gate]] = []
+        piece: list[Gate] = []
+        active: set[int] = set()
+        for g in gates:
+            if piece and violated_by(len(active.union(g.qubits)),
+                                     len(piece) + 1):
+                pieces.append(piece)
+                piece, active = [], set()
+            piece.append(g)
+            active.update(g.qubits)
+            if len(piece) == 1 and violated_by(len(active), 1):
+                crit = self.criterion
                 raise CircuitError(
-                    f"subcircuit {label!r} is a single gate on {active} qubits and "
-                    f"still violates the split criterion; cannot split further"
-                )
-            # One moment of parallel gates: decompose per gate.
-            children = [(self.build_leaf([g]), 1) for g in gates]
-        else:
-            # Every moment up to the last holds a gate, so no slice is empty.
-            slices: list[list[Gate]] = [[] for _ in range(0, n_moments, slice_size)]
-            for g, m in zip(gates, moments):
-                slices[m // slice_size].append(g)
-            children = [(self.build_gate_list(sliced, label=f"{label}[{k}]"), 1)
-                        for k, sliced in enumerate(slices)]
-        return SubcircuitNode(children=children)
+                    f"gate {g!r} alone violates the split criterion "
+                    f"(max_active_qubits {crit.max_active_qubits}, max_gates "
+                    f"{crit.max_gates}); cannot split further")
+        pieces.append(piece)
+        if len(pieces) == 1:
+            return self.build_leaf(piece)
+        return SubcircuitNode(children=[(self.build_leaf(p), 1)
+                                        for p in pieces])
 
     def build_leaf(self, gates: Sequence[Gate]) -> SubcircuitNode:
         """The one leaf of ``gates``, shared by every equal gate list."""

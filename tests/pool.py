@@ -9,9 +9,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
 REFS = PERFBENCH / "refs.json"
 
-# Split criteria (max_active_qubits, max_gates, slice_moments) that the
-# pool circuits' plans are pinned and checked under: the default first.
-SPLIT_CRITERIA = [(64, 4096, 16), (400, 7, 2), (4, 50, 1), (64, 30, 3)]
+# Split criteria (max_active_qubits, max_gates) that the pool circuits'
+# plans are pinned and checked under, the default first, by label. A
+# label's third number is the moment-slice size that an earlier split rule
+# read; the labels key the pins in plan_sha256.json and name the tests.
+SPLIT_CRITERIA = {"64,4096,16": (64, 4096), "400,7,2": (400, 7),
+                  "4,50,1": (4, 50), "64,30,3": (64, 30)}
 
 
 def _workloads():

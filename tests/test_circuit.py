@@ -469,9 +469,13 @@ class TestGenerateQft:
         assert len(generate_qft(n)) == n * (n + 1) // 2 + n // 2
 
     def test_largest_size(self):
-        gates = generate_qft(64)
-        assert len(gates) == 64 * 65 // 2 + 32 == 2112
-        assert sum(g.kind is GateKind.CPhase for g in gates) == 64 * 63 // 2
+        """QFT-512's smallest phase, pi / 2**511, is still a positive float
+        that its QASM text gives back exactly."""
+        gates = generate_qft(512)
+        assert len(gates) == 512 * 513 // 2 + 256 == 131_584
+        assert sum(g.kind is GateKind.CPhase for g in gates) == 512 * 511 // 2
+        assert parse_qasm(emit_qasm(gates, 512)) == (512, gates)
+        assert min(g.angle for g in gates if g.angle) == math.pi / 2 ** 511
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_dft_matrix(self, n):
@@ -486,8 +490,8 @@ class TestGenerateQft:
     def test_out_of_range(self):
         with pytest.raises(CircuitError):
             generate_qft(0)
-        with pytest.raises(CircuitError, match="1..64"):
-            generate_qft(65)
+        with pytest.raises(CircuitError, match=r"1\.\.512"):
+            generate_qft(513)
 
 
 class TestWidgetFiles:

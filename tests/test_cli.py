@@ -200,19 +200,19 @@ class TestStageCommands:
         assert len(list(cache.glob("widgets-*.json"))) == 1
         assert len(list(cache.glob("plan-*.json"))) == 1
         assert uncached == (
-            "w0: 12 nodes, 10 edges, 6 T, 3 Rz, 5 consumption steps, "
+            "n0: 12 nodes, 10 edges, 6 T, 3 Rz, 5 consumption steps, "
             "4 preparation sub-steps\n"
             "sequence: 1 widgets, 12 nodes, max 6 logical, "
             "10 Clifford gates\n")
 
     # Inputs that verify against their own gates, each with the split
     # threshold it runs under and its widget count: a table whose order
-    # differs from first use; a nested block that max_gates 3 splits and
-    # reorders; a repeated block that max_gates 3 splits into leaves shared
-    # across the repetitions, with seams between them; an empty block
-    # repeated 1000 times, which a split leaves out (2 widgets, not 1002);
-    # a flat block whose last gate sits in moment 1 of 4, sliced into four
-    # one-moment widgets that keep all six gates.
+    # differs from first use; a nested block on three wires that max_gates 3
+    # cuts into three two-gate widgets; a repeated block that max_gates 3
+    # splits into leaves shared across the repetitions, with seams between
+    # them; an empty block repeated 1000 times, which a split leaves out (2
+    # widgets, not 1002); a block of four gates on one wire and two on two
+    # others, cut in gate order into three widgets that keep all six gates.
     VERIFIED = {
         "table": ({"n_input": 2, "sequence": ["a", "b", "a"],
                    "distinct_widgets": {
@@ -224,7 +224,7 @@ class TestStageCommands:
             {"gate": "t", "qubits": [1]}, {"gate": "h", "qubits": [2]},
             {"gate": "rz", "qubits": [2], "angle": 0.3},
             {"gate": "cx", "qubits": [1, 2]}]}},
-            3, "widgets: 4 (4 distinct)"),
+            3, "widgets: 3 (3 distinct)"),
         "repeat": ({"blocks": {
             "main": [{"gate": "h", "qubits": [0]},
                      {"block": "layer", "repeat": 3},
@@ -245,7 +245,7 @@ class TestStageCommands:
             {"gate": "h", "qubits": [0]}, {"gate": "t", "qubits": [0]},
             {"gate": "s", "qubits": [0]}, {"gate": "x", "qubits": [0]},
             {"gate": "cx", "qubits": [1, 2]}, {"gate": "t", "qubits": [1]}]}},
-            3, "widgets: 4 (4 distinct)"),
+            3, "widgets: 3 (3 distinct)"),
     }
 
     @pytest.mark.parametrize("case", sorted(VERIFIED))
@@ -265,10 +265,10 @@ class TestStageCommands:
         assert capsys.readouterr().out.startswith("fidelity: ")
 
     def test_long_flat_block_widgetizes_in_one_pass(self, tmp_path, capsys):
-        """A flat block is sliced into groups of moments in one pass over
-        its gates: a seeded 262,144-gate block on 8 qubits widgetizes
-        within 30 s (about 2 s on one core; a rescan of the whole block
-        per slice took 80 s), and its widgets hold every gate."""
+        """A flat block is cut in one pass over its gates: a seeded
+        262,144-gate block on 8 qubits widgetizes within 30 s (a rescan of
+        the whole block per piece took 80 s), and its widgets hold every
+        gate."""
         rng = random.Random(1)
         gates = [{"gate": "cx", "qubits": rng.sample(range(8), 2)}
                  if rng.random() < 0.5 else

@@ -123,6 +123,29 @@ class TestSections:
             cfg = config_from_mapping({"flux_capacitor": {"gw": 1.21}})
         assert cfg == ArchConfig()
 
+    def test_slice_moments_is_no_longer_read(self):
+        """A config that sets the retired moment-slice size gets the
+        unknown-key warning and the defaults; the field cannot be set, and
+        stays in the repr that config_hash reads."""
+        with pytest.warns(UserWarning, match=r"^cfg\.yaml: unknown key "
+                          r"architecture\.slice_moments ignored$"):
+            cfg = config_from_mapping({"architecture": {"slice_moments": 4}},
+                                      source="cfg.yaml")
+        assert cfg == ArchConfig()
+        with pytest.raises(TypeError, match="slice_moments"):
+            ArchConfig(slice_moments=4)
+        assert "max_gates=4096, slice_moments=16, thermal=" in repr(cfg)
+
+    @pytest.mark.parametrize("key", ["max_active_qubits", "max_gates"])
+    def test_split_threshold_of_one_fails(self, key):
+        """Any one gate meets a split threshold of 1, so it would fail
+        every input with gates; 2 is accepted."""
+        with pytest.raises(ConfigError, match=rf"architecture\.{key} must "
+                           r"be >= 2"):
+            config_from_mapping({"architecture": {key: 1}})
+        assert getattr(config_from_mapping({"architecture": {key: 2}}),
+                       key) == 2
+
     def test_unknown_key_warns(self):
         with pytest.warns(UserWarning, match="physical.colour"):
             cfg = config_from_mapping({"physical": {"colour": "blue"}})

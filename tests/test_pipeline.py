@@ -22,6 +22,7 @@ from pool import (
     benchmark_inputs,
     benchmark_pool_circuit,
 )
+from subproc import run_python
 from qre import cli, compiler, estimator, pipeline, widgetizer
 from qre.architecture import EstimationError
 from qre.circuit import (
@@ -75,7 +76,16 @@ class TestLoadDispatch:
         loaded = load_circuit(qft3_path, config)
         assert loaded.plan.n_input == 3
         assert loaded.plan.n_widgets == 1
-        assert loaded.expand()[0] == ("w0",)
+        assert loaded.expand()[0] == ("n0",)
+
+    def test_unsplittable_gate_names_the_file(self, tmp_path):
+        path = tmp_path / "ccx.qasm"
+        path.write_text("qreg q[3];\nccx q[0],q[1],q[2];\n")
+        with pytest.raises(CircuitError) as info:
+            load_circuit(path, ArchConfig(max_active_qubits=3))
+        assert str(info.value) == (
+            f"{path}: gate CCX(0,1,2) alone violates the split criterion "
+            f"(max_active_qubits 3, max_gates 4096); cannot split further")
 
     def test_widget_json(self, tmp_path, config):
         body = "qreg q[2];\nh q[0];\ncz q[0],q[1];\n"
@@ -426,7 +436,7 @@ class TestWidgetCache:
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         good = entry.read_text()  # text: a 1.0 left in place equals 1
-        assert json.loads(good)["digests"] == [plan.digest("w0")]
+        assert json.loads(good)["digests"] == [plan.digest("n0")]
         # the texts to break
         assert json.loads(good)["t_text"] == ["0 1 3 4 7 9 "]
         assert json.loads(good)["spans_text"] == ["4 ;8 ;9 ;7 ;"]
@@ -445,9 +455,9 @@ class TestWidgetCache:
             elif content == "missing-digests":
                 del bad["digests"]
             elif content == "widgets":  # digests as an object, not a list
-                bad["digests"] = {plan.digest("w0"): 0}
+                bad["digests"] = {plan.digest("n0"): 0}
             elif content == "record":  # a column as an object, not a list
-                bad["n_nodes"] = {plan.digest("w0"): bad["n_nodes"][0]}
+                bad["n_nodes"] = {plan.digest("n0"): bad["n_nodes"][0]}
             elif content == "no-record":
                 for name in columns:
                     bad[name] = []
@@ -570,14 +580,14 @@ class TestWidgetCache:
                                                  tmp_path):
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
-        digest = plan.digest("w0")
+        digest = plan.digest("n0")
         key = compiler.widget_set_key([digest], plan.n_input, config.fan_out)
         cache.mkdir()
         (cache / f"widgets-{key}.tmp").mkdir()
         (cache / f"widgets-{key}.stale.tmp").write_text("half a rec")
         compile_plan(plan, config, cache)
         records = compiler.load_cached(cache, key)
-        assert records == {digest: compile_plan(plan, config).compiled["w0"]}
+        assert records == {digest: compile_plan(plan, config).compiled["n0"]}
         assert len(cache_entries(cache)) == 3
 
     def test_format_3_entry_is_recomputed_and_overwritten(
@@ -589,7 +599,7 @@ class TestWidgetCache:
         current key."""
         cache = tmp_path / "cache"
         plan = load_circuit(qft3_path, config).plan
-        fresh = compile_plan(plan, config).compiled["w0"]
+        fresh = compile_plan(plan, config).compiled["n0"]
         compile_plan(plan, config, cache)
         (entry,) = cache.iterdir()
         payload = json.loads(entry.read_text())
@@ -611,10 +621,10 @@ class TestWidgetCache:
         for stale in [*stales, lists]:
             stale["n_nodes"][0] += 1  # a stale record must not be read
             entry.write_text(json.dumps(stale))
-            assert compile_plan(plan, config, cache).compiled["w0"] == fresh
+            assert compile_plan(plan, config, cache).compiled["n0"] == fresh
             assert json.loads(entry.read_text()) == payload
         assert compiler.load_cached(cache, payload["key"]) == {
-            plan.digest("w0"): fresh}
+            plan.digest("n0"): fresh}
 
     def test_entries_are_keyed_on_the_plan_digests(self, pool3_path, config,
                                                    tmp_path):
@@ -630,7 +640,7 @@ class TestWidgetCache:
     def test_save_creates_a_missing_directory_on_first_write(
             self, qft3_path, config, tmp_path, monkeypatch):
         plan = load_circuit(qft3_path, config).plan
-        records = {plan.digest("w0"): compile_plan(plan, config).compiled["w0"]}
+        records = {plan.digest("n0"): compile_plan(plan, config).compiled["n0"]}
         cache = tmp_path / "new" / "cache"
         made = []
         mkdir = Path.mkdir
@@ -658,7 +668,7 @@ class TestWidgetCache:
 
     def test_concurrent_writers_of_one_key(self, qft3_path, config, tmp_path):
         plan = load_circuit(qft3_path, config).plan
-        records = {plan.digest("w0"): compile_plan(plan, config).compiled["w0"]}
+        records = {plan.digest("n0"): compile_plan(plan, config).compiled["n0"]}
         errors = []
 
         def write():
@@ -1448,14 +1458,13 @@ class TestReportInvariants:
         assert times[-1] < times[0]
         assert times[0] == result.timing.t_hardware_total
 
-    def test_flat_and_one_block_nested_qft20_agree(self, tmp_path):
-        """The benchmark's QFT-20 as flat QASM and its gates as the one
-        block of a nested file give the same 49 rows: of the report CSV
-        only the circuit_hash line differs."""
-        (text,) = [text for name, _, text in benchmark_inputs()
-                   if name == "qft20"]
+    @staticmethod
+    def assert_flat_and_nested_agree(text, tmp_path):
+        """Flat QASM ``text`` and its gates as the one block of a nested
+        file give the same 49 rows: of the report CSV only the
+        circuit_hash line differs."""
         n_qubits, gates = parse_qasm(text)
-        flat, nested = tmp_path / "qft20.qasm", tmp_path / "qft20.json"
+        flat, nested = tmp_path / "flat.qasm", tmp_path / "nested.json"
         flat.write_text(text)
         nested.write_text(json.dumps({"n_input": n_qubits, "blocks": {
             "main": [{"gate": g.kind.value, "qubits": list(g.qubits),
@@ -1466,6 +1475,50 @@ class TestReportInvariants:
         differ = [a for a, b in zip(*lines) if a != b]
         assert len(lines[0]) == len(lines[1])
         assert [line.split(":")[0] for line in differ] == ["# circuit_hash"]
+
+    def test_flat_and_one_block_nested_qft20_agree(self, tmp_path):
+        """The benchmark's QFT-20, under both thresholds: one widget."""
+        (text,) = [text for name, _, text in benchmark_inputs()
+                   if name == "qft20"]
+        self.assert_flat_and_nested_agree(text, tmp_path)
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_flat_and_one_block_nested_wide_qft_agree(self, tmp_path, n):
+        """QFT-64 and QFT-128 reach the active-qubit threshold, so both
+        inputs are cut, and cut alike."""
+        self.assert_flat_and_nested_agree(emit_qasm(generate_qft(n), n),
+                                          tmp_path)
+
+    def test_flat_qft64_split_rows(self, tmp_path):
+        """QFT-64 as flat QASM under the default criterion: the cut at 63
+        active qubits gives 5 widgets, each compiled on all 64 wires, and
+        every internal boundary charges a handover. Pinned so that a change
+        to the cut or to handover costs fails here, not only moves flat and
+        nested input together."""
+        path = tmp_path / "qft64.qasm"
+        path.write_text(emit_qasm(generate_qft(64), 64))
+        report = run_estimate(path).report
+        assert [report.value(k) for k in (1, 22, 25, 26)] == [19, 5796, 5, 5]
+        assert report.value(43) == pytest.approx(0.053504, rel=1e-12)
+        assert report.value(48) == pytest.approx(2.1011432, rel=1e-12)
+
+    def test_cold_qft256_estimate_peaks_under_100_mb(self, tmp_path):
+        """A cold QFT-256 estimate in a fresh interpreter keeps its peak
+        resident set under 100 MB; unsplit, its one widget's compile
+        peaked at 523 MB. A small interpreter starts the estimate and reads
+        its peak: a child started by the test process itself would count
+        that process's resident set, which it inherits until its exec."""
+        path = tmp_path / "qft256.qasm"
+        path.write_text(emit_qasm(generate_qft(256), 256))
+        proc = run_python("-c", (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'qre.cli', 'estimate',\n"
+            "                sys.argv[1]], check=True,\n"
+            "               stdout=subprocess.DEVNULL)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"),
+            str(path))
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 100 * 1024  # kilobytes, as Linux counts
 
     @pytest.fixture(scope="class")
     def pool_cache(self, tmp_path_factory):
@@ -1507,9 +1560,8 @@ class TestReportInvariants:
         the T, Rz and Clifford totals of the default one."""
         payload = json.loads(benchmark_pool_circuit(sub_seed))
         totals = set()
-        for active, max_gates, moments in SPLIT_CRITERIA:
-            config = ArchConfig(max_active_qubits=active, max_gates=max_gates,
-                                slice_moments=moments)
+        for active, max_gates in SPLIT_CRITERIA.values():
+            config = ArchConfig(max_active_qubits=active, max_gates=max_gates)
             est = self.pool_est(payload, config, pool_cache, tmp_path)
             totals.add((est.n_input, est.n_T_init, est.n_Rz_init,
                         est.n_clifford_init))
@@ -1575,11 +1627,21 @@ class TestVerifyCircuit:
             {"gate": "t", "qubits": [1]}, {"gate": "h", "qubits": [2]},
             {"gate": "rz", "qubits": [2], "angle": 0.3},
             {"gate": "cx", "qubits": [1, 2]}]}}))
-        loaded = load_circuit(path, ArchConfig(max_gates=3, slice_moments=1))
+        loaded = load_circuit(path, ArchConfig(max_gates=3))
         plan = loaded.plan
         sequence, source = loaded.expand()
         assert len(sequence) == plan.n_widgets > 1
         in_plan_order = [g for wid in sequence for g in plan.widgets[wid]]
-        assert in_plan_order != source
-        assert sorted(map(repr, in_plan_order)) == sorted(map(repr, source))
+        assert in_plan_order == source
+        assert verify_circuit(loaded, seed=5) >= 1 - 1e-9
+
+    def test_split_flat_qasm_verifies_against_its_source(self, tmp_path):
+        path = tmp_path / "flat.qasm"
+        path.write_text("qreg q[3];\nh q[0];\ncx q[0],q[1];\nt q[1];\n"
+                        "h q[2];\nrz(0.3) q[2];\ncx q[1],q[2];\n")
+        loaded = load_circuit(path, ArchConfig(max_gates=3))
+        plan = loaded.plan
+        sequence, source = loaded.expand()
+        assert len(sequence) == plan.n_widgets == 3
+        assert [g for wid in sequence for g in plan.widgets[wid]] == source
         assert verify_circuit(loaded, seed=5) >= 1 - 1e-9

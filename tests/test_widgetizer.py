@@ -29,7 +29,6 @@ from qre.widgetizer import (
     PlanRecord,
     SplitCriterion,
     WidgetPlan,
-    assign_moments,
     build_dependency_graph,
     iter_leaf_sequence,
     parse_nested_file,
@@ -63,64 +62,89 @@ def h_chain(qubit, n):
     return [gate(GateKind.H, qubit) for _ in range(n)]
 
 
-class TestMoments:
-    def test_sequential_on_one_qubit(self):
-        assert assign_moments(h_chain(0, 4)) == [0, 1, 2, 3]
-
-    def test_parallel(self):
-        gates = [gate(GateKind.H, 0), gate(GateKind.H, 1), gate(GateKind.CX, 0, 1)]
-        assert assign_moments(gates) == [0, 0, 1]
-
-    def test_left_packing(self):
-        gates = [gate(GateKind.CX, 0, 1), gate(GateKind.H, 2), gate(GateKind.H, 0)]
-        assert assign_moments(gates) == [0, 0, 1]
-
-
 class TestBuild:
     def test_flat_small_circuit_single_leaf(self):
         circ = NestedCircuit(2, {"main": h_chain(0, 10)}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 100, 4))
+        root = build_dependency_graph(circ, SplitCriterion(400, 100))
         assert root.is_leaf
         assert len(root.gates) == 10
 
-    def test_moment_slicing_4_4_2(self):
+    def test_cut_closes_each_piece_before_it_breaks_the_criterion(self):
         circ = NestedCircuit(1, {"main": h_chain(0, 10)}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 10, 4))
-        assert not root.is_leaf
-        sizes = [len(child.gates) for child, _ in root.children]
-        assert sizes == [4, 4, 2]
-        # The two 4-moment slices are identical, so they share one node.
+        root = build_dependency_graph(circ, SplitCriterion(400, 4))
         plan = WidgetPlan.from_root(root, n_input=1)
-        assert sorted(plan.multiplicity.values()) == [1, 2]
-        assert plan.n_widgets == 3
+        assert [len(plan.widgets[wid]) for wid in iter_leaf_sequence(root)
+                ] == [3, 3, 3, 1]
+        # The three 3-gate pieces are identical, so they share one node.
+        assert sorted(plan.multiplicity.values()) == [1, 3]
+        assert plan.n_widgets == 4
 
-    def test_gates_past_the_last_gates_moment_are_kept(self):
-        """The last gate sits in moment 1 of a block that spans moments
-        0-3: each moment is one widget, and no gate is dropped."""
+    def test_cut_keeps_gate_order(self):
         body = [gate(GateKind.H, 0), gate(GateKind.T, 0), gate(GateKind.S, 0),
                 gate(GateKind.X, 0), gate(GateKind.CX, 1, 2),
                 gate(GateKind.T, 1)]
         circ = NestedCircuit(3, {"main": body}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(64, 3, 16))
+        root = build_dependency_graph(circ, SplitCriterion(64, 3))
         plan = WidgetPlan.from_root(root, n_input=3)
-        assert (plan.n_widgets, plan.n_distinct_widgets) == (4, 4)
+        assert (plan.n_widgets, plan.n_distinct_widgets) == (3, 3)
         assert [plan.widgets[wid] for wid in iter_leaf_sequence(root)] == [
-            (body[0], body[4]), (body[1], body[5]), (body[2],), (body[3],)]
+            tuple(body[0:2]), tuple(body[2:4]), tuple(body[4:6])]
 
     def test_single_gate_too_large(self):
         circ = NestedCircuit(3, {"main": [gate(GateKind.CCX, 0, 1, 2)]}, "main")
         with pytest.raises(CircuitError, match="cannot split further"):
-            build_dependency_graph(circ, SplitCriterion(2, 100, 1))
+            build_dependency_graph(circ, SplitCriterion(2, 100))
 
-    def test_single_moment_decomposes_per_gate(self):
-        gates = [gate(GateKind.H, q) for q in range(5)]
-        circ = NestedCircuit(5, {"main": gates}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 3, 4))
-        plan = WidgetPlan.from_root(root, n_input=5)
-        # Five single-H leaves, each on its own qubit.
-        assert sorted(plan.widgets.values(), key=lambda g: g[0].qubits) == [
-            (gate(GateKind.H, q),) for q in range(5)]
-        assert set(plan.multiplicity.values()) == {1}
+    def test_one_h_layer_on_128_wires_gives_3_widgets(self):
+        """Under the default criterion a piece closes at 63 active
+        qubits: 63 + 63 + 2 gates, not one widget per gate."""
+        gates = [gate(GateKind.H, q) for q in range(128)]
+        circ = NestedCircuit(128, {"main": gates}, "main")
+        config = ArchConfig()
+        root = build_dependency_graph(circ, SplitCriterion(
+            config.max_active_qubits, config.max_gates))
+        plan = WidgetPlan.from_root(root, n_input=128)
+        assert [len(plan.widgets[wid]) for wid in iter_leaf_sequence(root)
+                ] == [63, 63, 2]
+
+    def test_gate_run_of_a_mixed_block_is_one_widget(self):
+        """A split block that mixes gates and block references cuts each
+        run of consecutive gates as one gate list."""
+        run = [gate(GateKind.H, 0), gate(GateKind.T, 0), gate(GateKind.CX, 0, 1)]
+        circ = NestedCircuit(2, {"main": [*run, BlockRef("a", 2),
+                                          gate(GateKind.S, 1)],
+                                 "a": [gate(GateKind.T, 1)]}, "main")
+        root = build_dependency_graph(circ, SplitCriterion(64, 5))
+        plan = WidgetPlan.from_root(root, n_input=2)
+        assert [plan.widgets[wid] for wid in iter_leaf_sequence(root)] == [
+            tuple(run), (gate(GateKind.T, 1),), (gate(GateKind.T, 1),),
+            (gate(GateKind.S, 1),)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(
+               [(GateKind.H, 0), (GateKind.T, 1), (GateKind.S, 2),
+                (GateKind.H, 3), (GateKind.T, 4), (GateKind.CX, 0, 1),
+                (GateKind.CX, 2, 5), (GateKind.CZ, 3, 4), (GateKind.CX, 5, 0)]),
+               min_size=1, max_size=40),
+           st.integers(3, 7), st.integers(2, 8))
+    def test_cut_of_random_gate_lists(self, items, max_active, max_gates):
+        """Each widget meets the criterion, the widgets' gates in plan
+        order are the source list, and each piece but the last breaks the
+        criterion once its successor's first gate is added."""
+        gates = [gate(*item) for item in items]
+        criterion = SplitCriterion(max_active, max_gates)
+        circ = NestedCircuit(6, {"main": gates}, "main")
+        root = build_dependency_graph(circ, criterion)
+        plan = WidgetPlan.from_root(root, n_input=6)
+        pieces = [plan.widgets[wid] for wid in iter_leaf_sequence(root)]
+
+        def violated(piece):
+            return criterion.violated_by(
+                len({q for g in piece for q in g.qubits}), len(piece))
+        assert not any(map(violated, pieces))
+        assert [g for piece in pieces for g in piece] == gates
+        assert all(violated(piece + nxt[:1])
+                   for piece, nxt in zip(pieces, pieces[1:]))
 
     def test_leaves_on_different_qubits_stay_distinct(self):
         a = [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1), gate(GateKind.T, 1)]
@@ -210,7 +234,7 @@ def two_level_repeats():
     blocks = {
         "Full": [BlockRef("B"), BlockRef("A", repeat=4), BlockRef("B")],
         "A": [BlockRef("W0"), BlockRef("C", repeat=500), BlockRef("W1"), BlockRef("W2")],
-        # B: 6 sequential moments on 2 qubits -> sliced into 3 x 2-moment leaves
+        # B: 6 gates on 2 qubits -> cut into leaves of 4 and 2 gates
         "B": [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1),
               gate(GateKind.T, 0), gate(GateKind.CX, 1, 0),
               gate(GateKind.S, 1), gate(GateKind.CZ, 0, 1)],
@@ -223,16 +247,16 @@ def two_level_repeats():
 
 
 class TestTwoLevelRepeats:
-    CRIT = SplitCriterion(max_active_qubits=400, max_gates=5, slice_moments=2)
+    CRIT = SplitCriterion(max_active_qubits=400, max_gates=5)
 
     def test_leaf_count_and_multiplicities(self):
         root = build_dependency_graph(two_level_repeats(), self.CRIT)
         plan = WidgetPlan.from_root(root, n_input=2)
-        # leaves: 3 B-slices + W0 + C + W1 + W2 = 7 distinct
-        assert plan.n_distinct_widgets == 7
+        # leaves: 2 B-pieces + W0 + C + W1 + W2 = 6 distinct
+        assert plan.n_distinct_widgets == 6
         total = plan.n_widgets
-        # 2 B-runs of 3 slices + 4 * (1 + 500 + 1 + 1)
-        assert total == 6 + 4 * 503
+        # 2 B-runs of 2 pieces + 4 * (1 + 500 + 1 + 1)
+        assert total == 4 + 4 * 503
         assert sum(plan.stitches.values()) == total - 1
 
     def test_matches_eager_expansion(self):
@@ -324,9 +348,9 @@ def nested_circuits(draw):
 
 class TestLazyVsEager:
     @settings(max_examples=80, deadline=None)
-    @given(nested_circuits(), st.integers(2, 6), st.integers(1, 3))
-    def test_agreement(self, circ, max_gates, slice_moments):
-        root = build_dependency_graph(circ, SplitCriterion(400, max_gates, slice_moments))
+    @given(nested_circuits(), st.integers(2, 6))
+    def test_agreement(self, circ, max_gates):
+        root = build_dependency_graph(circ, SplitCriterion(400, max_gates))
         plan = WidgetPlan.from_root(root, n_input=3)
         widgets_eager, stitches_eager = eager_counts(root)
         assert plan.multiplicity == widgets_eager
@@ -339,8 +363,8 @@ class TestWidgetPlan:
     def test_from_root(self):
         root = build_dependency_graph(two_level_repeats(), TestTwoLevelRepeats.CRIT)
         plan = WidgetPlan.from_root(root, n_input=2)
-        assert plan.n_widgets == 6 + 4 * 503
-        assert plan.n_distinct_widgets == 7
+        assert plan.n_widgets == 4 + 4 * 503
+        assert plan.n_distinct_widgets == 6
         seq = list(iter_leaf_sequence(root))
         assert plan.first == seq[0]
         assert plan.last == seq[-1]
@@ -487,8 +511,7 @@ class TestNestedFile:
     def test_pool_plans_match_per_item_parse(self, sub_seed):
         payload = json.loads(benchmark_pool_circuit(sub_seed))
         config = ArchConfig()
-        criterion = SplitCriterion(config.max_active_qubits, config.max_gates,
-                                   config.slice_moments)
+        criterion = SplitCriterion(config.max_active_qubits, config.max_gates)
         plans = []
         for parse in (parse_nested_file, parse_nested_per_item):
             circ = parse(payload, "pool.json")
@@ -518,11 +541,11 @@ def plan_sha256(circ, criterion, prefix):
 
 class TestPlanPins:
     """Each pool circuit's plan under four split criteria, pinned by the
-    sha256s in plan_sha256.json. The default criterion's (64, 4096, 16)
-    were recorded with the earlier two-pass fold; the other three were
-    recorded again once flat-block slicing kept the gates past the last
-    gate's moment. Only the first 20000 leaves of each sequence are
-    hashed: the full sequences run to millions."""
+    sha256s in plan_sha256.json. The default criterion's (64, 4096) were
+    recorded with the earlier two-pass fold; the other three were recorded
+    again once gate lists were cut in gate order. Only the first 20000
+    leaves of each sequence are hashed: the full sequences run to
+    millions."""
 
     CRITERIA = SPLIT_CRITERIA
     PINS = Path(__file__).with_name("plan_sha256.json")
@@ -531,8 +554,8 @@ class TestPlanPins:
     def test_plan_content_and_order_are_pinned(self, sub_seed):
         circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)),
                                  "pool.json")
-        got = {"%d,%d,%d" % c: plan_sha256(circ, SplitCriterion(*c), 20_000)
-               for c in self.CRITERIA}
+        got = {label: plan_sha256(circ, SplitCriterion(*c), 20_000)
+               for label, c in self.CRITERIA.items()}
         assert got == json.loads(self.PINS.read_text())[str(sub_seed)]
 
 
@@ -541,14 +564,14 @@ class TestEveryGateKept:
     every source gate: its widgets' gate kinds, weighted by multiplicity,
     count the fully expanded source's (gates, T and Rz included)."""
 
-    @pytest.mark.parametrize("criterion", TestPlanPins.CRITERIA,
-                             ids="%d,%d,%d".__mod__)
+    @pytest.mark.parametrize("label", TestPlanPins.CRITERIA)
     @pytest.mark.parametrize("sub_seed", range(16))
-    def test_plan_counts_match_source(self, sub_seed, criterion):
+    def test_plan_counts_match_source(self, sub_seed, label):
         circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)),
                                  "pool.json")
         plan = WidgetPlan.from_root(
-            build_dependency_graph(circ, SplitCriterion(*criterion)),
+            build_dependency_graph(
+                circ, SplitCriterion(*TestPlanPins.CRITERIA[label])),
             circ.n_input)
         got = {}
         for wid, gates in plan.widgets.items():
@@ -561,8 +584,7 @@ class TestSharedDigest:
     def test_leaf_keys_and_plan_digests_are_gate_list_digests(self):
         payload = json.loads(benchmark_pool_circuit(3))
         config = ArchConfig()
-        criterion = SplitCriterion(config.max_active_qubits, config.max_gates,
-                                   config.slice_moments)
+        criterion = SplitCriterion(config.max_active_qubits, config.max_gates)
         circ = parse_nested_file(payload, "pool.json")
         root = build_dependency_graph(circ, criterion)
         plan = WidgetPlan.from_root(root, circ.n_input)
