@@ -6,10 +6,11 @@ measurement in the rotation-angle basis, and the wire retargets to the fresh
 node. Clifford gates act directly on current nodes (SWAP is pure relabeling).
 
 One pass over the widget's gates (the ``GateOp`` tuples of
-``circuit.transpile``, read by ``kind``, ``qubits`` and ``angle``) emits the
-preparation ops and each gadget's ``Measurement``, a tuple it builds in C
-with no Python-level constructor call, and, as it reads each gate,
-conjugates the columns of one ``PauliRows`` sweep by it.
+``circuit.transpile``, read by ``kind``, ``qubits`` and ``angle``)
+conjugates the columns of one ``PauliRows`` sweep by the preparation ops of
+each gate, and records each gadget's measured node, in gadget order and in
+its kind's list. It builds no op and no ``Measurement``: estimation reads
+neither.
 The sweep carries two kinds of rows, both Paulis up to sign: rows 0..g-1
 are the g gadgets' conditional byproducts, each injected right after its
 gadget's H, and the rows above them the stabilizer tableau of
@@ -41,10 +42,12 @@ per leg makes. The records' sequence totals are the estimator's
 ``PlanRecord`` per input file and split thresholds (``load_plan``/
 ``save_plan``), columnar too; both kinds share one atomic write and one
 validated read.
-The fields that only verification and the tests read are the preparation
-ops, the measurement angles and one derived on first read from the kept
-sweep: the per-gadget frames (``CompiledWidget.frames``). None of them is
-written.
+The fields that only verification and the tests read are derived on first
+read: the preparation ops, by one relabeling pass over the kept gates
+(``_preparation``, the compile loop's rule without the sweep); each
+gadget's ``Measurement``, its kept measured node with its gate's kind and
+angle; and the per-gadget frames, from the kept sweep
+(``CompiledWidget.frames``). None of them is written.
 """
 
 from __future__ import annotations
@@ -61,7 +64,13 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
-from .circuit import KIND_NAME, GateKind, TranspiledWidget, circuit_width
+from .circuit import (
+    KIND_NAME,
+    GateKind,
+    GateOp,
+    TranspiledWidget,
+    circuit_width,
+)
 from .prepsched import PrepSchedule
 from .stabilizer import PauliRows, bits, graph_form
 from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
@@ -107,38 +116,49 @@ class PauliFrame(NamedTuple):
 
 @dataclass(eq=True)
 class CompiledWidget:
-    """Graph state plus consumption data for one widget (see module docstring)."""
+    """Graph state plus consumption data for one widget (see module
+    docstring). ``prep_ops``, ``measurements`` and ``frames``, which only
+    verification and the tests read, are derived on first read from the
+    kept gates, measured nodes and sweep."""
 
     n_input: int
     n_nodes: int
     edges: tuple[tuple[int, int], ...]
     output_nodes: tuple[int, ...]
-    prep_ops: tuple[tuple[str, tuple[int, ...]], ...]
-    measurements: tuple[Measurement, ...]
+    measured: tuple[int, ...]  # the measured node of each gadget, in order
+    nodes_by_kind: dict[str, tuple[int, ...]]  # ``measured`` split by kind
     consump_schedule: tuple[tuple[int, ...], ...]
     n_logical: int
+    # The transpiled gates, kept for ``prep_ops`` and ``measurements``.
+    gates: tuple[GateOp, ...] = field(repr=False)
     # The sweep's rows (frames below, tableau above), kept for ``frames``.
     sweep: PauliRows = field(repr=False, compare=False)
 
     @cached_property
+    def prep_ops(self) -> tuple[tuple[str, tuple[int, ...]], ...]:
+        """The ops that prepare the graph state from |+> on every node."""
+        return _preparation(self.gates, self.n_input)
+
+    @cached_property
+    def measurements(self) -> tuple[Measurement, ...]:
+        """Each gadget's measurement, in gadget order: its measured node,
+        with the kind and angle of its gate."""
+        out = []
+        gadgets = (g for g in self.gates if g.kind in _GADGET)
+        for a, g in zip(self.measured, gadgets):
+            kind, angle = _GADGET[g.kind]
+            out.append(Measurement(a, kind, g.angle if angle is None else angle))
+        return tuple(out)
+
+    @cached_property
     def frames(self) -> dict[int, PauliFrame]:
         """The byproduct frame of each measured node, in measurement order."""
-        n_frames = len(self.measurements)
+        n_frames = len(self.measured)
         low = (1 << n_frames) - 1
         rows = PauliRows([c & low for c in self.sweep.x],
                          [c & low for c in self.sweep.z])
-        return {m.node: PauliFrame(tuple(bits(x)), tuple(bits(z)))
-                for m, (x, z) in zip(self.measurements,
-                                     rows.row_masks(n_frames))}
-
-    @cached_property
-    def nodes_by_kind(self) -> dict[str, tuple[int, ...]]:
-        """Measured nodes of each measurement kind, in measurement order,
-        as the widget record holds them."""
-        nodes: dict[str, list[int]] = {"T": [], "Rz": []}
-        for m in self.measurements:
-            nodes[m.kind].append(m.node)
-        return {kind: tuple(v) for kind, v in nodes.items()}
+        return {a: PauliFrame(tuple(bits(x)), tuple(bits(z)))
+                for a, (x, z) in zip(self.measured, rows.row_masks(n_frames))}
 
     @property
     def meas_schedule(self) -> dict[int, Measurement]:
@@ -242,9 +262,8 @@ _PAULI = frozenset({GateKind.X, GateKind.Y, GateKind.Z})
 # descriptor call, some ten times slower, and the compile loop makes one per
 # branch it tests.
 _H, _S, _SDG = GateKind.H, GateKind.S, GateKind.Sdg
-_CX, _CZ, _SWAP = GateKind.CX, GateKind.CZ, GateKind.SWAP
+_CX, _CZ, _SWAP, _RZ = GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.Rz
 _COUNT_MISMATCH = "gadget count disagrees with transpiled gate counts"
-_new = tuple.__new__  # builds a NamedTuple in C, past its Python __new__
 
 
 def compile_widget(w: TranspiledWidget,
@@ -258,8 +277,9 @@ def compile_widget(w: TranspiledWidget,
 
 
 def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
-    # One pass over the gates emits the prep ops and conjugates the sweep's
-    # columns by each, by the rules of ``PauliRows.apply_ops``. Frame row j
+    # One pass over the gates conjugates the sweep's columns by each prep
+    # op, by the rules of ``PauliRows.apply_ops``, and records each gadget's
+    # measured node; the ops themselves are ``_preparation``'s. Frame row j
     # stays the identity (a fixed point of every conjugation) until its
     # gadget's H, where it becomes Z on the fresh node n + j; tableau row
     # n_frames + v starts as X_v.
@@ -269,50 +289,42 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
     z = [0] * n_nodes
     cur = list(range(n))
     f = n  # the next fresh node
-    ops: list[tuple[str, tuple[int, ...]]] = []
-    measurements: list[Measurement] = []
     nodes: list[int] = []  # the measured node of each gadget
+    t_nodes: list[int] = []
+    rz_nodes: list[int] = []
     try:
         for g in w.gates:
             k = g.kind
             if k is _CX:
                 a, b = g.qubits
                 a, b = cur[a], cur[b]
-                ops.append(("cx", (a, b)))
                 x[b] ^= x[a]
                 z[a] ^= z[b]
             elif k in _GADGET:
                 # CZ(a, f) then H on f, whose column is X_f until then.
-                kind, angle = _GADGET[k]
                 (q,) = g.qubits
                 a = cur[q]
-                ops.append(("cz", (a, f)))
-                ops.append(("h", (f,)))
                 xf = x[f]
                 z[a] ^= xf
                 x[f] = x[a]
                 z[f] = xf | 1 << (f - n)
-                measurements.append(_new(
-                    Measurement, (a, kind, g.angle if angle is None else angle)))
                 nodes.append(a)
+                (rz_nodes if k is _RZ else t_nodes).append(a)
                 cur[q] = f
                 f += 1
             elif k is _H:
                 q = cur[g.qubits[0]]
-                ops.append(("h", (q,)))
                 x[q], z[q] = z[q], x[q]
             elif k is _CZ:
                 a, b = g.qubits
                 a, b = cur[a], cur[b]
-                ops.append(("cz", (a, b)))
                 z[a] ^= x[b]
                 z[b] ^= x[a]
             elif k is _S or k is _SDG:
                 q = cur[g.qubits[0]]
-                ops.append((KIND_NAME[k], (q,)))
                 z[q] ^= x[q]
             elif k in _PAULI:  # changes signs only
-                ops.append((KIND_NAME[k], (cur[g.qubits[0]],)))
+                pass
             elif k is _SWAP:  # a relabeling
                 a, b = g.qubits
                 cur[a], cur[b] = cur[b], cur[a]
@@ -341,12 +353,37 @@ def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
         n_nodes=n_nodes,
         edges=edges,
         output_nodes=tuple(cur),
-        prep_ops=tuple(ops),
-        measurements=tuple(measurements),
+        measured=tuple(nodes),
+        nodes_by_kind={"T": tuple(t_nodes), "Rz": tuple(rz_nodes)},
         consump_schedule=schedule,
         n_logical=n_logical,
+        gates=w.gates,
         sweep=PauliRows(x, z),
     )
+
+
+def _preparation(gates: Iterable[GateOp],
+                 n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """The preparation ops of a compiled widget's ``gates`` on ``n`` wires,
+    by the compile loop's rule: a gate acts on its wires' current nodes; a
+    gadget is CZ(a, f) then H(f) on the next fresh node f, to which its
+    wire then moves; a SWAP only relabels."""
+    cur = list(range(n))
+    f = n  # the next fresh node
+    ops: list[tuple[str, tuple[int, ...]]] = []
+    for g in gates:
+        k = g.kind
+        if k in _GADGET:
+            (q,) = g.qubits
+            ops += [("cz", (cur[q], f)), ("h", (f,))]
+            cur[q] = f
+            f += 1
+        elif k is _SWAP:
+            a, b = g.qubits
+            cur[a], cur[b] = cur[b], cur[a]
+        else:
+            ops.append((KIND_NAME[k], tuple([cur[q] for q in g.qubits])))
+    return tuple(ops)
 
 
 def _layer_consumption(

@@ -19,8 +19,12 @@ with repeat counts kept symbolic, so the root's are exact Python integers
 even for billions of expanded gates, computed without materializing the
 leaf sequence. Leaves with equal gate lists, qubits included (equal
 ``gate_list_digest``), are built once and shared, so a widget always acts
-on the qubits its gates name; ids number the leaves only. A plan keeps each
-widget's digest, from which the widget cache derives its key.
+on the qubits its gates name; ids number the leaves only. A leaf gets its
+digest when a second leaf is compared with it, so a plan of one widget,
+such as a flat QASM file under the thresholds, digests nothing while it is
+built. A plan keeps each digest it knows, and ``WidgetPlan.digest``
+computes the others on first use, which only the widget cache makes: it
+derives its key from the digests.
 
 A ``WidgetPlan`` is a ``PlanRecord``, the gate-free part that estimation
 reads and the plan cache stores, plus each widget's gate list.
@@ -184,9 +188,11 @@ class SubcircuitNode:
     under the node and ``stitches`` each ordered pair of consecutive leaves,
     both in order of first use; ``first`` and ``last`` open and close the
     node's leaf sequence. A leaf's ``id`` names its widget, and ``digest``
-    is the ``gate_list_digest`` of its gates. A composite stores the four
-    folded fields; a leaf derives them on each read, since storing itself
-    in them would make every leaf a reference cycle.
+    is the ``gate_list_digest`` of its gates, or "" for a first leaf that
+    no other leaf was compared with (see ``_Builder.build_leaf``). A
+    composite stores the four folded fields; a leaf derives them on each
+    read, since storing itself in them would make every leaf a reference
+    cycle.
     """
 
     gates: tuple[Gate, ...] | None = None
@@ -250,6 +256,7 @@ class _Builder:
         self.circ = circ
         self.criterion = criterion
         self.leaves: dict[str, SubcircuitNode] = {}  # by gate_list_digest
+        self.first_leaf: SubcircuitNode | None = None
         self.block_nodes: dict[str, SubcircuitNode] = {}
 
     def build_block(self, name: str) -> SubcircuitNode:
@@ -303,8 +310,17 @@ class _Builder:
                                         for p in pieces])
 
     def build_leaf(self, gates: Sequence[Gate]) -> SubcircuitNode:
-        """The one leaf of ``gates``, shared by every equal gate list."""
+        """The one leaf of ``gates``, shared by every equal gate list. The
+        first leaf gets its digest only when a second one is compared with
+        it, so a plan of one leaf leaves it to ``WidgetPlan.digest``."""
         gates = tuple(gates)
+        if not self.leaves:
+            first = self.first_leaf
+            if first is None:
+                self.first_leaf = SubcircuitNode(gates=gates, id="n0")
+                return self.first_leaf
+            first.digest = gate_list_digest(first.gates)
+            self.leaves[first.digest] = first
         digest = gate_list_digest(gates)
         leaf = self.leaves.get(digest)
         if leaf is None:
@@ -386,7 +402,7 @@ class WidgetPlan(PlanRecord):
     """A plan record with each distinct widget's gate list, in plan order:
     everything downstream estimation needs from a widget decomposition.
     ``digests`` holds each widget's digest once known: a nested plan takes
-    them from its leaf keys, and ``digest`` computes the others on first
+    those its leaves have, and ``digest`` computes the others on first
     use."""
 
     widgets: dict[str, tuple[Gate, ...]]
@@ -414,7 +430,7 @@ class WidgetPlan(PlanRecord):
                       for (a, b), count in root.stitches.items()},
             first=root.first.id,
             last=root.last.id,
-            digests={leaf.id: leaf.digest for leaf in leaves},
+            digests={leaf.id: leaf.digest for leaf in leaves if leaf.digest},
         )
 
     @classmethod

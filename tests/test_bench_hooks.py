@@ -1,5 +1,6 @@
 """The benchmark's trace mode wraps estimator entry points by attribute name
-(perfbench/spans.py); every name it hooks must still exist."""
+(perfbench/spans.py); every name it hooks must still exist, and an estimate
+must still call the compile hooks through those names."""
 
 import importlib.util
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import qre
 import qre.pipeline
+from qre.circuit import emit_qasm, generate_qft
+from qre.compiler import CACHE_ENV
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -27,3 +30,20 @@ def test_every_hooked_name_exists_and_is_restored(monkeypatch):
         pass
     after = [owner.__dict__[attr] for owner, attr, *_ in spans._hooks(qre)]
     assert after == before
+
+
+def test_cold_estimate_reaches_every_compile_hook(tmp_path, monkeypatch):
+    """A hook that an estimate no longer calls reads 0: a cold QFT-20
+    estimate must count its widget, graph and preparation sub-steps."""
+    spans = load_spans(monkeypatch)
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    path = tmp_path / "qft20.qasm"
+    path.write_text(emit_qasm(generate_qft(20), 20))
+    with spans.instrument(spans.Recorder(), qre) as rec:
+        qre.pipeline.run_estimate(path)
+    counts = spans.layer_counts(rec)
+    assert {name: counts[name] for name in (
+        "compiler.nodes", "compiler.edges", "prepsched.sub_steps",
+        "widgetizer.widgets_distinct")} == {
+        "compiler.nodes": 590, "compiler.edges": 1064,
+        "prepsched.sub_steps": 197, "widgetizer.widgets_distinct": 1}

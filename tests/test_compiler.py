@@ -450,6 +450,9 @@ def assert_matches_references(cw):
     assert cw.n_logical == max_live_nodes_by_scan(
         cw.n_input, cw.n_nodes, cw.edges, cw.consump_schedule)
     assert cw.consump_schedule == layers_by_rescan(cw.measurements, cw.frames)
+    assert cw.nodes_by_kind == {
+        kind: tuple(m.node for m in cw.measurements if m.kind == kind)
+        for kind in ("T", "Rz")}
 
 
 class TestOneSweepFrames:
@@ -513,14 +516,17 @@ class TestOneSweepFrames:
 
 
 class TestVerifyOnlyFields:
+    FIELDS = ("frames", "prep_ops", "measurements")
+
     def test_estimation_derives_no_verify_only_field(self, tmp_path,
                                                      monkeypatch):
-        """Frames are derived on first read, and only verification reads
-        them."""
+        """Frames, preparation ops and measurements are derived on first
+        read, and only verification reads them."""
         def refuse(self):
             raise AssertionError("verify-only field read")
 
-        monkeypatch.setattr(CompiledWidget, "frames", property(refuse))
+        for name in self.FIELDS:
+            monkeypatch.setattr(CompiledWidget, name, property(refuse))
         pool3, qft8 = tmp_path / "pool3.json", tmp_path / "qft8.qasm"
         pool3.write_text(benchmark_pool_circuit(3))
         qft8.write_text(emit_qasm(generate_qft(8), 8))
@@ -529,7 +535,10 @@ class TestVerifyOnlyFields:
 
     def test_derived_fields_are_cached(self):
         cw = compiled(transpile(generate_qft(3)).gates)
-        assert cw.frames is cw.frames
+        for name in self.FIELDS:
+            assert name not in vars(cw)
+            assert getattr(cw, name) is getattr(cw, name)
+            assert name in vars(cw)
 
 
 @st.composite

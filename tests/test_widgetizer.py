@@ -15,13 +15,18 @@ from oracles import (
     parse_nested_per_item,
 )
 from pool import SPLIT_CRITERIA, benchmark_pool_circuit
+from qre import widgetizer
 from qre.circuit import (
     CircuitError,
     Gate,
     GateKind,
+    emit_qasm,
     gate_list_digest,
+    generate_qft,
 )
+from qre.compiler import CACHE_ENV, widget_set_key
 from qre.config import ArchConfig
+from qre.pipeline import load_circuit, run_estimate
 from qre.widgetizer import (
     MAX_NESTING_DEPTH,
     BlockRef,
@@ -592,6 +597,36 @@ class TestSharedDigest:
         for wid, leaf in leaves_of(root).items():
             assert leaf.digest == gate_list_digest(leaf.gates)
             assert plan.digests[wid] == leaf.digest
+
+    def test_lone_widget_digest_waits_for_the_cache(self, tmp_path,
+                                                    monkeypatch):
+        """A plan of one leaf computes no digest until the cache asks for
+        it: a cold estimate digests the gates once with a cache directory
+        and never without one."""
+        gates = generate_qft(20)
+        path = tmp_path / "qft20.qasm"
+        path.write_text(emit_qasm(gates, 20))
+        plan = load_circuit(path, ArchConfig()).plan
+        (wid,) = plan.ids
+        assert plan.digests == {}
+        assert plan.digest(wid) == gate_list_digest(gates)
+
+        calls = []
+
+        def counted(gate_list):
+            calls.append(1)
+            return gate_list_digest(gate_list)
+
+        monkeypatch.setattr(widgetizer, "gate_list_digest", counted)
+        monkeypatch.delenv(CACHE_ENV, raising=False)
+        run_estimate(path)
+        assert len(calls) == 0
+        cache = tmp_path / "cache"
+        run_estimate(path, cache_dir=cache)
+        assert len(calls) == 1
+        key = widget_set_key([gate_list_digest(gates)], 20, 4)
+        assert [p.name for p in cache.glob("widgets-*.json")] == [
+            f"widgets-{key}.json"]
 
     def test_sequence_plan_digests_on_first_use(self):
         args = (2, {"a": [gate(GateKind.H, 0)], "b": [gate(GateKind.CX, 0, 1)],
