@@ -90,9 +90,12 @@ def project_qubit(state: np.ndarray, qubit: int, vec: np.ndarray) -> tuple[np.nd
 
 SIM_QUBIT_LIMIT = 12  # the most qubits verify_unitarity holds at once
 
-_OP_MATS = {
+# The matrix of each fixed gate, by its name: the names of the preparation
+# ops and the values of the source gates' kinds.
+_GATE_MATS = {
     "h": H_MAT, "s": S_MAT, "sdg": SDG_MAT, "x": X_MAT, "y": Y_MAT,
     "z": Z_MAT, "cx": CX_MAT, "cz": CZ_MAT, "swap": SWAP_MAT,
+    "t": T_MAT, "tdg": TDG_MAT, "ccx": CCX_MAT,
 }
 
 
@@ -191,7 +194,7 @@ def verify_unitarity(
         for v in range(n, w.n_nodes):
             reg.add((i, v), _PLUS)
         for name, qubits in w.prep_ops:
-            reg.apply(_OP_MATS[name], [(i, v) for v in qubits])
+            reg.apply(_GATE_MATS[name], [(i, v) for v in qubits])
         meas = w.meas_schedule
         for layer in w.consump_schedule:
             for node in layer:
@@ -207,16 +210,14 @@ def verify_unitarity(
 
     state = reg.ordered(carriers)
     for g in inverse_gates:
-        state = apply_matrix(state, _inverse_mat(g), g.qubits)
+        state = apply_matrix(state, _gate_mat(g), g.qubits)
     amp = state[(0,) * n]
     return float(abs(amp) ** 2)
 
 
-def _inverse_mat(g: Gate) -> np.ndarray:
+def _gate_mat(g: Gate) -> np.ndarray:
     if g.kind is GateKind.Rz:
         return rz_mat(g.angle)
     if g.kind is GateKind.CPhase:
         return cphase_mat(g.angle)
-    table = {GateKind.T: T_MAT, GateKind.Tdg: TDG_MAT,
-             GateKind.CCX: CCX_MAT}
-    return table.get(g.kind, _OP_MATS.get(g.kind.value))
+    return _GATE_MATS[g.kind.value]

@@ -35,12 +35,8 @@ class TFactory:
         if self.q_phys <= 0 or self.cycles <= 0:
             raise ValueError("factory qubit and cycle counts must be positive")
 
-    @property
-    def has_20to4_layer(self) -> bool:
-        return "20-to-4" in self.name
-
     def output_multiplier(self) -> int:
-        return 4 if self.has_20to4_layer else 1
+        return 4 if "20-to-4" in self.name else 1
 
 
 # Litinski's protocols (arXiv:1905.06903) with their outputs, footprints and

@@ -19,9 +19,8 @@ from pathlib import Path
 
 from . import __version__
 from .architecture import EstimationError
-from .circuit import CircuitError, emit_qasm, generate_qft, transpile
-from .compiler import CompileError
-from .config import ConfigError, load_config
+from .circuit import emit_qasm, generate_qft, transpile
+from .config import load_config
 from .pipeline import (
     compile_circuit,
     load_circuit,
@@ -32,7 +31,7 @@ from .pipeline import (
     verify_circuit,
 )
 from .report import render_console, render_csv
-from .scalefit import FitError, fit_scaling_law, read_samples_csv
+from .scalefit import fit_scaling_law, read_samples_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -249,8 +248,7 @@ def _run(args: argparse.Namespace) -> int:
     except EstimationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ConfigError, CircuitError, CompileError, FitError,
-            ValueError) as exc:
+    except ValueError as exc:  # each input and config error class is one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except BrokenPipeError:

@@ -266,23 +266,18 @@ _CX, _CZ, _SWAP, _RZ = GateKind.CX, GateKind.CZ, GateKind.SWAP, GateKind.Rz
 _COUNT_MISMATCH = "gadget count disagrees with transpiled gate counts"
 
 
-def compile_widget(w: TranspiledWidget,
-                   n_input: int | None = None) -> CompiledWidget:
-    """Compile one transpiled widget on ``n_input`` wires (default: the
-    wires it touches). CompileError when a gate reaches a wire past them,
-    when the gadgets disagree with the widget's T and Rz counts, or on a
-    composite gate."""
-    n = max(circuit_width(w.gates), 1) if n_input is None else n_input
-    return _compile(w, n)
-
-
-def _compile(w: TranspiledWidget, n: int) -> CompiledWidget:
+def compile_widget(w: TranspiledWidget, n_input: int) -> CompiledWidget:
+    """Compile one transpiled widget on ``n_input`` wires, its plan's wire
+    count. CompileError when a gate reaches a wire past them, when the
+    gadgets disagree with the widget's T and Rz counts, or on a composite
+    gate."""
     # One pass over the gates conjugates the sweep's columns by each prep
     # op, by the rules of ``PauliRows.apply_ops``, and records each gadget's
     # measured node; the ops themselves are ``_preparation``'s. Frame row j
     # stays the identity (a fixed point of every conjugation) until its
     # gadget's H, where it becomes Z on the fresh node n + j; tableau row
     # n_frames + v starts as X_v.
+    n = n_input
     n_frames = w.n_T_init + w.n_Rz_init
     n_nodes = n + n_frames
     x = [1 << v for v in range(n_frames, n_frames + n_nodes)]

@@ -34,9 +34,10 @@ crossings, once per compiled algorithm and module layout
 (``CompiledAlgorithm.timing_inputs``).  A ``compute_timing`` call only
 does the arithmetic that depends on the config and the operating point
 (t, t_inter, pipe count, d, synthesis length, factory), summing over
-``plan.ids`` and ``plan.stitches`` in their order.  What it reads of the
-pipe count is ``_TimingInputs.pipe_rounds``, so a pipe sweep times each
-distinct rounds tuple once.
+``plan.ids`` and ``plan.stitches`` in their order.  It reads the pipe
+count only through ``_TimingInputs.pipe_rounds``, the one place the rounds
+are computed, so a pipe sweep that times each distinct rounds tuple once
+is right by construction.
 """
 
 from __future__ import annotations
@@ -533,10 +534,13 @@ def compute_timing(
     l_transfer_bus = sel.layout.l_transfer_bus
     prep_tock, tock, factory_tock = 8.0 * d, 8.0 * t * d, 8.0 * t * cycles
 
-    pipes = config.n_inter_pipes
+    # All that the timing reads of the pipe count: the rounds of each
+    # widget that crosses modules, in order, then the handover's.
+    *prep_rounds, handover_rounds = inputs.pipe_rounds(config.n_inter_pipes)
+    prep_rounds_left = iter(prep_rounds)
     t_prep, t_consump_intra, t_distill_delay = [], [], []
     for n_intra, crossings, n_max_t, n_max_rz, _ in inputs.widgets:
-        n_cross = pipe_rounds(crossings, pipes) if crossings else 0
+        n_cross = next(prep_rounds_left) if crossings else 0
         prep = prep_tock * (n_intra * t + n_cross * t_inter)
         t_prep.append(prep)
         t_consump_intra.append(tock * (
@@ -566,7 +570,7 @@ def compute_timing(
         lag = t_prep[b] - t_consump_intra[a] - t_distill_delay[a]
         if lag > 0:
             t_prep_delay_total += count * lag
-    t_handover = 8.0 * t_inter * d * pipe_rounds(inputs.handover, pipes)
+    t_handover = 8.0 * t_inter * d * handover_rounds
 
     t_consump = (tock * (algo.l_prep_first + sel.counts.n_seq_consump)
                  + t_distill_total + t_prep_delay_total)

@@ -39,8 +39,9 @@ Each distinct config is solved and timed once per compiled algorithm
 (``CompiledAlgorithm.selections`` and ``CompiledAlgorithm.timings``), so a
 sweep reuses the estimate's solve and timing at its default point. A pipe
 sweep times the machine once per distinct tuple of pipe rounds
-(``_TimingInputs.pipe_rounds``), all that the timing reads of the pipe
-count; every pipe count with that tuple reuses the time.
+(``_TimingInputs.pipe_rounds``), at the first count that gives it: the
+timing reads the pipe count through that tuple alone, so every later count
+with the tuple reuses the time.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import __version__, compiler
 from .circuit import (
@@ -124,34 +125,40 @@ def load_circuit(path: str | Path, config: ArchConfig,
     table ({distinct_widgets, sequence}), whose sequence is the plan, or
     nested blocks ({blocks, root}). A nested circuit is widgetized under
     the configured split thresholds. ``data`` is the file's bytes when the
-    caller has read them already. A CircuitError names the file."""
+    caller has read them already. A CircuitError names the file, here
+    alone: the readers and the widgetizer say what is wrong in it."""
     if data is None:
         data = Path(path).read_bytes()
     try:
+        return _parse(data, config)
+    except CircuitError as exc:
+        raise CircuitError(f"{path}: {exc}") from exc
+
+
+def _parse(data: bytes, config: ArchConfig) -> LoadedCircuit:
+    try:
         text = data.decode()
     except UnicodeDecodeError as exc:
-        raise CircuitError(f"{path}: not UTF-8 text: {exc}") from exc
+        raise CircuitError(f"not UTF-8 text: {exc}") from exc
     if not data.lstrip().startswith(b"{"):
-        try:
-            n_qubits, gates = parse_qasm(text)
-            if not n_qubits:
-                raise CircuitError(
-                    "a flat QASM file needs a qreg of at least 1 qubit")
-            nested = NestedCircuit(n_qubits, {"main": gates}, "main")
-        except CircuitError as exc:
-            raise CircuitError(f"{path}: {exc}") from exc
+        n_qubits, gates = parse_qasm(text)
+        if not n_qubits:
+            raise CircuitError(
+                "a flat QASM file needs a qreg of at least 1 qubit")
+        nested = NestedCircuit(n_qubits, {"main": gates}, "main")
     else:
         try:
             payload = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long
-            raise CircuitError(f"{path}: not valid JSON: {exc}") from exc
+            raise CircuitError(f"not valid JSON: {exc}") from exc
         if "distinct_widgets" in payload:
-            return _flat(path, *parse_widget_file(payload, path))
-        nested = parse_nested_file(payload, path)
-    try:
-        root = build_dependency_graph(nested, _criterion(config))
-    except CircuitError as exc:
-        raise CircuitError(f"{path}: {exc}") from exc
+            n_input, table, sequence = parse_widget_file(payload)
+            return LoadedCircuit(
+                WidgetPlan.from_sequence(n_input, table, sequence),
+                lambda: (tuple(sequence),
+                         [g for wid in sequence for g in table[wid]]))
+        nested = parse_nested_file(payload)
+    root = build_dependency_graph(nested, _criterion(config))
     return LoadedCircuit(
         WidgetPlan.from_root(root, nested.n_input),
         lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
@@ -159,19 +166,6 @@ def load_circuit(path: str | Path, config: ArchConfig,
 
 def _criterion(config: ArchConfig) -> SplitCriterion:
     return SplitCriterion(config.max_active_qubits, config.max_gates)
-
-
-def _flat(path: str | Path, n_input: int, table: Mapping[str, list[Gate]],
-          sequence: list[str]) -> LoadedCircuit:
-    """The plan of a widget table's sequence; a plan error names the
-    file."""
-    try:
-        plan = WidgetPlan.from_sequence(n_input, table, sequence)
-    except CircuitError as exc:
-        raise CircuitError(f"{path}: {exc}") from exc
-    return LoadedCircuit(
-        plan,
-        lambda: (tuple(sequence), [g for wid in sequence for g in table[wid]]))
 
 
 def _cache_directory(cache_dir: str | Path | None) -> str | Path | None:
@@ -368,11 +362,12 @@ def run_pipe_sweep(
 
     The distance/factory solution does not depend on the pipe count, so it
     is the one solved for ``config``. The timing reads the pipe count only
-    through the layout's pipe rounds, so it is computed once per distinct
-    rounds tuple and shared by every count that gives that tuple: one call
-    in all when each leg is a single module. The tuple of ``config``'s own
-    pipe count is timed under ``config``, so it shares the estimate's
-    timing.
+    through the layout's pipe rounds (``_TimingInputs.pipe_rounds``), so
+    it is computed once per distinct rounds tuple, at the first count that
+    gives it, and shared by every later count with that tuple: one call in
+    all when each leg is a single module. When that first count is
+    ``config``'s own, the point is ``config`` itself, so it shares the
+    estimate's timing.
     """
     if not pipe_values:
         raise ValueError("pipe sweep needs at least one value")
@@ -381,17 +376,15 @@ def run_pipe_sweep(
     replace(config, n_inter_pipes=min(pipe_values))
     sel = _select(algo, config)
     inputs = algo.timing_inputs(sel.layout)
-    own_rounds = inputs.pipe_rounds(config.n_inter_pipes)
     by_rounds: dict[tuple[int, ...], float] = {}
     solved = []
     for pipes in pipe_values:
         rounds = inputs.pipe_rounds(pipes)
         t_hardware = by_rounds.get(rounds)
         if t_hardware is None:
-            cfg = (config if rounds == own_rounds
-                   else replace(config, n_inter_pipes=pipes))
             t_hardware = by_rounds[rounds] = _time(
-                algo, cfg, sel).t_hardware_total
+                algo, replace(config, n_inter_pipes=pipes),
+                sel).t_hardware_total
         solved.append((sel.d, t_hardware))
     return _normalize([str(v) for v in pipe_values], solved)
 
@@ -399,7 +392,7 @@ def run_pipe_sweep(
 def run_decoder_sweep(
     algo: CompiledAlgorithm,
     config: ArchConfig,
-    presets: Sequence[str] = ("mwpm-circuit", "astra-gnn"),
+    presets: Sequence[str],
 ) -> list[SweepRow]:
     """Re-solve and re-time the run under each decoder scaling preset."""
     unknown = [name for name in presets if name not in SCALING_PRESETS]

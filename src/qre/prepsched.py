@@ -83,7 +83,6 @@ _new = tuple.__new__  # builds a PrepTuple in C, past its Python __new__
 class PrepSchedule:
     """Ordered sub-steps of node-disjoint, interval-disjoint star MPPOs."""
 
-    n_nodes: int
     sub_steps: tuple[tuple[PrepTuple, ...], ...]
 
     @property
@@ -227,4 +226,4 @@ def schedule_preparation(
                     i >>= 1
                     left, right = tree[2 * i], tree[2 * i + 1]
                     key = left if left > right else right
-    return PrepSchedule(n_nodes, tuple(sub_steps))
+    return PrepSchedule(tuple(sub_steps))

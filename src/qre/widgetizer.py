@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .circuit import (
@@ -171,8 +170,10 @@ class SplitCriterion:
     max_gates: int
 
     def __post_init__(self) -> None:
-        if min(self.max_active_qubits, self.max_gates) < 1:
-            raise CircuitError("split-criterion thresholds must all be >= 1")
+        if min(self.max_active_qubits, self.max_gates) < 2:
+            raise CircuitError(
+                "split-criterion thresholds must all be >= 2: any one gate "
+                "meets a threshold of 1, so no split could satisfy it")
 
     def violated_by(self, active_qubits: int, n_gates: int) -> bool:
         return active_qubits >= self.max_active_qubits or n_gates >= self.max_gates
@@ -524,11 +525,11 @@ def _block_ref_from_json(obj: object, where: str) -> BlockRef:
         raise CircuitError(f"{where}: {exc}") from exc
 
 
-def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
+def parse_nested_file(payload: Mapping) -> NestedCircuit:
     """Build a nested circuit from decoded JSON: {format, n_input?, root,
     blocks:{name: [items]}} where an item is {"gate", "qubits", "angle"?} or
-    {"block", "repeat"?}. ``path`` only names the source in error messages,
-    which also name the block and the first position of the bad item.
+    {"block", "repeat"?}. An error message names the block and the first
+    position of the bad item; ``pipeline.load_circuit`` adds the file.
 
     Each distinct gate item is validated once and becomes one ``Gate``,
     shared by its repetitions. Items are told apart by their name, the
@@ -536,21 +537,21 @@ def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
     ``1.0`` and ``true`` are equal as Python values but not as JSON input.
     """
     if payload.get("format", NESTED_FORMAT) != NESTED_FORMAT:
-        raise CircuitError(f"{path}: unsupported nested-circuit format")
+        raise CircuitError("unsupported nested-circuit format")
     raw_blocks = payload.get("blocks")
     if not isinstance(raw_blocks, dict) or not raw_blocks:
-        raise CircuitError(f"{path}: 'blocks' must be a non-empty object")
+        raise CircuitError("'blocks' must be a non-empty object")
 
     gates: dict[tuple, Gate] = {}
     blocks: dict[str, list[BodyItem]] = {}
     for name, body in raw_blocks.items():
         if not isinstance(body, list):
-            raise CircuitError(f"{path}: block {name!r} must be a list of items")
+            raise CircuitError(f"block {name!r} must be a list of items")
         items: list[BodyItem] = []
         for k, obj in enumerate(body):
             if not (isinstance(obj, dict) and "gate" in obj):
                 items.append(_block_ref_from_json(
-                    obj, f"{path}: block {name!r} item {k}"))
+                    obj, f"block {name!r} item {k}"))
                 continue
             angle = obj.get("angle")
             key = (obj["gate"], repr(obj.get("qubits")), angle, type(angle))
@@ -560,7 +561,7 @@ def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
                 gate = None
             if gate is None:
                 gate = gates[key] = _gate_from_json(
-                    obj, f"{path}: block {name!r} item {k}")
+                    obj, f"block {name!r} item {k}")
             items.append(gate)
         blocks[name] = items
 
@@ -571,43 +572,40 @@ def parse_nested_file(payload: Mapping, path: str | Path) -> NestedCircuit:
                                     max(circuit_width(list(gates.values())), 1)))
     if n_input is None:
         raise CircuitError(
-            f"{path}: n_input must be an integer, got {payload['n_input']!r}")
+            f"n_input must be an integer, got {payload['n_input']!r}")
     if n_input < 1:
-        raise CircuitError(f"{path}: n_input must be >= 1, got {n_input}")
-    try:
-        return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))
-    except CircuitError as exc:
-        raise CircuitError(f"{path}: {exc}") from exc
+        raise CircuitError(f"n_input must be >= 1, got {n_input}")
+    return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))
 
 
-def parse_widget_file(payload: Mapping, path: str | Path,
+def parse_widget_file(payload: Mapping,
                       ) -> tuple[int, dict[str, list[Gate]], list[str]]:
     """Read decoded widget-table JSON, {format, n_input, distinct_widgets,
     sequence} with each widget an OpenQASM string, into ``n_input``, the
     table of gate lists in file order and the sequence, the arguments of
     ``WidgetPlan.from_sequence``. A widget body that declares a register
     must declare ``n_input`` qubits, as ``parse_qasm`` reads it, so a
-    commented-out declaration is never compared. ``path`` only names the
-    source in error messages, which also name the widget."""
+    commented-out declaration is never compared. An error message names
+    the widget; ``pipeline.load_circuit`` adds the file."""
     fmt = payload.get("format", WIDGET_FORMAT)
     if fmt != WIDGET_FORMAT:
-        raise CircuitError(f"{path}: unsupported widget file format {fmt!r}")
+        raise CircuitError(f"unsupported widget file format {fmt!r}")
     try:
         raw_n_input = payload["n_input"]
         table = payload["distinct_widgets"]
         sequence = payload["sequence"]
     except KeyError as exc:
-        raise CircuitError(f"{path}: missing key {exc.args[0]!r}") from exc
+        raise CircuitError(f"missing key {exc.args[0]!r}") from exc
     n_input = _json_int(raw_n_input)
     if n_input is None:
         raise CircuitError(
-            f"{path}: n_input must be an integer, got {raw_n_input!r}")
+            f"n_input must be an integer, got {raw_n_input!r}")
     if not isinstance(table, dict) or not isinstance(sequence, list):
-        raise CircuitError(f"{path}: distinct_widgets must be a map and sequence a list")
+        raise CircuitError("distinct_widgets must be a map and sequence a list")
 
     distinct: dict[str, list[Gate]] = {}
     for wid, qasm in table.items():
-        where = f"{path}: widget {wid!r}"
+        where = f"widget {wid!r}"
         if not isinstance(qasm, str):
             raise CircuitError(f"{where} must be an OpenQASM string, "
                                f"got {type(qasm).__name__}")

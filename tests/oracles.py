@@ -37,6 +37,18 @@ def gate(kind, *qubits: int, angle: float | None = None):
     return Gate(kind, qubits, angle)
 
 
+def compiled(gates, n_input: int | None = None):
+    """``gates`` transpiled and compiled on ``n_input`` wires, by default
+    on the wires they touch (at least one)."""
+    from qre.circuit import circuit_width, transpile
+    from qre.compiler import compile_widget
+
+    tw = transpile(gates)
+    if n_input is None:
+        n_input = max(circuit_width(tw.gates), 1)
+    return compile_widget(tw, n_input)
+
+
 def n_T(cw) -> int:
     """A ``CompiledWidget``'s T-measured node count."""
     return len(cw.nodes_by_kind["T"])
@@ -974,7 +986,7 @@ def pipe_sweep_per_point(algo, config, pipe_values):
 # Nested-circuit JSON parsed item by item
 # --------------------------------------------------------------------------
 
-def parse_nested_per_item(payload, path):
+def parse_nested_per_item(payload):
     """Nested-circuit JSON parsed as before gate items were interned: one
     ``Gate`` built and validated per item, qubits and repeats read with
     ``int()``. Takes only well-formed input."""

@@ -25,10 +25,8 @@ class TestFactoryTable:
         assert p_outs[0] == 4.5e-8 and p_outs[-1] == 9.0e-23
 
     def test_20to4_layers(self):
-        flags = [f.has_20to4_layer for f in DEFAULT_FACTORIES]
-        assert flags == [False, True, True, False, False, False, False]
-        assert DEFAULT_FACTORIES[1].output_multiplier() == 4
-        assert FIRST.output_multiplier() == 1
+        multipliers = [f.output_multiplier() for f in DEFAULT_FACTORIES]
+        assert multipliers == [1, 4, 4, 1, 1, 1, 1]
 
     def test_first_row_values(self):
         assert (FIRST.l_width, FIRST.l_length) == (64, 72)

@@ -495,8 +495,6 @@ class TestGenerateQft:
 
 
 class TestWidgetFiles:
-    PATH = "circ.json"
-
     def test_sequence_and_stitches(self):
         qasm = "qreg q[2]; h q[0];"
         payload = {
@@ -504,7 +502,7 @@ class TestWidgetFiles:
             "distinct_widgets": {"A": qasm, "B": qasm},
             "sequence": ["A", "B", "A", "B"],
         }
-        wc = WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
+        wc = WidgetPlan.from_sequence(*parse_widget_file(payload))
         assert wc.n_widgets == 4
         assert wc.n_distinct_widgets == 2
         assert wc.stitches == {("A", "B"): 2, ("B", "A"): 1}
@@ -516,7 +514,7 @@ class TestWidgetFiles:
             "distinct_widgets": {"A": "qreg q[1]; t q[0];"},
             "sequence": ["A"],
         }
-        wc = WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
+        wc = WidgetPlan.from_sequence(*parse_widget_file(payload))
         assert wc.n_widgets == 1
         assert wc.stitches == {}
 
@@ -527,7 +525,7 @@ class TestWidgetFiles:
             "sequence": ["A", "C"],
         }
         with pytest.raises(CircuitError, match="'C'"):
-            WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
+            WidgetPlan.from_sequence(*parse_widget_file(payload))
 
     def test_width_mismatch(self):
         payload = {
@@ -536,19 +534,19 @@ class TestWidgetFiles:
             "sequence": ["A"],
         }
         with pytest.raises(CircuitError, match="declares 3"):
-            parse_widget_file(payload, self.PATH)
+            parse_widget_file(payload)
 
     def test_commented_qreg_is_not_a_declaration(self):
         payload = {"n_input": 3, "sequence": ["A"],
                    "distinct_widgets": {"A": "// qreg c[2]\nqreg q[3];\nh q[2];"}}
-        n_input, table, _ = parse_widget_file(payload, self.PATH)
+        n_input, table, _ = parse_widget_file(payload)
         assert n_input == 3
         assert table == {"A": [gate(GateKind.H, 2)]}
 
     def test_body_without_register_is_not_checked(self):
         payload = {"n_input": 2, "sequence": ["A"],
                    "distinct_widgets": {"A": "// qreg q[5];"}}
-        assert parse_widget_file(payload, self.PATH)[1] == {"A": []}
+        assert parse_widget_file(payload)[1] == {"A": []}
 
     @pytest.mark.parametrize("body", [5, None, ["h q[0];"], {"qasm": "x"}])
     def test_widget_body_not_a_string(self, body):
@@ -556,21 +554,21 @@ class TestWidgetFiles:
                    "distinct_widgets": {"A": "qreg q[1]; t q[0];", "B": body},
                    "sequence": ["A", "B"]}
         with pytest.raises(CircuitError,
-                           match=r"circ\.json: widget 'B' must be an OpenQASM"):
-            parse_widget_file(payload, self.PATH)
+                           match=r"^widget 'B' must be an OpenQASM"):
+            parse_widget_file(payload)
 
     @pytest.mark.parametrize("n_input", [None, 2.5, True, "2", [2]])
     def test_n_input_must_be_an_integer(self, n_input):
         payload = {"n_input": n_input, "distinct_widgets": {"A": "t q[0];"},
                    "sequence": ["A"]}
         with pytest.raises(CircuitError,
-                           match=r"^circ\.json: n_input must be an integer"):
-            parse_widget_file(payload, self.PATH)
+                           match=r"^n_input must be an integer"):
+            parse_widget_file(payload)
 
     def test_integral_n_input_accepted(self):
         payload = {"n_input": 2.0, "distinct_widgets": {"A": "qreg q[2]; t q[1];"},
                    "sequence": ["A"]}
-        n_input, _, _ = parse_widget_file(payload, self.PATH)
+        n_input, _, _ = parse_widget_file(payload)
         assert n_input == 2 and type(n_input) is int
 
     def test_qasm_error_names_file_and_widget(self):
@@ -578,9 +576,9 @@ class TestWidgetFiles:
                    "distinct_widgets": {"A": "qreg q[1]; foo q[0];",
                                         "B": "qreg q[1]; h q[0];"},
                    "sequence": ["B", "A"]}
-        with pytest.raises(CircuitError, match=r"^circ\.json: widget 'A': "
+        with pytest.raises(CircuitError, match=r"^widget 'A': "
                            r"line 1: unsupported gate 'foo'"):
-            parse_widget_file(payload, self.PATH)
+            parse_widget_file(payload)
 
     def test_table_order_is_kept(self):
         payload = {"n_input": 1,
@@ -588,7 +586,7 @@ class TestWidgetFiles:
                                         "U": "qreg q[1]; x q[0];",
                                         "A": "qreg q[1]; t q[0];"},
                    "sequence": ["A", "B", "A"]}
-        plan = WidgetPlan.from_sequence(*parse_widget_file(payload, self.PATH))
+        plan = WidgetPlan.from_sequence(*parse_widget_file(payload))
         assert list(plan.widgets) == ["B", "A"]
         assert list(plan.multiplicity) == list(plan.ids) == ["B", "A"]
         assert (plan.first, plan.last) == ("A", "A")

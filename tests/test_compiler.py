@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dense import graph_state, prep_state, row_signs
 from oracles import (
+    compiled,
     frames_by_replay,
     gadgets_of,
     gate,
@@ -55,10 +56,6 @@ from qre.widgetizer import PlanRecord, WidgetPlan
 PI = math.pi
 
 
-def compiled(gates, n=None):
-    return compile_widget(transpile(gates), n_input=n)
-
-
 class TestSingleGadget:
     def test_t_widget_structure(self):
         cw = compiled([gate(GateKind.T, 0)])
@@ -87,7 +84,7 @@ class TestSingleGadget:
         assert cw.output_nodes == (0, 1)
 
     def test_empty_widget_with_width(self):
-        cw = compiled([], n=2)
+        cw = compiled([], n_input=2)
         assert cw.n_nodes == 2
         assert cw.prep_ops == ()
         assert cw.n_logical == 2
@@ -101,7 +98,7 @@ class TestSingleGadget:
     def test_width_overflow_rejected(self):
         with pytest.raises(CompileError, match=r"^widget touches 2 wires "
                                                r"but n_input=1$"):
-            compiled([gate(GateKind.CX, 0, 1)], n=1)
+            compiled([gate(GateKind.CX, 0, 1)], n_input=1)
 
     @pytest.mark.parametrize("gates, width", [
         ([gate(GateKind.H, 0), gate(GateKind.SWAP, 0, 2)], 3),
@@ -112,7 +109,7 @@ class TestSingleGadget:
         reaches past the wires: a relabeling or a gadget."""
         with pytest.raises(CompileError, match=rf"^widget touches {width} "
                                                rf"wires but n_input=2$"):
-            compiled(gates, n=2)
+            compiled(gates, n_input=2)
 
     @pytest.mark.parametrize("n_t", [1, 3], ids=["short", "over"])
     def test_gadget_count_mismatch_rejected(self, n_t):
@@ -162,7 +159,7 @@ class TestFramesAndSchedule:
 
 class TestNodeCounts:
     def test_qft3_totals(self):
-        cw = compile_widget(transpile(generate_qft(3)))
+        cw = compiled(generate_qft(3))
         assert cw.n_nodes == 12
         assert n_T(cw) == 6 and n_Rz(cw) == 3
 
@@ -176,7 +173,7 @@ class TestNodeCounts:
     def test_node_count_formula(self, n_t, n_rz):
         gates = [gate(GateKind.T, 0)] * n_t
         gates += [gate(GateKind.Rz, 0, angle=0.1 + i) for i in range(n_rz)]
-        cw = compiled(gates, n=2)
+        cw = compiled(gates, n_input=2)
         assert cw.n_nodes == 2 + n_t + n_rz
         assert len(cw.measurements) == n_t + n_rz
         assert 2 <= cw.n_logical <= cw.n_nodes
@@ -216,14 +213,14 @@ class TestVerification:
 
     def test_qft3_round_trip(self):
         gates = generate_qft(3)
-        cw = compile_widget(transpile(gates))
+        cw = compiled(gates)
         for seed in range(5):
             fid = verify_unitarity([cw], invert_gates(gates), seed=seed)
             assert fid >= 1 - 1e-9
 
     def test_toffoli_round_trip(self):
         gates = [gate(GateKind.CCX, 0, 1, 2)]
-        cw = compile_widget(transpile(gates))
+        cw = compiled(gates)
         for seed in range(5):
             fid = verify_unitarity([cw], invert_gates(gates), seed=seed)
             assert fid >= 1 - 1e-9
@@ -246,8 +243,8 @@ class TestVerification:
             verify_unitarity([cw], invert_gates([gate(GateKind.T, 0)] * 12))
 
     def test_mismatched_widths_rejected(self):
-        a = compiled([gate(GateKind.H, 0)], n=1)
-        b = compiled([gate(GateKind.H, 0)], n=2)
+        a = compiled([gate(GateKind.H, 0)], n_input=1)
+        b = compiled([gate(GateKind.H, 0)], n_input=2)
         with pytest.raises(CompileError):
             verify_unitarity([a, b], [])
 
@@ -330,7 +327,7 @@ class TestStitch:
     def test_mixed_multiplicities(self):
         ga = [gate(GateKind.T, 0), gate(GateKind.T, 1)]
         gb = [gate(GateKind.Rz, 0, angle=0.5)]
-        a, b = compiled(ga, n=2), compiled(gb, n=2)
+        a, b = compiled(ga, n_input=2), compiled(gb, n_input=2)
         s = stitched(2, (ga, 2), (gb, 1)).est
         assert s.n_widgets == 3
         assert s.n_nodes_total == 2 * a.n_nodes + b.n_nodes + 2 * 2
@@ -383,9 +380,10 @@ class TestDeterminismAndCache:
     def test_cache_is_actually_used(self, tmp_path, monkeypatch):
         gates = [gate(GateKind.T, 0)]
         cached_record(gates, cache_dir=tmp_path)
-        import qre.compiler as comp
-        monkeypatch.setattr(comp, "_compile",
-                            lambda *a: (_ for _ in ()).throw(AssertionError))
+        import qre.pipeline as pipeline
+        monkeypatch.setattr(
+            pipeline, "compile_widget",
+            lambda *a, **k: (_ for _ in ()).throw(AssertionError))
         cw = cached_record(gates, cache_dir=tmp_path)
         assert cw.n_nodes == 2
 
@@ -462,7 +460,7 @@ class TestOneSweepFrames:
         assert_matches_references(compile_widget(transpile(gates), n_input=5))
 
     def test_qft_matches_per_gadget_replay(self):
-        assert_matches_references(compile_widget(transpile(generate_qft(8))))
+        assert_matches_references(compiled(generate_qft(8)))
 
     @pytest.mark.parametrize("gates", [
         generate_qft(16), [gate(GateKind.H, 0)],
@@ -490,12 +488,12 @@ class TestOneSweepFrames:
                   gate(GateKind.CZ, 0, 1), gate(GateKind.H, 0),
                   gate(GateKind.H, 1), gate(GateKind.CX, 0, 1),
                   gate(GateKind.T, 0)]
-        before = compiled(prefix, n=2)
+        before = compiled(prefix, n_input=2)
         x, z = before.sweep.x, before.sweep.z
         a, b = before.output_nodes
         assert all((x[a], z[a], x[b], z[b])) and (x[a], z[a]) != (x[b], z[b])
         g = Gate(kind, (0, 1)[:ARITY[kind]], 0.3 if kind in ANGLED else None)
-        assert_matches_replay(compiled(prefix + [g], n=2))
+        assert_matches_replay(compiled(prefix + [g], n_input=2))
 
     @settings(max_examples=40, deadline=None)
     @given(any_circuits())
@@ -508,7 +506,7 @@ class TestOneSweepFrames:
             assert not touches(frame) & set(measured[:j + 1])
 
     def test_qft_frames_touch_only_nodes_measured_later(self):
-        cw = compile_widget(transpile(generate_qft(8)))
+        cw = compiled(generate_qft(8))
         measured = [m.node for m in cw.measurements]
         assert list(cw.frames) == measured
         for j, frame in enumerate(cw.frames.values()):
@@ -582,7 +580,7 @@ class TestConsumptionLayers:
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_qft_matches_rescanning_reference(self, n):
-        cw = compile_widget(transpile(generate_qft(n)))
+        cw = compiled(generate_qft(n))
         assert cw.consump_schedule == layers_by_rescan(
             cw.measurements, cw.frames)
         assert len(cw.consump_schedule) > 1
@@ -601,7 +599,7 @@ class TestConsumptionLayers:
                 _layer_consumption(list(range(len(preds))), preds)
 
     def test_matches_kahn_layering_on_compiled_widgets(self):
-        cw = compile_widget(transpile(generate_qft(12)))
+        cw = compiled(generate_qft(12))
         assert cw.consump_schedule == layers_by_kahn(cw.measurements,
                                                      cw.frames)
 

@@ -915,6 +915,31 @@ class TestTimingMatchesPerCallOracle:
             dataclasses.replace(cfg, n_inter_pipes=int(row.label)),
             algo, sel, fresh)["t_hardware_total"] for row in rows)
 
+    def test_timing_follows_the_rounds_tuple(self, two_module_nested,
+                                             monkeypatch):
+        """compute_timing reads the pipe count through
+        ``_TimingInputs.pipe_rounds`` alone: handed a changed tuple, its
+        handover and preparation-delay terms follow the tuple, not the
+        config's pipe count. On this fixture every preparation crossing is
+        a single one, so no real pipe count changes those rounds."""
+        cfg, algo, sel, _ = two_module_nested
+        slow = dataclasses.replace(cfg, t_inter=1e-4)
+        *prep, handover = algo.timing_inputs(sel.layout).pipe_rounds(1)
+        assert prep and handover
+        base = compute_timing(slow, algo, sel)
+        timings = []
+        for extra in (0, 10, 1000):
+            rounds = (*(r + extra for r in prep), 3 * handover + extra)
+            monkeypatch.setattr(estimator._TimingInputs, "pipe_rounds",
+                                lambda self, n_inter_pipes: rounds)
+            timing = compute_timing(slow, algo, sel)
+            assert timing.t_handover_inter_total == (
+                8.0 * slow.t_inter * sel.d * rounds[-1])
+            timings.append(timing)
+        assert timings[0].t_prep_delay_total == base.t_prep_delay_total
+        assert (base.t_prep_delay_total < timings[1].t_prep_delay_total
+                < timings[2].t_prep_delay_total)
+
     def test_pipe_sweep_reads_each_widget_once(self, wide_algo, monkeypatch):
         decode = compiler._decode
         monkeypatch.setattr(compiler, "_decode",

