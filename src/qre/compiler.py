@@ -39,7 +39,7 @@ but does not decode: the counts come from the separators, and the values
 are decoded on first read, which only a layout with more than one module
 per leg makes. The records' sequence totals are the estimator's
 (``CompiledAlgorithm.est``). Beside the set records the cache keeps one
-``PlanRecord`` per input file and split thresholds (``load_plan``/
+``PlanRecord`` per input file and split budget (``load_plan``/
 ``save_plan``), columnar too; both kinds share one atomic write and one
 validated read.
 The fields that only verification and the tests read are derived on first
@@ -74,7 +74,7 @@ from .circuit import (
 from .prepsched import PrepSchedule
 from .stabilizer import PauliRows, bits, graph_form
 from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
-from .widgetizer import PlanRecord, SplitCriterion
+from .widgetizer import PlanRecord
 
 CACHE_ENV = "QRE_CACHE_DIR"
 CACHE_FORMAT = 8
@@ -86,8 +86,9 @@ CACHE_FORMAT = 8
 # slices a flat block up to its largest moment, where rule 4 stopped at the
 # last gate's moment and dropped the gates past it; rule 6 rejects a flat
 # QASM file with no register or an empty one, which rule 5 sized as 1 qubit;
-# rule 7 splits flat QASM and cuts gate lists in gate order.
-PLAN_RULE = 7
+# rule 7 splits flat QASM and cuts gate lists in gate order; rule 8 cuts by
+# gate count alone, where rule 7 also cut at 64 active qubits.
+PLAN_RULE = 8
 
 
 class CompileError(ValueError):
@@ -552,12 +553,11 @@ def _check_texts(texts: list, end: str) -> None:
         raise TypeError("malformed text")
 
 
-def plan_key(source_digest: str, criterion: SplitCriterion) -> str:
+def plan_key(source_digest: str, max_gates: int) -> str:
     """Key of one input's plan record under ``CACHE_FORMAT`` and
     ``PLAN_RULE``: the full sha256 of the input file's bytes and the split
-    thresholds, which together fix the plan."""
-    text = (f"v{CACHE_FORMAT}|plan{PLAN_RULE}|a{criterion.max_active_qubits}"
-            f"|g{criterion.max_gates}|{source_digest}")
+    budget, which together fix the plan."""
+    text = f"v{CACHE_FORMAT}|plan{PLAN_RULE}|g{max_gates}|{source_digest}"
     return hashlib.sha256(text.encode()).hexdigest()
 
 

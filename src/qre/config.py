@@ -50,11 +50,12 @@ class ArchConfig:
     qubit_pitch: float = 1e-3        # physical qubit pitch (m)
     couplers_per_qubit: float = 2.0
     fan_out: int = 4                 # preparation MPPO fan-out cap
-    max_active_qubits: int = 64      # widgetization split thresholds
-    max_gates: int = 4096
-    # Read by nothing and not settable; kept only so that repr(config), whose
-    # sha256 every report prints as its config_hash, stays as the benchmark
-    # pins it.
+    # max_active_qubits and slice_moments are read by nothing and cannot be
+    # set; they stay, in this order around max_gates, only so that
+    # repr(config), whose sha256 every report prints as its config_hash,
+    # stays as the benchmark pins it.
+    max_active_qubits: int = field(default=64, init=False)
+    max_gates: int = 4096            # widgetization split budget
     slice_moments: int = field(default=16, init=False)
     # thermal model
     thermal: ThermalConfig = field(default_factory=lambda: DEFAULT_THERMAL)
@@ -103,10 +104,8 @@ class ArchConfig:
             problems.append("architecture.couplers_per_qubit must be >= 0")
         if self.fan_out < 1:
             problems.append("architecture.fan_out must be >= 1")
-        # Any one gate meets a split threshold of 1, so such a threshold
-        # fails every input that has gates.
-        if self.max_active_qubits < 2:
-            problems.append("architecture.max_active_qubits must be >= 2")
+        # Any one gate meets a split budget of 1, so such a budget fails
+        # every input that has gates.
         if self.max_gates < 2:
             problems.append("architecture.max_gates must be >= 2")
         if not self.factories:
@@ -123,19 +122,18 @@ _SECTIONS: dict[str, set[str]] = {
     "timing": {"t_inter", "t_decoder", "n_algo_reps"},
     "synthesis": {"c0", "c1", "epsilon"},
     "architecture": {"p_algo_fail", "n_inter_pipes", "qubit_pitch",
-                     "couplers_per_qubit", "fan_out", "max_active_qubits",
-                     "max_gates"},
+                     "couplers_per_qubit", "fan_out", "max_gates"},
 }
 
 # ArchConfig fields, then the integer keys of a factories row.
 _INT_FIELDS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes", "fan_out",
-               "max_active_qubits", "max_gates", "width", "length", "qubits"}
+               "max_gates", "width", "length", "qubits"}
 
 
 def _number(name: str, value, integer: bool = False):
-    """``value`` as a float, or as an int for an integer field, from a number
-    or a numeric string. Anything else, booleans, ``None`` and NaN included,
-    is a ConfigError naming ``name``."""
+    """``value`` as a finite float, or as an int for an integer field, from
+    a number or a numeric string. Anything else, booleans, ``None``, NaN and
+    the infinities included, is a ConfigError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{name}: must be a number, got {value!r}")
     if integer and isinstance(value, int):
@@ -144,8 +142,8 @@ def _number(name: str, value, integer: bool = False):
         number = float(value)
     except (ValueError, OverflowError):
         number = math.nan
-    if math.isnan(number):
-        raise ConfigError(f"{name}: must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     if not integer:
         return number
     if not number.is_integer():

@@ -7,10 +7,10 @@ provenance hashing, and parameter sweeps that re-solve or re-time one
 compiled algorithm.
 
 ``load_circuit`` builds the widget plan and expands nothing. Flat QASM
-and nested JSON are cut into widgets by the one widgetizer, under the
-configured split thresholds; a widget table's sequence is its plan. Only
-``verify_circuit`` calls ``LoadedCircuit.expand``, and it checks the plan
-against the source's own gates.
+and nested JSON are cut into widgets by the one widgetizer, into pieces
+of fewer than ``max_gates`` gates each; a widget table's sequence is its
+plan. Only ``verify_circuit`` calls ``LoadedCircuit.expand``, and it
+checks the plan against the source's own gates.
 
 ``compile_circuit`` is the one entry point of ``estimate``, ``sweep`` and
 ``compile``: it gives the compiled algorithm and the input's sha256, and
@@ -18,19 +18,19 @@ against the source's own gates.
 every sequence total the report prints. The cache holds two kinds of
 record for it. A plan record (``PlanRecord``) is keyed on the sha256 of
 the input file's bytes, which is also the report's ``circuit_hash``, and
-on the split thresholds. A widget-set record holds the ``WidgetRecord`` of
-every widget of a plan under its gate-list digest (``WidgetPlan.digest``),
-and is keyed on the sorted, distinct digests, the wire count and the
-preparation fan-out; inputs with the same widgets, such as one circuit at
-several root repeats, share it. A warm run reads the plan record and then
-the one set record it names, so it parses, widgetizes, transpiles,
-compiles and schedules nothing. If the plan record misses or is
-malformed, the run loads the source, and ``compile_plan`` reads the set
-record or else compiles every widget and writes the set record anew; then
-the plan record is written anew. If only the set record misses, the run
-loads the source, compiles every widget and writes the set record anew.
-A set record lacking one widget is a miss as a whole, so inputs whose
-widget sets only partly overlap share no record.
+on the split budget ``max_gates``. A widget-set record holds the
+``WidgetRecord`` of every widget of a plan under its gate-list digest
+(``WidgetPlan.digest``), and is keyed on the sorted, distinct digests, the
+wire count and the preparation fan-out; inputs with the same widgets, such
+as one circuit at several root repeats, share it. A warm run reads the
+plan record and then the one set record it names, so it parses,
+widgetizes, transpiles, compiles and schedules nothing. If the plan record
+misses or is malformed, the run loads the source, and ``compile_plan``
+reads the set record or else compiles every widget and writes the set
+record anew; then the plan record is written anew. If only the set
+record misses, the run loads the source, compiles every widget and writes
+the set record anew. A set record lacking one widget is a miss as a
+whole, so inputs whose widget sets only partly overlap share no record.
 ``load_circuit`` itself never reads the cache, so neither ``verify`` nor
 ``widgetize`` does. ``verify_circuit`` compiles every distinct widget
 afresh, since it needs the fields the record leaves out.
@@ -77,7 +77,6 @@ from .scalefit import SCALING_PRESETS
 from .widgetizer import (
     NestedCircuit,
     PlanRecord,
-    SplitCriterion,
     WidgetPlan,
     build_dependency_graph,
     iter_leaf_sequence,
@@ -124,9 +123,10 @@ def load_circuit(path: str | Path, config: ArchConfig,
     register, which must hold at least one qubit; JSON is either a widget
     table ({distinct_widgets, sequence}), whose sequence is the plan, or
     nested blocks ({blocks, root}). A nested circuit is widgetized under
-    the configured split thresholds. ``data`` is the file's bytes when the
-    caller has read them already. A CircuitError names the file, here
-    alone: the readers and the widgetizer say what is wrong in it."""
+    the configured split budget, ``max_gates``. ``data`` is the file's
+    bytes when the caller has read them already. A CircuitError names the
+    file, here alone: the readers and the widgetizer say what is wrong in
+    it."""
     if data is None:
         data = Path(path).read_bytes()
     try:
@@ -158,14 +158,10 @@ def _parse(data: bytes, config: ArchConfig) -> LoadedCircuit:
                 lambda: (tuple(sequence),
                          [g for wid in sequence for g in table[wid]]))
         nested = parse_nested_file(payload)
-    root = build_dependency_graph(nested, _criterion(config))
+    root = build_dependency_graph(nested, config.max_gates)
     return LoadedCircuit(
         WidgetPlan.from_root(root, nested.n_input),
         lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
-
-
-def _criterion(config: ArchConfig) -> SplitCriterion:
-    return SplitCriterion(config.max_active_qubits, config.max_gates)
 
 
 def _cache_directory(cache_dir: str | Path | None) -> str | Path | None:
@@ -200,7 +196,7 @@ def compile_circuit(
         directory = _cache_directory(cache_dir)
         record = None
         if directory:
-            key = compiler.plan_key(source_digest, _criterion(config))
+            key = compiler.plan_key(source_digest, config.max_gates)
             record = compiler.load_plan(directory, key)
             if record is not None:
                 algo = _cached_set(record, config, directory)

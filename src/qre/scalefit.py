@@ -61,8 +61,9 @@ class ScalingSample:
             raise ValueError(f"observed LER out of range: {self.p_c_obs}")
         if self.d < 1 or self.d % 2 == 0:
             raise ValueError(f"code distance must be odd and >= 1: {self.d}")
-        if self.weight <= 0:
-            raise ValueError(f"weight must be positive: {self.weight}")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError(
+                f"weight must be finite and positive: {self.weight}")
 
 
 @dataclass(frozen=True)

@@ -6,25 +6,26 @@ a ``NestedCircuit``, is split into widgets via a subcircuit dependency
 graph whose root ``WidgetPlan.from_root`` reads.
 
 A ``NestedCircuit`` validates its blocks in one walk, which also records
-each block's active qubits and expanded gate count (``stats``); the builder
-reads them and walks no block again to size it. Blocks are expanded
-depth-first; a node that violates the split criterion is decomposed into
-one child per run of consecutive gates and one per invocation of another
-block, leaving out each invocation of a block with no gates. A run of
-gates is cut in gate order into contiguous pieces, each closed when its
-next gate would make it violate the criterion, so a split never reorders
-gates and a piece holds one gate only when the next would break it. Each
-node folds its children's widget and stitch multiplicities as it is built,
-with repeat counts kept symbolic, so the root's are exact Python integers
-even for billions of expanded gates, computed without materializing the
-leaf sequence. Leaves with equal gate lists, qubits included (equal
-``gate_list_digest``), are built once and shared, so a widget always acts
-on the qubits its gates name; ids number the leaves only. A leaf gets its
-digest when a second leaf is compared with it, so a plan of one widget,
-such as a flat QASM file under the thresholds, digests nothing while it is
-built. A plan keeps each digest it knows, and ``WidgetPlan.digest``
-computes the others on first use, which only the widget cache makes: it
-derives its key from the digests.
+each block's expanded gate count (``stats``); the builder reads them and
+walks no block again to size it. The one split budget is ``max_gates``:
+every widget is compiled on all ``n_input`` wires, so a widget's width is
+no reason to cut it. Blocks are expanded depth-first; a node of
+``max_gates`` or more expanded gates is decomposed into one child per run
+of consecutive gates and one per invocation of another block, leaving out
+each invocation of a block with no gates. A run of gates is cut in gate
+order into consecutive pieces of ``max_gates - 1`` gates, the last holding
+the rest, so a split never reorders gates. Each node folds its children's
+widget and stitch multiplicities as it is built, with repeat counts kept
+symbolic, so the root's are exact Python integers even for billions of
+expanded gates, computed without materializing the leaf sequence. Leaves
+with equal gate lists, qubits included (equal ``gate_list_digest``), are
+built once and shared, so a widget always acts on the qubits its gates
+name; ids number the leaves only. A leaf gets its digest when a second
+leaf is compared with it, so a plan of one widget, such as a flat QASM
+file under the budget, digests nothing while it is built. A plan keeps
+each digest it knows, and ``WidgetPlan.digest`` computes the others on
+first use, which only the widget cache makes: it derives its key from the
+digests.
 
 A ``WidgetPlan`` is a ``PlanRecord``, the gate-free part that estimation
 reads and the plan cache stores, plus each widget's gate list.
@@ -80,10 +81,9 @@ class NestedCircuit:
     blocks: dict[str, list[BodyItem]]
     root: str
 
-    # Each block's (active qubit set, fully expanded gate count) for one
-    # repetition, recorded by the validating walk; never materializes repeats.
-    stats: dict[str, tuple[frozenset[int], int]] = field(
-        init=False, repr=False, compare=False)
+    # Each block's fully expanded gate count for one repetition, recorded by
+    # the validating walk; never materializes repeats.
+    stats: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         """Validate the blocks in one post-order walk over them all, which
@@ -103,20 +103,18 @@ class NestedCircuit:
             if start in stats:
                 continue
             path = {start}
-            # name, items left, qubits, gates, depth below, repeat in caller
-            stack = [[start, iter(blocks[start]), set(), 0, 0, 1]]
+            # name, items left, gates, depth below, repeat in caller
+            stack = [[start, iter(blocks[start]), 0, 0, 1]]
             while stack:
                 frame = stack[-1]
                 for item in frame[1]:
                     if isinstance(item, Gate):
-                        frame[2].update(item.qubits)
-                        frame[3] += 1
+                        frame[2] += 1
                         continue
                     ref = item.name
                     if ref in stats:
-                        frame[2] |= stats[ref][0]
-                        frame[3] += item.repeat * stats[ref][1]
-                        frame[4] = max(frame[4], depth[ref] + 1)
+                        frame[2] += item.repeat * stats[ref]
+                        frame[3] = max(frame[3], depth[ref] + 1)
                     elif ref in path:
                         raise CircuitError(
                             f"cyclic block reference through {ref!r}")
@@ -125,24 +123,23 @@ class NestedCircuit:
                             f"block {frame[0]!r} references undefined {ref!r}")
                     else:
                         path.add(ref)
-                        stack.append([ref, iter(blocks[ref]), set(), 0, 0,
+                        stack.append([ref, iter(blocks[ref]), 0, 0,
                                       item.repeat])
                         break
                 else:
-                    name, _, qubits, n_gates, below, repeat = stack.pop()
+                    name, _, n_gates, below, repeat = stack.pop()
                     path.remove(name)
-                    stats[name] = (frozenset(qubits), n_gates)
+                    stats[name] = n_gates
                     depth[name] = below
                     if stack:  # fold into the caller's frame
-                        stack[-1][2] |= qubits
-                        stack[-1][3] += repeat * n_gates
-                        stack[-1][4] = max(stack[-1][4], below + 1)
+                        stack[-1][2] += repeat * n_gates
+                        stack[-1][3] = max(stack[-1][3], below + 1)
         if depth[self.root] > MAX_NESTING_DEPTH:
             raise CircuitError(
                 f"block {self.root!r} nests {depth[self.root]} levels of "
                 f"block references, beyond the limit of {MAX_NESTING_DEPTH}")
-        width = max((max(qubits) + 1 for qubits, _ in stats.values()
-                     if qubits), default=0)
+        width = circuit_width([item for body in blocks.values()
+                               for item in body if isinstance(item, Gate)])
         if width > self.n_input:
             raise CircuitError(f"gates touch qubit {width - 1}, beyond n_input={self.n_input}")
 
@@ -156,27 +153,6 @@ class NestedCircuit:
             else:
                 out.extend(self.flatten(item.name) * item.repeat)
         return out
-
-
-@dataclass(frozen=True)
-class SplitCriterion:
-    """Thresholds deciding when a subcircuit must be split further.
-
-    A node is split when active_qubits >= max_active_qubits or its fully
-    expanded gate count >= max_gates.
-    """
-
-    max_active_qubits: int
-    max_gates: int
-
-    def __post_init__(self) -> None:
-        if min(self.max_active_qubits, self.max_gates) < 2:
-            raise CircuitError(
-                "split-criterion thresholds must all be >= 2: any one gate "
-                "meets a threshold of 1, so no split could satisfy it")
-
-    def violated_by(self, active_qubits: int, n_gates: int) -> bool:
-        return active_qubits >= self.max_active_qubits or n_gates >= self.max_gates
 
 
 @dataclass(eq=False)
@@ -253,9 +229,9 @@ class SubcircuitNode:
 
 
 class _Builder:
-    def __init__(self, circ: NestedCircuit, criterion: SplitCriterion):
+    def __init__(self, circ: NestedCircuit, max_gates: int):
         self.circ = circ
-        self.criterion = criterion
+        self.max_gates = max_gates
         self.leaves: dict[str, SubcircuitNode] = {}  # by gate_list_digest
         self.first_leaf: SubcircuitNode | None = None
         self.block_nodes: dict[str, SubcircuitNode] = {}
@@ -263,52 +239,35 @@ class _Builder:
     def build_block(self, name: str) -> SubcircuitNode:
         if name in self.block_nodes:
             return self.block_nodes[name]
-        qubit_set, n_gates = self.circ.stats[name]
-        body = self.circ.blocks[name]
-        if not self.criterion.violated_by(len(qubit_set), n_gates):
+        stats = self.circ.stats
+        if stats[name] < self.max_gates:
             node = self.build_leaf(self.circ.flatten(name))
         else:
             # Each run of consecutive gates is cut as one gate list. A block
             # with no gates adds no widget; the body has gates, since it
-            # violates the criterion, so at least one child stays.
+            # is over the budget, so at least one child stays.
             children: list[tuple[SubcircuitNode, int]] = []
-            for is_gate, run in groupby(
-                    body, lambda item: isinstance(item, Gate)):
+            for is_gate, run in groupby(self.circ.blocks[name],
+                                        lambda item: isinstance(item, Gate)):
                 if is_gate:
-                    children.append((self.build_gate_list(run), 1))
+                    children.append((self.build_gate_list(tuple(run)), 1))
                 else:
                     children += [(self.build_block(ref.name), ref.repeat)
-                                 for ref in run if self.circ.stats[ref.name][1]]
+                                 for ref in run if stats[ref.name]]
             node = SubcircuitNode(children=children)
         self.block_nodes[name] = node
         return node
 
-    def build_gate_list(self, gates: Iterable[Gate]) -> SubcircuitNode:
-        """The leaf of ``gates`` when they meet the criterion; otherwise a
-        node over contiguous pieces of them in gate order, each closed when
-        its next gate would make it violate the criterion."""
-        violated_by = self.criterion.violated_by
-        pieces: list[list[Gate]] = []
-        piece: list[Gate] = []
-        active: set[int] = set()
-        for g in gates:
-            if piece and violated_by(len(active.union(g.qubits)),
-                                     len(piece) + 1):
-                pieces.append(piece)
-                piece, active = [], set()
-            piece.append(g)
-            active.update(g.qubits)
-            if len(piece) == 1 and violated_by(len(active), 1):
-                crit = self.criterion
-                raise CircuitError(
-                    f"gate {g!r} alone violates the split criterion "
-                    f"(max_active_qubits {crit.max_active_qubits}, max_gates "
-                    f"{crit.max_gates}); cannot split further")
-        pieces.append(piece)
-        if len(pieces) == 1:
-            return self.build_leaf(piece)
-        return SubcircuitNode(children=[(self.build_leaf(p), 1)
-                                        for p in pieces])
+    def build_gate_list(self, gates: tuple[Gate, ...]) -> SubcircuitNode:
+        """The leaf of ``gates`` when they are under the budget; otherwise a
+        node over consecutive pieces of ``max_gates - 1`` of them in gate
+        order, the last holding the rest."""
+        size = self.max_gates - 1
+        if len(gates) <= size:
+            return self.build_leaf(gates)
+        return SubcircuitNode(children=[
+            (self.build_leaf(gates[i:i + size]), 1)
+            for i in range(0, len(gates), size)])
 
     def build_leaf(self, gates: Sequence[Gate]) -> SubcircuitNode:
         """The one leaf of ``gates``, shared by every equal gate list. The
@@ -330,11 +289,15 @@ class _Builder:
         return leaf
 
 
-def build_dependency_graph(circ: NestedCircuit, criterion: SplitCriterion) -> SubcircuitNode:
-    """Recursively split the circuit's root block until every leaf satisfies
-    the criterion, sharing equal leaves, and return the root node, which
-    carries the whole circuit's multiplicities."""
-    return _Builder(circ, criterion).build_block(circ.root)
+def build_dependency_graph(circ: NestedCircuit, max_gates: int) -> SubcircuitNode:
+    """Recursively split the circuit's root block until every leaf holds
+    fewer than ``max_gates`` gates, sharing equal leaves, and return the
+    root node, which carries the whole circuit's multiplicities."""
+    if max_gates < 2:
+        raise CircuitError(
+            f"max_gates must be >= 2, got {max_gates}: any one gate meets a "
+            f"threshold of 1, so no split could satisfy it")
+    return _Builder(circ, max_gates).build_block(circ.root)
 
 
 def iter_leaf_sequence(root: SubcircuitNode) -> Iterator[str]:
@@ -359,7 +322,7 @@ class PlanRecord:
     count, each widget's multiplicity and ``gate_list_digest`` in plan
     order, the ordered-pair stitch multiset, and the first/last widgets of
     the sequence. It is the value the plan cache stores (one record per
-    input file and split thresholds), and a warm run estimates from it and
+    input file and split budget), and a warm run estimates from it and
     the widget records alone."""
 
     n_input: int

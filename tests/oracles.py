@@ -1022,23 +1022,19 @@ def parse_nested_per_item(payload):
 # --------------------------------------------------------------------------
 
 def block_stats(blocks, name, memo):
-    """(active qubit set, fully expanded gate count) of one repetition of
-    block ``name``, by recursion over its references, memoized in
-    ``memo``. Never materializes repeats."""
+    """The fully expanded gate count of one repetition of block ``name``,
+    by recursion over its references, memoized in ``memo``. Never
+    materializes repeats."""
     if name in memo:
         return memo[name]
-    qubits = set()
     count = 0
     for item in blocks[name]:
         if hasattr(item, "qubits"):
-            qubits.update(item.qubits)
             count += 1
         else:
-            sub_q, sub_n = block_stats(blocks, item.name, memo)
-            qubits.update(sub_q)
-            count += item.repeat * sub_n
-    stats = memo[name] = (frozenset(qubits), count)
-    return stats
+            count += item.repeat * block_stats(blocks, item.name, memo)
+    memo[name] = count
+    return count
 
 
 def expanded_kind_counts(blocks, name, memo):

@@ -9,12 +9,13 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = PERFBENCH / "workloads.py"
 REFS = PERFBENCH / "refs.json"
 
-# Split criteria (max_active_qubits, max_gates) that the pool circuits'
-# plans are pinned and checked under, the default first, by label. A
-# label's third number is the moment-slice size that an earlier split rule
-# read; the labels key the pins in plan_sha256.json and name the tests.
-SPLIT_CRITERIA = {"64,4096,16": (64, 4096), "400,7,2": (400, 7),
-                  "4,50,1": (4, 50), "64,30,3": (64, 30)}
+# Split budgets (max_gates) that the pool circuits' plans are pinned and
+# checked under, the default first, by label. A label's first number is an
+# active-qubit threshold and its third a moment-slice size, both read by
+# earlier split rules and retired; the labels key the pins in
+# plan_sha256.json and name the tests.
+SPLIT_CRITERIA = {"64,4096,16": 4096, "400,7,2": 7, "4,50,1": 50,
+                  "64,30,3": 30}
 
 
 def _workloads():

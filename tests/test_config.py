@@ -136,10 +136,23 @@ class TestSections:
             ArchConfig(slice_moments=4)
         assert "max_gates=4096, slice_moments=16, thermal=" in repr(cfg)
 
-    @pytest.mark.parametrize("key", ["max_active_qubits", "max_gates"])
+    def test_max_active_qubits_is_no_longer_read(self):
+        """A config that sets the retired active-qubit threshold gets the
+        unknown-key warning and the defaults; the field cannot be set, and
+        stays in the repr that config_hash reads."""
+        with pytest.warns(UserWarning, match=r"^cfg\.yaml: unknown key "
+                          r"architecture\.max_active_qubits ignored$"):
+            cfg = config_from_mapping(
+                {"architecture": {"max_active_qubits": 4}}, source="cfg.yaml")
+        assert cfg == ArchConfig()
+        with pytest.raises(TypeError, match="max_active_qubits"):
+            ArchConfig(max_active_qubits=4)
+        assert "max_active_qubits=64, max_gates=4096," in repr(cfg)
+
+    @pytest.mark.parametrize("key", ["max_gates"])
     def test_split_threshold_of_one_fails(self, key):
-        """Any one gate meets a split threshold of 1, so it would fail
-        every input with gates; 2 is accepted."""
+        """Any one gate meets a split budget of 1, so it would fail every
+        input with gates; 2 is accepted."""
         with pytest.raises(ConfigError, match=rf"architecture\.{key} must "
                            r"be >= 2"):
             config_from_mapping({"architecture": {key: 1}})
@@ -217,6 +230,29 @@ class TestBadValues:
         assert main(["estimate", str(circuit), "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "synthesis.c0" in err and "synthesis.c1" in err
+
+    @pytest.mark.parametrize("value", [".inf", "-.inf"])
+    @pytest.mark.parametrize("key", [
+        "physical.t", "timing.t_inter", "timing.t_decoder",
+        "architecture.qubit_pitch", "architecture.couplers_per_qubit",
+        "thermal.eta_4k", "thermal.p_decoding_core",
+        "thermal.lines.xy_control.load_4k", "scaling.kappa"])
+    def test_cli_exits_invalid_on_an_infinite_value(self, tmp_path, capsys,
+                                                    key, value):
+        """An infinite value is refused where it is read, naming its key.
+        Without the check these ran to a NaN-to-integer error, an
+        OverflowError traceback from the report, or no feasible distance."""
+        from qre.cli import main
+        *sections, name = key.split(".")
+        path = tmp_path / "cfg.yaml"
+        path.write_text("".join(f"{'  ' * i}{section}:\n"
+                                for i, section in enumerate(sections))
+                        + f"{'  ' * len(sections)}{name}: {value}\n")
+        circuit = tmp_path / "qft3.qasm"
+        circuit.write_text(emit_qasm(generate_qft(3), 3))
+        assert main(["estimate", str(circuit), "--config", str(path)]) == 2
+        assert (f"{path}: {key}: must be a finite number, got "
+                f"{float(value.replace('.', ''))!r}") in capsys.readouterr().err
 
     def test_invariant_error_names_the_source(self):
         """A value that parses but breaks an invariant names the file, as a

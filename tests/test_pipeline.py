@@ -78,15 +78,6 @@ class TestLoadDispatch:
         assert loaded.plan.n_widgets == 1
         assert loaded.expand()[0] == ("n0",)
 
-    def test_unsplittable_gate_names_the_file(self, tmp_path):
-        path = tmp_path / "ccx.qasm"
-        path.write_text("qreg q[3];\nccx q[0],q[1],q[2];\n")
-        with pytest.raises(CircuitError) as info:
-            load_circuit(path, ArchConfig(max_active_qubits=3))
-        assert str(info.value) == (
-            f"{path}: gate CCX(0,1,2) alone violates the split criterion "
-            f"(max_active_qubits 3, max_gates 4096); cannot split further")
-
     H = {"gate": "h", "qubits": [0]}
     BAD_INPUTS = {
         "qasm": ("bad.qasm", "qreg q[1];\nfoo q[0];\n", {}),
@@ -102,8 +93,6 @@ class TestLoadDispatch:
             "main": [H, {"gate": "cx", "qubits": [-1, 0]}]}}), {}),
         "nested-structure": ("bad.json", json.dumps({"blocks": {
             "main": [H, {"block": "a"}], "a": [{"block": "main"}]}}), {}),
-        "unsplittable": ("ccx.qasm", "qreg q[3];\nccx q[0],q[1],q[2];\n",
-                         {"max_active_qubits": 3}),
         "utf8-qasm": ("bad.qasm", b"\xffqreg q[1];\nh q[0];\n", {}),
         "utf8-json": ("bad.json",
                       b'{"blocks": {"main": [{"gate": "h\xff", "qubits": [0]}]}}',
@@ -1076,12 +1065,12 @@ class TestPlanRecord:
         compile_circuit(narrow, config, cache)
         old = compiler.load_plan(cache, compiler.plan_key(
             hashlib.sha256(narrow.read_bytes()).hexdigest(),
-            pipeline._criterion(config)))
+            config.max_gates))
         for old_rule in (1, 2, 3, 4, 5):
             monkeypatch.setattr(compiler, "PLAN_RULE", old_rule)
             compiler.save_plan(cache, compiler.plan_key(
                 hashlib.sha256(wide.read_bytes()).hexdigest(),
-                pipeline._criterion(config)), old)
+                config.max_gates), old)
         monkeypatch.undo()
         report = run_estimate(wide, cache_dir=cache).report
         assert report.value(15) == 40
@@ -1104,7 +1093,7 @@ class TestPlanRecord:
         monkeypatch.setattr(compiler, "PLAN_RULE", 5)
         compiler.save_plan(cache, compiler.plan_key(
             hashlib.sha256(path.read_bytes()).hexdigest(),
-            pipeline._criterion(config)), plan)
+            config.max_gates), plan)
         assert run_estimate(path, cache_dir=cache).report.value(15) == 1
         monkeypatch.undo()
         with pytest.raises(CircuitError, match="needs a qreg of at least 1"):
@@ -1522,23 +1511,36 @@ class TestReportInvariants:
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_flat_and_one_block_nested_wide_qft_agree(self, tmp_path, n):
-        """QFT-64 and QFT-128 reach the active-qubit threshold, so both
-        inputs are cut, and cut alike."""
+        """QFT-64 stays one widget; QFT-128's 8320 gates reach the gate
+        budget, so its flat and nested inputs are both cut, and cut
+        alike."""
         self.assert_flat_and_nested_agree(emit_qasm(generate_qft(n), n),
                                           tmp_path)
 
-    def test_flat_qft64_split_rows(self, tmp_path):
-        """QFT-64 as flat QASM under the default criterion: the cut at 63
-        active qubits gives 5 widgets, each compiled on all 64 wires, and
-        every internal boundary charges a handover. Pinned so that a change
-        to the cut or to handover costs fails here, not only moves flat and
-        nested input together."""
-        path = tmp_path / "qft64.qasm"
-        path.write_text(emit_qasm(generate_qft(64), 64))
+    def test_flat_qft128_split_rows(self, tmp_path):
+        """QFT-128 as flat QASM under the default budget: its 8320 gates
+        are cut into 3 widgets of at most 4095, each compiled on all 128
+        wires, and every internal boundary charges a handover. Pinned so
+        that a change to the cut or to handover costs fails here, not only
+        moves flat and nested input together."""
+        path = tmp_path / "qft128.qasm"
+        path.write_text(emit_qasm(generate_qft(128), 128))
         report = run_estimate(path).report
-        assert [report.value(k) for k in (1, 22, 25, 26)] == [19, 5796, 5, 5]
-        assert report.value(43) == pytest.approx(0.053504, rel=1e-12)
-        assert report.value(48) == pytest.approx(2.1011432, rel=1e-12)
+        assert [report.value(k) for k in (1, 22, 25, 26)] == [19, 13540, 3, 3]
+        assert report.value(43) == pytest.approx(0.108832, rel=1e-12)
+        assert report.value(48) == pytest.approx(3.8260718, rel=1e-12)
+
+    def test_smaller_gate_budget_gives_a_smaller_machine(self, tmp_path):
+        """Flat QFT-128 under ``max_gates: 256``: 33 widgets on a
+        2-module machine, against the default budget's 3 widgets on 16
+        modules. The gate budget alone trades run time for machine size."""
+        path = tmp_path / "qft128.qasm"
+        path.write_text(emit_qasm(generate_qft(128), 128))
+        config_path = tmp_path / "budget.yaml"
+        config_path.write_text("architecture:\n  max_gates: 256\n")
+        report = run_estimate(path, config_path).report
+        assert [report.value(k) for k in (1, 2, 12, 25)] == [17, 594, 2, 33]
+        assert report.value(48) == pytest.approx(4.80857, rel=1e-12)
 
     def test_cold_qft256_estimate_peaks_under_100_mb(self, tmp_path):
         """A cold QFT-256 estimate in a fresh interpreter keeps its peak
@@ -1594,12 +1596,12 @@ class TestReportInvariants:
     @pytest.mark.parametrize("sub_seed", [3, 7])
     def test_splits_keep_the_gate_totals(self, sub_seed, pool_cache,
                                          tmp_path):
-        """Under every pinned split criterion the plan keeps n_input and
+        """Under every pinned split budget the plan keeps n_input and
         the T, Rz and Clifford totals of the default one."""
         payload = json.loads(benchmark_pool_circuit(sub_seed))
         totals = set()
-        for active, max_gates in SPLIT_CRITERIA.values():
-            config = ArchConfig(max_active_qubits=active, max_gates=max_gates)
+        for max_gates in SPLIT_CRITERIA.values():
+            config = ArchConfig(max_gates=max_gates)
             est = self.pool_est(payload, config, pool_cache, tmp_path)
             totals.add((est.n_input, est.n_T_init, est.n_Rz_init,
                         est.n_clifford_init))

@@ -158,6 +158,16 @@ class TestCsvReader:
         with pytest.raises(FitError, match="row 1"):
             read_samples_csv(path)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_names_the_row(self, tmp_path, weight):
+        """A NaN weight used to fail the fit with "SVD did not converge",
+        and an infinite one as a singular fit; both name their row."""
+        path = tmp_path / "bad.csv"
+        path.write_text(f"p,d,ler,weight\n1e-3,3,2e-5,1\n2e-3,5,4e-6,{weight}\n")
+        with pytest.raises(FitError, match=rf"^{path}: row 3: weight must be "
+                           rf"finite and positive: {weight}$"):
+            read_samples_csv(path)
+
     def test_roundtrip_through_fit(self, tmp_path):
         path = tmp_path / "samples.csv"
         lines = ["p,d,ler"]

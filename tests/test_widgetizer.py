@@ -32,7 +32,6 @@ from qre.widgetizer import (
     BlockRef,
     NestedCircuit,
     PlanRecord,
-    SplitCriterion,
     WidgetPlan,
     build_dependency_graph,
     iter_leaf_sequence,
@@ -70,13 +69,13 @@ def h_chain(qubit, n):
 class TestBuild:
     def test_flat_small_circuit_single_leaf(self):
         circ = NestedCircuit(2, {"main": h_chain(0, 10)}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 100))
+        root = build_dependency_graph(circ, 100)
         assert root.is_leaf
         assert len(root.gates) == 10
 
     def test_cut_closes_each_piece_before_it_breaks_the_criterion(self):
         circ = NestedCircuit(1, {"main": h_chain(0, 10)}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 4))
+        root = build_dependency_graph(circ, 4)
         plan = WidgetPlan.from_root(root, n_input=1)
         assert [len(plan.widgets[wid]) for wid in iter_leaf_sequence(root)
                 ] == [3, 3, 3, 1]
@@ -89,36 +88,29 @@ class TestBuild:
                 gate(GateKind.X, 0), gate(GateKind.CX, 1, 2),
                 gate(GateKind.T, 1)]
         circ = NestedCircuit(3, {"main": body}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(64, 3))
+        root = build_dependency_graph(circ, 3)
         plan = WidgetPlan.from_root(root, n_input=3)
         assert (plan.n_widgets, plan.n_distinct_widgets) == (3, 3)
         assert [plan.widgets[wid] for wid in iter_leaf_sequence(root)] == [
             tuple(body[0:2]), tuple(body[2:4]), tuple(body[4:6])]
 
-    def test_single_gate_too_large(self):
-        circ = NestedCircuit(3, {"main": [gate(GateKind.CCX, 0, 1, 2)]}, "main")
-        with pytest.raises(CircuitError, match="cannot split further"):
-            build_dependency_graph(circ, SplitCriterion(2, 100))
-
-    @pytest.mark.parametrize("thresholds", [(1, 4096), (64, 1), (0, 2)])
-    def test_threshold_below_two_is_refused(self, thresholds):
-        """Any one gate meets a threshold of 1, so the criterion refuses
-        it, as ``ArchConfig.validate`` does."""
+    @pytest.mark.parametrize("max_gates", [1, 0])
+    def test_threshold_below_two_is_refused(self, max_gates):
+        """Any one gate meets a budget of 1, so the builder refuses it, as
+        ``ArchConfig.validate`` does."""
+        circ = NestedCircuit(1, {"main": h_chain(0, 3)}, "main")
         with pytest.raises(CircuitError,
                            match="any one gate meets a threshold of 1"):
-            SplitCriterion(*thresholds)
+            build_dependency_graph(circ, max_gates)
 
-    def test_one_h_layer_on_128_wires_gives_3_widgets(self):
-        """Under the default criterion a piece closes at 63 active
-        qubits: 63 + 63 + 2 gates, not one widget per gate."""
+    def test_one_h_layer_on_128_wires_gives_1_widget(self):
+        """The budget counts gates alone: 128 gates on 128 wires are under
+        the default 4096, so they stay one widget however many wires they
+        touch."""
         gates = [gate(GateKind.H, q) for q in range(128)]
         circ = NestedCircuit(128, {"main": gates}, "main")
-        config = ArchConfig()
-        root = build_dependency_graph(circ, SplitCriterion(
-            config.max_active_qubits, config.max_gates))
-        plan = WidgetPlan.from_root(root, n_input=128)
-        assert [len(plan.widgets[wid]) for wid in iter_leaf_sequence(root)
-                ] == [63, 63, 2]
+        root = build_dependency_graph(circ, ArchConfig().max_gates)
+        assert root.is_leaf and root.gates == tuple(gates)
 
     def test_gate_run_of_a_mixed_block_is_one_widget(self):
         """A split block that mixes gates and block references cuts each
@@ -127,7 +119,7 @@ class TestBuild:
         circ = NestedCircuit(2, {"main": [*run, BlockRef("a", 2),
                                           gate(GateKind.S, 1)],
                                  "a": [gate(GateKind.T, 1)]}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(64, 5))
+        root = build_dependency_graph(circ, 5)
         plan = WidgetPlan.from_root(root, n_input=2)
         assert [plan.widgets[wid] for wid in iter_leaf_sequence(root)] == [
             tuple(run), (gate(GateKind.T, 1),), (gate(GateKind.T, 1),),
@@ -139,32 +131,26 @@ class TestBuild:
                 (GateKind.H, 3), (GateKind.T, 4), (GateKind.CX, 0, 1),
                 (GateKind.CX, 2, 5), (GateKind.CZ, 3, 4), (GateKind.CX, 5, 0)]),
                min_size=1, max_size=40),
-           st.integers(3, 7), st.integers(2, 8))
-    def test_cut_of_random_gate_lists(self, items, max_active, max_gates):
-        """Each widget meets the criterion, the widgets' gates in plan
-        order are the source list, and each piece but the last breaks the
-        criterion once its successor's first gate is added."""
+           st.integers(2, 8))
+    def test_cut_of_random_gate_lists(self, items, max_gates):
+        """The widgets' gates in plan order are the source list, and every
+        piece but the last holds exactly ``max_gates - 1`` gates, the last
+        at least one and at most that many."""
         gates = [gate(*item) for item in items]
-        criterion = SplitCriterion(max_active, max_gates)
         circ = NestedCircuit(6, {"main": gates}, "main")
-        root = build_dependency_graph(circ, criterion)
+        root = build_dependency_graph(circ, max_gates)
         plan = WidgetPlan.from_root(root, n_input=6)
         pieces = [plan.widgets[wid] for wid in iter_leaf_sequence(root)]
-
-        def violated(piece):
-            return criterion.violated_by(
-                len({q for g in piece for q in g.qubits}), len(piece))
-        assert not any(map(violated, pieces))
         assert [g for piece in pieces for g in piece] == gates
-        assert all(violated(piece + nxt[:1])
-                   for piece, nxt in zip(pieces, pieces[1:]))
+        assert all(len(piece) == max_gates - 1 for piece in pieces[:-1])
+        assert 1 <= len(pieces[-1]) <= max_gates - 1
 
     def test_leaves_on_different_qubits_stay_distinct(self):
         a = [gate(GateKind.H, 0), gate(GateKind.CX, 0, 1), gate(GateKind.T, 1)]
         b = [gate(GateKind.H, 2), gate(GateKind.CX, 2, 0), gate(GateKind.T, 0)]
         circ = NestedCircuit(3, {"main": [BlockRef("a"), BlockRef("b")],
                                  "a": a, "b": b}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(64, 4))
+        root = build_dependency_graph(circ, 4)
         plan = WidgetPlan.from_root(root, n_input=3)
         assert (plan.n_widgets, plan.n_distinct_widgets) == (2, 2)
         assert [plan.widgets[plan.first], plan.widgets[plan.last]] == [
@@ -174,7 +160,7 @@ class TestBuild:
         body = [gate(GateKind.H, 1), gate(GateKind.T, 1)]
         circ = NestedCircuit(2, {"main": [BlockRef("a"), BlockRef("b")],
                                  "a": list(body), "b": list(body)}, "main")
-        root = build_dependency_graph(circ, SplitCriterion(64, 3))
+        root = build_dependency_graph(circ, 3)
         plan = WidgetPlan.from_root(root, n_input=2)
         assert (plan.n_widgets, plan.n_distinct_widgets) == (2, 1)
 
@@ -260,10 +246,10 @@ def two_level_repeats():
 
 
 class TestTwoLevelRepeats:
-    CRIT = SplitCriterion(max_active_qubits=400, max_gates=5)
+    MAX_GATES = 5
 
     def test_leaf_count_and_multiplicities(self):
-        root = build_dependency_graph(two_level_repeats(), self.CRIT)
+        root = build_dependency_graph(two_level_repeats(), self.MAX_GATES)
         plan = WidgetPlan.from_root(root, n_input=2)
         # leaves: 2 B-pieces + W0 + C + W1 + W2 = 6 distinct
         assert plan.n_distinct_widgets == 6
@@ -273,14 +259,14 @@ class TestTwoLevelRepeats:
         assert sum(plan.stitches.values()) == total - 1
 
     def test_matches_eager_expansion(self):
-        root = build_dependency_graph(two_level_repeats(), self.CRIT)
+        root = build_dependency_graph(two_level_repeats(), self.MAX_GATES)
         plan = WidgetPlan.from_root(root, n_input=2)
         widgets_eager, stitches_eager = eager_counts(root)
         assert plan.multiplicity == widgets_eager
         assert plan.stitches == stitches_eager
 
     def test_seam_stitch_wraparound(self):
-        root = build_dependency_graph(two_level_repeats(), self.CRIT)
+        root = build_dependency_graph(two_level_repeats(), self.MAX_GATES)
         plan = WidgetPlan.from_root(root, n_input=2)
         stitches = plan.stitches
         by_gates = {gates: wid for wid, gates in plan.widgets.items()}
@@ -293,7 +279,7 @@ class TestTwoLevelRepeats:
         assert stitches[(leaves["C"], leaves["C"])] == 4 * 499
 
     def test_determinism(self):
-        roots = [build_dependency_graph(two_level_repeats(), self.CRIT) for _ in range(2)]
+        roots = [build_dependency_graph(two_level_repeats(), self.MAX_GATES) for _ in range(2)]
         plans = [WidgetPlan.from_root(r, n_input=2) for r in roots]
         assert plans[0] == plans[1]
 
@@ -304,7 +290,7 @@ class TestRepeatCounting:
             "main": [BlockRef("w", repeat=7)],
             "w": [gate(GateKind.T, 0)],
         }, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 5))
+        root = build_dependency_graph(circ, 5)
         plan = WidgetPlan.from_root(root, n_input=1)
         (wid,) = plan.widgets
         assert plan.multiplicity[wid] == 7
@@ -318,7 +304,7 @@ class TestRepeatCounting:
             "a": [gate(GateKind.T, 0)],
             "b": [gate(GateKind.H, 0), gate(GateKind.T, 0)],
         }, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 3))
+        root = build_dependency_graph(circ, 3)
         plan = WidgetPlan.from_root(root, n_input=1)
         by_label = {len(g): wid for wid, g in plan.widgets.items()}
         a, b = by_label[1], by_label[2]
@@ -331,7 +317,7 @@ class TestRepeatCounting:
             "mid": [BlockRef("w", repeat=10**6)],
             "w": [gate(GateKind.T, 0)],
         }, "main")
-        root = build_dependency_graph(circ, SplitCriterion(400, 2))
+        root = build_dependency_graph(circ, 2)
         plan = WidgetPlan.from_root(root, n_input=1)
         (wid,) = plan.widgets
         assert plan.multiplicity[wid] == 10**12
@@ -363,7 +349,7 @@ class TestLazyVsEager:
     @settings(max_examples=80, deadline=None)
     @given(nested_circuits(), st.integers(2, 6))
     def test_agreement(self, circ, max_gates):
-        root = build_dependency_graph(circ, SplitCriterion(400, max_gates))
+        root = build_dependency_graph(circ, max_gates)
         plan = WidgetPlan.from_root(root, n_input=3)
         widgets_eager, stitches_eager = eager_counts(root)
         assert plan.multiplicity == widgets_eager
@@ -374,7 +360,7 @@ class TestLazyVsEager:
 
 class TestWidgetPlan:
     def test_from_root(self):
-        root = build_dependency_graph(two_level_repeats(), TestTwoLevelRepeats.CRIT)
+        root = build_dependency_graph(two_level_repeats(), TestTwoLevelRepeats.MAX_GATES)
         plan = WidgetPlan.from_root(root, n_input=2)
         assert plan.n_widgets == 4 + 4 * 503
         assert plan.n_distinct_widgets == 6
@@ -523,23 +509,22 @@ class TestNestedFile:
     @pytest.mark.parametrize("sub_seed", range(16))
     def test_pool_plans_match_per_item_parse(self, sub_seed):
         payload = json.loads(benchmark_pool_circuit(sub_seed))
-        config = ArchConfig()
-        criterion = SplitCriterion(config.max_active_qubits, config.max_gates)
+        max_gates = ArchConfig().max_gates
         plans = []
         for parse in (parse_nested_file, parse_nested_per_item):
             circ = parse(payload)
             plans.append(WidgetPlan.from_root(
-                build_dependency_graph(circ, criterion), circ.n_input))
+                build_dependency_graph(circ, max_gates), circ.n_input))
         assert plans[0] == plans[1]
         assert plans[0].n_distinct_widgets == 120
 
 
-def plan_sha256(circ, criterion, prefix):
+def plan_sha256(circ, max_gates, prefix):
     """sha256 of the id-free content and order of ``circ``'s nested plan:
     each widget's digest and multiplicity in plan order, each stitch as two
     digests and a count in stitch order, the first and last digests, and
     the digests of the first ``prefix`` entries of the leaf sequence."""
-    root = build_dependency_graph(circ, criterion)
+    root = build_dependency_graph(circ, max_gates)
     plan = WidgetPlan.from_root(root, circ.n_input)
     d = plan.digests
     h = hashlib.sha256()
@@ -553,12 +538,12 @@ def plan_sha256(circ, criterion, prefix):
 
 
 class TestPlanPins:
-    """Each pool circuit's plan under four split criteria, pinned by the
-    sha256s in plan_sha256.json. The default criterion's (64, 4096) were
-    recorded with the earlier two-pass fold; the other three were recorded
-    again once gate lists were cut in gate order. Only the first 20000
-    leaves of each sequence are hashed: the full sequences run to
-    millions."""
+    """Each pool circuit's plan under four split budgets, pinned by the
+    sha256s in plan_sha256.json. The default's, "64,4096,16", were recorded
+    with the earlier two-pass fold; "400,7,2" and "64,30,3" were recorded
+    again once gate lists were cut in gate order, and "4,50,1" once the
+    active-qubit threshold was dropped. Only the first 20000 leaves of each
+    sequence are hashed: the full sequences run to millions."""
 
     CRITERIA = SPLIT_CRITERIA
     PINS = Path(__file__).with_name("plan_sha256.json")
@@ -566,13 +551,13 @@ class TestPlanPins:
     @pytest.mark.parametrize("sub_seed", range(16))
     def test_plan_content_and_order_are_pinned(self, sub_seed):
         circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)))
-        got = {label: plan_sha256(circ, SplitCriterion(*c), 20_000)
-               for label, c in self.CRITERIA.items()}
+        got = {label: plan_sha256(circ, max_gates, 20_000)
+               for label, max_gates in self.CRITERIA.items()}
         assert got == json.loads(self.PINS.read_text())[str(sub_seed)]
 
 
 class TestEveryGateKept:
-    """Each pool circuit's plan under each pinned split criterion holds
+    """Each pool circuit's plan under each pinned split budget holds
     every source gate: its widgets' gate kinds, weighted by multiplicity,
     count the fully expanded source's (gates, T and Rz included)."""
 
@@ -581,8 +566,7 @@ class TestEveryGateKept:
     def test_plan_counts_match_source(self, sub_seed, label):
         circ = parse_nested_file(json.loads(benchmark_pool_circuit(sub_seed)))
         plan = WidgetPlan.from_root(
-            build_dependency_graph(
-                circ, SplitCriterion(*TestPlanPins.CRITERIA[label])),
+            build_dependency_graph(circ, TestPlanPins.CRITERIA[label]),
             circ.n_input)
         got = {}
         for wid, gates in plan.widgets.items():
@@ -594,10 +578,9 @@ class TestEveryGateKept:
 class TestSharedDigest:
     def test_leaf_keys_and_plan_digests_are_gate_list_digests(self):
         payload = json.loads(benchmark_pool_circuit(3))
-        config = ArchConfig()
-        criterion = SplitCriterion(config.max_active_qubits, config.max_gates)
+        max_gates = ArchConfig().max_gates
         circ = parse_nested_file(payload)
-        root = build_dependency_graph(circ, criterion)
+        root = build_dependency_graph(circ, max_gates)
         plan = WidgetPlan.from_root(root, circ.n_input)
         assert set(leaves_of(root)) == set(plan.widgets)
         for wid, leaf in leaves_of(root).items():
