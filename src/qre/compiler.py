@@ -28,12 +28,13 @@ the whole construction, ``verify_unitarity``, lives in ``_sim``, which
 only ``verify`` and the tests import.
 
 ``compile_widget`` is pure. What estimation reads of a compiled and
-prep-scheduled widget is a ``WidgetRecord``. The disk cache stores those
-records one JSON file per distinct set of widgets (``load_cached``/
-``save_cached``), so a plan's widgets cost one read and one write. The
-file is columnar: the widgets' gate-list digests in one list, and one list
-per ``WidgetRecord`` field in digest order, so a read validates each
-field once per set, over its column, not once per record. A record holds
+prep-scheduled widget is a ``WidgetRecord``. The disk cache, in the
+directory that each call names, stores those records one JSON file per
+distinct set of widgets (``load_cached``/``save_cached``), so a plan's
+widgets cost one read and one write. The file is columnar: the widgets'
+gate-list digests in one list, and one list per ``WidgetRecord`` field in
+digest order, so a read validates each field once per set, over its
+column, not once per record. A record holds
 its node lists and preparation spans as compact text, which a read checks
 but does not decode: the counts come from the separators, and the values
 are decoded on first read, which only a layout with more than one module
@@ -76,7 +77,6 @@ from .stabilizer import PauliRows, bits, graph_form
 from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 from .widgetizer import PlanRecord
 
-CACHE_ENV = "QRE_CACHE_DIR"
 CACHE_FORMAT = 8
 # The rule that derives a plan from its source, part of every plan key, so
 # that a plan record written under another rule is never read. Rule 1 gave a

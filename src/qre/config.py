@@ -5,13 +5,21 @@ architecture, thermal, factories); every key is optional and absent keys keep
 their defaults.  Unknown sections or keys warn rather than fail, so configs
 written for newer versions degrade gracefully; values that violate an
 invariant (e.g. a physical error rate at or above threshold) are hard errors.
+
+Every mapping of the file (each section, each factories row, thermal and
+each of its line classes) goes through one reader, ``_read``: the mapping
+check, the unknown-key warnings and the reading of each value by the one
+number rule, ``_number``, all in the file's order. One step, ``_build``,
+constructs what a mapping describes and names the mapping in its error.
+Every message names the file and, for a value, its ``section.key``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from .architecture import DEFAULT_FACTORIES, DEFAULT_FACTORIES_P, TFactory
@@ -66,78 +74,88 @@ class ArchConfig:
         self.validate()
 
     def validate(self) -> None:
+        # Each message names the YAML key of its field (_KEY).
         problems: list[str] = []
         if not 0 < self.p < self.p_thresh:
             problems.append(
-                f"physical.p: need 0 < p < p_thresh, got p={self.p}, "
+                f"{_KEY['p']}: need 0 < p < p_thresh, got p={self.p}, "
                 f"p_thresh={self.p_thresh}")
         if not 0 < self.p_thresh < 1:
-            problems.append(f"scaling.p_thresh out of (0, 1): {self.p_thresh}")
+            problems.append(
+                f"{_KEY['p_thresh']} out of (0, 1): {self.p_thresh}")
         if self.kappa <= 0:
-            problems.append(f"scaling.kappa must be positive: {self.kappa}")
+            problems.append(f"{_KEY['kappa']} must be positive: {self.kappa}")
         if not 0 < self.p_algo_fail < 1:
             problems.append(
-                f"architecture.p_algo_fail out of (0, 1): {self.p_algo_fail}")
+                f"{_KEY['p_algo_fail']} out of (0, 1): {self.p_algo_fail}")
         for name in ("t", "t_inter", "t_decoder"):
             if getattr(self, name) <= 0:
-                problems.append(f"{name} must be positive: {getattr(self, name)}")
+                problems.append(
+                    f"{_KEY[name]} must be positive: {getattr(self, name)}")
         # A synthesis length of at least 1 at epsilon = 1 that never
         # shrinks as epsilon does.
         if not (math.isfinite(self.c0) and self.c0 >= 0):
-            problems.append(
-                f"synthesis.c0 must be finite and >= 0: {self.c0}")
+            problems.append(f"{_KEY['c0']} must be finite and >= 0: {self.c0}")
         if not (math.isfinite(self.c1) and self.c1 > 0):
             problems.append(
-                f"synthesis.c1 must be finite and positive: {self.c1}")
+                f"{_KEY['c1']} must be finite and positive: {self.c1}")
         if self.epsilon is not None and not 0 < self.epsilon <= 1:
-            problems.append(
-                f"synthesis.epsilon out of (0, 1]: {self.epsilon}")
+            problems.append(f"{_KEY['epsilon']} out of (0, 1]: {self.epsilon}")
         if self.n_phys_per_module < 1:
-            problems.append("physical.n_phys_per_module must be >= 1")
+            problems.append(f"{_KEY['n_phys_per_module']} must be >= 1")
         if self.n_inter_pipes < 1:
-            problems.append("architecture.n_inter_pipes must be >= 1")
+            problems.append(f"{_KEY['n_inter_pipes']} must be >= 1")
         if self.n_algo_reps < 1:
-            problems.append("timing.n_algo_reps must be >= 1")
+            problems.append(f"{_KEY['n_algo_reps']} must be >= 1")
         if self.qubit_pitch <= 0:
-            problems.append("architecture.qubit_pitch must be positive")
+            problems.append(f"{_KEY['qubit_pitch']} must be positive")
         if self.couplers_per_qubit < 0:
-            problems.append("architecture.couplers_per_qubit must be >= 0")
+            problems.append(f"{_KEY['couplers_per_qubit']} must be >= 0")
         if self.fan_out < 1:
-            problems.append("architecture.fan_out must be >= 1")
+            problems.append(f"{_KEY['fan_out']} must be >= 1")
         # Any one gate meets a split budget of 1, so such a budget fails
         # every input that has gates.
         if self.max_gates < 2:
-            problems.append("architecture.max_gates must be >= 2")
+            problems.append(f"{_KEY['max_gates']} must be >= 2")
         if not self.factories:
             problems.append("factories: need at least one distillation unit")
         if problems:
             raise ConfigError("; ".join(problems))
 
 
-# section -> its keys: ArchConfig fields, each read from the YAML key of its
-# name, and scaling's preset, which sets kappa and p_thresh
-_SECTIONS: dict[str, set[str]] = {
-    "physical": {"p", "t", "n_phys_per_module"},
-    "scaling": {"kappa", "p_thresh", "preset"},
-    "timing": {"t_inter", "t_decoder", "n_algo_reps"},
-    "synthesis": {"c0", "c1", "epsilon"},
-    "architecture": {"p_algo_fail", "n_inter_pipes", "qubit_pitch",
-                     "couplers_per_qubit", "fan_out", "max_gates"},
+# section -> its YAML keys, each the field of its name: ArchConfig's fields,
+# scaling's preset, which sets kappa and p_thresh, and thermal's fields
+_SECTIONS: dict[str, tuple[str, ...]] = {
+    "physical": ("p", "t", "n_phys_per_module"),
+    "scaling": ("kappa", "p_thresh", "preset"),
+    "timing": ("t_inter", "t_decoder", "n_algo_reps"),
+    "synthesis": ("c0", "c1", "epsilon"),
+    "architecture": ("p_algo_fail", "n_inter_pipes", "qubit_pitch",
+                     "couplers_per_qubit", "fan_out", "max_gates"),
+    "thermal": ("eta_4k", "eta_20mk", "p_decoding_core", "lines"),
 }
+# ArchConfig field -> its YAML key, for the messages of validate
+_KEY = {name: f"{section}.{name}"
+        for section, names in _SECTIONS.items() for name in names}
 
-# ArchConfig fields, then the integer keys of a factories row.
-_INT_FIELDS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes", "fan_out",
-               "max_gates", "width", "length", "qubits"}
+# factories row key -> TFactory field; a row gives every one of them
+_FACTORY_FIELDS = {"p_out": "p_out", "width": "l_width", "length": "l_length",
+                   "qubits": "q_phys", "cycles": "cycles", "name": "name"}
+
+_LINE_FIELDS = ("per_qubit", "load_4k", "load_20mk")
+
+# The integer keys: ArchConfig fields, then those of a factories row.
+_INTEGER_KEYS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes",
+                 "fan_out", "max_gates", "width", "length", "qubits"}
 
 
 def _number(name: str, value, integer: bool = False):
-    """``value`` as a finite float, or as an int for an integer field, from
-    a number or a numeric string. Anything else, booleans, ``None``, NaN and
-    the infinities included, is a ConfigError naming ``name``."""
+    """``value`` as a finite float, or as an int for an integer key, from a
+    number or a numeric string. Anything else, booleans, ``None``, NaN, the
+    infinities and integers too large for a float included, is a
+    ConfigError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{name}: must be a number, got {value!r}")
-    if integer and isinstance(value, int):
-        return value
     try:
         number = float(value)
     except (ValueError, OverflowError):
@@ -146,6 +164,8 @@ def _number(name: str, value, integer: bool = False):
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     if not integer:
         return number
+    if isinstance(value, int):
+        return value
     if not number.is_integer():
         raise ConfigError(f"{name}: must be a whole number, got {value!r}")
     return int(number)
@@ -153,47 +173,21 @@ def _number(name: str, value, integer: bool = False):
 
 def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchConfig:
     """Build an ArchConfig from a parsed YAML mapping (None = all defaults)."""
-    if data is None:
-        data = {}
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source}: top level must be a mapping")
-
     overrides: dict[str, object] = {}
-    for section, content in data.items():
+    for section, content in _mapping(
+            source, "top level", {} if data is None else data).items():
         if section == "factories":
-            overrides["factories"] = _parse_factories(content, source)
-            continue
-        if section == "thermal":
-            overrides["thermal"] = _parse_thermal(content, source)
-            continue
-        known = _SECTIONS.get(section)
-        if known is None:
-            warnings.warn(f"{source}: unknown config section {section!r} ignored")
-            continue
-        if content is None:
-            continue
-        if not isinstance(content, dict):
-            raise ConfigError(f"{source}: section {section!r} must be a mapping")
-        _warn_unknown(source, section, content, known)
-        for key, value in content.items():
-            if key not in known:
-                continue
-            if key == "preset":
-                preset = SCALING_PRESETS.get(str(value))
-                if preset is None:
-                    raise ConfigError(
-                        f"{source}: unknown scaling preset {value!r}; "
-                        f"choices: {sorted(SCALING_PRESETS)}")
-                overrides["kappa"], overrides["p_thresh"] = preset
-            elif key == "epsilon" and value is None:
-                overrides[key] = None  # solve for it
-            else:
-                overrides[key] = _number(f"{source}: {section}.{key}",
-                                         value, key in _INT_FIELDS)
-    try:
-        config = ArchConfig(**overrides)
-    except ConfigError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
+            overrides["factories"] = _factories(source, content)
+        elif section not in _SECTIONS:
+            warnings.warn(
+                f"{source}: unknown config section {section!r} ignored")
+        elif content is not None:
+            values = _read(source, section, content, _SECTIONS[section])
+            if section == "thermal":
+                values = {"thermal": _build(f"{source}: thermal", partial(
+                    replace, DEFAULT_THERMAL), values)}
+            overrides.update(values)
+    config = _build(source, ArchConfig, overrides)
     if "factories" not in overrides and config.p != DEFAULT_FACTORIES_P:
         warnings.warn(
             f"{source}: physical.p is {config.p!r}, but the default factories "
@@ -202,86 +196,83 @@ def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchC
     return config
 
 
-def _warn_unknown(source: str, where: str, mapping: dict, known) -> None:
-    """Warn about each key of ``mapping`` not in ``known``, in the file's
-    order, so the warnings do not depend on the hash seed."""
-    for key in mapping:
-        if key not in known:
+def _mapping(source: str, where: str, content) -> dict:
+    if not isinstance(content, dict):
+        raise ConfigError(f"{source}: {where} must be a mapping")
+    return content
+
+
+def _read(source: str, where: str, content, keys,
+          required: bool = False) -> dict[str, object]:
+    """The values that the YAML mapping ``content`` at ``where`` gives its
+    ``keys``, by key; a scaling preset gives kappa and p_thresh, and
+    thermal lines the line classes. Unknown keys warn, in the file's order
+    so that the warnings do not depend on the hash seed; with
+    ``required``, a missing key fails before any value is read. The values
+    are read in the file's order, so a later key wins and the first bad
+    value is the one named."""
+    for key in _mapping(source, where, content):
+        if key not in keys:
             warnings.warn(f"{source}: unknown key {where}.{key} ignored")
+    missing = [key for key in keys if required and key not in content]
+    if missing:
+        raise ConfigError(f"{source}: {where} missing key {missing[0]!r}")
+    values: dict[str, object] = {}
+    for key, value in content.items():
+        if key not in keys:
+            continue
+        if key == "preset":
+            preset = SCALING_PRESETS.get(str(value))
+            if preset is None:
+                raise ConfigError(
+                    f"{source}: unknown scaling preset {value!r}; "
+                    f"choices: {sorted(SCALING_PRESETS)}")
+            values["kappa"], values["p_thresh"] = preset
+        elif key == "epsilon" and value is None:
+            values[key] = None  # solve for it
+        elif key == "name":
+            values[key] = str(value)
+        elif key == "lines":
+            values[key] = _lines(source, value)
+        else:
+            values[key] = _number(f"{source}: {where}.{key}", value,
+                                  key in _INTEGER_KEYS)
+    return values
 
 
-# factories row key -> TFactory field
-_FACTORY_FIELDS = {"p_out": "p_out", "width": "l_width", "length": "l_length",
-                   "qubits": "q_phys", "cycles": "cycles"}
+def _build(where: str, make, values: dict[str, object]):
+    """``make(**values)``, its ValueError a ConfigError under ``where``."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_factories(content, source: str) -> tuple[TFactory, ...]:
+def _factories(source: str, content) -> tuple[TFactory, ...]:
     if not isinstance(content, list) or not content:
         raise ConfigError(f"{source}: factories must be a nonempty list")
-    rows: list[TFactory] = []
+    rows = []
     for i, row in enumerate(content):
-        if not isinstance(row, dict):
-            raise ConfigError(f"{source}: factories[{i}] must be a mapping")
-        _warn_unknown(source, f"factories[{i}]", row,
-                      {"name", *_FACTORY_FIELDS})
-        missing = [key for key in (*_FACTORY_FIELDS, "name") if key not in row]
-        if missing:
-            raise ConfigError(
-                f"{source}: factories[{i}] missing key {missing[0]!r}")
-        fields = {field: _number(f"{source}: factories[{i}].{key}",
-                                 row[key], key in _INT_FIELDS)
-                  for key, field in _FACTORY_FIELDS.items()}
-        try:
-            rows.append(TFactory(name=str(row["name"]), **fields))
-        except ValueError as exc:
-            raise ConfigError(f"{source}: factories[{i}]: {exc}") from exc
+        values = _read(source, f"factories[{i}]", row, _FACTORY_FIELDS, True)
+        rows.append(_build(f"{source}: factories[{i}]", TFactory, {
+            _FACTORY_FIELDS[key]: value for key, value in values.items()}))
     return tuple(rows)
 
 
-_LINE_FIELDS = ("per_qubit", "load_4k", "load_20mk")
-
-
-def _parse_thermal(content, source: str) -> ThermalConfig:
-    if content is None:
-        return DEFAULT_THERMAL
-    if not isinstance(content, dict):
-        raise ConfigError(f"{source}: thermal must be a mapping")
-    kwargs = {
-        "eta_4k": DEFAULT_THERMAL.eta_4k,
-        "eta_20mk": DEFAULT_THERMAL.eta_20mk,
-        "p_decoding_core": DEFAULT_THERMAL.p_decoding_core,
-    }
-    lines = {c.name: c for c in DEFAULT_THERMAL.lines}
-    _warn_unknown(source, "thermal", content, {*kwargs, "lines"})
-    for key, value in content.items():
-        if key in kwargs:
-            kwargs[key] = _number(f"{source}: thermal.{key}", value)
-        elif key == "lines":
-            if not isinstance(value, dict):
-                raise ConfigError(f"{source}: thermal.lines must be a mapping")
-            for name, entry in value.items():
-                base = lines.get(name)
-                if base is None:
-                    warnings.warn(
-                        f"{source}: unknown thermal line class {name!r} ignored")
-                    continue
-                if not isinstance(entry, dict):
-                    raise ConfigError(
-                        f"{source}: thermal.lines.{name} must be a mapping")
-                _warn_unknown(source, f"thermal.lines.{name}", entry,
-                              _LINE_FIELDS)
-                loads = {k: _number(f"{source}: thermal.lines.{name}.{k}",
-                                    entry.get(k, getattr(base, k)))
-                         for k in _LINE_FIELDS}
-                try:
-                    lines[name] = LineClass(name=name, **loads)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"{source}: thermal.lines.{name}: {exc}") from exc
-    try:
-        return ThermalConfig(lines=tuple(lines.values()), **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{source}: thermal: {exc}") from exc
+def _lines(source: str, content) -> tuple[LineClass, ...]:
+    """The thermal line classes, each one that ``content`` names read over
+    its default."""
+    lines = {line.name: line for line in DEFAULT_THERMAL.lines}
+    for name, entry in _mapping(source, "thermal.lines", content).items():
+        if name not in lines:
+            warnings.warn(
+                f"{source}: unknown thermal line class {name!r} ignored")
+            continue
+        where = f"thermal.lines.{name}"
+        lines[name] = _build(f"{source}: {where}",
+                             partial(replace, lines[name]),
+                             _read(source, where, entry, _LINE_FIELDS))
+    return tuple(lines.values())
 
 
 def load_config(path: str | Path | None) -> ArchConfig:

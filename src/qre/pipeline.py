@@ -15,8 +15,10 @@ checks the plan against the source's own gates.
 ``compile_circuit`` is the one entry point of ``estimate``, ``sweep`` and
 ``compile``: it gives the compiled algorithm and the input's sha256, and
 ``compile_plan`` the compiled algorithm of a plan, whose ``est`` holds
-every sequence total the report prints. The cache holds two kinds of
-record for it. A plan record (``PlanRecord``) is keyed on the sha256 of
+every sequence total the report prints. The cache is the directory that
+the caller passes as ``cache_dir`` (the CLI's ``--cache-dir``), and only
+that: without one, nothing is read or written. It holds two kinds of
+record. A plan record (``PlanRecord``) is keyed on the sha256 of
 the input file's bytes, which is also the report's ``circuit_hash``, and
 on the split budget ``max_gates``. A widget-set record holds the
 ``WidgetRecord`` of every widget of a plan under its gate-list digest
@@ -49,7 +51,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -62,7 +63,7 @@ from .circuit import (
     parse_qasm,
     transpile,
 )
-from .compiler import CACHE_ENV, WidgetRecord, compile_widget
+from .compiler import WidgetRecord, compile_widget
 from .config import ArchConfig, load_config
 from .estimator import (
     CompiledAlgorithm,
@@ -164,10 +165,6 @@ def _parse(data: bytes, config: ArchConfig) -> LoadedCircuit:
         lambda: (tuple(iter_leaf_sequence(root)), nested.flatten()))
 
 
-def _cache_directory(cache_dir: str | Path | None) -> str | Path | None:
-    return cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV)
-
-
 def compile_circuit(
     path: str | Path,
     config: ArchConfig,
@@ -176,12 +173,13 @@ def compile_circuit(
     """Compile a circuit file: the compiled algorithm and the sha256 of the
     file's bytes.
 
-    With a cache directory (``cache_dir`` or the QRE_CACHE_DIR variable),
-    a warm run reads the input's plan record and the set record of its
-    widgets, and parses nothing. If the plan record misses or is
-    malformed, the run loads the source, compiles the plan through
-    ``compile_plan`` and writes the plan record anew; if only the set
-    record misses, it loads the source and compiles every widget.
+    With a cache directory, ``cache_dir``, a warm run reads the input's
+    plan record and the set record of its widgets, and parses nothing. If
+    the plan record misses or is malformed, the run loads the source,
+    compiles the plan through ``compile_plan`` and writes the plan record
+    anew; if only the set record misses, it loads the source and compiles
+    every widget. Without one the run compiles every widget and reads and
+    writes nothing.
 
     The run pauses the cyclic garbage collector, process-wide, and restores
     the caller's setting on return or raise. Loading and compiling build no
@@ -193,21 +191,20 @@ def compile_circuit(
     try:
         data = Path(path).read_bytes()
         source_digest = hashlib.sha256(data).hexdigest()
-        directory = _cache_directory(cache_dir)
         record = None
-        if directory:
+        if cache_dir:
             key = compiler.plan_key(source_digest, config.max_gates)
-            record = compiler.load_plan(directory, key)
+            record = compiler.load_plan(cache_dir, key)
             if record is not None:
-                algo = _cached_set(record, config, directory)
+                algo = _cached_set(record, config, cache_dir)
                 if algo is not None:
                     return algo, source_digest
         plan = load_circuit(path, config, data).plan
         if record is not None:
-            return _compile_set(plan, config, directory), source_digest
-        algo = compile_plan(plan, config, directory)
-        if directory:
-            compiler.save_plan(directory, key, plan)
+            return _compile_set(plan, config, cache_dir), source_digest
+        algo = compile_plan(plan, config, cache_dir)
+        if cache_dir:
+            compiler.save_plan(cache_dir, key, plan)
         return algo, source_digest
     finally:
         if enabled:
@@ -241,13 +238,12 @@ def compile_plan(
     cache_dir: str | Path | None = None,
 ) -> CompiledAlgorithm:
     """Transpile, compile, and prep-schedule every distinct widget. With a
-    cache directory (``cache_dir`` or the QRE_CACHE_DIR variable), the
-    records come from the set record of the plan's widgets when it holds
-    them all; otherwise every widget is compiled and the set record is
-    written anew."""
-    directory = _cache_directory(cache_dir)
-    algo = _cached_set(plan, config, directory) if directory else None
-    return algo if algo is not None else _compile_set(plan, config, directory)
+    cache directory, ``cache_dir``, the records come from the set record of
+    the plan's widgets when it holds them all; otherwise every widget is
+    compiled and the set record is written anew. Without one nothing is
+    read or written."""
+    algo = _cached_set(plan, config, cache_dir) if cache_dir else None
+    return algo if algo is not None else _compile_set(plan, config, cache_dir)
 
 
 def _compile_set(plan: WidgetPlan, config: ArchConfig,

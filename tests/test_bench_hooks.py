@@ -9,7 +9,6 @@ from pathlib import Path
 import qre
 import qre.pipeline
 from qre.circuit import emit_qasm, generate_qft
-from qre.compiler import CACHE_ENV
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -36,7 +35,6 @@ def test_cold_estimate_reaches_every_compile_hook(tmp_path, monkeypatch):
     """A hook that an estimate no longer calls reads 0: a cold QFT-20
     estimate must count its widget, graph and preparation sub-steps."""
     spans = load_spans(monkeypatch)
-    monkeypatch.delenv(CACHE_ENV, raising=False)
     path = tmp_path / "qft20.qasm"
     path.write_text(emit_qasm(generate_qft(20), 20))
     with spans.instrument(spans.Recorder(), qre) as rec:

@@ -395,22 +395,17 @@ class TestDeterminismAndCache:
         cw = cached_record(gates, cache_dir=tmp_path)
         assert cw.n_nodes == 2
 
-    def test_env_var_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QRE_CACHE_DIR", str(tmp_path))
-        cached_record([gate(GateKind.T, 0)])
-        assert list(tmp_path.glob("widgets-*.json"))
-
     def test_verification_works_after_cache_load(self, tmp_path,
                                                  monkeypatch):
         """verify compiles afresh: it passes after the cache is warm and
-        never reads it, even with QRE_CACHE_DIR set."""
+        never reads it."""
         path = tmp_path / "qft3.qasm"
         path.write_text(emit_qasm(generate_qft(3), 3))
         cache = tmp_path / "cache"
-        monkeypatch.setenv("QRE_CACHE_DIR", str(cache))
         loaded = load_circuit(path, ArchConfig())
-        compile_plan(loaded.plan, ArchConfig())
-        compile_plan(loaded.plan, ArchConfig())
+        compile_plan(loaded.plan, ArchConfig(), cache_dir=cache)
+        compile_plan(loaded.plan, ArchConfig(), cache_dir=cache)
+        assert list(cache.glob("widgets-*.json"))
         import qre.compiler as comp
         monkeypatch.setattr(
             comp, "load_cached",

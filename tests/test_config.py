@@ -1,6 +1,7 @@
 """Tests for configuration loading and validation."""
 
 import math
+import re
 import warnings
 
 import pytest
@@ -254,6 +255,33 @@ class TestBadValues:
         assert (f"{path}: {key}: must be a finite number, got "
                 f"{float(value.replace('.', ''))!r}") in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", [
+        "physical.n_phys_per_module", "timing.n_algo_reps",
+        "architecture.n_inter_pipes", "architecture.fan_out",
+        "architecture.max_gates", "factories[0].width",
+        "factories[0].length", "factories[0].qubits"])
+    def test_cli_exits_invalid_on_an_integer_too_large_for_a_float(
+            self, tmp_path, capsys, key):
+        """An integer key takes an int as it is, but only one that a float
+        holds. Without the check a 401-digit integer ran to an
+        OverflowError traceback that named no key."""
+        from qre.cli import main
+        huge = 10**400
+        section, name = key.split(".")
+        path = tmp_path / "cfg.yaml"
+        if section == "factories[0]":
+            row = dict(self.ROW, **{name: huge})
+            path.write_text("factories:\n" + "".join(
+                f"{'  - ' if i == 0 else '    '}{k}: {v}\n"
+                for i, (k, v) in enumerate(row.items())))
+        else:
+            path.write_text(f"{section}:\n  {name}: {huge}\n")
+        circuit = tmp_path / "qft3.qasm"
+        circuit.write_text(emit_qasm(generate_qft(3), 3))
+        assert main(["estimate", str(circuit), "--config", str(path)]) == 2
+        assert (f"{path}: {key}: must be a finite number, got {huge!r}"
+                in capsys.readouterr().err)
+
     def test_invariant_error_names_the_source(self):
         """A value that parses but breaks an invariant names the file, as a
         malformed one does."""
@@ -347,6 +375,100 @@ class TestWarningOrder:
             for where in ("physical", "factories[0]", "thermal",
                           "thermal.lines.hemt")
             for key in extra]
+
+
+class TestRangeErrors:
+    @pytest.mark.parametrize("key, value", [
+        ("physical.p", 0.5), ("physical.t", 0),
+        ("physical.n_phys_per_module", 0),
+        ("scaling.kappa", 0), ("scaling.p_thresh", 1.5),
+        ("timing.t_inter", 0), ("timing.t_decoder", -1e-6),
+        ("timing.n_algo_reps", 0), ("synthesis.c0", -1), ("synthesis.c1", 0),
+        ("synthesis.epsilon", 2), ("architecture.p_algo_fail", 1),
+        ("architecture.n_inter_pipes", 0), ("architecture.qubit_pitch", 0),
+        ("architecture.couplers_per_qubit", -1), ("architecture.fan_out", 0),
+        ("architecture.max_gates", 1)])
+    def test_names_the_section_and_key(self, tmp_path, key, value):
+        """A value that reads as a number but is out of range is named by
+        its file and ``section.key``, as a value that does not read is."""
+        section, name = key.split(".")
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"{section}:\n  {name}: {value}\n")
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"{path}: {key}")
+
+    def test_times_must_be_positive(self):
+        with pytest.raises(ConfigError, match=(
+                r"^cfg\.yaml: physical\.t must be positive: 0\.0; "
+                r"timing\.t_inter must be positive: 0\.0; "
+                r"timing\.t_decoder must be positive: -1\.0$")):
+            config_from_mapping({"physical": {"t": 0},
+                                 "timing": {"t_inter": 0, "t_decoder": -1}},
+                                source="cfg.yaml")
+
+    @pytest.mark.parametrize("data, where", [
+        ([1], "top level"), ({"physical": [1]}, "physical"),
+        ({"thermal": [1]}, "thermal"), ({"thermal": {"lines": 3}},
+                                        "thermal.lines"),
+        ({"thermal": {"lines": {"hemt": 3}}}, "thermal.lines.hemt"),
+        ({"factories": [3]}, "factories[0]")])
+    def test_a_mapping_that_is_not_one_is_named(self, data, where):
+        with pytest.raises(ConfigError, match=(
+                rf"^cfg\.yaml: {re.escape(where)} must be a mapping$")):
+            config_from_mapping(data, source="cfg.yaml")
+
+
+class TestFileOrder:
+    """Each mapping is read in the file's order."""
+
+    ROW = TestBadValues.ROW
+
+    @pytest.mark.parametrize("scaling, kappa", [
+        ({"kappa": 0.1, "preset": "astra-gnn"}, 0.56),
+        ({"preset": "astra-gnn", "kappa": 0.1}, 0.1)])
+    def test_the_later_of_preset_and_kappa_wins(self, scaling, kappa):
+        assert config_from_mapping({"scaling": scaling}).kappa == kappa
+
+    def test_unknown_keys_warn_across_sections_in_file_order(self):
+        data = {
+            "timing": {"spin": 1, "t_inter": 2e-6, "mass": 2},
+            "factories": [dict(self.ROW, colour="red"),
+                          {"size": 3, **self.ROW}],
+            "flux_capacitor": {},
+            "physical": {"charge": 0},
+            "thermal": {"lines": {"laser": {}, "hemt": {"shape": "round"}},
+                        "glow": 1},
+        }
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config_from_mapping(data, source="cfg.yaml")
+        assert [str(w.message) for w in caught] == [
+            "cfg.yaml: unknown key timing.spin ignored",
+            "cfg.yaml: unknown key timing.mass ignored",
+            "cfg.yaml: unknown key factories[0].colour ignored",
+            "cfg.yaml: unknown key factories[1].size ignored",
+            "cfg.yaml: unknown config section 'flux_capacitor' ignored",
+            "cfg.yaml: unknown key physical.charge ignored",
+            "cfg.yaml: unknown key thermal.glow ignored",
+            "cfg.yaml: unknown thermal line class 'laser' ignored",
+            "cfg.yaml: unknown key thermal.lines.hemt.shape ignored",
+        ]
+
+    @pytest.mark.parametrize("data, key", [
+        ({"physical": {"t": "slow", "p": "low"}}, "physical.t"),
+        ({"physical": {"p": "low", "t": "slow"}}, "physical.p"),
+        ({"factories": [{"cycles": None, "name": "tiny", "p_out": 1e-6,
+                         "width": 10, "length": 12, "qubits": 1.5}]},
+         r"factories\[0\]\.cycles"),
+        ({"factories": [dict(ROW, qubits=1.5, cycles=None)]},
+         r"factories\[0\]\.qubits"),
+        ({"thermal": {"lines": {"hemt": {"load_20mk": "x", "load_4k": "y"}}}},
+         r"thermal\.lines\.hemt\.load_20mk"),
+    ])
+    def test_the_first_bad_value_in_the_file_is_named(self, data, key):
+        with pytest.raises(ConfigError, match=rf"^cfg\.yaml: {key}: must be"):
+            config_from_mapping(data, source="cfg.yaml")
 
 
 class TestThermalSection:

@@ -197,3 +197,16 @@ def test_every_package_import_is_read():
     module, but for the re-exports in ``REEXPORTS``."""
     unread = _unread_imports(ROOT / "src" / "qre")
     assert {(module, name) for module, _, name in unread} == set(REEXPORTS)
+
+
+def test_no_package_module_reads_the_environment():
+    """No module of ``src/qre`` reads an environment variable, through
+    ``os.environ``, ``os.getenv`` or an imported ``environ``: a run's
+    inputs are its arguments and the files they name."""
+    reads = []
+    for path in sorted((ROOT / "src" / "qre").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = (*_code_names(tree), *_imported_names(tree))
+        reads += [(path.stem, line, name) for name, line in names
+                  if name in {"environ", "environb", "getenv", "getenvb"}]
+    assert reads == []

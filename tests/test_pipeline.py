@@ -350,6 +350,19 @@ WARM_TIMING = {"small": "", "slow-links": "timing:\n  t_inter: 1.0e-4\n"}
 
 
 class TestWidgetCache:
+    def test_the_environment_names_no_cache(self, qft3_path, tmp_path,
+                                            monkeypatch):
+        """The cache directory comes from its argument alone: with
+        QRE_CACHE_DIR set, a plan compile and an estimate given none write
+        nothing there."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        monkeypatch.setenv("QRE_CACHE_DIR", str(cache))
+        config = ArchConfig()
+        compile_plan(load_circuit(qft3_path, config).plan, config)
+        run_estimate(qft3_path)
+        assert cache_entries(cache) == []
+
     @pytest.mark.parametrize("circuit", ["qft3", "pool3"])
     @pytest.mark.parametrize("modules", ["default", "small", "slow-links"])
     def test_warm_run_compiles_nothing_and_matches_cold(
@@ -1103,7 +1116,6 @@ class TestPlanRecord:
             self, table_path, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"
         estimate_and_sweep(table_path, None, cache)
-        monkeypatch.setenv("QRE_CACHE_DIR", str(cache))
         monkeypatch.setattr(compiler, "load_plan", refuse("load_plan"))
         loads = counting(monkeypatch, cli, "load_circuit")
         assert main(["widgetize", str(table_path)]) == 0
@@ -1233,8 +1245,7 @@ class TestBenchmarkReports:
     @pytest.mark.parametrize("name", ["qft20"] + [f"nested{s}"
                                                   for s in range(16)])
     def test_cold_report_matches_reference(self, name, bench_inputs,
-                                           tmp_path, monkeypatch):
-        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+                                           tmp_path):
         ref = json.loads(REFS.read_text())[name]
         suffix, text = bench_inputs[name]
         data = text.encode()
@@ -1291,10 +1302,9 @@ class TestCollectorPause:
         assert gc.isenabled() is enabled
 
     def test_estimates_leave_no_cyclic_garbage(self, bench_inputs, tmp_path,
-                                               collector, monkeypatch):
+                                               collector):
         """Cold, warm and uncached estimates of QFT-20 and of pool circuit
         0, each followed by a full collection that finds nothing."""
-        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
         for name in ("qft20", "nested0"):
             suffix, text = bench_inputs[name]
             path = tmp_path / f"{name}{suffix}"

@@ -353,10 +353,9 @@ class TestMatchesElimination:
         assert {g for a in applied for g in a} == {"h", "s", "z"}
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_qft_widgets(self, n, monkeypatch):
+    def test_qft_widgets(self, n):
         """Too many nodes for a dense state: a fixed pseudo-random sign
         vector, the same for both references."""
-        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
         cw = compiled(generate_qft(n))
         rng = random.Random(n)
         signs = [rng.getrandbits(1) for _ in range(cw.n_nodes)]
@@ -383,8 +382,7 @@ class TestMatchesRowElimination:
         assert graph_form(rows) == self.reference_edges(rows)
 
     @pytest.mark.parametrize("n", [8, 20])
-    def test_qft_widgets(self, n, monkeypatch):
-        monkeypatch.delenv("QRE_CACHE_DIR", raising=False)
+    def test_qft_widgets(self, n):
         cw = compiled(generate_qft(n))
         rows = stabilizer_after(cw.prep_ops, cw.n_nodes)
         edges = graph_form(rows)

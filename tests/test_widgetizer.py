@@ -24,7 +24,7 @@ from qre.circuit import (
     gate_list_digest,
     generate_qft,
 )
-from qre.compiler import CACHE_ENV, widget_set_key
+from qre.compiler import widget_set_key
 from qre.config import ArchConfig
 from qre.pipeline import load_circuit, run_estimate
 from qre.widgetizer import (
@@ -607,7 +607,6 @@ class TestSharedDigest:
             return gate_list_digest(gate_list)
 
         monkeypatch.setattr(widgetizer, "gate_list_digest", counted)
-        monkeypatch.delenv(CACHE_ENV, raising=False)
         run_estimate(path)
         assert len(calls) == 0
         cache = tmp_path / "cache"
