@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class EstimationError(RuntimeError):
@@ -71,9 +72,9 @@ def factory_tiles(length: int, d: int) -> int:
     return k if k * k >= target else k + 1
 
 
-@dataclass(frozen=True)
-class ModuleLayout:
-    """All per-module layout integers for one (d, factory, n_per_leg) choice."""
+class ModuleLayout(NamedTuple):
+    """All per-module layout integers for one (d, factory, n_per_leg) choice.
+    A named tuple, like the package's other records built in a hot loop."""
 
     d: int
     n_per_leg: int
@@ -145,20 +146,11 @@ def compute_layout(
     if n_unalloc < 0:
         return None
 
-    return ModuleLayout(
-        d=d,
-        n_per_leg=n_per_leg,
-        factory=factory,
-        l_edge=l_edge,
-        memory_per_module=memory,
-        l_qbus=l_qbus,
-        n_row_qbus=n_row_qbus,
-        n_col_t_factories=n_col,
-        n_t_factories=n_fact,
-        l_transfer_bus=l_transfer,
-        n_prime=min(n_fact, n_row_qbus),
-        n_unalloc_logical=n_unalloc,
-    )
+    # Positional, in field order: the distance scan builds one per
+    # candidate distance, and keywords would double the cost.
+    return ModuleLayout(d, n_per_leg, factory, l_edge, memory, l_qbus,
+                        n_row_qbus, n_col, n_fact, l_transfer,
+                        min(n_fact, n_row_qbus), n_unalloc)
 
 
 def choose_modules_per_leg(

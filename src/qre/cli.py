@@ -31,7 +31,6 @@ from .pipeline import (
     verify_circuit,
 )
 from .report import render_console, render_csv
-from .scalefit import fit_scaling_law, read_samples_csv
 
 __all__ = ["main", "build_parser"]
 
@@ -104,6 +103,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_scaling(args: argparse.Namespace) -> int:
+    # The fitter and its csv reader load only for this command.
+    from .scalefit import fit_scaling_law, read_samples_csv
+
     fit = fit_scaling_law(read_samples_csv(args.samples))
     print(f"kappa: {fit.kappa!r}")
     print(f"p_thresh: {fit.p_thresh!r}")

@@ -23,10 +23,18 @@ from functools import partial
 from pathlib import Path
 
 from .architecture import DEFAULT_FACTORIES, DEFAULT_FACTORIES_P, TFactory
-from .scalefit import SCALING_PRESETS
 from .thermal import DEFAULT_THERMAL, LineClass, ThermalConfig
 
-__all__ = ["ArchConfig", "ConfigError", "load_config", "config_from_mapping"]
+__all__ = ["ArchConfig", "ConfigError", "SCALING_PRESETS", "load_config",
+           "config_from_mapping"]
+
+# (kappa, p_thresh) pairs for common decoder/noise combinations, read by
+# scaling.preset and by the decoder sweep.
+SCALING_PRESETS: dict[str, tuple[float, float]] = {
+    "mwpm-circuit": (0.009, 0.016),
+    "mwpm-code-capacity": (0.52, 0.14),
+    "astra-gnn": (0.56, 0.17),
+}
 
 
 class ConfigError(ValueError):
@@ -284,7 +292,9 @@ def load_config(path: str | Path | None) -> ArchConfig:
     text = Path(path).read_text()
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML lets through the ValueError of a scalar it cannot build: an
+        # integer longer than Python's int-string limit, or a bad date.
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
     return config_from_mapping(data, source=str(path))
 

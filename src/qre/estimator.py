@@ -17,6 +17,15 @@ its reason: no module layout fits at any distance, no distance up to
 error at the solved distance.  An infeasible run names every factory with
 its reason.
 
+One solve builds one scan state (``_Scan``) that every factory and every
+precision step reads: the budget, and per odd d the per-cycle error, the
+preparation-only bound and the tock error, each computed once, at first
+need; and per (factory position, d) the chosen layout, computed once,
+so a precision step that resumes at the last d does not choose it again.
+Values are reused as computed, never rearranged, so each selection and
+each reason is the one a scan recomputing them gives.  The state lives
+for one call.
+
 Timing follows the prepare-while-consuming pipeline across the two module
 legs: total consumption time plus per-step distillation and preparation
 delays, inter-leg handover teleports, and the decoding lag accumulated
@@ -80,6 +89,10 @@ __all__ = [
 D_CAP = 199          # largest code distance the solver will consider
 EPS_ITER_CAP = 50    # fixed-point iteration budget for the precision solve
 
+# Builds a hot named tuple (SequentialCounts, _WidgetInputs) in C, past its
+# Python-level __new__; neither validates.
+_new = tuple.__new__
+
 
 # --------------------------------------------------------------------------
 # Error-rate and synthesis primitives
@@ -105,8 +118,7 @@ def gate_synthesis_length(epsilon: float, c0: float, c1: float) -> int:
     return math.ceil(c0 * math.log2(1.0 / epsilon) + c1)
 
 
-@dataclass(frozen=True)
-class SequentialCounts:
+class SequentialCounts(NamedTuple):
     """Totals of T-basis work after rotations are synthesized."""
 
     n_tot_t: int
@@ -124,7 +136,7 @@ def sequential_counts(n_t_init: int, n_rz_init: int, l_eps: int,
     n_seq_consump = (-(-n_t_init // n_prime_eff)
                      + l_eps * -(-n_rz_init // n_prime_eff))
     n_seq_distill = -(-n_tot_t // n_prime_eff)
-    return SequentialCounts(n_tot_t, n_seq_consump, n_seq_distill)
+    return _new(SequentialCounts, (n_tot_t, n_seq_consump, n_seq_distill))
 
 
 # --------------------------------------------------------------------------
@@ -226,7 +238,7 @@ def budget_rhs(p_algo_fail: float) -> float:
 
 def spacetime_lhs(
     d: int,
-    config: ArchConfig,
+    p_c: float,
     n_logical: int,
     l_prep_total: int,
     n_per_leg: int,
@@ -234,14 +246,15 @@ def spacetime_lhs(
     counts: SequentialCounts,
     cycles: float,
 ) -> float:
-    """Expected failure weight of the full space-time volume at distance d."""
+    """Expected failure weight of the full space-time volume at distance d,
+    with per-cycle logical error ``p_c`` (``logical_error_per_cycle``)."""
     consump_volume = (2.0 * n_logical + n_per_leg * l_transfer_bus) * (
         counts.n_seq_consump * d + counts.n_seq_distill * cycles)
-    return _failure_weight(d, config, n_logical, l_prep_total, consump_volume)
+    return _failure_weight(p_c, d, n_logical, l_prep_total, consump_volume)
 
 
-def _failure_weight(d: int, config: ArchConfig, n_logical: int,
-                    l_prep_total: int, consump_volume: float) -> float:
+def _failure_weight(p_c: float, d: int, n_logical: int, l_prep_total: int,
+                    consump_volume: float) -> float:
     """Failure weight of the preparation volume plus ``consump_volume``.
 
     The preparation volume reads neither the layout nor the synthesis
@@ -249,13 +262,11 @@ def _failure_weight(d: int, config: ArchConfig, n_logical: int,
     ``spacetime_lhs`` at d for every layout, exact in floating point: the
     rounded sum is never below its nonnegative addend, and multiplying by
     the positive factor ``p_c * d`` keeps the order."""
-    p_c = logical_error_per_cycle(config.p, d, config.kappa, config.p_thresh)
     prep_volume = 2.0 * n_logical * l_prep_total * d
     return p_c * d * (prep_volume + consump_volume)
 
 
-@dataclass(frozen=True)
-class SelectionResult:
+class SelectionResult(NamedTuple):
     """Outcome of the distance/precision/factory solve."""
 
     d: int
@@ -267,62 +278,119 @@ class SelectionResult:
     counts: SequentialCounts
 
 
-def _tock_error(config: ArchConfig, d: int) -> float:
-    """Logical error of one d-cycle tock at distance d."""
-    return logical_error_per_tock(
-        logical_error_per_cycle(config.p, d, config.kappa, config.p_thresh), d)
+class _Scan:
+    """What one solve computes once and every factory and precision step
+    reads: the budget ``rhs``; per odd d the per-cycle error, the
+    preparation-only bound and the tock error; and per (factory position,
+    d) the chosen module layout. Each value is computed at first need, by
+    the same operations in the same order as a scan that recomputes it,
+    so reuse changes no float. A scan lives for one solve: its values read
+    the config and the sequence totals it was built from."""
+
+    __slots__ = ("config", "n_logical", "l_prep_total", "rhs", "_cycle",
+                 "_bound", "_tock", "_layouts")
+
+    def __init__(self, config: ArchConfig, n_logical: int,
+                 l_prep_total: int) -> None:
+        self.config = config
+        self.n_logical = n_logical
+        self.l_prep_total = l_prep_total
+        self.rhs = budget_rhs(config.p_algo_fail)
+        self._cycle: dict[int, float] = {}
+        self._bound: dict[int, float] = {}
+        self._tock: dict[int, float] = {}
+        self._layouts: dict[tuple[int, int], ModuleLayout | None] = {}
+
+    def cycle_error(self, d: int) -> float:
+        """Per-cycle logical error at d."""
+        p_c = self._cycle.get(d)
+        if p_c is None:
+            config = self.config
+            p_c = self._cycle[d] = logical_error_per_cycle(
+                config.p, d, config.kappa, config.p_thresh)
+        return p_c
+
+    def prep_bound(self, d: int) -> float:
+        """Failure weight of the preparation volume alone at d: a lower
+        bound on ``spacetime_lhs`` at d for every layout."""
+        bound = self._bound.get(d)
+        if bound is None:
+            bound = self._bound[d] = _failure_weight(
+                self.cycle_error(d), d, self.n_logical, self.l_prep_total, 0.0)
+        return bound
+
+    def tock_error(self, d: int) -> float:
+        """Logical error of one d-cycle tock at d."""
+        p_tock = self._tock.get(d)
+        if p_tock is None:
+            p_tock = self._tock[d] = logical_error_per_tock(
+                self.cycle_error(d), d)
+        return p_tock
+
+    def layout(self, position: int, d: int) -> ModuleLayout | None:
+        """The layout of factory ``config.factories[position]`` at d, or
+        None when none fits."""
+        key = (position, d)
+        layouts = self._layouts
+        if key in layouts:
+            return layouts[key]
+        config = self.config
+        layout = layouts[key] = choose_modules_per_leg(
+            config.n_phys_per_module, self.n_logical, d,
+            config.factories[position])
+        return layout
 
 
 def _solve_distance(
-    config: ArchConfig,
-    n_logical: int,
-    l_prep_total: int,
-    factory: TFactory,
+    scan: _Scan,
+    position: int,
     l_eps: int,
     n_t_init: int,
     n_rz_init: int,
     d_start: int = 3,
 ) -> tuple[int, ModuleLayout, SequentialCounts] | str:
-    """Smallest odd d in [d_start, D_CAP] meeting the failure budget, with
-    the module layout and sequential counts recomputed for every candidate
-    distance; otherwise the reason no distance does.
+    """Smallest odd d in [d_start, D_CAP] meeting the failure budget with
+    factory ``config.factories[position]``, with the module layout and
+    sequential counts of every candidate distance; otherwise the reason no
+    distance does.
 
     A distance whose preparation volume alone sinks the budget fails at
     every layout, so it is skipped without choosing one. Only when no
     distance passes are the skipped ones checked for a layout, to tell a
     machine too small at every distance from a budget no distance meets."""
-    rhs = budget_rhs(config.p_algo_fail)
-    n_phys = config.n_phys_per_module
+    rhs = scan.rhs
+    cycles = scan.config.factories[position].cycles
     fits = False
     skipped = []
     for d in range(d_start, D_CAP + 1, 2):
-        if _failure_weight(d, config, n_logical, l_prep_total, 0.0) >= rhs:
+        if scan.prep_bound(d) >= rhs:
             skipped.append(d)
             continue
-        layout = choose_modules_per_leg(n_phys, n_logical, d, factory)
+        layout = scan.layout(position, d)
         if layout is None:
             continue
         fits = True
         counts = sequential_counts(n_t_init, n_rz_init, l_eps,
                                    layout.n_prime_effective)
-        lhs = spacetime_lhs(d, config, n_logical, l_prep_total,
-                            layout.n_per_leg, layout.l_transfer_bus,
-                            counts, factory.cycles)
+        lhs = spacetime_lhs(d, scan.cycle_error(d), scan.n_logical,
+                            scan.l_prep_total, layout.n_per_leg,
+                            layout.l_transfer_bus, counts, cycles)
         if lhs < rhs:
             return d, layout, counts
-    if not (fits or any(choose_modules_per_leg(n_phys, n_logical, d, factory)
-                        is not None for d in skipped)):
+    if not (fits or any(scan.layout(position, d) is not None
+                        for d in skipped)):
         return f"no module layout fits at any odd d <= {D_CAP}"
     return (f"no odd d <= {D_CAP} meets the failure budget "
-            f"p_algo_fail={config.p_algo_fail}")
+            f"p_algo_fail={scan.config.p_algo_fail}")
 
 
 def _solve_factory(
-    config: ArchConfig,
+    scan: _Scan,
     est: StitchedEstimationSet,
-    factory: TFactory,
+    position: int,
 ) -> SelectionResult | str:
-    """Co-solve (d, epsilon) for one factory, or the reason it fails.
+    """Co-solve (d, epsilon) for factory ``config.factories[position]``,
+    or the reason it fails.
 
     Without rotations the synthesis length is zero, and a pinned precision
     fixes it, so one distance solve suffices.  Otherwise start at length
@@ -337,28 +405,28 @@ def _solve_factory(
     output error beats the tock error of the cell it feeds, or when no T
     state is consumed and the factories idle.
     """
+    config = scan.config
+    factory = config.factories[position]
     fixed_point = est.n_Rz_init > 0 and config.epsilon is None
     epsilon = config.epsilon if est.n_Rz_init > 0 else None
     d = 3
     for _ in range(EPS_ITER_CAP + 1):
         l_eps = (0 if epsilon is None
                  else gate_synthesis_length(epsilon, config.c0, config.c1))
-        solved = _solve_distance(config, est.n_logical_max, est.l_prep_total,
-                                 factory, l_eps, est.n_T_init,
+        solved = _solve_distance(scan, position, l_eps, est.n_T_init,
                                  est.n_Rz_init, d)
         if isinstance(solved, str):
             return solved
         d, layout, counts = solved
-        p_logical = _tock_error(config, d)
+        p_logical = scan.tock_error(d)
         if fixed_point and (epsilon is None or not epsilon < p_logical):
             epsilon = p_logical if epsilon is None else p_logical / 2.0
             continue
         if counts.n_tot_t > 0 and not factory.p_out < p_logical:
             return (f"output error {factory.p_out} is not below the logical "
                     f"tock error {p_logical:.3e} at d={d}")
-        return SelectionResult(
-            d=d, epsilon=epsilon, l_eps=l_eps, factory=factory,
-            p_logical=p_logical, layout=layout, counts=counts)
+        return SelectionResult(d, epsilon, l_eps, factory, p_logical, layout,
+                               counts)
     raise EstimationError(
         f"precision fixed point did not settle within {EPS_ITER_CAP} "
         f"iterations (factory {factory.name!r})")
@@ -369,10 +437,14 @@ def solve_distance_and_factory(
     est: StitchedEstimationSet,
 ) -> SelectionResult:
     """Solve each factory in table order and keep the first that succeeds;
-    when none does, the error names every factory with its reason."""
+    when none does, the error names every factory with its reason. Every
+    factory and precision step reads one scan (``_Scan``), so each
+    distance's errors and each (factory, distance) layout are computed
+    once per call."""
+    scan = _Scan(config, est.n_logical_max, est.l_prep_total)
     reasons = []
-    for factory in config.factories:
-        solved = _solve_factory(config, est, factory)
+    for position, factory in enumerate(config.factories):
+        solved = _solve_factory(scan, est, position)
         if isinstance(solved, SelectionResult):
             return solved
         reasons.append(f"factory {factory.name!r}: {solved}")
@@ -439,7 +511,7 @@ class _WidgetInputs(NamedTuple):
     """One widget's integer timing inputs on one module layout."""
 
     n_sub_steps: int          # preparation sub-steps
-    crossings: Counter[int]   # per-sub-step cross-module crossings
+    crossings: Mapping[int, int]  # per-sub-step cross-module crossings
     n_max_t: int              # per-module T maximum
     n_max_rz: int             # per-module Rz maximum
     handover: int             # crossings to teleport its outputs onward
@@ -451,10 +523,12 @@ def _widget_inputs(record: WidgetRecord, register_size: int,
     (v % register_size) // memory_per_module of its leg. The handover
     teleports output j onto wire j, input j of the next widget, so it
     reads this widget alone. With one module per leg nothing crosses a
-    module boundary, so no node list or span is read: only the counts."""
+    module boundary, so no node list or span is read: only the counts, and
+    the crossings are a fresh empty dict, which costs less to build than a
+    ``Counter``."""
     if layout.n_per_leg == 1:
-        return _WidgetInputs(record.n_sub_steps, Counter(), record.n_T,
-                             record.n_Rz, 0)
+        return _new(_WidgetInputs,
+                    (record.n_sub_steps, {}, record.n_T, record.n_Rz, 0))
     slots = layout.memory_per_module
     maxima = []
     for nodes in (record.t_nodes, record.rz_nodes):
@@ -485,7 +559,7 @@ class _TimingInputs:
     weights: tuple[int, ...]
     stitches: tuple[tuple[int, int, int], ...]
     handover: Counter[int]
-    crossing: tuple[Counter[int], ...]
+    crossing: tuple[Mapping[int, int], ...]
 
     def pipe_rounds(self, n_inter_pipes: int) -> tuple[int, ...]:
         """Everything the timing reads of the pipe count: the preparation

@@ -64,7 +64,7 @@ from .circuit import (
     transpile,
 )
 from .compiler import WidgetRecord, compile_widget
-from .config import ArchConfig, load_config
+from .config import SCALING_PRESETS, ArchConfig, load_config
 from .estimator import (
     CompiledAlgorithm,
     SelectionResult,
@@ -74,7 +74,6 @@ from .estimator import (
 )
 from .prepsched import schedule_preparation
 from .report import ResourceReport, assemble_report, emit_value
-from .scalefit import SCALING_PRESETS
 from .widgetizer import (
     NestedCircuit,
     PlanRecord,

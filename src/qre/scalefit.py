@@ -26,7 +26,6 @@ __all__ = [
     "FitError",
     "ScalingSample",
     "ScalingFit",
-    "SCALING_PRESETS",
     "fit_scaling_law",
     "per_cycle_error",
     "read_samples_csv",
@@ -35,14 +34,6 @@ __all__ = [
 
 class FitError(ValueError):
     """Raised when the sample set cannot determine both coefficients."""
-
-
-# (kappa, p_thresh) pairs for common decoder/noise combinations.
-SCALING_PRESETS: dict[str, tuple[float, float]] = {
-    "mwpm-circuit": (0.009, 0.016),
-    "mwpm-code-capacity": (0.52, 0.14),
-    "astra-gnn": (0.56, 0.17),
-}
 
 
 @dataclass(frozen=True)

@@ -365,6 +365,7 @@ def distance_by_full_scan(config, n_logical, l_prep_total, factory, l_eps,
     from qre.estimator import (
         D_CAP,
         budget_rhs,
+        logical_error_per_cycle,
         sequential_counts,
         spacetime_lhs,
     )
@@ -379,9 +380,10 @@ def distance_by_full_scan(config, n_logical, l_prep_total, factory, l_eps,
         fits = True
         counts = sequential_counts(n_t_init, n_rz_init, l_eps,
                                    layout.n_prime_effective)
-        if spacetime_lhs(d, config, n_logical, l_prep_total,
-                         layout.n_per_leg, layout.l_transfer_bus, counts,
-                         factory.cycles) < rhs:
+        p_c = logical_error_per_cycle(config.p, d, config.kappa,
+                                      config.p_thresh)
+        if spacetime_lhs(d, p_c, n_logical, l_prep_total, layout.n_per_leg,
+                         layout.l_transfer_bus, counts, factory.cycles) < rhs:
             return d, layout, counts
     if not fits:
         return f"no module layout fits at any odd d <= {D_CAP}"

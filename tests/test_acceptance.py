@@ -6,6 +6,7 @@ Each criterion checks the package against independently written oracles
 stated runtime budget.
 """
 
+import dataclasses
 import math
 import time
 
@@ -22,8 +23,10 @@ from qre.compiler import compile_widget
 from qre.config import ArchConfig
 from qre.estimator import (
     SequentialCounts,
+    _Scan,
     _solve_distance,
     gate_synthesis_length,
+    logical_error_per_cycle,
     solve_distance_and_factory,
     spacetime_lhs,
     budget_rhs,
@@ -99,8 +102,12 @@ def test_criterion_2_distance_minimality():
         cfg = ArchConfig()
         counts = SequentialCounts(10, 10, 10)
         worked = (1, 1, 1, 10, counts, 42.6)
-        assert (spacetime_lhs(7, cfg, *worked) < budget_rhs(cfg.p_algo_fail)
-                <= spacetime_lhs(5, cfg, *worked))
+
+        def lhs(d):
+            p_c = logical_error_per_cycle(cfg.p, d, cfg.kappa, cfg.p_thresh)
+            return spacetime_lhs(d, p_c, *worked)
+
+        assert lhs(7) < budget_rhs(cfg.p_algo_fail) <= lhs(5)
 
         rng = np.random.default_rng(17)
         n_solved = 0
@@ -116,7 +123,10 @@ def test_criterion_2_distance_minimality():
                     int(rng.integers(0, 60)), int(rng.integers(0, 5000)),
                     int(rng.integers(0, 200)))
 
-            solved = _solve_distance(cfg, *args)
+            n_logical, l_prep_total, factory, *rest = args
+            scan = _Scan(dataclasses.replace(cfg, factories=(factory,)),
+                         n_logical, l_prep_total)
+            solved = _solve_distance(scan, 0, *rest)
             ours = None if isinstance(solved, str) else solved[0]
             ref = oracles.min_distance_sweep(
                 oracles.layout_aware_lhs(cfg, *args), paf)

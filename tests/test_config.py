@@ -282,6 +282,24 @@ class TestBadValues:
         assert (f"{path}: {key}: must be a finite number, got {huge!r}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("value, detail", [
+        ("1" * 5001, "Exceeds the limit (4300 digits)"),
+        ("2020-13-45", "month must be in 1..12"),
+    ], ids=["5001-digit integer", "bad date"])
+    def test_cli_exits_invalid_on_a_scalar_yaml_cannot_build(
+            self, tmp_path, capsys, value, detail):
+        """PyYAML builds an integer with int() and a date with datetime,
+        and lets their ValueError through. Without the check the message
+        was that error's alone, naming neither the file nor the key."""
+        from qre.cli import main
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"physical:\n  n_phys_per_module: {value}\n")
+        circuit = tmp_path / "qft3.qasm"
+        circuit.write_text(emit_qasm(generate_qft(3), 3))
+        assert main(["estimate", str(circuit), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: invalid YAML: {detail}"), err
+
     def test_invariant_error_names_the_source(self):
         """A value that parses but breaks an invariant names the file, as a
         malformed one does."""

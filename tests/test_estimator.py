@@ -157,13 +157,32 @@ class TestSequentialCounts:
 WORKED = dict(n_logical=1, l_prep_total=1, n_per_leg=1, l_transfer_bus=10,
               counts=SequentialCounts(10, 10, 10), cycles=42.6)
 
-# Arguments of _solve_distance after the config.
+# Arguments of solve_distance after the config.
 SOLVE = dict(n_logical=1, l_prep_total=1, factory=DEFAULT_FACTORIES[0],
              l_eps=0, n_t_init=10, n_rz_init=10)
 
 
+def lhs(d, cfg, *args, **kwargs):
+    """``spacetime_lhs`` at d with ``cfg``'s per-cycle error."""
+    p_c = logical_error_per_cycle(cfg.p, d, cfg.kappa, cfg.p_thresh)
+    return spacetime_lhs(d, p_c, *args, **kwargs)
+
+
+def prep_bound(d, cfg, n_logical, l_prep_total):
+    """The preparation-only failure weight at d under ``cfg``."""
+    p_c = logical_error_per_cycle(cfg.p, d, cfg.kappa, cfg.p_thresh)
+    return estimator._failure_weight(p_c, d, n_logical, l_prep_total, 0.0)
+
+
+def solve_distance(cfg, n_logical, l_prep_total, factory, **kwargs):
+    """``_solve_distance`` for ``factory`` alone, on a scan of its own."""
+    scan = estimator._Scan(dataclasses.replace(cfg, factories=(factory,)),
+                           n_logical, l_prep_total)
+    return _solve_distance(scan, 0, **kwargs)
+
+
 def solved_d(cfg, **kwargs):
-    solved = _solve_distance(cfg, **kwargs)
+    solved = solve_distance(cfg, **kwargs)
     return None if isinstance(solved, str) else solved[0]
 
 
@@ -174,18 +193,17 @@ class TestBudgetInequality:
 
     def test_worked_instance_lhs_values(self):
         cfg = ArchConfig()
-        assert spacetime_lhs(5, cfg, **WORKED) == pytest.approx(
+        assert lhs(5, cfg, **WORKED) == pytest.approx(
             0.06286376953125, rel=1e-12)
-        assert spacetime_lhs(7, cfg, **WORKED) == pytest.approx(
+        assert lhs(7, cfg, **WORKED) == pytest.approx(
             0.005735137939453125, rel=1e-12)
 
     def test_worked_instance_minimal_distance(self):
         cfg = ArchConfig()
         rhs = budget_rhs(cfg.p_algo_fail)
-        assert spacetime_lhs(7, cfg, **WORKED) < rhs <= spacetime_lhs(
-            5, cfg, **WORKED)
-        assert spacetime_lhs(3, cfg, **WORKED) >= rhs
-        assert min_distance_sweep(lambda d: spacetime_lhs(d, cfg, **WORKED),
+        assert lhs(7, cfg, **WORKED) < rhs <= lhs(5, cfg, **WORKED)
+        assert lhs(3, cfg, **WORKED) >= rhs
+        assert min_distance_sweep(lambda d: lhs(d, cfg, **WORKED),
                                   cfg.p_algo_fail) == 7
 
     def test_matches_oracle_transcription(self):
@@ -193,7 +211,7 @@ class TestBudgetInequality:
         for d in (3, 5, 7, 9, 21):
             want = budget_lhs(d, cfg.kappa, cfg.p, cfg.p_thresh, 1, 1, 1, 10,
                               10, 10, 42.6)
-            assert spacetime_lhs(d, cfg, **WORKED) == pytest.approx(want, rel=1e-13)
+            assert lhs(d, cfg, **WORKED) == pytest.approx(want, rel=1e-13)
 
     def test_randomized_minimality_against_sweep_oracle(self):
         rng = random.Random(20260814)
@@ -211,7 +229,7 @@ class TestBudgetInequality:
             cfg = ArchConfig(p=p, p_algo_fail=p_algo_fail,
                              n_phys_per_module=rng.choice([10 ** 6, 10 ** 7]))
             lhs_at = layout_aware_lhs(cfg, **args)
-            solved = _solve_distance(cfg, **args)
+            solved = solve_distance(cfg, **args)
             want = min_distance_sweep(lhs_at, p_algo_fail)
             if isinstance(solved, str):
                 assert want is None, trial
@@ -219,10 +237,9 @@ class TestBudgetInequality:
             assert solved[0] == want, trial
             n_solved += 1
             d, layout, counts = solved
-            got = spacetime_lhs(d, cfg, args["n_logical"],
-                                args["l_prep_total"], layout.n_per_leg,
-                                layout.l_transfer_bus, counts,
-                                args["factory"].cycles)
+            got = lhs(d, cfg, args["n_logical"], args["l_prep_total"],
+                      layout.n_per_leg, layout.l_transfer_bus, counts,
+                      args["factory"].cycles)
             assert got == pytest.approx(lhs_at(d), rel=1e-12)
             assert got < budget_rhs(p_algo_fail)
         assert n_solved >= 40
@@ -230,14 +247,14 @@ class TestBudgetInequality:
     def test_exhausted_cap_returns_the_budget_reason(self):
         cfg = ArchConfig(p_algo_fail=1e-12)
         args = dict(SOLVE, l_prep_total=10 ** 140)
-        assert _solve_distance(cfg, **args) == (
+        assert solve_distance(cfg, **args) == (
             "no odd d <= 199 meets the failure budget p_algo_fail=1e-12")
         assert min_distance_sweep(layout_aware_lhs(cfg, **args),
                                   cfg.p_algo_fail) is None
 
     def test_no_layout_at_any_distance_returns_the_layout_reason(self):
         cfg = ArchConfig(n_phys_per_module=5000)
-        assert _solve_distance(cfg, **SOLVE) == (
+        assert solve_distance(cfg, **SOLVE) == (
             "no module layout fits at any odd d <= 199")
         assert all(lhs is None for lhs in map(
             layout_aware_lhs(cfg, **SOLVE), range(3, 200, 2)))
@@ -247,9 +264,8 @@ class TestBudgetInequality:
         at those either."""
         cfg = ArchConfig(n_phys_per_module=5000)
         args = dict(SOLVE, l_prep_total=10 ** 5)
-        assert estimator._failure_weight(
-            3, cfg, 1, 10 ** 5, 0.0) >= budget_rhs(cfg.p_algo_fail)
-        assert _solve_distance(cfg, **args) == (
+        assert prep_bound(3, cfg, 1, 10 ** 5) >= budget_rhs(cfg.p_algo_fail)
+        assert solve_distance(cfg, **args) == (
             "no module layout fits at any odd d <= 199")
         assert distance_by_full_scan(cfg, **args) == (
             "no module layout fits at any odd d <= 199")
@@ -266,9 +282,8 @@ class TestBudgetInequality:
         fitting = [d for d in range(3, 200, 2) if lhs_at(d) is not None]
         assert fitting == [3, 5, 7, 9]
         rhs = budget_rhs(cfg.p_algo_fail)
-        assert all(estimator._failure_weight(d, cfg, 1, 10 ** 5, 0.0) >= rhs
-                   for d in fitting)
-        assert estimator._failure_weight(11, cfg, 1, 10 ** 5, 0.0) < rhs
+        assert all(prep_bound(d, cfg, 1, 10 ** 5) >= rhs for d in fitting)
+        assert prep_bound(11, cfg, 1, 10 ** 5) < rhs
 
         calls = []
         choose = estimator.choose_modules_per_leg
@@ -278,7 +293,7 @@ class TestBudgetInequality:
             return choose(*a)
 
         monkeypatch.setattr(estimator, "choose_modules_per_leg", counted)
-        reason = _solve_distance(cfg, **args)
+        reason = solve_distance(cfg, **args)
         assert reason == (
             "no odd d <= 199 meets the failure budget p_algo_fail=0.05")
         assert reason == distance_by_full_scan(cfg, **args)
@@ -382,7 +397,7 @@ class TestSelection:
         rhs = budget_rhs(cfg.p_algo_fail)
         args = (cfg, 6, 4, sel.layout.n_per_leg, sel.layout.l_transfer_bus,
                 sel.counts, sel.factory.cycles)
-        assert spacetime_lhs(sel.d, *args) < rhs
+        assert lhs(sel.d, *args) < rhs
 
     def test_qft3_distance_matches_layout_aware_oracle(self, qft3_algo,
                                                        qft3_selection):
@@ -510,6 +525,13 @@ def random_selection_case(rng):
     return cfg, est
 
 
+@pytest.fixture(scope="module")
+def pool3_algo(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pool3") / "nested3.json"
+    path.write_text(benchmark_pool_circuit(3))
+    return compile_circuit(path, ArchConfig())[0]
+
+
 class TestSelectionReference:
     def test_randomized_agreement_with_fixed_point_reference(self):
         """The per-factory loop selects what a separate precision fixed
@@ -574,28 +596,52 @@ class TestSelectionReference:
             solved += 1
         assert solved >= 80
 
+    @staticmethod
+    def counted_solve(algo, monkeypatch):
+        """One default solve of ``algo``, with the (factory, d) of each
+        layout choice and the d of each per-cycle error evaluation."""
+        layouts, cycle_errors = [], []
+        choose = estimator.choose_modules_per_leg
+        per_cycle = estimator.logical_error_per_cycle
+
+        def counted_choose(*args):
+            layouts.append((args[3], args[2]))
+            return choose(*args)
+
+        def counted_per_cycle(*args):
+            cycle_errors.append(args[1])
+            return per_cycle(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimator, "choose_modules_per_leg", counted_choose)
+            patch.setattr(estimator, "logical_error_per_cycle",
+                          counted_per_cycle)
+            sel = solve_distance_and_factory(ArchConfig(), algo.est)
+        return sel, layouts, cycle_errors
+
     def test_each_precision_step_resumes_the_distance_scan(
-            self, tmp_path, monkeypatch):
+            self, pool3_algo, monkeypatch):
         """Pool circuit 3 tries six factories with three distance solves
         each. Each solve after a factory's first starts at the last d, and
         every d below 17 is skipped because its preparation volume alone
-        fails the budget, so the layout is chosen 26 times (37 when every
-        solve scans from d=3, 163 when it also chooses a layout at every
-        d)."""
-        path = tmp_path / "nested3.json"
-        path.write_text(benchmark_pool_circuit(3))
-        algo, _ = compile_circuit(path, ArchConfig())
-        calls = []
-        choose = estimator.choose_modules_per_leg
-
-        def counted(*args):
-            calls.append(args[2])
-            return choose(*args)
-
-        monkeypatch.setattr(estimator, "choose_modules_per_leg", counted)
-        sel = solve_distance_and_factory(ArchConfig(), algo.est)
+        fails the budget. The solve chooses the layout of each of its 14
+        (factory, d) pairs once (26 times when each precision step chose
+        its own, 37 when every solve also scans from d=3), and evaluates
+        the per-cycle error once at each of the 10 distances 3..21 (112
+        times when each use computed its own)."""
+        sel, layouts, cycle_errors = self.counted_solve(pool3_algo,
+                                                        monkeypatch)
         assert sel.d == 21
-        assert len(calls) == 26
+        assert len(layouts) == len(set(layouts)) == 14
+        assert sorted(cycle_errors) == list(range(3, 22, 2))
+
+    def test_a_second_solve_recomputes_what_it_reads(self, pool3_algo,
+                                                     monkeypatch):
+        """A second solve of the same algorithm in the same process
+        chooses the same layouts and evaluates the same per-cycle errors
+        again: no value outlives its solve."""
+        first = self.counted_solve(pool3_algo, monkeypatch)
+        assert self.counted_solve(pool3_algo, monkeypatch) == first
 
 
 # --------------------------------------------------------------------------

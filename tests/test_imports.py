@@ -1,5 +1,6 @@
 """What an estimate imports: numpy only for ``verify`` and ``fit-scaling``,
-PyYAML only for a config file; what the package defines: only what
+PyYAML only for a config file, the fitter and ``csv`` only for
+``fit-scaling``; what the package defines: only what
 something other than the tests calls; and what the tests import: only what
 they read."""
 
@@ -14,14 +15,16 @@ from pool import benchmark_pool_circuit
 from qre.circuit import emit_qasm, generate_qft
 from subproc import run_python
 
-# Runs in a fresh interpreter and prints, after each stage, which of numpy
-# and yaml are loaded; the last line holds the verified fidelity.
+# Runs in a fresh interpreter and prints, after each stage, which of numpy,
+# yaml, the fitter and csv are loaded; the last line holds the verified
+# fidelity.
 SCRIPT = """
 import contextlib, io, json, sys
 
 def loaded(stage):
-    print(json.dumps([stage, sorted(m for m in ("numpy", "yaml")
-                                    if m in sys.modules)]))
+    print(json.dumps([stage, sorted(
+        m for m in ("numpy", "yaml", "qre.scalefit", "csv")
+        if m in sys.modules)]))
 
 import qre.cli
 loaded("import qre.cli")
@@ -53,8 +56,8 @@ def python_output(*args):
 def test_estimate_loads_neither_numpy_nor_yaml(tmp_path):
     """``import qre.cli``, ``qre estimate`` of QFT-8, and a cold and a
     warm estimate of QFT-8 and of pool circuit 3 load neither numpy nor
-    yaml; an estimate with a config file loads yaml, and
-    ``verify_circuit`` loads numpy and gives 1.0."""
+    yaml, nor ``qre.scalefit`` or ``csv``; an estimate with a config file
+    loads yaml alone, and ``verify_circuit`` loads numpy and gives 1.0."""
     qft8, pool3, qft3 = (tmp_path / name for name in
                          ("qft8.qasm", "pool3.json", "qft3.qasm"))
     qft8.write_text(emit_qasm(generate_qft(8), 8))

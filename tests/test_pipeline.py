@@ -36,7 +36,7 @@ from qre.circuit import (
 )
 from qre.circuit import GateKind as G
 from qre.cli import main
-from qre.config import ArchConfig, ConfigError
+from qre.config import SCALING_PRESETS, ArchConfig, ConfigError
 from qre.estimator import (
     CompiledAlgorithm,
     compute_timing,
@@ -55,7 +55,6 @@ from qre.pipeline import (
 )
 from qre.prepsched import PrepTuple
 from qre.report import parse_csv, render_csv
-from qre.scalefit import SCALING_PRESETS
 from qre.widgetizer import WidgetPlan
 
 

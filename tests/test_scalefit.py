@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from qre.config import SCALING_PRESETS
 from qre.scalefit import (
-    SCALING_PRESETS,
     FitError,
     ScalingSample,
     fit_scaling_law,
