@@ -113,28 +113,19 @@ def _cmd_fit_scaling(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _pipe_values(text: str) -> list[int]:
-    values = []
-    for token in text.split(","):
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ValueError(f"--values: {token!r} is not an integer pipe "
-                             f"count") from None
-    return values
+# sweep kind -> its sweep, the CSV's label column and the default values
+_SWEEPS = {
+    "pipes": (run_pipe_sweep, "n_inter_pipes", "1,2,4,8,16,32"),
+    "decoder": (run_decoder_sweep, "preset", "mwpm-circuit,astra-gnn"),
+}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    values = _pipe_values(args.values) if args.kind == "pipes" else None
+    sweep, label, default = _SWEEPS[args.kind]
+    values = (default if args.values is None else args.values).split(",")
     config = load_config(args.config)
     algo, _ = compile_circuit(args.circuit, config, args.cache_dir)
-    if values is not None:
-        rows = run_pipe_sweep(algo, config, values)
-        text = render_sweep_csv(rows, "n_inter_pipes")
-    else:
-        presets = args.presets.split(",")
-        rows = run_decoder_sweep(algo, config, presets)
-        text = render_sweep_csv(rows, "preset")
+    text = render_sweep_csv(sweep(algo, config, values), label)
     if args.csv:
         Path(args.csv).write_text(text)
     else:
@@ -213,10 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("circuit")
     p.add_argument("--config")
     p.add_argument("--cache-dir")
-    p.add_argument("--values", default="1,2,4,8,16,32",
-                   help="comma-separated pipe counts (pipes sweep)")
-    p.add_argument("--presets", default="mwpm-circuit,astra-gnn",
-                   help="comma-separated scaling presets (decoder sweep)")
+    p.add_argument("--values", help=(
+        "comma-separated pipe counts or scaling presets, each read as in a "
+        "config file; default " + "; ".join(
+            f"{kind} {values}" for kind, (_, _, values) in _SWEEPS.items())))
     p.add_argument("--csv", help="write the sweep table to this path")
 
     p = add("gen-qft", _cmd_gen_qft,

@@ -78,17 +78,12 @@ from .stabilizer import stabilizer_after  # noqa: F401  hooked by perfbench
 from .widgetizer import PlanRecord
 
 CACHE_FORMAT = 8
-# The rule that derives a plan from its source, part of every plan key, so
-# that a plan record written under another rule is never read. Rule 1 gave a
-# flat QASM file the width of its widest gate; rule 2 gives it its declared
-# register; rule 3 numbers a nested plan's widget ids over its leaves only;
-# rule 4 drops the blocks with no gates from a split nested plan; rule 5
-# slices a flat block up to its largest moment, where rule 4 stopped at the
-# last gate's moment and dropped the gates past it; rule 6 rejects a flat
-# QASM file with no register or an empty one, which rule 5 sized as 1 qubit;
-# rule 7 splits flat QASM and cuts gate lists in gate order; rule 8 cuts by
-# gate count alone, where rule 7 also cut at 64 active qubits.
-PLAN_RULE = 8
+# The version of the rule that derives a plan from its source, part of every
+# plan key, so that a plan record written under another rule is never read:
+# bump it whenever a source would give another plan, or none. Rule 9 cuts
+# by gate count alone and refuses a JSON key that the format does not
+# define, which rule 8 ignored.
+PLAN_RULE = 9
 
 
 class CompileError(ValueError):

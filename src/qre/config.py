@@ -11,7 +11,9 @@ each of its line classes) goes through one reader, ``_read``: the mapping
 check, the unknown-key warnings and the reading of each value by the one
 number rule, ``_number``, all in the file's order. One step, ``_build``,
 constructs what a mapping describes and names the mapping in its error.
-Every message names the file and, for a value, its ``section.key``.
+Every message names the file and, for a value, its ``section.key``. A
+sweep reads each of its values by the same rules (``read_field``,
+``scaling_preset``), so it gets the same messages, without a file name.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from .architecture import DEFAULT_FACTORIES, DEFAULT_FACTORIES_P, TFactory
 from .thermal import DEFAULT_THERMAL, LineClass, ThermalConfig
 
 __all__ = ["ArchConfig", "ConfigError", "SCALING_PRESETS", "load_config",
-           "config_from_mapping"]
+           "config_from_mapping", "read_field", "scaling_preset"]
 
-# (kappa, p_thresh) pairs for common decoder/noise combinations, read by
-# scaling.preset and by the decoder sweep.
+# (kappa, p_thresh) pairs for common decoder/noise combinations, read
+# through scaling_preset.
 SCALING_PRESETS: dict[str, tuple[float, float]] = {
     "mwpm-circuit": (0.009, 0.016),
     "mwpm-code-capacity": (0.52, 0.14),
@@ -109,22 +111,18 @@ class ArchConfig:
                 f"{_KEY['c1']} must be finite and positive: {self.c1}")
         if self.epsilon is not None and not 0 < self.epsilon <= 1:
             problems.append(f"{_KEY['epsilon']} out of (0, 1]: {self.epsilon}")
-        if self.n_phys_per_module < 1:
-            problems.append(f"{_KEY['n_phys_per_module']} must be >= 1")
-        if self.n_inter_pipes < 1:
-            problems.append(f"{_KEY['n_inter_pipes']} must be >= 1")
-        if self.n_algo_reps < 1:
-            problems.append(f"{_KEY['n_algo_reps']} must be >= 1")
         if self.qubit_pitch <= 0:
             problems.append(f"{_KEY['qubit_pitch']} must be positive")
         if self.couplers_per_qubit < 0:
             problems.append(f"{_KEY['couplers_per_qubit']} must be >= 0")
-        if self.fan_out < 1:
-            problems.append(f"{_KEY['fan_out']} must be >= 1")
-        # Any one gate meets a split budget of 1, so such a budget fails
-        # every input that has gates.
-        if self.max_gates < 2:
-            problems.append(f"{_KEY['max_gates']} must be >= 2")
+        # The integer fields' lower bounds. Any one gate meets a split
+        # budget of 1, so such a budget fails every input that has gates.
+        for name, least in (("n_phys_per_module", 1), ("n_inter_pipes", 1),
+                            ("n_algo_reps", 1), ("fan_out", 1),
+                            ("max_gates", 2)):
+            if getattr(self, name) < least:
+                problems.append(
+                    f"{_KEY[name]} must be >= {least}: {getattr(self, name)}")
         if not self.factories:
             problems.append("factories: need at least one distillation unit")
         if problems:
@@ -179,6 +177,24 @@ def _number(name: str, value, integer: bool = False):
     return int(number)
 
 
+def read_field(name: str, value):
+    """``value`` read as a config file reads the ArchConfig field ``name``:
+    by the number rule, as an int for an integer field. A ConfigError
+    names the field's ``section.key``."""
+    return _number(_KEY[name], value, name in _INTEGER_KEYS)
+
+
+def scaling_preset(name, where: str = _KEY["preset"]) -> tuple[float, float]:
+    """The (kappa, p_thresh) of the scaling preset ``name``, read by
+    ``scaling.preset`` and by the decoder sweep. An unknown name is a
+    ConfigError under ``where``."""
+    preset = SCALING_PRESETS.get(str(name))
+    if preset is None:
+        raise ConfigError(f"{where}: unknown preset {name!r}; "
+                          f"choices: {sorted(SCALING_PRESETS)}")
+    return preset
+
+
 def config_from_mapping(data: dict | None, *, source: str = "<config>") -> ArchConfig:
     """Build an ArchConfig from a parsed YAML mapping (None = all defaults)."""
     overrides: dict[str, object] = {}
@@ -230,12 +246,8 @@ def _read(source: str, where: str, content, keys,
         if key not in keys:
             continue
         if key == "preset":
-            preset = SCALING_PRESETS.get(str(value))
-            if preset is None:
-                raise ConfigError(
-                    f"{source}: unknown scaling preset {value!r}; "
-                    f"choices: {sorted(SCALING_PRESETS)}")
-            values["kappa"], values["p_thresh"] = preset
+            values["kappa"], values["p_thresh"] = scaling_preset(
+                value, f"{source}: {where}.{key}")
         elif key == "epsilon" and value is None:
             values[key] = None  # solve for it
         elif key == "name":

@@ -64,7 +64,7 @@ from .circuit import (
     transpile,
 )
 from .compiler import WidgetRecord, compile_widget
-from .config import SCALING_PRESETS, ArchConfig, load_config
+from .config import ArchConfig, load_config, read_field, scaling_preset
 from .estimator import (
     CompiledAlgorithm,
     SelectionResult,
@@ -339,6 +339,8 @@ class SweepRow:
 
 def _normalize(labels: Sequence[str], solved: Sequence[tuple[int, float]],
                ) -> list[SweepRow]:
+    if not solved:
+        raise ValueError("a sweep needs at least one value")
     base = solved[0][1]
     return [SweepRow(label, d, t, t / base if base else None)
             for label, (d, t) in zip(labels, solved)]
@@ -347,9 +349,11 @@ def _normalize(labels: Sequence[str], solved: Sequence[tuple[int, float]],
 def run_pipe_sweep(
     algo: CompiledAlgorithm,
     config: ArchConfig,
-    pipe_values: Sequence[int],
+    pipe_values: Sequence[int | str],
 ) -> list[SweepRow]:
-    """Re-time the solved machine at each interconnect-pipe count.
+    """Re-time the solved machine at each interconnect-pipe count, each
+    value read as a config file reads ``architecture.n_inter_pipes``
+    (``"2.0"`` is 2) and labelled by the count read.
 
     The distance/factory solution does not depend on the pipe count, so it
     is the one solved for ``config``. The timing reads the pipe count only
@@ -360,16 +364,15 @@ def run_pipe_sweep(
     ``config``'s own, the point is ``config`` itself, so it shares the
     estimate's timing.
     """
-    if not pipe_values:
-        raise ValueError("pipe sweep needs at least one value")
+    counts = [read_field("n_inter_pipes", value) for value in pipe_values]
     # The pipe count is the only field that varies and its check is a lower
     # bound, so this validates every count before any rounds are computed.
-    replace(config, n_inter_pipes=min(pipe_values))
+    replace(config, n_inter_pipes=min(counts, default=config.n_inter_pipes))
     sel = _select(algo, config)
     inputs = algo.timing_inputs(sel.layout)
     by_rounds: dict[tuple[int, ...], float] = {}
     solved = []
-    for pipes in pipe_values:
+    for pipes in counts:
         rounds = inputs.pipe_rounds(pipes)
         t_hardware = by_rounds.get(rounds)
         if t_hardware is None:
@@ -377,7 +380,7 @@ def run_pipe_sweep(
                 algo, replace(config, n_inter_pipes=pipes),
                 sel).t_hardware_total
         solved.append((sel.d, t_hardware))
-    return _normalize([str(v) for v in pipe_values], solved)
+    return _normalize([str(v) for v in counts], solved)
 
 
 def run_decoder_sweep(
@@ -385,14 +388,10 @@ def run_decoder_sweep(
     config: ArchConfig,
     presets: Sequence[str],
 ) -> list[SweepRow]:
-    """Re-solve and re-time the run under each decoder scaling preset."""
-    unknown = [name for name in presets if name not in SCALING_PRESETS]
-    if unknown:
-        raise ValueError(f"unknown scaling presets: {unknown} "
-                         f"(available: {sorted(SCALING_PRESETS)})")
+    """Re-solve and re-time the run under each decoder scaling preset,
+    each named as a config file names ``scaling.preset``."""
     solved = []
-    for name in presets:
-        kappa, p_thresh = SCALING_PRESETS[name]
+    for kappa, p_thresh in [scaling_preset(name) for name in presets]:
         cfg = replace(config, kappa=kappa, p_thresh=p_thresh)
         sel = _select(algo, cfg)
         solved.append((sel.d, _time(algo, cfg, sel).t_hardware_total))

@@ -30,6 +30,7 @@ digests.
 A ``WidgetPlan`` is a ``PlanRecord``, the gate-free part that estimation
 reads and the plan cache stores, plus each widget's gate list.
 
+Both JSON readers refuse a key that their format does not define.
 ``parse_nested_file`` validates each distinct gate item of a file once and
 builds one ``Gate`` for it, which every repetition of the item shares.
 Only ``verify`` expands a whole circuit (``iter_leaf_sequence``,
@@ -404,8 +405,6 @@ class WidgetPlan(PlanRecord):
         with multiplicities and stitches counted in one pass. It keeps the
         table's order, which orders the estimator's sums, and drops the
         widgets the sequence never uses."""
-        if n_input < 1:
-            raise CircuitError("n_input must be >= 1")
         if not sequence:
             raise CircuitError("widget sequence is empty")
         counts: dict[str, int] = {}
@@ -438,6 +437,23 @@ class WidgetPlan(PlanRecord):
 # JSON inputs: widget tables and nested blocks
 # --------------------------------------------------------------------------
 
+# The keys of each JSON mapping. Any other key is an input error, not a
+# warning: the format field versions each schema, and a warm run reads the
+# plan record and parses nothing, so a warning would be printed once and
+# the estimate it spoiled then served from the cache.
+_NESTED_KEYS = ("format", "n_input", "root", "blocks")
+_WIDGET_KEYS = ("format", "n_input", "distinct_widgets", "sequence")
+_BLOCK_REF_KEYS = ("block", "repeat")
+_GATE_KEYS = ("gate", "qubits", "angle")
+
+
+def _check_keys(obj: Mapping, keys: tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise CircuitError(f"{where}: unknown key {key!r}; known keys: "
+                               f"{', '.join(keys)}")
+
+
 def _json_int(value: object) -> int | None:
     """A JSON integer: an int, or a float with an integral value such as
     ``2.0``. None for anything else, booleans and ``2.5`` included."""
@@ -448,7 +464,18 @@ def _json_int(value: object) -> int | None:
     return None
 
 
+def _n_input(value: object) -> int:
+    """``n_input`` of either JSON format: an integer of at least 1."""
+    n_input = _json_int(value)
+    if n_input is None:
+        raise CircuitError(f"n_input must be an integer, got {value!r}")
+    if n_input < 1:
+        raise CircuitError(f"n_input must be >= 1, got {n_input}")
+    return n_input
+
+
 def _gate_from_json(obj: Mapping, where: str) -> Gate:
+    _check_keys(obj, _GATE_KEYS, where)
     name = obj["gate"]
     kind = _QASM_NAME_TO_KIND.get(name) if isinstance(name, str) else None
     if kind is None:
@@ -478,6 +505,7 @@ def _gate_from_json(obj: Mapping, where: str) -> Gate:
 def _block_ref_from_json(obj: object, where: str) -> BlockRef:
     if not isinstance(obj, dict) or "block" not in obj:
         raise CircuitError(f"{where}: need an object with 'gate' or 'block'")
+    _check_keys(obj, _BLOCK_REF_KEYS, where)
     repeat = _json_int(obj.get("repeat", 1))
     if repeat is None:
         raise CircuitError(
@@ -492,15 +520,19 @@ def parse_nested_file(payload: Mapping) -> NestedCircuit:
     """Build a nested circuit from decoded JSON: {format, n_input?, root,
     blocks:{name: [items]}} where an item is {"gate", "qubits", "angle"?} or
     {"block", "repeat"?}. An error message names the block and the first
-    position of the bad item; ``pipeline.load_circuit`` adds the file.
+    position of the bad item, or the top level; ``pipeline.load_circuit``
+    adds the file.
 
     Each distinct gate item is validated once and becomes one ``Gate``,
     shared by its repetitions. Items are told apart by their name, the
     ``repr`` of their qubits and their angle with its type, since ``1``,
-    ``1.0`` and ``true`` are equal as Python values but not as JSON input.
+    ``1.0`` and ``true`` are equal as Python values but not as JSON input,
+    and by their key count and whether they give an angle, so an item
+    with an unknown key never shares the ``Gate`` of one without.
     """
     if payload.get("format", NESTED_FORMAT) != NESTED_FORMAT:
         raise CircuitError("unsupported nested-circuit format")
+    _check_keys(payload, _NESTED_KEYS, "top level")
     raw_blocks = payload.get("blocks")
     if not isinstance(raw_blocks, dict) or not raw_blocks:
         raise CircuitError("'blocks' must be a non-empty object")
@@ -517,7 +549,8 @@ def parse_nested_file(payload: Mapping) -> NestedCircuit:
                     obj, f"block {name!r} item {k}"))
                 continue
             angle = obj.get("angle")
-            key = (obj["gate"], repr(obj.get("qubits")), angle, type(angle))
+            key = (obj["gate"], repr(obj.get("qubits")), angle, type(angle),
+                   len(obj), "angle" in obj)
             try:
                 gate = gates.get(key)
             except TypeError:  # an unhashable name or angle, never valid
@@ -531,13 +564,8 @@ def parse_nested_file(payload: Mapping) -> NestedCircuit:
     root = payload.get("root")
     if root is None:
         root = next(iter(raw_blocks))
-    n_input = _json_int(payload.get("n_input",
-                                    max(circuit_width(list(gates.values())), 1)))
-    if n_input is None:
-        raise CircuitError(
-            f"n_input must be an integer, got {payload['n_input']!r}")
-    if n_input < 1:
-        raise CircuitError(f"n_input must be >= 1, got {n_input}")
+    n_input = _n_input(payload.get(
+        "n_input", max(circuit_width(list(gates.values())), 1)))
     return NestedCircuit(n_input=n_input, blocks=blocks, root=str(root))
 
 
@@ -549,20 +577,18 @@ def parse_widget_file(payload: Mapping,
     ``WidgetPlan.from_sequence``. A widget body that declares a register
     must declare ``n_input`` qubits, as ``parse_qasm`` reads it, so a
     commented-out declaration is never compared. An error message names
-    the widget; ``pipeline.load_circuit`` adds the file."""
+    the widget or the top level; ``pipeline.load_circuit`` adds the
+    file."""
     fmt = payload.get("format", WIDGET_FORMAT)
     if fmt != WIDGET_FORMAT:
         raise CircuitError(f"unsupported widget file format {fmt!r}")
+    _check_keys(payload, _WIDGET_KEYS, "top level")
     try:
-        raw_n_input = payload["n_input"]
+        n_input = _n_input(payload["n_input"])
         table = payload["distinct_widgets"]
         sequence = payload["sequence"]
     except KeyError as exc:
         raise CircuitError(f"missing key {exc.args[0]!r}") from exc
-    n_input = _json_int(raw_n_input)
-    if n_input is None:
-        raise CircuitError(
-            f"n_input must be an integer, got {raw_n_input!r}")
     if not isinstance(table, dict) or not isinstance(sequence, list):
         raise CircuitError("distinct_widgets must be a map and sequence a list")
 

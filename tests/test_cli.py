@@ -336,6 +336,20 @@ class TestSweep:
                  for row in lines[1:]}
         assert table["astra-gnn"] <= table["mwpm-circuit"]
 
+    @staticmethod
+    def estimate_rows(pool3, yaml, name, tmp_path, cache):
+        """Code distance and hardware time of one estimate of ``pool3``
+        under the config file ``yaml``."""
+        cfg = tmp_path / f"{name}.yaml"
+        cfg.write_text(yaml)
+        csv_path = tmp_path / f"{name}.csv"
+        assert main(["estimate", str(pool3), "--config", str(cfg),
+                     "--csv", str(csv_path), *cache]) == EXIT_OK
+        rows = dict(row.split(",")[1:3]
+                    for row in csv_path.read_text().splitlines()
+                    if row[:1].isdigit())
+        return [rows["code_distance"], rows["hardware_time_per_step"]]
+
     def test_decoder_rows_match_estimates_naming_the_preset(self, tmp_path,
                                                             capsys):
         """A decoder sweep re-solves and re-times the machine per preset,
@@ -348,23 +362,65 @@ class TestSweep:
         cache = ["--cache-dir", str(tmp_path / "cache")]
         presets = ("mwpm-circuit", "mwpm-code-capacity", "astra-gnn")
         assert main(["sweep", "decoder", str(pool3),
-                     "--presets", ",".join(presets), *cache]) == EXIT_OK
+                     "--values", ",".join(presets), *cache]) == EXIT_OK
         swept = [row.split(",")[:3]
                  for row in capsys.readouterr().out.splitlines()[1:]]
-        single = []
-        for preset in presets:
-            cfg = tmp_path / f"{preset}.yaml"
-            cfg.write_text(f"scaling:\n  preset: {preset}\n")
-            csv_path = tmp_path / f"{preset}.csv"
-            assert main(["estimate", str(pool3), "--config", str(cfg),
-                         "--csv", str(csv_path), *cache]) == EXIT_OK
-            rows = dict(row.split(",")[1:3]
-                        for row in csv_path.read_text().splitlines()
-                        if row[:1].isdigit())
-            single.append([preset, rows["code_distance"],
-                           rows["hardware_time_per_step"]])
+        single = [[preset, *self.estimate_rows(
+            pool3, f"scaling:\n  preset: {preset}\n", preset, tmp_path,
+            cache)] for preset in presets]
         assert swept == single
         assert len({d for _, d, _ in swept}) > 1
+
+    def test_pipe_rows_match_estimates_naming_the_count(self, tmp_path,
+                                                        capsys):
+        """On pool circuit 3 at two modules per leg with slow links, each
+        pipe-sweep row's distance and hardware time equal those of one
+        estimate whose config file sets architecture.n_inter_pipes to the
+        same token, and the rows differ. Both read ``2.0`` as 2."""
+        pool3 = tmp_path / "pool3.json"
+        pool3.write_text(benchmark_pool_circuit(3))
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        machine = ("physical:\n  n_phys_per_module: 250000\n"
+                   "timing:\n  t_inter: 1.0e-4\n")
+        base = tmp_path / "base.yaml"
+        base.write_text(machine)
+        tokens = ("1", "2.0", "4", "16")
+        assert main(["sweep", "pipes", str(pool3), "--config", str(base),
+                     "--values", ",".join(tokens), *cache]) == EXIT_OK
+        swept = [row.split(",")[:3]
+                 for row in capsys.readouterr().out.splitlines()[1:]]
+        single = [[str(int(float(token))), *self.estimate_rows(
+            pool3, machine + f"architecture:\n  n_inter_pipes: {token}\n",
+            f"pipes{k}", tmp_path, cache)] for k, token in enumerate(tokens)]
+        assert swept == single
+        assert len({t for _, _, t in swept}) == len(tokens)
+
+    def test_values_reach_the_decoder_sweep(self, qft3_path, capsys):
+        """One row per value, in the order given, repeats included."""
+        values = ["astra-gnn", "mwpm-code-capacity", "astra-gnn"]
+        assert main(["sweep", "decoder", str(qft3_path),
+                     "--values", ",".join(values)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("preset,")
+        assert [line.split(",")[0] for line in lines[1:]] == values
+
+    def test_presets_option_is_gone(self, qft3_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "decoder", str(qft3_path),
+                  "--presets", "astra-gnn"])
+        assert exc.value.code == EXIT_INVALID
+        assert "unrecognized arguments: --presets" in capsys.readouterr().err
+
+    def test_whole_number_spellings_read_as_the_count(self, qft3_path,
+                                                      capsys):
+        """A pipe count is read as a config file reads
+        architecture.n_inter_pipes, so ``2.0`` is the count 2."""
+        outputs = []
+        for values in ("2.0,1", "2,1"):
+            assert main(["sweep", "pipes", str(qft3_path),
+                         "--values", values]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("kind", ["pipes", "decoder"])
     def test_zero_time_circuit_normalizes_to_n_a(self, tmp_path, capsys,
@@ -379,10 +435,21 @@ class TestSweep:
         assert len(rows) > 1
         assert all(r[2:] == ["0.0", "n/a"] for r in rows), rows
 
-    def test_unknown_preset_invalid(self, qft3_path, capsys):
+    def test_unknown_preset_invalid(self, qft3_path, tmp_path, capsys):
+        """An unknown preset gets the message a config file's
+        scaling.preset gets, without the file's name."""
         rc = main(["sweep", "decoder", str(qft3_path),
-                   "--presets", "union-find"])
+                   "--values", "astra-gnn,union-find"])
         assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: scaling.preset: unknown preset 'union-find'; choices: ")
+        cfg = tmp_path / "preset.yaml"
+        cfg.write_text("scaling:\n  preset: union-find\n")
+        assert main(["estimate", str(qft3_path),
+                     "--config", str(cfg)]) == EXIT_INVALID
+        assert capsys.readouterr().err == err.replace(
+            "error: ", f"error: {cfg}: ", 1)
 
     def test_bad_values_invalid(self, qft3_path):
         rc = main(["sweep", "pipes", str(qft3_path), "--values", "1,two"])
@@ -392,17 +459,21 @@ class TestSweep:
         ("1,x", "'x'"), ("", "''"), ("2,,3", "''"), ("1.5", "'1.5'")])
     def test_non_integer_values_name_the_token(self, qft3_path, capsys,
                                                values, token):
+        """A token that is not a whole number is refused by the number
+        rule of a config file, under the key it would set."""
         rc = main(["sweep", "pipes", str(qft3_path), f"--values={values}"])
         assert rc == EXIT_INVALID
         err = capsys.readouterr().err
-        assert f"--values: {token} is not an integer" in err
+        assert err.startswith("error: architecture.n_inter_pipes: must be a ")
+        assert err.endswith(f" number, got {token}\n")
 
     @pytest.mark.parametrize("values", ["0", "-1", "4,0"])
     def test_pipe_counts_below_one_invalid(self, qft3_path, capsys, values):
         rc = main(["sweep", "pipes", str(qft3_path), f"--values={values}"])
         assert rc == EXIT_INVALID
-        assert ("architecture.n_inter_pipes must be >= 1"
-                in capsys.readouterr().err)
+        least = min(map(int, values.split(",")))
+        assert capsys.readouterr().err == (
+            f"error: architecture.n_inter_pipes must be >= 1: {least}\n")
 
 
 class TestBadInput:
@@ -492,6 +563,48 @@ class TestBadInput:
         path.write_text(json.dumps(text))
         assert main(["estimate", str(path)]) == EXIT_INVALID
         assert f"{path}: {message}" in capsys.readouterr().err
+
+    T = {"gate": "t", "qubits": [0]}
+    # A misspelled key, each of which used to change the estimate silently:
+    # (the file, the place the error names, the key).
+    UNKNOWN_KEYS = {
+        "block ref": ({"n_input": 2, "root": "main", "blocks": {
+            "main": [{"block": "body", "repaet": 1000}], "body": [T]}},
+            "block 'main' item 0", "repaet"),
+        "nested top level n_input": ({"n_inputs": 40, "blocks": {
+            "main": [T]}}, "top level", "n_inputs"),
+        "nested top level root": ({"rot": "main", "blocks": {
+            "first": [T], "main": [T, T]}}, "top level", "rot"),
+        "gate item": ({"blocks": {"main": [
+            T, {"gate": "t", "qubits": [0], "repeat": 5}]}},
+            "block 'main' item 1", "repeat"),
+        "widget table": ({"format": 1, "n_imput": 2, "sequence": ["A"],
+                          "distinct_widgets": {"A": "qreg q[1]; t q[0];"}},
+                         "top level", "n_imput"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+    def test_unknown_json_key_is_invalid(self, tmp_path, capsys, case):
+        payload, place, key = self.UNKNOWN_KEYS[case]
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(payload))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: {place}: unknown key {key!r}; known keys: ")
+
+    @pytest.mark.parametrize("first", [
+        {"gate": "h", "qubits": [0]},
+        {"gate": "h", "qubits": [0], "angle": None}], ids=["plain", "null angle"])
+    def test_unknown_key_on_a_repeated_gate_item_is_invalid(self, tmp_path,
+                                                            capsys, first):
+        """Equal gate items share one check, but not with an item that
+        differs from them only by an extra key."""
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"blocks": {"main": [
+            first, {"gate": "h", "qubits": [0], "repeat": 5}]}}))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: block 'main' item 1: unknown key 'repeat'; ")
 
     @pytest.mark.parametrize("name, data", [
         ("bad.qasm", b"\xffqreg q[1];\nh q[0];\n"),

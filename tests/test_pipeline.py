@@ -178,7 +178,7 @@ class TestLoadDispatch:
         "gate-beyond-n-input": (
             1, {"A": "// qreg c[1]\nqreg q[3];\nh q[2];"}, ["A"],
             "widget 'A' declares 3 qubits, expected 1"),
-        "n-input-zero": (0, {"A": ""}, ["A"], "n_input must be >= 1"),
+        "n-input-zero": (0, {"A": ""}, ["A"], "n_input must be >= 1, got 0"),
     }
 
     @pytest.mark.parametrize("case", sorted(PLAN_ERRORS))
@@ -1111,6 +1111,29 @@ class TestPlanRecord:
         with pytest.raises(CircuitError, match="needs a qreg of at least 1"):
             run_estimate(path, cache_dir=cache)
 
+    def test_a_record_of_a_file_with_an_unknown_key_is_never_read(
+            self, tmp_path, monkeypatch):
+        """Rule 8 ignored a JSON key that the format does not define, so it
+        planned a misspelled repeat as a repeat of 1. Such a record, with
+        its widget records, left in a cache must not let a warm run
+        estimate the file, which is now an input error."""
+        cache = tmp_path / "cache"
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps({"blocks": {
+            "main": [{"block": "body", "repaet": 1000}],
+            "body": [{"gate": "t", "qubits": [0]}]}}))
+        config = ArchConfig()
+        plan = WidgetPlan.from_sequence(1, {"w0": [gate(G.T, 0)]}, ["w0"])
+        compile_plan(plan, config, cache)
+        monkeypatch.setattr(compiler, "PLAN_RULE", 8)
+        compiler.save_plan(cache, compiler.plan_key(
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            config.max_gates), plan)
+        assert run_estimate(path, cache_dir=cache).report.value(20) == 1
+        monkeypatch.undo()
+        with pytest.raises(CircuitError, match="unknown key 'repaet'"):
+            run_estimate(path, cache_dir=cache)
+
     def test_verify_and_widgetize_never_read_the_record(
             self, table_path, tmp_path, capsys, monkeypatch):
         cache = tmp_path / "cache"
@@ -1454,8 +1477,18 @@ class TestSweeps:
         assert len({r.d for r in rows}) == 1
 
     def test_pipe_sweep_rejects_empty(self, qft3_algo, config):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a sweep needs at least one "
+                                             "value$"):
             run_pipe_sweep(qft3_algo, config, [])
+
+    def test_decoder_sweep_rejects_empty_as_the_pipe_sweep_does(
+            self, qft3_algo, config):
+        errors = []
+        for sweep in (run_pipe_sweep, run_decoder_sweep):
+            with pytest.raises(ValueError) as exc:
+                sweep(qft3_algo, config, ())
+            errors.append((type(exc.value), str(exc.value)))
+        assert errors[0] == errors[1]
 
     def test_decoder_sweep_astra_at_most_mwpm(self, qft3_algo, config):
         rows = run_decoder_sweep(qft3_algo, config,
@@ -1466,8 +1499,9 @@ class TestSweeps:
         assert mwpm.normalized_runtime == 1.0
 
     def test_decoder_sweep_unknown_preset(self, qft3_algo, config):
-        with pytest.raises(ValueError, match="unknown scaling presets"):
-            run_decoder_sweep(qft3_algo, config, ["union-find"])
+        with pytest.raises(ConfigError, match="^scaling.preset: unknown "
+                                              "preset 'union-find'; "):
+            run_decoder_sweep(qft3_algo, config, ["astra-gnn", "union-find"])
 
     def test_sweep_csv_shape(self, qft3_algo, config):
         rows = run_pipe_sweep(qft3_algo, config, [1, 2])
