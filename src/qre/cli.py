@@ -15,12 +15,13 @@ import argparse
 import os
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .architecture import EstimationError
 from .circuit import emit_qasm, generate_qft, transpile
-from .config import load_config
+from .config import load_config, read_field, scaling_preset
 from .pipeline import (
     compile_circuit,
     load_circuit,
@@ -113,16 +114,28 @@ def _cmd_fit_scaling(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# sweep kind -> its sweep, the CSV's label column and the default values
+def _preset_name(name: str) -> str:
+    """``name``, once ``scaling_preset`` has accepted it: a decoder sweep
+    labels each row by its preset's name."""
+    scaling_preset(name)
+    return name
+
+
+# sweep kind -> its sweep, the reader of one value, the CSV's label column
+# and the default values
 _SWEEPS = {
-    "pipes": (run_pipe_sweep, "n_inter_pipes", "1,2,4,8,16,32"),
-    "decoder": (run_decoder_sweep, "preset", "mwpm-circuit,astra-gnn"),
+    "pipes": (run_pipe_sweep, partial(read_field, "n_inter_pipes"),
+              "n_inter_pipes", "1,2,4,8,16,32"),
+    "decoder": (run_decoder_sweep, _preset_name, "preset",
+                "mwpm-circuit,astra-gnn"),
 }
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    sweep, label, default = _SWEEPS[args.kind]
-    values = (default if args.values is None else args.values).split(",")
+    sweep, read, label, default = _SWEEPS[args.kind]
+    # Every token is read before the compile, so a bad one costs none.
+    values = [read(token) for token in
+              (default if args.values is None else args.values).split(",")]
     config = load_config(args.config)
     algo, _ = compile_circuit(args.circuit, config, args.cache_dir)
     text = render_sweep_csv(sweep(algo, config, values), label)
@@ -207,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help=(
         "comma-separated pipe counts or scaling presets, each read as in a "
         "config file; default " + "; ".join(
-            f"{kind} {values}" for kind, (_, _, values) in _SWEEPS.items())))
+            f"{kind} {values}" for kind, (*_, values) in _SWEEPS.items())))
     p.add_argument("--csv", help="write the sweep table to this path")
 
     p = add("gen-qft", _cmd_gen_qft,

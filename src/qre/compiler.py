@@ -32,17 +32,20 @@ prep-scheduled widget is a ``WidgetRecord``. The disk cache, in the
 directory that each call names, stores those records one JSON file per
 distinct set of widgets (``load_cached``/``save_cached``), so a plan's
 widgets cost one read and one write. The file is columnar: the widgets'
-gate-list digests in one list, and one list per ``WidgetRecord`` field in
-digest order, so a read validates each field once per set, over its
-column, not once per record. A record holds
-its node lists and preparation spans as compact text, which a read checks
-but does not decode: the counts come from the separators, and the values
-are decoded on first read, which only a layout with more than one module
-per leg makes. The records' sequence totals are the estimator's
-(``CompiledAlgorithm.est``). Beside the set records the cache keeps one
-``PlanRecord`` per input file and split budget (``load_plan``/
-``save_plan``), columnar too; both kinds share one atomic write and one
-validated read.
+gate-list digests in one list, and one list per stored ``WidgetRecord``
+field in digest order, so a read validates each field once per set, over
+its column, not once per record. A record holds its node lists and
+preparation spans as compact text, which a read checks but does not
+decode, and its T, Rz and preparation sub-step counts as values, which
+are not written: a compile takes them from the widget's node lists and
+schedule, and a read counts each once from the separators of its checked
+text, then builds every record in C. The values of the texts are decoded
+only when read, which only a layout with more than one module per leg
+does, once per layout (``estimator._widget_inputs``). The records'
+sequence totals are the estimator's (``CompiledAlgorithm.est``). Beside
+the set records the cache keeps one ``PlanRecord`` per input file and
+split budget (``load_plan``/``save_plan``), columnar too; both kinds
+share one atomic write and one validated read.
 The fields that only verification and the tests read are derived on first
 read: the preparation ops, by one relabeling pass over the kept gates
 (``_preparation``, the compile loop's rule without the sweep); each
@@ -59,9 +62,9 @@ import math
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field, fields
-from functools import cached_property
-from itertools import chain
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
@@ -82,8 +85,9 @@ CACHE_FORMAT = 8
 # plan key, so that a plan record written under another rule is never read:
 # bump it whenever a source would give another plan, or none. Rule 9 cuts
 # by gate count alone and refuses a JSON key that the format does not
-# define, which rule 8 ignored.
-PLAN_RULE = 9
+# define, which rule 8 ignored; rule 10 reads ``format`` as a JSON integer,
+# so ``"format": true``, which rule 9 read as format 1, gives no plan.
+PLAN_RULE = 10
 
 
 class CompileError(ValueError):
@@ -172,17 +176,22 @@ def _decode(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split()))
 
 
-@dataclass(frozen=True)
-class WidgetRecord:
+class WidgetRecord(NamedTuple):
     """What estimation and ``qre compile`` read of one compiled widget and
     its preparation schedule; the value the disk cache stores. It holds no
     wire count: the plan and the set record's key fix it.
 
     The node lists and the spans are held as text: a node list as
     ``encode_nodes`` writes it, and the spans as each sub-step's tuple
-    spans written the same way, then ``;``. Their lengths are counted from
-    the separators, and the values, which only a layout with more than one
-    module per leg reads, are decoded on first read."""
+    spans written the same way, then ``;``. The last three fields, the T
+    and Rz counts and the preparation sub-step count, are not written:
+    ``of`` takes them from the compiled widget and its schedule, and a read
+    (``_set_from_dict``) counts them once from the separators of the texts
+    it has checked, so they always agree with the texts. The values, which
+    only a layout with more than one module per leg reads, are decoded on
+    each read of ``output_nodes``, ``t_nodes``, ``rz_nodes`` and
+    ``prep_spans``: ``estimator._widget_inputs`` reads each once per
+    layout."""
 
     n_nodes: int
     n_edges: int
@@ -193,6 +202,9 @@ class WidgetRecord:
     n_logical: int
     n_clifford: int               # transpiled Clifford gates of one instance
     spans_text: str               # per prep sub-step, each tuple's d_max
+    n_T: int                      # derived: values of t_text
+    n_Rz: int                     # derived: values of rz_text
+    n_sub_steps: int              # derived: sub-steps of spans_text
 
     @classmethod
     def of(cls, cw: CompiledWidget, prep: PrepSchedule,
@@ -219,33 +231,24 @@ class WidgetRecord:
             n_logical=cw.n_logical,
             n_clifford=n_clifford,
             spans_text="".join(spans),
+            n_T=len(by_kind["T"]),
+            n_Rz=len(by_kind["Rz"]),
+            n_sub_steps=prep.n_sub_steps,
         )
 
     @property
-    def n_T(self) -> int:
-        return self.t_text.count(" ")
-
-    @property
-    def n_Rz(self) -> int:
-        return self.rz_text.count(" ")
-
-    @property
-    def n_sub_steps(self) -> int:
-        return self.spans_text.count(";")
-
-    @cached_property
     def output_nodes(self) -> tuple[int, ...]:
         return _decode(self.output_text)
 
-    @cached_property
+    @property
     def t_nodes(self) -> tuple[int, ...]:
         return _decode(self.t_text)
 
-    @cached_property
+    @property
     def rz_nodes(self) -> tuple[int, ...]:
         return _decode(self.rz_text)
 
-    @cached_property
+    @property
     def prep_spans(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(_decode, self.spans_text.split(";")[:-1]))
 
@@ -459,16 +462,23 @@ def widget_set_key(digests: Iterable[str], n_input: int, fan_out: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# The set record's columns, one per ``WidgetRecord`` field in field order:
-# the counts, JSON integers, and the texts, JSON strings.
+# The set record's columns, one per stored ``WidgetRecord`` field in field
+# order (all but the three derived counts): the counts, JSON integers, and
+# the texts, JSON strings.
 _RECORD_COUNTS = ("n_nodes", "n_edges", "n_consump_steps", "n_logical",
                   "n_clifford")
 _RECORD_NODES = ("output_text", "t_text", "rz_text")
-_RECORD_FIELDS = tuple(f.name for f in fields(WidgetRecord))
+_RECORD_FIELDS = WidgetRecord._fields[:-3]
+# The text column and separator that each derived count, n_T, n_Rz and
+# n_sub_steps in field order, counts.
+_RECORD_DERIVED = (("t_text", " "), ("rz_text", " "), ("spans_text", ";"))
 # The characters of a node or spans text column joined by ",".
 _NODE_CHARS = re.compile(r"[0-9 ,]*")
 _SPANS_CHARS = re.compile(r"[0-9 ;,]*")
 _DIGITS_AS_0 = str.maketrans("123456789", "000000000")
+# Builds a record from its twelve values in C, past the named tuple's
+# Python-level __new__.
+_new_record = partial(tuple.__new__, WidgetRecord)
 
 
 def _all(kind: type, values: Iterable[object]) -> bool:
@@ -481,7 +491,8 @@ def save_cached(directory: str | Path, key: str,
                 records: Mapping[str, WidgetRecord]) -> Path:
     """Write a widget set's ``records``, by digest, under ``key`` (see
     ``_save_entry``), as columns: ``digests`` lists the digests, and each
-    ``WidgetRecord`` field has one list of its values in digest order."""
+    stored ``WidgetRecord`` field has one list of its values in digest
+    order. The derived counts are not written."""
     columns: dict[str, list] = {"digests": list(records)}
     for name in _RECORD_FIELDS:
         columns[name] = [getattr(record, name) for record in records.values()]
@@ -501,9 +512,9 @@ def _set_from_dict(payload: dict) -> dict[str, WidgetRecord]:
     """Rebuild a set's records from its columns; TypeError unless the
     digests are distinct strings, every field's column is a list as long,
     every count an integer and every text well formed (``_check_texts``).
-    Each check runs once over a whole column, no text is decoded, and each
-    record is built without the frozen dataclass's ``__init__``, which
-    sets every field through ``object.__setattr__``."""
+    Each check runs once over a whole column and no text is decoded. Only
+    then is each derived count taken, by one ``str.count`` of its
+    separator per text, and each record built in C."""
     digests = payload["digests"]
     if (type(digests) is not list or not _all(str, digests)
             or len(set(digests)) != len(digests)):
@@ -518,12 +529,9 @@ def _set_from_dict(payload: dict) -> dict[str, WidgetRecord]:
     for name in _RECORD_NODES:
         _check_texts(payload[name], " ")
     _check_texts(payload["spans_text"], ";")
-    records = {}
-    for digest, values in zip(digests, zip(*columns)):
-        record = object.__new__(WidgetRecord)
-        record.__dict__.update(zip(_RECORD_FIELDS, values))
-        records[digest] = record
-    return records
+    derived = [list(map(str.count, payload[name], repeat(end)))
+               for name, end in _RECORD_DERIVED]
+    return dict(zip(digests, map(_new_record, zip(*columns, *derived))))
 
 
 def _check_texts(texts: list, end: str) -> None:

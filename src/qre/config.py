@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -45,7 +45,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ArchConfig:
-    """All architectural knobs for one estimation run."""
+    """All architectural knobs for one estimation run. Its hash, which keys
+    the selections and timings of a compiled algorithm, is computed once
+    per instance: the config is frozen, and ``replace`` makes a new one."""
 
     # physical
     p: float = 1e-3                  # physical error rate per operation
@@ -82,6 +84,15 @@ class ArchConfig:
 
     def __post_init__(self) -> None:
         self.validate()
+
+    def __hash__(self) -> int:
+        # The hash of the fields, as a frozen dataclass's own __hash__ takes
+        # it, kept in the instance's __dict__ after the first call.
+        value = self.__dict__.get("_hash")
+        if value is None:
+            value = self.__dict__["_hash"] = hash(
+                tuple([getattr(self, f.name) for f in fields(self)]))
+        return value
 
     def validate(self) -> None:
         # Each message names the YAML key of its field (_KEY).
@@ -157,15 +168,18 @@ _INTEGER_KEYS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes",
 
 def _number(name: str, value, integer: bool = False):
     """``value`` as a finite float, or as an int for an integer key, from a
-    number or a numeric string. Anything else, booleans, ``None``, NaN, the
-    infinities and integers too large for a float included, is a
-    ConfigError naming ``name``."""
+    number or a numeric string. Anything else is a ConfigError naming
+    ``name``: "not a number" for booleans, ``None`` and strings that are
+    not numerals, and "not finite" for NaN, the infinities and integers
+    too large for a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{name}: must be a number, got {value!r}")
     try:
         number = float(value)
-    except (ValueError, OverflowError):
-        number = math.nan
+    except ValueError:
+        raise ConfigError(f"{name}: must be a number, got {value!r}") from None
+    except OverflowError:
+        number = math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{name}: must be a finite number, got {value!r}")
     if not integer:

@@ -34,7 +34,8 @@ multiplicity-weighted over the widget sequence so repeated widgets never
 force an expanded walk.
 
 Every sequence total the solver and the report read is
-``CompiledAlgorithm.est``, built in one pass over ``plan.ids``.
+``CompiledAlgorithm.est``, built from the records' fields as columns in
+``plan.ids`` order.
 
 The module-crossing model lives here whole: ``_widget_inputs``, the one
 place a node is mapped to a module, gives each widget's prep sub-step
@@ -55,6 +56,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .architecture import (
@@ -192,25 +194,25 @@ class CompiledAlgorithm:
 
     @cached_property
     def est(self) -> StitchedEstimationSet:
-        """Every multiplicity-weighted total, in one pass over
-        ``plan.ids``."""
-        widgets = t = rz = clifford = nodes = prep = consump = logical = 0
-        for wid, mult in self.plan.multiplicity.items():
-            record = self.compiled[wid]
-            widgets += mult
-            t += mult * record.n_T
-            rz += mult * record.n_Rz
-            clifford += mult * record.n_clifford
-            nodes += mult * record.n_nodes
-            prep += mult * record.n_sub_steps
-            consump += mult * record.n_consump_steps
-            logical = max(logical, record.n_logical)
+        """Every multiplicity-weighted total over ``plan.ids``: the
+        records, in that order, read as one column per field."""
+        multiplicity = self.plan.multiplicity
+        mults = list(multiplicity.values())
+        column = dict(zip(WidgetRecord._fields,
+                          zip(*map(self.compiled.__getitem__, multiplicity))))
+
+        def total(name: str) -> int:
+            return sum(map(mul, mults, column[name]))
+
+        widgets = sum(mults)
         n = self.plan.n_input
         return StitchedEstimationSet(
-            n_input=n, n_widgets=widgets, n_T_init=t, n_Rz_init=rz,
-            n_clifford_init=clifford, n_logical_max=logical,
-            n_nodes_total=nodes + (widgets - 1) * n, l_prep_total=prep,
-            consump_steps_total=consump)
+            n_input=n, n_widgets=widgets, n_T_init=total("n_T"),
+            n_Rz_init=total("n_Rz"), n_clifford_init=total("n_clifford"),
+            n_logical_max=max(column["n_logical"]),
+            n_nodes_total=total("n_nodes") + (widgets - 1) * n,
+            l_prep_total=total("n_sub_steps"),
+            consump_steps_total=total("n_consump_steps"))
 
     @property
     def l_prep_first(self) -> int:

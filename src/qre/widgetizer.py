@@ -464,6 +464,16 @@ def _json_int(value: object) -> int | None:
     return None
 
 
+def _check_format(payload: Mapping, expected: int, what: str) -> None:
+    """CircuitError unless ``payload`` gives no ``format`` or gives
+    ``expected`` as a JSON integer (``_json_int``: ``1.0`` is 1, ``true``
+    is not)."""
+    fmt = payload.get("format", expected)
+    if _json_int(fmt) != expected:
+        raise CircuitError(
+            f"format must be {expected} for a {what} file, got {fmt!r}")
+
+
 def _n_input(value: object) -> int:
     """``n_input`` of either JSON format: an integer of at least 1."""
     n_input = _json_int(value)
@@ -530,8 +540,7 @@ def parse_nested_file(payload: Mapping) -> NestedCircuit:
     and by their key count and whether they give an angle, so an item
     with an unknown key never shares the ``Gate`` of one without.
     """
-    if payload.get("format", NESTED_FORMAT) != NESTED_FORMAT:
-        raise CircuitError("unsupported nested-circuit format")
+    _check_format(payload, NESTED_FORMAT, "nested-circuit")
     _check_keys(payload, _NESTED_KEYS, "top level")
     raw_blocks = payload.get("blocks")
     if not isinstance(raw_blocks, dict) or not raw_blocks:
@@ -579,9 +588,7 @@ def parse_widget_file(payload: Mapping,
     commented-out declaration is never compared. An error message names
     the widget or the top level; ``pipeline.load_circuit`` adds the
     file."""
-    fmt = payload.get("format", WIDGET_FORMAT)
-    if fmt != WIDGET_FORMAT:
-        raise CircuitError(f"unsupported widget file format {fmt!r}")
+    _check_format(payload, WIDGET_FORMAT, "widget-table")
     _check_keys(payload, _WIDGET_KEYS, "top level")
     try:
         n_input = _n_input(payload["n_input"])

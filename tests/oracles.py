@@ -74,6 +74,17 @@ def encode_spans(spans) -> str:
                    for step in spans)
 
 
+def read_record(**stored):
+    """The ``WidgetRecord`` that a set-record read builds from the nine
+    stored values ``stored``, by field name: the read checks every text and
+    derives the T, Rz and sub-step counts itself."""
+    from qre.compiler import _set_from_dict
+
+    (record,) = _set_from_dict({"digests": ["d"], **{
+        name: [value] for name, value in stored.items()}}).values()
+    return record
+
+
 # --------------------------------------------------------------------------
 # Dense unitaries by index arithmetic (qubit 0 = most significant bit)
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from pool import benchmark_pool_circuit
+from qre import cli
 from qre.architecture import DEFAULT_FACTORIES
 from qre.cli import (
     EXIT_INFEASIBLE,
@@ -455,17 +456,44 @@ class TestSweep:
         rc = main(["sweep", "pipes", str(qft3_path), "--values", "1,two"])
         assert rc == EXIT_INVALID
 
-    @pytest.mark.parametrize("values, token", [
-        ("1,x", "'x'"), ("", "''"), ("2,,3", "''"), ("1.5", "'1.5'")])
+    @pytest.mark.parametrize("values, token, kind", [
+        ("1,x", "'x'", ""), ("", "''", ""), ("2,,3", "''", ""),
+        ("1.5", "'1.5'", "whole "), ("nan", "'nan'", "finite "),
+        ("1e999", "'1e999'", "finite ")],
+        ids=["1,x-'x'", "-''", "2,,3-''", "1.5-'1.5'", "nan-'nan'",
+             "1e999-'1e999'"])
     def test_non_integer_values_name_the_token(self, qft3_path, capsys,
-                                               values, token):
+                                               values, token, kind):
         """A token that is not a whole number is refused by the number
-        rule of a config file, under the key it would set."""
+        rule of a config file, under the key it would set: one that is no
+        numeral at all is not a number, not a number that is not
+        finite."""
         rc = main(["sweep", "pipes", str(qft3_path), f"--values={values}"])
         assert rc == EXIT_INVALID
-        err = capsys.readouterr().err
-        assert err.startswith("error: architecture.n_inter_pipes: must be a ")
-        assert err.endswith(f" number, got {token}\n")
+        assert capsys.readouterr().err == (
+            f"error: architecture.n_inter_pipes: must be a {kind}number, "
+            f"got {token}\n")
+
+    @pytest.mark.parametrize("kind, values, message", [
+        ("pipes", "2,x", "architecture.n_inter_pipes: must be a number, "
+                         "got 'x'"),
+        ("decoder", "astra-gnn,x", "scaling.preset: unknown preset 'x'")])
+    def test_bad_token_is_refused_before_the_compile(
+            self, qft3_path, tmp_path, capsys, monkeypatch, kind, values,
+            message):
+        """Every ``--values`` token is read before the circuit is compiled,
+        so a bad one costs no compile and writes no cache."""
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before the tokens were read")
+
+        monkeypatch.setattr(cli, "compile_circuit", no_compile)
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        rc = main(["sweep", kind, str(qft3_path), "--values", values,
+                   "--cache-dir", str(cache)])
+        assert rc == EXIT_INVALID
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(cache.iterdir()) == []
 
     @pytest.mark.parametrize("values", ["0", "-1", "4,0"])
     def test_pipe_counts_below_one_invalid(self, qft3_path, capsys, values):
@@ -582,6 +610,25 @@ class TestBadInput:
                           "distinct_widgets": {"A": "qreg q[1]; t q[0];"}},
                          "top level", "n_imput"),
     }
+
+    @pytest.mark.parametrize("fmt", [True, "1", 2, 1.5, None])
+    @pytest.mark.parametrize("kind", ["nested", "widget table"])
+    def test_a_format_that_is_not_the_integer_1_is_invalid(
+            self, tmp_path, capsys, kind, fmt):
+        """``format`` is read as every other JSON integer: ``true`` equals
+        1 as a Python value, but is no format."""
+        payload = ({"blocks": {"main": [self.T]}} if kind == "nested" else
+                   {"n_input": 1, "sequence": ["A"],
+                    "distinct_widgets": {"A": "qreg q[1]; t q[0];"}})
+        path = tmp_path / "format.json"
+        path.write_text(json.dumps({"format": fmt, **payload}))
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        what = "nested-circuit" if kind == "nested" else "widget-table"
+        assert capsys.readouterr().err == (
+            f"error: {path}: format must be 1 for a {what} file, "
+            f"got {fmt!r}\n")
+        path.write_text(json.dumps({"format": 1.0, **payload}))
+        assert main(["estimate", str(path)]) == EXIT_OK
 
     @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
     def test_unknown_json_key_is_invalid(self, tmp_path, capsys, case):

@@ -3,10 +3,11 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 
-from qre.architecture import DEFAULT_FACTORIES, DEFAULT_FACTORIES_P
+from qre.architecture import DEFAULT_FACTORIES, DEFAULT_FACTORIES_P, TFactory
 from qre.circuit import emit_qasm, generate_qft
 from qre.config import ArchConfig, ConfigError, config_from_mapping, load_config
 from qre.thermal import DEFAULT_THERMAL
@@ -33,6 +34,43 @@ class TestDefaults:
     def test_empty_mapping_gives_defaults(self):
         assert config_from_mapping(None) == ArchConfig()
         assert config_from_mapping({}) == ArchConfig()
+
+
+class TestHash:
+    def test_equal_configs_hash_equal(self):
+        assert hash(ArchConfig()) == hash(config_from_mapping({}))
+        cfg = ArchConfig(n_inter_pipes=3, epsilon=1e-9)
+        assert hash(cfg) == hash(replace(ArchConfig(), n_inter_pipes=3,
+                                         epsilon=1e-9))
+        assert {cfg: 1}[replace(cfg)] == 1
+
+    def test_replace_rehashes(self):
+        cfg = ArchConfig()
+        hash(cfg)
+        for change in ({"n_inter_pipes": 2}, {"kappa": 0.56},
+                       {"factories": DEFAULT_FACTORIES[:1]}):
+            other = replace(cfg, **change)
+            assert other != cfg and hash(other) != hash(cfg)
+            assert hash(replace(other, **{
+                name: getattr(cfg, name) for name in change})) == hash(cfg)
+
+    def test_one_instance_hashes_its_factories_once(self, monkeypatch):
+        calls = []
+        factory_hash = TFactory.__hash__
+
+        def counting(factory):
+            calls.append(factory)
+            return factory_hash(factory)
+
+        monkeypatch.setattr(TFactory, "__hash__", counting)
+        cfg = ArchConfig()
+        first = hash(cfg)
+        assert calls == list(cfg.factories)
+        assert [hash(cfg) for _ in range(5)] == [first] * 5
+        assert {cfg: 1}.get(cfg) == 1
+        assert calls == list(cfg.factories)
+        hash(replace(cfg))  # a new instance hashes its fields anew
+        assert calls == list(cfg.factories) * 2
 
 
 class TestValidation:
@@ -207,6 +245,23 @@ class TestBadValues:
         data, key = self.CASES[case]
         with pytest.raises(ConfigError, match=rf"^cfg\.yaml: {key}: must be"):
             config_from_mapping(data, source="cfg.yaml")
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "must be a number, got 'abc'"),
+        ("", "must be a number, got ''"),
+        ("1,000", "must be a number, got '1,000'"),
+        ("nan", "must be a finite number, got 'nan'"),
+        ("-inf", "must be a finite number, got '-inf'"),
+        (10**400, f"must be a finite number, got {10**400!r}")])
+    def test_not_a_number_is_told_from_not_finite(self, value, message):
+        """A string that is no numeral is not a number; NaN, an infinity
+        and an integer too large for a float are numbers that are not
+        finite."""
+        with pytest.raises(ConfigError) as info:
+            config_from_mapping({"architecture": {"n_inter_pipes": value}},
+                                source="cfg.yaml")
+        assert str(info.value) == (
+            f"cfg.yaml: architecture.n_inter_pipes: {message}")
 
     def test_cli_exits_invalid_naming_the_key(self, tmp_path, capsys):
         from qre.cli import main

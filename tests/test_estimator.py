@@ -18,6 +18,7 @@ from oracles import (
     handover_crossings,
     layout_aware_lhs,
     min_distance_sweep,
+    read_record,
     select_by_fixed_point,
     star_nodes,
     timing_per_call,
@@ -760,7 +761,7 @@ class TestModuleAssignment:
         register size) module boundaries, where the register size is
         ``n_logical_max``, not the slots per module, also on a layout of
         two modules per leg."""
-        record = compiler.WidgetRecord(
+        record = read_record(
             n_nodes=14, n_edges=5, output_text="", t_text="", rz_text="",
             n_consump_steps=0, n_logical=6, n_clifford=0,
             spans_text="7 ;5 2 ;13 6 ;")
@@ -987,20 +988,29 @@ class TestTimingMatchesPerCallOracle:
                 < timings[2].t_prep_delay_total)
 
     def test_pipe_sweep_reads_each_widget_once(self, wide_algo, monkeypatch):
+        """A pipe sweep over one module split decodes each record's node
+        lists and each of its sub-steps' spans once, and reads each decoded
+        list once: the decodes are ``_widget_inputs``', which
+        ``timing_inputs`` runs once per layout."""
+        decoded = Counter()
+        lists = []
         decode = compiler._decode
-        monkeypatch.setattr(compiler, "_decode",
-                            lambda text: ReadCounter(decode(text)))
-        # copies, so that no node list or span is decoded yet
-        compiled = {wid: dataclasses.replace(record)
-                    for wid, record in wide_algo.compiled.items()}
-        algo = CompiledAlgorithm(wide_algo.plan, compiled)
+
+        def counting_decode(text):
+            decoded[text] += 1
+            lists.append(ReadCounter(decode(text)))
+            return lists[-1]
+
+        monkeypatch.setattr(compiler, "_decode", counting_decode)
+        # a fresh algorithm, so that no layout's inputs are memoized yet
+        algo = CompiledAlgorithm(wide_algo.plan, wide_algo.compiled)
         cfg = cross_module_config()
         sel = solve_distance_and_factory(cfg, algo.est)
         assert sel.layout.n_per_leg == 3  # the module split walks nodes
+        assert not decoded
         assert len(run_pipe_sweep(algo, cfg, range(1, 65))) == 64
-        # Each sub-step is read once per read of its record's spans.
-        reads = [getattr(nodes, "reads", 0)
-                 for record in compiled.values()
-                 for nodes in (record.t_nodes, record.rz_nodes,
-                               *record.prep_spans)]
-        assert max(reads) == 1
+        assert decoded == Counter(
+            text for record in algo.compiled.values()
+            for text in (record.output_text, record.t_text, record.rz_text,
+                         *record.spans_text.split(";")[:-1]))
+        assert [nodes.reads for nodes in lists] == [1] * len(lists)

@@ -8,14 +8,14 @@ import sys
 import tempfile
 import threading
 from collections import Counter
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import encode_spans, gate, pipe_sweep_per_point
+from oracles import encode_spans, gate, pipe_sweep_per_point, read_record
 from pool import (
     REFS,
     SPLIT_CRITERIA,
@@ -53,7 +53,7 @@ from qre.pipeline import (
     run_pipe_sweep,
     verify_circuit,
 )
-from qre.prepsched import PrepTuple
+from qre.prepsched import PrepTuple, schedule_preparation
 from qre.report import parse_csv, render_csv
 from qre.widgetizer import WidgetPlan
 
@@ -316,7 +316,7 @@ def _record(n_nodes, t_nodes=(), rz_nodes=(), prep_spans=(),
             output_nodes=None):
     if output_nodes is None:
         output_nodes = (n_nodes - 2, n_nodes - 1)
-    return compiler.WidgetRecord(
+    return read_record(
         n_nodes=n_nodes, n_edges=n_nodes - 1,
         output_text=compiler.encode_nodes(output_nodes),
         t_text=compiler.encode_nodes(t_nodes),
@@ -399,11 +399,16 @@ class TestWidgetCache:
             assert sum(row != other for row, other in rows) == 7
 
     def test_every_column_is_checked(self):
-        """Each ``WidgetRecord`` field is a count, a node list's text or
-        the preparation spans' text, so the set reader validates every
-        column."""
+        """Each stored ``WidgetRecord`` field is a count, a node list's
+        text or the preparation spans' text, so the set reader validates
+        every column; the last three fields are the counts it derives from
+        the checked texts, and are not stored."""
         assert set(compiler._RECORD_FIELDS) == {
             *compiler._RECORD_COUNTS, *compiler._RECORD_NODES, "spans_text"}
+        assert compiler.WidgetRecord._fields == (
+            *compiler._RECORD_FIELDS, "n_T", "n_Rz", "n_sub_steps")
+        assert compiler._RECORD_DERIVED == (
+            ("t_text", " "), ("rz_text", " "), ("spans_text", ";"))
 
     @pytest.mark.parametrize("name", [f"nested{s}" for s in range(16)]
                              + ["qft3", "qft8", "qft20", "single", "empty",
@@ -438,6 +443,39 @@ class TestWidgetCache:
             assert _all_ints(record.t_nodes) and _all_ints(record.rz_nodes)
             assert type(record.prep_spans) is tuple
             assert all(map(_all_ints, record.prep_spans))
+
+    @pytest.mark.parametrize("name", ["qft20"]
+                             + [f"nested{s}" for s in range(16)])
+    def test_read_records_equal_the_compiled_ones(self, name, bench_inputs,
+                                                  config, tmp_path):
+        """Every record read back from a set record equals, field by field,
+        the one ``WidgetRecord.of`` built, and its three derived counts are
+        the compiled widget's T and Rz lists' lengths and its preparation
+        schedule's sub-step count."""
+        suffix, text = bench_inputs[name]
+        path = tmp_path / f"{name}{suffix}"
+        path.write_text(text)
+        plan = load_circuit(path, config).plan
+        made, counts = {}, {}
+        for wid, gates in plan.widgets.items():
+            tw = transpile(gates)
+            cw = compiler.compile_widget(tw, plan.n_input)
+            prep = schedule_preparation(cw.n_nodes, cw.edges, config.fan_out)
+            digest = plan.digest(wid)
+            made[digest] = compiler.WidgetRecord.of(cw, prep,
+                                                    tw.n_Clifford_init)
+            counts[digest] = (len(cw.nodes_by_kind["T"]),
+                              len(cw.nodes_by_kind["Rz"]),
+                              len(prep.sub_steps))
+        compiler.save_cached(tmp_path, "k", made)
+        loaded = compiler.load_cached(tmp_path, "k")
+        assert list(loaded) == list(made)
+        for digest, record in loaded.items():
+            assert type(record) is compiler.WidgetRecord
+            for field in compiler.WidgetRecord._fields:
+                assert getattr(record, field) == getattr(made[digest], field)
+            assert (record.n_T, record.n_Rz, record.n_sub_steps) == (
+                counts[digest])
 
     def test_fan_out_keys_separate_entries(self, pool3_path, tmp_path):
         cache = tmp_path / "cache"
@@ -484,7 +522,7 @@ class TestWidgetCache:
             entry.mkdir()
         else:
             bad = json.loads(entry.read_text())
-            columns = ["digests", *(f.name for f in fields(compiler.WidgetRecord))]
+            columns = ["digests", *compiler._RECORD_FIELDS]
             if content == "format-2":
                 bad["format"] = 2
             elif content == "other-key":
@@ -699,8 +737,10 @@ class TestWidgetCache:
         assert compiler.load_cached(cache, "k2") == records
 
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
-        record = compiler.WidgetRecord(1, 0, "0 ", "", "", 0, 1, object(),
-                                       "")
+        record = read_record(
+            n_nodes=1, n_edges=0, output_text="0 ", t_text="", rz_text="",
+            n_consump_steps=0, n_logical=1, n_clifford=0,
+            spans_text="")._replace(n_clifford=object())
         with pytest.raises(TypeError):
             compiler.save_cached(tmp_path, "k", {"d": record})
         assert cache_entries(tmp_path) == []
@@ -1015,7 +1055,7 @@ class TestPlanRecord:
         good = json.loads(entry.read_text())
         bad = json.loads(entry.read_text())
         k = bad["digests"].index(plan.digest(list(plan.widgets)[7]))
-        for name in ("digests", *(f.name for f in fields(compiler.WidgetRecord))):
+        for name in ("digests", *compiler._RECORD_FIELDS):
             del bad[name][k]
         entry.write_text(json.dumps(bad))
         loads = counting(monkeypatch, pipeline, "load_circuit")
@@ -1132,6 +1172,28 @@ class TestPlanRecord:
         assert run_estimate(path, cache_dir=cache).report.value(20) == 1
         monkeypatch.undo()
         with pytest.raises(CircuitError, match="unknown key 'repaet'"):
+            run_estimate(path, cache_dir=cache)
+
+    def test_a_record_of_a_file_with_a_boolean_format_is_never_read(
+            self, tmp_path, monkeypatch):
+        """Rule 9 compared ``format`` by value, so it planned a nested
+        file with ``"format": true`` as format 1. Such a record, with its
+        widget records, left in a cache must not let a warm run estimate
+        the file, which is now an input error."""
+        cache = tmp_path / "cache"
+        path = tmp_path / "true.json"
+        path.write_text(json.dumps({"format": True, "blocks": {
+            "main": [{"gate": "t", "qubits": [0]}]}}))
+        config = ArchConfig()
+        plan = WidgetPlan.from_sequence(1, {"w0": [gate(G.T, 0)]}, ["w0"])
+        compile_plan(plan, config, cache)
+        monkeypatch.setattr(compiler, "PLAN_RULE", 9)
+        compiler.save_plan(cache, compiler.plan_key(
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+            config.max_gates), plan)
+        assert run_estimate(path, cache_dir=cache).report.value(20) == 1
+        monkeypatch.undo()
+        with pytest.raises(CircuitError, match="format must be 1"):
             run_estimate(path, cache_dir=cache)
 
     def test_verify_and_widgetize_never_read_the_record(

@@ -36,6 +36,7 @@ from qre.widgetizer import (
     build_dependency_graph,
     iter_leaf_sequence,
     parse_nested_file,
+    parse_widget_file,
 )
 
 
@@ -412,6 +413,33 @@ class TestNestedFile:
         assert isinstance(circ.blocks["main"][0], BlockRef)
         rz = circ.blocks["w"][0]
         assert isinstance(rz, Gate) and rz.kind is GateKind.Rz
+
+    @pytest.mark.parametrize("fmt, ok", [
+        (1, True), (1.0, True), (True, False), (False, False), ("1", False),
+        (2, False), (1.5, False), (None, False), ([1], False)])
+    @pytest.mark.parametrize("reader", ["nested", "widget table"])
+    def test_format_is_read_as_a_json_integer(self, reader, fmt, ok):
+        """Both readers read ``format`` by the rule of every other JSON
+        integer: ``1.0`` is format 1, as ``repeat: 2.0`` is 2, but ``true``,
+        equal to 1 as a Python value, is no format."""
+        if reader == "nested":
+            read = parse_nested_file
+            payload = {"blocks": {"main": [{"gate": "t", "qubits": [0]}]}}
+            what = "nested-circuit"
+        else:
+            read = parse_widget_file
+            payload = {"n_input": 1, "sequence": ["A"],
+                       "distinct_widgets": {"A": "qreg q[1]; t q[0];"}}
+            what = "widget-table"
+        payload["format"] = fmt
+        if ok:
+            assert read(payload) == read({
+                k: v for k, v in payload.items() if k != "format"})
+        else:
+            with pytest.raises(CircuitError) as info:
+                read(payload)
+            assert str(info.value) == (
+                f"format must be 1 for a {what} file, got {fmt!r}")
 
     def test_bad_gate_name(self):
         payload = {"blocks": {"main": [{"gate": "u3", "qubits": [0]}]}}
