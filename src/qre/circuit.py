@@ -7,13 +7,13 @@ else in an input file is a hard parse error. The two JSON inputs, widget
 tables and nested blocks, are read in ``widgetizer``, which builds the
 widget plan of every input.
 
-Only source gates, as parsed or built, are ``Gate``s, each validated once
-when it is made: arity, distinct non-negative qubits, and a finite angle
-below ``ANGLE_LIMIT`` on Rz and CPhase. A transpiled gate is a ``GateOp``,
-a plain tuple of the same three fields that ``transpile`` builds in C and
-does not validate again, since an exact identity derived it from a
-validated gate. Angle expressions are folded over a checked syntax tree, so
-arithmetic that fails or leaves the float range is a ``CircuitError`` too.
+A gate is a ``Gate`` from parse to compile, a tuple validated when made:
+arity, distinct non-negative qubits, and a finite angle below
+``ANGLE_LIMIT`` on Rz and CPhase. ``transpile`` passes on each gate it
+does not rewrite and builds each one it derives in C (``tuple.__new__``)
+without a second check, as an exact identity derived it from a valid gate.
+Angle expressions are folded over a checked syntax tree, so arithmetic
+that fails or leaves the float range is a ``CircuitError`` too.
 """
 
 from __future__ import annotations
@@ -76,32 +76,32 @@ class CircuitError(ValueError):
     """Raised for malformed circuit inputs (parse and validation failures)."""
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One logical gate: a kind, its qubit operands, and an angle if rotational."""
+class Gate(NamedTuple("Gate", [("kind", GateKind),
+                                ("qubits", tuple[int, ...]),
+                                ("angle", float | None)])):
+    """One logical gate: a kind, its qubit operands, and an angle if
+    rotational. It equals, and hashes as, the plain tuple of its fields."""
 
-    kind: GateKind
-    qubits: tuple[int, ...]
-    angle: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.qubits) != ARITY[self.kind]:
+    def __new__(cls, kind, qubits, angle=None) -> Gate:
+        if len(qubits) != ARITY[kind]:
             raise CircuitError(
-                f"{self.kind.name} takes {ARITY[self.kind]} qubits, got {self.qubits}"
-            )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"duplicate qubit operand in {self.kind.name}{self.qubits}")
-        if min(self.qubits) < 0:
-            raise CircuitError(f"negative qubit index in {self.kind.name}{self.qubits}")
-        if self.kind in ANGLED:
-            if self.angle is None or not math.isfinite(self.angle):
-                raise CircuitError(f"{self.kind.name} requires a finite angle")
-            if abs(self.angle) >= ANGLE_LIMIT:
+                f"{kind.name} takes {ARITY[kind]} qubits, got {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise CircuitError(f"duplicate qubit operand in {kind.name}{qubits}")
+        if min(qubits) < 0:
+            raise CircuitError(f"negative qubit index in {kind.name}{qubits}")
+        if kind in ANGLED:
+            if angle is None or not math.isfinite(angle):
+                raise CircuitError(f"{kind.name} requires a finite angle")
+            if abs(angle) >= ANGLE_LIMIT:
                 raise CircuitError(
-                    f"{self.kind.name} angle {self.angle!r} is too large: "
+                    f"{kind.name} angle {angle!r} is too large: "
                     f"reduce it modulo 2*pi below {ANGLE_LIMIT:.1f}")
-        elif self.angle is not None:
-            raise CircuitError(f"{self.kind.name} takes no angle")
+        elif angle is not None:
+            raise CircuitError(f"{kind.name} takes no angle")
+        return tuple.__new__(cls, (kind, qubits, angle))
 
     def __repr__(self) -> str:  # compact, e.g. CX(0,1) or Rz(0.3)(1)
         qs = ",".join(str(q) for q in self.qubits)
@@ -333,17 +333,6 @@ def emit_qasm(gates: Sequence[Gate], n_qubits: int | None = None) -> str:
 # Transpilation to Clifford + T + Rz
 # --------------------------------------------------------------------------
 
-class GateOp(NamedTuple):
-    """One gate of a transpiled widget, read through the same attributes as
-    a ``Gate``. ``transpile`` derives each from a validated gate by an
-    exact identity and builds it in C (``tuple.__new__``), so it is not
-    validated again."""
-
-    kind: GateKind
-    qubits: tuple[int, ...]
-    angle: float | None
-
-
 @dataclass(frozen=True)
 class TranspiledWidget:
     """Composite-free gate list with per-class counts.
@@ -352,7 +341,7 @@ class TranspiledWidget:
     synthesis); n_Rz_init counts only genuine non-Clifford rotations.
     """
 
-    gates: tuple[GateOp, ...]
+    gates: tuple[Gate, ...]
     n_T_init: int
     n_Rz_init: int
     n_Clifford_init: int
@@ -386,8 +375,9 @@ def transpile(gates: Sequence[Gate]) -> TranspiledWidget:
     CX(a, b) Rz(b, -theta/2) CX(a, b) Rz(a, theta/2) Rz(b, theta/2); an Rz
     within ``SNAP_TOL`` of a multiple k of pi/4 becomes ``_SNAP_TABLE[k]``.
     The three rotations of a CPhase snap together, as -theta/2 snaps
-    exactly when theta/2 does, to the mirrored k."""
-    out: list[GateOp] = []
+    exactly when theta/2 does, to the mirrored k. Every other gate is
+    passed on as the same object."""
+    out: list[Gate] = []
     add = out.append
     n_t = n_rz = 0
     for g in gates:
@@ -396,51 +386,51 @@ def transpile(gates: Sequence[Gate]) -> TranspiledWidget:
             a, b = qubits
             qa, qb = (a,), (b,)
             half = g.angle / 2.0
-            cx = _new(GateOp, (_CX, qubits, None))
+            cx = _new(Gate, (_CX, qubits, None))
             k = round(half / _QUARTER)
             if abs(half - k * _QUARTER) > SNAP_TOL:
                 n_rz += 3
-                out += (cx, _new(GateOp, (_RZ, qb, -half)), cx,
-                        _new(GateOp, (_RZ, qa, half)),
-                        _new(GateOp, (_RZ, qb, half)))
+                out += (cx, _new(Gate, (_RZ, qb, -half)), cx,
+                        _new(Gate, (_RZ, qa, half)),
+                        _new(Gate, (_RZ, qb, half)))
                 continue
             n_t += 3 * (k & 1)
             add(cx)
             for snapped in _SNAP_TABLE[-k % 8]:
-                add(_new(GateOp, (snapped, qb, None)))
+                add(_new(Gate, (snapped, qb, None)))
             add(cx)
             for q in (qa, qb):
                 for snapped in _SNAP_TABLE[k % 8]:
-                    add(_new(GateOp, (snapped, q, None)))
+                    add(_new(Gate, (snapped, q, None)))
         elif kind is _RZ:
             angle = g.angle
             k = round(angle / _QUARTER)
             if abs(angle - k * _QUARTER) > SNAP_TOL:
                 n_rz += 1
-                add(_new(GateOp, (_RZ, qubits, angle)))
+                add(g)
                 continue
             n_t += k & 1
             for snapped in _SNAP_TABLE[k % 8]:
-                add(_new(GateOp, (snapped, qubits, None)))
+                add(_new(Gate, (snapped, qubits, None)))
         elif kind is _CCX:
             a, b, c = qubits
             qa, qb, qc = (a,), (b,), (c,)
             ab, ac, bc = (a, b), (a, c), (b, c)
             n_t += 7
             out += (
-                _new(GateOp, (_H, qc, None)), _new(GateOp, (_CX, bc, None)),
-                _new(GateOp, (_TDG, qc, None)), _new(GateOp, (_CX, ac, None)),
-                _new(GateOp, (_T, qc, None)), _new(GateOp, (_CX, bc, None)),
-                _new(GateOp, (_TDG, qc, None)), _new(GateOp, (_CX, ac, None)),
-                _new(GateOp, (_T, qb, None)), _new(GateOp, (_T, qc, None)),
-                _new(GateOp, (_H, qc, None)), _new(GateOp, (_CX, ab, None)),
-                _new(GateOp, (_T, qa, None)), _new(GateOp, (_TDG, qb, None)),
-                _new(GateOp, (_CX, ab, None)),
+                _new(Gate, (_H, qc, None)), _new(Gate, (_CX, bc, None)),
+                _new(Gate, (_TDG, qc, None)), _new(Gate, (_CX, ac, None)),
+                _new(Gate, (_T, qc, None)), _new(Gate, (_CX, bc, None)),
+                _new(Gate, (_TDG, qc, None)), _new(Gate, (_CX, ac, None)),
+                _new(Gate, (_T, qb, None)), _new(Gate, (_T, qc, None)),
+                _new(Gate, (_H, qc, None)), _new(Gate, (_CX, ab, None)),
+                _new(Gate, (_T, qa, None)), _new(Gate, (_TDG, qb, None)),
+                _new(Gate, (_CX, ab, None)),
             )
         else:
             if kind is _T or kind is _TDG:
                 n_t += 1
-            add(_new(GateOp, (kind, qubits, None)))
+            add(g)
     return TranspiledWidget(tuple(out), n_T_init=n_t, n_Rz_init=n_rz,
                             n_Clifford_init=len(out) - n_t - n_rz)
 

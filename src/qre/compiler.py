@@ -5,7 +5,7 @@ node is entangled to a fresh node (CZ then H on the fresh node), marked for
 measurement in the rotation-angle basis, and the wire retargets to the fresh
 node. Clifford gates act directly on current nodes (SWAP is pure relabeling).
 
-One pass over the widget's gates (the ``GateOp`` tuples of
+One pass over the widget's gates (the ``Gate`` tuples of
 ``circuit.transpile``, read by ``kind``, ``qubits`` and ``angle``)
 conjugates the columns of one ``PauliRows`` sweep by the preparation ops of
 each gate, and records each gadget's measured node, in gadget order and in
@@ -70,8 +70,8 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .circuit import (
     KIND_NAME,
+    Gate,
     GateKind,
-    GateOp,
     TranspiledWidget,
     circuit_width,
 )
@@ -130,7 +130,7 @@ class CompiledWidget:
     consump_schedule: tuple[tuple[int, ...], ...]
     n_logical: int
     # The transpiled gates, kept for ``prep_ops`` and ``measurements``.
-    gates: tuple[GateOp, ...] = field(repr=False)
+    gates: tuple[Gate, ...] = field(repr=False)
     # The sweep's rows (frames below, tableau above), kept for ``frames``.
     sweep: PauliRows = field(repr=False, compare=False)
 
@@ -356,7 +356,7 @@ def compile_widget(w: TranspiledWidget, n_input: int) -> CompiledWidget:
     )
 
 
-def _preparation(gates: Iterable[GateOp],
+def _preparation(gates: Iterable[Gate],
                  n: int) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """The preparation ops of a compiled widget's ``gates`` on ``n`` wires,
     by the compile loop's rule: a gate acts on its wires' current nodes; a

@@ -126,14 +126,8 @@ class ArchConfig:
             problems.append(f"{_KEY['qubit_pitch']} must be positive")
         if self.couplers_per_qubit < 0:
             problems.append(f"{_KEY['couplers_per_qubit']} must be >= 0")
-        # The integer fields' lower bounds. Any one gate meets a split
-        # budget of 1, so such a budget fails every input that has gates.
-        for name, least in (("n_phys_per_module", 1), ("n_inter_pipes", 1),
-                            ("n_algo_reps", 1), ("fan_out", 1),
-                            ("max_gates", 2)):
-            if getattr(self, name) < least:
-                problems.append(
-                    f"{_KEY[name]} must be >= {least}: {getattr(self, name)}")
+        problems += filter(None, [_below_least(name, getattr(self, name))
+                                  for name in _LEAST])
         if not self.factories:
             problems.append("factories: need at least one distillation unit")
         if problems:
@@ -165,6 +159,19 @@ _LINE_FIELDS = ("per_qubit", "load_4k", "load_20mk")
 _INTEGER_KEYS = {"n_phys_per_module", "n_algo_reps", "n_inter_pipes",
                  "fan_out", "max_gates", "width", "length", "qubits"}
 
+# The integer fields' lower bounds, in the order validate reports them.
+# Any one gate meets a split budget of 1, so such a budget fails every
+# input that has gates.
+_LEAST = {"n_phys_per_module": 1, "n_inter_pipes": 1, "n_algo_reps": 1,
+          "fan_out": 1, "max_gates": 2}
+
+
+def _below_least(name: str, value) -> str | None:
+    """The message for a ``value`` of the field ``name`` below its bound."""
+    if name in _LEAST and value < _LEAST[name]:
+        return f"{_KEY[name]} must be >= {_LEAST[name]}: {value}"
+    return None
+
 
 def _number(name: str, value, integer: bool = False):
     """``value`` as a finite float, or as an int for an integer key, from a
@@ -193,9 +200,14 @@ def _number(name: str, value, integer: bool = False):
 
 def read_field(name: str, value):
     """``value`` read as a config file reads the ArchConfig field ``name``:
-    by the number rule, as an int for an integer field. A ConfigError
+    by the number rule, as an int for an integer field, and held to the
+    field's lower bound as ``ArchConfig.validate`` holds it. A ConfigError
     names the field's ``section.key``."""
-    return _number(_KEY[name], value, name in _INTEGER_KEYS)
+    number = _number(_KEY[name], value, name in _INTEGER_KEYS)
+    problem = _below_least(name, number)
+    if problem is not None:
+        raise ConfigError(problem)
+    return number
 
 
 def scaling_preset(name, where: str = _KEY["preset"]) -> tuple[float, float]:

@@ -365,9 +365,6 @@ def run_pipe_sweep(
     estimate's timing.
     """
     counts = [read_field("n_inter_pipes", value) for value in pipe_values]
-    # The pipe count is the only field that varies and its check is a lower
-    # bound, so this validates every count before any rounds are computed.
-    replace(config, n_inter_pipes=min(counts, default=config.n_inter_pipes))
     sel = _select(algo, config)
     inputs = algo.timing_inputs(sel.layout)
     by_rounds: dict[tuple[int, ...], float] = {}

@@ -1,5 +1,6 @@
 """Tests for parsing, transpilation, QFT generation, and widget files."""
 
+import itertools
 import math
 import re
 
@@ -18,7 +19,6 @@ from qre.circuit import (
     CircuitError,
     Gate,
     GateKind,
-    GateOp,
     circuit_width,
     emit_qasm,
     gate_list_digest,
@@ -436,7 +436,16 @@ class TestTranspileOracle:
     def test_ops_and_counts_match(self, gates):
         tw = transpile(gates)
         ref, n_t, n_rz, n_clifford = oracles.transpile_by_gates(gates)
-        assert all(type(op) is GateOp for op in tw.gates)
+        assert all(type(op) is Gate for op in tw.gates)
+        # A gate that is not rewritten is passed on as the same object.
+        rest = iter(tw.gates)
+        for g in gates:
+            outputs = list(itertools.islice(
+                rest, len(oracles.transpile_by_gates([g])[0])))
+            if g.kind not in (GateKind.CCX, GateKind.CPhase) and [
+                    (o.kind, o.qubits, o.angle) for o in outputs] == [
+                    (g.kind, g.qubits, g.angle)]:
+                assert outputs[0] is g
         assert list(map(tuple, tw.gates)) == [(g.kind, g.qubits, g.angle)
                                               for g in ref]
         assert (tw.n_T_init, tw.n_Rz_init, tw.n_Clifford_init) == (

@@ -477,6 +477,7 @@ class TestSweep:
     @pytest.mark.parametrize("kind, values, message", [
         ("pipes", "2,x", "architecture.n_inter_pipes: must be a number, "
                          "got 'x'"),
+        ("pipes", "0", "architecture.n_inter_pipes must be >= 1: 0"),
         ("decoder", "astra-gnn,x", "scaling.preset: unknown preset 'x'")])
     def test_bad_token_is_refused_before_the_compile(
             self, qft3_path, tmp_path, capsys, monkeypatch, kind, values,

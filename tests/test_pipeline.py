@@ -28,7 +28,6 @@ from qre.architecture import EstimationError
 from qre.circuit import (
     CircuitError,
     Gate,
-    GateOp,
     emit_qasm,
     generate_qft,
     parse_qasm,
@@ -247,9 +246,7 @@ class TestColdPathConstructors:
     A deterministic count of calls, seen through ``sys.setprofile``."""
 
     WATCHED = {
-        Gate.__init__.__code__: "Gate.__init__",
-        Gate.__post_init__.__code__: "Gate.__post_init__",
-        GateOp.__new__.__code__: "GateOp.__new__",
+        Gate.__new__.__code__: "Gate.__new__",
         compiler.Measurement.__new__.__code__: "Measurement.__new__",
         PrepTuple.__new__.__code__: "PrepTuple.__new__",
         # A positive control: the profile hook sees Python calls.
