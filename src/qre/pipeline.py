@@ -118,11 +118,12 @@ class LoadedCircuit:
 
 def load_circuit(path: str | Path, config: ArchConfig,
                  data: bytes | None = None) -> LoadedCircuit:
-    """Parse a circuit file, dispatching on its content: OpenQASM text
-    becomes the one root block of a nested circuit on its declared
-    register, which must hold at least one qubit; JSON is either a widget
-    table ({distinct_widgets, sequence}), whose sequence is the plan, or
-    nested blocks ({blocks, root}). A nested circuit is widgetized under
+    """Parse a circuit file, dispatching on its first non-blank byte: ``{``
+    or ``[`` opens JSON, anything else OpenQASM. OpenQASM text becomes the
+    one root block of a nested circuit on its declared register, which
+    must hold at least one qubit; JSON is an object, either a widget table
+    ({distinct_widgets, sequence}), whose sequence is the plan, or nested
+    blocks ({blocks, root}). A nested circuit is widgetized under
     the configured split budget, ``max_gates``. ``data`` is the file's
     bytes when the caller has read them already. A CircuitError names the
     file, here alone: the readers and the widgetizer say what is wrong in
@@ -140,7 +141,7 @@ def _parse(data: bytes, config: ArchConfig) -> LoadedCircuit:
         text = data.decode()
     except UnicodeDecodeError as exc:
         raise CircuitError(f"not UTF-8 text: {exc}") from exc
-    if not data.lstrip().startswith(b"{"):
+    if not data.lstrip().startswith((b"{", b"[")):
         n_qubits, gates = parse_qasm(text)
         if not n_qubits:
             raise CircuitError(
@@ -151,6 +152,8 @@ def _parse(data: bytes, config: ArchConfig) -> LoadedCircuit:
             payload = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long
             raise CircuitError(f"not valid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise CircuitError("top level must be a JSON object, not an array")
         if "distinct_widgets" in payload:
             n_input, table, sequence = parse_widget_file(payload)
             return LoadedCircuit(

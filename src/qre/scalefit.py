@@ -107,22 +107,23 @@ def per_cycle_error(p_shot: float, rounds: int) -> float:
 
 
 def read_samples_csv(path: str | Path) -> list[ScalingSample]:
-    """Load `p,d,ler[,weight]` rows; a header line is detected and skipped."""
+    """Load `p,d,ler[,weight]` rows, skipping blank ones and a header: a
+    first row that is not blank and does not start with a number."""
     rows: list[ScalingSample] = []
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row or not row[0].strip():
-                continue
-            if i == 0 and not _is_number(row[0]):
+        filled = ((i, row) for i, row in enumerate(csv.reader(fh), 1)
+                  if row and row[0].strip())
+        for k, (i, row) in enumerate(filled):
+            if k == 0 and not _is_number(row[0]):
                 continue  # header
             if len(row) not in (3, 4):
-                raise FitError(f"{path}: row {i + 1}: expected p,d,ler[,weight]")
+                raise FitError(f"{path}: row {i}: expected p,d,ler[,weight]")
             try:
                 weight = float(row[3]) if len(row) == 4 else 1.0
                 rows.append(ScalingSample(float(row[0]), int(row[1]),
                                           float(row[2]), weight))
             except ValueError as exc:
-                raise FitError(f"{path}: row {i + 1}: {exc}") from exc
+                raise FitError(f"{path}: row {i}: {exc}") from exc
     return rows
 
 

@@ -14,18 +14,22 @@ no reason to cut it. Blocks are expanded depth-first; a node of
 of consecutive gates and one per invocation of another block, leaving out
 each invocation of a block with no gates. A run of gates is cut in gate
 order into consecutive pieces of ``max_gates - 1`` gates, the last holding
-the rest, so a split never reorders gates. Each node folds its children's
-widget and stitch multiplicities as it is built, with repeat counts kept
-symbolic, so the root's are exact Python integers even for billions of
-expanded gates, computed without materializing the leaf sequence. Leaves
-with equal gate lists, qubits included (equal ``gate_list_digest``), are
-built once and shared, so a widget always acts on the qubits its gates
-name; ids number the leaves only. A leaf gets its digest when a second
-leaf is compared with it, so a plan of one widget, such as a flat QASM
-file under the budget, digests nothing while it is built. A plan keeps
-each digest it knows, and ``WidgetPlan.digest`` computes the others on
-first use, which only the widget cache makes: it derives its key from the
-digests.
+the rest, so a split never reorders gates. Leaves with equal gate lists,
+qubits included (equal ``gate_list_digest``), are built once and shared,
+so a widget always acts on the qubits its gates name; ids number the
+leaves only. A leaf gets its digest when a second leaf is compared with
+it, so a plan of one widget, such as a flat QASM file under the budget,
+digests nothing while it is built. A plan keeps each digest it knows, and
+``WidgetPlan.digest`` computes the others on first use, which only the
+widget cache makes: it derives its key from the digests.
+
+One fold (``_fold``) counts every plan's widget multiplicities and ordered
+stitches. Each composite node folds its children as it is built, with
+repeat counts kept symbolic, so the root's counts are exact Python
+integers even for billions of expanded gates, computed without
+materializing the leaf sequence. A leaf holds no plan: the fold counts it
+as itself, and a widget table's sequence folds the same way, each id a
+leaf.
 
 A ``WidgetPlan`` is a ``PlanRecord``, the gate-free part that estimation
 reads and the plan cache stores, plus each widget's gate list.
@@ -40,7 +44,7 @@ Only ``verify`` expands a whole circuit (``iter_leaf_sequence``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import groupby, repeat
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .circuit import (
@@ -158,75 +162,69 @@ class NestedCircuit:
 
 @dataclass(eq=False)
 class SubcircuitNode:
-    """One node of the dependency graph, a leaf gate list or a composite,
-    with its widget and stitch multiplicities folded in as it is built.
+    """One node of the dependency graph, a leaf gate list or a composite.
 
     ``children`` holds ordered (node, repeat) edges in execution order and is
-    empty exactly when ``gates`` is set. ``multiplicity`` counts each leaf
-    under the node and ``stitches`` each ordered pair of consecutive leaves,
-    both in order of first use; ``first`` and ``last`` open and close the
-    node's leaf sequence. A leaf's ``id`` names its widget, and ``digest``
-    is the ``gate_list_digest`` of its gates, or "" for a first leaf that
-    no other leaf was compared with (see ``_Builder.build_leaf``). A
-    composite stores the four folded fields; a leaf derives them on each
-    read, since storing itself in them would make every leaf a reference
-    cycle.
+    empty exactly when ``gates`` is set. A leaf's ``id`` names its widget,
+    and ``digest`` is the ``gate_list_digest`` of its gates, or "" for a
+    first leaf that no other leaf was compared with (see
+    ``_Builder.build_leaf``). A composite folds its children as it is built
+    (``_fold``) and stores the result: ``multiplicity`` counts each leaf
+    under it and ``stitches`` each ordered pair of consecutive leaves, both
+    in order of first use, and ``first`` and ``last`` open and close its
+    leaf sequence. A leaf holds no plan, and has none of those four
+    attributes: ``_fold`` counts a leaf as itself.
     """
 
     gates: tuple[Gate, ...] | None = None
     children: list[tuple[SubcircuitNode, int]] = field(default_factory=list)
     id: str = ""
     digest: str = ""
-    _multiplicity: dict[SubcircuitNode, int] = field(init=False, repr=False)
-    _stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = field(
+    multiplicity: dict[SubcircuitNode, int] = field(init=False, repr=False)
+    stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = field(
         init=False, repr=False)
-    _first: SubcircuitNode = field(init=False, repr=False)
-    _last: SubcircuitNode = field(init=False, repr=False)
+    first: SubcircuitNode = field(init=False, repr=False)
+    last: SubcircuitNode = field(init=False, repr=False)
 
     @property
     def is_leaf(self) -> bool:
         return self.gates is not None
 
-    @property
-    def multiplicity(self) -> dict[SubcircuitNode, int]:
-        return {self: 1} if self.is_leaf else self._multiplicity
-
-    @property
-    def stitches(self) -> dict[tuple[SubcircuitNode, SubcircuitNode], int]:
-        return {} if self.is_leaf else self._stitches
-
-    @property
-    def first(self) -> SubcircuitNode:
-        return self if self.is_leaf else self._first
-
-    @property
-    def last(self) -> SubcircuitNode:
-        return self if self.is_leaf else self._last
-
     def __post_init__(self) -> None:
-        if self.is_leaf:
-            return
-        widgets: dict[SubcircuitNode, int] = {}
-        stitches: dict[tuple[SubcircuitNode, SubcircuitNode], int] = {}
-        prev_last: SubcircuitNode | None = None
-        first: SubcircuitNode | None = None
-        for sub, repeat in self.children:
-            for wid, count in sub.multiplicity.items():
-                widgets[wid] = widgets.get(wid, 0) + repeat * count
+        if not self.is_leaf:
+            (self.multiplicity, self.stitches,
+             self.first, self.last) = _fold(self.children)
+
+
+def _fold(children: Iterable[tuple]) -> tuple[dict, dict, object, object]:
+    """The plan of ordered (child, repeat) edges: each leaf's multiplicity
+    and each ordered pair of consecutive leaves' stitch count, both in
+    order of first use, and the first and last leaf. A composite child's
+    stored plan is scaled by its repeat; any other child is a leaf and
+    counts as itself, a leaf node or a widget table's id. A child's repeat
+    seam is counted before its stitch to the child before it."""
+    widgets, stitches = {}, {}
+    first = last = None
+    for sub, repeat in children:
+        if type(sub) is SubcircuitNode and sub.gates is None:  # composite
+            for leaf, count in sub.multiplicity.items():
+                widgets[leaf] = widgets.get(leaf, 0) + repeat * count
             for pair, count in sub.stitches.items():
                 stitches[pair] = stitches.get(pair, 0) + repeat * count
-            if repeat > 1:  # seam between consecutive repetitions
-                seam = (sub.last, sub.first)
-                stitches[seam] = stitches.get(seam, 0) + (repeat - 1)
-            if prev_last is not None:
-                pair = (prev_last, sub.first)
-                stitches[pair] = stitches.get(pair, 0) + 1
-            if first is None:
-                first = sub.first
-            prev_last = sub.last
-        assert first is not None and prev_last is not None
-        self._multiplicity, self._stitches = widgets, stitches
-        self._first, self._last = first, prev_last
+            head, tail = sub.first, sub.last
+        else:
+            widgets[sub] = widgets.get(sub, 0) + repeat
+            head = tail = sub
+        if repeat > 1:  # seam between consecutive repetitions
+            seam = (tail, head)
+            stitches[seam] = stitches.get(seam, 0) + (repeat - 1)
+        if last is None:
+            first = head
+        else:
+            pair = (last, head)
+            stitches[pair] = stitches.get(pair, 0) + 1
+        last = tail
+    return widgets, stitches, first, last
 
 
 class _Builder:
@@ -385,16 +383,18 @@ class WidgetPlan(PlanRecord):
 
     @classmethod
     def from_root(cls, root: SubcircuitNode, n_input: int) -> "WidgetPlan":
-        """The plan of a dependency graph's root, each leaf named by its id."""
-        leaves = root.multiplicity
+        """The plan of a dependency graph's root, folded as one child
+        (``_fold``): a composite root gives its stored plan, and a leaf
+        root, which holds none, counts as itself. Leaves are named by id."""
+        leaves, stitches, first, last = _fold([(root, 1)])
         return cls(
             n_input=n_input,
             widgets={leaf.id: leaf.gates for leaf in leaves},
             multiplicity={leaf.id: count for leaf, count in leaves.items()},
             stitches={(a.id, b.id): count
-                      for (a, b), count in root.stitches.items()},
-            first=root.first.id,
-            last=root.last.id,
+                      for (a, b), count in stitches.items()},
+            first=first.id,
+            last=last.id,
             digests={leaf.id: leaf.digest for leaf in leaves if leaf.digest},
         )
 
@@ -402,21 +402,15 @@ class WidgetPlan(PlanRecord):
     def from_sequence(cls, n_input: int, widgets: Mapping[str, Sequence[Gate]],
                       sequence: Sequence[str]) -> "WidgetPlan":
         """The plan of a flat widget sequence over a table of gate lists,
-        with multiplicities and stitches counted in one pass. It keeps the
-        table's order, which orders the estimator's sums, and drops the
-        widgets the sequence never uses."""
+        folded as a nested plan is (``_fold``), each id a leaf repeated once.
+        The multiplicities keep the table's order, which orders the
+        estimator's sums, and drop the widgets the sequence never uses."""
         if not sequence:
             raise CircuitError("widget sequence is empty")
-        counts: dict[str, int] = {}
-        stitches: dict[tuple[str, str], int] = {}
-        prev = None
-        for wid in sequence:
+        counts, stitches, first, last = _fold(zip(sequence, repeat(1)))
+        for wid in counts:
             if wid not in widgets:
                 raise CircuitError(f"sequence references undefined widget {wid!r}")
-            counts[wid] = counts.get(wid, 0) + 1
-            if prev is not None:
-                stitches[(prev, wid)] = stitches.get((prev, wid), 0) + 1
-            prev = wid
         for wid, gates in widgets.items():
             width = circuit_width(gates)
             if width > n_input:
@@ -428,8 +422,8 @@ class WidgetPlan(PlanRecord):
             widgets={wid: tuple(widgets[wid]) for wid in multiplicity},
             multiplicity=multiplicity,
             stitches=stitches,
-            first=sequence[0],
-            last=sequence[-1],
+            first=first,
+            last=last,
         )
 
 

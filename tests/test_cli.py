@@ -683,6 +683,20 @@ class TestBadInput:
         assert capsys.readouterr().err == (
             f"error: {path}: line 2: unsupported gate 'foo'\n")
 
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '["distinct_widgets"]', ' \n[]', '[{"blocks": {}}]'])
+    def test_a_json_array_at_the_top_level_is_invalid(self, tmp_path, capsys,
+                                                      text):
+        """Input that opens with ``[`` is JSON, as input that opens with
+        ``{`` is, and its top level must be an object; it was read as
+        OpenQASM and refused for a missing ';'."""
+        path = tmp_path / "b.json"
+        path.write_text(text)
+        assert main(["estimate", str(path)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"error: {path}: top level must be a JSON object, "
+            "not an array\n")
+
     def test_json_integer_too_long_to_read_names_the_file(self, tmp_path,
                                                          capsys):
         """Python reads no integer of more than 4300 digits; json.loads then

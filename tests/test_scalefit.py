@@ -146,6 +146,28 @@ class TestCsvReader:
         path.write_text("1e-3,3,2e-5\n")
         assert read_samples_csv(path) == [ScalingSample(1e-3, 3, 2e-5)]
 
+    def test_header_after_a_blank_line(self, tmp_path):
+        """The header is the first row that is not blank; it was skipped
+        only on the file's first line."""
+        path = tmp_path / "samples.csv"
+        path.write_text("\np,d,ler\n0.001,3,3.515625e-5\n"
+                        "0.001,5,2.197265625e-6\n0.002,5,1.7578125e-5\n")
+        fit = fit_scaling_law(read_samples_csv(path))
+        assert fit.kappa == pytest.approx(0.009, rel=1e-9)
+        assert fit.p_thresh == pytest.approx(0.016, rel=1e-9)
+
+    @pytest.mark.parametrize("text, row", [
+        ("\n\np,d,ler\n1e-3,3\n", 4),
+        ("\n1e-3,3,2e-5\np,d,ler\n", 3)],
+        ids=["after-a-header", "a-header-after-a-sample"])
+    def test_error_names_the_raw_line(self, tmp_path, text, row):
+        """Blank lines count in an error's row number, and a header-like
+        row after the first row that is not blank is a bad row."""
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(FitError, match=rf"^{path}: row {row}: "):
+            read_samples_csv(path)
+
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("p,d,ler\n1e-3,3\n")

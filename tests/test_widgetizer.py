@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     block_stats,
@@ -73,6 +73,12 @@ class TestBuild:
         root = build_dependency_graph(circ, 100)
         assert root.is_leaf
         assert len(root.gates) == 10
+        # A leaf holds no plan; the fold counts it as itself.
+        assert not any(hasattr(root, name) for name in
+                       ("multiplicity", "stitches", "first", "last"))
+        plan = WidgetPlan.from_root(root, n_input=2)
+        assert (plan.multiplicity, plan.stitches) == ({"n0": 1}, {})
+        assert (plan.first, plan.last) == ("n0", "n0")
 
     def test_cut_closes_each_piece_before_it_breaks_the_criterion(self):
         circ = NestedCircuit(1, {"main": h_chain(0, 10)}, "main")
@@ -392,6 +398,50 @@ class TestWidgetPlan:
         assert list(record.ids) == ["a", "b"] and record.n_widgets == 3
         with pytest.raises(CircuitError):
             PlanRecord(**{**fields, **change})
+
+
+class TestSequenceFold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_a_brute_force_count_in_order(self, data):
+        """A widget table folds as a nested plan does: multiplicities in
+        table order, without the unused widgets, and stitches in order of
+        first occurrence, each checked as an ordered list of items against
+        a count of the sequence itself. An undefined widget is named in
+        order of first use, and before a widget too wide for the table."""
+        table_ids = data.draw(st.lists(st.sampled_from("ABCDEF"),
+                                       unique=True, max_size=6))
+        sequence = (data.draw(st.lists(st.sampled_from(table_ids),
+                                       min_size=1, max_size=60))
+                    if table_ids else [])
+        for wid in data.draw(st.lists(st.sampled_from("XYZ"), max_size=3)):
+            sequence.insert(data.draw(st.integers(0, len(sequence))), wid)
+        assume(sequence)
+        wide = data.draw(st.booleans())
+        table = {wid: [gate(GateKind.H, 0), gate(GateKind.T, k % 2 if wide
+                                                  else 0)]
+                 for k, wid in enumerate(table_ids)}
+
+        undefined = [wid for wid in sequence if wid not in table]
+        if undefined or (wide and len(table) > 1):
+            message = (f"sequence references undefined widget "
+                       f"{undefined[0]!r}" if undefined else
+                       f"widget {table_ids[1]!r} touches qubit 1, "
+                       f"beyond n_input=1")
+            with pytest.raises(CircuitError) as exc:
+                WidgetPlan.from_sequence(1, table, sequence)
+            assert str(exc.value) == message
+            return
+        plan = WidgetPlan.from_sequence(1, table, sequence)
+        pairs = list(zip(sequence, sequence[1:]))
+        assert list(plan.multiplicity.items()) == [
+            (wid, sequence.count(wid)) for wid in table_ids
+            if wid in sequence]
+        assert list(plan.widgets) == list(plan.multiplicity)
+        assert list(plan.stitches.items()) == [
+            (pair, pairs.count(pair))
+            for k, pair in enumerate(pairs) if pair not in pairs[:k]]
+        assert (plan.first, plan.last) == (sequence[0], sequence[-1])
 
 
 class TestNestedFile:
